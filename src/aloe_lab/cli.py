@@ -7,7 +7,7 @@ self-describing output directory:
     constants.txt   derived theory constants (key = value)
     trials.csv      one row per trial (stopping time, flags, lemma verdicts)
     summary.csv     empirical tail vs theoretical bound per checkpoint
-    trace.csv       iteration log of the first trial
+    trace.csv       iteration log of the harness's base-seed trial
 
 Exit codes: 0 success, 1 statistical-criterion failure, 2 configuration or
 admissibility failure, 3 runtime error.  All CSVs are deterministic given
@@ -25,8 +25,7 @@ import time
 from . import __version__
 from .config import ConfigError, config_digest, parse_config
 from .harness import (ExperimentConfig, InadmissibleConfigError, TrialSummary,
-                      build_oracles, build_problem, run_trials)
-from .linesearch import aloe_run
+                      run_trials)
 from .theory import constants_report
 
 EXIT_OK = 0
@@ -160,10 +159,7 @@ def _write_outputs(config: ExperimentConfig, summary: TrialSummary,
         fh.write(constants_report(summary.constants))
     write_trials_csv(os.path.join(out_dir, "trials.csv"), summary)
     write_summary_csv(os.path.join(out_dir, "summary.csv"), summary)
-    problem, dataset = build_problem(config)
-    zeroth, first = build_oracles(config, problem, dataset)
-    trace = aloe_run(problem, zeroth, first, config.params, config.base_seed)
-    write_trace_csv(os.path.join(out_dir, "trace.csv"), trace)
+    write_trace_csv(os.path.join(out_dir, "trace.csv"), summary.trace)
     manifest = {
         "config_digest": config_digest(config),
         "version": __version__,
@@ -197,7 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    jobs = len(os.sched_getaffinity(0)) if args.jobs is None else args.jobs
+    if jobs < 1:
+        print("--jobs must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
     return run(args.config, args.out, seed=args.seed, trials=args.trials,
                quiet=args.quiet, jobs=jobs)
 

@@ -1,47 +1,4 @@
-"""INI-style experiment configuration.
-
-Grammar (all sections and keys optional; defaults in parentheses):
-
-    [problem]
-    fixture = quadratic | logistic        (quadratic)
-    dim = int                             (10)
-    lambda_min = float                    (0.1)    quadratic only
-    lambda_max = float                    (10.0)   quadratic only
-    x0_norm = float                       (unset)  quadratic only
-    n_samples = int                       (512)    logistic only
-    reg = float                           (1e-3)   logistic only
-    problem_seed = int                    (0)
-
-    [oracles]
-    kind = synthetic | minibatch | gsg    (synthetic)
-    eps_f, nu, b = floats                 (0)
-    mode = exact | bounded | subexponential   (exact)
-    mean_error = float                    (unset)
-    eps_g, kappa, delta = floats          (0)
-    corruption_scale, corruption_base     (10)
-    batch_size = int                      (128)    minibatch only
-    sigma = float, num_directions = int   (gsg only)
-
-    [algorithm]
-    eps_f_input = float                   (oracles eps_f)
-    alpha0 = 1, alpha_max = 10, theta = 0.2, gamma = 0.8
-    max_iters = 1000
-    estimate_eps_f = bool                 (false)
-    estimator_n_calls = 30, estimator_scale = 0.2, estimator_period = 50
-
-    [stopping]
-    class = nonconvex | convex | strongly_convex   (nonconvex)
-    eps = float                           (1e-6)
-    eps1 = float                          (convex only)
-
-    [experiment]
-    trials = 100
-    seed = 0
-    checkpoints = comma-separated ints    (auto)
-    s = 0.0
-    p_hat = float                         (auto)
-    eta = float                           (auto)
-    check_admissibility = bool            (true)
+"""INI-style experiment configuration (grammar: README.md, "Config grammar").
 
 Every semantic violation is collected and reported in a single error.
 """

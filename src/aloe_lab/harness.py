@@ -18,7 +18,7 @@ from . import rng as rngmod
 from .estimation import EpochEpsFController, EstimatorConfig
 from .instrument import (CENSORED, PathReport, StoppingSpec,
                          compute_path_report)
-from .linesearch import AloeParams, aloe_run
+from .linesearch import AloeParams, Trace, aloe_run
 from .oracles import (FirstOracleSpec, GsgFirstOracle, MiniBatchFirstOracle,
                       MiniBatchZerothOracle, SyntheticFirstOracle,
                       SyntheticZerothOracle, ZerothOracleSpec)
@@ -140,6 +140,7 @@ class TrialSummary:
     s: float
     p_hat: float | None
     t_min: int | None
+    trace: Trace | None = None   # the base-seed trial's trace
 
     @property
     def stopping_samples(self) -> np.ndarray:
@@ -176,7 +177,9 @@ def wilson_interval(k: int, n: int, confidence: float = 0.99) -> tuple[float, fl
 
 
 def _run_one_trial(config: ExperimentConfig, constants: TheoryConstants,
-                   seed: int) -> TrialRow:
+                   seed: int) -> tuple[TrialRow, Trace | None]:
+    """Run and classify one trial.  Its trace is returned only for the
+    base seed, so a pool sends back one trace per experiment."""
     problem, dataset = build_problem(config)
     zeroth, first = build_oracles(config, problem, dataset)
     controller = None
@@ -188,17 +191,13 @@ def _run_one_trial(config: ExperimentConfig, constants: TheoryConstants,
     report = compute_path_report(
         trace, problem, config.stopping, config.first.eps_g,
         config.first.kappa, constants.bar_alpha_grid, constants.d)
-    return TrialRow(
+    row = TrialRow(
         seed=seed, T_eps=report.T_eps, censored=report.censored,
         frac_true=report.frac_true, frac_success=report.frac_success,
         lemma2_ok=report.lemma2_ok and report.corollary1_ok,
         lemma3_ok=report.lemma3_ok, lemma4_ok=report.lemma4_ok,
     )
-
-
-def _trial_args(config, constants):
-    for i in range(config.n_trials):
-        yield config, constants, config.base_seed + i
+    return row, (trace if seed == config.base_seed else None)
 
 
 def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
@@ -214,12 +213,13 @@ def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
     seeds = [config.base_seed + i for i in range(config.n_trials)]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            rows = list(pool.map(_run_one_trial,
-                                 [config] * len(seeds), [constants] * len(seeds),
-                                 seeds, chunksize=max(1, len(seeds) // (4 * n_jobs))))
+            results = list(pool.map(
+                _run_one_trial, [config] * len(seeds), [constants] * len(seeds),
+                seeds, chunksize=max(1, len(seeds) // (4 * n_jobs))))
     else:
-        rows = [_run_one_trial(config, constants, s) for s in seeds]
-    rows.sort(key=lambda r: r.seed)
+        results = [_run_one_trial(config, constants, s) for s in seeds]
+    # map keeps seed order, so rows[0] and traces[0] belong to the base seed
+    rows, traces = zip(*results)
 
     p_hat = config.p_hat
     t_min = None
@@ -246,9 +246,10 @@ def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
     if not bounds:
         bounds = tuple(0.0 for _ in checkpoints)
     return TrialSummary(
-        config=config, constants=constants, rows=tuple(rows),
+        config=config, constants=constants, rows=rows,
         checkpoints=checkpoints, empirical_tails=tails, theory_bounds=bounds,
         wilson_bounds=wilson, s=config.s, p_hat=p_hat, t_min=t_min,
+        trace=traces[0],
     )
 
 

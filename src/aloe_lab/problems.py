@@ -65,14 +65,6 @@ class ProblemInstance:
         return replace(self, class_tag=tag)
 
 
-def eval_value(problem: ProblemInstance, x) -> float:
-    return problem.value(x)
-
-
-def eval_gradient(problem: ProblemInstance, x) -> np.ndarray:
-    return problem.gradient(x)
-
-
 def finite_difference_gradient(problem: ProblemInstance, x, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient, the independent check on grad_fn."""
     x = np.asarray(x, dtype=float)

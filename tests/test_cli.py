@@ -1,11 +1,12 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from aloe_lab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_STATISTICAL, main, run,
-                          statistical_failures)
+                          statistical_failures, write_trace_csv)
 from aloe_lab.config import ConfigError, config_digest, parse_config
 from aloe_lab.harness import TrialRow, run_trials
 
@@ -18,6 +19,41 @@ eps = 0.001
 trials = 3
 checkpoints = 200,400
 """
+
+LOGISTIC_ESTIMATED = """
+[problem]
+fixture = logistic
+n_samples = 256
+dim = 5
+reg = 0.01
+problem_seed = 11
+
+[oracles]
+kind = minibatch
+batch_size = 32
+eps_f = 0.01
+mode = bounded
+eps_g = 0.5
+kappa = 1.0
+delta = 0.1
+
+[algorithm]
+alpha_max = 1.25
+max_iters = 50
+estimate_eps_f = true
+estimator_period = 8
+
+[stopping]
+class = strongly_convex
+eps = 0.05
+
+[experiment]
+trials = 3
+check_admissibility = false
+"""
+
+DEMO_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.ini"))
 
 
 def write(tmp_path, name, text):
@@ -161,6 +197,59 @@ class TestRun:
         out = str(tmp_path / "out")
         code = main(["--config", config, "--out", out, "--quiet", "--jobs", "1"])
         assert code == EXIT_OK
+
+
+class TestTraceIsTrialZero:
+    def test_trace_csv_is_the_harness_base_seed_trace(self, tmp_path):
+        # the eps_f controller re-estimates the slack every 8 iterations, so
+        # a trace.csv written without it would show a constant eps_f column
+        config = write(tmp_path, "logistic.ini", LOGISTIC_ESTIMATED)
+        out = tmp_path / "out"
+        assert run(config, str(out), quiet=True) == EXIT_OK
+        with open(out / "trace.csv", newline="") as fh:
+            eps_f = {row["eps_f"] for row in csv.DictReader(fh)}
+        assert len(eps_f) > 1
+        ref = tmp_path / "ref.csv"
+        write_trace_csv(str(ref), run_trials(parse_config(config)).trace)
+        assert (out / "trace.csv").read_bytes() == ref.read_bytes()
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_two(self, tmp_path, jobs):
+        config = write(tmp_path, "smoke.ini", SMOKE)
+        out = str(tmp_path / "out")
+        assert main(["--config", config, "--out", out, "--quiet",
+                     "--jobs", jobs]) == EXIT_CONFIG
+        assert not os.path.exists(out)
+
+    def test_default_is_affinity_size(self, tmp_path, monkeypatch):
+        import aloe_lab.cli as cli_mod
+        seen = {}
+
+        def fake_run(*args, jobs, **kwargs):
+            seen["jobs"] = jobs
+            return EXIT_OK
+
+        monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(cli_mod, "run", fake_run)
+        config = write(tmp_path, "smoke.ini", SMOKE)
+        assert main(["--config", config, "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_OK
+        assert seen["jobs"] == 1
+
+
+class TestDemoConfigs:
+    @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+    def test_runs_clean(self, tmp_path, path):
+        out = tmp_path / "out"
+        assert run(str(path), str(out), trials=2, quiet=True) == EXIT_OK
+        assert set(os.listdir(out)) == {"manifest.json", "constants.txt",
+                                        "trials.csv", "summary.csv",
+                                        "trace.csv"}
+        with open(out / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == parse_config(str(path)).params.max_iters
 
 
 class TestStatisticalFailures:

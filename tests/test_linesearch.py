@@ -3,9 +3,12 @@ import pytest
 
 from aloe_lab.linesearch import (AloeParams, Trace, TrialDivergedError,
                                  aloe_run, armijo_check, step_update)
-from aloe_lab.oracles import (FirstOracleSpec, SyntheticFirstOracle,
-                              SyntheticZerothOracle, ZerothOracleSpec)
-from aloe_lab.problems import make_strongly_convex_quadratic
+from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
+                              MiniBatchFirstOracle, MiniBatchZerothOracle,
+                              SyntheticFirstOracle, SyntheticZerothOracle,
+                              ZerothOracleSpec)
+from aloe_lab.problems import (make_strongly_convex_quadratic,
+                               make_synthetic_logistic)
 
 
 def exact_oracles(problem):
@@ -188,3 +191,39 @@ class TestEpsFController:
                          eps_f_controller=controller)
         assert all(r.eps_f == 0.5 for r in trace.records[:10])
         assert all(r.eps_f == 0.25 for r in trace.records[10:])
+
+
+class TestGroundTruthFromOracleLogs:
+    """The loop records the oracles' logged exact values; they must equal
+    the problem's own value and gradient bit for bit, at x and at
+    x - alpha g, for every oracle family."""
+
+    @staticmethod
+    def noisy_oracles(family, quadratic):
+        zspec = ZerothOracleSpec(eps_f=0.01, mode="bounded")
+        if family == "synthetic":
+            return quadratic, (
+                SyntheticZerothOracle(quadratic, zspec),
+                SyntheticFirstOracle(quadratic, FirstOracleSpec(
+                    eps_g=0.01, kappa=0.5, delta=0.2)))
+        if family == "gsg":
+            zeroth = SyntheticZerothOracle(quadratic, zspec)
+            return quadratic, (zeroth, GsgFirstOracle(
+                quadratic, zeroth, sigma=0.01, num_directions=4,
+                eps_g=0.1, kappa=0.5))
+        problem, dataset = make_synthetic_logistic(n_samples=64, dim=4, seed=3)
+        return problem, (MiniBatchZerothOracle(problem, dataset, 8),
+                         MiniBatchFirstOracle(problem, dataset, 8, 0.1, 0.5))
+
+    @pytest.mark.parametrize("family", ["synthetic", "minibatch", "gsg"])
+    def test_recorded_truth_is_exact(self, quadratic10, family):
+        problem, (zeroth, first) = self.noisy_oracles(family, quadratic10)
+        trace = aloe_run(problem, zeroth, first,
+                         AloeParams(eps_f_input=0.01, alpha_max=1.25,
+                                    max_iters=30), seed=5)
+        assert any(r.e_curr > 0 for r in trace.records)
+        for r in trace.records:
+            assert r.phi_curr == problem.value(r.x)
+            assert r.phi_plus == problem.value(r.x - r.alpha * r.g)
+            assert np.array_equal(r.grad_true, problem.gradient(r.x))
+            assert r.grad_true_norm == float(np.linalg.norm(r.grad_true))
