@@ -15,7 +15,7 @@ Run:  python3 demos/gsg_finite_differences.py
 import numpy as np
 
 from aloe_lab import (AloeParams, GsgFirstOracle, SyntheticZerothOracle,
-                      ZerothOracleSpec, aloe_run,
+                      ZerothOracleSpec, aloe_run, gradient_accurate,
                       make_strongly_convex_quadratic, probe_rng,
                       prop3_params)
 
@@ -42,14 +42,14 @@ def main():
           f"(failure budget delta = {delta})\n")
 
     oracle = GsgFirstOracle(problem, zeroth, float(sigma),
-                            params.num_directions, params.eps_g, 0.0)
+                            params.num_directions)
     rng = probe_rng(42)
     n_queries = 50
     hits = errs = 0.0
     for _ in range(n_queries):
-        _, log = oracle(x, 1.0, rng)
-        hits += log.accuracy_event
-        errs += log.error_magnitude
+        g, grad = oracle(x, 1.0, rng)
+        hits += gradient_accurate(g, grad, 1.0, params.eps_g, 0.0)
+        errs += np.linalg.norm(g - grad)
     print(f"{n_queries} probe queries: accuracy event in "
           f"{hits / n_queries:.0%} (target >= {1 - delta:.0%}), "
           f"mean error {errs / n_queries:.4f} vs eps_g {params.eps_g:.4f}\n")

@@ -40,7 +40,7 @@ def main():
     print(f"full-batch baseline loss after {iters} iterations: {ref:.6f}\n")
 
     zeroth = MiniBatchZerothOracle(problem, dataset, BATCH)
-    first = MiniBatchFirstOracle(problem, dataset, BATCH, eps_g=0.0, kappa=0.0)
+    first = MiniBatchFirstOracle(problem, dataset, BATCH)
     seed = 3
 
     ctrl = EpochEpsFController(zeroth, EstimatorConfig(refresh_period=epoch))

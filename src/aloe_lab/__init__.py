@@ -24,9 +24,9 @@ from .linesearch import (AloeParams, IterationRecord, Trace,
                          step_update)
 from .oracles import (FirstOracleSpec, GsgFirstOracle, GsgParams,
                       MiniBatchFirstOracle, MiniBatchZerothOracle,
-                      OracleParameterError, OracleQueryLog,
-                      SyntheticFirstOracle, SyntheticZerothOracle,
-                      ZerothOracleSpec, gsg_gradient, minibatch_gradient,
+                      OracleParameterError, SyntheticFirstOracle,
+                      SyntheticZerothOracle, ZerothOracleSpec,
+                      gradient_accurate, gsg_gradient, minibatch_gradient,
                       minibatch_value, prop1_subexp_params,
                       prop2_sample_size, prop3_params)
 from .problems import (ErmDataset, ProblemInstance,

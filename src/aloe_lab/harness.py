@@ -21,9 +21,11 @@ from .instrument import (CENSORED, PathReport, StoppingSpec,
 from .linesearch import AloeParams, Trace, aloe_run
 from .oracles import (FirstOracleSpec, GsgFirstOracle, MiniBatchFirstOracle,
                       MiniBatchZerothOracle, SyntheticFirstOracle,
-                      SyntheticZerothOracle, ZerothOracleSpec)
+                      SyntheticZerothOracle, ZerothOracleSpec,
+                      gradient_accurate)
 from .problems import make_strongly_convex_quadratic, make_synthetic_logistic
-from .theory import TheoryConstants, derive_constants
+from .theory import (TheoremInapplicableError, TheoryConstants,
+                     derive_constants)
 
 
 class InadmissibleConfigError(ValueError):
@@ -57,6 +59,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown oracle_kind {self.oracle_kind!r}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if any(t > self.params.max_iters for t in self.t_checkpoints):
             raise ValueError("checkpoints must not exceed the iteration budget")
 
@@ -91,13 +95,11 @@ def build_oracles(config: ExperimentConfig, problem, dataset):
             raise ValueError("minibatch oracles need the empirical-risk fixture")
         bs = config.oracle_params["batch_size"]
         return (MiniBatchZerothOracle(problem, dataset, bs),
-                MiniBatchFirstOracle(problem, dataset, bs,
-                                     config.first.eps_g, config.first.kappa))
+                MiniBatchFirstOracle(problem, dataset, bs))
     zeroth = SyntheticZerothOracle(problem, config.zeroth)
     first = GsgFirstOracle(problem, zeroth,
                            config.oracle_params["sigma"],
-                           config.oracle_params["num_directions"],
-                           config.first.eps_g, config.first.kappa)
+                           config.oracle_params["num_directions"])
     return zeroth, first
 
 
@@ -202,13 +204,35 @@ def _run_one_trial(config: ExperimentConfig, constants: TheoryConstants,
 
 def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
     """Run all trials and aggregate; deterministic given the config,
-    independent of n_jobs (aggregation folds in seed order)."""
+    independent of n_jobs (aggregation folds in seed order).  Every check
+    of the config against the theory runs before the first trial."""
     problem, _ = build_problem(config)
     constants = derive_experiment_constants(config, problem)
     if config.check_admissibility:
         ok, reasons = constants.admissible()
         if not ok:
             raise InadmissibleConfigError("; ".join(reasons))
+
+    p_hat = config.p_hat
+    t_min = None
+    checkpoints = tuple(config.t_checkpoints)
+    bounds = tuple(0.0 for _ in checkpoints)
+    if p_hat is None and config.check_admissibility:
+        lo, hi = constants.p_hat_interval(config.s)
+        if lo < hi:
+            p_hat = 0.5 * (lo + hi)
+    if p_hat is not None:
+        try:
+            t_min, _, _, _ = constants.iteration_threshold(config.s, p_hat)
+        except TheoremInapplicableError as exc:
+            raise InadmissibleConfigError(str(exc)) from exc
+        if not checkpoints:
+            checkpoints = tuple(
+                t for t in (t_min, 2 * t_min, 4 * t_min)
+                if t <= config.params.max_iters)
+        bounds = tuple(constants.tail_lower_bound(config.s, p_hat, t)
+                       if t >= t_min else 0.0
+                       for t in checkpoints)
 
     seeds = [config.base_seed + i for i in range(config.n_trials)]
     if n_jobs > 1:
@@ -221,30 +245,11 @@ def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
     # map keeps seed order, so rows[0] and traces[0] belong to the base seed
     rows, traces = zip(*results)
 
-    p_hat = config.p_hat
-    t_min = None
-    checkpoints = tuple(config.t_checkpoints)
-    bounds = ()
-    if p_hat is None and config.check_admissibility:
-        lo, hi = constants.p_hat_interval(config.s)
-        if lo < hi:
-            p_hat = 0.5 * (lo + hi)
-    if p_hat is not None:
-        t_min, _, _, _ = constants.iteration_threshold(config.s, p_hat)
-        if not checkpoints:
-            checkpoints = tuple(
-                t for t in (t_min, 2 * t_min, 4 * t_min)
-                if t <= config.params.max_iters)
-        bounds = tuple(constants.tail_lower_bound(config.s, p_hat, t)
-                       if t >= t_min else 0.0
-                       for t in checkpoints)
     samples = np.array([r.T_eps for r in rows])
     tails = tuple(empirical_tail(samples, t) for t in checkpoints)
     wilson = tuple(
         wilson_interval(int(round(tail * len(rows))), len(rows))
         for tail in tails)
-    if not bounds:
-        bounds = tuple(0.0 for _ in checkpoints)
     return TrialSummary(
         config=config, constants=constants, rows=rows,
         checkpoints=checkpoints, empirical_tails=tails, theory_bounds=bounds,
@@ -309,29 +314,28 @@ def mgf_envelope_ok(samples: np.ndarray, nu: float, b: float,
 def certify_oracles(problem, zeroth_oracle, first_oracle,
                     zspec: ZerothOracleSpec, fspec: FirstOracleSpec,
                     probe_points, alphas, n_queries: int = 10_000,
-                    base_seed: int = 0, confidence: float = 0.99,
-                    check_mgf: bool = True) -> CertificationReport:
+                    base_seed: int = 0, confidence: float = 0.99) -> CertificationReport:
     """Test the oracle error contracts at each probe point.
 
     Zeroth order: empirical mean error within eps_f plus three standard
     errors, and (for unbounded noise) the sub-exponential MGF envelope.
-    First order: the accuracy event holds with frequency >= 1 - delta by a
-    one-sided binomial test.
+    First order: the accuracy event of `fspec` holds with frequency
+    >= 1 - delta by a one-sided binomial test.
     """
     results = []
     for j, x in enumerate(probe_points):
         rng = rngmod.probe_rng(base_seed, j)
         errors = np.empty(n_queries)
         for i in range(n_queries):
-            _, log = zeroth_oracle(x, rng)
-            errors[i] = log.error_magnitude
+            est, phi = zeroth_oracle(x, rng)
+            errors[i] = abs(est - phi)
         stderr = errors.std(ddof=1) / math.sqrt(n_queries)
         threshold = zspec.eps_f + 3 * stderr
         results.append(ProbeResult(
             description=f"zeroth mean error, probe {j}",
             passed=bool(errors.mean() <= threshold),
             statistic=float(errors.mean()), threshold=threshold))
-        if check_mgf and zspec.mode == "subexponential":
+        if zspec.mode == "subexponential":
             results.append(ProbeResult(
                 description=f"zeroth MGF envelope, probe {j}",
                 passed=mgf_envelope_ok(errors, zspec.nu, zspec.b),
@@ -339,8 +343,8 @@ def certify_oracles(problem, zeroth_oracle, first_oracle,
         for alpha in alphas:
             hits = 0
             for i in range(n_queries):
-                _, log = first_oracle(x, alpha, rng)
-                hits += bool(log.accuracy_event)
+                g, grad = first_oracle(x, alpha, rng)
+                hits += gradient_accurate(g, grad, alpha, fspec.eps_g, fspec.kappa)
             results.append(ProbeResult(
                 description=f"first accuracy event, probe {j}, alpha {alpha}",
                 passed=binomial_frequency_test(hits, n_queries,

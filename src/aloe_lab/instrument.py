@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linesearch import Trace, armijo_check
+from .oracles import gradient_accurate
 from .problems import CLASS_TAGS, ProblemInstance
 
 CENSORED = -1
@@ -94,10 +95,8 @@ def classify_true(record, eps_g: float, kappa: float, eps_f: float | None = None
     most 2 eps_f.  Boundary equalities count as true."""
     if eps_f is None:
         eps_f = record.eps_f
-    grad_ok = (np.linalg.norm(record.g - record.grad_true)
-               <= max(eps_g, kappa * record.alpha * np.linalg.norm(record.g)))
-    value_ok = record.e_curr + record.e_plus <= 2 * eps_f
-    return bool(grad_ok and value_ok)
+    return bool(gradient_accurate(record.g, record.grad_true, record.alpha, eps_g, kappa)
+                and record.e_curr + record.e_plus <= 2 * eps_f)
 
 
 _REL_TOL = 1e-9

@@ -111,8 +111,8 @@ def aloe_run(problem: ProblemInstance, zeroth_oracle, first_oracle,
     re-estimation); otherwise `params.eps_f_input` is used throughout.
 
     The exact values phi(x), phi(x+) and grad phi(x) recorded for the path
-    lemmas are the `true_value` fields of the oracles' query logs, so each
-    is computed once, by the query that needs it.
+    lemmas are the second elements of the oracles' (estimate, exact value)
+    pairs, so each is computed once, by the query that needs it.
     """
     streams = rngmod.TrialStreams(seed)
     x = np.asarray(problem.x0, dtype=float)
@@ -122,20 +122,17 @@ def aloe_run(problem: ProblemInstance, zeroth_oracle, first_oracle,
     for k in range(params.max_iters):
         if eps_f_controller is not None:
             eps_f = eps_f_controller(k, x, streams)
-        g, g_log = first_oracle(x, alpha, streams.stream(k, rngmod.GRAD))
+        g, grad_true = first_oracle(x, alpha, streams.stream(k, rngmod.GRAD))
         g = np.asarray(g, dtype=float)
         x_plus = x - alpha * g
-        f_curr, curr_log = zeroth_oracle(x, streams.stream(k, rngmod.F_CURR))
-        f_plus, plus_log = zeroth_oracle(x_plus, streams.stream(k, rngmod.F_PLUS))
+        f_curr, phi_curr = zeroth_oracle(x, streams.stream(k, rngmod.F_CURR))
+        f_plus, phi_plus = zeroth_oracle(x_plus, streams.stream(k, rngmod.F_PLUS))
         if not (np.isfinite(f_curr) and np.isfinite(f_plus) and np.all(np.isfinite(g))):
             raise TrialDivergedError(
                 f"non-finite oracle output at iteration {k} (seed {seed})"
             )
         g_norm_sq = float(g @ g)
         success = armijo_check(f_plus, f_curr, alpha, params.theta, g_norm_sq, eps_f)
-        phi_curr = curr_log.true_value
-        phi_plus = plus_log.true_value
-        grad_true = g_log.true_value
         records.append(IterationRecord(
             k=k, x=x, alpha=alpha, g=g, f_curr=float(f_curr), f_plus=float(f_plus),
             success=success, e_curr=abs(float(f_curr) - phi_curr),

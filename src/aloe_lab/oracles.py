@@ -9,8 +9,11 @@ Three families are provided:
 * randomized finite-difference (Gaussian smoothing) gradient estimators
   built from the zeroth-order oracle.
 
-Oracles are callables: zeroth ``oracle(x, rng) -> (float, OracleQueryLog)``,
-first ``oracle(x, alpha, rng) -> (ndarray, OracleQueryLog)``.
+Oracles are callables that return the estimate together with the exact
+value it estimates: zeroth ``oracle(x, rng) -> (f, phi(x))``, first
+``oracle(x, alpha, rng) -> (g, grad phi(x))``.  Oracles do not judge their
+own accuracy; `gradient_accurate` is the one gradient accuracy test, used by
+the path classifier, the certification harness and the demos.
 """
 
 import math
@@ -91,16 +94,11 @@ class FirstOracleSpec:
             raise ValueError("delta must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class OracleQueryLog:
-    """Instrumentation record of a single oracle query."""
-
-    x: np.ndarray
-    estimate: object
-    true_value: object
-    error_magnitude: float
-    alpha_input: float | None = None
-    accuracy_event: bool | None = None
+def gradient_accurate(g, grad, alpha: float, eps_g: float, kappa: float) -> bool:
+    """The first-order accuracy event ||g - grad|| <= max{eps_g,
+    kappa alpha ||g||}; boundary equality counts as accurate."""
+    err = float(np.linalg.norm(g - grad))
+    return err <= max(eps_g, kappa * alpha * float(np.linalg.norm(g)))
 
 
 def sample_one_sided_subexp(nu: float, b: float, target_mean: float, rng) -> float:
@@ -132,7 +130,7 @@ class SyntheticZerothOracle:
         self.problem = problem
         self.spec = spec
 
-    def __call__(self, x, rng) -> tuple[float, OracleQueryLog]:
+    def __call__(self, x, rng) -> tuple[float, float]:
         phi = self.problem.value(x)
         spec = self.spec
         if spec.mode == "exact":
@@ -144,11 +142,7 @@ class SyntheticZerothOracle:
         else:
             e = sample_one_sided_subexp(spec.nu, spec.b, spec.target_mean, rng)
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        est = phi + sign * e
-        return est, OracleQueryLog(
-            x=np.asarray(x, float), estimate=est, true_value=phi,
-            error_magnitude=abs(est - phi),
-        )
+        return phi + sign * e, phi
 
 
 class SyntheticFirstOracle:
@@ -160,7 +154,7 @@ class SyntheticFirstOracle:
         self.problem = problem
         self.spec = spec
 
-    def __call__(self, x, alpha, rng) -> tuple[np.ndarray, OracleQueryLog]:
+    def __call__(self, x, alpha, rng) -> tuple[np.ndarray, np.ndarray]:
         grad = self.problem.gradient(x)
         gnorm = float(np.linalg.norm(grad))
         spec = self.spec
@@ -175,13 +169,7 @@ class SyntheticFirstOracle:
             # rho <= kappa*alpha*||grad||/(1+kappa*alpha) guarantees the
             # relative branch of the accuracy event via the triangle inequality
             rho = rng.random() * max(spec.eps_g, ka * gnorm / (1.0 + ka))
-        g = grad + rho * u
-        err = float(np.linalg.norm(g - grad))
-        event = err <= max(spec.eps_g, spec.kappa * alpha * float(np.linalg.norm(g)))
-        return g, OracleQueryLog(
-            x=np.asarray(x, float), estimate=g, true_value=grad,
-            error_magnitude=err, alpha_input=float(alpha), accuracy_event=event,
-        )
+        return grad + rho * u, grad
 
 
 # ---------------------------------------------------------------------------
@@ -212,37 +200,22 @@ class MiniBatchZerothOracle:
         self.dataset = dataset
         self.batch_size = batch_size
 
-    def __call__(self, x, rng) -> tuple[float, OracleQueryLog]:
+    def __call__(self, x, rng) -> tuple[float, float]:
         batch = rng.integers(0, self.dataset.n_samples, size=self.batch_size)
-        est = minibatch_value(self.dataset, x, batch)
-        phi = self.problem.value(x)
-        return est, OracleQueryLog(
-            x=np.asarray(x, float), estimate=est, true_value=phi,
-            error_magnitude=abs(est - phi),
-        )
+        return minibatch_value(self.dataset, x, batch), self.problem.value(x)
 
 
 class MiniBatchFirstOracle:
-    def __init__(self, problem: ProblemInstance, dataset: ErmDataset,
-                 batch_size: int, eps_g: float, kappa: float):
+    def __init__(self, problem: ProblemInstance, dataset: ErmDataset, batch_size: int):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.problem = problem
         self.dataset = dataset
         self.batch_size = batch_size
-        self.eps_g = eps_g
-        self.kappa = kappa
 
-    def __call__(self, x, alpha, rng) -> tuple[np.ndarray, OracleQueryLog]:
+    def __call__(self, x, alpha, rng) -> tuple[np.ndarray, np.ndarray]:
         batch = rng.integers(0, self.dataset.n_samples, size=self.batch_size)
-        g = minibatch_gradient(self.dataset, x, batch)
-        grad = self.problem.gradient(x)
-        err = float(np.linalg.norm(g - grad))
-        event = err <= max(self.eps_g, self.kappa * alpha * float(np.linalg.norm(g)))
-        return g, OracleQueryLog(
-            x=np.asarray(x, float), estimate=g, true_value=grad,
-            error_magnitude=err, alpha_input=float(alpha), accuracy_event=event,
-        )
+        return minibatch_gradient(self.dataset, x, batch), self.problem.gradient(x)
 
 
 def prop1_subexp_params(nu_hat: float, b_hat: float, eps_hat: float, N: int) -> tuple[float, float, float]:
@@ -320,23 +293,15 @@ class GsgFirstOracle:
     """First-order oracle backed by Gaussian-smoothing finite differences."""
 
     def __init__(self, problem: ProblemInstance, zeroth_oracle,
-                 sigma: float, num_directions: int, eps_g: float, kappa: float):
+                 sigma: float, num_directions: int):
         self.problem = problem
         self.zeroth_oracle = zeroth_oracle
         self.sigma = sigma
         self.num_directions = num_directions
-        self.eps_g = eps_g
-        self.kappa = kappa
 
-    def __call__(self, x, alpha, rng) -> tuple[np.ndarray, OracleQueryLog]:
+    def __call__(self, x, alpha, rng) -> tuple[np.ndarray, np.ndarray]:
         g = gsg_gradient(self.zeroth_oracle, x, self.sigma, self.num_directions, rng)
-        grad = self.problem.gradient(x)
-        err = float(np.linalg.norm(g - grad))
-        event = err <= max(self.eps_g, self.kappa * alpha * float(np.linalg.norm(g)))
-        return g, OracleQueryLog(
-            x=np.asarray(x, float), estimate=g, true_value=grad,
-            error_magnitude=err, alpha_input=float(alpha), accuracy_event=event,
-        )
+        return g, self.problem.gradient(x)
 
 
 @dataclass(frozen=True)

@@ -282,13 +282,6 @@ class TheoryConstants:
         from .instrument import progress_Z
         return progress_Z(self.class_tag, self.phi0, self.phi_star, self.eps)
 
-    def h(self, alpha: float) -> float:
-        return h_of_alpha(self.class_tag, alpha, self.theta, self.eps,
-                          self.kappa, self.alpha_max, self.eta, self.beta, self.D)
-
-    def r(self, e_sum: float) -> float:
-        return r_damage(self.class_tag, self.eps_f, e_sum, self.eps)
-
     def admissible(self) -> tuple[bool, list[str]]:
         """Gate before any experiment: the progress/damage/probability
         relations the analysis assumes, evaluated at the grid-snapped
@@ -325,7 +318,9 @@ class TheoryConstants:
         h = self.h_at_bar_grid
         C = h / self._progress_normalizer()
         R = self.Z0 / h + self.d
-        t_min = math.ceil(R / (p_hat - 0.5 - (self.r_at_2epsf + s) / h))
+        # a start already inside the target can make Z0, and so R, negative
+        # (log(gap/eps) < -d h); the bound then covers every t >= 1
+        t_min = max(1, math.ceil(R / (p_hat - 0.5 - (self.r_at_2epsf + s) / h)))
         return t_min, R, C, self.d
 
     def _progress_normalizer(self) -> float:

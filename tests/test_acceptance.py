@@ -24,7 +24,8 @@ from aloe_lab.linesearch import AloeParams, aloe_run
 from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               MiniBatchFirstOracle, MiniBatchZerothOracle,
                               SyntheticFirstOracle, SyntheticZerothOracle,
-                              ZerothOracleSpec, prop1_subexp_params,
+                              ZerothOracleSpec, gradient_accurate,
+                              prop1_subexp_params,
                               prop2_sample_size, prop3_params,
                               sample_one_sided_subexp)
 from aloe_lab.problems import (make_strongly_convex_quadratic,
@@ -195,13 +196,13 @@ def test_acceptance_6a_prop2_minibatch_certification():
     problem, dataset = make_synthetic_logistic(n_samples=256, dim=4, seed=5)
     delta, eps_g, kappa, alpha = 0.3, 2.0, 1.0, 1.0
     N = prop2_sample_size(dataset.M_c, dataset.M_v, delta, eps_g, kappa, alpha)
-    first = MiniBatchFirstOracle(problem, dataset, N, eps_g, kappa)
+    first = MiniBatchFirstOracle(problem, dataset, N)
     probes = [problem.x0, np.zeros(4), np.ones(4), -np.ones(4),
               0.5 * np.ones(4)]
     n_queries = 10_000
     for j, x in enumerate(probes):
         rng = probe_rng(60, j)
-        hits = sum(first(x, alpha, rng)[1].accuracy_event
+        hits = sum(gradient_accurate(*first(x, alpha, rng), alpha, eps_g, kappa)
                    for _ in range(n_queries))
         assert binomial_frequency_test(hits, n_queries, 1 - delta), (j, hits)
 
@@ -238,16 +239,15 @@ def test_acceptance_6c_prop3_gsg_certification():
                           grad_norm=float(np.linalg.norm(grad)))
     assert params.eps_g == pytest.approx(
         2 * (2 * L * sigma + 2 * eps_f / sigma))
-    oracle = GsgFirstOracle(quad, zeroth, sigma, params.num_directions,
-                            params.eps_g, 0.0)
+    oracle = GsgFirstOracle(quad, zeroth, sigma, params.num_directions)
     rng = probe_rng(62)
     n_queries = 200
     estimates = []
     hits = 0
     for _ in range(n_queries):
-        g, log = oracle(x, 1.0, rng)
+        g, exact = oracle(x, 1.0, rng)
         estimates.append(g)
-        hits += log.accuracy_event
+        hits += gradient_accurate(g, exact, 1.0, params.eps_g, 0.0)
     assert binomial_frequency_test(hits, n_queries, 1 - delta)
     estimates = np.array(estimates)
     bias = float(np.linalg.norm(estimates.mean(axis=0) - grad))
@@ -301,8 +301,7 @@ class TestAcceptance8EstimatorRobustness:
     def run_variant(self, setup, seed, mode):
         problem, dataset, epoch, iters, _ = setup
         zeroth = MiniBatchZerothOracle(problem, dataset, ERM_BATCH)
-        first = MiniBatchFirstOracle(problem, dataset, ERM_BATCH,
-                                     eps_g=0.0, kappa=0.0)
+        first = MiniBatchFirstOracle(problem, dataset, ERM_BATCH)
         if mode == "estimated":
             ctrl = EpochEpsFController(
                 zeroth, EstimatorConfig(refresh_period=epoch))

@@ -169,6 +169,33 @@ class TestRun:
         assert run(config, out, quiet=True) == EXIT_CONFIG
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("p_hat", ["0.3", "1.5"])
+    def test_p_hat_outside_interval_exit_two_before_trials(
+            self, tmp_path, monkeypatch, p_hat):
+        import aloe_lab.harness as harness_mod
+
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness_mod, "_run_one_trial", no_trials)
+        config = write(tmp_path, "bad.ini", SMOKE + f"p_hat = {p_hat}\n")
+        out = str(tmp_path / "out")
+        assert run(config, out, quiet=True) == EXIT_CONFIG
+        assert not os.path.exists(out)
+
+    def test_negative_seed_in_config_exit_two(self, tmp_path):
+        config = write(tmp_path, "bad.ini", SMOKE + "seed = -1\n")
+        out = str(tmp_path / "out")
+        assert run(config, out, quiet=True) == EXIT_CONFIG
+        assert not os.path.exists(out)
+
+    def test_negative_seed_override_exit_two(self, tmp_path):
+        config = write(tmp_path, "smoke.ini", SMOKE)
+        out = str(tmp_path / "out")
+        assert main(["--config", config, "--out", out, "--quiet",
+                     "--seed", "-1"]) == EXIT_CONFIG
+        assert not os.path.exists(out)
+
     def test_malformed_config_exit_two(self, tmp_path):
         config = write(tmp_path, "bad.ini", "[algorithm]\ngamma = 2\n")
         assert run(config, str(tmp_path / "out"), quiet=True) == EXIT_CONFIG

@@ -194,9 +194,9 @@ class TestEpsFController:
 
 
 class TestGroundTruthFromOracleLogs:
-    """The loop records the oracles' logged exact values; they must equal
-    the problem's own value and gradient bit for bit, at x and at
-    x - alpha g, for every oracle family."""
+    """The loop records the exact values the oracles return next to their
+    estimates; they must equal the problem's own value and gradient bit for
+    bit, at x and at x - alpha g, for every oracle family."""
 
     @staticmethod
     def noisy_oracles(family, quadratic):
@@ -209,11 +209,10 @@ class TestGroundTruthFromOracleLogs:
         if family == "gsg":
             zeroth = SyntheticZerothOracle(quadratic, zspec)
             return quadratic, (zeroth, GsgFirstOracle(
-                quadratic, zeroth, sigma=0.01, num_directions=4,
-                eps_g=0.1, kappa=0.5))
+                quadratic, zeroth, sigma=0.01, num_directions=4))
         problem, dataset = make_synthetic_logistic(n_samples=64, dim=4, seed=3)
         return problem, (MiniBatchZerothOracle(problem, dataset, 8),
-                         MiniBatchFirstOracle(problem, dataset, 8, 0.1, 0.5))
+                         MiniBatchFirstOracle(problem, dataset, 8))
 
     @pytest.mark.parametrize("family", ["synthetic", "minibatch", "gsg"])
     def test_recorded_truth_is_exact(self, quadratic10, family):

@@ -7,7 +7,8 @@ from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               MiniBatchFirstOracle, MiniBatchZerothOracle,
                               OracleParameterError, SyntheticFirstOracle,
                               SyntheticZerothOracle, ZerothOracleSpec,
-                              gsg_gradient, minibatch_gradient,
+                              gradient_accurate, gsg_gradient,
+                              minibatch_gradient,
                               minibatch_value, prop1_subexp_params,
                               prop2_sample_size, prop3_params,
                               sample_one_sided_subexp)
@@ -54,16 +55,17 @@ class TestSyntheticZeroth:
         oracle = SyntheticZerothOracle(quadratic, ZerothOracleSpec())
         rng = np.random.default_rng(0)
         x = rng.standard_normal(5)
-        est, log = oracle(x, rng)
+        est, phi = oracle(x, rng)
         assert est == quadratic.value(x)
-        assert log.error_magnitude == 0.0
+        assert abs(est - phi) == 0.0
 
     def test_bounded_mode_never_exceeds_eps_f(self, quadratic):
         spec = ZerothOracleSpec(eps_f=0.3, mode="bounded")
         oracle = SyntheticZerothOracle(quadratic, spec)
         rng = np.random.default_rng(1)
         x = np.ones(5)
-        errs = np.array([oracle(x, rng)[1].error_magnitude for _ in range(5000)])
+        errs = np.array([abs(est - phi) for est, phi
+                         in (oracle(x, rng) for _ in range(5000))])
         assert errs.max() <= 0.3
         # uniform on [0, eps_f]: mean eps_f / 2
         assert errs.mean() == pytest.approx(0.15, abs=0.01)
@@ -74,7 +76,8 @@ class TestSyntheticZeroth:
         oracle = SyntheticZerothOracle(quadratic, spec)
         rng = np.random.default_rng(2)
         x = np.ones(5)
-        errs = np.array([oracle(x, rng)[1].error_magnitude for _ in range(20000)])
+        errs = np.array([abs(est - phi) for est, phi
+                         in (oracle(x, rng) for _ in range(20000))])
         assert errs.mean() == pytest.approx(0.1, abs=0.005)
         assert errs.mean() <= spec.eps_f
 
@@ -120,8 +123,8 @@ class TestSyntheticFirst:
         rng = np.random.default_rng(6)
         for _ in range(500):
             x = rng.standard_normal(5)
-            _, log = oracle(x, 0.7, rng)
-            assert log.accuracy_event
+            g, grad = oracle(x, 0.7, rng)
+            assert gradient_accurate(g, grad, 0.7, spec.eps_g, spec.kappa)
 
     def test_event_frequency_at_least_one_minus_delta(self, quadratic):
         spec = FirstOracleSpec(eps_g=0.05, kappa=0.5, delta=0.1)
@@ -129,7 +132,8 @@ class TestSyntheticFirst:
         rng = np.random.default_rng(7)
         x = np.ones(5)
         n = 10_000
-        hits = sum(oracle(x, 0.3, rng)[1].accuracy_event for _ in range(n))
+        hits = sum(gradient_accurate(*oracle(x, 0.3, rng), 0.3, spec.eps_g, spec.kappa)
+                   for _ in range(n))
         # binomial(n, 0.9) three-sigma band around the mean
         assert hits >= n * 0.9 - 3 * math.sqrt(n * 0.9 * 0.1)
 
@@ -142,10 +146,10 @@ class TestSyntheticFirst:
         grad_norm = np.linalg.norm(quadratic.gradient(x))
         failures = 0
         for _ in range(2000):
-            _, log = oracle(x, 0.3, rng)
-            if not log.accuracy_event:
+            g, grad = oracle(x, 0.3, rng)
+            if not gradient_accurate(g, grad, 0.3, spec.eps_g, spec.kappa):
                 failures += 1
-                assert log.error_magnitude == pytest.approx(10.0 + 10.0 * grad_norm)
+                assert np.linalg.norm(g - grad) == pytest.approx(10.0 + 10.0 * grad_norm)
         assert failures > 0
 
     def test_delta_validation(self):
@@ -173,20 +177,18 @@ class TestMiniBatch:
     def test_minibatch_oracles_log_errors(self, logistic):
         problem, dataset = logistic
         z = MiniBatchZerothOracle(problem, dataset, batch_size=16)
-        f = MiniBatchFirstOracle(problem, dataset, batch_size=16,
-                                 eps_g=1.0, kappa=1.0)
+        f = MiniBatchFirstOracle(problem, dataset, batch_size=16)
         rng = np.random.default_rng(10)
         x = rng.standard_normal(4)
-        est, log = z(x, rng)
-        assert log.error_magnitude == pytest.approx(abs(est - problem.value(x)))
-        g, glog = f(x, 0.5, rng)
-        assert glog.error_magnitude == pytest.approx(
+        est, phi = z(x, rng)
+        assert abs(est - phi) == pytest.approx(abs(est - problem.value(x)))
+        g, grad = f(x, 0.5, rng)
+        assert np.linalg.norm(g - grad) == pytest.approx(
             np.linalg.norm(g - problem.gradient(x)))
 
     def test_gradient_mean_unbiased(self, logistic):
         problem, dataset = logistic
-        f = MiniBatchFirstOracle(problem, dataset, batch_size=8,
-                                 eps_g=1.0, kappa=1.0)
+        f = MiniBatchFirstOracle(problem, dataset, batch_size=8)
         rng = np.random.default_rng(11)
         x = np.ones(4)
         mean = np.mean([f(x, 0.5, rng)[0] for _ in range(4000)], axis=0)
@@ -274,11 +276,10 @@ class TestGsg:
     def test_gsg_oracle_logs_event(self, quadratic):
         zeroth = SyntheticZerothOracle(quadratic, ZerothOracleSpec())
         oracle = GsgFirstOracle(quadratic, zeroth, sigma=0.01,
-                                num_directions=512, eps_g=2.0, kappa=0.0)
+                                num_directions=512)
         rng = np.random.default_rng(13)
-        g, log = oracle(np.ones(5), 0.5, rng)
-        assert log.alpha_input == 0.5
-        assert isinstance(log.accuracy_event, bool)
+        g, grad = oracle(np.ones(5), 0.5, rng)
+        assert isinstance(gradient_accurate(g, grad, 0.5, 2.0, 0.0), bool)
 
 
 class TestProp3:

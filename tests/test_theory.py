@@ -206,6 +206,15 @@ class TestDeriveConstants:
         t_min, R, _, _ = c.iteration_threshold(0.0, 1.0 - 1e-12)
         assert t_min == pytest.approx(2 * R, rel=1e-6)
 
+    def test_start_inside_target_gives_t_min_one(self):
+        # log(gap / eps) = log(1e-6) makes R negative
+        c = derive_constants("strongly_convex", **{**EXACT, "phi0": 1e-9},
+                             beta=0.1)
+        t_min, R, _, _ = c.iteration_threshold(0.0, 0.75)
+        assert R < 0
+        assert t_min == 1
+        assert 0.0 <= c.tail_lower_bound(0.0, 0.75, t_min) <= 1.0
+
     def test_p_hat_outside_interval_raises(self):
         c = derive_constants("nonconvex", **EXACT)
         with pytest.raises(TheoremInapplicableError):
