@@ -27,6 +27,15 @@ class ProblemInstance:
     Lipschitz constant, `strong_convexity_beta` is 0 unless the function
     satisfies the PL inequality with that modulus, and `phi_star` is the
     global minimum value.
+
+    `value` and `gradient` are memoized on the bytes of x: phi for the two
+    most recently used points, grad phi for the last one.  The line search
+    moves to x+ or stays at x, so phi(x_{k+1}) was computed at iteration k
+    (and grad phi(x_{k+1}) too after a rejected step), and the noise
+    estimator's repeated queries at the incumbent cost one pass.  The memo
+    sits above `value_fn` / `grad_fn`, is not compared, and starts empty in
+    every copy made by `dataclasses.replace`.  Returned gradients are
+    read-only, so a caller cannot corrupt the memo or the fixture.
     """
 
     dim: int
@@ -38,6 +47,8 @@ class ProblemInstance:
     class_tag: str
     x0: np.ndarray
     diameter_D: float | None = None
+    _values: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _gradients: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.class_tag not in CLASS_TAGS:
@@ -55,11 +66,29 @@ class ProblemInstance:
 
     def value(self, x) -> float:
         """Exact objective value."""
-        return float(self.value_fn(self._check(x)))
+        x = self._check(x)
+        key = x.tobytes()
+        memo = self._values
+        phi = memo.pop(key, None)
+        if phi is None:
+            phi = float(self.value_fn(x))
+            if len(memo) == 2:
+                del memo[next(iter(memo))]
+        memo[key] = phi  # a hit moves to the back: least recently used goes first
+        return phi
 
     def gradient(self, x) -> np.ndarray:
-        """Exact gradient."""
-        return np.asarray(self.grad_fn(self._check(x)), dtype=float)
+        """Exact gradient, as a read-only array."""
+        x = self._check(x)
+        key = x.tobytes()
+        memo = self._gradients
+        grad = memo.get(key)
+        if grad is None:
+            grad = np.asarray(self.grad_fn(x), dtype=float).view()
+            grad.flags.writeable = False
+            memo.clear()
+            memo[key] = grad
+        return grad
 
     def with_class_tag(self, tag: str) -> "ProblemInstance":
         return replace(self, class_tag=tag)
@@ -146,7 +175,7 @@ def make_linear(c) -> ProblemInstance:
     finite-difference gradient estimator (a linear function has zero
     curvature, so the difference quotient is exact).  Unbounded below:
     phi_star is a formal -inf stand-in and must not be used for stopping."""
-    c = np.asarray(c, dtype=float)
+    c = np.array(c, dtype=float)  # a copy: the caller's array stays theirs
     return ProblemInstance(
         dim=c.size,
         value_fn=partial(_linear_value, c),
@@ -191,12 +220,14 @@ def _sigmoid(t):
     return out
 
 
-def _logistic_value(features, labels, reg, n, x):
-    return _mean_ascending(_logistic_losses(features, labels, reg, x, np.arange(n)))
+# Full-data passes index with slice(None), a view: np.arange(n) would copy
+# the features and labels on every call, for the same bits.
+def _logistic_value(features, labels, reg, x):
+    return _mean_ascending(_logistic_losses(features, labels, reg, x, slice(None)))
 
 
 def _logistic_grad(features, labels, reg, n, x):
-    g = _logistic_grads(features, labels, reg, x, np.arange(n))
+    g = _logistic_grads(features, labels, reg, x, slice(None))
     return np.add.reduce(g, axis=0) / n
 
 
@@ -288,7 +319,7 @@ def make_synthetic_logistic(
     L = gram_top / (4.0 * n_samples) + reg
     x0 = rng.standard_normal(dim)
 
-    value_fn = partial(_logistic_value, features, labels, reg, n_samples)
+    value_fn = partial(_logistic_value, features, labels, reg)
     grad_fn = partial(_logistic_grad, features, labels, reg, n_samples)
 
     sol = scipy.optimize.minimize(

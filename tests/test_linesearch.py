@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from aloe_lab.estimation import EpochEpsFController, EstimatorConfig
 from aloe_lab.linesearch import (AloeParams, Trace, TrialDivergedError,
                                  aloe_run, armijo_check, step_update)
 from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
@@ -196,7 +199,9 @@ class TestEpsFController:
 class TestGroundTruthFromOracleLogs:
     """The loop records the exact values the oracles return next to their
     estimates; they must equal the problem's own value and gradient bit for
-    bit, at x and at x - alpha g, for every oracle family."""
+    bit, at x and at x - alpha g, for every oracle family.  The check calls
+    value_fn / grad_fn, not value / gradient, so that it does not read the
+    memo the loop filled."""
 
     @staticmethod
     def noisy_oracles(family, quadratic):
@@ -222,7 +227,38 @@ class TestGroundTruthFromOracleLogs:
                                     max_iters=30), seed=5)
         assert any(r.e_curr > 0 for r in trace.records)
         for r in trace.records:
-            assert r.phi_curr == problem.value(r.x)
-            assert r.phi_plus == problem.value(r.x - r.alpha * r.g)
-            assert np.array_equal(r.grad_true, problem.gradient(r.x))
+            assert r.phi_curr == problem.value_fn(r.x)
+            assert r.phi_plus == problem.value_fn(r.x - r.alpha * r.g)
+            assert np.array_equal(r.grad_true, problem.grad_fn(r.x))
             assert r.grad_true_norm == float(np.linalg.norm(r.grad_true))
+
+
+class TestGroundTruthPasses:
+    """x_{k+1} is x_k or x_k+, so a trial needs one full-data phi pass per
+    iteration plus the start, and one gradient pass per accepted step plus
+    the start, however often the estimator queries the incumbent."""
+
+    def test_pass_count_per_trial(self):
+        problem, dataset = make_synthetic_logistic(n_samples=64, dim=4, seed=3)
+        calls = {"value": 0, "grad": 0}
+
+        def counted(kind, fn):
+            def wrapper(x):
+                calls[kind] += 1
+                return fn(x)
+            return wrapper
+
+        problem = dataclasses.replace(
+            problem, value_fn=counted("value", problem.value_fn),
+            grad_fn=counted("grad", problem.grad_fn))
+        zeroth = MiniBatchZerothOracle(problem, dataset, 8)
+        first = MiniBatchFirstOracle(problem, dataset, 8)
+        params = AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=60)
+        controller = EpochEpsFController(zeroth, EstimatorConfig(refresh_period=10))
+        trace = aloe_run(problem, zeroth, first, params, seed=4,
+                         eps_f_controller=controller)
+        accepted = int(trace.successes().sum())
+        assert len(controller.history) == 6
+        assert 0 < accepted < params.max_iters
+        assert calls["value"] <= params.max_iters + 1
+        assert calls["grad"] <= 1 + accepted

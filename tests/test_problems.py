@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from aloe_lab.problems import (DimensionMismatchError, ProblemInstance,
-                               finite_difference_gradient, make_linear,
-                               make_strongly_convex_quadratic,
+                               _logistic_grads, _logistic_losses,
+                               _mean_ascending, finite_difference_gradient,
+                               make_linear, make_strongly_convex_quadratic,
                                make_synthetic_logistic)
 
 
@@ -107,6 +111,91 @@ class TestProblemInstance:
             quadratic.with_class_tag("mystery")
 
 
+def counting_problem():
+    """0.5 ||x||^2 in R^3 with value_fn / grad_fn that count their passes."""
+    calls = {"value": 0, "grad": 0}
+
+    def value_fn(x):
+        calls["value"] += 1
+        return 0.5 * float(x @ x)
+
+    def grad_fn(x):
+        calls["grad"] += 1
+        return x.copy()
+
+    problem = ProblemInstance(
+        dim=3, value_fn=value_fn, grad_fn=grad_fn, lipschitz_L=1.0,
+        strong_convexity_beta=1.0, phi_star=0.0, class_tag="strongly_convex",
+        x0=np.ones(3))
+    return problem, calls
+
+
+class TestMemo:
+    def test_repeat_call_is_a_lookup(self):
+        p, calls = counting_problem()
+        x = np.array([1.0, 2.0, 3.0])
+        v = p.value(x)
+        assert p.value(x.copy()) is v
+        g = p.gradient(x)
+        assert p.gradient(list(x)) is g
+        assert calls == {"value": 1, "grad": 1}
+
+    def test_one_ulp_away_is_a_miss(self):
+        p, calls = counting_problem()
+        x = np.array([1.0, 2.0, 3.0])
+        y = x.copy()
+        y[1] = np.nextafter(y[1], np.inf)
+        for point in (x, y):
+            p.value(point)
+            p.gradient(point)
+        assert calls == {"value": 2, "grad": 2}
+
+    def test_hit_keeps_its_point_when_a_third_arrives(self):
+        # x_k survives a run of rejected steps: least recently used, not
+        # first in, is evicted
+        p, calls = counting_problem()
+        a, b, c = np.eye(3)
+        for x in (a, b, a, c, a):
+            p.value(x)
+        assert calls["value"] == 3
+        p.value(b)
+        assert calls["value"] == 4
+
+    def test_gradient_is_memoized_for_the_last_point_only(self):
+        p, calls = counting_problem()
+        a, b, _ = np.eye(3)
+        for x in (a, a, b, a):
+            p.gradient(x)
+        assert calls["grad"] == 3
+
+    def test_returned_gradient_is_read_only(self):
+        p, _ = counting_problem()
+        g = p.gradient(np.ones(3))
+        with pytest.raises(ValueError):
+            g[0] = 99.0
+        np.testing.assert_array_equal(p.gradient(np.ones(3)), np.ones(3))
+
+    def test_copies_start_with_an_empty_memo(self):
+        p, calls = counting_problem()
+        x = np.ones(3)
+        p.value(x)
+        p.gradient(x)
+        p.with_class_tag("convex").value(x)
+        p.with_class_tag("convex").gradient(x)
+        dataclasses.replace(p).value(x)
+        assert calls == {"value": 3, "grad": 2}
+
+    def test_equality_and_repr_ignore_the_memo(self):
+        p, _ = counting_problem()
+        q = dataclasses.replace(p)
+        assert p == q
+        p.value(np.ones(3))
+        p.gradient(np.ones(3))
+        assert p == q
+        assert repr(p) == repr(q)
+        assert p != p.with_class_tag("convex")
+
+
 class TestLogistic:
     def test_phi_star_is_minimum(self, logistic):
         problem, _ = logistic
@@ -144,7 +233,61 @@ class TestLogistic:
         assert problem.diameter_D > 0
 
 
+@pytest.fixture(scope="module", params=[(64, 5, 3), (2048, 10, 11)],
+                ids=["n64", "n2048"])
+def logistic_sizes(request):
+    n, d, seed = request.param
+    return make_synthetic_logistic(n_samples=n, dim=d, seed=seed, reg=0.01)
+
+
+class TestCopyFreeFullDataPass:
+    """value_fn / grad_fn view the whole dataset instead of fancy-indexing it
+    with np.arange(n); the results must stay bit-identical, so that phi_star
+    and every constant derived from it cannot drift."""
+
+    @staticmethod
+    def reference(dataset):
+        f, y, reg = dataset.features, dataset.labels, dataset.reg
+        idx = np.arange(dataset.n_samples)
+
+        def value(x):
+            return _mean_ascending(_logistic_losses(f, y, reg, x, idx))
+
+        def grad(x):
+            return np.add.reduce(_logistic_grads(f, y, reg, x, idx), axis=0) / len(idx)
+        return value, grad
+
+    def test_random_points(self, logistic_sizes):
+        problem, dataset = logistic_sizes
+        value, grad = self.reference(dataset)
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            x = 3.0 * rng.standard_normal(problem.dim)
+            assert problem.value_fn(x) == value(x)
+            assert np.array_equal(problem.grad_fn(x), grad(x))
+
+    def test_lbfgs_solution(self, logistic_sizes):
+        problem, dataset = logistic_sizes
+        value, grad = self.reference(dataset)
+        sol = scipy.optimize.minimize(
+            value, np.zeros(problem.dim), jac=grad, method="L-BFGS-B",
+            options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 5000})
+        assert value(sol.x) == problem.phi_star
+        assert problem.value_fn(sol.x) == problem.phi_star
+        assert np.array_equal(problem.grad_fn(sol.x), grad(sol.x))
+
+
 class TestLinear:
+    def test_caller_cannot_corrupt_the_problem(self):
+        c = np.array([1.0, -2.0, 3.0])
+        p = make_linear(c)
+        x = np.ones(3)
+        with pytest.raises(ValueError):
+            p.gradient(x)[0] = 99.0
+        c[1] = 42.0  # the caller's array is not the problem's
+        np.testing.assert_array_equal(p.gradient(np.zeros(3)), [1.0, -2.0, 3.0])
+        assert p.value(2 * x) == 4.0
+
     def test_gradient_is_constant(self):
         c = np.array([1.0, -2.0, 3.0])
         p = make_linear(c)
