@@ -36,7 +36,8 @@ def estimate_eps_f(zeroth_oracle, x, config: EstimatorConfig, rng) -> float:
 
 class EpochEpsFController:
     """Per-epoch refresh hook for the line-search loop: re-estimates the
-    slack at every epoch boundary, at the current incumbent point."""
+    slack at every epoch boundary, at the current incumbent point.  The
+    refreshes of a trial draw in turn from its one EPS_EST generator."""
 
     def __init__(self, zeroth_oracle, config: EstimatorConfig, scale: float = 1.0):
         self.zeroth_oracle = zeroth_oracle
@@ -48,7 +49,7 @@ class EpochEpsFController:
     def __call__(self, k: int, x, streams) -> float:
         if k % self.config.refresh_period == 0:
             est = estimate_eps_f(self.zeroth_oracle, x, self.config,
-                                 streams.stream(k, rngmod.EPS_EST))
+                                 streams.stream(rngmod.EPS_EST))
             self._current = self.scale * est
             self.history.append((k, self._current))
         return self._current

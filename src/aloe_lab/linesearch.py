@@ -2,10 +2,12 @@
 
 Each iteration queries the first-order oracle at the current step size,
 attempts the step x - alpha g, queries the zeroth-order oracle at both
-endpoints on fresh random streams, accepts or rejects via the relaxed
-(additive 2 eps_f slack) Armijo test, and scales the step size by gamma
-accordingly.  The loop runs a fixed budget; stopping times are computed
-offline from the recorded trace.
+endpoints, accepts or rejects via the relaxed (additive 2 eps_f slack)
+Armijo test, and scales the step size by gamma accordingly.  Each of the
+three queries draws from its own per-trial generator (see `rng`), so the
+noise of iteration k is a function of the seed and k alone.  The loop runs
+a fixed budget; stopping times are computed offline from the recorded
+trace.
 """
 
 from dataclasses import dataclass
@@ -115,6 +117,9 @@ def aloe_run(problem: ProblemInstance, zeroth_oracle, first_oracle,
     pairs, so each is computed once, by the query that needs it.
     """
     streams = rngmod.TrialStreams(seed)
+    grad_rng = streams.stream(rngmod.GRAD)
+    curr_rng = streams.stream(rngmod.F_CURR)
+    plus_rng = streams.stream(rngmod.F_PLUS)
     x = np.asarray(problem.x0, dtype=float)
     alpha = params.alpha0
     eps_f = params.eps_f_input
@@ -122,11 +127,11 @@ def aloe_run(problem: ProblemInstance, zeroth_oracle, first_oracle,
     for k in range(params.max_iters):
         if eps_f_controller is not None:
             eps_f = eps_f_controller(k, x, streams)
-        g, grad_true = first_oracle(x, alpha, streams.stream(k, rngmod.GRAD))
+        g, grad_true = first_oracle(x, alpha, grad_rng)
         g = np.asarray(g, dtype=float)
         x_plus = x - alpha * g
-        f_curr, phi_curr = zeroth_oracle(x, streams.stream(k, rngmod.F_CURR))
-        f_plus, phi_plus = zeroth_oracle(x_plus, streams.stream(k, rngmod.F_PLUS))
+        f_curr, phi_curr = zeroth_oracle(x, curr_rng)
+        f_plus, phi_plus = zeroth_oracle(x_plus, plus_rng)
         if not (np.isfinite(f_curr) and np.isfinite(f_plus) and np.all(np.isfinite(g))):
             raise TrialDivergedError(
                 f"non-finite oracle output at iteration {k} (seed {seed})"

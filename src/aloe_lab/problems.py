@@ -271,7 +271,9 @@ def estimate_growth_constants(
 
     Probes a Gaussian ball around x0 and takes the largest observed absolute
     and relative per-sample gradient variance.  The pair returned satisfies
-    the condition at every probe point with margin `safety`.
+    the condition at every probe point with margin `safety`.  The mean
+    gradient is reduced from the per-sample gradients, exactly as the
+    full-data gradient is, so no probe makes a second pass over the data.
     """
     n = dataset.n_samples
     idx = np.arange(n)
@@ -280,7 +282,7 @@ def estimate_growth_constants(
     for _ in range(n_probes):
         x = problem.x0 + radius * rng.standard_normal(problem.dim)
         grads = dataset.loss_grads(x, idx)
-        mean_grad = problem.gradient(x)
+        mean_grad = np.add.reduce(grads, axis=0) / n
         var = float(np.mean(np.sum((grads - mean_grad) ** 2, axis=1)))
         gn2 = float(mean_grad @ mean_grad)
         max_abs = max(max_abs, var)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from aloe_lab import rng as rngmod
 from aloe_lab.estimation import EpochEpsFController, EstimatorConfig
 from aloe_lab.linesearch import (AloeParams, Trace, TrialDivergedError,
                                  aloe_run, armijo_check, step_update)
@@ -262,3 +263,79 @@ class TestGroundTruthPasses:
         assert 0 < accepted < params.max_iters
         assert calls["value"] <= params.max_iters + 1
         assert calls["grad"] <= 1 + accepted
+
+
+class TestGeneratorBuilds:
+    def test_one_generator_per_purpose(self, quadratic10, monkeypatch):
+        # building a generator costs ~20 us, about as much as a whole
+        # iteration of the loop on a small problem
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(rngmod.np.random, "default_rng", counting)
+        zeroth = SyntheticZerothOracle(
+            quadratic10, ZerothOracleSpec(eps_f=0.01, mode="bounded"))
+        first = SyntheticFirstOracle(
+            quadratic10, FirstOracleSpec(eps_g=0.01, kappa=0.5, delta=0.05))
+        controller = EpochEpsFController(zeroth, EstimatorConfig(refresh_period=10))
+        aloe_run(quadratic10, zeroth, first, AloeParams(max_iters=100), seed=3,
+                 eps_f_controller=controller)
+        assert len(controller.history) == 10
+        assert len(built) <= 4
+
+
+@pytest.mark.parametrize("seed", [5, 42])
+class TestStreamContract:
+    """Each purpose's generator is drawn in iteration order, and no oracle's
+    draw count depends on x, alpha or accept/reject, so the noise of
+    iteration k depends on the seed and k alone."""
+
+    @staticmethod
+    def run(problem, seed, estimator=None, **params):
+        zeroth = SyntheticZerothOracle(
+            problem, ZerothOracleSpec(eps_f=0.01, mode="bounded"))
+        first = SyntheticFirstOracle(
+            problem, FirstOracleSpec(eps_g=0.01, kappa=0.5, delta=0.2))
+        controller = (None if estimator is None
+                      else EpochEpsFController(zeroth, estimator))
+        params = AloeParams(**{"eps_f_input": 0.01, "alpha_max": 1.25,
+                               "max_iters": 60, **params})
+        return aloe_run(problem, zeroth, first, params, seed=seed,
+                        eps_f_controller=controller)
+
+    @staticmethod
+    def assert_same_noise(a, b):
+        # e = |(phi + noise) - phi| carries the rounding of phi, which moves
+        # with the path; a draw from another place in a stream would differ
+        # in its leading digits
+        np.testing.assert_allclose(
+            [(r.e_curr, r.e_plus) for r in a.records],
+            [(r.e_curr, r.e_plus) for r in b.records], rtol=1e-9, atol=0)
+
+    def test_budget_prefix(self, quadratic10, seed):
+        short = self.run(quadratic10, seed, max_iters=30)
+        long = self.run(quadratic10, seed, max_iters=60)
+        for a, b in zip(short.records, long.records):
+            assert (a.alpha, a.success, a.f_curr, a.f_plus, a.eps_f) == (
+                b.alpha, b.success, b.f_curr, b.f_plus, b.eps_f)
+            assert np.array_equal(a.x, b.x)
+            assert np.array_equal(a.g, b.g)
+        assert len(short) == 30
+
+    def test_theta_changes_path_not_noise(self, quadratic10, seed):
+        low = self.run(quadratic10, seed, theta=0.2)
+        high = self.run(quadratic10, seed, theta=0.6)
+        assert not np.array_equal(low.successes(), high.successes())
+        self.assert_same_noise(low, high)
+
+    def test_controller_changes_slack_not_noise(self, quadratic10, seed):
+        fixed = self.run(quadratic10, seed)
+        estimated = self.run(quadratic10, seed,
+                             estimator=EstimatorConfig(refresh_period=10))
+        assert {r.eps_f for r in fixed.records} == {0.01}
+        assert len({r.eps_f for r in estimated.records}) == 6
+        self.assert_same_noise(fixed, estimated)

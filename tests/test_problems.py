@@ -6,8 +6,9 @@ import scipy.optimize
 
 from aloe_lab.problems import (DimensionMismatchError, ProblemInstance,
                                _logistic_grads, _logistic_losses,
-                               _mean_ascending, finite_difference_gradient,
-                               make_linear, make_strongly_convex_quadratic,
+                               _mean_ascending, estimate_growth_constants,
+                               finite_difference_gradient, make_linear,
+                               make_strongly_convex_quadratic,
                                make_synthetic_logistic)
 
 
@@ -275,6 +276,44 @@ class TestCopyFreeFullDataPass:
         assert value(sol.x) == problem.phi_star
         assert problem.value_fn(sol.x) == problem.phi_star
         assert np.array_equal(problem.grad_fn(sol.x), grad(sol.x))
+
+
+class TestGrowthConstants:
+    """estimate_growth_constants averages the per-sample gradients it already
+    has instead of making a second full-data gradient pass per probe."""
+
+    @staticmethod
+    def reference(problem, dataset, rng, n_probes=100, radius=3.0, safety=1.2):
+        """The formula with one problem.grad_fn pass per probe."""
+        idx = np.arange(dataset.n_samples)
+        max_abs = max_rel = 0.0
+        for _ in range(n_probes):
+            x = problem.x0 + radius * rng.standard_normal(problem.dim)
+            grads = dataset.loss_grads(x, idx)
+            mean_grad = problem.grad_fn(x)
+            var = float(np.mean(np.sum((grads - mean_grad) ** 2, axis=1)))
+            gn2 = float(mean_grad @ mean_grad)
+            max_abs = max(max_abs, var)
+            if gn2 > 0:
+                max_rel = max(max_rel, var / gn2)
+        return safety * max_abs, safety * max_rel
+
+    def test_bit_identical_to_full_data_pass(self, logistic):
+        problem, dataset = logistic
+        assert dataset.n_samples == 64
+        got = estimate_growth_constants(problem, dataset, np.random.default_rng(21))
+        want = self.reference(problem, dataset, np.random.default_rng(21))
+        assert got == want
+        assert (dataset.M_c, dataset.M_v) == self.reference(
+            problem, dataset, np.random.default_rng((3, 1)))
+
+    def test_no_full_data_pass(self, logistic):
+        problem, dataset = logistic
+        calls = []
+        counted = dataclasses.replace(
+            problem, grad_fn=lambda x: calls.append(1) or problem.grad_fn(x))
+        estimate_growth_constants(counted, dataset, np.random.default_rng(21))
+        assert calls == []
 
 
 class TestLinear:
