@@ -155,7 +155,8 @@ def _state_at(trace: Trace, problem: ProblemInstance, k: int) -> tuple[float, fl
         return r.phi_curr, r.grad_true_norm
     last = trace.records[-1]
     x_final = last.x - last.alpha * last.g if last.success else last.x
-    return problem.value(x_final), float(np.linalg.norm(problem.gradient(x_final)))
+    grad = problem.gradient(x_final)
+    return problem.value(x_final), math.sqrt(grad.dot(grad))
 
 
 def compute_path_report(trace: Trace, problem: ProblemInstance, spec: StoppingSpec,

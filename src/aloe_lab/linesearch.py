@@ -10,6 +10,7 @@ a fixed budget; stopping times are computed offline from the recorded
 trace.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +143,7 @@ def aloe_run(problem: ProblemInstance, zeroth_oracle, first_oracle,
             k=k, x=x, alpha=alpha, g=g, f_curr=float(f_curr), f_plus=float(f_plus),
             success=success, e_curr=abs(float(f_curr) - phi_curr),
             e_plus=abs(float(f_plus) - phi_plus), grad_true=grad_true,
-            grad_true_norm=float(np.linalg.norm(grad_true)),
+            grad_true_norm=math.sqrt(grad_true.dot(grad_true)),
             phi_curr=phi_curr, phi_plus=phi_plus, eps_f=eps_f,
         ))
         if success:

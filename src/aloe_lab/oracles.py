@@ -11,9 +11,12 @@ Three families are provided:
 
 Oracles are callables that return the estimate together with the exact
 value it estimates: zeroth ``oracle(x, rng) -> (f, phi(x))``, first
-``oracle(x, alpha, rng) -> (g, grad phi(x))``.  Oracles do not judge their
-own accuracy; `gradient_accurate` is the one gradient accuracy test, used by
-the path classifier, the certification harness and the demos.
+``oracle(x, alpha, rng) -> (g, grad phi(x))``.  The synthetic zeroth-order
+oracle also takes an (m, dim) stack of points and returns (m,) arrays; the
+Gaussian-smoothing gradient queries its directions that way.  Oracles do
+not judge their own accuracy; `gradient_accurate` is the one gradient
+accuracy test, used by the path classifier, the certification harness and
+the demos.
 """
 
 import math
@@ -97,11 +100,12 @@ class FirstOracleSpec:
 def gradient_accurate(g, grad, alpha: float, eps_g: float, kappa: float) -> bool:
     """The first-order accuracy event ||g - grad|| <= max{eps_g,
     kappa alpha ||g||}; boundary equality counts as accurate."""
-    err = float(np.linalg.norm(g - grad))
-    return err <= max(eps_g, kappa * alpha * float(np.linalg.norm(g)))
+    d = g - grad
+    return math.sqrt(d.dot(d)) <= max(eps_g, kappa * alpha * math.sqrt(g.dot(g)))
 
 
-def sample_one_sided_subexp(nu: float, b: float, target_mean: float, rng) -> float:
+def sample_one_sided_subexp(nu: float, b: float, target_mean: float, rng,
+                            size=None):
     """Draw a nonnegative error with mean `target_mean` whose centered
     one-sided MGF stays under exp(lam^2 nu^2 / 2) for lam in [0, 1/b].
 
@@ -109,39 +113,51 @@ def sample_one_sided_subexp(nu: float, b: float, target_mean: float, rng) -> flo
     m = min(nu/2, b/2, target_mean) (an exponential with mean m is
     (2m, 2m)-sub-exponential), degenerating to a symmetric two-point law
     when b = 0 (sub-Gaussian case) and to a point mass when nu = b = 0.
+    `size=None` draws one float; an integer draws that many as an array.
     """
     if min(nu, b, target_mean) < 0:
         raise ValueError("nu, b, target_mean must be nonnegative")
     if target_mean == 0 or (nu == 0 and b == 0):
-        return target_mean
+        return target_mean if size is None else np.full(size, float(target_mean))
     if b == 0:
         m = min(nu, target_mean)
-        return target_mean + (m if rng.random() < 0.5 else -m)
+        return target_mean + m * (2 * (rng.random(size) < 0.5) - 1)
     m = min(nu / 2, b / 2, target_mean)
-    return target_mean - m + rng.exponential(m)
+    return target_mean - m + rng.exponential(m, size)
 
 
 class SyntheticZerothOracle:
     """Noise injector around the exact value; |f - phi| follows the
     configured one-sided sub-exponential law, with a fair-coin
-    perturbation sign."""
+    perturbation sign.
+
+    `x` of shape (dim,) gives floats (f, phi).  A stack `X` of shape
+    (m, dim) gives (m,) arrays: its m errors are drawn as one block, then
+    its m signs, so a stack takes a number of draws fixed by m and the
+    mode, never by X.
+    """
 
     def __init__(self, problem: ProblemInstance, spec: ZerothOracleSpec):
         self.problem = problem
         self.spec = spec
 
-    def __call__(self, x, rng) -> tuple[float, float]:
-        phi = self.problem.value(x)
+    def __call__(self, x, rng):
+        if np.ndim(x) == 2:
+            size = len(x)
+            phi = self.problem.values(x)
+        else:
+            size = None
+            phi = self.problem.value(x)
         spec = self.spec
         if spec.mode == "exact":
             e = 0.0
         elif spec.mode == "bounded":
             # uniform on [0, cap]; cap <= eps_f keeps the error bounded,
             # cap = 2 * target mean keeps the mean on target
-            e = min(spec.eps_f, 2 * spec.target_mean) * rng.random()
+            e = min(spec.eps_f, 2 * spec.target_mean) * rng.random(size)
         else:
-            e = sample_one_sided_subexp(spec.nu, spec.b, spec.target_mean, rng)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
+            e = sample_one_sided_subexp(spec.nu, spec.b, spec.target_mean, rng, size)
+        sign = 2.0 * (rng.random(size) < 0.5) - 1.0
         return phi + sign * e, phi
 
 
@@ -156,11 +172,11 @@ class SyntheticFirstOracle:
 
     def __call__(self, x, alpha, rng) -> tuple[np.ndarray, np.ndarray]:
         grad = self.problem.gradient(x)
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = math.sqrt(grad.dot(grad))
         spec = self.spec
         fail = rng.random() < spec.delta
         u = rng.standard_normal(self.problem.dim)
-        un = float(np.linalg.norm(u))
+        un = math.sqrt(u.dot(u))
         u = u / un if un > 0 else np.eye(self.problem.dim)[0]
         if fail:
             rho = spec.corruption_base + spec.corruption_scale * gnorm
@@ -202,7 +218,8 @@ class MiniBatchZerothOracle:
 
     def __call__(self, x, rng) -> tuple[float, float]:
         batch = rng.integers(0, self.dataset.n_samples, size=self.batch_size)
-        return minibatch_value(self.dataset, x, batch), self.problem.value(x)
+        phi = self.problem.value(x)  # before the batch: rejects a stack
+        return minibatch_value(self.dataset, x, batch), phi
 
 
 class MiniBatchFirstOracle:
@@ -272,8 +289,9 @@ def gsg_gradient(zeroth_oracle, x, sigma: float, num_directions: int, rng) -> np
     """Gaussian-smoothing gradient estimate
     sum_i [f(x + sigma u_i) - f(x)] u_i / (sigma |U|), u_i ~ N(0, I).
 
-    The base-point value f(x) is sampled once and reused across all
-    directions within the query.
+    Two zeroth-order queries: f(x) once, reused across all directions, then
+    the N perturbed points as one (N, dim) stack.  Draw order: the base
+    query's draws, the N x dim normals of U, the stacked query's draws.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -281,12 +299,9 @@ def gsg_gradient(zeroth_oracle, x, sigma: float, num_directions: int, rng) -> np
         raise ValueError("num_directions must be >= 1")
     x = np.asarray(x, dtype=float)
     f0, _ = zeroth_oracle(x, rng)
-    g = np.zeros_like(x)
-    for _ in range(num_directions):
-        u = rng.standard_normal(x.size)
-        f_pert, _ = zeroth_oracle(x + sigma * u, rng)
-        g += (f_pert - f0) * u
-    return g / (sigma * num_directions)
+    U = rng.standard_normal((num_directions, x.size))
+    f, _ = zeroth_oracle(x + sigma * U, rng)
+    return (f - f0) @ U / (sigma * num_directions)
 
 
 class GsgFirstOracle:

@@ -12,6 +12,8 @@ from functools import partial
 import numpy as np
 import scipy.optimize
 
+from . import rng as rngmod
+
 CLASS_TAGS = ("nonconvex", "convex", "strongly_convex")
 
 
@@ -23,7 +25,8 @@ class DimensionMismatchError(ValueError):
 class ProblemInstance:
     """A differentiable objective with ground-truth access.
 
-    `value_fn` / `grad_fn` are exact; `lipschitz_L` bounds the gradient's
+    `value_fn` / `grad_fn` are exact; `values_fn` maps an (m, dim) stack of
+    points to their m values in one call; `lipschitz_L` bounds the gradient's
     Lipschitz constant, `strong_convexity_beta` is 0 unless the function
     satisfies the PL inequality with that modulus, and `phi_star` is the
     global minimum value.
@@ -47,6 +50,7 @@ class ProblemInstance:
     class_tag: str
     x0: np.ndarray
     diameter_D: float | None = None
+    values_fn: object = None
     _values: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _gradients: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -76,6 +80,18 @@ class ProblemInstance:
                 del memo[next(iter(memo))]
         memo[key] = phi  # a hit moves to the back: least recently used goes first
         return phi
+
+    def values(self, X) -> np.ndarray:
+        """Exact objective values of the rows of an (m, dim) stack, in one
+        pass; not memoized."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"expected shape (m, {self.dim}), got {X.shape}"
+            )
+        if self.values_fn is None:
+            raise NotImplementedError("this problem has no stacked value function")
+        return self.values_fn(X)
 
     def gradient(self, x) -> np.ndarray:
         """Exact gradient, as a read-only array."""
@@ -111,6 +127,10 @@ def finite_difference_gradient(problem: ProblemInstance, x, h: float = 1e-6) -> 
 
 def _quad_value(A, x):
     return 0.5 * x @ A @ x
+
+
+def _quad_values(A, X):
+    return 0.5 * np.einsum("ij,ij->i", X @ A, X)
 
 
 def _quad_grad(A, x):
@@ -153,6 +173,7 @@ def make_strongly_convex_quadratic(
         dim=dim,
         value_fn=partial(_quad_value, A),
         grad_fn=partial(_quad_grad, A),
+        values_fn=partial(_quad_values, A),
         lipschitz_L=float(lambda_max),
         strong_convexity_beta=float(lambda_min),
         phi_star=0.0,
@@ -164,6 +185,10 @@ def make_strongly_convex_quadratic(
 
 def _linear_value(c, x):
     return c @ x
+
+
+def _linear_values(c, X):
+    return X @ c
 
 
 def _linear_grad(c, x):
@@ -180,6 +205,7 @@ def make_linear(c) -> ProblemInstance:
         dim=c.size,
         value_fn=partial(_linear_value, c),
         grad_fn=partial(_linear_grad, c),
+        values_fn=partial(_linear_values, c),
         lipschitz_L=1e-12,
         strong_convexity_beta=0.0,
         phi_star=-np.inf,
@@ -224,6 +250,12 @@ def _sigmoid(t):
 # the features and labels on every call, for the same bits.
 def _logistic_value(features, labels, reg, x):
     return _mean_ascending(_logistic_losses(features, labels, reg, x, slice(None)))
+
+
+def _logistic_values(features, labels, reg, X):
+    margins = labels[:, None] * (features @ X.T)
+    losses = np.logaddexp(0.0, -margins) + 0.5 * reg * np.einsum("ij,ij->i", X, X)
+    return np.add.reduce(losses, axis=0) / len(labels)
 
 
 def _logistic_grad(features, labels, reg, n, x):
@@ -273,15 +305,16 @@ def estimate_growth_constants(
     and relative per-sample gradient variance.  The pair returned satisfies
     the condition at every probe point with margin `safety`.  The mean
     gradient is reduced from the per-sample gradients, exactly as the
-    full-data gradient is, so no probe makes a second pass over the data.
+    full-data gradient is, so no probe makes a second pass over the data,
+    and the pass indexes the data with a slice, so it copies nothing.
     """
     n = dataset.n_samples
-    idx = np.arange(n)
     max_abs = 0.0
     max_rel = 0.0
     for _ in range(n_probes):
         x = problem.x0 + radius * rng.standard_normal(problem.dim)
-        grads = dataset.loss_grads(x, idx)
+        grads = _logistic_grads(dataset.features, dataset.labels, dataset.reg,
+                                x, slice(None))
         mean_grad = np.add.reduce(grads, axis=0) / n
         var = float(np.mean(np.sum((grads - mean_grad) ** 2, axis=1)))
         gn2 = float(mean_grad @ mean_grad)
@@ -335,6 +368,7 @@ def make_synthetic_logistic(
         dim=dim,
         value_fn=value_fn,
         grad_fn=grad_fn,
+        values_fn=partial(_logistic_values, features, labels, reg),
         lipschitz_L=L,
         strong_convexity_beta=reg,
         phi_star=phi_star,
@@ -343,6 +377,7 @@ def make_synthetic_logistic(
         diameter_D=2.0 * float(np.linalg.norm(x0 - x_star)),
     )
     dataset = ErmDataset(features=features, labels=labels, reg=reg, M_c=0.0, M_v=0.0)
-    M_c, M_v = estimate_growth_constants(problem, dataset, np.random.default_rng((seed, 1)))
+    M_c, M_v = estimate_growth_constants(
+        problem, dataset, rngmod.probe_rng(seed, rngmod.GROWTH_PROBES))
     dataset = ErmDataset(features=features, labels=labels, reg=reg, M_c=M_c, M_v=M_v)
     return problem, dataset

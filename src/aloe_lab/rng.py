@@ -19,6 +19,10 @@ F_PLUS = 2
 EPS_EST = 3
 PROBE = 4
 
+# probe_rng tag of the growth-constant probes of a logistic fixture; above
+# any certification probe index, which counts up from 0.
+GROWTH_PROBES = 1 << 20
+
 
 class TrialStreams:
     """The per-purpose generators of one trial."""

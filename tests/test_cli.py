@@ -52,6 +52,40 @@ trials = 3
 check_admissibility = false
 """
 
+# the gsg_quadratic benchmark workload, cut to 4 trials x 40 iterations and
+# 16 directions
+GSG = """
+[problem]
+fixture = quadratic
+dim = 10
+lambda_min = 0.1
+lambda_max = 10.0
+problem_seed = 7
+
+[oracles]
+kind = gsg
+sigma = 0.01
+num_directions = 16
+eps_f = 0.001
+mode = bounded
+eps_g = 0.5
+kappa = 1.0
+delta = 0.1
+
+[algorithm]
+eps_f_input = 0.001
+alpha0 = 1
+alpha_max = 1.25
+max_iters = 40
+
+[stopping]
+class = nonconvex
+eps = 2.7557
+
+[experiment]
+trials = 4
+"""
+
 DEMO_CONFIGS = sorted(
     (Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.ini"))
 
@@ -151,15 +185,21 @@ class TestRun:
         assert manifest["base_seed"] == 0
         assert len(manifest["config_digest"]) == 64
 
-    def test_rerun_byte_identical_csvs(self, tmp_path):
-        config = write(tmp_path, "smoke.ini", SMOKE)
+    @staticmethod
+    def assert_same_outputs_at_jobs_1_and_2(tmp_path, text):
+        config = write(tmp_path, "config.ini", text)
         out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
-        run(config, out1, quiet=True)
-        run(config, out2, quiet=True, jobs=2)
+        assert run(config, out1, quiet=True) == run(config, out2, quiet=True, jobs=2)
         for name in ("trials.csv", "summary.csv", "trace.csv", "constants.txt"):
             a = (tmp_path / "o1" / name).read_bytes()
             b = (tmp_path / "o2" / name).read_bytes()
             assert a == b, name
+
+    def test_rerun_byte_identical_csvs(self, tmp_path):
+        self.assert_same_outputs_at_jobs_1_and_2(tmp_path, SMOKE)
+
+    def test_gsg_byte_identical_across_jobs(self, tmp_path):
+        self.assert_same_outputs_at_jobs_1_and_2(tmp_path, GSG)
 
     def test_inadmissible_exit_two(self, tmp_path):
         config = write(tmp_path, "bad.ini", SMOKE + (

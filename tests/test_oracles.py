@@ -12,7 +12,9 @@ from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               minibatch_value, prop1_subexp_params,
                               prop2_sample_size, prop3_params,
                               sample_one_sided_subexp)
-from aloe_lab.problems import (make_linear, make_strongly_convex_quadratic,
+from aloe_lab.harness import mgf_envelope_ok
+from aloe_lab.problems import (DimensionMismatchError, make_linear,
+                               make_strongly_convex_quadratic,
                                make_synthetic_logistic)
 
 
@@ -82,7 +84,73 @@ class TestSyntheticZeroth:
         assert errs.mean() <= spec.eps_f
 
 
+MODES = {
+    "exact": ZerothOracleSpec(),
+    "bounded": ZerothOracleSpec(eps_f=0.3, mode="bounded"),
+    "subexponential": ZerothOracleSpec(eps_f=0.2, nu=0.1, b=0.1,
+                                       mode="subexponential", mean_error=0.1),
+}
+
+
+class TestStackedZeroth:
+    """An (m, dim) stack is m queries answered in one call, with the law of
+    the one-point query."""
+
+    def errors(self, quadratic, spec, seed, m=20_000):
+        oracle = SyntheticZerothOracle(quadratic, spec)
+        X = np.ones(5) + np.random.default_rng(seed).standard_normal((m, 5))
+        est, phi = oracle(X, np.random.default_rng(seed + 1))
+        assert est.shape == phi.shape == (m,)
+        np.testing.assert_allclose(phi[:50], [quadratic.value(x) for x in X[:50]],
+                                   rtol=1e-12)
+        return np.abs(est - phi)
+
+    def test_exact_mode_zero_error(self, quadratic):
+        assert np.all(self.errors(quadratic, MODES["exact"], 20) == 0.0)
+
+    @pytest.mark.parametrize("mode", ["bounded", "subexponential"])
+    def test_mean_on_target(self, quadratic, mode):
+        spec = MODES[mode]
+        errs = self.errors(quadratic, spec, 21)
+        stderr = errs.std(ddof=1) / math.sqrt(errs.size)
+        assert abs(errs.mean() - spec.target_mean) <= 3 * stderr
+
+    def test_bounded_never_exceeds_eps_f(self, quadratic):
+        assert self.errors(quadratic, MODES["bounded"], 22).max() <= 0.3
+
+    def test_subexponential_within_mgf_envelope(self, quadratic):
+        spec = MODES["subexponential"]
+        errs = self.errors(quadratic, spec, 23)
+        assert mgf_envelope_ok(errs, spec.nu, spec.b)
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_draw_count_does_not_depend_on_x(self, quadratic, mode):
+        oracle = SyntheticZerothOracle(quadratic, MODES[mode])
+        states = []
+        for X in (np.zeros((7, 5)), 1e3 * np.ones((7, 5))):
+            rng = np.random.default_rng(24)
+            oracle(X, rng)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
+
+    def test_minibatch_oracle_rejects_a_stack(self, logistic):
+        problem, dataset = logistic
+        oracle = MiniBatchZerothOracle(problem, dataset, batch_size=8)
+        with pytest.raises(DimensionMismatchError):
+            oracle(np.ones((4, 4)), np.random.default_rng(25))
+
+
 class TestSubexpSampler:
+    @pytest.mark.parametrize("nu,b,mean", [(0.1, 0.1, 0.05), (0.05, 0.0, 0.1),
+                                           (0.0, 0.0, 0.05), (0.1, 0.1, 0.0)])
+    def test_block_is_the_scalar_draws(self, nu, b, mean):
+        block = sample_one_sided_subexp(nu, b, mean, np.random.default_rng(6),
+                                        size=500)
+        rng = np.random.default_rng(6)
+        scalars = [sample_one_sided_subexp(nu, b, mean, rng) for _ in range(500)]
+        assert block.shape == (500,)
+        assert block.tolist() == scalars
+
     def test_degenerate_point_mass(self):
         rng = np.random.default_rng(0)
         assert sample_one_sided_subexp(0.0, 0.0, 0.05, rng) == 0.05
@@ -272,6 +340,34 @@ class TestGsg:
             gsg_gradient(oracle, np.zeros(2), 0.0, 4, rng)
         with pytest.raises(ValueError):
             gsg_gradient(oracle, np.zeros(2), 0.1, 0, rng)
+
+    def test_matches_the_direction_loop(self, quadratic):
+        # exact mode makes the noise draws irrelevant to the values, so the
+        # one-point-per-direction loop over the same U is the reference
+        oracle = SyntheticZerothOracle(quadratic, MODES["exact"])
+        x, sigma, n = np.ones(5), 0.01, 32
+        got = gsg_gradient(oracle, x, sigma, n, np.random.default_rng(15))
+        rng = np.random.default_rng(15)
+        f0, _ = oracle(x, rng)
+        U = rng.standard_normal((n, 5))
+        want = sum((oracle(x + sigma * u, rng)[0] - f0) * u for u in U) / (sigma * n)
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    def test_two_zeroth_calls_per_query(self, quadratic):
+        # f(x) once, then the N perturbed points as one (N, dim) stack
+        zeroth = SyntheticZerothOracle(quadratic, MODES["bounded"])
+        shapes = []
+
+        def counting(x, rng):
+            shapes.append(np.shape(x))
+            return zeroth(x, rng)
+
+        oracle = GsgFirstOracle(quadratic, counting, sigma=0.01,
+                                num_directions=64)
+        rng = np.random.default_rng(14)
+        for _ in range(3):
+            oracle(np.ones(5), 0.5, rng)
+        assert shapes == [(5,), (64, 5)] * 3
 
     def test_gsg_oracle_logs_event(self, quadratic):
         zeroth = SyntheticZerothOracle(quadratic, ZerothOracleSpec())

@@ -10,6 +10,7 @@ from aloe_lab.problems import (DimensionMismatchError, ProblemInstance,
                                finite_difference_gradient, make_linear,
                                make_strongly_convex_quadratic,
                                make_synthetic_logistic)
+from aloe_lab.rng import GROWTH_PROBES, probe_rng
 
 
 @pytest.fixture(scope="module")
@@ -305,7 +306,7 @@ class TestGrowthConstants:
         want = self.reference(problem, dataset, np.random.default_rng(21))
         assert got == want
         assert (dataset.M_c, dataset.M_v) == self.reference(
-            problem, dataset, np.random.default_rng((3, 1)))
+            problem, dataset, probe_rng(3, GROWTH_PROBES))
 
     def test_no_full_data_pass(self, logistic):
         problem, dataset = logistic
@@ -314,6 +315,36 @@ class TestGrowthConstants:
             problem, grad_fn=lambda x: calls.append(1) or problem.grad_fn(x))
         estimate_growth_constants(counted, dataset, np.random.default_rng(21))
         assert calls == []
+
+
+class TestStackedValues:
+    """values(X) is value_fn applied to every row of X, in one call."""
+
+    @pytest.mark.parametrize("name", ["quadratic", "linear", "logistic"])
+    def test_matches_value_fn_row_by_row(self, name, quadratic, logistic):
+        problem = {"quadratic": quadratic, "logistic": logistic[0],
+                   "linear": make_linear([1.0, -2.0, 0.5, 3.0])}[name]
+        X = np.random.default_rng(31).standard_normal((17, problem.dim))
+        got = problem.values(X)
+        assert got.shape == (17,)
+        np.testing.assert_allclose(
+            got, [problem.value_fn(x) for x in X], rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(10,), (4, 9), (2, 4, 10)])
+    def test_wrong_shape_rejected(self, quadratic, shape):
+        with pytest.raises(DimensionMismatchError):
+            quadratic.values(np.zeros(shape))
+
+    def test_not_memoized(self, quadratic):
+        p = dataclasses.replace(quadratic)
+        p.values(np.ones((3, 10)))
+        assert p._values == {}
+
+    def test_no_per_row_fallback(self):
+        p, calls = counting_problem()
+        with pytest.raises(NotImplementedError):
+            p.values(np.ones((2, 3)))
+        assert calls == {"value": 0, "grad": 0}
 
 
 class TestLinear:
