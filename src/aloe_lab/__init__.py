@@ -1,6 +1,6 @@
 """Stochastic line-search laboratory.
 
-A numpy/scipy library for studying adaptive line search driven by
+A numpy library for studying adaptive line search driven by
 probabilistic zeroth- and first-order oracles: instrumented problem
 fixtures, contract-checked noisy oracles, the line-search loop itself,
 post-hoc path classification, closed-form complexity constants, and a

@@ -143,6 +143,10 @@ def run(config_path: str, out_dir: str, seed: int | None = None,
                               summary.theory_bounds):
         say(f"  t={t}: empirical {tail:.4f} vs bound {bound:.4f}")
     say(f"outputs: {', '.join(files)} in {out_dir}")
+    if summary.t_min is not None and not summary.checkpoints:
+        print(f"no checkpoint fits the budget: t_min = {summary.t_min} > "
+              f"max_iters = {config.params.max_iters}; summary.csv has no rows",
+              file=sys.stderr)
 
     failures = statistical_failures(summary)
     if failures:

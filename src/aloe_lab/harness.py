@@ -7,12 +7,11 @@ theoretical lower bounds.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-import scipy.stats
 
 from . import rng as rngmod
 from .estimation import EpochEpsFController, EstimatorConfig
@@ -170,7 +169,9 @@ def wilson_interval(k: int, n: int, confidence: float = 0.99) -> tuple[float, fl
     """Wilson score interval for a binomial proportion (two-sided)."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    z = float(scipy.stats.norm.ppf(1 - (1 - confidence) / 2))
+    if not 0 < confidence < 1:
+        raise ValueError("need 0 < confidence < 1")
+    z = NormalDist().inv_cdf(1 - (1 - confidence) / 2)
     phat = k / n
     denom = 1 + z ** 2 / n
     center = (phat + z ** 2 / (2 * n)) / denom
@@ -236,6 +237,8 @@ def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
 
     seeds = [config.base_seed + i for i in range(config.n_trials)]
     if n_jobs > 1:
+        # imported here: a single-process run never pays for it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(
                 _run_one_trial, [config] * len(seeds), [constants] * len(seeds),
@@ -279,14 +282,58 @@ class CertificationReport:
         return all(r.passed for r in self.results)
 
 
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b), evaluated by the modified Lentz
+    method; converges fast for x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 100_000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(
+        f"incomplete beta fraction did not converge (a={a}, b={b}, x={x})")
+
+
+def _beta_inc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 + a * math.log(x) + b * math.log1p(-x))
+    if x < (a + 1) / (a + b + 2):
+        return math.exp(log_front) * _beta_cf(a, b, x) / a
+    return 1.0 - math.exp(log_front) * _beta_cf(b, a, 1.0 - x) / b
+
+
+def binom_cdf(k: int, n: int, p: float) -> float:
+    """P(X <= k) for X ~ Binomial(n, p), as I_{1-p}(n - k, k + 1)."""
+    if k < 0:
+        return 0.0
+    if k >= n:
+        return 1.0
+    return _beta_inc(n - k, k + 1, 1.0 - p)
+
+
 def binomial_frequency_test(successes: int, n: int, target: float,
                             confidence: float = 0.99) -> bool:
     """One-sided test that the success probability is >= target.  Fails only
     if the observed count is significantly below target."""
+    if n < 1 or not 0 <= successes <= n:
+        raise ValueError("need n >= 1 and 0 <= successes <= n")
     if target >= 1.0:
         return successes == n
-    p_value = scipy.stats.binom.cdf(successes, n, target)
-    return bool(p_value >= 1 - confidence)
+    return binom_cdf(successes, n, target) >= 1 - confidence
 
 
 def mgf_envelope_ok(samples: np.ndarray, nu: float, b: float,
@@ -322,6 +369,8 @@ def certify_oracles(problem, zeroth_oracle, first_oracle,
     First order: the accuracy event of `fspec` holds with frequency
     >= 1 - delta by a one-sided binomial test.
     """
+    if n_queries < 2:
+        raise ValueError("n_queries must be >= 2 for a standard error")
     results = []
     for j, x in enumerate(probe_points):
         rng = rngmod.probe_rng(base_seed, j)

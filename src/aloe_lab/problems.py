@@ -10,7 +10,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-import scipy.optimize
 
 from . import rng as rngmod
 
@@ -357,6 +356,8 @@ def make_synthetic_logistic(
     value_fn = partial(_logistic_value, features, labels, reg)
     grad_fn = partial(_logistic_grad, features, labels, reg, n_samples)
 
+    # imported here: no other fixture needs scipy, and it is slow to load
+    import scipy.optimize
     sol = scipy.optimize.minimize(
         value_fn, np.zeros(dim), jac=grad_fn, method="L-BFGS-B",
         options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 5000},

@@ -319,6 +319,23 @@ class TestDemoConfigs:
         assert len(rows) == parse_config(str(path)).params.max_iters
 
 
+class TestCheckpointsOutsideBudget:
+    def test_reported_on_stderr(self, tmp_path, capsys):
+        # bounded_noise.ini: t_min = 2865 against a budget of 100 iterations
+        path = next(p for p in DEMO_CONFIGS if p.stem == "bounded_noise")
+        out = tmp_path / "out"
+        assert run(str(path), str(out), trials=2, quiet=True) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "t_min = 2865" in err[0] and "max_iters = 100" in err[0]
+        assert (out / "summary.csv").read_text().count("\n") == 1
+
+    def test_silent_when_a_checkpoint_fits(self, tmp_path, capsys):
+        config = write(tmp_path, "smoke.ini", SMOKE)
+        assert run(config, str(tmp_path / "out"), quiet=True) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
 class TestStatisticalFailures:
     def test_lemma_violation_reported(self, tmp_path):
         config = parse_config(write(tmp_path, "smoke.ini", SMOKE))

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.stats
 
 from aloe_lab.harness import (CertificationReport, ExperimentConfig,
-                              InadmissibleConfigError, binomial_frequency_test,
-                              build_oracles, build_problem, certify_oracles,
-                              empirical_tail, mgf_envelope_ok, run_trials,
-                              wilson_interval)
+                              InadmissibleConfigError, binom_cdf,
+                              binomial_frequency_test, build_oracles,
+                              build_problem, certify_oracles, empirical_tail,
+                              mgf_envelope_ok, run_trials, wilson_interval)
 from aloe_lab.instrument import CENSORED, StoppingSpec
 from aloe_lab.linesearch import AloeParams
 from aloe_lab.oracles import (FirstOracleSpec, SyntheticFirstOracle,
@@ -62,6 +65,24 @@ class TestWilson:
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
             wilson_interval(5, 4)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5])
+    def test_invalid_confidence(self, confidence):
+        with pytest.raises(ValueError):
+            wilson_interval(30, 100, confidence)
+
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999])
+    def test_matches_scipy_quantile(self, confidence):
+        # the interval with z from scipy's normal quantile, as the reference
+        z = float(scipy.stats.norm.ppf(1 - (1 - confidence) / 2))
+        for k, n in ((30, 100), (1, 10), (700, 1000)):
+            phat = k / n
+            denom = 1 + z ** 2 / n
+            center = (phat + z ** 2 / (2 * n)) / denom
+            half = z / denom * math.sqrt(phat * (1 - phat) / n
+                                         + z ** 2 / (4 * n ** 2))
+            assert wilson_interval(k, n, confidence) == pytest.approx(
+                (center - half, center + half), rel=1e-14, abs=0)
 
 
 class TestConfigValidation:
@@ -133,6 +154,42 @@ class TestBinomialTest:
         assert binomial_frequency_test(100, 100, 1.0)
         assert not binomial_frequency_test(99, 100, 1.0)
 
+    @pytest.mark.parametrize("successes, n", [(-1, 10), (11, 10), (0, 0)])
+    def test_invalid_counts(self, successes, n):
+        with pytest.raises(ValueError):
+            binomial_frequency_test(successes, n, 0.9)
+
+
+def binomial_grid():
+    """(k, n, p) over n in {10, 200, 10 000}, five success probabilities
+    and a sweep of k from below 0 to above n."""
+    for n in (10, 200, 10_000):
+        ks = sorted({*range(-2, min(n, 60) + 1),
+                     *np.linspace(0, n, 300).astype(int).tolist(), n, n + 1})
+        for p in (0.5, 0.7, 0.9, 0.95, 0.99):
+            for k in ks:
+                yield k, n, p
+
+
+class TestBinomCdf:
+    def test_matches_scipy(self):
+        for k, n, p in binomial_grid():
+            ref = float(scipy.stats.binom.cdf(k, n, p))
+            if ref > 1e-300:
+                assert binom_cdf(k, n, p) == pytest.approx(ref, rel=1e-9), (k, n, p)
+
+    def test_same_decision_as_scipy(self):
+        for k, n, p in binomial_grid():
+            if 0 <= k <= n:
+                ref = bool(scipy.stats.binom.cdf(k, n, p) >= 0.01)
+                assert binomial_frequency_test(k, n, p) == ref, (k, n, p)
+
+    def test_edges(self):
+        assert binom_cdf(-1, 10, 0.5) == 0.0
+        assert binom_cdf(10, 10, 0.5) == 1.0
+        assert binom_cdf(11, 10, 0.5) == 1.0
+        assert binom_cdf(0, 1, 0.25) == pytest.approx(0.75, rel=1e-15)
+
 
 class TestMgfEnvelope:
     def test_compliant_exponential(self):
@@ -190,3 +247,11 @@ class TestCertification:
                                  probes, alphas=(0.3, 1.0), n_queries=4000)
         assert report.all_passed
         assert isinstance(report, CertificationReport)
+
+    @pytest.mark.parametrize("n_queries", [0, 1])
+    def test_too_few_queries_rejected(self, n_queries):
+        zspec, fspec = ZerothOracleSpec(), FirstOracleSpec()
+        problem, zeroth, first = self.problem_and_oracles(zspec, fspec)
+        with pytest.raises(ValueError):
+            certify_oracles(problem, zeroth, first, zspec, fspec,
+                            [np.ones(10)], alphas=(0.5,), n_queries=n_queries)
