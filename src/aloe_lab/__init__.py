@@ -15,13 +15,12 @@ from .harness import (CertificationReport, ExperimentConfig,
                       InadmissibleConfigError, TrialRow, TrialSummary,
                       certify_oracles, empirical_tail, run_trials,
                       wilson_interval)
-from .instrument import (CENSORED, GridStraddleError, PathReport,
-                         StoppingSpec, classify_large, classify_true,
-                         compute_path_report, progress_Z, snap_to_step_grid,
-                         stopping_time, verify_path_lemmas)
+from .instrument import (CENSORED, PathReport, StoppingSpec, classify_true,
+                         compute_path_report, progress_Z, stopping_time,
+                         verify_path_lemmas)
 from .linesearch import (AloeParams, IterationRecord, Trace,
                          TrialDivergedError, aloe_run, armijo_check,
-                         step_update)
+                         snap_to_step_grid, step_update)
 from .oracles import (FirstOracleSpec, GsgFirstOracle, GsgParams,
                       MiniBatchFirstOracle, MiniBatchZerothOracle,
                       OracleParameterError, SyntheticFirstOracle,

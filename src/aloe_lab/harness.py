@@ -193,7 +193,7 @@ def _run_one_trial(config: ExperimentConfig, constants: TheoryConstants,
                      eps_f_controller=controller)
     report = compute_path_report(
         trace, problem, config.stopping, config.first.eps_g,
-        config.first.kappa, constants.bar_alpha_grid, constants.d)
+        config.first.kappa, constants.grid_index, constants.d)
     row = TrialRow(
         seed=seed, T_eps=report.T_eps, censored=report.censored,
         frac_true=report.frac_true, frac_success=report.frac_success,

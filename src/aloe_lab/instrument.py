@@ -18,11 +18,6 @@ from .problems import CLASS_TAGS, ProblemInstance
 CENSORED = -1
 
 
-class GridStraddleError(RuntimeError):
-    """A step-size pair strictly straddles the snapped threshold; this
-    indicates the threshold was not snapped to the realized grid."""
-
-
 @dataclass(frozen=True)
 class StoppingSpec:
     class_tag: str
@@ -68,27 +63,6 @@ class PathReport:
         return self.lemma2_ok and self.lemma3_ok and self.lemma4_ok and self.corollary1_ok
 
 
-def snap_to_step_grid(bar_alpha: float, alpha0: float, gamma: float) -> tuple[float, int]:
-    """Largest alpha0 * gamma^i (integer i) not exceeding bar_alpha.
-
-    Returns (snapped value, i).  Realized step sizes live on this grid until
-    the cap binds, so classifying against the snapped value makes the
-    large/small dichotomy exhaustive.
-    """
-    if bar_alpha <= 0:
-        raise ValueError("bar_alpha must be positive")
-    i = math.ceil(math.log(bar_alpha / alpha0) / math.log(gamma) - 1e-12)
-    snapped = alpha0 * gamma ** i
-    # guard against log round-off at exact grid points
-    while snapped > bar_alpha * (1 + 1e-12):
-        i += 1
-        snapped = alpha0 * gamma ** i
-    while alpha0 * gamma ** (i - 1) <= bar_alpha * (1 + 1e-12):
-        i -= 1
-        snapped = alpha0 * gamma ** i
-    return snapped, i
-
-
 def classify_true(record, eps_g: float, kappa: float, eps_f: float | None = None) -> bool:
     """Both oracle accuracy events hold: the gradient error is within
     max{eps_g, kappa alpha ||g||}, and the two function errors sum to at
@@ -97,22 +71,6 @@ def classify_true(record, eps_g: float, kappa: float, eps_f: float | None = None
         eps_f = record.eps_f
     return bool(gradient_accurate(record.g, record.grad_true, record.alpha, eps_g, kappa)
                 and record.e_curr + record.e_plus <= 2 * eps_f)
-
-
-_REL_TOL = 1e-9
-
-
-def classify_large(alpha_k: float, alpha_next: float, bar_alpha_grid: float) -> bool:
-    """True for a large step (both adjacent step sizes >= threshold),
-    False for a small one (both <= threshold)."""
-    lo, hi = min(alpha_k, alpha_next), max(alpha_k, alpha_next)
-    if hi <= bar_alpha_grid * (1 + _REL_TOL):
-        return False
-    if lo >= bar_alpha_grid * (1 - _REL_TOL):
-        return True
-    raise GridStraddleError(
-        f"step pair ({alpha_k}, {alpha_next}) straddles {bar_alpha_grid}"
-    )
 
 
 def progress_Z(class_tag: str, phi_x: float, phi_star: float, eps: float) -> float:
@@ -160,19 +118,22 @@ def _state_at(trace: Trace, problem: ProblemInstance, k: int) -> tuple[float, fl
 
 
 def compute_path_report(trace: Trace, problem: ProblemInstance, spec: StoppingSpec,
-                        eps_g: float, kappa: float, bar_alpha_grid: float,
+                        eps_g: float, kappa: float, grid_index: int,
                         d: float) -> PathReport:
-    """Classify every iteration and check the deterministic path lemmas."""
+    """Classify every iteration and check the deterministic path lemmas.
+
+    Iteration k is large when both adjacent steps alpha_k, alpha_{k+1} are
+    at least the grid-snapped critical step alpha0 * gamma^grid_index, i.e.
+    when the smaller of their exponents is below grid_index; a pair whose
+    larger step equals the threshold is small."""
     n = len(trace)
     T = stopping_time(trace, problem, spec)
     censored = T == CENSORED
-    horizon = n if censored else min(T, n)
 
     I = np.array([classify_true(r, eps_g, kappa) for r in trace.records], dtype=bool)
     Theta = trace.successes()
-    U = np.array(
-        [classify_large(trace.records[k].alpha, trace.next_alpha(k), bar_alpha_grid)
-         for k in range(n)], dtype=bool)
+    i = np.asarray(trace.exponents)
+    U = np.minimum(i[:-1], i[1:]) < grid_index
     Z = np.array([
         progress_Z(spec.class_tag, r.phi_curr, problem.phi_star, spec.eps)
         for r in trace.records

@@ -3,8 +3,11 @@
 Each iteration queries the first-order oracle at the current step size,
 attempts the step x - alpha g, queries the zeroth-order oracle at both
 endpoints, accepts or rejects via the relaxed (additive 2 eps_f slack)
-Armijo test, and scales the step size by gamma accordingly.  Each of the
-three queries draws from its own per-trial generator (see `rng`), so the
+Armijo test, and moves the step size one point along the grid
+alpha0 * gamma^i, which this module owns: the loop's state is the integer
+exponent i, lowered on success (not past the cap's exponent) and raised on
+failure, and the path classifier compares exponents.  Each of the three
+queries draws from its own per-trial generator (see `rng`), so the
 noise of iteration k is a function of the seed and k alone.  The loop runs
 a fixed budget; stopping times are computed offline from the recorded
 trace.
@@ -27,7 +30,9 @@ class TrialDivergedError(RuntimeError):
 class AloeParams:
     """Algorithm inputs.  `eps_f_input` is the slack constant used in the
     acceptance test (an upper bound on the oracle's mean error, not
-    necessarily tight)."""
+    necessarily tight).  Step sizes are alpha0 * gamma^i for integer i; the
+    largest step the loop takes is the largest such value not above
+    `alpha_max`, which need not itself lie on the grid."""
 
     eps_f_input: float = 0.0
     alpha0: float = 1.0
@@ -69,7 +74,11 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class Trace:
+    """The iteration records and the n + 1 step exponents i_0..i_n, where
+    record k used alpha0 * gamma ** i_k and i_n follows the last update."""
+
     records: tuple
+    exponents: tuple
     params: AloeParams
     seed: int
 
@@ -85,14 +94,6 @@ class Trace:
     def phi_values(self) -> np.ndarray:
         return np.array([r.phi_curr for r in self.records])
 
-    def next_alpha(self, k: int) -> float:
-        """alpha_{k+1}, reconstructed from the update rule for the last
-        recorded iteration."""
-        if k + 1 < len(self.records):
-            return self.records[k + 1].alpha
-        r = self.records[k]
-        return step_update(r.alpha, r.success, self.params.gamma, self.params.alpha_max)
-
 
 def armijo_check(f_plus: float, f_curr: float, alpha: float, theta: float,
                  g_norm_sq: float, eps_f_input: float) -> bool:
@@ -100,8 +101,30 @@ def armijo_check(f_plus: float, f_curr: float, alpha: float, theta: float,
     return f_plus <= f_curr - alpha * theta * g_norm_sq + 2 * eps_f_input
 
 
-def step_update(alpha: float, success: bool, gamma: float, alpha_max: float) -> float:
-    return min(alpha_max, alpha / gamma) if success else gamma * alpha
+def snap_to_step_grid(alpha: float, alpha0: float, gamma: float) -> tuple[float, int]:
+    """Largest grid step alpha0 * gamma^i (integer i) not exceeding alpha.
+
+    Returns (that step, i).  Used for the loop's cap exponent and for the
+    critical step size the path classifier compares against.
+    """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    i = math.ceil(math.log(alpha / alpha0) / math.log(gamma) - 1e-12)
+    snapped = alpha0 * gamma ** i
+    # guard against log round-off at exact grid points
+    while snapped > alpha * (1 + 1e-12):
+        i += 1
+        snapped = alpha0 * gamma ** i
+    while alpha0 * gamma ** (i - 1) <= alpha * (1 + 1e-12):
+        i -= 1
+        snapped = alpha0 * gamma ** i
+    return snapped, i
+
+
+def step_update(i: int, success: bool, i_cap: int) -> int:
+    """Next step exponent: one grid step up on success, never past the
+    cap's exponent, one step down on failure."""
+    return max(i - 1, i_cap) if success else i + 1
 
 
 def aloe_run(problem: ProblemInstance, zeroth_oracle, first_oracle,
@@ -122,10 +145,12 @@ def aloe_run(problem: ProblemInstance, zeroth_oracle, first_oracle,
     curr_rng = streams.stream(rngmod.F_CURR)
     plus_rng = streams.stream(rngmod.F_PLUS)
     x = np.asarray(problem.x0, dtype=float)
-    alpha = params.alpha0
+    i_cap = snap_to_step_grid(params.alpha_max, params.alpha0, params.gamma)[1]
+    exponents = [0]
     eps_f = params.eps_f_input
     records = []
     for k in range(params.max_iters):
+        alpha = params.alpha0 * params.gamma ** exponents[-1]
         if eps_f_controller is not None:
             eps_f = eps_f_controller(k, x, streams)
         g, grad_true = first_oracle(x, alpha, grad_rng)
@@ -148,5 +173,6 @@ def aloe_run(problem: ProblemInstance, zeroth_oracle, first_oracle,
         ))
         if success:
             x = x_plus
-        alpha = step_update(alpha, success, params.gamma, params.alpha_max)
-    return Trace(records=tuple(records), params=params, seed=seed)
+        exponents.append(step_update(exponents[-1], success, i_cap))
+    return Trace(records=tuple(records), exponents=tuple(exponents),
+                 params=params, seed=seed)

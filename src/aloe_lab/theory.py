@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instrument import snap_to_step_grid
+from .instrument import progress_Z
+from .linesearch import snap_to_step_grid
 from .problems import CLASS_TAGS
 
 
@@ -279,7 +280,6 @@ class TheoryConstants:
 
     @property
     def Z0(self) -> float:
-        from .instrument import progress_Z
         return progress_Z(self.class_tag, self.phi0, self.phi_star, self.eps)
 
     def admissible(self) -> tuple[bool, list[str]]:

@@ -86,6 +86,42 @@ eps = 2.7557
 trials = 4
 """
 
+# the logistic_minibatch benchmark workload with the default cap
+# alpha_max = 10, which lies between the grid steps 0.8^-10 and 0.8^-11
+LOGISTIC_OFF_GRID_CAP = """
+[problem]
+fixture = logistic
+n_samples = 2048
+dim = 10
+reg = 0.01
+problem_seed = 11
+
+[oracles]
+kind = minibatch
+batch_size = 128
+eps_f = 0.01
+mode = bounded
+eps_g = 0.5
+kappa = 1.0
+delta = 0.1
+
+[algorithm]
+alpha0 = 1
+alpha_max = 10
+max_iters = 400
+estimate_eps_f = true
+estimator_period = 16
+
+[stopping]
+class = strongly_convex
+eps = 0.05
+
+[experiment]
+trials = 5
+seed = 0
+check_admissibility = false
+"""
+
 DEMO_CONFIGS = sorted(
     (Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.ini"))
 
@@ -264,6 +300,21 @@ class TestRun:
         out = str(tmp_path / "out")
         code = main(["--config", config, "--out", out, "--quiet", "--jobs", "1"])
         assert code == EXIT_OK
+
+
+class TestOffGridCap:
+    def test_logistic_workload_with_default_cap_runs_clean(self, tmp_path):
+        # the classifier once compared float steps capped at 10 with the
+        # grid threshold 0.64 and crashed on the pair (0.687, 0.550)
+        config = write(tmp_path, "logistic.ini", LOGISTIC_OFF_GRID_CAP)
+        out = tmp_path / "out"
+        assert run(config, str(out), quiet=True) == EXIT_OK
+        with open(out / "trials.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5
+        for row in rows:
+            assert [row[c] for c in ("lemma2_ok", "lemma3_ok", "lemma4_ok")] \
+                == ["True"] * 3
 
 
 class TestTraceIsTrialZero:

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from aloe_lab.instrument import (CENSORED, P_HAT_GRID, GridStraddleError,
-                                 StoppingSpec, classify_large, classify_true,
-                                 compute_path_report, progress_Z,
-                                 recheck_success_flags, snap_to_step_grid,
+from aloe_lab.instrument import (CENSORED, P_HAT_GRID, StoppingSpec,
+                                 classify_true, compute_path_report,
+                                 progress_Z, recheck_success_flags,
                                  stopping_time, verify_path_lemmas)
-from aloe_lab.linesearch import AloeParams, IterationRecord, aloe_run
+from aloe_lab.linesearch import (AloeParams, IterationRecord, aloe_run,
+                                 snap_to_step_grid)
 from aloe_lab.oracles import (FirstOracleSpec, SyntheticFirstOracle,
                               SyntheticZerothOracle, ZerothOracleSpec)
 from aloe_lab.problems import make_strongly_convex_quadratic
@@ -54,25 +54,6 @@ class TestSnap:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             snap_to_step_grid(0.0, 1.0, 0.8)
-
-
-class TestClassifyLarge:
-    def test_boundary_pair_is_small(self):
-        # alpha_k on the threshold, next below: max equals the threshold
-        assert classify_large(0.64, 0.512, 0.64) is False
-
-    def test_boundary_pair_is_large(self):
-        assert classify_large(0.64, 0.8, 0.64) is True
-
-    def test_clearly_large(self):
-        assert classify_large(2.0, 1.6, 0.64) is True
-
-    def test_clearly_small(self):
-        assert classify_large(0.1, 0.08, 0.64) is False
-
-    def test_straddle_raises(self):
-        with pytest.raises(GridStraddleError):
-            classify_large(0.5, 0.9, 0.64)
 
 
 class TestClassifyTrue:
@@ -249,53 +230,66 @@ class TestPathLemmasAbstractProcess:
                 d=float(i_bar), horizon=t)
             assert l2 and l3 and l4 and c1
 
-    def test_flags_agree_with_classify_large(self):
-        # the index shortcut above must match the step-size classifier
-        gamma, alpha0, i_bar = 0.8, 1.0, 3
-        bar = alpha0 * gamma ** i_bar
-        rng = np.random.default_rng(5)
-        j = 0
-        for _ in range(300):
-            up = rng.random() < 0.5
-            j_next = j - 1 if up else j + 1
-            expected = max(j, j_next) <= i_bar
-            got = classify_large(alpha0 * gamma ** j, alpha0 * gamma ** j_next, bar)
-            assert got == expected
-            j = j_next
-
 
 class TestPathReport:
     @staticmethod
-    def noisy_trace(problem, seed=0, max_iters=300):
+    def noisy_trace(problem, seed=0, max_iters=300, alpha0=1.0,
+                    alpha_max=1.0 / 0.8):
         zspec = ZerothOracleSpec(eps_f=1e-3, mode="bounded")
         fspec = FirstOracleSpec(eps_g=1e-3, kappa=1.0, delta=0.1)
         zeroth = SyntheticZerothOracle(problem, zspec)
         first = SyntheticFirstOracle(problem, fspec)
-        params = AloeParams(eps_f_input=1e-3, alpha0=1.0,
-                            alpha_max=1.0 / 0.8, max_iters=max_iters)
+        params = AloeParams(eps_f_input=1e-3, alpha0=alpha0,
+                            alpha_max=alpha_max, max_iters=max_iters)
         return aloe_run(problem, zeroth, first, params, seed=seed), fspec
 
     def test_exact_run_all_true(self, quadratic):
         zeroth = SyntheticZerothOracle(quadratic, ZerothOracleSpec())
         first = SyntheticFirstOracle(quadratic, FirstOracleSpec())
         trace = aloe_run(quadratic, zeroth, first, AloeParams(max_iters=100), seed=0)
-        grid, i = snap_to_step_grid(0.1, 1.0, 0.8)
+        _, i = snap_to_step_grid(0.1, 1.0, 0.8)
         spec = StoppingSpec(class_tag="nonconvex", eps=1e-3)
         report = compute_path_report(trace, quadratic, spec, eps_g=0.0,
-                                     kappa=0.0, bar_alpha_grid=grid, d=float(i))
+                                     kappa=0.0, grid_index=i, d=float(i))
         assert report.frac_true == 1.0
         assert report.all_lemmas_ok
 
     def test_noisy_run_lemmas_hold(self, quadratic):
         trace, fspec = self.noisy_trace(quadratic)
-        grid, i = snap_to_step_grid(0.05, 1.0, 0.8)
+        _, i = snap_to_step_grid(0.05, 1.0, 0.8)
         spec = StoppingSpec(class_tag="nonconvex", eps=0.5)
         report = compute_path_report(trace, quadratic, spec,
                                      eps_g=fspec.eps_g, kappa=fspec.kappa,
-                                     bar_alpha_grid=grid, d=float(i))
+                                     grid_index=i, d=float(i))
         assert report.all_lemmas_ok
         assert 0.0 <= report.frac_true <= 1.0
         assert len(report.Z_sequence) == len(trace)
+
+    @pytest.mark.parametrize("alpha_max", [0.01 * 0.8 ** -7, 0.05],
+                             ids=["cap_on_grid", "cap_off_grid"])
+    def test_large_flags_match_float_reference(self, quadratic, alpha_max):
+        # alpha0 = 0.01 climbs to the cap 0.01 * 0.8^-7 = 0.0477, where a
+        # success keeps the step; thresholds run from the cap to 0.01 * 0.8^-2
+        trace, fspec = self.noisy_trace(quadratic, max_iters=120, alpha0=0.01,
+                                        alpha_max=alpha_max)
+        assert min(trace.exponents) == -7
+        # the realized steps alpha_0..alpha_n, as floats
+        steps = [r.alpha for r in trace.records]
+        steps.append(0.01 * 0.8 ** trace.exponents[-1])
+        spec = StoppingSpec(class_tag="nonconvex", eps=0.5)
+        seen = set()
+        for grid_index in range(-7, -1):
+            bar = 0.01 * 0.8 ** grid_index
+            # large: both adjacent steps >= bar; a pair whose larger step
+            # equals bar (a step at the cap included) is small
+            expected = [min(a, b) >= bar and max(a, b) > bar
+                        for a, b in zip(steps, steps[1:])]
+            report = compute_path_report(trace, quadratic, spec,
+                                         eps_g=fspec.eps_g, kappa=fspec.kappa,
+                                         grid_index=grid_index, d=0.0)
+            assert report.large_flags.tolist() == expected
+            seen.update(expected)
+        assert seen == {True, False}
 
     def test_recheck_success_flags(self, quadratic):
         trace, _ = self.noisy_trace(quadratic, seed=3, max_iters=100)

@@ -65,14 +65,15 @@ class TestArmijo:
 
 
 class TestStepUpdate:
+    # exponents of alpha0 * gamma^i: a smaller exponent is a larger step
     def test_success_grows(self):
-        assert step_update(1.0, True, 0.8, 10.0) == pytest.approx(1.25)
+        assert step_update(0, True, -10) == -1
 
     def test_success_capped(self):
-        assert step_update(9.0, True, 0.8, 10.0) == 10.0
+        assert step_update(-10, True, -10) == -10
 
     def test_failure_shrinks(self):
-        assert step_update(1.0, False, 0.8, 10.0) == pytest.approx(0.8)
+        assert step_update(0, False, -10) == 1
 
 
 class TestExactRun:
@@ -103,8 +104,9 @@ class TestExactRun:
         trace = aloe_run(quadratic10, zeroth, first, params, seed=3)
 
         x = quadratic10.x0.copy()
-        alpha = params.alpha0
+        i = 0
         for r in trace.records:
+            alpha = params.alpha0 * params.gamma ** i
             g = quadratic10.gradient(x)
             x_try = x - alpha * g
             ok = (quadratic10.value(x_try)
@@ -114,9 +116,10 @@ class TestExactRun:
             np.testing.assert_array_equal(r.x, x)
             if ok:
                 x = x_try
-                alpha = min(params.alpha_max, alpha / params.gamma)
+                # the cap alpha_max = 10 snaps to 0.8^-10 = 9.31
+                i = max(i - 1, -10)
             else:
-                alpha = params.gamma * alpha
+                i += 1
 
     def test_alphas_stay_in_range(self, quadratic10):
         zeroth, first = exact_oracles(quadratic10)
@@ -157,14 +160,23 @@ class TestDeterminism:
 
 
 class TestTrace:
-    def test_next_alpha_reconstruction(self, quadratic10):
-        zeroth, first = exact_oracles(quadratic10)
-        trace = aloe_run(quadratic10, zeroth, first, AloeParams(max_iters=50), seed=0)
-        for k in range(len(trace) - 1):
-            assert trace.next_alpha(k) == trace.records[k + 1].alpha
-        last = trace.records[-1]
-        expect = step_update(last.alpha, last.success, 0.8, 10.0)
-        assert trace.next_alpha(len(trace) - 1) == expect
+    @pytest.mark.parametrize("alpha_max", [0.01 * 0.8 ** -7, 0.05],
+                             ids=["cap_on_grid", "cap_off_grid"])
+    def test_exponents(self, quadratic10, alpha_max):
+        # alpha0 = 0.01 starts well below the accepted steps (~0.16), so
+        # the path climbs to the cap 0.01 * 0.8^-7 = 0.0477
+        zspec = ZerothOracleSpec(eps_f=0.01, mode="bounded")
+        fspec = FirstOracleSpec(eps_g=0.01, kappa=0.5, delta=0.2)
+        params = AloeParams(eps_f_input=0.01, alpha0=0.01, alpha_max=alpha_max,
+                            max_iters=60)
+        trace = aloe_run(quadratic10, SyntheticZerothOracle(quadratic10, zspec),
+                         SyntheticFirstOracle(quadratic10, fspec), params, seed=0)
+        i = trace.exponents
+        assert len(i) == len(trace) + 1 and i[0] == 0
+        assert min(i) == -7
+        for k, r in enumerate(trace.records):
+            assert i[k + 1] == (max(i[k] - 1, -7) if r.success else i[k] + 1)
+            assert r.alpha == 0.01 * 0.8 ** i[k]
 
     def test_len(self, quadratic10):
         zeroth, first = exact_oracles(quadratic10)

@@ -1,10 +1,11 @@
 """Property test: Lemmas 2-4 and Corollary 1 hold on every path of every
 admissible configuration, not only on hand-picked ones.
 
-Configs are generated on the quadratic fixture with synthetic oracles; the
-step-size cap alpha_max = alpha0 * gamma^-j lies on the step grid, and the
-accuracy target eps is drawn above the floor the theory derives for the
-other constants.
+Configs are generated on the quadratic fixture with synthetic oracles.  The
+step-size cap alpha_max = alpha0 * gamma^-j * f, with f in [1, 1/gamma), lies
+on the step grid for f = 1 and between two grid steps otherwise (the loop
+then caps at alpha0 * gamma^-j).  The accuracy target eps is drawn above the
+floor the theory derives for the other constants.
 """
 
 from hypothesis import assume, given, settings
@@ -30,16 +31,18 @@ def oracle_specs(mode, eps_f, eps_g, kappa, delta):
     return zeroth, FirstOracleSpec(eps_g=eps_g, kappa=kappa, delta=delta)
 
 
-def make_config(class_tag, mode, theta, gamma, j, noise, eps, seeds):
+def make_config(class_tag, mode, theta, gamma, cap, noise, eps, seeds):
     zeroth, first = oracle_specs(mode, *noise)
     dim, problem_seed, base_seed = seeds
+    j, u = cap
+    f = gamma ** -u   # in [1, 1/gamma); on the grid for u = 0
     return ExperimentConfig(
         fixture="quadratic",
         fixture_params={"dim": dim, "lambda_min": 0.1, "lambda_max": 10.0,
                         "seed": problem_seed},
         zeroth=zeroth, first=first,
         params=AloeParams(eps_f_input=zeroth.eps_f, alpha0=1.0,
-                          alpha_max=gamma ** -j, theta=theta, gamma=gamma,
+                          alpha_max=gamma ** -j * f, theta=theta, gamma=gamma,
                           max_iters=120),
         stopping=StoppingSpec(class_tag=class_tag, eps=eps,
                               eps1=eps if class_tag == "convex" else None),
@@ -52,7 +55,8 @@ def make_config(class_tag, mode, theta, gamma, j, noise, eps, seeds):
     mode=st.sampled_from(["exact", "bounded", "subexponential"]),
     theta=st.floats(0.05, 0.5),
     gamma=st.floats(0.5, 0.9),
-    j=st.integers(1, 3),
+    cap=st.tuples(st.integers(1, 3),
+                  st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))),
     noise=st.tuples(st.floats(-5, -3).map(lambda e: 10 ** e),
                     st.floats(-4, -2).map(lambda e: 10 ** e),
                     st.floats(0.1, 1.0), st.floats(0.0, 0.2)),
@@ -61,9 +65,9 @@ def make_config(class_tag, mode, theta, gamma, j, noise, eps, seeds):
                     st.integers(0, 10_000)),
 )
 def test_path_lemmas_hold_on_generated_configs(class_tag, mode, theta, gamma,
-                                               j, noise, eps_factor, seeds):
+                                               cap, noise, eps_factor, seeds):
     def constants(eps):
-        config = make_config(class_tag, mode, theta, gamma, j, noise, eps, seeds)
+        config = make_config(class_tag, mode, theta, gamma, cap, noise, eps, seeds)
         problem, _ = build_problem(config)
         return config, derive_experiment_constants(config, problem)
 

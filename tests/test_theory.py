@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aloe_lab.instrument import snap_to_step_grid
+from aloe_lab.linesearch import snap_to_step_grid
 from aloe_lab.theory import (TheoremInapplicableError, azuma_tail, bar_alpha,
                              bernstein_tail, constants_report,
                              convex_eps1_min, derive_constants,
