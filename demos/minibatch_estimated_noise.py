@@ -49,8 +49,8 @@ def main():
     loss = final_value(trace)
     print(f"per-epoch estimated slack: final loss {loss:.6f} "
           f"(gap {abs(loss - ref) / ref:.2%})")
-    k0, first_est = ctrl.history[0]
-    kl, last_est = ctrl.history[-1]
+    # each refresh records the slacks of the run's block of trials, here one
+    (k0, (first_est,)), (kl, (last_est,)) = ctrl.history[0], ctrl.history[-1]
     print(f"  slack trajectory: {first_est:.4g} (iter {k0}) -> "
           f"{last_est:.4g} (iter {kl})\n")
 

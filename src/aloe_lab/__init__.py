@@ -15,12 +15,13 @@ from .harness import (CertificationReport, ExperimentConfig,
                       InadmissibleConfigError, TrialRow, TrialSummary,
                       certify_oracles, empirical_tail, run_trials,
                       wilson_interval)
-from .instrument import (CENSORED, PathReport, StoppingSpec, classify_true,
-                         compute_path_report, progress_Z, stopping_time,
+from .instrument import (CENSORED, PathReport, PathVerdicts, StoppingSpec,
+                         classify_paths, classify_true, compute_path_report,
+                         progress_Z, stopping_time, stopping_times,
                          verify_path_lemmas)
-from .linesearch import (AloeParams, IterationRecord, Trace,
+from .linesearch import (AloeParams, IterationRecord, Paths, Trace,
                          TrialDivergedError, aloe_run, armijo_check,
-                         snap_to_step_grid, step_update)
+                         run_lockstep, snap_to_step_grid, step_update)
 from .oracles import (FirstOracleSpec, GsgFirstOracle, GsgParams,
                       MiniBatchFirstOracle, MiniBatchZerothOracle,
                       OracleParameterError, SyntheticFirstOracle,
@@ -32,7 +33,7 @@ from .problems import (ErmDataset, ProblemInstance,
                        estimate_growth_constants, finite_difference_gradient,
                        make_linear, make_strongly_convex_quadratic,
                        make_synthetic_logistic)
-from .rng import TrialStreams, probe_rng
+from .rng import BlockStreams, TrialStreams, probe_rng
 from .theory import (TheoremInapplicableError, TheoryConstants, azuma_tail,
                      bar_alpha, bernstein_tail, constants_report,
                      convex_eps1_min, derive_constants, eps_lower_bound,

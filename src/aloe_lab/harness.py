@@ -3,7 +3,10 @@
 Runs independent seeded trials of the line search, classifies every path,
 verifies the deterministic path lemmas, certifies the oracle contracts
 statistically, and compares empirical stopping-time tails against the
-theoretical lower bounds.
+theoretical lower bounds.  Trials run in blocks of consecutive seeds, each
+block in lockstep through `linesearch.run_lockstep`; a trial's row does
+not depend on its block, so the results do not depend on how the seeds
+are split into blocks or over worker processes.
 """
 
 import math
@@ -15,9 +18,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .estimation import EpochEpsFController, EstimatorConfig
-from .instrument import (CENSORED, PathReport, StoppingSpec,
-                         compute_path_report)
-from .linesearch import AloeParams, Trace, aloe_run
+from .instrument import CENSORED, StoppingSpec, classify_paths
+from .linesearch import AloeParams, Trace, run_lockstep
 from .oracles import (FirstOracleSpec, GsgFirstOracle, MiniBatchFirstOracle,
                       MiniBatchZerothOracle, SyntheticFirstOracle,
                       SyntheticZerothOracle, ZerothOracleSpec,
@@ -179,28 +181,37 @@ def wilson_interval(k: int, n: int, confidence: float = 0.99) -> tuple[float, fl
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _run_one_trial(config: ExperimentConfig, constants: TheoryConstants,
-                   seed: int) -> tuple[TrialRow, Trace | None]:
-    """Run and classify one trial.  Its trace is returned only for the
-    base seed, so a pool sends back one trace per experiment."""
+# Trial-iterations per lockstep block: enough rows to spread the fixed cost
+# of an iteration, few enough that a block's per-iteration columns (about
+# 100 bytes per trial-iteration) stay near 13 MB whatever the budget.
+BLOCK_CELLS = 1 << 17
+
+
+def _run_trial_block(config: ExperimentConfig, constants: TheoryConstants,
+                     seeds: list) -> tuple[tuple, Trace | None]:
+    """Run and classify a block of trials in lockstep.  A trace is returned
+    only for the base seed, so a pool sends back one trace per experiment."""
     problem, dataset = build_problem(config)
     zeroth, first = build_oracles(config, problem, dataset)
     controller = None
     if config.estimate_eps_f:
         controller = EpochEpsFController(
             zeroth, config.estimator or EstimatorConfig())
-    trace = aloe_run(problem, zeroth, first, config.params, seed,
-                     eps_f_controller=controller)
-    report = compute_path_report(
-        trace, problem, config.stopping, config.first.eps_g,
-        config.first.kappa, constants.grid_index, constants.d)
-    row = TrialRow(
-        seed=seed, T_eps=report.T_eps, censored=report.censored,
-        frac_true=report.frac_true, frac_success=report.frac_success,
-        lemma2_ok=report.lemma2_ok and report.corollary1_ok,
-        lemma3_ok=report.lemma3_ok, lemma4_ok=report.lemma4_ok,
-    )
-    return row, (trace if seed == config.base_seed else None)
+    trace_row = 0 if seeds[0] == config.base_seed else None
+    paths, trace = run_lockstep(problem, zeroth, first, config.params, seeds,
+                                controller, trace_row)
+    v = classify_paths(paths, problem, config.stopping, config.first.eps_g,
+                       config.first.kappa, constants.grid_index, constants.d)
+    rows = tuple(
+        TrialRow(seed=seed, T_eps=T, censored=T == CENSORED, frac_true=ft,
+                 frac_success=fs, lemma2_ok=l2 and c1, lemma3_ok=l3,
+                 lemma4_ok=l4)
+        for seed, T, ft, fs, l2, c1, l3, l4 in zip(
+            seeds, v.T_eps.tolist(), v.frac_true.tolist(),
+            v.frac_success.tolist(), v.lemma2_ok.tolist(),
+            v.corollary1_ok.tolist(), v.lemma3_ok.tolist(),
+            v.lemma4_ok.tolist()))
+    return rows, trace
 
 
 def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
@@ -236,17 +247,21 @@ def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
                        for t in checkpoints)
 
     seeds = [config.base_seed + i for i in range(config.n_trials)]
+    rows = max(1, BLOCK_CELLS // config.params.max_iters)
+    n_blocks = max(-(-len(seeds) // rows), min(n_jobs, len(seeds)))
+    blocks = [b.tolist() for b in np.array_split(seeds, n_blocks)]
     if n_jobs > 1:
         # imported here: a single-process run never pays for it
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(
-                _run_one_trial, [config] * len(seeds), [constants] * len(seeds),
-                seeds, chunksize=max(1, len(seeds) // (4 * n_jobs))))
+                _run_trial_block, [config] * n_blocks, [constants] * n_blocks,
+                blocks))
     else:
-        results = [_run_one_trial(config, constants, s) for s in seeds]
-    # map keeps seed order, so rows[0] and traces[0] belong to the base seed
-    rows, traces = zip(*results)
+        results = [_run_trial_block(config, constants, b) for b in blocks]
+    # map keeps block order, so the first block's trace is the base seed's
+    rows = tuple(row for block_rows, _ in results for row in block_rows)
+    trace = results[0][1]
 
     samples = np.array([r.T_eps for r in rows])
     tails = tuple(empirical_tail(samples, t) for t in checkpoints)
@@ -257,7 +272,7 @@ def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
         config=config, constants=constants, rows=rows,
         checkpoints=checkpoints, empirical_tails=tails, theory_bounds=bounds,
         wilson_bounds=wilson, s=config.s, p_hat=p_hat, t_min=t_min,
-        trace=traces[0],
+        trace=trace,
     )
 
 
@@ -358,6 +373,28 @@ def mgf_envelope_ok(samples: np.ndarray, nu: float, b: float,
     return True
 
 
+# Rows per stacked certification query: the stack's arrays stay small
+# whatever n_queries is.
+CERTIFY_BLOCK = 1024
+
+
+def _queries_at(query, x, rng, n_queries: int, truth: str):
+    """`n_queries` queries at the point x, as stacks of copies of x drawing
+    from `rng` in row order.  The first stack has one row; its exact value
+    is handed on, as the keyword `truth`, to the stacks of up to
+    CERTIFY_BLOCK rows that follow.  Yields (query slice, estimates, exact
+    values) per stack."""
+    x = np.asarray(x, dtype=float)
+    start, known = 0, None
+    while start < n_queries:
+        m = 1 if known is None else min(CERTIFY_BLOCK, n_queries - start)
+        given = {} if known is None else {truth: np.repeat(known[None], m, axis=0)}
+        est, exact = query(np.tile(x, (m, 1)), [rng] * m, **given)
+        yield slice(start, start + m), est, exact
+        known = np.asarray(exact)[0]
+        start += m
+
+
 def certify_oracles(problem, zeroth_oracle, first_oracle,
                     zspec: ZerothOracleSpec, fspec: FirstOracleSpec,
                     probe_points, alphas, n_queries: int = 10_000,
@@ -368,6 +405,11 @@ def certify_oracles(problem, zeroth_oracle, first_oracle,
     errors, and (for unbounded noise) the sub-exponential MGF envelope.
     First order: the accuracy event of `fspec` holds with frequency
     >= 1 - delta by a one-sided binomial test.
+
+    The queries at a probe go out as stacks of copies of the point, every
+    row drawing from the probe's one generator in row order, so the draws
+    are those of one query after another; the exact value at the point is
+    computed once per probe and oracle.  `problem` is not read.
     """
     if n_queries < 2:
         raise ValueError("n_queries must be >= 2 for a standard error")
@@ -375,9 +417,8 @@ def certify_oracles(problem, zeroth_oracle, first_oracle,
     for j, x in enumerate(probe_points):
         rng = rngmod.probe_rng(base_seed, j)
         errors = np.empty(n_queries)
-        for i in range(n_queries):
-            est, phi = zeroth_oracle(x, rng)
-            errors[i] = abs(est - phi)
+        for rows, est, phi in _queries_at(zeroth_oracle, x, rng, n_queries, "phi"):
+            errors[rows] = np.abs(est - phi)
         stderr = errors.std(ddof=1) / math.sqrt(n_queries)
         threshold = zspec.eps_f + 3 * stderr
         results.append(ProbeResult(
@@ -390,10 +431,12 @@ def certify_oracles(problem, zeroth_oracle, first_oracle,
                 passed=mgf_envelope_ok(errors, zspec.nu, zspec.b),
                 statistic=math.nan, threshold=math.nan))
         for alpha in alphas:
-            hits = 0
-            for i in range(n_queries):
-                g, grad = first_oracle(x, alpha, rng)
-                hits += gradient_accurate(g, grad, alpha, fspec.eps_g, fspec.kappa)
+            def query(X, gens, **given):
+                return first_oracle(X, alpha, gens, **given)
+
+            hits = sum(int(gradient_accurate(g, grad, alpha, fspec.eps_g,
+                                             fspec.kappa).sum())
+                       for _, g, grad in _queries_at(query, x, rng, n_queries, "grad"))
             results.append(ProbeResult(
                 description=f"first accuracy event, probe {j}, alpha {alpha}",
                 passed=binomial_frequency_test(hits, n_queries,

@@ -1,9 +1,12 @@
 """Post-hoc classification of line-search iterations.
 
-Given a recorded trace with ground-truth fields, this module computes the
-per-iteration flags (true/false, large/small, successful), the progress
-measure for each function class, and the stopping time, all without touching
-the algorithm itself.
+Given the recorded paths of a block of trials (`linesearch.Paths`), this
+module computes the per-iteration flags (true/false, large/small,
+successful), the stopping times and the path-lemma verdicts, all as column
+operations along the iteration axis and without touching the algorithm
+itself.  The one-trial forms (`stopping_time`, `compute_path_report`) read
+a `Trace` as a block of one, and add the progress measure of each
+iteration.
 """
 
 import math
@@ -11,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linesearch import Trace, armijo_check
-from .oracles import gradient_accurate
-from .problems import CLASS_TAGS, ProblemInstance
+from .linesearch import Paths, Trace, armijo_check
+from .oracles import accurate_from_norms, gradient_accurate
+from .problems import CLASS_TAGS, ProblemInstance, row_dots
 
 CENSORED = -1
 
@@ -88,70 +91,107 @@ def progress_Z(class_tag: str, phi_x: float, phi_star: float, eps: float) -> flo
     return 1.0 / eps - 1.0 / gap
 
 
+def stopping_times(paths: Paths, problem: ProblemInstance, spec: StoppingSpec) -> np.ndarray:
+    """Per trial, the first iteration index meeting the class criterion,
+    CENSORED if the budget runs out first.  The state reached after the
+    final iteration counts as index T; its gradient is evaluated only for
+    the trials that need it (not yet stopped, criterion reads the gradient,
+    the final step moved)."""
+    gap = paths.phi - problem.phi_star
+    gnorm = paths.grad_norm
+    need = np.isnan(gnorm[:, -1]) & ~_stopped(spec, gap[:, :-1], gnorm[:, :-1]).any(axis=1)
+    if spec.class_tag != "strongly_convex" and need.any():
+        final = problem.gradients(paths.x_final[need])
+        gnorm = gnorm.copy()
+        gnorm[need, -1] = np.sqrt(row_dots(final, final))
+    hit = _stopped(spec, gap, gnorm)
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), CENSORED)
+
+
 def stopping_time(trace: Trace, problem: ProblemInstance, spec: StoppingSpec) -> int:
-    """First iteration index meeting the class criterion, CENSORED if the
-    budget runs out first.  The state reached after the final recorded
-    iteration counts as index len(trace)."""
-    for k in range(len(trace) + 1):
-        phi, gnorm = _state_at(trace, problem, k)
-        if _stopped(spec, phi - problem.phi_star, gnorm):
-            return k
-    return CENSORED
+    """`stopping_times` of one trial."""
+    return int(stopping_times(trace.paths, problem, spec)[0])
 
 
-def _stopped(spec: StoppingSpec, gap: float, gnorm: float) -> bool:
+def _stopped(spec: StoppingSpec, gap, gnorm):
     if spec.class_tag == "nonconvex":
         return gnorm <= spec.eps
     if spec.class_tag == "strongly_convex":
         return gap <= spec.eps
-    return gap <= spec.eps or gnorm <= spec.eps1
+    return (gap <= spec.eps) | (gnorm <= spec.eps1)
 
 
-def _state_at(trace: Trace, problem: ProblemInstance, k: int) -> tuple[float, float]:
-    if k < len(trace):
-        r = trace.records[k]
-        return r.phi_curr, r.grad_true_norm
-    last = trace.records[-1]
-    x_final = last.x - last.alpha * last.g if last.success else last.x
-    grad = problem.gradient(x_final)
-    return problem.value(x_final), math.sqrt(grad.dot(grad))
+@dataclass(frozen=True)
+class PathVerdicts:
+    """Flags and verdicts of a block of trials, one row per trial; as in
+    `PathReport`, T_eps == CENSORED means the criterion was not met within
+    the budget."""
+
+    T_eps: np.ndarray
+    true_flags: np.ndarray       # (n, T)
+    success_flags: np.ndarray
+    large_flags: np.ndarray
+    lemma2_ok: np.ndarray        # (n,)
+    lemma3_ok: np.ndarray
+    lemma4_ok: np.ndarray
+    corollary1_ok: np.ndarray
+
+    @property
+    def frac_true(self) -> np.ndarray:
+        return np.mean(self.true_flags, axis=1)
+
+    @property
+    def frac_success(self) -> np.ndarray:
+        return np.mean(self.success_flags, axis=1)
+
+
+def classify_paths(paths: Paths, problem: ProblemInstance, spec: StoppingSpec,
+                   eps_g: float, kappa: float, grid_index: int,
+                   d: float) -> PathVerdicts:
+    """Classify every iteration of every trial and check the deterministic
+    path lemmas.
+
+    Iteration k is large when both adjacent steps alpha_k, alpha_{k+1} are
+    at least the grid-snapped critical step alpha0 * gamma^grid_index, i.e.
+    when the smaller of their exponents is below grid_index; a pair whose
+    larger step equals the threshold is small.  It is true when both oracle
+    accuracy events hold (see `classify_true`)."""
+    n = paths.success.shape[1]
+    T = stopping_times(paths, problem, spec)
+    I = (accurate_from_norms(paths.grad_error, paths.g_norm, paths.alpha, eps_g, kappa)
+         & (paths.e_sum <= 2 * paths.eps_f))
+    i = paths.exponents
+    U = np.minimum(i[:, :-1], i[:, 1:]) < grid_index
+    strict_horizon = np.where(T == CENSORED, n, np.maximum(np.minimum(T, n) - 1, 0))
+    l2, l3, l4, c1 = verify_path_lemmas(I, paths.success, U, d, strict_horizon)
+    return PathVerdicts(T_eps=T, true_flags=I, success_flags=paths.success,
+                        large_flags=U, lemma2_ok=l2, lemma3_ok=l3,
+                        lemma4_ok=l4, corollary1_ok=c1)
 
 
 def compute_path_report(trace: Trace, problem: ProblemInstance, spec: StoppingSpec,
                         eps_g: float, kappa: float, grid_index: int,
                         d: float) -> PathReport:
-    """Classify every iteration and check the deterministic path lemmas.
-
-    Iteration k is large when both adjacent steps alpha_k, alpha_{k+1} are
-    at least the grid-snapped critical step alpha0 * gamma^grid_index, i.e.
-    when the smaller of their exponents is below grid_index; a pair whose
-    larger step equals the threshold is small."""
-    n = len(trace)
-    T = stopping_time(trace, problem, spec)
-    censored = T == CENSORED
-
-    I = np.array([classify_true(r, eps_g, kappa) for r in trace.records], dtype=bool)
-    Theta = trace.successes()
-    i = np.asarray(trace.exponents)
-    U = np.minimum(i[:-1], i[1:]) < grid_index
+    """`classify_paths` of one trial, with its progress measure."""
+    v = classify_paths(trace.paths, problem, spec, eps_g, kappa, grid_index, d)
+    T = int(v.T_eps[0])
     Z = np.array([
         progress_Z(spec.class_tag, r.phi_curr, problem.phi_star, spec.eps)
         for r in trace.records
     ])
-
-    strict_horizon = n if censored else max(min(T, n) - 1, 0)
-    l2, l3, l4, c1 = verify_path_lemmas(I, Theta, U, d, strict_horizon)
     return PathReport(
-        seed=trace.seed, T_eps=T, censored=censored,
-        true_flags=I, success_flags=Theta, large_flags=U, Z_sequence=Z,
-        lemma2_ok=l2, lemma3_ok=l3, lemma4_ok=l4, corollary1_ok=c1,
+        seed=trace.seed, T_eps=T, censored=T == CENSORED,
+        true_flags=v.true_flags[0], success_flags=v.success_flags[0],
+        large_flags=v.large_flags[0], Z_sequence=Z,
+        lemma2_ok=bool(v.lemma2_ok[0]), lemma3_ok=bool(v.lemma3_ok[0]),
+        lemma4_ok=bool(v.lemma4_ok[0]), corollary1_ok=bool(v.corollary1_ok[0]),
     )
 
 
 P_HAT_GRID = np.arange(0.55, 0.96, 0.05)
 
 
-def verify_path_lemmas(I, Theta, U, d: float, horizon: int) -> tuple[bool, bool, bool, bool]:
+def verify_path_lemmas(I, Theta, U, d: float, horizon):
     """Deterministic per-path counting facts about the step-size dynamics.
 
     Checked for every prefix t:
@@ -163,35 +203,42 @@ def verify_path_lemmas(I, Theta, U, d: float, horizon: int) -> tuple[bool, bool,
                   for each p_hat on the grid                     (t < horizon)
     `horizon` is the number of prefixes t for which the stopping time has
     provably not been reached (lemmas 3 and 4 are conditioned on that).
+
+    Flags of one path give four bools; (n, T) flags with n horizons give
+    four (n,) arrays, prefix sums running along each row.
     """
-    U = np.asarray(U, dtype=float)
-    I = np.asarray(I, dtype=float)
-    Th = np.asarray(Theta, dtype=float)
-    n = len(I)
-    cum_us = np.cumsum(U * Th)              # large successful
-    cum_uf = np.cumsum(U * (1 - Th))        # large unsuccessful
-    cum_u = np.cumsum(U)
-    cum_st = np.cumsum((1 - U) * I)         # small true
-    cum_sf = np.cumsum((1 - U) * (1 - I))   # small false
-    cum_i = np.cumsum(I)
-    cum_good = np.cumsum(U * Th * I)
+    one = np.ndim(I) == 1
+    U = np.atleast_2d(np.asarray(U, dtype=bool))
+    I = np.atleast_2d(np.asarray(I, dtype=bool))
+    Th = np.atleast_2d(np.asarray(Theta, dtype=bool))
+    n = I.shape[1]
+
+    def count(flags):   # exact prefix counts, along each row
+        return np.cumsum(flags, axis=1, dtype=np.int32)
+
+    cum_us = count(U & Th)      # large successful
+    cum_uf = count(U & ~Th)     # large unsuccessful
+    cum_u = count(U)
+    cum_st = count(~U & I)      # small true
+    cum_sf = count(~U & ~I)     # small false
+    cum_i = count(I)
+    cum_good = count(U & Th & I)
 
     tol = 1e-9
-    lemma2 = bool(np.all(cum_us >= cum_uf - d - tol))
-    corollary1 = bool(np.all(cum_us >= 0.5 * (cum_u - d) - tol))
+    lemma2 = np.all(cum_us >= cum_uf - d - tol, axis=1)
+    corollary1 = np.all(cum_us >= 0.5 * (cum_u - d) - tol, axis=1)
 
-    m = min(horizon, n)  # prefixes t = 1..m with t - 1 < horizon
-    lemma3 = bool(np.all(cum_st[:m] <= cum_sf[:m] + tol))
-
-    lemma4 = True
-    t = np.arange(1, m + 1)
-    for p_hat in P_HAT_GRID:
-        bad = (cum_i[:m] >= p_hat * t - tol) & (
-            cum_good[:m] < (p_hat - 0.5) * t - d / 2 - tol)
-        if bad.any():
-            lemma4 = False
-            break
-    return lemma2, lemma3, lemma4, corollary1
+    t = np.arange(1, n + 1)
+    # prefixes t = 1..min(horizon, n), i.e. t - 1 < horizon
+    checked = t <= np.reshape(horizon, (-1, 1))
+    lemma3 = ~np.any((cum_st > cum_sf + tol) & checked, axis=1)
+    p_hat = P_HAT_GRID[:, None]   # every grid point at once: (n, grid, t)
+    bad = ((cum_i[:, None] >= p_hat * t - tol)
+           & (cum_good[:, None] < (p_hat - 0.5) * t - d / 2 - tol)
+           & checked[:, None])
+    lemma4 = ~bad.any(axis=(1, 2))
+    verdicts = (lemma2, lemma3, lemma4, corollary1)
+    return tuple(bool(v[0]) for v in verdicts) if one else verdicts
 
 
 def recheck_success_flags(trace: Trace) -> bool:

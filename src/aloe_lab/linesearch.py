@@ -1,4 +1,4 @@
-"""Adaptive line search driven by inexact oracles.
+"""Adaptive line search driven by inexact oracles, run in lockstep.
 
 Each iteration queries the first-order oracle at the current step size,
 attempts the step x - alpha g, queries the zeroth-order oracle at both
@@ -6,11 +6,23 @@ endpoints, accepts or rejects via the relaxed (additive 2 eps_f slack)
 Armijo test, and moves the step size one point along the grid
 alpha0 * gamma^i, which this module owns: the loop's state is the integer
 exponent i, lowered on success (not past the cap's exponent) and raised on
-failure, and the path classifier compares exponents.  Each of the three
-queries draws from its own per-trial generator (see `rng`), so the
-noise of iteration k is a function of the seed and k alone.  The loop runs
-a fixed budget; stopping times are computed offline from the recorded
-trace.
+failure, and the path classifier compares exponents.  The loop runs a
+fixed budget; stopping times are computed offline from the recorded path.
+
+`run_lockstep` advances a block of n trials together: the state is an
+(n, dim) array of points and an integer exponent per trial, every query is
+one stacked call with one row per trial, and accept/reject and the step
+update are elementwise.  Row r of each query draws from trial r's
+generator for that query's purpose (see `rng`), in the order a one-trial
+run draws, and every non-random operation keeps each row's bits
+independent of the others, so a trial's path does not depend on the block
+it runs in.  `aloe_run` is the same engine with n = 1.
+
+Exact values are computed once per point.  The engine evaluates phi and
+grad phi at x_0 once for the block.  x_{k+1} is x_k+ or x_k, so phi(x_{k+1})
+is known from iteration k, and grad phi(x_{k+1}) too after a rejected
+step; the engine hands these to the queries at x_{k+1} and evaluates one
+stacked gradient for the rows that moved.
 """
 
 import math
@@ -19,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .problems import ProblemInstance
+from .problems import ProblemInstance, row_dots
 
 
 class TrialDivergedError(RuntimeError):
@@ -73,14 +85,41 @@ class IterationRecord:
 
 
 @dataclass(frozen=True)
+class Paths:
+    """Per-iteration columns of a block of n trials run for T iterations,
+    row r for trial seeds[r]: what the path classifier reads.  Points and
+    gradients are not kept; `x_final` is x_T."""
+
+    seeds: tuple
+    exponents: np.ndarray   # (n, T + 1) i_0..i_T; alpha_k = alpha0 * gamma ** i_k
+    alpha: np.ndarray       # (n, T)
+    success: np.ndarray     # (n, T)
+    e_sum: np.ndarray       # (n, T) |f_curr - phi(x_k)| + |f_plus - phi(x_k+)|
+    eps_f: np.ndarray       # (n, T) slack used
+    g_norm: np.ndarray      # (n, T) ||g_k||
+    grad_error: np.ndarray  # (n, T) ||g_k - grad phi(x_k)||
+    phi: np.ndarray         # (n, T + 1) phi(x_0)..phi(x_T)
+    grad_norm: np.ndarray   # (n, T + 1) ||grad phi(x_k)||; NaN at T after a final move
+    x_final: np.ndarray     # (n, dim)
+
+    def row(self, r: int) -> "Paths":
+        """Trial seeds[r] alone, as a block of one."""
+        return Paths(seeds=(self.seeds[r],), **{
+            name: getattr(self, name)[r:r + 1].copy()
+            for name in self.__dataclass_fields__ if name != "seeds"})
+
+
+@dataclass(frozen=True)
 class Trace:
-    """The iteration records and the n + 1 step exponents i_0..i_n, where
-    record k used alpha0 * gamma ** i_k and i_n follows the last update."""
+    """The iteration records of one trial and the n + 1 step exponents
+    i_0..i_n, where record k used alpha0 * gamma ** i_k and i_n follows the
+    last update; `paths` is the same trial as a one-row block."""
 
     records: tuple
     exponents: tuple
     params: AloeParams
     seed: int
+    paths: Paths
 
     def __len__(self):
         return len(self.records)
@@ -95,9 +134,9 @@ class Trace:
         return np.array([r.phi_curr for r in self.records])
 
 
-def armijo_check(f_plus: float, f_curr: float, alpha: float, theta: float,
-                 g_norm_sq: float, eps_f_input: float) -> bool:
-    """Relaxed sufficient-decrease test; ties accepted."""
+def armijo_check(f_plus, f_curr, alpha, theta: float, g_norm_sq, eps_f_input):
+    """Relaxed sufficient-decrease test; ties accepted.  Elementwise on
+    arrays."""
     return f_plus <= f_curr - alpha * theta * g_norm_sq + 2 * eps_f_input
 
 
@@ -121,58 +160,119 @@ def snap_to_step_grid(alpha: float, alpha0: float, gamma: float) -> tuple[float,
     return snapped, i
 
 
-def step_update(i: int, success: bool, i_cap: int) -> int:
+def step_update(i, success, i_cap: int):
     """Next step exponent: one grid step up on success, never past the
-    cap's exponent, one step down on failure."""
-    return max(i - 1, i_cap) if success else i + 1
+    cap's exponent, one step down on failure.  Elementwise on arrays."""
+    return np.where(success, np.maximum(i - 1, i_cap), i + 1)
 
 
 def aloe_run(problem: ProblemInstance, zeroth_oracle, first_oracle,
              params: AloeParams, seed: int, eps_f_controller=None) -> Trace:
-    """Run the line-search loop for `params.max_iters` iterations.
+    """Run one trial for `params.max_iters` iterations: `run_lockstep`
+    with a block of one, returning its trace."""
+    return run_lockstep(problem, zeroth_oracle, first_oracle, params, [seed],
+                        eps_f_controller, trace_row=0)[1]
+
+
+def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
+                 params: AloeParams, seeds, eps_f_controller=None,
+                 trace_row: int | None = None) -> tuple[Paths, Trace | None]:
+    """Run one trial per seed for `params.max_iters` iterations, all in
+    lockstep.  Returns the block's `Paths` and, when `trace_row` is given,
+    the full `Trace` of that row's trial (only that row keeps its points
+    and gradients).
 
     `eps_f_controller`, when given, is called as
-    ``controller(k, x, streams)`` before each iteration and returns the
-    slack constant to use from that iteration on (for per-epoch noise-level
-    re-estimation); otherwise `params.eps_f_input` is used throughout.
+    ``controller(k, X, streams, phi)`` before each iteration, with the
+    (n, dim) incumbents, the block's `rng.BlockStreams` and the exact values
+    at X, and returns the slack (one per row, or one for all) to use from
+    that iteration on; otherwise `params.eps_f_input` is used throughout.
 
-    The exact values phi(x), phi(x+) and grad phi(x) recorded for the path
-    lemmas are the second elements of the oracles' (estimate, exact value)
-    pairs, so each is computed once, by the query that needs it.
+    Raises `TrialDivergedError`, naming the trial, as soon as any row's
+    oracle output is non-finite.
     """
-    streams = rngmod.TrialStreams(seed)
-    grad_rng = streams.stream(rngmod.GRAD)
-    curr_rng = streams.stream(rngmod.F_CURR)
-    plus_rng = streams.stream(rngmod.F_PLUS)
-    x = np.asarray(problem.x0, dtype=float)
+    seeds = tuple(int(s) for s in seeds)
+    n, T = len(seeds), params.max_iters
+    streams = rngmod.BlockStreams(seeds)
+    grad_rngs = streams.stream(rngmod.GRAD)
+    curr_rngs = streams.stream(rngmod.F_CURR)
+    plus_rngs = streams.stream(rngmod.F_PLUS)
     i_cap = snap_to_step_grid(params.alpha_max, params.alpha0, params.gamma)[1]
-    exponents = [0]
-    eps_f = params.eps_f_input
-    records = []
-    for k in range(params.max_iters):
-        alpha = params.alpha0 * params.gamma ** exponents[-1]
+    # every reachable step, i_cap <= i <= T, by the one-point arithmetic
+    step_of = np.array([params.alpha0 * params.gamma ** i
+                        for i in range(i_cap, T + 1)])
+
+    x0 = np.asarray(problem.x0, dtype=float)
+    X = np.tile(x0, (n, 1))
+    phi = np.full(n, problem.value(x0))
+    grad = np.tile(problem.gradient(x0), (n, 1))
+    i = np.zeros(n, dtype=int)
+    moved = np.zeros(n, dtype=bool)
+    eps_f = np.full(n, float(params.eps_f_input))
+
+    names = ("exponents", "alpha", "success", "e_sum", "eps_f", "g_sq",
+             "error_sq", "phi", "grad_sq")
+    # one column per iteration; exponents, phi and grad_sq also hold the
+    # state after the last iteration.  Norms are kept squared until then.
+    cols = {name: np.empty((n, T + 1), dtype=int if name == "exponents"
+                           else bool if name == "success" else float)
+            for name in names}
+    kept = []
+    for k in range(T):
+        if moved.any():
+            grad[moved] = problem.gradients(X[moved])
+        alpha = step_of[i - i_cap]
         if eps_f_controller is not None:
-            eps_f = eps_f_controller(k, x, streams)
-        g, grad_true = first_oracle(x, alpha, grad_rng)
+            eps_f = eps_f_controller(k, X, streams, phi)
+        g, _ = first_oracle(X, alpha, grad_rngs, grad=grad)
         g = np.asarray(g, dtype=float)
-        x_plus = x - alpha * g
-        f_curr, phi_curr = zeroth_oracle(x, curr_rng)
-        f_plus, phi_plus = zeroth_oracle(x_plus, plus_rng)
-        if not (np.isfinite(f_curr) and np.isfinite(f_plus) and np.all(np.isfinite(g))):
-            raise TrialDivergedError(
-                f"non-finite oracle output at iteration {k} (seed {seed})"
-            )
-        g_norm_sq = float(g @ g)
-        success = armijo_check(f_plus, f_curr, alpha, params.theta, g_norm_sq, eps_f)
-        records.append(IterationRecord(
-            k=k, x=x, alpha=alpha, g=g, f_curr=float(f_curr), f_plus=float(f_plus),
-            success=success, e_curr=abs(float(f_curr) - phi_curr),
-            e_plus=abs(float(f_plus) - phi_plus), grad_true=grad_true,
-            grad_true_norm=math.sqrt(grad_true.dot(grad_true)),
-            phi_curr=phi_curr, phi_plus=phi_plus, eps_f=eps_f,
-        ))
-        if success:
-            x = x_plus
-        exponents.append(step_update(exponents[-1], success, i_cap))
-    return Trace(records=tuple(records), exponents=tuple(exponents),
-                 params=params, seed=seed)
+        x_plus = X - alpha[:, None] * g
+        f_curr, _ = zeroth_oracle(X, curr_rngs, phi=phi)
+        f_plus, phi_plus = zeroth_oracle(x_plus, plus_rngs)
+        V = np.concatenate((g, g - grad, grad))
+        g_sq, error_sq, grad_sq = row_dots(V, V).reshape(3, n)
+        # a non-finite g makes g_sq non-finite; an overflowing sum alone
+        # falls through to the exact test
+        if not np.isfinite(f_curr + f_plus + g_sq).all():
+            finite = np.isfinite(f_curr) & np.isfinite(f_plus) & np.isfinite(g).all(axis=1)
+            if not finite.all():
+                raise TrialDivergedError(
+                    f"non-finite oracle output at iteration {k} "
+                    f"(seed {seeds[int(np.argmin(finite))]})")
+        success = armijo_check(f_plus, f_curr, alpha, params.theta, g_sq, eps_f)
+        e_curr, e_plus = np.abs(f_curr - phi), np.abs(f_plus - phi_plus)
+        for name, value in zip(names, (i, alpha, success, e_curr + e_plus, eps_f,
+                                       g_sq, error_sq, phi, grad_sq)):
+            cols[name][:, k] = value
+        if trace_row is not None:
+            r = trace_row
+            # copies: a row view would keep the whole block's arrays alive
+            kept.append((X[r].copy(), g[r].copy(), grad[r].copy(), f_curr[r],
+                         f_plus[r], e_curr[r], e_plus[r], phi_plus[r]))
+        X = np.where(success[:, None], x_plus, X)
+        phi = np.where(success, phi_plus, phi)
+        i = step_update(i, success, i_cap)
+        moved = success
+    cols["exponents"][:, T], cols["phi"][:, T] = i, phi
+    cols["grad_sq"][:, T] = np.where(moved, np.nan, grad_sq)
+    f = {name: c if name in ("exponents", "phi", "grad_sq") else c[:, :T]
+         for name, c in cols.items()}
+    for name in ("g_sq", "error_sq", "grad_sq"):
+        np.sqrt(f[name], out=f[name])
+    paths = Paths(seeds=seeds, exponents=f["exponents"], alpha=f["alpha"],
+                  success=f["success"], e_sum=f["e_sum"], eps_f=f["eps_f"],
+                  g_norm=f["g_sq"], grad_error=f["error_sq"], phi=f["phi"],
+                  grad_norm=f["grad_sq"], x_final=X)
+    if trace_row is None:
+        return paths, None
+    row = paths.row(trace_row)
+    records = tuple(
+        IterationRecord(
+            k=k, x=x, alpha=a, g=gk, f_curr=float(fc), f_plus=float(fp),
+            success=ok, e_curr=float(ec), e_plus=float(ep), grad_true=gt,
+            grad_true_norm=gn, phi_curr=pc, phi_plus=float(pp), eps_f=ef)
+        for k, ((x, gk, gt, fc, fp, ec, ep, pp), a, ok, gn, pc, ef) in enumerate(zip(
+            kept, row.alpha[0].tolist(), row.success[0].tolist(),
+            row.grad_norm[0].tolist(), row.phi[0].tolist(), row.eps_f[0].tolist())))
+    return paths, Trace(records=records, exponents=tuple(row.exponents[0].tolist()),
+                        params=params, seed=seeds[trace_row], paths=row)

@@ -10,13 +10,24 @@ Three families are provided:
   built from the zeroth-order oracle.
 
 Oracles are callables that return the estimate together with the exact
-value it estimates: zeroth ``oracle(x, rng) -> (f, phi(x))``, first
-``oracle(x, alpha, rng) -> (g, grad phi(x))``.  The synthetic zeroth-order
-oracle also takes an (m, dim) stack of points and returns (m,) arrays; the
-Gaussian-smoothing gradient queries its directions that way.  Oracles do
-not judge their own accuracy; `gradient_accurate` is the one gradient
-accuracy test, used by the path classifier, the certification harness and
-the demos.
+value it estimates: zeroth ``oracle(x, rng, phi=None) -> (f, phi(x))``,
+first ``oracle(x, alpha, rng, grad=None) -> (g, grad phi(x))``.  A caller
+that already knows the exact value passes it as `phi` / `grad` and the
+oracle uses it instead of evaluating the problem again.
+
+A point x of shape (dim,) comes with one generator and gives one answer.
+An (m, dim) stack comes with one generator per row and gives m answers:
+row r draws from its generator exactly what a one-point query would, so a
+stack is m one-point queries answered in one call, whatever m is.  The
+line search sends each trial of a block as one row, with that trial's
+generator.  The synthetic zeroth-order oracle also takes k < m generators
+for a stack of k equal blocks, each block's errors drawn as one block and
+then its signs (one generator is one block); the Gaussian-smoothing
+gradient queries its N directions that way.
+
+Oracles do not judge their own accuracy; `gradient_accurate` is the one
+gradient accuracy test, used by the path classifier, the certification
+harness and the demos.
 """
 
 import math
@@ -24,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ErmDataset, ProblemInstance, _mean_ascending
+from .problems import ErmDataset, ProblemInstance, _mean_ascending, row_dots
 
 ZEROTH_MODES = ("exact", "bounded", "subexponential")
 
@@ -97,11 +108,22 @@ class FirstOracleSpec:
             raise ValueError("delta must lie in [0, 1)")
 
 
-def gradient_accurate(g, grad, alpha: float, eps_g: float, kappa: float) -> bool:
+def accurate_from_norms(error_norm, g_norm, alpha, eps_g: float, kappa: float):
+    """The first-order accuracy event from ||g - grad|| and ||g||:
+    error_norm <= max{eps_g, kappa alpha ||g||}, elementwise; boundary
+    equality counts as accurate."""
+    return error_norm <= np.maximum(eps_g, kappa * alpha * g_norm)
+
+
+def gradient_accurate(g, grad, alpha, eps_g: float, kappa: float):
     """The first-order accuracy event ||g - grad|| <= max{eps_g,
-    kappa alpha ||g||}; boundary equality counts as accurate."""
-    d = g - grad
-    return math.sqrt(d.dot(d)) <= max(eps_g, kappa * alpha * math.sqrt(g.dot(g)))
+    kappa alpha ||g||}.  A point gives a bool; (m, dim) stacks give an (m,)
+    bool array, with alpha a scalar or one value per row."""
+    G = np.atleast_2d(g)
+    D = G - grad
+    ok = accurate_from_norms(np.sqrt(row_dots(D, D)), np.sqrt(row_dots(G, G)),
+                             alpha, eps_g, kappa)
+    return bool(ok[0]) if np.ndim(g) == 1 else ok
 
 
 def sample_one_sided_subexp(nu: float, b: float, target_mean: float, rng,
@@ -126,39 +148,61 @@ def sample_one_sided_subexp(nu: float, b: float, target_mean: float, rng,
     return target_mean - m + rng.exponential(m, size)
 
 
+def _generators(rng, m: int) -> list:
+    """The generators of an m-row stack: a sequence of them as given, one
+    generator as a block of m rows."""
+    if isinstance(rng, np.random.Generator):
+        return [rng]
+    if m % len(rng):
+        raise ValueError(f"{len(rng)} generators cannot split {m} rows evenly")
+    return rng
+
+
 class SyntheticZerothOracle:
     """Noise injector around the exact value; |f - phi| follows the
     configured one-sided sub-exponential law, with a fair-coin
     perturbation sign.
 
-    `x` of shape (dim,) gives floats (f, phi).  A stack `X` of shape
-    (m, dim) gives (m,) arrays: its m errors are drawn as one block, then
-    its m signs, so a stack takes a number of draws fixed by m and the
-    mode, never by X.
+    A point gives floats (f, phi).  A stack gives (m,) arrays; each block
+    of rows draws its errors as one block, then its signs, so a stack
+    takes a number of draws fixed by the block sizes and the mode, never by
+    X, and a block of one row draws what a point does.
     """
 
     def __init__(self, problem: ProblemInstance, spec: ZerothOracleSpec):
         self.problem = problem
         self.spec = spec
+        # uniform errors on [0, cap] in bounded mode; cap <= eps_f keeps the
+        # error bounded, cap = 2 * target mean keeps the mean on target
+        self._cap = min(spec.eps_f, 2 * spec.target_mean)
+        self._mean = spec.target_mean
 
-    def __call__(self, x, rng):
-        if np.ndim(x) == 2:
-            size = len(x)
-            phi = self.problem.values(x)
-        else:
-            size = None
-            phi = self.problem.value(x)
-        spec = self.spec
-        if spec.mode == "exact":
+    def _noise(self, rng, size):
+        """sign * error for one block (`size=None`: one point)."""
+        mode = self.spec.mode
+        if mode == "exact":
             e = 0.0
-        elif spec.mode == "bounded":
-            # uniform on [0, cap]; cap <= eps_f keeps the error bounded,
-            # cap = 2 * target mean keeps the mean on target
-            e = min(spec.eps_f, 2 * spec.target_mean) * rng.random(size)
+        elif mode == "bounded":
+            e = self._cap * rng.random(size)
         else:
-            e = sample_one_sided_subexp(spec.nu, spec.b, spec.target_mean, rng, size)
+            e = sample_one_sided_subexp(self.spec.nu, self.spec.b, self._mean, rng, size)
         sign = 2.0 * (rng.random(size) < 0.5) - 1.0
-        return phi + sign * e, phi
+        return sign * e
+
+    def __call__(self, x, rng, phi=None):
+        if np.ndim(x) == 1:
+            if phi is None:
+                phi = self.problem.value(x)
+            return phi + self._noise(rng, None), phi
+        if phi is None:
+            phi = self.problem.values(x)
+        gens = _generators(rng, len(x))
+        if len(gens) == len(x):
+            noise = np.array([self._noise(g, None) for g in gens])
+        else:
+            block = len(x) // len(gens)
+            noise = np.concatenate([self._noise(g, block) for g in gens])
+        return phi + noise, phi
 
 
 class SyntheticFirstOracle:
@@ -170,45 +214,76 @@ class SyntheticFirstOracle:
         self.problem = problem
         self.spec = spec
 
-    def __call__(self, x, alpha, rng) -> tuple[np.ndarray, np.ndarray]:
-        grad = self.problem.gradient(x)
-        gnorm = math.sqrt(grad.dot(grad))
+    def __call__(self, x, alpha, rng, grad=None) -> tuple[np.ndarray, np.ndarray]:
+        point = np.ndim(x) == 1
+        if grad is None:
+            grad = self.problem.gradient(x) if point else self.problem.gradients(x)
         spec = self.spec
-        fail = rng.random() < spec.delta
-        u = rng.standard_normal(self.problem.dim)
-        un = math.sqrt(u.dot(u))
-        u = u / un if un > 0 else np.eye(self.problem.dim)[0]
-        if fail:
-            rho = spec.corruption_base + spec.corruption_scale * gnorm
-        else:
-            ka = spec.kappa * alpha
-            # rho <= kappa*alpha*||grad||/(1+kappa*alpha) guarantees the
-            # relative branch of the accuracy event via the triangle inequality
-            rho = rng.random() * max(spec.eps_g, ka * gnorm / (1.0 + ka))
-        return grad + rho * u, grad
+        G = np.atleast_2d(grad)
+        m, dim = G.shape
+        U = np.empty((m, dim))
+        fail, frac = [], []
+        # row r draws the one-point sequence: failure coin, direction, and
+        # the radius fraction only when the draw did not fail
+        for gen, u in zip([rng] if point else rng, U):
+            failed = gen.random() < spec.delta
+            gen.standard_normal(out=u)
+            fail.append(failed)
+            frac.append(0.0 if failed else gen.random())
+        V = np.concatenate((G, U))
+        gnorm, un = np.sqrt(row_dots(V, V)).reshape(2, m)
+        if un.all():
+            U /= un[:, None]
+        else:   # a zero draw points along the first axis
+            U /= np.where(un > 0, un, 1.0)[:, None]
+            U[un == 0, 0] = 1.0
+        ka = spec.kappa * np.asarray(alpha)
+        # rho <= kappa*alpha*||grad||/(1+kappa*alpha) guarantees the
+        # relative branch of the accuracy event via the triangle inequality
+        rho = np.where(fail, spec.corruption_base + spec.corruption_scale * gnorm,
+                       frac * np.maximum(spec.eps_g, ka * gnorm / (1.0 + ka)))
+        g = G + rho[:, None] * U
+        return (g[0], grad) if point else (g, grad)
 
 
 # ---------------------------------------------------------------------------
 # Mini-batch oracles
 
 
-def minibatch_value(dataset: ErmDataset, x, batch) -> float:
-    """Mean per-sample loss over the given index list."""
+def minibatch_value(dataset: ErmDataset, x, batch):
+    """Mean per-sample loss over the given index list.  An (m, dim) stack
+    of points with an (m, k) batch, one index row per point, gives the m
+    means, each with the bits of its one-point call."""
     batch = np.asarray(batch)
     if batch.size == 0:
         raise ValueError("batch must be nonempty")
-    return _mean_ascending(dataset.losses(x, batch))
+    losses = dataset.losses(x, batch)
+    if np.ndim(x) == 1:
+        return _mean_ascending(losses)
+    return np.add.reduce(losses, axis=1) / batch.shape[1]
 
 
 def minibatch_gradient(dataset: ErmDataset, x, batch) -> np.ndarray:
+    """Mean per-sample gradient over the given index list; stacks as in
+    `minibatch_value`."""
     batch = np.asarray(batch)
     if batch.size == 0:
         raise ValueError("batch must be nonempty")
     grads = dataset.loss_grads(x, batch)
-    return np.add.reduce(grads, axis=0) / batch.size
+    return np.add.reduce(grads, axis=-2) / batch.shape[-1]
 
 
-class MiniBatchZerothOracle:
+# Sample rows gathered at once by a stacked mini-batch query (rows of the
+# stack times batch size): each holds dim floats.
+GATHER_SAMPLES = 1 << 14
+
+
+class _MiniBatchOracle:
+    """A stack needs one generator per row; one generator means one point.
+    Each row draws its batch indices, then its mean runs over that batch
+    alone, exactly as a one-point query's does; the means of a stack are
+    taken GATHER_SAMPLES samples at a time."""
+
     def __init__(self, problem: ProblemInstance, dataset: ErmDataset, batch_size: int):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -216,23 +291,34 @@ class MiniBatchZerothOracle:
         self.dataset = dataset
         self.batch_size = batch_size
 
-    def __call__(self, x, rng) -> tuple[float, float]:
-        batch = rng.integers(0, self.dataset.n_samples, size=self.batch_size)
-        phi = self.problem.value(x)  # before the batch: rejects a stack
-        return minibatch_value(self.dataset, x, batch), phi
+    def _means(self, x, rng, mean):
+        """`mean` over a fresh batch at the point, or at each row."""
+        n, size = self.dataset.n_samples, self.batch_size
+        if isinstance(rng, np.random.Generator):
+            return mean(self.dataset, x, rng.integers(0, n, size=size))
+        if len(rng) != len(x):
+            raise ValueError("a mini-batch stack needs one generator per row")
+        batches = np.array([gen.integers(0, n, size=size) for gen in rng])
+        rows = max(1, GATHER_SAMPLES // size)
+        return np.concatenate([mean(self.dataset, x[s:s + rows], batches[s:s + rows])
+                               for s in range(0, len(x), rows)])
 
 
-class MiniBatchFirstOracle:
-    def __init__(self, problem: ProblemInstance, dataset: ErmDataset, batch_size: int):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.problem = problem
-        self.dataset = dataset
-        self.batch_size = batch_size
+class MiniBatchZerothOracle(_MiniBatchOracle):
+    def __call__(self, x, rng, phi=None):
+        if phi is None:
+            # one generator means a point: value() rejects a stack
+            point = isinstance(rng, np.random.Generator)
+            phi = self.problem.value(x) if point else self.problem.values(x)
+        return self._means(x, rng, minibatch_value), phi
 
-    def __call__(self, x, alpha, rng) -> tuple[np.ndarray, np.ndarray]:
-        batch = rng.integers(0, self.dataset.n_samples, size=self.batch_size)
-        return minibatch_gradient(self.dataset, x, batch), self.problem.gradient(x)
+
+class MiniBatchFirstOracle(_MiniBatchOracle):
+    def __call__(self, x, alpha, rng, grad=None) -> tuple[np.ndarray, np.ndarray]:
+        if grad is None:
+            point = isinstance(rng, np.random.Generator)
+            grad = self.problem.gradient(x) if point else self.problem.gradients(x)
+        return self._means(x, rng, minibatch_gradient), grad
 
 
 def prop1_subexp_params(nu_hat: float, b_hat: float, eps_hat: float, N: int) -> tuple[float, float, float]:
@@ -292,16 +378,23 @@ def gsg_gradient(zeroth_oracle, x, sigma: float, num_directions: int, rng) -> np
     Two zeroth-order queries: f(x) once, reused across all directions, then
     the N perturbed points as one (N, dim) stack.  Draw order: the base
     query's draws, the N x dim normals of U, the stacked query's draws.
+    An (n, dim) stack of points with one generator per row gives n
+    estimates from the same two queries, each row's N perturbed points
+    forming one block of the second, so row r draws what the point does.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if num_directions < 1:
         raise ValueError("num_directions must be >= 1")
     x = np.asarray(x, dtype=float)
+    X = np.atleast_2d(x)
     f0, _ = zeroth_oracle(x, rng)
-    U = rng.standard_normal((num_directions, x.size))
-    f, _ = zeroth_oracle(x + sigma * U, rng)
-    return (f - f0) @ U / (sigma * num_directions)
+    U = np.stack([g.standard_normal((num_directions, X.shape[1]))
+                  for g in ([rng] if x.ndim == 1 else rng)])
+    f, _ = zeroth_oracle((X[:, None, :] + sigma * U).reshape(-1, X.shape[1]), rng)
+    diffs = f.reshape(len(X), num_directions) - np.reshape(f0, (-1, 1))
+    g = (diffs[:, None, :] @ U)[:, 0, :] / (sigma * num_directions)
+    return g[0] if x.ndim == 1 else g
 
 
 class GsgFirstOracle:
@@ -314,9 +407,11 @@ class GsgFirstOracle:
         self.sigma = sigma
         self.num_directions = num_directions
 
-    def __call__(self, x, alpha, rng) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, x, alpha, rng, grad=None) -> tuple[np.ndarray, np.ndarray]:
         g = gsg_gradient(self.zeroth_oracle, x, self.sigma, self.num_directions, rng)
-        return g, self.problem.gradient(x)
+        if grad is None:
+            grad = self.problem.gradient(x) if np.ndim(x) == 1 else self.problem.gradients(x)
+        return g, grad
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ needs.  The synthetic empirical-risk fixture also carries its per-sample loss
 family so the mini-batch oracles can be built on top of it.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -20,24 +20,31 @@ class DimensionMismatchError(ValueError):
     pass
 
 
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot product of each row of A with the same row of B.
+
+    The rows go through matmul as a stack of (1, dim) by (dim, 1)
+    products, the path `a @ b` of two vectors takes, so row r carries the
+    bits of A[r] @ B[r] whatever the stack height.  The stacked fixture
+    functions below use the same device for the same reason.
+    """
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A differentiable objective with ground-truth access.
 
-    `value_fn` / `grad_fn` are exact; `values_fn` maps an (m, dim) stack of
-    points to their m values in one call; `lipschitz_L` bounds the gradient's
-    Lipschitz constant, `strong_convexity_beta` is 0 unless the function
-    satisfies the PL inequality with that modulus, and `phi_star` is the
-    global minimum value.
+    `value_fn` / `grad_fn` are exact at one point; `values_fn` / `grads_fn`
+    map an (m, dim) stack of points to their m values / gradients in one
+    call, and row r of their result is bit-identical to `value_fn` /
+    `grad_fn` at that row, whatever m is.  `lipschitz_L` bounds the
+    gradient's Lipschitz constant, `strong_convexity_beta` is 0 unless the
+    function satisfies the PL inequality with that modulus, and `phi_star`
+    is the global minimum value.
 
-    `value` and `gradient` are memoized on the bytes of x: phi for the two
-    most recently used points, grad phi for the last one.  The line search
-    moves to x+ or stays at x, so phi(x_{k+1}) was computed at iteration k
-    (and grad phi(x_{k+1}) too after a rejected step), and the noise
-    estimator's repeated queries at the incumbent cost one pass.  The memo
-    sits above `value_fn` / `grad_fn`, is not compared, and starts empty in
-    every copy made by `dataclasses.replace`.  Returned gradients are
-    read-only, so a caller cannot corrupt the memo or the fixture.
+    Nothing is memoized: the line search hands the exact values it already
+    knows to the queries that need them (see `linesearch`).
     """
 
     dim: int
@@ -50,8 +57,7 @@ class ProblemInstance:
     x0: np.ndarray
     diameter_D: float | None = None
     values_fn: object = None
-    _values: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _gradients: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    grads_fn: object = None
 
     def __post_init__(self):
         if self.class_tag not in CLASS_TAGS:
@@ -67,43 +73,34 @@ class ProblemInstance:
             )
         return x
 
-    def value(self, x) -> float:
-        """Exact objective value."""
-        x = self._check(x)
-        key = x.tobytes()
-        memo = self._values
-        phi = memo.pop(key, None)
-        if phi is None:
-            phi = float(self.value_fn(x))
-            if len(memo) == 2:
-                del memo[next(iter(memo))]
-        memo[key] = phi  # a hit moves to the back: least recently used goes first
-        return phi
-
-    def values(self, X) -> np.ndarray:
-        """Exact objective values of the rows of an (m, dim) stack, in one
-        pass; not memoized."""
+    def _check_stack(self, X, fn) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"expected shape (m, {self.dim}), got {X.shape}"
             )
-        if self.values_fn is None:
-            raise NotImplementedError("this problem has no stacked value function")
-        return self.values_fn(X)
+        if fn is None:
+            raise NotImplementedError("this problem has no stacked function")
+        return X
+
+    def value(self, x) -> float:
+        """Exact objective value."""
+        return float(self.value_fn(self._check(x)))
+
+    def values(self, X) -> np.ndarray:
+        """Exact objective values of the rows of an (m, dim) stack."""
+        return self.values_fn(self._check_stack(X, self.values_fn))
 
     def gradient(self, x) -> np.ndarray:
-        """Exact gradient, as a read-only array."""
-        x = self._check(x)
-        key = x.tobytes()
-        memo = self._gradients
-        grad = memo.get(key)
-        if grad is None:
-            grad = np.asarray(self.grad_fn(x), dtype=float).view()
-            grad.flags.writeable = False
-            memo.clear()
-            memo[key] = grad
+        """Exact gradient, as a read-only array (a fixture may return its
+        own data, which a caller must not be able to change)."""
+        grad = np.asarray(self.grad_fn(self._check(x)), dtype=float).view()
+        grad.flags.writeable = False
         return grad
+
+    def gradients(self, X) -> np.ndarray:
+        """Exact gradients of the rows of an (m, dim) stack, as (m, dim)."""
+        return self.grads_fn(self._check_stack(X, self.grads_fn))
 
     def with_class_tag(self, tag: str) -> "ProblemInstance":
         return replace(self, class_tag=tag)
@@ -129,11 +126,16 @@ def _quad_value(A, x):
 
 
 def _quad_values(A, X):
-    return 0.5 * np.einsum("ij,ij->i", X @ A, X)
+    # per row the gemv and dot of 0.5 * x @ A @ x (see row_dots)
+    return (((0.5 * X)[:, None, :] @ A) @ X[:, :, None])[:, 0, 0]
 
 
 def _quad_grad(A, x):
     return A @ x
+
+
+def _quad_grads(A, X):
+    return (A @ X[:, :, None])[:, :, 0]
 
 
 def make_strongly_convex_quadratic(
@@ -173,6 +175,7 @@ def make_strongly_convex_quadratic(
         value_fn=partial(_quad_value, A),
         grad_fn=partial(_quad_grad, A),
         values_fn=partial(_quad_values, A),
+        grads_fn=partial(_quad_grads, A),
         lipschitz_L=float(lambda_max),
         strong_convexity_beta=float(lambda_min),
         phi_star=0.0,
@@ -187,11 +190,15 @@ def _linear_value(c, x):
 
 
 def _linear_values(c, X):
-    return X @ c
+    return (c @ X[:, :, None])[:, 0]
 
 
 def _linear_grad(c, x):
-    return np.asarray(c, dtype=float)
+    return c
+
+
+def _linear_grads(c, X):
+    return np.broadcast_to(c, X.shape)
 
 
 def make_linear(c) -> ProblemInstance:
@@ -205,6 +212,7 @@ def make_linear(c) -> ProblemInstance:
         value_fn=partial(_linear_value, c),
         grad_fn=partial(_linear_grad, c),
         values_fn=partial(_linear_values, c),
+        grads_fn=partial(_linear_grads, c),
         lipschitz_L=1e-12,
         strong_convexity_beta=0.0,
         phi_star=-np.inf,
@@ -223,7 +231,15 @@ def _mean_ascending(values: np.ndarray) -> float:
     return float(np.add.reduce(values, axis=0) / len(values))
 
 
+# A stack x of m points takes an (m, k) index array, one row of samples per
+# point, or a slice; row r then carries the bits of the one-point call at
+# x[r] with its index row: one gemv and one dot per row (see row_dots).
+
+
 def _logistic_losses(features, labels, reg, x, idx):
+    if x.ndim == 2:
+        margins = labels[idx] * (features[idx] @ x[:, :, None])[..., 0]
+        return np.logaddexp(0.0, -margins) + 0.5 * reg * row_dots(x, x)[:, None]
     margins = labels[idx] * (features[idx] @ x)
     # log(1 + exp(-m)) computed stably
     losses = np.logaddexp(0.0, -margins)
@@ -231,6 +247,10 @@ def _logistic_losses(features, labels, reg, x, idx):
 
 
 def _logistic_grads(features, labels, reg, x, idx):
+    if x.ndim == 2:
+        margins = labels[idx] * (features[idx] @ x[:, :, None])[..., 0]
+        coeff = -labels[idx] * _sigmoid(-margins)
+        return coeff[..., None] * features[idx] + reg * x[:, None, :]
     margins = labels[idx] * (features[idx] @ x)
     coeff = -labels[idx] * _sigmoid(-margins)
     return coeff[:, None] * features[idx] + reg * x
@@ -252,14 +272,20 @@ def _logistic_value(features, labels, reg, x):
 
 
 def _logistic_values(features, labels, reg, X):
-    margins = labels[:, None] * (features @ X.T)
-    losses = np.logaddexp(0.0, -margins) + 0.5 * reg * np.einsum("ij,ij->i", X, X)
-    return np.add.reduce(losses, axis=0) / len(labels)
+    # a pairwise sum along each contiguous row, as _mean_ascending takes
+    losses = _logistic_losses(features, labels, reg, X, slice(None))
+    return np.add.reduce(losses, axis=1) / len(labels)
 
 
 def _logistic_grad(features, labels, reg, n, x):
     g = _logistic_grads(features, labels, reg, x, slice(None))
     return np.add.reduce(g, axis=0) / n
+
+
+def _logistic_stacked_grads(features, labels, reg, n, X):
+    # one full-data pass per row: a stacked pass would hold m copies of the
+    # per-sample gradients at once
+    return np.array([_logistic_grad(features, labels, reg, n, x) for x in X])
 
 
 @dataclass(frozen=True)
@@ -370,6 +396,7 @@ def make_synthetic_logistic(
         value_fn=value_fn,
         grad_fn=grad_fn,
         values_fn=partial(_logistic_values, features, labels, reg),
+        grads_fn=partial(_logistic_stacked_grads, features, labels, reg, n_samples),
         lipschitz_L=L,
         strong_convexity_beta=reg,
         phi_star=phi_star,

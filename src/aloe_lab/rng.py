@@ -8,6 +8,11 @@ own draws, never on x, alpha or the accept/reject history, so the noise of
 iteration k is a function of (trial seed, purpose, k) alone: draws stay
 independent across iterations and every trial replays exactly from its
 seed.
+
+The line search advances a block of trials in lockstep, one trial per row.
+`BlockStreams` hands each stacked query one generator per row, trial r's
+generator for the query's purpose at row r, so a trial draws the same
+numbers whichever block it runs in, and at whatever row.
 """
 
 import numpy as np
@@ -40,6 +45,17 @@ class TrialStreams:
             gen = np.random.default_rng((self.trial_seed, int(purpose)))
             self._generators[purpose] = gen
         return gen
+
+
+class BlockStreams:
+    """The per-purpose generators of a block of trials, one trial per row."""
+
+    def __init__(self, trial_seeds):
+        self.trials = tuple(TrialStreams(s) for s in trial_seeds)
+
+    def stream(self, purpose: int) -> list:
+        """Row r's entry is trial r's generator for `purpose`."""
+        return [t.stream(purpose) for t in self.trials]
 
 
 def probe_rng(base_seed: int, tag: int = 0) -> np.random.Generator:

@@ -285,7 +285,7 @@ class TheoryConstants:
     def admissible(self) -> tuple[bool, list[str]]:
         """Gate before any experiment: the progress/damage/probability
         relations the analysis assumes, evaluated at the grid-snapped
-        critical step size."""
+        critical step size, and a step cap that lets the steps exceed it."""
         reasons = []
         h, r, p = self.h_at_bar_grid, self.r_at_2epsf, self.p
         if self.class_tag == "nonconvex":
@@ -298,6 +298,14 @@ class TheoryConstants:
             reasons.append(f"success probability too small: p={p} <= 1/2 + r/h")
         if not self.eps > self.eps_min:
             reasons.append(f"eps={self.eps} below the achievable floor {self.eps_min}")
+        i_cap = snap_to_step_grid(self.alpha_max, self.alpha0, self.gamma)[1]
+        if i_cap >= self.grid_index:
+            # every step is at most bar_alpha_grid, so no iteration is large
+            # and Lemma 3 cannot hold on a path of true successes
+            reasons.append(
+                f"step cap alpha_max={self.alpha_max} never takes a step above "
+                f"bar_alpha_grid={self.bar_alpha_grid}: cap exponent {i_cap} "
+                f">= grid_index {self.grid_index}")
         if self.class_tag == "convex" and self.eps1 is not None and self.eta > 0:
             if self.eps_g > 0 and self.eps1 < convex_eps1_min(self.eps_g, self.eta):
                 reasons.append("eps1 below eps_g/eta")

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from aloe_lab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_STATISTICAL, main, run,
-                          statistical_failures, write_trace_csv)
+from aloe_lab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_STATISTICAL,
+                          main, run, statistical_failures, write_trace_csv)
 from aloe_lab.config import ConfigError, config_digest, parse_config
 from aloe_lab.harness import TrialRow, run_trials
 
@@ -253,7 +253,7 @@ class TestRun:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(harness_mod, "_run_one_trial", no_trials)
+        monkeypatch.setattr(harness_mod, "_run_trial_block", no_trials)
         config = write(tmp_path, "bad.ini", SMOKE + f"p_hat = {p_hat}\n")
         out = str(tmp_path / "out")
         assert run(config, out, quiet=True) == EXIT_CONFIG
@@ -315,6 +315,42 @@ class TestOffGridCap:
         for row in rows:
             assert [row[c] for c in ("lemma2_ok", "lemma3_ok", "lemma4_ok")] \
                 == ["True"] * 3
+
+
+class TestDivergedTrial:
+    def test_exit_three_names_the_diverged_seed(self, tmp_path, monkeypatch, capsys):
+        import numpy as np
+
+        import aloe_lab.harness as harness_mod
+        build = harness_mod.build_oracles
+
+        def nan_for_row_2(config, problem, dataset):
+            zeroth, first = build(config, problem, dataset)
+
+            def diverging(x, rng, phi=None):
+                f, phi = zeroth(x, rng, phi)
+                return np.where(np.arange(len(f)) == 2, np.nan, f), phi
+            return diverging, first
+
+        monkeypatch.setattr(harness_mod, "build_oracles", nan_for_row_2)
+        config = write(tmp_path, "smoke.ini", SMOKE)
+        out = str(tmp_path / "out")
+        assert run(config, out, seed=10, trials=4, quiet=True) == EXIT_RUNTIME
+        assert "(seed 12)" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+class TestCapBelowCriticalStep:
+    def test_exit_two(self, tmp_path, capsys):
+        # every step at most 0.0625 < bar_alpha_grid = 0.153: every
+        # iteration small, Lemma 3 violated on every trial
+        config = write(tmp_path, "cap.ini", (
+            "[problem]\ndim = 5\n\n[algorithm]\nalpha0 = 0.05\n"
+            "alpha_max = 0.0625\n\n" + SMOKE))
+        out = str(tmp_path / "out")
+        assert run(config, out, quiet=True) == EXIT_CONFIG
+        assert "cap exponent -1 >= grid_index -5" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestTraceIsTrialZero:

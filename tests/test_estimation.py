@@ -83,6 +83,21 @@ class TestEstimate:
         assert e3 == pytest.approx(3 * e1, rel=1e-12)
 
 
+class TestStackedEstimate:
+    def test_rows_are_the_point_estimates(self, quadratic):
+        # one stacked query of n * n_calls rows; each row's n_calls copies
+        # draw from its generator in turn, as n_calls point queries do
+        oracle = SyntheticZerothOracle(quadratic, ZerothOracleSpec(eps_f=0.1, mode="bounded"))
+        X = np.random.default_rng(3).standard_normal((4, 5))
+        config = EstimatorConfig(n_calls=7)
+        got = estimate_eps_f(oracle, X, config,
+                             [np.random.default_rng(s) for s in range(4)],
+                             phi=quadratic.values(X))
+        want = [estimate_eps_f(oracle, x, config, np.random.default_rng(s))
+                for s, x in enumerate(X)]
+        assert got.tolist() == want
+
+
 class TestController:
     def test_refresh_schedule(self, quadratic):
         oracle = SyntheticZerothOracle(quadratic, ZerothOracleSpec(eps_f=0.1, mode="bounded"))

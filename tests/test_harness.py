@@ -1,18 +1,24 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from aloe_lab import harness
+from aloe_lab.estimation import EstimatorConfig
 from aloe_lab.harness import (CertificationReport, ExperimentConfig,
                               InadmissibleConfigError, binom_cdf,
                               binomial_frequency_test, build_oracles,
-                              build_problem, certify_oracles, empirical_tail,
+                              build_problem, certify_oracles,
+                              derive_experiment_constants, empirical_tail,
                               mgf_envelope_ok, run_trials, wilson_interval)
 from aloe_lab.instrument import CENSORED, StoppingSpec
 from aloe_lab.linesearch import AloeParams
 from aloe_lab.oracles import (FirstOracleSpec, SyntheticFirstOracle,
-                              SyntheticZerothOracle, ZerothOracleSpec)
+                              SyntheticZerothOracle, ZerothOracleSpec,
+                              gradient_accurate)
+from aloe_lab.rng import probe_rng
 
 
 def exact_config(**overrides):
@@ -143,6 +149,122 @@ class TestRunTrials:
         assert tails == sorted(tails)
 
 
+def noisy_config(kind, **overrides):
+    """Small configs of each oracle family; the mini-batch one refreshes
+    its slack with the noise estimator."""
+    base = dict(
+        zeroth=ZerothOracleSpec(eps_f=0.01, mode="bounded"),
+        first=FirstOracleSpec(eps_g=0.01, kappa=0.5, delta=0.2),
+        params=AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=60),
+        stopping=StoppingSpec(class_tag="nonconvex", eps=0.5),
+        check_admissibility=False, oracle_kind=kind)
+    if kind == "minibatch":
+        base.update(
+            fixture="logistic",
+            fixture_params={"n_samples": 64, "dim": 4, "seed": 3, "reg": 0.01},
+            first=FirstOracleSpec(eps_g=0.5, kappa=1.0, delta=0.1),
+            stopping=StoppingSpec(class_tag="strongly_convex", eps=0.05),
+            oracle_params={"batch_size": 8}, estimate_eps_f=True,
+            estimator=EstimatorConfig(n_calls=5, refresh_period=10))
+    elif kind == "gsg":
+        base.update(oracle_params={"sigma": 0.01, "num_directions": 8})
+    base.update(overrides)
+    return exact_config(**base)
+
+
+class TestBlockComposition:
+    """Trials run in lockstep blocks; a trial's row and trace are the same
+    whether it runs alone or as one row of a block."""
+
+    @pytest.mark.parametrize("kind", ["synthetic", "minibatch", "gsg"])
+    def test_alone_and_in_a_block(self, kind):
+        block = run_trials(noisy_config(kind, n_trials=9, base_seed=40))
+        for row in (0, 5):
+            alone = run_trials(noisy_config(kind, n_trials=1, base_seed=40 + row))
+            assert alone.rows == (block.rows[row],)
+        assert alone.trace.seed == 45
+        first = run_trials(noisy_config(kind, n_trials=1, base_seed=40)).trace
+        assert first.exponents == block.trace.exponents
+        assert all(np.array_equal(getattr(a, f), getattr(b, f))
+                   for a, b in zip(first.records, block.trace.records)
+                   for f in a.__dataclass_fields__)
+
+    def test_blocks_do_not_change_results(self, monkeypatch):
+        config = noisy_config("synthetic", n_trials=7)
+        whole = run_trials(config)
+        monkeypatch.setattr(harness, "BLOCK_CELLS", 3 * config.params.max_iters)
+        split = run_trials(config)
+        assert split.rows == whole.rows
+        assert split.trace.exponents == whole.trace.exponents
+
+
+class TestGroundTruthBudget:
+    def test_rows_evaluated_on_a_small_logistic_run(self, monkeypatch):
+        # phi: once for the constants, once at the shared start, once per
+        # trial-iteration at x+; grad phi: once at the start and once per
+        # accepted step.  One-trial runs with a memo took 184 and 117 here.
+        rows = {"value": 0, "grad": 0}
+
+        def counted(kind, fn, n=lambda x: 1):
+            def wrapper(x):
+                rows[kind] += n(x)
+                return fn(x)
+            return wrapper
+
+        build = harness.build_problem
+
+        def counted_build(config):
+            problem, dataset = build(config)
+            return dataclasses.replace(
+                problem, value_fn=counted("value", problem.value_fn),
+                values_fn=counted("value", problem.values_fn, len),
+                grad_fn=counted("grad", problem.grad_fn),
+                grads_fn=counted("grad", problem.grads_fn, len)), dataset
+
+        monkeypatch.setattr(harness, "build_problem", counted_build)
+        config = noisy_config("minibatch", n_trials=3)
+        summary = run_trials(config)
+        iters = config.n_trials * config.params.max_iters
+        accepted = round(sum(r.frac_success for r in summary.rows)
+                         * config.params.max_iters)
+        assert rows["value"] == 2 + iters
+        assert rows["grad"] <= 1 + accepted
+        assert rows["value"] <= 184 and rows["grad"] <= 117
+
+
+class TestCapBelowCriticalStep:
+    """A cap at or below the snapped critical step makes every iteration
+    small, and Lemma 3 then fails on every path; the gate refuses it."""
+
+    @staticmethod
+    def config(alpha0, alpha_max, **overrides):
+        return exact_config(
+            fixture_params={"dim": 5, "lambda_min": 0.1, "lambda_max": 10.0,
+                            "seed": 0},
+            params=AloeParams(alpha0=alpha0, alpha_max=alpha_max, max_iters=120),
+            n_trials=2, **overrides)
+
+    @pytest.mark.parametrize("alpha0,alpha_max", [(0.05, 0.0625), (0.15, 0.18)],
+                             ids=["cap_below", "cap_at"])
+    def test_refused(self, alpha0, alpha_max):
+        config = self.config(alpha0, alpha_max)
+        problem, _ = build_problem(config)
+        ok, reasons = derive_experiment_constants(config, problem).admissible()
+        assert not ok and any("cap exponent" in r for r in reasons)
+        with pytest.raises(InadmissibleConfigError, match="cap exponent"):
+            run_trials(config)
+        # what the gate prevents: no trial is lemma-clean
+        rows = run_trials(self.config(alpha0, alpha_max,
+                                      check_admissibility=False)).rows
+        assert not any(r.lemma3_ok for r in rows)
+
+    def test_cap_above_passes(self):
+        config = self.config(0.15, 0.19)
+        problem, _ = build_problem(config)
+        assert derive_experiment_constants(config, problem).admissible()[0]
+        assert all(r.lemma3_ok for r in run_trials(config).rows)
+
+
 class TestBinomialTest:
     def test_on_target_passes(self):
         assert binomial_frequency_test(9000, 10000, 0.9)
@@ -247,6 +369,23 @@ class TestCertification:
                                  probes, alphas=(0.3, 1.0), n_queries=4000)
         assert report.all_passed
         assert isinstance(report, CertificationReport)
+
+    def test_stacked_queries_replay_one_point_queries(self):
+        # 1500 queries per probe: a one-row stack, a full block and a rest
+        zspec = ZerothOracleSpec(eps_f=0.1, nu=0.05, b=0.05,
+                                 mode="subexponential", mean_error=0.05)
+        fspec = FirstOracleSpec(eps_g=0.05, kappa=0.5, delta=0.1)
+        problem, zeroth, first = self.problem_and_oracles(zspec, fspec)
+        x, n = np.ones(10), 1500
+        report = certify_oracles(problem, zeroth, first, zspec, fspec, [x],
+                                 alphas=(0.5,), n_queries=n, base_seed=3)
+        rng = probe_rng(3, 0)
+        errors = np.array([abs(est - phi) for est, phi in
+                           (zeroth(x, rng) for _ in range(n))])
+        hits = sum(gradient_accurate(*first(x, 0.5, rng), 0.5, fspec.eps_g,
+                                     fspec.kappa) for _ in range(n))
+        assert report.results[0].statistic == errors.mean()
+        assert report.results[-1].statistic == hits / n
 
     @pytest.mark.parametrize("n_queries", [0, 1])
     def test_too_few_queries_rejected(self, n_queries):

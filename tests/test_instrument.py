@@ -200,6 +200,20 @@ class TestPathLemmasHandcrafted:
         assert np.allclose(np.diff(P_HAT_GRID), 0.05)
 
 
+class TestPathLemmasBlock:
+    def test_rows_are_the_one_path_verdicts(self):
+        # prefix sums run along each row; each row keeps its own horizon
+        rng = np.random.default_rng(7)
+        I, Theta, U = (rng.random((40, 30)) < p for p in (0.6, 0.5, 0.5))
+        horizon = rng.integers(0, 31, size=40)
+        got = np.array(verify_path_lemmas(I, Theta, U, d=2.0, horizon=horizon))
+        want = np.array([verify_path_lemmas(I[r], Theta[r], U[r], d=2.0,
+                                            horizon=int(horizon[r]))
+                         for r in range(40)]).T
+        assert np.array_equal(got, want)
+        assert 0 < got.sum() < got.size
+
+
 class TestPathLemmasAbstractProcess:
     """Simulate the abstract step-size process (true w.p. p; true-and-small
     implies success; otherwise a fair coin) and check the lemmas on every

@@ -5,8 +5,9 @@ import pytest
 
 from aloe_lab import rng as rngmod
 from aloe_lab.estimation import EpochEpsFController, EstimatorConfig
-from aloe_lab.linesearch import (AloeParams, Trace, TrialDivergedError,
-                                 aloe_run, armijo_check, step_update)
+from aloe_lab.linesearch import (AloeParams, Paths, Trace, TrialDivergedError,
+                                 aloe_run, armijo_check, run_lockstep,
+                                 step_update)
 from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               MiniBatchFirstOracle, MiniBatchZerothOracle,
                               SyntheticFirstOracle, SyntheticZerothOracle,
@@ -187,19 +188,90 @@ class TestTrace:
 class TestDivergence:
     def test_non_finite_oracle_aborts(self, quadratic10):
         class NanOracle:
-            def __call__(self, x, rng):
+            def __call__(self, x, rng, phi=None):
                 return float("nan"), None
 
         first = SyntheticFirstOracle(quadratic10, FirstOracleSpec())
         with pytest.raises(TrialDivergedError):
             aloe_run(quadratic10, NanOracle(), first, AloeParams(max_iters=5), seed=0)
 
+    def test_the_diverged_row_names_its_seed(self, quadratic10):
+        zeroth = SyntheticZerothOracle(
+            quadratic10, ZerothOracleSpec(eps_f=0.01, mode="bounded"))
+
+        def nan_in_row_2(x, rng, phi=None):
+            f, phi = zeroth(x, rng, phi)
+            return np.where(np.arange(len(f)) == 2, np.nan, f), phi
+
+        first = SyntheticFirstOracle(quadratic10, FirstOracleSpec())
+        with pytest.raises(TrialDivergedError, match=r"iteration 0 \(seed 9\)"):
+            run_lockstep(quadratic10, nan_in_row_2, first,
+                         AloeParams(max_iters=5), [7, 8, 9, 10])
+
+
+class TestLockstep:
+    """A trial's path does not depend on the block it runs in: its row of a
+    block of nine replays its run alone bit for bit, for every oracle
+    family, with the noise estimator refreshing the mini-batch runs."""
+
+    @staticmethod
+    def family(name, quadratic):
+        zspec = ZerothOracleSpec(eps_f=0.01, mode="bounded")
+        if name == "synthetic":
+            return quadratic, SyntheticZerothOracle(quadratic, zspec), \
+                SyntheticFirstOracle(quadratic, FirstOracleSpec(
+                    eps_g=0.01, kappa=0.5, delta=0.2)), None
+        if name == "gsg":
+            zeroth = SyntheticZerothOracle(quadratic, zspec)
+            return quadratic, zeroth, GsgFirstOracle(
+                quadratic, zeroth, sigma=0.01, num_directions=8), None
+        problem, dataset = make_synthetic_logistic(n_samples=64, dim=4, seed=3)
+        zeroth = MiniBatchZerothOracle(problem, dataset, 8)
+        return problem, zeroth, MiniBatchFirstOracle(problem, dataset, 8), \
+            EstimatorConfig(n_calls=5, refresh_period=10)
+
+    @staticmethod
+    def assert_same_trace(a, b):
+        assert (a.seed, a.exponents, len(a)) == (b.seed, b.exponents, len(b))
+        for ra, rb in zip(a.records, b.records):
+            for f in dataclasses.fields(ra):
+                va, vb = getattr(ra, f.name), getattr(rb, f.name)
+                assert type(va) is type(vb), f.name
+                assert np.array_equal(va, vb), (ra.k, f.name)
+        for name in (f.name for f in dataclasses.fields(Paths)):
+            np.testing.assert_array_equal(getattr(a.paths, name),
+                                          getattr(b.paths, name), err_msg=name)
+
+    @pytest.mark.parametrize("name", ["synthetic", "minibatch_estimated", "gsg"])
+    def test_row_of_a_block_is_the_trial_alone(self, quadratic10, name):
+        problem, zeroth, first, estimator = self.family(name, quadratic10)
+
+        def controller():
+            return None if estimator is None else EpochEpsFController(zeroth, estimator)
+
+        params = AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=40)
+        alone = aloe_run(problem, zeroth, first, params, 21,
+                         eps_f_controller=controller())
+        paths, in_block = run_lockstep(problem, zeroth, first, params,
+                                       range(18, 27), controller(), trace_row=3)
+        assert len(paths.seeds) == 9 and paths.seeds[3] == 21
+        assert 0 < alone.successes().sum() < len(alone)
+        self.assert_same_trace(alone, in_block)
+        if estimator is not None:
+            assert len({r.eps_f for r in alone.records}) == 4
+
+    def test_rows_differ(self, quadratic10):
+        problem, zeroth, first, _ = self.family("synthetic", quadratic10)
+        paths, _ = run_lockstep(problem, zeroth, first,
+                                AloeParams(eps_f_input=0.01, max_iters=20), [1, 2])
+        assert not np.array_equal(paths.e_sum[0], paths.e_sum[1])
+
 
 class TestEpsFController:
     def test_controller_values_recorded(self, quadratic10):
         zeroth, first = exact_oracles(quadratic10)
 
-        def controller(k, x, streams):
+        def controller(k, x, streams, phi):
             return 0.5 if k < 10 else 0.25
 
         trace = aloe_run(quadratic10, zeroth, first,
@@ -249,21 +321,24 @@ class TestGroundTruthFromOracleLogs:
 class TestGroundTruthPasses:
     """x_{k+1} is x_k or x_k+, so a trial needs one full-data phi pass per
     iteration plus the start, and one gradient pass per accepted step plus
-    the start, however often the estimator queries the incumbent."""
+    the start, however often the estimator queries the incumbent.  A
+    stacked call counts one pass per row."""
 
     def test_pass_count_per_trial(self):
         problem, dataset = make_synthetic_logistic(n_samples=64, dim=4, seed=3)
         calls = {"value": 0, "grad": 0}
 
-        def counted(kind, fn):
+        def counted(kind, fn, rows=lambda x: 1):
             def wrapper(x):
-                calls[kind] += 1
+                calls[kind] += rows(x)
                 return fn(x)
             return wrapper
 
         problem = dataclasses.replace(
             problem, value_fn=counted("value", problem.value_fn),
-            grad_fn=counted("grad", problem.grad_fn))
+            grad_fn=counted("grad", problem.grad_fn),
+            values_fn=counted("value", problem.values_fn, len),
+            grads_fn=counted("grad", problem.grads_fn, len))
         zeroth = MiniBatchZerothOracle(problem, dataset, 8)
         first = MiniBatchFirstOracle(problem, dataset, 8)
         params = AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=60)

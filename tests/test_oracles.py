@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aloe_lab import oracles
 from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               MiniBatchFirstOracle, MiniBatchZerothOracle,
                               OracleParameterError, SyntheticFirstOracle,
@@ -138,6 +139,72 @@ class TestStackedZeroth:
         oracle = MiniBatchZerothOracle(problem, dataset, batch_size=8)
         with pytest.raises(DimensionMismatchError):
             oracle(np.ones((4, 4)), np.random.default_rng(25))
+
+
+class TestRowGenerators:
+    """A stack with one generator per row answers, row by row, exactly what
+    one-point queries with those generators answer, and leaves each
+    generator where they leave it."""
+
+    @staticmethod
+    def compare(query, X, seeds, *, known=None):
+        point_gens = [np.random.default_rng(s) for s in seeds]
+        row_gens = [np.random.default_rng(s) for s in seeds]
+        alone = [query(x, g, *([] if known is None else [known[r]]))
+                 for r, (x, g) in enumerate(zip(X, point_gens))]
+        est, exact = query(X, row_gens, *([] if known is None else [known]))
+        for r, (e, t) in enumerate(alone):
+            assert np.array_equal(est[r], e) and np.array_equal(exact[r], t), r
+        assert ([g.bit_generator.state for g in point_gens]
+                == [g.bit_generator.state for g in row_gens])
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_synthetic_zeroth(self, quadratic, mode):
+        oracle = SyntheticZerothOracle(quadratic, MODES[mode])
+        X = np.random.default_rng(40).standard_normal((6, 5))
+        self.compare(lambda x, g, *phi: oracle(x, g, *phi), X, range(6))
+        # a known exact value is used, not recomputed
+        phi = quadratic.values(X)
+        self.compare(lambda x, g, *p: oracle(x, g, *p), X, range(6), known=phi)
+
+    def test_synthetic_first(self, quadratic):
+        oracle = SyntheticFirstOracle(quadratic, FirstOracleSpec(
+            eps_g=0.05, kappa=0.5, delta=0.4))
+        X = np.random.default_rng(41).standard_normal((12, 5))
+        alphas = np.linspace(0.1, 1.0, 12)
+        point_alpha = iter(alphas)
+        self.compare(lambda x, g, *grad: oracle(
+            x, alphas if np.ndim(x) == 2 else next(point_alpha), g, *grad),
+            X, range(12))
+
+    @pytest.mark.parametrize("gather", [1 << 14, 16], ids=["one_pass", "chunked"])
+    def test_minibatch(self, logistic, monkeypatch, gather):
+        # 16 samples per pass: stacks of 5 rows with batches of 8 go two
+        # rows at a time
+        monkeypatch.setattr(oracles, "GATHER_SAMPLES", gather)
+        problem, dataset = logistic
+        zeroth = MiniBatchZerothOracle(problem, dataset, batch_size=8)
+        first = MiniBatchFirstOracle(problem, dataset, batch_size=8)
+        X = np.random.default_rng(42).standard_normal((5, 4))
+        self.compare(lambda x, g: zeroth(x, g), X, range(5))
+        self.compare(lambda x, g: first(x, 0.5, g), X, range(5))
+        with pytest.raises(ValueError):
+            zeroth(X, [np.random.default_rng(0)] * 4)
+
+    def test_gsg(self, quadratic):
+        zeroth = SyntheticZerothOracle(quadratic, MODES["bounded"])
+        oracle = GsgFirstOracle(quadratic, zeroth, sigma=0.01, num_directions=16)
+        X = np.random.default_rng(43).standard_normal((4, 5))
+        self.compare(lambda x, g: oracle(x, 0.5, g), X, range(4))
+
+    def test_stacked_accuracy_test_is_the_point_test(self, quadratic):
+        rng = np.random.default_rng(44)
+        G, grad = rng.standard_normal((50, 5)), rng.standard_normal((50, 5))
+        alpha = rng.random(50)
+        got = gradient_accurate(G, grad, alpha, 2.0, 1.0)
+        assert got.tolist() == [gradient_accurate(g, d, a, 2.0, 1.0)
+                                for g, d, a in zip(G, grad, alpha)]
+        assert 0 < got.sum() < 50
 
 
 class TestSubexpSampler:
