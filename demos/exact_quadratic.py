@@ -32,10 +32,10 @@ def main():
           f"{problem.value(problem.x0):.3f}")
     print(f"target: ||grad phi|| <= {EPS}\n")
     print(f"{'k':>5} {'alpha':>10} {'||grad||':>12} {'phi':>12}")
+    p = trace.paths
     for k in (0, 1, 2, 5, 10, 20, 50, 100, 200, 400, T - 1):
-        r = trace.records[k]
-        print(f"{k:>5} {r.alpha:>10.4f} {r.grad_true_norm:>12.3e} "
-              f"{r.phi_curr:>12.3e}")
+        print(f"{k:>5} {p.alpha[0, k]:>10.4f} "
+              f"{p.grad_norm[0, k]:>12.3e} {p.phi[0, k]:>12.3e}")
 
     constants = derive_constants(
         "nonconvex", eps=EPS, theta=params.theta, gamma=params.gamma,

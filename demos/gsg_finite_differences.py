@@ -58,10 +58,10 @@ def main():
                      AloeParams(eps_f_input=eps_f, max_iters=40), seed=0)
     print("line search with the derivative-free oracle:")
     print(f"{'k':>4} {'alpha':>8} {'||grad||':>10} {'phi':>10}")
+    p = trace.paths
     for k in (0, 5, 10, 20, 39):
-        r = trace.records[k]
-        print(f"{k:>4} {r.alpha:>8.3f} {r.grad_true_norm:>10.4f} "
-              f"{r.phi_curr:>10.5f}")
+        print(f"{k:>4} {p.alpha[0, k]:>8.3f} "
+              f"{p.grad_norm[0, k]:>10.4f} {p.phi[0, k]:>10.5f}")
 
 
 if __name__ == "__main__":

@@ -21,8 +21,7 @@ BATCH = 128
 
 
 def final_value(trace):
-    last = trace.records[-1]
-    return last.phi_plus if last.success else last.phi_curr
+    return trace.paths.phi[0, -1]
 
 
 def main():

@@ -15,13 +15,12 @@ from .harness import (CertificationReport, ExperimentConfig,
                       InadmissibleConfigError, TrialRow, TrialSummary,
                       certify_oracles, empirical_tail, run_trials,
                       wilson_interval)
-from .instrument import (CENSORED, PathReport, PathVerdicts, StoppingSpec,
-                         classify_paths, classify_true, compute_path_report,
+from .instrument import (CENSORED, PathVerdicts, StoppingSpec, classify_paths,
                          progress_Z, stopping_time, stopping_times,
                          verify_path_lemmas)
-from .linesearch import (AloeParams, IterationRecord, Paths, Trace,
-                         TrialDivergedError, aloe_run, armijo_check,
-                         run_lockstep, snap_to_step_grid, step_update)
+from .linesearch import (AloeParams, Paths, Trace, TrialDivergedError,
+                         aloe_run, armijo_check, run_lockstep,
+                         snap_to_step_grid, step_update)
 from .oracles import (FirstOracleSpec, GsgFirstOracle, GsgParams,
                       MiniBatchFirstOracle, MiniBatchZerothOracle,
                       OracleParameterError, SyntheticFirstOracle,

@@ -70,12 +70,16 @@ def write_summary_csv(path: str, summary: TrialSummary) -> None:
 
 
 def write_trace_csv(path: str, trace) -> None:
+    # tolist() gives Python floats and bools, whose reprs _fmt writes
+    p, T = trace.paths, len(trace)
     _write_csv(path,
                ["k", "alpha", "f_curr", "f_plus", "success", "e_curr",
                 "e_plus", "grad_true_norm", "phi_curr", "eps_f"],
-               [(r.k, r.alpha, r.f_curr, r.f_plus, r.success, r.e_curr,
-                 r.e_plus, r.grad_true_norm, r.phi_curr, r.eps_f)
-                for r in trace.records])
+               zip(range(T), p.alpha[0].tolist(), trace.f_curr.tolist(),
+                   trace.f_plus.tolist(), p.success[0].tolist(),
+                   trace.e_curr.tolist(), trace.e_plus.tolist(),
+                   p.grad_norm[0, :T].tolist(), p.phi[0, :T].tolist(),
+                   p.eps_f[0].tolist()))
 
 
 def statistical_failures(summary: TrialSummary) -> list[str]:

@@ -4,9 +4,7 @@ Given the recorded paths of a block of trials (`linesearch.Paths`), this
 module computes the per-iteration flags (true/false, large/small,
 successful), the stopping times and the path-lemma verdicts, all as column
 operations along the iteration axis and without touching the algorithm
-itself.  The one-trial forms (`stopping_time`, `compute_path_report`) read
-a `Trace` as a block of one, and add the progress measure of each
-iteration.
+itself.  `stopping_time` reads a `Trace` as a block of one.
 """
 
 import math
@@ -14,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linesearch import Paths, Trace, armijo_check
-from .oracles import accurate_from_norms, gradient_accurate
+from .linesearch import Paths, Trace
+from .oracles import accurate_from_norms
 from .problems import CLASS_TAGS, ProblemInstance, row_dots
 
 CENSORED = -1
@@ -34,46 +32,6 @@ class StoppingSpec:
             raise ValueError("eps must be positive")
         if self.class_tag == "convex" and (self.eps1 is None or self.eps1 <= 0):
             raise ValueError("convex stopping requires eps1 > 0")
-
-
-@dataclass(frozen=True)
-class PathReport:
-    """Per-trial flags and verdicts.  T_eps == CENSORED means the criterion
-    was not met within the budget."""
-
-    seed: int
-    T_eps: int
-    censored: bool
-    true_flags: np.ndarray       # I_k
-    success_flags: np.ndarray    # Theta_k
-    large_flags: np.ndarray      # U_k
-    Z_sequence: np.ndarray
-    lemma2_ok: bool
-    lemma3_ok: bool
-    lemma4_ok: bool
-    corollary1_ok: bool
-
-    @property
-    def frac_true(self) -> float:
-        return float(np.mean(self.true_flags))
-
-    @property
-    def frac_success(self) -> float:
-        return float(np.mean(self.success_flags))
-
-    @property
-    def all_lemmas_ok(self) -> bool:
-        return self.lemma2_ok and self.lemma3_ok and self.lemma4_ok and self.corollary1_ok
-
-
-def classify_true(record, eps_g: float, kappa: float, eps_f: float | None = None) -> bool:
-    """Both oracle accuracy events hold: the gradient error is within
-    max{eps_g, kappa alpha ||g||}, and the two function errors sum to at
-    most 2 eps_f.  Boundary equalities count as true."""
-    if eps_f is None:
-        eps_f = record.eps_f
-    return bool(gradient_accurate(record.g, record.grad_true, record.alpha, eps_g, kappa)
-                and record.e_curr + record.e_plus <= 2 * eps_f)
 
 
 def progress_Z(class_tag: str, phi_x: float, phi_star: float, eps: float) -> float:
@@ -123,9 +81,8 @@ def _stopped(spec: StoppingSpec, gap, gnorm):
 
 @dataclass(frozen=True)
 class PathVerdicts:
-    """Flags and verdicts of a block of trials, one row per trial; as in
-    `PathReport`, T_eps == CENSORED means the criterion was not met within
-    the budget."""
+    """Flags and verdicts of a block of trials, one row per trial.
+    T_eps == CENSORED means the criterion was not met within the budget."""
 
     T_eps: np.ndarray
     true_flags: np.ndarray       # (n, T)
@@ -155,7 +112,10 @@ def classify_paths(paths: Paths, problem: ProblemInstance, spec: StoppingSpec,
     at least the grid-snapped critical step alpha0 * gamma^grid_index, i.e.
     when the smaller of their exponents is below grid_index; a pair whose
     larger step equals the threshold is small.  It is true when both oracle
-    accuracy events hold (see `classify_true`)."""
+    accuracy events hold: the gradient error is within
+    max{eps_g, kappa alpha ||g||}, and the two function errors sum to at most
+    2 eps_f, the slack of that iteration.  Boundary equalities count as
+    true."""
     n = paths.success.shape[1]
     T = stopping_times(paths, problem, spec)
     I = (accurate_from_norms(paths.grad_error, paths.g_norm, paths.alpha, eps_g, kappa)
@@ -167,25 +127,6 @@ def classify_paths(paths: Paths, problem: ProblemInstance, spec: StoppingSpec,
     return PathVerdicts(T_eps=T, true_flags=I, success_flags=paths.success,
                         large_flags=U, lemma2_ok=l2, lemma3_ok=l3,
                         lemma4_ok=l4, corollary1_ok=c1)
-
-
-def compute_path_report(trace: Trace, problem: ProblemInstance, spec: StoppingSpec,
-                        eps_g: float, kappa: float, grid_index: int,
-                        d: float) -> PathReport:
-    """`classify_paths` of one trial, with its progress measure."""
-    v = classify_paths(trace.paths, problem, spec, eps_g, kappa, grid_index, d)
-    T = int(v.T_eps[0])
-    Z = np.array([
-        progress_Z(spec.class_tag, r.phi_curr, problem.phi_star, spec.eps)
-        for r in trace.records
-    ])
-    return PathReport(
-        seed=trace.seed, T_eps=T, censored=T == CENSORED,
-        true_flags=v.true_flags[0], success_flags=v.success_flags[0],
-        large_flags=v.large_flags[0], Z_sequence=Z,
-        lemma2_ok=bool(v.lemma2_ok[0]), lemma3_ok=bool(v.lemma3_ok[0]),
-        lemma4_ok=bool(v.lemma4_ok[0]), corollary1_ok=bool(v.corollary1_ok[0]),
-    )
 
 
 P_HAT_GRID = np.arange(0.55, 0.96, 0.05)
@@ -204,13 +145,11 @@ def verify_path_lemmas(I, Theta, U, d: float, horizon):
     `horizon` is the number of prefixes t for which the stopping time has
     provably not been reached (lemmas 3 and 4 are conditioned on that).
 
-    Flags of one path give four bools; (n, T) flags with n horizons give
-    four (n,) arrays, prefix sums running along each row.
+    The flags are (n, T) blocks, one path per row, with one horizon per
+    row or one for all; the verdicts are four (n,) arrays, prefix sums
+    running along each row.
     """
-    one = np.ndim(I) == 1
-    U = np.atleast_2d(np.asarray(U, dtype=bool))
-    I = np.atleast_2d(np.asarray(I, dtype=bool))
-    Th = np.atleast_2d(np.asarray(Theta, dtype=bool))
+    U, I, Th = (np.asarray(f, dtype=bool) for f in (U, I, Theta))
     n = I.shape[1]
 
     def count(flags):   # exact prefix counts, along each row
@@ -237,15 +176,4 @@ def verify_path_lemmas(I, Theta, U, d: float, horizon):
            & (cum_good[:, None] < (p_hat - 0.5) * t - d / 2 - tol)
            & checked[:, None])
     lemma4 = ~bad.any(axis=(1, 2))
-    verdicts = (lemma2, lemma3, lemma4, corollary1)
-    return tuple(bool(v[0]) for v in verdicts) if one else verdicts
-
-
-def recheck_success_flags(trace: Trace) -> bool:
-    """Success flags recomputed from the recorded floats must match."""
-    for r in trace.records:
-        expect = armijo_check(r.f_plus, r.f_curr, r.alpha, trace.params.theta,
-                              float(r.g @ r.g), r.eps_f)
-        if expect != r.success:
-            return False
-    return True
+    return lemma2, lemma3, lemma4, corollary1

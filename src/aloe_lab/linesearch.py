@@ -67,24 +67,6 @@ class AloeParams:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    k: int
-    x: np.ndarray
-    alpha: float
-    g: np.ndarray
-    f_curr: float
-    f_plus: float
-    success: bool
-    e_curr: float
-    e_plus: float
-    grad_true: np.ndarray
-    grad_true_norm: float
-    phi_curr: float
-    phi_plus: float
-    eps_f: float  # slack actually used at this iteration
-
-
-@dataclass(frozen=True)
 class Paths:
     """Per-iteration columns of a block of n trials run for T iterations,
     row r for trial seeds[r]: what the path classifier reads.  Points and
@@ -111,27 +93,23 @@ class Paths:
 
 @dataclass(frozen=True)
 class Trace:
-    """The iteration records of one trial and the n + 1 step exponents
-    i_0..i_n, where record k used alpha0 * gamma ** i_k and i_n follows the
-    last update; `paths` is the same trial as a one-row block."""
+    """One trial: `paths` is the trial as a one-row block, and the columns
+    below, one row per iteration k, are what only a traced row keeps."""
 
-    records: tuple
-    exponents: tuple
-    params: AloeParams
     seed: int
+    params: AloeParams
     paths: Paths
+    x: np.ndarray           # (T, dim) x_k
+    g: np.ndarray           # (T, dim) oracle gradient at x_k
+    grad_true: np.ndarray   # (T, dim) grad phi(x_k)
+    f_curr: np.ndarray      # (T,) zeroth-order estimate at x_k
+    f_plus: np.ndarray      # (T,) zeroth-order estimate at x_k+
+    e_curr: np.ndarray      # (T,) |f_curr - phi(x_k)|
+    e_plus: np.ndarray      # (T,) |f_plus - phi(x_k+)|
+    phi_plus: np.ndarray    # (T,) phi(x_k+)
 
     def __len__(self):
-        return len(self.records)
-
-    def alphas(self) -> np.ndarray:
-        return np.array([r.alpha for r in self.records])
-
-    def successes(self) -> np.ndarray:
-        return np.array([r.success for r in self.records], dtype=bool)
-
-    def phi_values(self) -> np.ndarray:
-        return np.array([r.phi_curr for r in self.records])
+        return len(self.f_curr)
 
 
 def armijo_check(f_plus, f_curr, alpha, theta: float, g_norm_sq, eps_f_input):
@@ -217,7 +195,12 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     cols = {name: np.empty((n, T + 1), dtype=int if name == "exponents"
                            else bool if name == "success" else float)
             for name in names}
-    kept = []
+    # the traced row's `Trace` columns; the first three are (T, dim)
+    traced = ("x", "g", "grad_true", "f_curr", "f_plus", "e_curr", "e_plus",
+              "phi_plus")
+    kept = {} if trace_row is None else {
+        name: np.empty((T, X.shape[1]) if name in traced[:3] else T)
+        for name in traced}
     for k in range(T):
         if moved.any():
             grad[moved] = problem.gradients(X[moved])
@@ -245,10 +228,9 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
                                        g_sq, error_sq, phi, grad_sq)):
             cols[name][:, k] = value
         if trace_row is not None:
-            r = trace_row
-            # copies: a row view would keep the whole block's arrays alive
-            kept.append((X[r].copy(), g[r].copy(), grad[r].copy(), f_curr[r],
-                         f_plus[r], e_curr[r], e_plus[r], phi_plus[r]))
+            for name, value in zip(traced, (X, g, grad, f_curr, f_plus, e_curr,
+                                            e_plus, phi_plus)):
+                kept[name][k] = value[trace_row]
         X = np.where(success[:, None], x_plus, X)
         phi = np.where(success, phi_plus, phi)
         i = step_update(i, success, i_cap)
@@ -265,14 +247,5 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
                   grad_norm=f["grad_sq"], x_final=X)
     if trace_row is None:
         return paths, None
-    row = paths.row(trace_row)
-    records = tuple(
-        IterationRecord(
-            k=k, x=x, alpha=a, g=gk, f_curr=float(fc), f_plus=float(fp),
-            success=ok, e_curr=float(ec), e_plus=float(ep), grad_true=gt,
-            grad_true_norm=gn, phi_curr=pc, phi_plus=float(pp), eps_f=ef)
-        for k, ((x, gk, gt, fc, fp, ec, ep, pp), a, ok, gn, pc, ef) in enumerate(zip(
-            kept, row.alpha[0].tolist(), row.success[0].tolist(),
-            row.grad_norm[0].tolist(), row.phi[0].tolist(), row.eps_f[0].tolist())))
-    return paths, Trace(records=records, exponents=tuple(row.exponents[0].tolist()),
-                        params=params, seed=seeds[trace_row], paths=row)
+    return paths, Trace(seed=seeds[trace_row], params=params,
+                        paths=paths.row(trace_row), **kept)

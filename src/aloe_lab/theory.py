@@ -285,7 +285,8 @@ class TheoryConstants:
     def admissible(self) -> tuple[bool, list[str]]:
         """Gate before any experiment: the progress/damage/probability
         relations the analysis assumes, evaluated at the grid-snapped
-        critical step size, and a step cap that lets the steps exceed it."""
+        critical step size, a step cap that lets the steps exceed it, and
+        a start alpha0 not below it."""
         reasons = []
         h, r, p = self.h_at_bar_grid, self.r_at_2epsf, self.p
         if self.class_tag == "nonconvex":
@@ -306,6 +307,13 @@ class TheoryConstants:
                 f"step cap alpha_max={self.alpha_max} never takes a step above "
                 f"bar_alpha_grid={self.bar_alpha_grid}: cap exponent {i_cap} "
                 f">= grid_index {self.grid_index}")
+        if self.grid_index < 0:
+            # d = max(grid_index, 0) = 0 leaves no room for the climb from
+            # alpha0 up to bar_alpha_grid, a run of small true successes
+            # that Lemma 3's count does not allow
+            reasons.append(
+                f"start alpha0={self.alpha0} lies below bar_alpha_grid="
+                f"{self.bar_alpha_grid}: grid_index {self.grid_index} < 0")
         if self.class_tag == "convex" and self.eps1 is not None and self.eta > 0:
             if self.eps_g > 0 and self.eps1 < convex_eps1_min(self.eps_g, self.eta):
                 reasons.append("eps1 below eps_g/eta")

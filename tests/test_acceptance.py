@@ -42,8 +42,7 @@ NOISY_F = FirstOracleSpec(eps_g=1e-3, kappa=1.0, delta=0.1)
 
 
 def final_value(trace):
-    last = trace.records[-1]
-    return last.phi_plus if last.success else last.phi_curr
+    return trace.paths.phi[0, -1]
 
 
 @pytest.fixture(scope="module")
@@ -199,11 +198,17 @@ def test_acceptance_6a_prop2_minibatch_certification():
     first = MiniBatchFirstOracle(problem, dataset, N)
     probes = [problem.x0, np.zeros(4), np.ones(4), -np.ones(4),
               0.5 * np.ones(4)]
-    n_queries = 10_000
+    n_queries, stack = 10_000, 1000
     for j, x in enumerate(probes):
         rng = probe_rng(60, j)
-        hits = sum(gradient_accurate(*first(x, alpha, rng), alpha, eps_g, kappa)
-                   for _ in range(n_queries))
+        grad = problem.gradient(x)
+        # stacks of copies of x, every row drawing from the probe's one
+        # generator in row order: the draws of one query after another
+        hits = 0
+        for _ in range(n_queries // stack):
+            g, _ = first(np.tile(x, (stack, 1)), alpha, [rng] * stack,
+                         grad=np.tile(grad, (stack, 1)))
+            hits += int(gradient_accurate(g, grad, alpha, eps_g, kappa).sum())
         assert binomial_frequency_test(hits, n_queries, 1 - delta), (j, hits)
 
 

@@ -353,6 +353,19 @@ class TestCapBelowCriticalStep:
         assert not os.path.exists(out)
 
 
+class TestStartBelowCriticalStep:
+    def test_exit_two(self, tmp_path, capsys):
+        # the cap 0.2 lies above bar_alpha_grid = 0.153, but alpha0 = 0.05
+        # starts five grid steps below it
+        config = write(tmp_path, "start.ini", (
+            "[problem]\ndim = 5\n\n[algorithm]\nalpha0 = 0.05\n"
+            "alpha_max = 0.2\n\n" + SMOKE))
+        out = str(tmp_path / "out")
+        assert run(config, out, quiet=True) == EXIT_CONFIG
+        assert "grid_index -5 < 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 class TestTraceIsTrialZero:
     def test_trace_csv_is_the_harness_base_seed_trace(self, tmp_path):
         # the eps_f controller re-estimates the slack every 8 iterations, so

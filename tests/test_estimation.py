@@ -117,6 +117,6 @@ class TestController:
         trace = aloe_run(quadratic, zeroth, first,
                          AloeParams(max_iters=60), seed=0,
                          eps_f_controller=ctrl)
-        eps_values = {r.eps_f for r in trace.records}
+        eps_values = set(trace.paths.eps_f[0].tolist())
         assert len(eps_values) == 3  # one per epoch
         assert all(v >= 0 for v in eps_values)

@@ -184,10 +184,12 @@ class TestBlockComposition:
             assert alone.rows == (block.rows[row],)
         assert alone.trace.seed == 45
         first = run_trials(noisy_config(kind, n_trials=1, base_seed=40)).trace
-        assert first.exponents == block.trace.exponents
-        assert all(np.array_equal(getattr(a, f), getattr(b, f))
-                   for a, b in zip(first.records, block.trace.records)
-                   for f in a.__dataclass_fields__)
+        for a, b in ((first, block.trace), (first.paths, block.trace.paths)):
+            for f in dataclasses.fields(a):
+                if f.name != "paths":
+                    np.testing.assert_array_equal(getattr(a, f.name),
+                                                  getattr(b, f.name),
+                                                  err_msg=f.name)
 
     def test_blocks_do_not_change_results(self, monkeypatch):
         config = noisy_config("synthetic", n_trials=7)
@@ -195,7 +197,8 @@ class TestBlockComposition:
         monkeypatch.setattr(harness, "BLOCK_CELLS", 3 * config.params.max_iters)
         split = run_trials(config)
         assert split.rows == whole.rows
-        assert split.trace.exponents == whole.trace.exponents
+        np.testing.assert_array_equal(split.trace.paths.exponents,
+                                      whole.trace.paths.exponents)
 
 
 class TestGroundTruthBudget:
@@ -263,6 +266,27 @@ class TestCapBelowCriticalStep:
         problem, _ = build_problem(config)
         assert derive_experiment_constants(config, problem).admissible()[0]
         assert all(r.lemma3_ok for r in run_trials(config).rows)
+
+
+class TestStartBelowCriticalStep:
+    """A start below the snapped critical step (grid_index < 0) climbs to it
+    through small true successes, which Lemma 3's count does not allow for;
+    the gate refuses it."""
+
+    def test_refused(self):
+        # alpha0 = 0.05 is five grid steps below bar_alpha_grid = 0.153;
+        # the cap 0.2 lies above it, so only the start is at fault
+        config = TestCapBelowCriticalStep.config(0.05, 0.2)
+        problem, _ = build_problem(config)
+        ok, reasons = derive_experiment_constants(config, problem).admissible()
+        assert not ok
+        assert reasons == [reasons[0]] and "grid_index -5 < 0" in reasons[0]
+        with pytest.raises(InadmissibleConfigError, match="grid_index -5 < 0"):
+            run_trials(config)
+        # what the gate prevents: no trial is lemma-clean
+        rows = run_trials(TestCapBelowCriticalStep.config(
+            0.05, 0.2, check_admissibility=False)).rows
+        assert not any(r.lemma3_ok or r.lemma4_ok for r in rows)
 
 
 class TestBinomialTest:

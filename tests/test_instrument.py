@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from aloe_lab.instrument import (CENSORED, P_HAT_GRID, StoppingSpec,
-                                 classify_true, compute_path_report,
-                                 progress_Z, recheck_success_flags,
-                                 stopping_time, verify_path_lemmas)
-from aloe_lab.linesearch import (AloeParams, IterationRecord, aloe_run,
+                                 classify_paths, progress_Z, stopping_time,
+                                 verify_path_lemmas)
+from aloe_lab.linesearch import (AloeParams, Paths, aloe_run, armijo_check,
                                  snap_to_step_grid)
 from aloe_lab.oracles import (FirstOracleSpec, SyntheticFirstOracle,
                               SyntheticZerothOracle, ZerothOracleSpec)
@@ -20,13 +19,33 @@ def quadratic():
                                           lambda_max=10.0, seed=7)
 
 
-def make_record(**kwargs):
-    defaults = dict(k=0, x=np.zeros(2), alpha=1.0, g=np.array([1.0, 0.0]),
-                    f_curr=1.0, f_plus=0.5, success=True, e_curr=0.0,
-                    e_plus=0.0, grad_true=np.array([1.0, 0.0]),
-                    grad_true_norm=1.0, phi_curr=1.0, phi_plus=0.5, eps_f=0.0)
-    defaults.update(kwargs)
-    return IterationRecord(**defaults)
+def true_flags(problem, eps_g, kappa, g, grad_true=(1.0, 0.0), alpha=1.0,
+               e_sum=0.0, eps_f=0.0):
+    """The true flags `classify_paths` gives a hand-built one-row `Paths`:
+    g holds one oracle gradient per iteration, the other arguments are
+    one value for every iteration or one per iteration."""
+    g = np.asarray(g, dtype=float)
+    T = len(g)
+
+    def column(v):
+        return np.broadcast_to(np.asarray(v, dtype=float), (T,))[None].copy()
+
+    paths = Paths(seeds=(0,), exponents=np.zeros((1, T + 1), dtype=int),
+                  alpha=column(alpha), success=np.ones((1, T), dtype=bool),
+                  e_sum=column(e_sum), eps_f=column(eps_f),
+                  g_norm=column(np.linalg.norm(g, axis=1)),
+                  grad_error=column(np.linalg.norm(g - grad_true, axis=1)),
+                  phi=np.ones((1, T + 1)), grad_norm=np.ones((1, T + 1)),
+                  x_final=np.zeros((1, problem.dim)))
+    spec = StoppingSpec(class_tag="nonconvex", eps=1e-3)
+    return classify_paths(paths, problem, spec, eps_g, kappa, grid_index=0,
+                          d=0.0).true_flags[0].tolist()
+
+
+def one_path(I, Theta, U, d, horizon):
+    """The four verdicts of one path, checked as a one-row block."""
+    v = verify_path_lemmas(I[None], Theta[None], U[None], d=d, horizon=horizon)
+    return np.array(v)[:, 0].tolist()
 
 
 class TestSnap:
@@ -57,28 +76,29 @@ class TestSnap:
 
 
 class TestClassifyTrue:
-    def test_boundary_equality_counts(self):
-        r = make_record(g=np.array([1.25, 0.0]), e_curr=0.05, e_plus=0.05,
-                        eps_f=0.05)
+    def test_boundary_equality_counts(self, quadratic):
         # gradient error exactly 0.25 = eps_g, value errors exactly 2 eps_f
-        assert classify_true(r, eps_g=0.25, kappa=0.0)
+        assert true_flags(quadratic, eps_g=0.25, kappa=0.0, g=[[1.25, 0.0]],
+                          e_sum=0.05 + 0.05, eps_f=0.05) == [True]
 
-    def test_gradient_violation(self):
-        r = make_record(g=np.array([1.2, 0.0]))
-        assert not classify_true(r, eps_g=0.1, kappa=0.0)
+    def test_gradient_violation(self, quadratic):
+        assert true_flags(quadratic, eps_g=0.1, kappa=0.0,
+                          g=[[1.2, 0.0]]) == [False]
 
-    def test_relative_branch(self):
-        r = make_record(g=np.array([2.0, 0.0]), alpha=1.0)
+    def test_relative_branch(self, quadratic):
         # error 1.0 <= kappa * alpha * ||g|| = 2.0
-        assert classify_true(r, eps_g=0.0, kappa=1.0)
+        assert true_flags(quadratic, eps_g=0.0, kappa=1.0, g=[[2.0, 0.0]],
+                          alpha=1.0) == [True]
 
-    def test_value_violation(self):
-        r = make_record(e_curr=0.2, e_plus=0.0, eps_f=0.05)
-        assert not classify_true(r, eps_g=10.0, kappa=0.0)
+    def test_value_violation(self, quadratic):
+        assert true_flags(quadratic, eps_g=10.0, kappa=0.0, g=[[1.0, 0.0]],
+                          e_sum=0.2, eps_f=0.05) == [False]
 
-    def test_explicit_eps_f_override(self):
-        r = make_record(e_curr=0.2, e_plus=0.0, eps_f=0.05)
-        assert classify_true(r, eps_g=10.0, kappa=0.0, eps_f=0.1)
+    def test_explicit_eps_f_override(self, quadratic):
+        # the same value errors, judged against the slack each iteration
+        # recorded
+        assert true_flags(quadratic, eps_g=10.0, kappa=0.0, g=[[1.0, 0.0]] * 2,
+                          e_sum=0.2, eps_f=[0.05, 0.1]) == [False, True]
 
 
 class TestProgressZ:
@@ -137,7 +157,7 @@ class TestStoppingTime:
         spec = StoppingSpec(class_tag="convex", eps=1e-30, eps1=1e-2)
         t = stopping_time(trace, problem, spec)
         assert t != CENSORED
-        assert trace.records[t].grad_true_norm <= 1e-2
+        assert trace.paths.grad_norm[0, t] <= 1e-2
 
 
 class TestPathLemmasHandcrafted:
@@ -146,8 +166,7 @@ class TestPathLemmasHandcrafted:
         I = np.ones(n, bool)
         Theta = np.ones(n, bool)
         U = np.ones(n, bool)
-        l2, l3, l4, c1 = verify_path_lemmas(I, Theta, U, d=0.0, horizon=n)
-        assert (l2, l3, l4, c1) == (True, True, True, True)
+        assert one_path(I, Theta, U, d=0.0, horizon=n) == [True] * 4
 
     def test_all_unsuccessful_boundary(self):
         # steps shrink from alpha0 through the threshold: exactly d large
@@ -157,8 +176,7 @@ class TestPathLemmasHandcrafted:
         U = np.array([k < d for k in range(n)])
         Theta = np.zeros(n, bool)
         I = np.zeros(n, bool)
-        l2, l3, l4, c1 = verify_path_lemmas(I, Theta, U, d=float(d), horizon=n)
-        assert l2 and l3 and l4 and c1
+        assert one_path(I, Theta, U, d=float(d), horizon=n) == [True] * 4
 
     def test_lemma2_violation_detected(self):
         # d+1 large failures with no large successes is impossible dynamics;
@@ -166,7 +184,7 @@ class TestPathLemmasHandcrafted:
         U = np.ones(4, bool)
         Theta = np.zeros(4, bool)
         I = np.zeros(4, bool)
-        l2, _, _, c1 = verify_path_lemmas(I, Theta, U, d=3.0, horizon=4)
+        l2, _, _, c1 = one_path(I, Theta, U, d=3.0, horizon=4)
         assert not l2
         assert not c1
 
@@ -174,7 +192,7 @@ class TestPathLemmasHandcrafted:
         U = np.zeros(4, bool)
         Theta = np.ones(4, bool)
         I = np.ones(4, bool)   # four small true steps, zero small false
-        _, l3, _, _ = verify_path_lemmas(I, Theta, U, d=0.0, horizon=4)
+        _, l3, _, _ = one_path(I, Theta, U, d=0.0, horizon=4)
         assert not l3
 
     def test_lemma3_prefix_restriction(self):
@@ -182,7 +200,7 @@ class TestPathLemmasHandcrafted:
         U = np.zeros(4, bool)
         Theta = np.ones(4, bool)
         I = np.ones(4, bool)
-        _, l3, _, _ = verify_path_lemmas(I, Theta, U, d=0.0, horizon=0)
+        _, l3, _, _ = one_path(I, Theta, U, d=0.0, horizon=0)
         assert l3
 
     def test_lemma4_violation_detected(self):
@@ -191,7 +209,7 @@ class TestPathLemmasHandcrafted:
         I = np.ones(n, bool)
         Theta = np.zeros(n, bool)
         U = np.ones(n, bool)
-        _, _, l4, _ = verify_path_lemmas(I, Theta, U, d=0.0, horizon=n)
+        _, _, l4, _ = one_path(I, Theta, U, d=0.0, horizon=n)
         assert not l4
 
     def test_p_hat_grid_range(self):
@@ -207,8 +225,8 @@ class TestPathLemmasBlock:
         I, Theta, U = (rng.random((40, 30)) < p for p in (0.6, 0.5, 0.5))
         horizon = rng.integers(0, 31, size=40)
         got = np.array(verify_path_lemmas(I, Theta, U, d=2.0, horizon=horizon))
-        want = np.array([verify_path_lemmas(I[r], Theta[r], U[r], d=2.0,
-                                            horizon=int(horizon[r]))
+        want = np.array([one_path(I[r], Theta[r], U[r], d=2.0,
+                                  horizon=int(horizon[r]))
                          for r in range(40)]).T
         assert np.array_equal(got, want)
         assert 0 < got.sum() < got.size
@@ -224,9 +242,9 @@ class TestPathLemmasAbstractProcess:
         rng = np.random.default_rng(1234)
         n_paths, t = 10_000, 200
         j = np.zeros(n_paths, dtype=int)   # step size alpha0 * gamma^j
-        I_all = np.empty((t, n_paths), bool)
-        Th_all = np.empty((t, n_paths), bool)
-        U_all = np.empty((t, n_paths), bool)
+        I_all = np.empty((n_paths, t), bool)
+        Th_all = np.empty((n_paths, t), bool)
+        U_all = np.empty((n_paths, t), bool)
         for step in range(t):
             I = rng.random(n_paths) < p
             coin = rng.random(n_paths) < 0.5
@@ -234,18 +252,17 @@ class TestPathLemmasAbstractProcess:
             Th = np.where(I & small_now, True, coin)
             j_next = np.where(Th, j - 1, j + 1)
             # large step: both adjacent sizes >= threshold, i.e. max index <= i_bar
-            U_all[step] = np.maximum(j, j_next) <= i_bar
-            I_all[step] = I
-            Th_all[step] = Th
+            U_all[:, step] = np.maximum(j, j_next) <= i_bar
+            I_all[:, step] = I
+            Th_all[:, step] = Th
             j = j_next
-        for path in range(n_paths):
-            l2, l3, l4, c1 = verify_path_lemmas(
-                I_all[:, path], Th_all[:, path], U_all[:, path],
-                d=float(i_bar), horizon=t)
-            assert l2 and l3 and l4 and c1
+        # one row per path, all checked in one block
+        verdicts = verify_path_lemmas(I_all, Th_all, U_all, d=float(i_bar),
+                                      horizon=t)
+        assert all(v.all() for v in verdicts)
 
 
-class TestPathReport:
+class TestClassifyTrace:
     @staticmethod
     def noisy_trace(problem, seed=0, max_iters=300, alpha0=1.0,
                     alpha_max=1.0 / 0.8):
@@ -263,21 +280,22 @@ class TestPathReport:
         trace = aloe_run(quadratic, zeroth, first, AloeParams(max_iters=100), seed=0)
         _, i = snap_to_step_grid(0.1, 1.0, 0.8)
         spec = StoppingSpec(class_tag="nonconvex", eps=1e-3)
-        report = compute_path_report(trace, quadratic, spec, eps_g=0.0,
-                                     kappa=0.0, grid_index=i, d=float(i))
-        assert report.frac_true == 1.0
-        assert report.all_lemmas_ok
+        v = classify_paths(trace.paths, quadratic, spec, eps_g=0.0, kappa=0.0,
+                           grid_index=i, d=float(i))
+        assert v.frac_true.tolist() == [1.0]
+        assert all(ok.tolist() == [True] for ok in (
+            v.lemma2_ok, v.lemma3_ok, v.lemma4_ok, v.corollary1_ok))
 
     def test_noisy_run_lemmas_hold(self, quadratic):
         trace, fspec = self.noisy_trace(quadratic)
         _, i = snap_to_step_grid(0.05, 1.0, 0.8)
         spec = StoppingSpec(class_tag="nonconvex", eps=0.5)
-        report = compute_path_report(trace, quadratic, spec,
-                                     eps_g=fspec.eps_g, kappa=fspec.kappa,
-                                     grid_index=i, d=float(i))
-        assert report.all_lemmas_ok
-        assert 0.0 <= report.frac_true <= 1.0
-        assert len(report.Z_sequence) == len(trace)
+        v = classify_paths(trace.paths, quadratic, spec, eps_g=fspec.eps_g,
+                           kappa=fspec.kappa, grid_index=i, d=float(i))
+        assert all(ok.tolist() == [True] for ok in (
+            v.lemma2_ok, v.lemma3_ok, v.lemma4_ok, v.corollary1_ok))
+        assert 0.0 <= v.frac_true[0] <= 1.0
+        assert v.true_flags.shape == (1, len(trace))
 
     @pytest.mark.parametrize("alpha_max", [0.01 * 0.8 ** -7, 0.05],
                              ids=["cap_on_grid", "cap_off_grid"])
@@ -286,10 +304,11 @@ class TestPathReport:
         # success keeps the step; thresholds run from the cap to 0.01 * 0.8^-2
         trace, fspec = self.noisy_trace(quadratic, max_iters=120, alpha0=0.01,
                                         alpha_max=alpha_max)
-        assert min(trace.exponents) == -7
+        exponents = trace.paths.exponents[0].tolist()
+        assert min(exponents) == -7
         # the realized steps alpha_0..alpha_n, as floats
-        steps = [r.alpha for r in trace.records]
-        steps.append(0.01 * 0.8 ** trace.exponents[-1])
+        steps = trace.paths.alpha[0].tolist()
+        steps.append(0.01 * 0.8 ** exponents[-1])
         spec = StoppingSpec(class_tag="nonconvex", eps=0.5)
         seen = set()
         for grid_index in range(-7, -1):
@@ -298,13 +317,16 @@ class TestPathReport:
             # equals bar (a step at the cap included) is small
             expected = [min(a, b) >= bar and max(a, b) > bar
                         for a, b in zip(steps, steps[1:])]
-            report = compute_path_report(trace, quadratic, spec,
-                                         eps_g=fspec.eps_g, kappa=fspec.kappa,
-                                         grid_index=grid_index, d=0.0)
-            assert report.large_flags.tolist() == expected
+            v = classify_paths(trace.paths, quadratic, spec, eps_g=fspec.eps_g,
+                               kappa=fspec.kappa, grid_index=grid_index, d=0.0)
+            assert v.large_flags[0].tolist() == expected
             seen.update(expected)
         assert seen == {True, False}
 
-    def test_recheck_success_flags(self, quadratic):
+    def test_success_flags_match_armijo(self, quadratic):
         trace, _ = self.noisy_trace(quadratic, seed=3, max_iters=100)
-        assert recheck_success_flags(trace)
+        g_sq = np.array([g @ g for g in trace.g])
+        expect = armijo_check(trace.f_plus, trace.f_curr, trace.paths.alpha[0],
+                              trace.params.theta, g_sq, trace.paths.eps_f[0])
+        assert np.array_equal(expect, trace.paths.success[0])
+        assert 0 < expect.sum() < len(trace)

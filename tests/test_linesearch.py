@@ -85,17 +85,16 @@ class TestExactRun:
         params = AloeParams(alpha0=1.0, alpha_max=10.0, theta=0.2,
                             gamma=0.8, max_iters=1)
         trace = aloe_run(identity_quadratic, zeroth, first, params, seed=0)
-        r = trace.records[0]
-        assert r.success
-        np.testing.assert_array_equal(r.g, [1.0, 0.0])
-        assert r.f_plus == 0.0
-        assert r.phi_plus == 0.0
+        assert trace.paths.success[0, 0]
+        np.testing.assert_array_equal(trace.g[0], [1.0, 0.0])
+        assert trace.f_plus[0] == 0.0
+        assert trace.phi_plus[0] == 0.0
 
     def test_monotone_descent(self, quadratic10):
         zeroth, first = exact_oracles(quadratic10)
         params = AloeParams(max_iters=300)
         trace = aloe_run(quadratic10, zeroth, first, params, seed=0)
-        phis = trace.phi_values()
+        phis = trace.paths.phi[0]
         assert np.all(np.diff(phis) <= 1e-15)
 
     def test_matches_deterministic_reference(self, quadratic10):
@@ -106,15 +105,16 @@ class TestExactRun:
 
         x = quadratic10.x0.copy()
         i = 0
-        for r in trace.records:
+        for alpha_k, success_k, x_k in zip(trace.paths.alpha[0],
+                                           trace.paths.success[0], trace.x):
             alpha = params.alpha0 * params.gamma ** i
             g = quadratic10.gradient(x)
             x_try = x - alpha * g
             ok = (quadratic10.value(x_try)
                   <= quadratic10.value(x) - alpha * params.theta * g @ g)
-            assert r.alpha == alpha
-            assert r.success == ok
-            np.testing.assert_array_equal(r.x, x)
+            assert alpha_k == alpha
+            assert success_k == ok
+            np.testing.assert_array_equal(x_k, x)
             if ok:
                 x = x_try
                 # the cap alpha_max = 10 snaps to 0.8^-10 = 9.31
@@ -125,7 +125,7 @@ class TestExactRun:
     def test_alphas_stay_in_range(self, quadratic10):
         zeroth, first = exact_oracles(quadratic10)
         trace = aloe_run(quadratic10, zeroth, first, AloeParams(max_iters=200), seed=1)
-        alphas = trace.alphas()
+        alphas = trace.paths.alpha[0]
         assert np.all(alphas > 0)
         assert np.all(alphas <= 10.0)
 
@@ -142,12 +142,9 @@ class TestDeterminism:
             return aloe_run(quadratic10, zeroth, first, params, seed=42)
 
         a, b = one_run(), one_run()
-        for ra, rb in zip(a.records, b.records):
-            assert ra.alpha == rb.alpha
-            assert ra.f_curr == rb.f_curr
-            assert ra.f_plus == rb.f_plus
-            np.testing.assert_array_equal(ra.g, rb.g)
-            np.testing.assert_array_equal(ra.x, rb.x)
+        np.testing.assert_array_equal(a.paths.alpha, b.paths.alpha)
+        for name in ("f_curr", "f_plus", "g", "x"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_different_seeds_differ(self, quadratic10):
         spec = ZerothOracleSpec(eps_f=0.01, mode="bounded")
@@ -156,8 +153,7 @@ class TestDeterminism:
         params = AloeParams(eps_f_input=0.01, max_iters=20)
         a = aloe_run(quadratic10, zeroth, first, params, seed=0)
         b = aloe_run(quadratic10, zeroth, first, params, seed=1)
-        assert any(ra.f_curr != rb.f_curr
-                   for ra, rb in zip(a.records, b.records))
+        assert not np.array_equal(a.f_curr, b.f_curr)
 
 
 class TestTrace:
@@ -172,12 +168,13 @@ class TestTrace:
                             max_iters=60)
         trace = aloe_run(quadratic10, SyntheticZerothOracle(quadratic10, zspec),
                          SyntheticFirstOracle(quadratic10, fspec), params, seed=0)
-        i = trace.exponents
+        i = trace.paths.exponents[0].tolist()
         assert len(i) == len(trace) + 1 and i[0] == 0
         assert min(i) == -7
-        for k, r in enumerate(trace.records):
-            assert i[k + 1] == (max(i[k] - 1, -7) if r.success else i[k] + 1)
-            assert r.alpha == 0.01 * 0.8 ** i[k]
+        for k, (alpha, success) in enumerate(zip(trace.paths.alpha[0],
+                                                 trace.paths.success[0])):
+            assert i[k + 1] == (max(i[k] - 1, -7) if success else i[k] + 1)
+            assert alpha == 0.01 * 0.8 ** i[k]
 
     def test_len(self, quadratic10):
         zeroth, first = exact_oracles(quadratic10)
@@ -232,15 +229,15 @@ class TestLockstep:
 
     @staticmethod
     def assert_same_trace(a, b):
-        assert (a.seed, a.exponents, len(a)) == (b.seed, b.exponents, len(b))
-        for ra, rb in zip(a.records, b.records):
-            for f in dataclasses.fields(ra):
-                va, vb = getattr(ra, f.name), getattr(rb, f.name)
-                assert type(va) is type(vb), f.name
-                assert np.array_equal(va, vb), (ra.k, f.name)
-        for name in (f.name for f in dataclasses.fields(Paths)):
-            np.testing.assert_array_equal(getattr(a.paths, name),
-                                          getattr(b.paths, name), err_msg=name)
+        # every column of the Trace and of its one-row Paths
+        for ta, tb in ((a, b), (a.paths, b.paths)):
+            for f in dataclasses.fields(ta):
+                va, vb = getattr(ta, f.name), getattr(tb, f.name)
+                if isinstance(va, np.ndarray):
+                    assert va.dtype == vb.dtype, f.name
+                    np.testing.assert_array_equal(va, vb, err_msg=f.name)
+                elif not isinstance(va, Paths):
+                    assert va == vb, f.name
 
     @pytest.mark.parametrize("name", ["synthetic", "minibatch_estimated", "gsg"])
     def test_row_of_a_block_is_the_trial_alone(self, quadratic10, name):
@@ -255,10 +252,10 @@ class TestLockstep:
         paths, in_block = run_lockstep(problem, zeroth, first, params,
                                        range(18, 27), controller(), trace_row=3)
         assert len(paths.seeds) == 9 and paths.seeds[3] == 21
-        assert 0 < alone.successes().sum() < len(alone)
+        assert 0 < alone.paths.success.sum() < len(alone)
         self.assert_same_trace(alone, in_block)
         if estimator is not None:
-            assert len({r.eps_f for r in alone.records}) == 4
+            assert len(set(alone.paths.eps_f[0].tolist())) == 4
 
     def test_rows_differ(self, quadratic10):
         problem, zeroth, first, _ = self.family("synthetic", quadratic10)
@@ -277,8 +274,7 @@ class TestEpsFController:
         trace = aloe_run(quadratic10, zeroth, first,
                          AloeParams(max_iters=20), seed=0,
                          eps_f_controller=controller)
-        assert all(r.eps_f == 0.5 for r in trace.records[:10])
-        assert all(r.eps_f == 0.25 for r in trace.records[10:])
+        assert trace.paths.eps_f[0].tolist() == [0.5] * 10 + [0.25] * 10
 
 
 class TestGroundTruthFromOracleLogs:
@@ -310,12 +306,13 @@ class TestGroundTruthFromOracleLogs:
         trace = aloe_run(problem, zeroth, first,
                          AloeParams(eps_f_input=0.01, alpha_max=1.25,
                                     max_iters=30), seed=5)
-        assert any(r.e_curr > 0 for r in trace.records)
-        for r in trace.records:
-            assert r.phi_curr == problem.value_fn(r.x)
-            assert r.phi_plus == problem.value_fn(r.x - r.alpha * r.g)
-            assert np.array_equal(r.grad_true, problem.grad_fn(r.x))
-            assert r.grad_true_norm == float(np.linalg.norm(r.grad_true))
+        assert (trace.e_curr > 0).any()
+        p = trace.paths
+        for k, (x, g, grad) in enumerate(zip(trace.x, trace.g, trace.grad_true)):
+            assert p.phi[0, k] == problem.value_fn(x)
+            assert trace.phi_plus[k] == problem.value_fn(x - p.alpha[0, k] * g)
+            assert np.array_equal(grad, problem.grad_fn(x))
+            assert p.grad_norm[0, k] == float(np.linalg.norm(grad))
 
 
 class TestGroundTruthPasses:
@@ -345,7 +342,7 @@ class TestGroundTruthPasses:
         controller = EpochEpsFController(zeroth, EstimatorConfig(refresh_period=10))
         trace = aloe_run(problem, zeroth, first, params, seed=4,
                          eps_f_controller=controller)
-        accepted = int(trace.successes().sum())
+        accepted = int(trace.paths.success.sum())
         assert len(controller.history) == 6
         assert 0 < accepted < params.max_iters
         assert calls["value"] <= params.max_iters + 1
@@ -399,30 +396,30 @@ class TestStreamContract:
         # e = |(phi + noise) - phi| carries the rounding of phi, which moves
         # with the path; a draw from another place in a stream would differ
         # in its leading digits
-        np.testing.assert_allclose(
-            [(r.e_curr, r.e_plus) for r in a.records],
-            [(r.e_curr, r.e_plus) for r in b.records], rtol=1e-9, atol=0)
+        np.testing.assert_allclose([a.e_curr, a.e_plus], [b.e_curr, b.e_plus],
+                                   rtol=1e-9, atol=0)
 
     def test_budget_prefix(self, quadratic10, seed):
         short = self.run(quadratic10, seed, max_iters=30)
         long = self.run(quadratic10, seed, max_iters=60)
-        for a, b in zip(short.records, long.records):
-            assert (a.alpha, a.success, a.f_curr, a.f_plus, a.eps_f) == (
-                b.alpha, b.success, b.f_curr, b.f_plus, b.eps_f)
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.g, b.g)
+        for name in ("alpha", "success", "eps_f"):
+            assert np.array_equal(getattr(short.paths, name),
+                                  getattr(long.paths, name)[:, :30]), name
+        for name in ("f_curr", "f_plus", "x", "g"):
+            assert np.array_equal(getattr(short, name),
+                                  getattr(long, name)[:30]), name
         assert len(short) == 30
 
     def test_theta_changes_path_not_noise(self, quadratic10, seed):
         low = self.run(quadratic10, seed, theta=0.2)
         high = self.run(quadratic10, seed, theta=0.6)
-        assert not np.array_equal(low.successes(), high.successes())
+        assert not np.array_equal(low.paths.success, high.paths.success)
         self.assert_same_noise(low, high)
 
     def test_controller_changes_slack_not_noise(self, quadratic10, seed):
         fixed = self.run(quadratic10, seed)
         estimated = self.run(quadratic10, seed,
                              estimator=EstimatorConfig(refresh_period=10))
-        assert {r.eps_f for r in fixed.records} == {0.01}
-        assert len({r.eps_f for r in estimated.records}) == 6
+        assert set(fixed.paths.eps_f[0].tolist()) == {0.01}
+        assert len(set(estimated.paths.eps_f[0].tolist())) == 6
         self.assert_same_noise(fixed, estimated)
