@@ -16,7 +16,7 @@ import numpy as np
 
 from aloe_lab import (AloeParams, GsgFirstOracle, SyntheticZerothOracle,
                       ZerothOracleSpec, aloe_run, gradient_accurate,
-                      make_strongly_convex_quadratic, probe_rng,
+                      make_strongly_convex_quadratic, probe_stream,
                       prop3_params)
 
 
@@ -43,11 +43,11 @@ def main():
 
     oracle = GsgFirstOracle(problem, zeroth, float(sigma),
                             params.num_directions)
-    rng = probe_rng(42)
+    stream = probe_stream(42)
     n_queries = 50
     hits = errs = 0.0
     for _ in range(n_queries):
-        g, grad = oracle(x, 1.0, rng)
+        g, grad = oracle(x, 1.0, stream)
         hits += gradient_accurate(g, grad, 1.0, params.eps_g, 0.0)
         errs += np.linalg.norm(g - grad)
     print(f"{n_queries} probe queries: accuracy event in "

@@ -15,7 +15,7 @@ from aloe_lab import (AloeParams, EpochEpsFController, EstimatorConfig,
                       FirstOracleSpec, MiniBatchFirstOracle,
                       MiniBatchZerothOracle, SyntheticFirstOracle,
                       SyntheticZerothOracle, ZerothOracleSpec, aloe_run,
-                      estimate_eps_f, make_synthetic_logistic, probe_rng)
+                      estimate_eps_f, make_synthetic_logistic, probe_stream)
 
 BATCH = 128
 
@@ -54,7 +54,7 @@ def main():
           f"{last_est:.4g} (iter {kl})\n")
 
     est0 = estimate_eps_f(zeroth, problem.x0, EstimatorConfig(),
-                          probe_rng(seed, 99))
+                          probe_stream(seed, 99))
     print(f"one-shot estimate at x0: {est0:.4g}")
     for mult in (0.5, 1.0, 2.0):
         trace = aloe_run(problem, zeroth, first,

@@ -32,7 +32,7 @@ from .problems import (ErmDataset, ProblemInstance,
                        estimate_growth_constants, finite_difference_gradient,
                        make_linear, make_strongly_convex_quadratic,
                        make_synthetic_logistic)
-from .rng import BlockStreams, TrialStreams, probe_rng
+from .rng import KeyedStream, probe_rng, probe_stream
 from .theory import (TheoremInapplicableError, TheoryConstants, azuma_tail,
                      bar_alpha, bernstein_tail, constants_report,
                      convex_eps1_min, derive_constants, eps_lower_bound,

@@ -378,9 +378,9 @@ def mgf_envelope_ok(samples: np.ndarray, nu: float, b: float,
 CERTIFY_BLOCK = 1024
 
 
-def _queries_at(query, x, rng, n_queries: int, truth: str):
-    """`n_queries` queries at the point x, as stacks of copies of x drawing
-    from `rng` in row order.  The first stack has one row; its exact value
+def _queries_at(query, x, stream, n_queries: int, truth: str):
+    """`n_queries` consecutive queries of `stream`'s one key at the point x,
+    as stacks of copies of x.  The first stack has one row; its exact value
     is handed on, as the keyword `truth`, to the stacks of up to
     CERTIFY_BLOCK rows that follow.  Yields (query slice, estimates, exact
     values) per stack."""
@@ -389,7 +389,7 @@ def _queries_at(query, x, rng, n_queries: int, truth: str):
     while start < n_queries:
         m = 1 if known is None else min(CERTIFY_BLOCK, n_queries - start)
         given = {} if known is None else {truth: np.repeat(known[None], m, axis=0)}
-        est, exact = query(np.tile(x, (m, 1)), [rng] * m, **given)
+        est, exact = query(np.tile(x, (m, 1)), stream, **given)
         yield slice(start, start + m), est, exact
         known = np.asarray(exact)[0]
         start += m
@@ -406,18 +406,19 @@ def certify_oracles(problem, zeroth_oracle, first_oracle,
     First order: the accuracy event of `fspec` holds with frequency
     >= 1 - delta by a one-sided binomial test.
 
-    The queries at a probe go out as stacks of copies of the point, every
-    row drawing from the probe's one generator in row order, so the draws
-    are those of one query after another; the exact value at the point is
-    computed once per probe and oracle.  `problem` is not read.
+    The queries at probe j are consecutive queries of the one key
+    (base_seed, PROBE, j), sent as stacks of copies of the point: first the
+    zeroth-order ones, then the first-order ones at each alpha in turn.
+    The exact value at the point is computed once per probe and oracle.
+    `problem` is not read.
     """
     if n_queries < 2:
         raise ValueError("n_queries must be >= 2 for a standard error")
     results = []
     for j, x in enumerate(probe_points):
-        rng = rngmod.probe_rng(base_seed, j)
+        stream = rngmod.probe_stream(base_seed, j)
         errors = np.empty(n_queries)
-        for rows, est, phi in _queries_at(zeroth_oracle, x, rng, n_queries, "phi"):
+        for rows, est, phi in _queries_at(zeroth_oracle, x, stream, n_queries, "phi"):
             errors[rows] = np.abs(est - phi)
         stderr = errors.std(ddof=1) / math.sqrt(n_queries)
         threshold = zspec.eps_f + 3 * stderr
@@ -431,12 +432,13 @@ def certify_oracles(problem, zeroth_oracle, first_oracle,
                 passed=mgf_envelope_ok(errors, zspec.nu, zspec.b),
                 statistic=math.nan, threshold=math.nan))
         for alpha in alphas:
-            def query(X, gens, **given):
-                return first_oracle(X, alpha, gens, **given)
+            def query(X, stream, **given):
+                return first_oracle(X, alpha, stream, **given)
 
             hits = sum(int(gradient_accurate(g, grad, alpha, fspec.eps_g,
                                              fspec.kappa).sum())
-                       for _, g, grad in _queries_at(query, x, rng, n_queries, "grad"))
+                       for _, g, grad in _queries_at(query, x, stream, n_queries,
+                                                     "grad"))
             results.append(ProbeResult(
                 description=f"first accuracy event, probe {j}, alpha {alpha}",
                 passed=binomial_frequency_test(hits, n_queries,

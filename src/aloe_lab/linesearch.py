@@ -12,17 +12,19 @@ fixed budget; stopping times are computed offline from the recorded path.
 `run_lockstep` advances a block of n trials together: the state is an
 (n, dim) array of points and an integer exponent per trial, every query is
 one stacked call with one row per trial, and accept/reject and the step
-update are elementwise.  Row r of each query draws from trial r's
-generator for that query's purpose (see `rng`), in the order a one-trial
-run draws, and every non-random operation keeps each row's bits
-independent of the others, so a trial's path does not depend on the block
-it runs in.  `aloe_run` is the same engine with n = 1.
+update are elementwise.  Each purpose is one `rng.KeyedStream` with a key
+per trial, and every query takes one query of each key, so row r of a
+query draws what trial r alone draws at that iteration; every non-random
+operation keeps each row's bits independent of the others, so a trial's
+path does not depend on the block it runs in.  `aloe_run` is the same
+engine with n = 1.
 
 Exact values are computed once per point.  The engine evaluates phi and
 grad phi at x_0 once for the block.  x_{k+1} is x_k+ or x_k, so phi(x_{k+1})
 is known from iteration k, and grad phi(x_{k+1}) too after a rejected
-step; the engine hands these to the queries at x_{k+1} and evaluates one
-stacked gradient for the rows that moved.
+step; the engine hands these to the queries at x_{k+1} (phi to both the
+zeroth- and the first-order query) and evaluates one stacked gradient for
+the rows that moved.
 """
 
 import math
@@ -161,20 +163,20 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     and gradients).
 
     `eps_f_controller`, when given, is called as
-    ``controller(k, X, streams, phi)`` before each iteration, with the
-    (n, dim) incumbents, the block's `rng.BlockStreams` and the exact values
-    at X, and returns the slack (one per row, or one for all) to use from
-    that iteration on; otherwise `params.eps_f_input` is used throughout.
+    ``controller(k, X, stream, phi)`` before each iteration, with the
+    (n, dim) incumbents, the block's EPS_EST `rng.KeyedStream` and the
+    exact values at X, and returns the slack (one per row, or one for all)
+    to use from that iteration on; otherwise `params.eps_f_input` is used
+    throughout.
 
     Raises `TrialDivergedError`, naming the trial, as soon as any row's
     oracle output is non-finite.
     """
     seeds = tuple(int(s) for s in seeds)
     n, T = len(seeds), params.max_iters
-    streams = rngmod.BlockStreams(seeds)
-    grad_rngs = streams.stream(rngmod.GRAD)
-    curr_rngs = streams.stream(rngmod.F_CURR)
-    plus_rngs = streams.stream(rngmod.F_PLUS)
+    grad_rng, curr_rng, plus_rng, est_rng = (
+        rngmod.KeyedStream(seeds, purpose) for purpose in
+        (rngmod.GRAD, rngmod.F_CURR, rngmod.F_PLUS, rngmod.EPS_EST))
     i_cap = snap_to_step_grid(params.alpha_max, params.alpha0, params.gamma)[1]
     # every reachable step, i_cap <= i <= T, by the one-point arithmetic
     step_of = np.array([params.alpha0 * params.gamma ** i
@@ -206,12 +208,12 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
             grad[moved] = problem.gradients(X[moved])
         alpha = step_of[i - i_cap]
         if eps_f_controller is not None:
-            eps_f = eps_f_controller(k, X, streams, phi)
-        g, _ = first_oracle(X, alpha, grad_rngs, grad=grad)
+            eps_f = eps_f_controller(k, X, est_rng, phi)
+        g, _ = first_oracle(X, alpha, grad_rng, grad=grad, phi=phi)
         g = np.asarray(g, dtype=float)
         x_plus = X - alpha[:, None] * g
-        f_curr, _ = zeroth_oracle(X, curr_rngs, phi=phi)
-        f_plus, phi_plus = zeroth_oracle(x_plus, plus_rngs)
+        f_curr, _ = zeroth_oracle(X, curr_rng, phi=phi)
+        f_plus, phi_plus = zeroth_oracle(x_plus, plus_rng)
         V = np.concatenate((g, g - grad, grad))
         g_sq, error_sq, grad_sq = row_dots(V, V).reshape(3, n)
         # a non-finite g makes g_sq non-finite; an overflowing sum alone

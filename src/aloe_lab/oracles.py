@@ -10,20 +10,27 @@ Three families are provided:
   built from the zeroth-order oracle.
 
 Oracles are callables that return the estimate together with the exact
-value it estimates: zeroth ``oracle(x, rng, phi=None) -> (f, phi(x))``,
-first ``oracle(x, alpha, rng, grad=None) -> (g, grad phi(x))``.  A caller
-that already knows the exact value passes it as `phi` / `grad` and the
-oracle uses it instead of evaluating the problem again.
+value it estimates: zeroth ``oracle(x, stream, phi=None) -> (f, phi(x))``,
+first ``oracle(x, alpha, stream, grad=None, phi=None) -> (g, grad phi(x))``.
+A caller that already knows the exact value passes it as `phi` / `grad` and
+the oracle uses it instead of evaluating the problem again; a first-order
+oracle built from zeroth-order queries hands `phi` on to its query at x.
 
-A point x of shape (dim,) comes with one generator and gives one answer.
-An (m, dim) stack comes with one generator per row and gives m answers:
-row r draws from its generator exactly what a one-point query would, so a
-stack is m one-point queries answered in one call, whatever m is.  The
-line search sends each trial of a block as one row, with that trial's
-generator.  The synthetic zeroth-order oracle also takes k < m generators
-for a stack of k equal blocks, each block's errors drawn as one block and
-then its signs (one generator is one block); the Gaussian-smoothing
-gradient queries its N directions that way.
+The noise comes from `stream`, an `rng.KeyedStream`.  A point x of shape
+(dim,) is one query and gives one answer; an (m, dim) stack is m queries
+and gives m answers, row r taking its words as described in `rng`: with
+one key per trial that is one query of each trial, with one key it is m
+consecutive queries of that key.  Every query of an oracle reads a fixed
+number of words, set by the oracle and dim alone, never by x, alpha or
+the values drawn:
+
+* synthetic zeroth order: 2 (the error, then the sign);
+* synthetic first order: 2 + ceil(dim / 2) (the failure coin, the radius
+  fraction, then the direction's normals);
+* mini-batch: batch_size (the sample indices);
+* Gaussian smoothing: one zeroth-order query at x, N queries of
+  ceil(dim / 2) words for the directions, then N zeroth-order queries at
+  the perturbed points.
 
 Oracles do not judge their own accuracy; `gradient_accurate` is the one
 gradient accuracy test, used by the path classifier, the certification
@@ -35,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng as rngmod
 from .problems import ErmDataset, ProblemInstance, _mean_ascending, row_dots
 
 ZEROTH_MODES = ("exact", "bounded", "subexponential")
@@ -126,48 +134,34 @@ def gradient_accurate(g, grad, alpha, eps_g: float, kappa: float):
     return bool(ok[0]) if np.ndim(g) == 1 else ok
 
 
-def sample_one_sided_subexp(nu: float, b: float, target_mean: float, rng,
-                            size=None):
-    """Draw a nonnegative error with mean `target_mean` whose centered
-    one-sided MGF stays under exp(lam^2 nu^2 / 2) for lam in [0, 1/b].
+def sample_one_sided_subexp(nu: float, b: float, target_mean: float, u):
+    """The nonnegative error at uniform u in [0, 1), elementwise: a law with
+    mean `target_mean` whose centered one-sided MGF stays under
+    exp(lam^2 nu^2 / 2) for lam in [0, 1/b].
 
     The law is fixed: a shifted exponential with mean spread
     m = min(nu/2, b/2, target_mean) (an exponential with mean m is
-    (2m, 2m)-sub-exponential), degenerating to a symmetric two-point law
-    when b = 0 (sub-Gaussian case) and to a point mass when nu = b = 0.
-    `size=None` draws one float; an integer draws that many as an array.
+    (2m, 2m)-sub-exponential), taken as -m log(1 - u) and so truncated at
+    53 m ln 2 ~ 36.7 m (probability 2**-53), degenerating to a symmetric
+    two-point law on u < 1/2 when b = 0 (sub-Gaussian case) and to a point
+    mass when nu = b = 0.
     """
     if min(nu, b, target_mean) < 0:
         raise ValueError("nu, b, target_mean must be nonnegative")
     if target_mean == 0 or (nu == 0 and b == 0):
-        return target_mean if size is None else np.full(size, float(target_mean))
+        return target_mean + np.zeros_like(u)
     if b == 0:
         m = min(nu, target_mean)
-        return target_mean + m * (2 * (rng.random(size) < 0.5) - 1)
+        return target_mean + m * (2.0 * (u < 0.5) - 1.0)
     m = min(nu / 2, b / 2, target_mean)
-    return target_mean - m + rng.exponential(m, size)
-
-
-def _generators(rng, m: int) -> list:
-    """The generators of an m-row stack: a sequence of them as given, one
-    generator as a block of m rows."""
-    if isinstance(rng, np.random.Generator):
-        return [rng]
-    if m % len(rng):
-        raise ValueError(f"{len(rng)} generators cannot split {m} rows evenly")
-    return rng
+    return target_mean - m - m * np.log1p(-u)
 
 
 class SyntheticZerothOracle:
     """Noise injector around the exact value; |f - phi| follows the
     configured one-sided sub-exponential law, with a fair-coin
-    perturbation sign.
-
-    A point gives floats (f, phi).  A stack gives (m,) arrays; each block
-    of rows draws its errors as one block, then its signs, so a stack
-    takes a number of draws fixed by the block sizes and the mode, never by
-    X, and a block of one row draws what a point does.
-    """
+    perturbation sign.  A point gives floats (f, phi), a stack (m,)
+    arrays."""
 
     def __init__(self, problem: ProblemInstance, spec: ZerothOracleSpec):
         self.problem = problem
@@ -177,32 +171,21 @@ class SyntheticZerothOracle:
         self._cap = min(spec.eps_f, 2 * spec.target_mean)
         self._mean = spec.target_mean
 
-    def _noise(self, rng, size):
-        """sign * error for one block (`size=None`: one point)."""
+    def __call__(self, x, stream, phi=None):
+        point = np.ndim(x) == 1
+        if phi is None:
+            phi = self.problem.value(x) if point else self.problem.values(x)
+        u = stream.uniforms(1 if point else len(x), 2)
         mode = self.spec.mode
         if mode == "exact":
             e = 0.0
         elif mode == "bounded":
-            e = self._cap * rng.random(size)
+            e = self._cap * u[:, 0]
         else:
-            e = sample_one_sided_subexp(self.spec.nu, self.spec.b, self._mean, rng, size)
-        sign = 2.0 * (rng.random(size) < 0.5) - 1.0
-        return sign * e
-
-    def __call__(self, x, rng, phi=None):
-        if np.ndim(x) == 1:
-            if phi is None:
-                phi = self.problem.value(x)
-            return phi + self._noise(rng, None), phi
-        if phi is None:
-            phi = self.problem.values(x)
-        gens = _generators(rng, len(x))
-        if len(gens) == len(x):
-            noise = np.array([self._noise(g, None) for g in gens])
-        else:
-            block = len(x) // len(gens)
-            noise = np.concatenate([self._noise(g, block) for g in gens])
-        return phi + noise, phi
+            e = sample_one_sided_subexp(self.spec.nu, self.spec.b, self._mean,
+                                        u[:, 0])
+        noise = (2.0 * (u[:, 1] < 0.5) - 1.0) * e
+        return (phi + noise[0] if point else phi + noise), phi
 
 
 class SyntheticFirstOracle:
@@ -214,22 +197,17 @@ class SyntheticFirstOracle:
         self.problem = problem
         self.spec = spec
 
-    def __call__(self, x, alpha, rng, grad=None) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, x, alpha, stream, grad=None,
+                 phi=None) -> tuple[np.ndarray, np.ndarray]:
         point = np.ndim(x) == 1
         if grad is None:
             grad = self.problem.gradient(x) if point else self.problem.gradients(x)
         spec = self.spec
         G = np.atleast_2d(grad)
         m, dim = G.shape
-        U = np.empty((m, dim))
-        fail, frac = [], []
-        # row r draws the one-point sequence: failure coin, direction, and
-        # the radius fraction only when the draw did not fail
-        for gen, u in zip([rng] if point else rng, U):
-            failed = gen.random() < spec.delta
-            gen.standard_normal(out=u)
-            fail.append(failed)
-            frac.append(0.0 if failed else gen.random())
+        W = stream.words(m, 2 + rngmod.normal_words(dim))
+        coin, frac = rngmod.uniform(W[:, :2]).T
+        U = rngmod.normals(W[:, 2:], dim)
         V = np.concatenate((G, U))
         gnorm, un = np.sqrt(row_dots(V, V)).reshape(2, m)
         if un.all():
@@ -240,7 +218,8 @@ class SyntheticFirstOracle:
         ka = spec.kappa * np.asarray(alpha)
         # rho <= kappa*alpha*||grad||/(1+kappa*alpha) guarantees the
         # relative branch of the accuracy event via the triangle inequality
-        rho = np.where(fail, spec.corruption_base + spec.corruption_scale * gnorm,
+        rho = np.where(coin < spec.delta,
+                       spec.corruption_base + spec.corruption_scale * gnorm,
                        frac * np.maximum(spec.eps_g, ka * gnorm / (1.0 + ka)))
         g = G + rho[:, None] * U
         return (g[0], grad) if point else (g, grad)
@@ -279,10 +258,10 @@ GATHER_SAMPLES = 1 << 14
 
 
 class _MiniBatchOracle:
-    """A stack needs one generator per row; one generator means one point.
-    Each row draws its batch indices, then its mean runs over that batch
-    alone, exactly as a one-point query's does; the means of a stack are
-    taken GATHER_SAMPLES samples at a time."""
+    """Each query draws its batch indices, then its mean runs over that
+    batch alone; the means of a stack are taken GATHER_SAMPLES samples at a
+    time.  Index i = floor(w * n / 2**32) of the top 32 bits w of a word,
+    so an index has probability within n / 2**32 (relative) of 1 / n."""
 
     def __init__(self, problem: ProblemInstance, dataset: ErmDataset, batch_size: int):
         if batch_size < 1:
@@ -291,34 +270,33 @@ class _MiniBatchOracle:
         self.dataset = dataset
         self.batch_size = batch_size
 
-    def _means(self, x, rng, mean):
+    def _means(self, x, stream, mean):
         """`mean` over a fresh batch at the point, or at each row."""
-        n, size = self.dataset.n_samples, self.batch_size
-        if isinstance(rng, np.random.Generator):
-            return mean(self.dataset, x, rng.integers(0, n, size=size))
-        if len(rng) != len(x):
-            raise ValueError("a mini-batch stack needs one generator per row")
-        batches = np.array([gen.integers(0, n, size=size) for gen in rng])
-        rows = max(1, GATHER_SAMPLES // size)
+        point = np.ndim(x) == 1
+        words = stream.words(1 if point else len(x), self.batch_size)
+        batches = ((words >> np.uint64(32)) * np.uint64(self.dataset.n_samples)
+                   ) >> np.uint64(32)
+        if point:
+            return mean(self.dataset, x, batches[0])
+        rows = max(1, GATHER_SAMPLES // self.batch_size)
         return np.concatenate([mean(self.dataset, x[s:s + rows], batches[s:s + rows])
                                for s in range(0, len(x), rows)])
 
 
 class MiniBatchZerothOracle(_MiniBatchOracle):
-    def __call__(self, x, rng, phi=None):
+    def __call__(self, x, stream, phi=None):
         if phi is None:
-            # one generator means a point: value() rejects a stack
-            point = isinstance(rng, np.random.Generator)
-            phi = self.problem.value(x) if point else self.problem.values(x)
-        return self._means(x, rng, minibatch_value), phi
+            phi = self.problem.value(x) if np.ndim(x) == 1 else self.problem.values(x)
+        return self._means(x, stream, minibatch_value), phi
 
 
 class MiniBatchFirstOracle(_MiniBatchOracle):
-    def __call__(self, x, alpha, rng, grad=None) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, x, alpha, stream, grad=None,
+                 phi=None) -> tuple[np.ndarray, np.ndarray]:
         if grad is None:
-            point = isinstance(rng, np.random.Generator)
+            point = np.ndim(x) == 1
             grad = self.problem.gradient(x) if point else self.problem.gradients(x)
-        return self._means(x, rng, minibatch_gradient), grad
+        return self._means(x, stream, minibatch_gradient), grad
 
 
 def prop1_subexp_params(nu_hat: float, b_hat: float, eps_hat: float, N: int) -> tuple[float, float, float]:
@@ -371,16 +349,20 @@ def prop2_sample_size(M_c: float, M_v: float, delta: float, eps_g: float,
 # Randomized finite-difference (Gaussian smoothing) gradients
 
 
-def gsg_gradient(zeroth_oracle, x, sigma: float, num_directions: int, rng) -> np.ndarray:
+def gsg_gradient(zeroth_oracle, x, sigma: float, num_directions: int, stream,
+                 phi=None) -> np.ndarray:
     """Gaussian-smoothing gradient estimate
     sum_i [f(x + sigma u_i) - f(x)] u_i / (sigma |U|), u_i ~ N(0, I).
 
-    Two zeroth-order queries: f(x) once, reused across all directions, then
-    the N perturbed points as one (N, dim) stack.  Draw order: the base
-    query's draws, the N x dim normals of U, the stacked query's draws.
-    An (n, dim) stack of points with one generator per row gives n
-    estimates from the same two queries, each row's N perturbed points
-    forming one block of the second, so row r draws what the point does.
+    Two zeroth-order queries: f(x) once, reused across all directions (with
+    `phi`, the exact value at x, handed on when known), then the N perturbed
+    points as one (N, dim) stack.  An (n, dim) stack of points gives n
+    estimates from the same two queries, row r's N perturbed points forming
+    rows r*N..r*N+N-1 of the second: with one key per row, each key
+    answers the query at x, N direction queries, then N perturbed-point
+    queries, as a one-point estimate does.  (A stack over one key takes
+    each of the three queries for all rows in turn, so it is not n
+    one-point estimates in a row.)
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -388,11 +370,12 @@ def gsg_gradient(zeroth_oracle, x, sigma: float, num_directions: int, rng) -> np
         raise ValueError("num_directions must be >= 1")
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
-    f0, _ = zeroth_oracle(x, rng)
-    U = np.stack([g.standard_normal((num_directions, X.shape[1]))
-                  for g in ([rng] if x.ndim == 1 else rng)])
-    f, _ = zeroth_oracle((X[:, None, :] + sigma * U).reshape(-1, X.shape[1]), rng)
-    diffs = f.reshape(len(X), num_directions) - np.reshape(f0, (-1, 1))
+    n, dim = X.shape
+    f0, _ = zeroth_oracle(x, stream, phi=phi)
+    U = rngmod.normals(stream.words(n * num_directions, rngmod.normal_words(dim)),
+                       dim).reshape(n, num_directions, dim)
+    f, _ = zeroth_oracle((X[:, None, :] + sigma * U).reshape(-1, dim), stream)
+    diffs = f.reshape(n, num_directions) - np.reshape(f0, (-1, 1))
     g = (diffs[:, None, :] @ U)[:, 0, :] / (sigma * num_directions)
     return g[0] if x.ndim == 1 else g
 
@@ -407,8 +390,10 @@ class GsgFirstOracle:
         self.sigma = sigma
         self.num_directions = num_directions
 
-    def __call__(self, x, alpha, rng, grad=None) -> tuple[np.ndarray, np.ndarray]:
-        g = gsg_gradient(self.zeroth_oracle, x, self.sigma, self.num_directions, rng)
+    def __call__(self, x, alpha, stream, grad=None,
+                 phi=None) -> tuple[np.ndarray, np.ndarray]:
+        g = gsg_gradient(self.zeroth_oracle, x, self.sigma, self.num_directions,
+                         stream, phi)
         if grad is None:
             grad = self.problem.gradient(x) if np.ndim(x) == 1 else self.problem.gradients(x)
         return g, grad

@@ -30,7 +30,7 @@ from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               sample_one_sided_subexp)
 from aloe_lab.problems import (make_strongly_convex_quadratic,
                                make_synthetic_logistic)
-from aloe_lab.rng import probe_rng
+from aloe_lab.rng import probe_rng, probe_stream
 from aloe_lab.theory import azuma_tail, bernstein_tail, derive_constants
 
 QUAD_PARAMS = {"dim": 10, "lambda_min": 0.1, "lambda_max": 10.0, "seed": 7}
@@ -200,13 +200,13 @@ def test_acceptance_6a_prop2_minibatch_certification():
               0.5 * np.ones(4)]
     n_queries, stack = 10_000, 1000
     for j, x in enumerate(probes):
-        rng = probe_rng(60, j)
+        stream = probe_stream(60, j)
         grad = problem.gradient(x)
-        # stacks of copies of x, every row drawing from the probe's one
-        # generator in row order: the draws of one query after another
+        # stacks of copies of x over the probe's one key: consecutive
+        # queries, one after another
         hits = 0
         for _ in range(n_queries // stack):
-            g, _ = first(np.tile(x, (stack, 1)), alpha, [rng] * stack,
+            g, _ = first(np.tile(x, (stack, 1)), alpha, stream,
                          grad=np.tile(grad, (stack, 1)))
             hits += int(gradient_accurate(g, grad, alpha, eps_g, kappa).sum())
         assert binomial_frequency_test(hits, n_queries, 1 - delta), (j, hits)
@@ -217,12 +217,10 @@ def test_acceptance_6b_prop1_mgf_envelope():
     under the Prop-1 MGF envelope on a 20-point lambda grid."""
     nu_hat, b_hat, eps_hat, N = 0.2, 0.2, 0.5, 16
     eps_f, nu, b = prop1_subexp_params(nu_hat, b_hat, eps_hat, N)
-    rng = probe_rng(61)
     n_batches = 50_000
-    draws = np.array([
-        np.mean([sample_one_sided_subexp(nu_hat, b_hat, 0.1, rng)
-                 for _ in range(N)])
-        for _ in range(n_batches)])
+    u = probe_stream(61).uniforms(n_batches * N, 1)
+    draws = sample_one_sided_subexp(nu_hat, b_hat, 0.1, u).reshape(
+        n_batches, N).mean(axis=1)
     assert draws.mean() <= eps_f
     assert mgf_envelope_ok(draws, nu, b, n_lambdas=20)
 
@@ -245,12 +243,12 @@ def test_acceptance_6c_prop3_gsg_certification():
     assert params.eps_g == pytest.approx(
         2 * (2 * L * sigma + 2 * eps_f / sigma))
     oracle = GsgFirstOracle(quad, zeroth, sigma, params.num_directions)
-    rng = probe_rng(62)
+    stream = probe_stream(62)
     n_queries = 200
     estimates = []
     hits = 0
     for _ in range(n_queries):
-        g, exact = oracle(x, 1.0, rng)
+        g, exact = oracle(x, 1.0, stream)
         estimates.append(g)
         hits += gradient_accurate(g, exact, 1.0, params.eps_g, 0.0)
     assert binomial_frequency_test(hits, n_queries, 1 - delta)
@@ -315,7 +313,7 @@ class TestAcceptance8EstimatorRobustness:
                              eps_f_controller=ctrl)
         else:
             est0 = estimate_eps_f(zeroth, problem.x0, EstimatorConfig(),
-                                  probe_rng(seed, 99))
+                                  probe_stream(seed, 99))
             trace = aloe_run(problem, zeroth, first,
                              AloeParams(eps_f_input=mode * est0,
                                         max_iters=iters), seed)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -9,6 +10,7 @@ from aloe_lab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_STATISTICAL,
                           main, run, statistical_failures, write_trace_csv)
 from aloe_lab.config import ConfigError, config_digest, parse_config
 from aloe_lab.harness import TrialRow, run_trials
+from aloe_lab.problems import make_synthetic_logistic
 
 SMOKE = """
 [stopping]
@@ -417,6 +419,33 @@ class TestDemoConfigs:
         with open(out / "trace.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == parse_config(str(path)).params.max_iters
+
+
+class TestSmokeReproducible:
+    """demos/configs/smoke.ini gives the same CSVs for --jobs 1 and
+    --jobs 2, and the constants.txt pinned below, from the last commit that
+    drew oracle noise from numpy generators: the problem fixtures are data,
+    not oracle noise, and still come from numpy generators.  So do the
+    growth-constant probes of the logistic fixture, pinned likewise."""
+
+    CONSTANTS_SHA256 = ("0b7bfe8ff69a9544a220ee878c4f0a2e"
+                        "c6c7bc45035db55958d2a27a91a7c551")
+
+    def test_jobs_and_pinned_constants(self, tmp_path):
+        path = next(p for p in DEMO_CONFIGS if p.stem == "smoke")
+        outs = [tmp_path / "jobs1", tmp_path / "jobs2"]
+        assert run(str(path), str(outs[0]), quiet=True, jobs=1) == EXIT_OK
+        assert run(str(path), str(outs[1]), quiet=True, jobs=2) == EXIT_OK
+        for name in ("trials.csv", "summary.csv", "trace.csv", "constants.txt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        digest = hashlib.sha256((outs[0] / "constants.txt").read_bytes()).hexdigest()
+        assert digest == self.CONSTANTS_SHA256
+
+    def test_pinned_growth_constants(self):
+        _, dataset = make_synthetic_logistic(n_samples=256, dim=5, seed=11,
+                                             reg=0.01)
+        assert (dataset.M_c.hex(), dataset.M_v.hex()) == (
+            "0x1.b5655319e70cdp+1", "0x1.cd51d0196478ap+4")
 
 
 class TestCheckpointsOutsideBudget:

@@ -18,7 +18,7 @@ from aloe_lab.linesearch import AloeParams
 from aloe_lab.oracles import (FirstOracleSpec, SyntheticFirstOracle,
                               SyntheticZerothOracle, ZerothOracleSpec,
                               gradient_accurate)
-from aloe_lab.rng import probe_rng
+from aloe_lab.rng import probe_stream
 
 
 def exact_config(**overrides):
@@ -403,10 +403,10 @@ class TestCertification:
         x, n = np.ones(10), 1500
         report = certify_oracles(problem, zeroth, first, zspec, fspec, [x],
                                  alphas=(0.5,), n_queries=n, base_seed=3)
-        rng = probe_rng(3, 0)
+        stream = probe_stream(3, 0)
         errors = np.array([abs(est - phi) for est, phi in
-                           (zeroth(x, rng) for _ in range(n))])
-        hits = sum(gradient_accurate(*first(x, 0.5, rng), 0.5, fspec.eps_g,
+                           (zeroth(x, stream) for _ in range(n))])
+        hits = sum(gradient_accurate(*first(x, 0.5, stream), 0.5, fspec.eps_g,
                                      fspec.kappa) for _ in range(n))
         assert report.results[0].statistic == errors.mean()
         assert report.results[-1].statistic == hits / n

@@ -5,6 +5,7 @@ import pytest
 
 from aloe_lab import rng as rngmod
 from aloe_lab.estimation import EpochEpsFController, EstimatorConfig
+from aloe_lab.harness import certify_oracles
 from aloe_lab.linesearch import (AloeParams, Paths, Trace, TrialDivergedError,
                                  aloe_run, armijo_check, run_lockstep,
                                  step_update)
@@ -268,7 +269,7 @@ class TestEpsFController:
     def test_controller_values_recorded(self, quadratic10):
         zeroth, first = exact_oracles(quadratic10)
 
-        def controller(k, x, streams, phi):
+        def controller(k, x, stream, phi):
             return 0.5 if k < 10 else 0.25
 
         trace = aloe_run(quadratic10, zeroth, first,
@@ -321,21 +322,25 @@ class TestGroundTruthPasses:
     the start, however often the estimator queries the incumbent.  A
     stacked call counts one pass per row."""
 
-    def test_pass_count_per_trial(self):
-        problem, dataset = make_synthetic_logistic(n_samples=64, dim=4, seed=3)
+    @staticmethod
+    def counted(problem):
         calls = {"value": 0, "grad": 0}
 
-        def counted(kind, fn, rows=lambda x: 1):
+        def count(kind, fn, rows=lambda x: 1):
             def wrapper(x):
                 calls[kind] += rows(x)
                 return fn(x)
             return wrapper
 
-        problem = dataclasses.replace(
-            problem, value_fn=counted("value", problem.value_fn),
-            grad_fn=counted("grad", problem.grad_fn),
-            values_fn=counted("value", problem.values_fn, len),
-            grads_fn=counted("grad", problem.grads_fn, len))
+        return dataclasses.replace(
+            problem, value_fn=count("value", problem.value_fn),
+            grad_fn=count("grad", problem.grad_fn),
+            values_fn=count("value", problem.values_fn, len),
+            grads_fn=count("grad", problem.grads_fn, len)), calls
+
+    def test_pass_count_per_trial(self):
+        problem, dataset = make_synthetic_logistic(n_samples=64, dim=4, seed=3)
+        problem, calls = self.counted(problem)
         zeroth = MiniBatchZerothOracle(problem, dataset, 8)
         first = MiniBatchFirstOracle(problem, dataset, 8)
         params = AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=60)
@@ -348,35 +353,46 @@ class TestGroundTruthPasses:
         assert calls["value"] <= params.max_iters + 1
         assert calls["grad"] <= 1 + accepted
 
+    def test_gsg_takes_phi_at_x_from_the_engine(self, quadratic10):
+        # a Gaussian-smoothing gradient evaluates phi at its N perturbed
+        # points only; its query at x_k reads phi(x_k) from the engine
+        problem, calls = self.counted(quadratic10)
+        zeroth = SyntheticZerothOracle(
+            problem, ZerothOracleSpec(eps_f=0.01, mode="bounded"))
+        first = GsgFirstOracle(problem, zeroth, sigma=0.01, num_directions=8)
+        params = AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=20)
+        aloe_run(problem, zeroth, first, params, seed=4)
+        assert calls["value"] == 1 + params.max_iters * (8 + 1)
+
 
 class TestGeneratorBuilds:
-    def test_one_generator_per_purpose(self, quadratic10, monkeypatch):
-        # building a generator costs ~20 us, about as much as a whole
-        # iteration of the loop on a small problem
-        built = []
-        default_rng = np.random.default_rng
+    def test_a_trial_run_builds_no_numpy_generator(self, quadratic10, monkeypatch):
+        # the keyed streams are the only source of oracle noise, in a trial
+        # and in a certification
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy generator built for oracle noise")
 
-        def counting(seed):
-            built.append(seed)
-            return default_rng(seed)
-
-        monkeypatch.setattr(rngmod.np.random, "default_rng", counting)
-        zeroth = SyntheticZerothOracle(
-            quadratic10, ZerothOracleSpec(eps_f=0.01, mode="bounded"))
-        first = SyntheticFirstOracle(
-            quadratic10, FirstOracleSpec(eps_g=0.01, kappa=0.5, delta=0.05))
+        zspec = ZerothOracleSpec(eps_f=0.01, mode="bounded")
+        fspec = FirstOracleSpec(eps_g=0.01, kappa=0.5, delta=0.05)
+        zeroth = SyntheticZerothOracle(quadratic10, zspec)
+        first = SyntheticFirstOracle(quadratic10, fspec)
         controller = EpochEpsFController(zeroth, EstimatorConfig(refresh_period=10))
-        aloe_run(quadratic10, zeroth, first, AloeParams(max_iters=100), seed=3,
-                 eps_f_controller=controller)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        trace = aloe_run(quadratic10, zeroth, first, AloeParams(max_iters=100),
+                         seed=3, eps_f_controller=controller)
         assert len(controller.history) == 10
-        assert len(built) <= 4
+        assert (trace.e_curr > 0).all()
+        report = certify_oracles(quadratic10, zeroth, first, zspec, fspec,
+                                 [np.ones(10)], alphas=(0.5,), n_queries=100)
+        assert len(report.results) == 2
 
 
 @pytest.mark.parametrize("seed", [5, 42])
 class TestStreamContract:
-    """Each purpose's generator is drawn in iteration order, and no oracle's
-    draw count depends on x, alpha or accept/reject, so the noise of
-    iteration k depends on the seed and k alone."""
+    """Each purpose is one key per trial, every query of a purpose takes the
+    same number of queries of that key, and a query's words depend on the
+    key and the query counter alone, so the noise of iteration k depends on
+    the seed and k alone."""
 
     @staticmethod
     def run(problem, seed, estimator=None, **params):
@@ -394,8 +410,8 @@ class TestStreamContract:
     @staticmethod
     def assert_same_noise(a, b):
         # e = |(phi + noise) - phi| carries the rounding of phi, which moves
-        # with the path; a draw from another place in a stream would differ
-        # in its leading digits
+        # with the path; a word from another query would differ in its
+        # leading digits
         np.testing.assert_allclose([a.e_curr, a.e_plus], [b.e_curr, b.e_plus],
                                    rtol=1e-9, atol=0)
 
@@ -423,3 +439,30 @@ class TestStreamContract:
         assert set(fixed.paths.eps_f[0].tolist()) == {0.01}
         assert len(set(estimated.paths.eps_f[0].tolist())) == 6
         self.assert_same_noise(fixed, estimated)
+
+    def test_query_is_a_function_of_key_and_counter(self, seed):
+        # query q of key (seed, F_CURR): alone, as row 3 of a four-key
+        # stack, as one of a key's consecutive queries, and after queries
+        # of other widths on this key and on another purpose
+        q, width = 7, 5
+        alone = rngmod.KeyedStream([seed], rngmod.F_CURR)
+        alone.words(q, 1)
+        want = alone.words(1, width)[0]
+        block = rngmod.KeyedStream([seed + 9, seed + 2, seed + 4, seed],
+                                   rngmod.F_CURR)
+        for _ in range(q):
+            block.words(4, 2)
+        other = rngmod.KeyedStream([seed], rngmod.GRAD)
+        other.words(3, 64)
+        assert np.array_equal(block.words(4, width)[3], want)
+        runs = rngmod.KeyedStream([seed], rngmod.F_CURR)
+        assert np.array_equal(runs.words(q + 3, width)[q], want)
+        # earlier queries of any widths take one counter step each
+        mixed = rngmod.KeyedStream([seed], rngmod.F_CURR)
+        for w in (1, 9, 2, 64, 3, 1, 2):
+            mixed.words(1, w)
+        assert np.array_equal(mixed.words(1, width)[0], want)
+        # a narrower query of the same counter reads a prefix of its words
+        prefix = rngmod.KeyedStream([seed], rngmod.F_CURR)
+        prefix.words(q, width)
+        assert np.array_equal(prefix.words(1, 2)[0], want[:2])

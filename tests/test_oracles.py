@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aloe_lab import oracles
+from aloe_lab import rng as rngmod
 from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               MiniBatchFirstOracle, MiniBatchZerothOracle,
                               OracleParameterError, SyntheticFirstOracle,
@@ -14,9 +15,9 @@ from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               prop2_sample_size, prop3_params,
                               sample_one_sided_subexp)
 from aloe_lab.harness import mgf_envelope_ok
-from aloe_lab.problems import (DimensionMismatchError, make_linear,
-                               make_strongly_convex_quadratic,
+from aloe_lab.problems import (make_linear, make_strongly_convex_quadratic,
                                make_synthetic_logistic)
+from aloe_lab.rng import GRAD, KeyedStream, probe_stream
 
 
 @pytest.fixture(scope="module")
@@ -56,19 +57,18 @@ class TestZerothSpec:
 class TestSyntheticZeroth:
     def test_exact_mode_zero_error(self, quadratic):
         oracle = SyntheticZerothOracle(quadratic, ZerothOracleSpec())
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(5)
-        est, phi = oracle(x, rng)
+        x = np.random.default_rng(0).standard_normal(5)
+        est, phi = oracle(x, probe_stream(0))
         assert est == quadratic.value(x)
         assert abs(est - phi) == 0.0
 
     def test_bounded_mode_never_exceeds_eps_f(self, quadratic):
         spec = ZerothOracleSpec(eps_f=0.3, mode="bounded")
         oracle = SyntheticZerothOracle(quadratic, spec)
-        rng = np.random.default_rng(1)
+        stream = probe_stream(1)
         x = np.ones(5)
         errs = np.array([abs(est - phi) for est, phi
-                         in (oracle(x, rng) for _ in range(5000))])
+                         in (oracle(x, stream) for _ in range(5000))])
         assert errs.max() <= 0.3
         # uniform on [0, eps_f]: mean eps_f / 2
         assert errs.mean() == pytest.approx(0.15, abs=0.01)
@@ -77,10 +77,10 @@ class TestSyntheticZeroth:
         spec = ZerothOracleSpec(eps_f=0.2, nu=0.1, b=0.1,
                                 mode="subexponential", mean_error=0.1)
         oracle = SyntheticZerothOracle(quadratic, spec)
-        rng = np.random.default_rng(2)
+        stream = probe_stream(2)
         x = np.ones(5)
         errs = np.array([abs(est - phi) for est, phi
-                         in (oracle(x, rng) for _ in range(20000))])
+                         in (oracle(x, stream) for _ in range(20000))])
         assert errs.mean() == pytest.approx(0.1, abs=0.005)
         assert errs.mean() <= spec.eps_f
 
@@ -100,7 +100,7 @@ class TestStackedZeroth:
     def errors(self, quadratic, spec, seed, m=20_000):
         oracle = SyntheticZerothOracle(quadratic, spec)
         X = np.ones(5) + np.random.default_rng(seed).standard_normal((m, 5))
-        est, phi = oracle(X, np.random.default_rng(seed + 1))
+        est, phi = oracle(X, probe_stream(seed + 1))
         assert est.shape == phi.shape == (m,)
         np.testing.assert_allclose(phi[:50], [quadratic.value(x) for x in X[:50]],
                                    rtol=1e-12)
@@ -127,54 +127,60 @@ class TestStackedZeroth:
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_draw_count_does_not_depend_on_x(self, quadratic, mode):
         oracle = SyntheticZerothOracle(quadratic, MODES[mode])
-        states = []
+        after = []
         for X in (np.zeros((7, 5)), 1e3 * np.ones((7, 5))):
-            rng = np.random.default_rng(24)
-            oracle(X, rng)
-            states.append(rng.bit_generator.state)
-        assert states[0] == states[1]
-
-    def test_minibatch_oracle_rejects_a_stack(self, logistic):
-        problem, dataset = logistic
-        oracle = MiniBatchZerothOracle(problem, dataset, batch_size=8)
-        with pytest.raises(DimensionMismatchError):
-            oracle(np.ones((4, 4)), np.random.default_rng(25))
+            stream = probe_stream(24)
+            oracle(X, stream)
+            after.append((stream.count, stream.words(1, 1).tolist()))
+        assert after[0] == after[1] and after[0][0] == 7
 
 
 class TestRowGenerators:
-    """A stack with one generator per row answers, row by row, exactly what
-    one-point queries with those generators answer, and leaves each
-    generator where they leave it."""
+    """A stack over one key per row answers, row by row, exactly what
+    one-point queries of those keys answer, and a stack over one key
+    answers what that key's consecutive one-point queries answer (not so
+    for the Gaussian-smoothing oracle, whose query is three queries, each
+    taken for the whole stack in turn).  Every key ends at the query count
+    its one-point queries leave it at."""
 
     @staticmethod
-    def compare(query, X, seeds, *, known=None):
-        point_gens = [np.random.default_rng(s) for s in seeds]
-        row_gens = [np.random.default_rng(s) for s in seeds]
-        alone = [query(x, g, *([] if known is None else [known[r]]))
-                 for r, (x, g) in enumerate(zip(X, point_gens))]
-        est, exact = query(X, row_gens, *([] if known is None else [known]))
-        for r, (e, t) in enumerate(alone):
-            assert np.array_equal(est[r], e) and np.array_equal(exact[r], t), r
-        assert ([g.bit_generator.state for g in point_gens]
-                == [g.bit_generator.state for g in row_gens])
+    def compare(query, X, seeds, *, known=None, consecutive=True):
+        def given(r=None):
+            return [] if known is None else [known if r is None else known[r]]
+
+        def assert_rows(stacked, points):
+            est, exact = stacked
+            for r, (e, t) in enumerate(points):
+                assert np.array_equal(est[r], e) and np.array_equal(exact[r], t), r
+
+        point_streams = [KeyedStream([s], GRAD) for s in seeds]
+        rows = KeyedStream(seeds, GRAD)
+        assert_rows(query(X, rows, *given()),
+                    [query(x, st, *given(r))
+                     for r, (x, st) in enumerate(zip(X, point_streams))])
+        assert {st.count for st in point_streams} == {rows.count}
+        if consecutive:
+            one = KeyedStream([seeds[0]], GRAD)
+            assert_rows(query(X, KeyedStream([seeds[0]], GRAD), *given()),
+                        [query(x, one, *given(r)) for r, x in enumerate(X)])
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_synthetic_zeroth(self, quadratic, mode):
         oracle = SyntheticZerothOracle(quadratic, MODES[mode])
         X = np.random.default_rng(40).standard_normal((6, 5))
-        self.compare(lambda x, g, *phi: oracle(x, g, *phi), X, range(6))
+        self.compare(lambda x, st, *phi: oracle(x, st, *phi), X, range(6))
         # a known exact value is used, not recomputed
         phi = quadratic.values(X)
-        self.compare(lambda x, g, *p: oracle(x, g, *p), X, range(6), known=phi)
+        self.compare(lambda x, st, *p: oracle(x, st, *p), X, range(6), known=phi)
 
     def test_synthetic_first(self, quadratic):
         oracle = SyntheticFirstOracle(quadratic, FirstOracleSpec(
             eps_g=0.05, kappa=0.5, delta=0.4))
         X = np.random.default_rng(41).standard_normal((12, 5))
         alphas = np.linspace(0.1, 1.0, 12)
-        point_alpha = iter(alphas)
-        self.compare(lambda x, g, *grad: oracle(
-            x, alphas if np.ndim(x) == 2 else next(point_alpha), g, *grad),
+        point_alpha = iter(np.tile(alphas, 2))
+        self.compare(lambda x, st, *grad: oracle(
+            x, alphas if np.ndim(x) == 2 else next(point_alpha), st, *grad),
             X, range(12))
 
     @pytest.mark.parametrize("gather", [1 << 14, 16], ids=["one_pass", "chunked"])
@@ -186,16 +192,17 @@ class TestRowGenerators:
         zeroth = MiniBatchZerothOracle(problem, dataset, batch_size=8)
         first = MiniBatchFirstOracle(problem, dataset, batch_size=8)
         X = np.random.default_rng(42).standard_normal((5, 4))
-        self.compare(lambda x, g: zeroth(x, g), X, range(5))
-        self.compare(lambda x, g: first(x, 0.5, g), X, range(5))
+        self.compare(lambda x, st: zeroth(x, st), X, range(5))
+        self.compare(lambda x, st: first(x, 0.5, st), X, range(5))
         with pytest.raises(ValueError):
-            zeroth(X, [np.random.default_rng(0)] * 4)
+            zeroth(X, KeyedStream(range(2), GRAD))
 
     def test_gsg(self, quadratic):
         zeroth = SyntheticZerothOracle(quadratic, MODES["bounded"])
         oracle = GsgFirstOracle(quadratic, zeroth, sigma=0.01, num_directions=16)
         X = np.random.default_rng(43).standard_normal((4, 5))
-        self.compare(lambda x, g: oracle(x, 0.5, g), X, range(4))
+        self.compare(lambda x, st: oracle(x, 0.5, st), X, range(4),
+                     consecutive=False)
 
     def test_stacked_accuracy_test_is_the_point_test(self, quadratic):
         rng = np.random.default_rng(44)
@@ -211,38 +218,34 @@ class TestSubexpSampler:
     @pytest.mark.parametrize("nu,b,mean", [(0.1, 0.1, 0.05), (0.05, 0.0, 0.1),
                                            (0.0, 0.0, 0.05), (0.1, 0.1, 0.0)])
     def test_block_is_the_scalar_draws(self, nu, b, mean):
-        block = sample_one_sided_subexp(nu, b, mean, np.random.default_rng(6),
-                                        size=500)
-        rng = np.random.default_rng(6)
-        scalars = [sample_one_sided_subexp(nu, b, mean, rng) for _ in range(500)]
+        u = probe_stream(6).uniforms(500, 1)[:, 0]
+        block = sample_one_sided_subexp(nu, b, mean, u)
+        scalars = [sample_one_sided_subexp(nu, b, mean, v) for v in u.tolist()]
         assert block.shape == (500,)
         assert block.tolist() == scalars
 
     def test_degenerate_point_mass(self):
-        rng = np.random.default_rng(0)
-        assert sample_one_sided_subexp(0.0, 0.0, 0.05, rng) == 0.05
+        assert sample_one_sided_subexp(0.0, 0.0, 0.05, 0.3) == 0.05
 
     def test_zero_mean(self):
-        rng = np.random.default_rng(0)
-        assert sample_one_sided_subexp(0.1, 0.1, 0.0, rng) == 0.0
+        assert sample_one_sided_subexp(0.1, 0.1, 0.0, 0.3) == 0.0
 
     def test_two_point_law_when_b_zero(self):
-        rng = np.random.default_rng(3)
-        draws = {round(sample_one_sided_subexp(0.05, 0.0, 0.1, rng), 12)
-                 for _ in range(200)}
+        u = probe_stream(3).uniforms(200, 1)[:, 0]
+        draws = {round(v, 12) for v in
+                 sample_one_sided_subexp(0.05, 0.0, 0.1, u).tolist()}
         assert draws == {0.05, 0.15}
 
     def test_nonnegative(self):
-        rng = np.random.default_rng(4)
-        for _ in range(1000):
-            assert sample_one_sided_subexp(0.2, 0.3, 0.1, rng) >= 0.0
+        u = probe_stream(4).uniforms(1000, 1)[:, 0]
+        assert (sample_one_sided_subexp(0.2, 0.3, 0.1, u) >= 0.0).all()
+        assert sample_one_sided_subexp(0.2, 0.3, 0.1, 0.0) == 0.0
 
     @pytest.mark.parametrize("nu,b,mean", [(0.1, 0.1, 0.05), (0.3, 0.2, 0.2)])
     def test_mgf_envelope(self, nu, b, mean):
-        rng = np.random.default_rng(5)
         n = 200_000
-        samples = np.array([sample_one_sided_subexp(nu, b, mean, rng)
-                            for _ in range(n)])
+        samples = sample_one_sided_subexp(nu, b, mean,
+                                          probe_stream(5).uniforms(n, 1)[:, 0])
         centered = samples - mean
         hi = 1.0 / b
         for lam in np.linspace(hi / 10, hi, 10):
@@ -255,19 +258,19 @@ class TestSyntheticFirst:
     def test_delta_zero_event_always_holds(self, quadratic):
         spec = FirstOracleSpec(eps_g=0.05, kappa=0.5, delta=0.0)
         oracle = SyntheticFirstOracle(quadratic, spec)
-        rng = np.random.default_rng(6)
+        rng, stream = np.random.default_rng(6), probe_stream(6)
         for _ in range(500):
             x = rng.standard_normal(5)
-            g, grad = oracle(x, 0.7, rng)
+            g, grad = oracle(x, 0.7, stream)
             assert gradient_accurate(g, grad, 0.7, spec.eps_g, spec.kappa)
 
     def test_event_frequency_at_least_one_minus_delta(self, quadratic):
         spec = FirstOracleSpec(eps_g=0.05, kappa=0.5, delta=0.1)
         oracle = SyntheticFirstOracle(quadratic, spec)
-        rng = np.random.default_rng(7)
+        stream = probe_stream(7)
         x = np.ones(5)
         n = 10_000
-        hits = sum(gradient_accurate(*oracle(x, 0.3, rng), 0.3, spec.eps_g, spec.kappa)
+        hits = sum(gradient_accurate(*oracle(x, 0.3, stream), 0.3, spec.eps_g, spec.kappa)
                    for _ in range(n))
         # binomial(n, 0.9) three-sigma band around the mean
         assert hits >= n * 0.9 - 3 * math.sqrt(n * 0.9 * 0.1)
@@ -276,12 +279,12 @@ class TestSyntheticFirst:
         spec = FirstOracleSpec(eps_g=0.01, kappa=0.1, delta=0.5,
                                corruption_scale=10.0, corruption_base=10.0)
         oracle = SyntheticFirstOracle(quadratic, spec)
-        rng = np.random.default_rng(8)
+        stream = probe_stream(8)
         x = np.ones(5)
         grad_norm = np.linalg.norm(quadratic.gradient(x))
         failures = 0
         for _ in range(2000):
-            g, grad = oracle(x, 0.3, rng)
+            g, grad = oracle(x, 0.3, stream)
             if not gradient_accurate(g, grad, 0.3, spec.eps_g, spec.kappa):
                 failures += 1
                 assert np.linalg.norm(g - grad) == pytest.approx(10.0 + 10.0 * grad_norm)
@@ -313,20 +316,20 @@ class TestMiniBatch:
         problem, dataset = logistic
         z = MiniBatchZerothOracle(problem, dataset, batch_size=16)
         f = MiniBatchFirstOracle(problem, dataset, batch_size=16)
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal(4)
-        est, phi = z(x, rng)
+        stream = probe_stream(10)
+        x = np.random.default_rng(10).standard_normal(4)
+        est, phi = z(x, stream)
         assert abs(est - phi) == pytest.approx(abs(est - problem.value(x)))
-        g, grad = f(x, 0.5, rng)
+        g, grad = f(x, 0.5, stream)
         assert np.linalg.norm(g - grad) == pytest.approx(
             np.linalg.norm(g - problem.gradient(x)))
 
     def test_gradient_mean_unbiased(self, logistic):
         problem, dataset = logistic
         f = MiniBatchFirstOracle(problem, dataset, batch_size=8)
-        rng = np.random.default_rng(11)
+        stream = probe_stream(11)
         x = np.ones(4)
-        mean = np.mean([f(x, 0.5, rng)[0] for _ in range(4000)], axis=0)
+        mean = np.mean([f(x, 0.5, stream)[0] for _ in range(4000)], axis=0)
         np.testing.assert_allclose(mean, problem.gradient(x), atol=0.02)
 
     def test_batch_size_validation(self, logistic):
@@ -394,30 +397,30 @@ class TestGsg:
         c = np.array([1.0, -1.0, 2.0])
         problem = make_linear(c)
         oracle = SyntheticZerothOracle(problem, ZerothOracleSpec())
-        rng = np.random.default_rng(12)
-        mean = np.mean([gsg_gradient(oracle, np.zeros(3), 0.5, 8, rng)
+        stream = probe_stream(12)
+        mean = np.mean([gsg_gradient(oracle, np.zeros(3), 0.5, 8, stream)
                         for _ in range(3000)], axis=0)
         np.testing.assert_allclose(mean, c, atol=0.05)
 
     def test_parameter_validation(self):
         problem = make_linear(np.ones(2))
         oracle = SyntheticZerothOracle(problem, ZerothOracleSpec())
-        rng = np.random.default_rng(0)
+        stream = probe_stream(0)
         with pytest.raises(ValueError):
-            gsg_gradient(oracle, np.zeros(2), 0.0, 4, rng)
+            gsg_gradient(oracle, np.zeros(2), 0.0, 4, stream)
         with pytest.raises(ValueError):
-            gsg_gradient(oracle, np.zeros(2), 0.1, 0, rng)
+            gsg_gradient(oracle, np.zeros(2), 0.1, 0, stream)
 
     def test_matches_the_direction_loop(self, quadratic):
         # exact mode makes the noise draws irrelevant to the values, so the
         # one-point-per-direction loop over the same U is the reference
         oracle = SyntheticZerothOracle(quadratic, MODES["exact"])
         x, sigma, n = np.ones(5), 0.01, 32
-        got = gsg_gradient(oracle, x, sigma, n, np.random.default_rng(15))
-        rng = np.random.default_rng(15)
-        f0, _ = oracle(x, rng)
-        U = rng.standard_normal((n, 5))
-        want = sum((oracle(x + sigma * u, rng)[0] - f0) * u for u in U) / (sigma * n)
+        got = gsg_gradient(oracle, x, sigma, n, probe_stream(15))
+        stream = probe_stream(15)
+        f0, _ = oracle(x, stream)
+        U = rngmod.normals(stream.words(n, rngmod.normal_words(5)), 5)
+        want = sum((oracle(x + sigma * u, stream)[0] - f0) * u for u in U) / (sigma * n)
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_two_zeroth_calls_per_query(self, quadratic):
@@ -425,23 +428,22 @@ class TestGsg:
         zeroth = SyntheticZerothOracle(quadratic, MODES["bounded"])
         shapes = []
 
-        def counting(x, rng):
+        def counting(x, stream, phi=None):
             shapes.append(np.shape(x))
-            return zeroth(x, rng)
+            return zeroth(x, stream, phi)
 
         oracle = GsgFirstOracle(quadratic, counting, sigma=0.01,
                                 num_directions=64)
-        rng = np.random.default_rng(14)
+        stream = probe_stream(14)
         for _ in range(3):
-            oracle(np.ones(5), 0.5, rng)
+            oracle(np.ones(5), 0.5, stream)
         assert shapes == [(5,), (64, 5)] * 3
 
     def test_gsg_oracle_logs_event(self, quadratic):
         zeroth = SyntheticZerothOracle(quadratic, ZerothOracleSpec())
         oracle = GsgFirstOracle(quadratic, zeroth, sigma=0.01,
                                 num_directions=512)
-        rng = np.random.default_rng(13)
-        g, grad = oracle(np.ones(5), 0.5, rng)
+        g, grad = oracle(np.ones(5), 0.5, probe_stream(13))
         assert isinstance(gradient_accurate(g, grad, 0.5, 2.0, 0.0), bool)
 
 
