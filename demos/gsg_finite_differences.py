@@ -43,16 +43,15 @@ def main():
 
     oracle = GsgFirstOracle(problem, zeroth, float(sigma),
                             params.num_directions)
-    stream = probe_stream(42)
     n_queries = 50
-    hits = errs = 0.0
-    for _ in range(n_queries):
-        g, grad = oracle(x, 1.0, stream)
-        hits += gradient_accurate(g, grad, 1.0, params.eps_g, 0.0)
-        errs += np.linalg.norm(g - grad)
+    # oracles answer (m, dim) stacks: 50 copies of x are 50 consecutive
+    # queries of the stream's one key, answered in one call
+    g, grad = oracle(np.tile(x, (n_queries, 1)), 1.0, probe_stream(42))
+    hits = gradient_accurate(g, grad, 1.0, params.eps_g, 0.0)
+    errs = np.linalg.norm(g - grad, axis=1)
     print(f"{n_queries} probe queries: accuracy event in "
-          f"{hits / n_queries:.0%} (target >= {1 - delta:.0%}), "
-          f"mean error {errs / n_queries:.4f} vs eps_g {params.eps_g:.4f}\n")
+          f"{hits.mean():.0%} (target >= {1 - delta:.0%}), "
+          f"mean error {errs.mean():.4f} vs eps_g {params.eps_g:.4f}\n")
 
     trace = aloe_run(problem, zeroth, oracle,
                      AloeParams(eps_f_input=eps_f, max_iters=40), seed=0)

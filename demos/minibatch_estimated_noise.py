@@ -53,8 +53,9 @@ def main():
     print(f"  slack trajectory: {first_est:.4g} (iter {k0}) -> "
           f"{last_est:.4g} (iter {kl})\n")
 
-    est0 = estimate_eps_f(zeroth, problem.x0, EstimatorConfig(),
-                          probe_stream(seed, 99))
+    # x0 as a stack of one gives one estimate
+    (est0,) = estimate_eps_f(zeroth, problem.x0[None], EstimatorConfig(),
+                             probe_stream(seed, 99))
     print(f"one-shot estimate at x0: {est0:.4g}")
     for mult in (0.5, 1.0, 2.0):
         trace = aloe_run(problem, zeroth, first,

@@ -3,8 +3,10 @@
 When the zeroth-order oracle's mean error is unknown, the acceptance-test
 slack is set to a small multiple of the empirical standard deviation of
 repeated oracle calls at the incumbent point, refreshed once per epoch.
-A refresh is one stacked query: n_calls copies of each incumbent, which
-are n_calls consecutive queries of that trial's EPS_EST key.
+Incumbents come as an (n, dim) stack, one row per trial, and a refresh is
+one stacked query: n_calls copies of each row, which are n_calls
+consecutive queries of that trial's EPS_EST key.  One point is a stack of
+one.
 """
 
 from dataclasses import dataclass
@@ -27,22 +29,21 @@ class EstimatorConfig:
             raise ValueError("refresh_period must be >= 1")
 
 
-def estimate_eps_f(zeroth_oracle, x, config: EstimatorConfig, stream, phi=None):
-    """scale_factor times the sample standard deviation (ddof 1) of
-    `n_calls` independent oracle values at x.
+def estimate_eps_f(zeroth_oracle, X, config: EstimatorConfig, stream,
+                   phi=None) -> np.ndarray:
+    """Per row of an (n, dim) stack X, scale_factor times the sample
+    standard deviation (ddof 1) of `n_calls` independent oracle values at
+    that row: (n,).
 
-    One stacked query of n_calls copies of x, consecutive queries of
-    `stream`'s key: a point gives a float.  An (n, dim) stack over n keys
-    gives n estimates from one query of n * n_calls rows.  `phi`, the exact
-    values at x when the caller knows them, is handed to it.
+    One stacked query of n * n_calls rows, n_calls copies of each row of X,
+    which are n_calls consecutive queries of that row's key of `stream`.
+    `phi`, the exact values at X when the caller knows them, is handed to
+    it.  The oracle rejects an X of any other shape.
     """
     m = config.n_calls
-    X = np.atleast_2d(x)
     known = {} if phi is None else {"phi": np.repeat(phi, m)}
     values, _ = zeroth_oracle(np.repeat(X, m, axis=0), stream, **known)
-    est = config.scale_factor * np.std(np.reshape(values, (len(X), m)), axis=1,
-                                       ddof=1)
-    return float(est[0]) if np.ndim(x) == 1 else est
+    return config.scale_factor * np.std(values.reshape(-1, m), axis=1, ddof=1)
 
 
 class EpochEpsFController:
@@ -52,19 +53,18 @@ class EpochEpsFController:
 
     Called as ``controller(k, X, stream, phi)`` with the (n, dim)
     incumbents of a block, the block's EPS_EST stream and the exact values
-    at X; returns the n slacks.  A point with a one-key stream gives a
-    float."""
+    at X; returns the n slacks."""
 
     def __init__(self, zeroth_oracle, config: EstimatorConfig, scale: float = 1.0):
         self.zeroth_oracle = zeroth_oracle
         self.config = config
         self.scale = scale
         self._current = 0.0
-        self.history: list[tuple[int, object]] = []
+        self.history: list[tuple[int, np.ndarray]] = []
 
-    def __call__(self, k: int, x, stream, phi=None):
+    def __call__(self, k: int, X, stream, phi=None):
         if k % self.config.refresh_period == 0:
-            est = estimate_eps_f(self.zeroth_oracle, x, self.config, stream, phi)
+            est = estimate_eps_f(self.zeroth_oracle, X, self.config, stream, phi)
             self._current = self.scale * est
             self.history.append((k, self._current))
         return self._current

@@ -9,20 +9,23 @@ Three families are provided:
 * randomized finite-difference (Gaussian smoothing) gradient estimators
   built from the zeroth-order oracle.
 
-Oracles are callables that return the estimate together with the exact
-value it estimates: zeroth ``oracle(x, stream, phi=None) -> (f, phi(x))``,
-first ``oracle(x, alpha, stream, grad=None, phi=None) -> (g, grad phi(x))``.
-A caller that already knows the exact value passes it as `phi` / `grad` and
-the oracle uses it instead of evaluating the problem again; a first-order
-oracle built from zeroth-order queries hands `phi` on to its query at x.
+Oracles are callables that take an (m, dim) stack X of points, m queries,
+and return the m estimates together with the exact values they estimate:
+zeroth ``oracle(X, stream, phi=None) -> (f, phi(X))``, (m,) each, first
+``oracle(X, alpha, stream, grad=None, phi=None) -> (g, grad phi(X))``,
+(m, dim) each, with alpha a scalar or one value per row.  One point is a
+stack of one.  Any other shape of X raises `DimensionMismatchError`, also
+when the exact values are given.  A caller that already knows the exact
+values passes them as `phi` / `grad` and the oracle uses them instead of
+evaluating the problem again; a first-order oracle built from
+zeroth-order queries hands `phi` on to its query at X.
 
-The noise comes from `stream`, an `rng.KeyedStream`.  A point x of shape
-(dim,) is one query and gives one answer; an (m, dim) stack is m queries
-and gives m answers, row r taking its words as described in `rng`: with
-one key per trial that is one query of each trial, with one key it is m
-consecutive queries of that key.  Every query of an oracle reads a fixed
-number of words, set by the oracle and dim alone, never by x, alpha or
-the values drawn:
+The noise comes from `stream`, an `rng.KeyedStream`.  Row r of a stack
+takes its words as described in `rng`: with one key per trial that is one
+query of each trial, with one key it is m consecutive queries of that key;
+either way row r answers what the stack of one of that row answers at that
+key's query.  Every query of an oracle reads a fixed number of words, set
+by the oracle and dim alone, never by x, alpha or the values drawn:
 
 * synthetic zeroth order: 2 (the error, then the sign);
 * synthetic first order: 2 + ceil(dim / 2) (the failure coin, the radius
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .problems import ErmDataset, ProblemInstance, _mean_ascending, row_dots
+from .problems import ErmDataset, ProblemInstance, row_dots
 
 ZEROTH_MODES = ("exact", "bounded", "subexponential")
 
@@ -123,15 +126,13 @@ def accurate_from_norms(error_norm, g_norm, alpha, eps_g: float, kappa: float):
     return error_norm <= np.maximum(eps_g, kappa * alpha * g_norm)
 
 
-def gradient_accurate(g, grad, alpha, eps_g: float, kappa: float):
+def gradient_accurate(G, grad, alpha, eps_g: float, kappa: float) -> np.ndarray:
     """The first-order accuracy event ||g - grad|| <= max{eps_g,
-    kappa alpha ||g||}.  A point gives a bool; (m, dim) stacks give an (m,)
-    bool array, with alpha a scalar or one value per row."""
-    G = np.atleast_2d(g)
+    kappa alpha ||g||} of each row of (m, dim) stacks, as an (m,) bool
+    array, with alpha a scalar or one value per row."""
     D = G - grad
-    ok = accurate_from_norms(np.sqrt(row_dots(D, D)), np.sqrt(row_dots(G, G)),
-                             alpha, eps_g, kappa)
-    return bool(ok[0]) if np.ndim(g) == 1 else ok
+    return accurate_from_norms(np.sqrt(row_dots(D, D)), np.sqrt(row_dots(G, G)),
+                               alpha, eps_g, kappa)
 
 
 def sample_one_sided_subexp(nu: float, b: float, target_mean: float, u):
@@ -160,8 +161,7 @@ def sample_one_sided_subexp(nu: float, b: float, target_mean: float, u):
 class SyntheticZerothOracle:
     """Noise injector around the exact value; |f - phi| follows the
     configured one-sided sub-exponential law, with a fair-coin
-    perturbation sign.  A point gives floats (f, phi), a stack (m,)
-    arrays."""
+    perturbation sign."""
 
     def __init__(self, problem: ProblemInstance, spec: ZerothOracleSpec):
         self.problem = problem
@@ -171,11 +171,11 @@ class SyntheticZerothOracle:
         self._cap = min(spec.eps_f, 2 * spec.target_mean)
         self._mean = spec.target_mean
 
-    def __call__(self, x, stream, phi=None):
-        point = np.ndim(x) == 1
+    def __call__(self, X, stream, phi=None):
+        X = self.problem.check_stack(X)
         if phi is None:
-            phi = self.problem.value(x) if point else self.problem.values(x)
-        u = stream.uniforms(1 if point else len(x), 2)
+            phi = self.problem.values(X)
+        u = stream.uniforms(len(X), 2)
         mode = self.spec.mode
         if mode == "exact":
             e = 0.0
@@ -185,7 +185,7 @@ class SyntheticZerothOracle:
             e = sample_one_sided_subexp(self.spec.nu, self.spec.b, self._mean,
                                         u[:, 0])
         noise = (2.0 * (u[:, 1] < 0.5) - 1.0) * e
-        return (phi + noise[0] if point else phi + noise), phi
+        return phi + noise, phi
 
 
 class SyntheticFirstOracle:
@@ -197,14 +197,14 @@ class SyntheticFirstOracle:
         self.problem = problem
         self.spec = spec
 
-    def __call__(self, x, alpha, stream, grad=None,
+    def __call__(self, X, alpha, stream, grad=None,
                  phi=None) -> tuple[np.ndarray, np.ndarray]:
-        point = np.ndim(x) == 1
+        X = self.problem.check_stack(X)
         if grad is None:
-            grad = self.problem.gradient(x) if point else self.problem.gradients(x)
+            grad = self.problem.gradients(X)
         spec = self.spec
-        G = np.atleast_2d(grad)
-        m, dim = G.shape
+        G = np.asarray(grad, dtype=float)
+        m, dim = X.shape
         W = stream.words(m, 2 + rngmod.normal_words(dim))
         coin, frac = rngmod.uniform(W[:, :2]).T
         U = rngmod.normals(W[:, 2:], dim)
@@ -221,35 +221,28 @@ class SyntheticFirstOracle:
         rho = np.where(coin < spec.delta,
                        spec.corruption_base + spec.corruption_scale * gnorm,
                        frac * np.maximum(spec.eps_g, ka * gnorm / (1.0 + ka)))
-        g = G + rho[:, None] * U
-        return (g[0], grad) if point else (g, grad)
+        return G + rho[:, None] * U, grad
 
 
 # ---------------------------------------------------------------------------
 # Mini-batch oracles
 
 
-def minibatch_value(dataset: ErmDataset, x, batch):
-    """Mean per-sample loss over the given index list.  An (m, dim) stack
-    of points with an (m, k) batch, one index row per point, gives the m
-    means, each with the bits of its one-point call."""
-    batch = np.asarray(batch)
-    if batch.size == 0:
+def minibatch_value(dataset: ErmDataset, X, batches) -> np.ndarray:
+    """Mean per-sample loss of each row of an (m, dim) stack over its row
+    of an (m, k) index array: (m,)."""
+    batches = np.asarray(batches)
+    if batches.size == 0:
         raise ValueError("batch must be nonempty")
-    losses = dataset.losses(x, batch)
-    if np.ndim(x) == 1:
-        return _mean_ascending(losses)
-    return np.add.reduce(losses, axis=1) / batch.shape[1]
+    return np.add.reduce(dataset.losses(X, batches), axis=1) / batches.shape[1]
 
 
-def minibatch_gradient(dataset: ErmDataset, x, batch) -> np.ndarray:
-    """Mean per-sample gradient over the given index list; stacks as in
-    `minibatch_value`."""
-    batch = np.asarray(batch)
-    if batch.size == 0:
+def minibatch_gradient(dataset: ErmDataset, X, batches) -> np.ndarray:
+    """Mean per-sample gradient, indexed as `minibatch_value`: (m, dim)."""
+    batches = np.asarray(batches)
+    if batches.size == 0:
         raise ValueError("batch must be nonempty")
-    grads = dataset.loss_grads(x, batch)
-    return np.add.reduce(grads, axis=-2) / batch.shape[-1]
+    return np.add.reduce(dataset.loss_grads(X, batches), axis=1) / batches.shape[1]
 
 
 # Sample rows gathered at once by a stacked mini-batch query (rows of the
@@ -270,33 +263,31 @@ class _MiniBatchOracle:
         self.dataset = dataset
         self.batch_size = batch_size
 
-    def _means(self, x, stream, mean):
-        """`mean` over a fresh batch at the point, or at each row."""
-        point = np.ndim(x) == 1
-        words = stream.words(1 if point else len(x), self.batch_size)
+    def _means(self, X, stream, mean):
+        """`mean` over a fresh batch at each row."""
+        words = stream.words(len(X), self.batch_size)
         batches = ((words >> np.uint64(32)) * np.uint64(self.dataset.n_samples)
                    ) >> np.uint64(32)
-        if point:
-            return mean(self.dataset, x, batches[0])
         rows = max(1, GATHER_SAMPLES // self.batch_size)
-        return np.concatenate([mean(self.dataset, x[s:s + rows], batches[s:s + rows])
-                               for s in range(0, len(x), rows)])
+        return np.concatenate([mean(self.dataset, X[s:s + rows], batches[s:s + rows])
+                               for s in range(0, len(X), rows)])
 
 
 class MiniBatchZerothOracle(_MiniBatchOracle):
-    def __call__(self, x, stream, phi=None):
+    def __call__(self, X, stream, phi=None):
+        X = self.problem.check_stack(X)
         if phi is None:
-            phi = self.problem.value(x) if np.ndim(x) == 1 else self.problem.values(x)
-        return self._means(x, stream, minibatch_value), phi
+            phi = self.problem.values(X)
+        return self._means(X, stream, minibatch_value), phi
 
 
 class MiniBatchFirstOracle(_MiniBatchOracle):
-    def __call__(self, x, alpha, stream, grad=None,
+    def __call__(self, X, alpha, stream, grad=None,
                  phi=None) -> tuple[np.ndarray, np.ndarray]:
+        X = self.problem.check_stack(X)
         if grad is None:
-            point = np.ndim(x) == 1
-            grad = self.problem.gradient(x) if point else self.problem.gradients(x)
-        return self._means(x, stream, minibatch_gradient), grad
+            grad = self.problem.gradients(X)
+        return self._means(X, stream, minibatch_gradient), grad
 
 
 def prop1_subexp_params(nu_hat: float, b_hat: float, eps_hat: float, N: int) -> tuple[float, float, float]:
@@ -349,35 +340,32 @@ def prop2_sample_size(M_c: float, M_v: float, delta: float, eps_g: float,
 # Randomized finite-difference (Gaussian smoothing) gradients
 
 
-def gsg_gradient(zeroth_oracle, x, sigma: float, num_directions: int, stream,
+def gsg_gradient(zeroth_oracle, X, sigma: float, num_directions: int, stream,
                  phi=None) -> np.ndarray:
-    """Gaussian-smoothing gradient estimate
-    sum_i [f(x + sigma u_i) - f(x)] u_i / (sigma |U|), u_i ~ N(0, I).
+    """Gaussian-smoothing gradient estimates
+    sum_i [f(x + sigma u_i) - f(x)] u_i / (sigma |U|), u_i ~ N(0, I), one
+    per row x of an (n, dim) stack: (n, dim).
 
-    Two zeroth-order queries: f(x) once, reused across all directions (with
-    `phi`, the exact value at x, handed on when known), then the N perturbed
-    points as one (N, dim) stack.  An (n, dim) stack of points gives n
-    estimates from the same two queries, row r's N perturbed points forming
-    rows r*N..r*N+N-1 of the second: with one key per row, each key
-    answers the query at x, N direction queries, then N perturbed-point
-    queries, as a one-point estimate does.  (A stack over one key takes
-    each of the three queries for all rows in turn, so it is not n
-    one-point estimates in a row.)
+    Two zeroth-order queries: f(X) once, reused across all directions (with
+    `phi`, the exact values at X, handed on when known), then the n N
+    perturbed points as one (n N, dim) stack, row r's forming rows
+    r*N..r*N+N-1.  With one key per row, each key answers the query at x,
+    N direction queries, then N perturbed-point queries, as the stack of
+    one of that row does.  (A stack over one key takes each of the three
+    queries for all rows in turn, so it is not n stacks of one in a row.)
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if num_directions < 1:
         raise ValueError("num_directions must be >= 1")
-    x = np.asarray(x, dtype=float)
-    X = np.atleast_2d(x)
+    f0, _ = zeroth_oracle(X, stream, phi=phi)  # checks the shape of X
+    X = np.asarray(X, dtype=float)
     n, dim = X.shape
-    f0, _ = zeroth_oracle(x, stream, phi=phi)
     U = rngmod.normals(stream.words(n * num_directions, rngmod.normal_words(dim)),
                        dim).reshape(n, num_directions, dim)
     f, _ = zeroth_oracle((X[:, None, :] + sigma * U).reshape(-1, dim), stream)
-    diffs = f.reshape(n, num_directions) - np.reshape(f0, (-1, 1))
-    g = (diffs[:, None, :] @ U)[:, 0, :] / (sigma * num_directions)
-    return g[0] if x.ndim == 1 else g
+    diffs = f.reshape(n, num_directions) - f0[:, None]
+    return (diffs[:, None, :] @ U)[:, 0, :] / (sigma * num_directions)
 
 
 class GsgFirstOracle:
@@ -390,12 +378,13 @@ class GsgFirstOracle:
         self.sigma = sigma
         self.num_directions = num_directions
 
-    def __call__(self, x, alpha, stream, grad=None,
+    def __call__(self, X, alpha, stream, grad=None,
                  phi=None) -> tuple[np.ndarray, np.ndarray]:
-        g = gsg_gradient(self.zeroth_oracle, x, self.sigma, self.num_directions,
+        X = self.problem.check_stack(X)
+        g = gsg_gradient(self.zeroth_oracle, X, self.sigma, self.num_directions,
                          stream, phi)
         if grad is None:
-            grad = self.problem.gradient(x) if np.ndim(x) == 1 else self.problem.gradients(x)
+            grad = self.problem.gradients(X)
         return g, grad
 
 

@@ -4,6 +4,11 @@ All fixtures expose exact value/gradient access for post-hoc instrumentation,
 together with the smoothness and convexity constants the theory calculator
 needs.  The synthetic empirical-risk fixture also carries its per-sample loss
 family so the mini-batch oracles can be built on top of it.
+
+Every evaluation takes an (m, dim) stack of points and answers one row per
+point; row r of the answer depends on row r of the stack alone, bit for
+bit, whatever m is.  A single point is a stack of one: `value(x)` and
+`gradient(x)` are views of that.
 """
 
 from dataclasses import dataclass, replace
@@ -35,13 +40,12 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class ProblemInstance:
     """A differentiable objective with ground-truth access.
 
-    `value_fn` / `grad_fn` are exact at one point; `values_fn` / `grads_fn`
-    map an (m, dim) stack of points to their m values / gradients in one
-    call, and row r of their result is bit-identical to `value_fn` /
-    `grad_fn` at that row, whatever m is.  `lipschitz_L` bounds the
-    gradient's Lipschitz constant, `strong_convexity_beta` is 0 unless the
-    function satisfies the PL inequality with that modulus, and `phi_star`
-    is the global minimum value.
+    `value_fn` / `grad_fn` map an (m, dim) stack of points to their m exact
+    values / (m, dim) gradients in one call, row r bit-identical whatever
+    m is.  `lipschitz_L` bounds the gradient's Lipschitz constant,
+    `strong_convexity_beta` is 0 unless the function satisfies the PL
+    inequality with that modulus, and `phi_star` is the global minimum
+    value.
 
     Nothing is memoized: the line search hands the exact values it already
     knows to the queries that need them (see `linesearch`).
@@ -56,8 +60,6 @@ class ProblemInstance:
     class_tag: str
     x0: np.ndarray
     diameter_D: float | None = None
-    values_fn: object = None
-    grads_fn: object = None
 
     def __post_init__(self):
         if self.class_tag not in CLASS_TAGS:
@@ -65,76 +67,58 @@ class ProblemInstance:
         if self.lipschitz_L <= 0:
             raise ValueError("lipschitz_L must be positive")
 
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"expected shape ({self.dim},), got {x.shape}"
-            )
-        return x
-
-    def _check_stack(self, X, fn) -> np.ndarray:
+    def check_stack(self, X) -> np.ndarray:
+        """X as a float (m, dim) stack; any other shape raises
+        `DimensionMismatchError`.  Every oracle checks its points here."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"expected shape (m, {self.dim}), got {X.shape}"
             )
-        if fn is None:
-            raise NotImplementedError("this problem has no stacked function")
         return X
-
-    def value(self, x) -> float:
-        """Exact objective value."""
-        return float(self.value_fn(self._check(x)))
 
     def values(self, X) -> np.ndarray:
         """Exact objective values of the rows of an (m, dim) stack."""
-        return self.values_fn(self._check_stack(X, self.values_fn))
-
-    def gradient(self, x) -> np.ndarray:
-        """Exact gradient, as a read-only array (a fixture may return its
-        own data, which a caller must not be able to change)."""
-        grad = np.asarray(self.grad_fn(self._check(x)), dtype=float).view()
-        grad.flags.writeable = False
-        return grad
+        return self.value_fn(self.check_stack(X))
 
     def gradients(self, X) -> np.ndarray:
         """Exact gradients of the rows of an (m, dim) stack, as (m, dim)."""
-        return self.grads_fn(self._check_stack(X, self.grads_fn))
+        return self.grad_fn(self.check_stack(X))
+
+    def value(self, x) -> float:
+        """Exact objective value at one point: a stack of one."""
+        return float(self.values(np.asarray(x, dtype=float)[None])[0])
+
+    def gradient(self, x) -> np.ndarray:
+        """Exact gradient at one point, as a read-only array (a fixture may
+        return its own data, which a caller must not be able to change)."""
+        grad = self.gradients(np.asarray(x, dtype=float)[None])[0]
+        grad.flags.writeable = False
+        return grad
 
     def with_class_tag(self, tag: str) -> "ProblemInstance":
         return replace(self, class_tag=tag)
 
 
 def finite_difference_gradient(problem: ProblemInstance, x, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient, the independent check on grad_fn."""
+    """Central-difference gradient at one point, the independent check on
+    grad_fn: the 2 dim shifted points go as one stack."""
     x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (problem.value(x + e) - problem.value(x - e)) / (2 * h)
-    return g
+    E = h * np.eye(x.size)
+    v = problem.values(np.concatenate((x + E, x - E)))
+    return (v[:x.size] - v[x.size:]) / (2 * h)
 
 
 # ---------------------------------------------------------------------------
 # Quadratic fixture
 
 
-def _quad_value(A, x):
-    return 0.5 * x @ A @ x
-
-
-def _quad_values(A, X):
-    # per row the gemv and dot of 0.5 * x @ A @ x (see row_dots)
+def _quad_value(A, X):
+    # per row a (1, dim) @ A product and a dot (see row_dots)
     return (((0.5 * X)[:, None, :] @ A) @ X[:, :, None])[:, 0, 0]
 
 
-def _quad_grad(A, x):
-    return A @ x
-
-
-def _quad_grads(A, X):
+def _quad_grad(A, X):
     return (A @ X[:, :, None])[:, :, 0]
 
 
@@ -174,8 +158,6 @@ def make_strongly_convex_quadratic(
         dim=dim,
         value_fn=partial(_quad_value, A),
         grad_fn=partial(_quad_grad, A),
-        values_fn=partial(_quad_values, A),
-        grads_fn=partial(_quad_grads, A),
         lipschitz_L=float(lambda_max),
         strong_convexity_beta=float(lambda_min),
         phi_star=0.0,
@@ -185,19 +167,11 @@ def make_strongly_convex_quadratic(
     )
 
 
-def _linear_value(c, x):
-    return c @ x
-
-
-def _linear_values(c, X):
+def _linear_value(c, X):
     return (c @ X[:, :, None])[:, 0]
 
 
-def _linear_grad(c, x):
-    return c
-
-
-def _linear_grads(c, X):
+def _linear_grad(c, X):
     return np.broadcast_to(c, X.shape)
 
 
@@ -211,8 +185,6 @@ def make_linear(c) -> ProblemInstance:
         dim=c.size,
         value_fn=partial(_linear_value, c),
         grad_fn=partial(_linear_grad, c),
-        values_fn=partial(_linear_values, c),
-        grads_fn=partial(_linear_grads, c),
         lipschitz_L=1e-12,
         strong_convexity_beta=0.0,
         phi_star=-np.inf,
@@ -225,35 +197,20 @@ def make_linear(c) -> ProblemInstance:
 # Synthetic regularized logistic regression
 
 
-def _mean_ascending(values: np.ndarray) -> float:
-    # Single summation routine shared by the full-batch oracle and value_fn,
-    # so "full batch == exact" holds bit-for-bit.
-    return float(np.add.reduce(values, axis=0) / len(values))
+# A stack X of m points takes an (m, k) index array, one row of samples per
+# point, or a slice; row r is one gemv and one dot (see row_dots).
 
 
-# A stack x of m points takes an (m, k) index array, one row of samples per
-# point, or a slice; row r then carries the bits of the one-point call at
-# x[r] with its index row: one gemv and one dot per row (see row_dots).
-
-
-def _logistic_losses(features, labels, reg, x, idx):
-    if x.ndim == 2:
-        margins = labels[idx] * (features[idx] @ x[:, :, None])[..., 0]
-        return np.logaddexp(0.0, -margins) + 0.5 * reg * row_dots(x, x)[:, None]
-    margins = labels[idx] * (features[idx] @ x)
+def _logistic_losses(features, labels, reg, X, idx):
+    margins = labels[idx] * (features[idx] @ X[:, :, None])[..., 0]
     # log(1 + exp(-m)) computed stably
-    losses = np.logaddexp(0.0, -margins)
-    return losses + 0.5 * reg * (x @ x)
+    return np.logaddexp(0.0, -margins) + 0.5 * reg * row_dots(X, X)[:, None]
 
 
-def _logistic_grads(features, labels, reg, x, idx):
-    if x.ndim == 2:
-        margins = labels[idx] * (features[idx] @ x[:, :, None])[..., 0]
-        coeff = -labels[idx] * _sigmoid(-margins)
-        return coeff[..., None] * features[idx] + reg * x[:, None, :]
-    margins = labels[idx] * (features[idx] @ x)
+def _logistic_grads(features, labels, reg, X, idx):
+    margins = labels[idx] * (features[idx] @ X[:, :, None])[..., 0]
     coeff = -labels[idx] * _sigmoid(-margins)
-    return coeff[:, None] * features[idx] + reg * x
+    return coeff[..., None] * features[idx] + reg * X[:, None, :]
 
 
 def _sigmoid(t):
@@ -267,25 +224,20 @@ def _sigmoid(t):
 
 # Full-data passes index with slice(None), a view: np.arange(n) would copy
 # the features and labels on every call, for the same bits.
-def _logistic_value(features, labels, reg, x):
-    return _mean_ascending(_logistic_losses(features, labels, reg, x, slice(None)))
-
-
-def _logistic_values(features, labels, reg, X):
-    # a pairwise sum along each contiguous row, as _mean_ascending takes
+def _logistic_value(features, labels, reg, X):
+    # a pairwise sum along each contiguous row
     losses = _logistic_losses(features, labels, reg, X, slice(None))
     return np.add.reduce(losses, axis=1) / len(labels)
 
 
-def _logistic_grad(features, labels, reg, n, x):
-    g = _logistic_grads(features, labels, reg, x, slice(None))
-    return np.add.reduce(g, axis=0) / n
-
-
-def _logistic_stacked_grads(features, labels, reg, n, X):
-    # one full-data pass per row: a stacked pass would hold m copies of the
+def _logistic_grad(features, labels, reg, X):
+    # one full-data pass per row: a joint pass would hold m copies of the
     # per-sample gradients at once
-    return np.array([_logistic_grad(features, labels, reg, n, x) for x in X])
+    G = np.empty(X.shape)
+    for r in range(len(X)):
+        grads = _logistic_grads(features, labels, reg, X[r:r + 1], slice(None))
+        G[r] = np.add.reduce(grads[0], axis=0)
+    return G / len(labels)
 
 
 @dataclass(frozen=True)
@@ -302,18 +254,16 @@ class ErmDataset:
     def n_samples(self) -> int:
         return len(self.labels)
 
-    def loss(self, x, i: int) -> float:
-        """Per-sample loss l(x, d_i)."""
-        return float(self.losses(x, np.array([i]))[0])
+    def losses(self, X, idx) -> np.ndarray:
+        """Per-sample losses l(x_r, d_i) of an (m, dim) stack over an
+        (m, k) index array, or a slice: (m, k)."""
+        return _logistic_losses(self.features, self.labels, self.reg,
+                                np.asarray(X, float), idx)
 
-    def loss_grad(self, x, i: int) -> np.ndarray:
-        return self.loss_grads(x, np.array([i]))[0]
-
-    def losses(self, x, idx) -> np.ndarray:
-        return _logistic_losses(self.features, self.labels, self.reg, np.asarray(x, float), np.asarray(idx))
-
-    def loss_grads(self, x, idx) -> np.ndarray:
-        return _logistic_grads(self.features, self.labels, self.reg, np.asarray(x, float), np.asarray(idx))
+    def loss_grads(self, X, idx) -> np.ndarray:
+        """Per-sample gradients, indexed as `losses`: (m, k, dim)."""
+        return _logistic_grads(self.features, self.labels, self.reg,
+                               np.asarray(X, float), idx)
 
 
 def estimate_growth_constants(
@@ -329,17 +279,17 @@ def estimate_growth_constants(
     Probes a Gaussian ball around x0 and takes the largest observed absolute
     and relative per-sample gradient variance.  The pair returned satisfies
     the condition at every probe point with margin `safety`.  The mean
-    gradient is reduced from the per-sample gradients, exactly as the
-    full-data gradient is, so no probe makes a second pass over the data,
-    and the pass indexes the data with a slice, so it copies nothing.
+    gradient is reduced from the per-sample gradients of the probe, a stack
+    of one, exactly as the full-data gradient is, so no probe makes a second
+    pass over the data, and the pass indexes the data with a slice, so it
+    copies nothing.
     """
     n = dataset.n_samples
     max_abs = 0.0
     max_rel = 0.0
     for _ in range(n_probes):
         x = problem.x0 + radius * rng.standard_normal(problem.dim)
-        grads = _logistic_grads(dataset.features, dataset.labels, dataset.reg,
-                                x, slice(None))
+        grads = dataset.loss_grads(x[None], slice(None))[0]
         mean_grad = np.add.reduce(grads, axis=0) / n
         var = float(np.mean(np.sum((grads - mean_grad) ** 2, axis=1)))
         gn2 = float(mean_grad @ mean_grad)
@@ -379,31 +329,24 @@ def make_synthetic_logistic(
     L = gram_top / (4.0 * n_samples) + reg
     x0 = rng.standard_normal(dim)
 
-    value_fn = partial(_logistic_value, features, labels, reg)
-    grad_fn = partial(_logistic_grad, features, labels, reg, n_samples)
-
+    problem = ProblemInstance(
+        dim=dim,
+        value_fn=partial(_logistic_value, features, labels, reg),
+        grad_fn=partial(_logistic_grad, features, labels, reg),
+        lipschitz_L=L,
+        strong_convexity_beta=reg,
+        phi_star=np.nan,  # set from the solve below
+        class_tag="strongly_convex",
+        x0=x0,
+    )
     # imported here: no other fixture needs scipy, and it is slow to load
     import scipy.optimize
     sol = scipy.optimize.minimize(
-        value_fn, np.zeros(dim), jac=grad_fn, method="L-BFGS-B",
+        problem.value, np.zeros(dim), jac=problem.gradient, method="L-BFGS-B",
         options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 5000},
     )
-    x_star = sol.x
-    phi_star = float(value_fn(x_star))
-
-    problem = ProblemInstance(
-        dim=dim,
-        value_fn=value_fn,
-        grad_fn=grad_fn,
-        values_fn=partial(_logistic_values, features, labels, reg),
-        grads_fn=partial(_logistic_stacked_grads, features, labels, reg, n_samples),
-        lipschitz_L=L,
-        strong_convexity_beta=reg,
-        phi_star=phi_star,
-        class_tag="strongly_convex",
-        x0=x0,
-        diameter_D=2.0 * float(np.linalg.norm(x0 - x_star)),
-    )
+    problem = replace(problem, phi_star=problem.value(sol.x),
+                      diameter_D=2.0 * float(np.linalg.norm(x0 - sol.x)))
     dataset = ErmDataset(features=features, labels=labels, reg=reg, M_c=0.0, M_v=0.0)
     M_c, M_v = estimate_growth_constants(
         problem, dataset, rngmod.probe_rng(seed, rngmod.GROWTH_PROBES))

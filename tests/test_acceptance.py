@@ -20,7 +20,7 @@ from aloe_lab.harness import (ExperimentConfig, binomial_frequency_test,
                               empirical_tail, mgf_envelope_ok, run_trials,
                               wilson_interval)
 from aloe_lab.instrument import CENSORED, StoppingSpec, stopping_time
-from aloe_lab.linesearch import AloeParams, aloe_run
+from aloe_lab.linesearch import AloeParams, aloe_run, run_lockstep
 from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               MiniBatchFirstOracle, MiniBatchZerothOracle,
                               SyntheticFirstOracle, SyntheticZerothOracle,
@@ -30,7 +30,7 @@ from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               sample_one_sided_subexp)
 from aloe_lab.problems import (make_strongly_convex_quadratic,
                                make_synthetic_logistic)
-from aloe_lab.rng import probe_rng, probe_stream
+from aloe_lab.rng import PROBE, KeyedStream, probe_rng, probe_stream
 from aloe_lab.theory import azuma_tail, bernstein_tail, derive_constants
 
 QUAD_PARAMS = {"dim": 10, "lambda_min": 0.1, "lambda_max": 10.0, "seed": 7}
@@ -248,9 +248,9 @@ def test_acceptance_6c_prop3_gsg_certification():
     estimates = []
     hits = 0
     for _ in range(n_queries):
-        g, exact = oracle(x, 1.0, stream)
-        estimates.append(g)
-        hits += gradient_accurate(g, exact, 1.0, params.eps_g, 0.0)
+        g, exact = oracle(x[None], 1.0, stream)
+        estimates.append(g[0])
+        hits += int(gradient_accurate(g, exact, 1.0, params.eps_g, 0.0)[0])
     assert binomial_frequency_test(hits, n_queries, 1 - delta)
     estimates = np.array(estimates)
     bias = float(np.linalg.norm(estimates.mean(axis=0) - grad))
@@ -299,32 +299,37 @@ def erm_setup():
 class TestAcceptance8EstimatorRobustness:
     """Mini-batch runs driven by the estimated noise level (and fixed
     multiples of it) land within 5% relative loss of the full-batch
-    deterministic baseline in at least 18 of 20 seeded runs."""
+    deterministic baseline in at least 18 of 20 seeded runs.
 
-    def run_variant(self, setup, seed, mode):
+    The 20 seeds run as one lockstep block; a row does not depend on its
+    block, so row r is the one-trial run of seed r.  A fixed-slack run
+    uses mode times the one-shot estimate at x0 from its own key
+    (seed, PROBE, 99), one slack per row, handed over by a controller."""
+
+    SEEDS = range(20)
+
+    def run_variant(self, setup, mode):
         problem, dataset, epoch, iters, _ = setup
         zeroth = MiniBatchZerothOracle(problem, dataset, ERM_BATCH)
         first = MiniBatchFirstOracle(problem, dataset, ERM_BATCH)
         if mode == "estimated":
             ctrl = EpochEpsFController(
                 zeroth, EstimatorConfig(refresh_period=epoch))
-            trace = aloe_run(problem, zeroth, first,
-                             AloeParams(max_iters=iters), seed,
-                             eps_f_controller=ctrl)
         else:
-            est0 = estimate_eps_f(zeroth, problem.x0, EstimatorConfig(),
-                                  probe_stream(seed, 99))
-            trace = aloe_run(problem, zeroth, first,
-                             AloeParams(eps_f_input=mode * est0,
-                                        max_iters=iters), seed)
-        return final_value(trace)
+            est0 = estimate_eps_f(zeroth, np.tile(problem.x0, (len(self.SEEDS), 1)),
+                                  EstimatorConfig(),
+                                  KeyedStream(self.SEEDS, PROBE, 99))
+
+            def ctrl(k, X, stream, phi):
+                return mode * est0
+        paths, _ = run_lockstep(problem, zeroth, first,
+                                AloeParams(max_iters=iters), self.SEEDS,
+                                eps_f_controller=ctrl)
+        return paths.phi[:, -1]
 
     @pytest.mark.parametrize("mode", ["estimated", 0.5, 1.0, 2.0])
     def test_variant_tracks_full_batch(self, erm_setup, mode):
         ref = erm_setup[4]
-        within = 0
-        for seed in range(20):
-            final = self.run_variant(erm_setup, seed, mode)
-            if abs(final - ref) / abs(ref) <= 0.05:
-                within += 1
+        final = self.run_variant(erm_setup, mode)
+        within = int(np.sum(np.abs(final - ref) / abs(ref) <= 0.05))
         assert within >= 18, (mode, within)

@@ -208,10 +208,10 @@ class TestGroundTruthBudget:
         # accepted step.  One-trial runs with a memo took 184 and 117 here.
         rows = {"value": 0, "grad": 0}
 
-        def counted(kind, fn, n=lambda x: 1):
-            def wrapper(x):
-                rows[kind] += n(x)
-                return fn(x)
+        def counted(kind, fn):
+            def wrapper(X):
+                rows[kind] += len(X)
+                return fn(X)
             return wrapper
 
         build = harness.build_problem
@@ -220,9 +220,7 @@ class TestGroundTruthBudget:
             problem, dataset = build(config)
             return dataclasses.replace(
                 problem, value_fn=counted("value", problem.value_fn),
-                values_fn=counted("value", problem.values_fn, len),
-                grad_fn=counted("grad", problem.grad_fn),
-                grads_fn=counted("grad", problem.grads_fn, len)), dataset
+                grad_fn=counted("grad", problem.grad_fn)), dataset
 
         monkeypatch.setattr(harness, "build_problem", counted_build)
         config = noisy_config("minibatch", n_trials=3)
@@ -403,11 +401,13 @@ class TestCertification:
         x, n = np.ones(10), 1500
         report = certify_oracles(problem, zeroth, first, zspec, fspec, [x],
                                  alphas=(0.5,), n_queries=n, base_seed=3)
+        # the same queries as n stacks of one, one after another
         stream = probe_stream(3, 0)
-        errors = np.array([abs(est - phi) for est, phi in
-                           (zeroth(x, stream) for _ in range(n))])
-        hits = sum(gradient_accurate(*first(x, 0.5, stream), 0.5, fspec.eps_g,
-                                     fspec.kappa) for _ in range(n))
+        errors = np.concatenate([np.abs(est - phi) for est, phi in
+                                 (zeroth(x[None], stream) for _ in range(n))])
+        hits = sum(int(gradient_accurate(*first(x[None], 0.5, stream), 0.5,
+                                         fspec.eps_g, fspec.kappa)[0])
+                   for _ in range(n))
         assert report.results[0].statistic == errors.mean()
         assert report.results[-1].statistic == hits / n
 

@@ -281,9 +281,8 @@ class TestEpsFController:
 class TestGroundTruthFromOracleLogs:
     """The loop records the exact values the oracles return next to their
     estimates; they must equal the problem's own value and gradient bit for
-    bit, at x and at x - alpha g, for every oracle family.  The check calls
-    value_fn / grad_fn, not value / gradient, so that it does not read the
-    memo the loop filled."""
+    bit, at x and at x - alpha g, for every oracle family.  The check
+    evaluates each point afresh, as a stack of one."""
 
     @staticmethod
     def noisy_oracles(family, quadratic):
@@ -310,9 +309,9 @@ class TestGroundTruthFromOracleLogs:
         assert (trace.e_curr > 0).any()
         p = trace.paths
         for k, (x, g, grad) in enumerate(zip(trace.x, trace.g, trace.grad_true)):
-            assert p.phi[0, k] == problem.value_fn(x)
-            assert trace.phi_plus[k] == problem.value_fn(x - p.alpha[0, k] * g)
-            assert np.array_equal(grad, problem.grad_fn(x))
+            assert p.phi[0, k] == problem.value(x)
+            assert trace.phi_plus[k] == problem.value(x - p.alpha[0, k] * g)
+            assert np.array_equal(grad, problem.gradient(x))
             assert p.grad_norm[0, k] == float(np.linalg.norm(grad))
 
 
@@ -326,17 +325,15 @@ class TestGroundTruthPasses:
     def counted(problem):
         calls = {"value": 0, "grad": 0}
 
-        def count(kind, fn, rows=lambda x: 1):
-            def wrapper(x):
-                calls[kind] += rows(x)
-                return fn(x)
+        def count(kind, fn):
+            def wrapper(X):
+                calls[kind] += len(X)
+                return fn(X)
             return wrapper
 
         return dataclasses.replace(
             problem, value_fn=count("value", problem.value_fn),
-            grad_fn=count("grad", problem.grad_fn),
-            values_fn=count("value", problem.values_fn, len),
-            grads_fn=count("grad", problem.grads_fn, len)), calls
+            grad_fn=count("grad", problem.grad_fn)), calls
 
     def test_pass_count_per_trial(self):
         problem, dataset = make_synthetic_logistic(n_samples=64, dim=4, seed=3)

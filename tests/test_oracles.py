@@ -15,7 +15,8 @@ from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               prop2_sample_size, prop3_params,
                               sample_one_sided_subexp)
 from aloe_lab.harness import mgf_envelope_ok
-from aloe_lab.problems import (make_linear, make_strongly_convex_quadratic,
+from aloe_lab.problems import (DimensionMismatchError, make_linear,
+                               make_strongly_convex_quadratic,
                                make_synthetic_logistic)
 from aloe_lab.rng import GRAD, KeyedStream, probe_stream
 
@@ -58,17 +59,16 @@ class TestSyntheticZeroth:
     def test_exact_mode_zero_error(self, quadratic):
         oracle = SyntheticZerothOracle(quadratic, ZerothOracleSpec())
         x = np.random.default_rng(0).standard_normal(5)
-        est, phi = oracle(x, probe_stream(0))
-        assert est == quadratic.value(x)
-        assert abs(est - phi) == 0.0
+        est, phi = oracle(x[None], probe_stream(0))
+        assert est.tolist() == [quadratic.value(x)]
+        assert np.all(est - phi == 0.0)
 
     def test_bounded_mode_never_exceeds_eps_f(self, quadratic):
         spec = ZerothOracleSpec(eps_f=0.3, mode="bounded")
         oracle = SyntheticZerothOracle(quadratic, spec)
-        stream = probe_stream(1)
-        x = np.ones(5)
-        errs = np.array([abs(est - phi) for est, phi
-                         in (oracle(x, stream) for _ in range(5000))])
+        # 5000 copies of x: consecutive queries of the stream's one key
+        est, phi = oracle(np.ones((5000, 5)), probe_stream(1))
+        errs = np.abs(est - phi)
         assert errs.max() <= 0.3
         # uniform on [0, eps_f]: mean eps_f / 2
         assert errs.mean() == pytest.approx(0.15, abs=0.01)
@@ -77,10 +77,8 @@ class TestSyntheticZeroth:
         spec = ZerothOracleSpec(eps_f=0.2, nu=0.1, b=0.1,
                                 mode="subexponential", mean_error=0.1)
         oracle = SyntheticZerothOracle(quadratic, spec)
-        stream = probe_stream(2)
-        x = np.ones(5)
-        errs = np.array([abs(est - phi) for est, phi
-                         in (oracle(x, stream) for _ in range(20000))])
+        est, phi = oracle(np.ones((20000, 5)), probe_stream(2))
+        errs = np.abs(est - phi)
         assert errs.mean() == pytest.approx(0.1, abs=0.005)
         assert errs.mean() <= spec.eps_f
 
@@ -95,7 +93,7 @@ MODES = {
 
 class TestStackedZeroth:
     """An (m, dim) stack is m queries answered in one call, with the law of
-    the one-point query."""
+    the query of a stack of one."""
 
     def errors(self, quadratic, spec, seed, m=20_000):
         oracle = SyntheticZerothOracle(quadratic, spec)
@@ -136,52 +134,48 @@ class TestStackedZeroth:
 
 
 class TestRowGenerators:
-    """A stack over one key per row answers, row by row, exactly what
-    one-point queries of those keys answer, and a stack over one key
-    answers what that key's consecutive one-point queries answer (not so
+    """Row r of an m-stack over one key per row answers exactly what the
+    stack of one of that row answers over that key, and a stack over one
+    key answers what that key's consecutive stacks of one answer (not so
     for the Gaussian-smoothing oracle, whose query is three queries, each
     taken for the whole stack in turn).  Every key ends at the query count
-    its one-point queries leave it at."""
+    its stacks of one leave it at.  `rowargs` hold one value per row (a
+    known exact value, a step size), sliced with the row."""
 
     @staticmethod
-    def compare(query, X, seeds, *, known=None, consecutive=True):
-        def given(r=None):
-            return [] if known is None else [known if r is None else known[r]]
+    def compare(query, X, seeds, *rowargs, consecutive=True):
+        def ones(stream_of):
+            return [query(X[r:r + 1], stream_of(r), *(a[r:r + 1] for a in rowargs))
+                    for r in range(len(X))]
 
-        def assert_rows(stacked, points):
+        def assert_rows(stacked, ones):
             est, exact = stacked
-            for r, (e, t) in enumerate(points):
-                assert np.array_equal(est[r], e) and np.array_equal(exact[r], t), r
+            for r, (e, t) in enumerate(ones):
+                assert np.array_equal(est[r], e[0]) and np.array_equal(exact[r], t[0]), r
 
-        point_streams = [KeyedStream([s], GRAD) for s in seeds]
+        one_streams = [KeyedStream([s], GRAD) for s in seeds]
         rows = KeyedStream(seeds, GRAD)
-        assert_rows(query(X, rows, *given()),
-                    [query(x, st, *given(r))
-                     for r, (x, st) in enumerate(zip(X, point_streams))])
-        assert {st.count for st in point_streams} == {rows.count}
+        assert_rows(query(X, rows, *rowargs), ones(one_streams.__getitem__))
+        assert {st.count for st in one_streams} == {rows.count}
         if consecutive:
             one = KeyedStream([seeds[0]], GRAD)
-            assert_rows(query(X, KeyedStream([seeds[0]], GRAD), *given()),
-                        [query(x, one, *given(r)) for r, x in enumerate(X)])
+            assert_rows(query(X, KeyedStream([seeds[0]], GRAD), *rowargs),
+                        ones(lambda r: one))
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_synthetic_zeroth(self, quadratic, mode):
         oracle = SyntheticZerothOracle(quadratic, MODES[mode])
         X = np.random.default_rng(40).standard_normal((6, 5))
-        self.compare(lambda x, st, *phi: oracle(x, st, *phi), X, range(6))
+        self.compare(oracle, X, range(6))
         # a known exact value is used, not recomputed
-        phi = quadratic.values(X)
-        self.compare(lambda x, st, *p: oracle(x, st, *p), X, range(6), known=phi)
+        self.compare(oracle, X, range(6), quadratic.values(X))
 
     def test_synthetic_first(self, quadratic):
         oracle = SyntheticFirstOracle(quadratic, FirstOracleSpec(
             eps_g=0.05, kappa=0.5, delta=0.4))
         X = np.random.default_rng(41).standard_normal((12, 5))
-        alphas = np.linspace(0.1, 1.0, 12)
-        point_alpha = iter(np.tile(alphas, 2))
-        self.compare(lambda x, st, *grad: oracle(
-            x, alphas if np.ndim(x) == 2 else next(point_alpha), st, *grad),
-            X, range(12))
+        self.compare(lambda x, st, alpha: oracle(x, alpha, st),
+                     X, range(12), np.linspace(0.1, 1.0, 12))
 
     @pytest.mark.parametrize("gather", [1 << 14, 16], ids=["one_pass", "chunked"])
     def test_minibatch(self, logistic, monkeypatch, gather):
@@ -192,7 +186,7 @@ class TestRowGenerators:
         zeroth = MiniBatchZerothOracle(problem, dataset, batch_size=8)
         first = MiniBatchFirstOracle(problem, dataset, batch_size=8)
         X = np.random.default_rng(42).standard_normal((5, 4))
-        self.compare(lambda x, st: zeroth(x, st), X, range(5))
+        self.compare(zeroth, X, range(5))
         self.compare(lambda x, st: first(x, 0.5, st), X, range(5))
         with pytest.raises(ValueError):
             zeroth(X, KeyedStream(range(2), GRAD))
@@ -209,9 +203,50 @@ class TestRowGenerators:
         G, grad = rng.standard_normal((50, 5)), rng.standard_normal((50, 5))
         alpha = rng.random(50)
         got = gradient_accurate(G, grad, alpha, 2.0, 1.0)
-        assert got.tolist() == [gradient_accurate(g, d, a, 2.0, 1.0)
-                                for g, d, a in zip(G, grad, alpha)]
+        assert got.tolist() == [
+            gradient_accurate(G[r:r + 1], grad[r:r + 1], alpha[r], 2.0, 1.0)[0]
+            for r in range(50)]
         assert 0 < got.sum() < 50
+
+
+class TestShapeRejected:
+    """An oracle takes (m, dim) stacks only: a single point, a stack of the
+    wrong width or a 3-d array raises DimensionMismatchError before any
+    word is drawn, also when the exact values are given (they would
+    otherwise make the oracle read a point's dim entries as dim rows)."""
+
+    @staticmethod
+    def assert_rejected(query, dim=5):
+        for x in (np.zeros(dim), np.zeros((3, dim - 1)), np.zeros((2, 3, dim))):
+            stream = probe_stream(70)
+            with pytest.raises(DimensionMismatchError):
+                query(x, stream)
+            assert stream.count == 0
+
+    def test_synthetic_zeroth(self, quadratic):
+        oracle = SyntheticZerothOracle(quadratic, MODES["bounded"])
+        self.assert_rejected(lambda x, st: oracle(x, st))
+        self.assert_rejected(lambda x, st: oracle(x, st, phi=np.zeros(5)))
+
+    def test_synthetic_first(self, quadratic):
+        oracle = SyntheticFirstOracle(quadratic, FirstOracleSpec(eps_g=0.1))
+        self.assert_rejected(lambda x, st: oracle(x, 0.5, st))
+        self.assert_rejected(lambda x, st: oracle(x, 0.5, st, grad=np.zeros(5)))
+
+    def test_minibatch(self, logistic):
+        problem, dataset = logistic
+        zeroth = MiniBatchZerothOracle(problem, dataset, batch_size=4)
+        first = MiniBatchFirstOracle(problem, dataset, batch_size=4)
+        self.assert_rejected(lambda x, st: zeroth(x, st, phi=np.zeros(4)), dim=4)
+        self.assert_rejected(lambda x, st: first(x, 0.5, st, grad=np.zeros(4)),
+                             dim=4)
+
+    def test_gsg(self, quadratic):
+        zeroth = SyntheticZerothOracle(quadratic, MODES["bounded"])
+        oracle = GsgFirstOracle(quadratic, zeroth, sigma=0.01, num_directions=8)
+        self.assert_rejected(lambda x, st: oracle(x, 0.5, st, grad=np.zeros(5)))
+        self.assert_rejected(lambda x, st: gsg_gradient(zeroth, x, 0.01, 8, st,
+                                                        phi=np.zeros(5)))
 
 
 class TestSubexpSampler:
@@ -258,20 +293,16 @@ class TestSyntheticFirst:
     def test_delta_zero_event_always_holds(self, quadratic):
         spec = FirstOracleSpec(eps_g=0.05, kappa=0.5, delta=0.0)
         oracle = SyntheticFirstOracle(quadratic, spec)
-        rng, stream = np.random.default_rng(6), probe_stream(6)
-        for _ in range(500):
-            x = rng.standard_normal(5)
-            g, grad = oracle(x, 0.7, stream)
-            assert gradient_accurate(g, grad, 0.7, spec.eps_g, spec.kappa)
+        X = np.random.default_rng(6).standard_normal((500, 5))
+        g, grad = oracle(X, 0.7, probe_stream(6))
+        assert gradient_accurate(g, grad, 0.7, spec.eps_g, spec.kappa).all()
 
     def test_event_frequency_at_least_one_minus_delta(self, quadratic):
         spec = FirstOracleSpec(eps_g=0.05, kappa=0.5, delta=0.1)
         oracle = SyntheticFirstOracle(quadratic, spec)
-        stream = probe_stream(7)
-        x = np.ones(5)
         n = 10_000
-        hits = sum(gradient_accurate(*oracle(x, 0.3, stream), 0.3, spec.eps_g, spec.kappa)
-                   for _ in range(n))
+        g, grad = oracle(np.ones((n, 5)), 0.3, probe_stream(7))
+        hits = gradient_accurate(g, grad, 0.3, spec.eps_g, spec.kappa).sum()
         # binomial(n, 0.9) three-sigma band around the mean
         assert hits >= n * 0.9 - 3 * math.sqrt(n * 0.9 * 0.1)
 
@@ -279,16 +310,12 @@ class TestSyntheticFirst:
         spec = FirstOracleSpec(eps_g=0.01, kappa=0.1, delta=0.5,
                                corruption_scale=10.0, corruption_base=10.0)
         oracle = SyntheticFirstOracle(quadratic, spec)
-        stream = probe_stream(8)
-        x = np.ones(5)
-        grad_norm = np.linalg.norm(quadratic.gradient(x))
-        failures = 0
-        for _ in range(2000):
-            g, grad = oracle(x, 0.3, stream)
-            if not gradient_accurate(g, grad, 0.3, spec.eps_g, spec.kappa):
-                failures += 1
-                assert np.linalg.norm(g - grad) == pytest.approx(10.0 + 10.0 * grad_norm)
-        assert failures > 0
+        grad_norm = np.linalg.norm(quadratic.gradient(np.ones(5)))
+        g, grad = oracle(np.ones((2000, 5)), 0.3, probe_stream(8))
+        failed = ~gradient_accurate(g, grad, 0.3, spec.eps_g, spec.kappa)
+        assert failed.any()
+        np.testing.assert_allclose(np.linalg.norm((g - grad)[failed], axis=1),
+                                   10.0 + 10.0 * grad_norm, rtol=1e-6)
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
@@ -298,18 +325,19 @@ class TestSyntheticFirst:
 class TestMiniBatch:
     def test_empty_batch_rejected(self, logistic):
         problem, dataset = logistic
+        empty = np.empty((1, 0), dtype=int)
         with pytest.raises(ValueError):
-            minibatch_value(dataset, np.zeros(4), [])
+            minibatch_value(dataset, np.zeros((1, 4)), empty)
         with pytest.raises(ValueError):
-            minibatch_gradient(dataset, np.zeros(4), [])
+            minibatch_gradient(dataset, np.zeros((1, 4)), empty)
 
     def test_full_batch_matches_exact_value(self, logistic):
         problem, dataset = logistic
         rng = np.random.default_rng(9)
         x = rng.standard_normal(4)
-        full = np.arange(dataset.n_samples)
-        assert minibatch_value(dataset, x, full) == problem.value(x)
-        np.testing.assert_allclose(minibatch_gradient(dataset, x, full),
+        full = np.arange(dataset.n_samples)[None]
+        assert minibatch_value(dataset, x[None], full).tolist() == [problem.value(x)]
+        np.testing.assert_allclose(minibatch_gradient(dataset, x[None], full)[0],
                                    problem.gradient(x), rtol=1e-12, atol=1e-14)
 
     def test_minibatch_oracles_log_errors(self, logistic):
@@ -318,19 +346,18 @@ class TestMiniBatch:
         f = MiniBatchFirstOracle(problem, dataset, batch_size=16)
         stream = probe_stream(10)
         x = np.random.default_rng(10).standard_normal(4)
-        est, phi = z(x, stream)
-        assert abs(est - phi) == pytest.approx(abs(est - problem.value(x)))
-        g, grad = f(x, 0.5, stream)
-        assert np.linalg.norm(g - grad) == pytest.approx(
-            np.linalg.norm(g - problem.gradient(x)))
+        est, phi = z(x[None], stream)
+        assert phi.tolist() == [problem.value(x)]
+        g, grad = f(x[None], 0.5, stream)
+        assert np.array_equal(grad, [problem.gradient(x)])
+        assert g.shape == (1, 4)
 
     def test_gradient_mean_unbiased(self, logistic):
         problem, dataset = logistic
         f = MiniBatchFirstOracle(problem, dataset, batch_size=8)
-        stream = probe_stream(11)
-        x = np.ones(4)
-        mean = np.mean([f(x, 0.5, stream)[0] for _ in range(4000)], axis=0)
-        np.testing.assert_allclose(mean, problem.gradient(x), atol=0.02)
+        g, _ = f(np.ones((4000, 4)), 0.5, probe_stream(11))
+        np.testing.assert_allclose(g.mean(axis=0), problem.gradient(np.ones(4)),
+                                   atol=0.02)
 
     def test_batch_size_validation(self, logistic):
         problem, dataset = logistic
@@ -397,31 +424,29 @@ class TestGsg:
         c = np.array([1.0, -1.0, 2.0])
         problem = make_linear(c)
         oracle = SyntheticZerothOracle(problem, ZerothOracleSpec())
-        stream = probe_stream(12)
-        mean = np.mean([gsg_gradient(oracle, np.zeros(3), 0.5, 8, stream)
-                        for _ in range(3000)], axis=0)
-        np.testing.assert_allclose(mean, c, atol=0.05)
+        g = gsg_gradient(oracle, np.zeros((3000, 3)), 0.5, 8, probe_stream(12))
+        np.testing.assert_allclose(g.mean(axis=0), c, atol=0.05)
 
     def test_parameter_validation(self):
         problem = make_linear(np.ones(2))
         oracle = SyntheticZerothOracle(problem, ZerothOracleSpec())
         stream = probe_stream(0)
         with pytest.raises(ValueError):
-            gsg_gradient(oracle, np.zeros(2), 0.0, 4, stream)
+            gsg_gradient(oracle, np.zeros((1, 2)), 0.0, 4, stream)
         with pytest.raises(ValueError):
-            gsg_gradient(oracle, np.zeros(2), 0.1, 0, stream)
+            gsg_gradient(oracle, np.zeros((1, 2)), 0.1, 0, stream)
 
     def test_matches_the_direction_loop(self, quadratic):
         # exact mode makes the noise draws irrelevant to the values, so the
         # one-point-per-direction loop over the same U is the reference
         oracle = SyntheticZerothOracle(quadratic, MODES["exact"])
-        x, sigma, n = np.ones(5), 0.01, 32
+        x, sigma, n = np.ones((1, 5)), 0.01, 32
         got = gsg_gradient(oracle, x, sigma, n, probe_stream(15))
         stream = probe_stream(15)
         f0, _ = oracle(x, stream)
         U = rngmod.normals(stream.words(n, rngmod.normal_words(5)), 5)
         want = sum((oracle(x + sigma * u, stream)[0] - f0) * u for u in U) / (sigma * n)
-        np.testing.assert_allclose(got, want, rtol=1e-9)
+        np.testing.assert_allclose(got, want[None], rtol=1e-9)
 
     def test_two_zeroth_calls_per_query(self, quadratic):
         # f(x) once, then the N perturbed points as one (N, dim) stack
@@ -436,15 +461,16 @@ class TestGsg:
                                 num_directions=64)
         stream = probe_stream(14)
         for _ in range(3):
-            oracle(np.ones(5), 0.5, stream)
-        assert shapes == [(5,), (64, 5)] * 3
+            oracle(np.ones((1, 5)), 0.5, stream)
+        assert shapes == [(1, 5), (64, 5)] * 3
 
     def test_gsg_oracle_logs_event(self, quadratic):
         zeroth = SyntheticZerothOracle(quadratic, ZerothOracleSpec())
         oracle = GsgFirstOracle(quadratic, zeroth, sigma=0.01,
                                 num_directions=512)
-        g, grad = oracle(np.ones(5), 0.5, probe_stream(13))
-        assert isinstance(gradient_accurate(g, grad, 0.5, 2.0, 0.0), bool)
+        g, grad = oracle(np.ones((1, 5)), 0.5, probe_stream(13))
+        ok = gradient_accurate(g, grad, 0.5, 2.0, 0.0)
+        assert ok.dtype == bool and ok.shape == (1,)
 
 
 class TestProp3:

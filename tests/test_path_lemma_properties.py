@@ -2,10 +2,12 @@
 admissible configuration, not only on hand-picked ones.
 
 Configs are generated on the quadratic fixture with synthetic oracles.  The
-step-size cap alpha_max = alpha0 * gamma^-j * f, with f in [1, 1/gamma), lies
-on the step grid for f = 1 and between two grid steps otherwise (the loop
-then caps at alpha0 * gamma^-j).  The accuracy target eps is drawn above the
-floor the theory derives for the other constants.
+initial step alpha0 = 10^U(-2, 0.5) starts the loop both below and above
+the critical step of the fixture (L = 10).  The step-size cap
+alpha_max = alpha0 * gamma^-j * f, with f in [1, 1/gamma), lies on the step
+grid for f = 1 and between two grid steps otherwise (the loop then caps at
+alpha0 * gamma^-j).  The accuracy target eps is drawn above the floor the
+theory derives for the other constants.
 """
 
 from hypothesis import assume, given, settings
@@ -31,7 +33,7 @@ def oracle_specs(mode, eps_f, eps_g, kappa, delta):
     return zeroth, FirstOracleSpec(eps_g=eps_g, kappa=kappa, delta=delta)
 
 
-def make_config(class_tag, mode, theta, gamma, cap, noise, eps, seeds):
+def make_config(class_tag, mode, theta, gamma, alpha0, cap, noise, eps, seeds):
     zeroth, first = oracle_specs(mode, *noise)
     dim, problem_seed, base_seed = seeds
     j, u = cap
@@ -41,9 +43,9 @@ def make_config(class_tag, mode, theta, gamma, cap, noise, eps, seeds):
         fixture_params={"dim": dim, "lambda_min": 0.1, "lambda_max": 10.0,
                         "seed": problem_seed},
         zeroth=zeroth, first=first,
-        params=AloeParams(eps_f_input=zeroth.eps_f, alpha0=1.0,
-                          alpha_max=gamma ** -j * f, theta=theta, gamma=gamma,
-                          max_iters=120),
+        params=AloeParams(eps_f_input=zeroth.eps_f, alpha0=alpha0,
+                          alpha_max=alpha0 * gamma ** -j * f, theta=theta,
+                          gamma=gamma, max_iters=120),
         stopping=StoppingSpec(class_tag=class_tag, eps=eps,
                               eps1=eps if class_tag == "convex" else None),
         n_trials=N_TRIALS, base_seed=base_seed)
@@ -55,6 +57,7 @@ def make_config(class_tag, mode, theta, gamma, cap, noise, eps, seeds):
     mode=st.sampled_from(["exact", "bounded", "subexponential"]),
     theta=st.floats(0.05, 0.5),
     gamma=st.floats(0.5, 0.9),
+    alpha0=st.floats(-2, 0.5).map(lambda e: 10 ** e),
     cap=st.tuples(st.integers(1, 3),
                   st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))),
     noise=st.tuples(st.floats(-5, -3).map(lambda e: 10 ** e),
@@ -65,9 +68,11 @@ def make_config(class_tag, mode, theta, gamma, cap, noise, eps, seeds):
                     st.integers(0, 10_000)),
 )
 def test_path_lemmas_hold_on_generated_configs(class_tag, mode, theta, gamma,
-                                               cap, noise, eps_factor, seeds):
+                                               alpha0, cap, noise, eps_factor,
+                                               seeds):
     def constants(eps):
-        config = make_config(class_tag, mode, theta, gamma, cap, noise, eps, seeds)
+        config = make_config(class_tag, mode, theta, gamma, alpha0, cap, noise,
+                             eps, seeds)
         problem, _ = build_problem(config)
         return config, derive_experiment_constants(config, problem)
 

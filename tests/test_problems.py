@@ -6,7 +6,7 @@ import scipy.optimize
 
 from aloe_lab.problems import (DimensionMismatchError, ProblemInstance,
                                _logistic_grads, _logistic_losses,
-                               _mean_ascending, estimate_growth_constants,
+                               estimate_growth_constants,
                                finite_difference_gradient, make_linear,
                                make_strongly_convex_quadratic,
                                make_synthetic_logistic)
@@ -102,6 +102,11 @@ class TestProblemInstance:
             quadratic.value(np.zeros(3))
         with pytest.raises(DimensionMismatchError):
             quadratic.gradient(np.zeros(11))
+        # value / gradient take one point; a stack goes to values / gradients
+        with pytest.raises(DimensionMismatchError):
+            quadratic.value(np.zeros((1, 10)))
+        with pytest.raises(DimensionMismatchError):
+            quadratic.gradient(np.zeros((1, 10)))
 
     def test_with_class_tag(self, quadratic):
         p = quadratic.with_class_tag("nonconvex")
@@ -117,13 +122,13 @@ def counting_problem():
     """0.5 ||x||^2 in R^3 with value_fn / grad_fn that count their passes."""
     calls = {"value": 0, "grad": 0}
 
-    def value_fn(x):
+    def value_fn(X):
         calls["value"] += 1
-        return 0.5 * float(x @ x)
+        return 0.5 * np.sum(X * X, axis=1)
 
-    def grad_fn(x):
+    def grad_fn(X):
         calls["grad"] += 1
-        return x.copy()
+        return X.copy()
 
     problem = ProblemInstance(
         dim=3, value_fn=value_fn, grad_fn=grad_fn, lipschitz_L=1.0,
@@ -132,11 +137,11 @@ def counting_problem():
     return problem, calls
 
 
-class TestMemo:
+class TestEvaluationCalls:
     # ProblemInstance keeps no memo (the line search hands known values to
-    # its queries instead); what the memo had to keep intact still holds:
-    # one call per access, read-only gradients, copies that compare equal.
-    def test_one_ulp_away_is_a_miss(self):
+    # its queries instead): one evaluation per call, read-only gradients,
+    # copies that compare equal.
+    def test_one_evaluation_per_call(self):
         p, calls = counting_problem()
         x = np.array([1.0, 2.0, 3.0])
         y = x.copy()
@@ -145,6 +150,9 @@ class TestMemo:
             p.value(point)
             p.gradient(point)
         assert calls == {"value": 2, "grad": 2}
+        p.values(np.stack((x, y)))
+        p.gradients(np.stack((x, y)))
+        assert calls == {"value": 3, "grad": 3}
 
     def test_returned_gradient_is_read_only(self):
         p, _ = counting_problem()
@@ -153,7 +161,7 @@ class TestMemo:
             g[0] = 99.0
         np.testing.assert_array_equal(p.gradient(np.ones(3)), np.ones(3))
 
-    def test_copies_start_with_an_empty_memo(self):
+    def test_copies_evaluate_afresh(self):
         p, calls = counting_problem()
         x = np.ones(3)
         p.value(x)
@@ -163,7 +171,7 @@ class TestMemo:
         dataclasses.replace(p).value(x)
         assert calls == {"value": 3, "grad": 2}
 
-    def test_equality_and_repr_ignore_the_memo(self):
+    def test_copies_compare_equal(self):
         p, _ = counting_problem()
         q = dataclasses.replace(p)
         assert p == q
@@ -191,15 +199,22 @@ class TestLogistic:
         rng = np.random.default_rng(11)
         x = rng.standard_normal(problem.dim)
         idx = np.arange(dataset.n_samples)
-        mean_loss = float(np.add.reduce(dataset.losses(x, idx)) / dataset.n_samples)
+        mean_loss = float(np.add.reduce(dataset.losses(x[None], idx[None])[0])
+                          / dataset.n_samples)
         assert mean_loss == problem.value(x)  # bit-for-bit
 
     def test_per_sample_loss_accessors(self, logistic):
+        # one index row per point of the stack, or a slice for all samples
         problem, dataset = logistic
-        x = np.zeros(problem.dim)
-        assert dataset.loss(x, 0) == pytest.approx(np.log(2), rel=1e-12)
-        np.testing.assert_allclose(dataset.loss_grad(x, 3),
-                                   dataset.loss_grads(x, np.array([3]))[0])
+        X = np.zeros((2, problem.dim))
+        losses = dataset.losses(X, np.array([[0], [5]]))
+        assert losses.shape == (2, 1)
+        np.testing.assert_allclose(losses, np.log(2), rtol=1e-12)
+        grads = dataset.loss_grads(X, np.array([[3, 4], [4, 3]]))
+        assert grads.shape == (2, 2, problem.dim)
+        full = dataset.loss_grads(X[:1], slice(None))[0]
+        np.testing.assert_allclose(grads[0], full[[3, 4]])
+        np.testing.assert_allclose(grads[1], full[[4, 3]])
 
     def test_growth_constants_positive(self, logistic):
         _, dataset = logistic
@@ -225,24 +240,26 @@ class TestCopyFreeFullDataPass:
 
     @staticmethod
     def reference(dataset):
+        """The value and gradient at one point, as a stack of one, over the
+        copied index array."""
         f, y, reg = dataset.features, dataset.labels, dataset.reg
         idx = np.arange(dataset.n_samples)
 
         def value(x):
-            return _mean_ascending(_logistic_losses(f, y, reg, x, idx))
+            losses = _logistic_losses(f, y, reg, x[None], idx)[0]
+            return float(np.add.reduce(losses) / len(idx))
 
         def grad(x):
-            return np.add.reduce(_logistic_grads(f, y, reg, x, idx), axis=0) / len(idx)
+            grads = _logistic_grads(f, y, reg, x[None], idx)[0]
+            return np.add.reduce(grads, axis=0) / len(idx)
         return value, grad
 
     def test_random_points(self, logistic_sizes):
         problem, dataset = logistic_sizes
         value, grad = self.reference(dataset)
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            x = 3.0 * rng.standard_normal(problem.dim)
-            assert problem.value_fn(x) == value(x)
-            assert np.array_equal(problem.grad_fn(x), grad(x))
+        X = 3.0 * np.random.default_rng(12).standard_normal((50, problem.dim))
+        assert problem.value_fn(X).tolist() == [value(x) for x in X]
+        assert np.array_equal(problem.grad_fn(X), [grad(x) for x in X])
 
     def test_lbfgs_solution(self, logistic_sizes):
         problem, dataset = logistic_sizes
@@ -251,8 +268,8 @@ class TestCopyFreeFullDataPass:
             value, np.zeros(problem.dim), jac=grad, method="L-BFGS-B",
             options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 5000})
         assert value(sol.x) == problem.phi_star
-        assert problem.value_fn(sol.x) == problem.phi_star
-        assert np.array_equal(problem.grad_fn(sol.x), grad(sol.x))
+        assert problem.value(sol.x) == problem.phi_star
+        assert np.array_equal(problem.gradient(sol.x), grad(sol.x))
 
 
 class TestGrowthConstants:
@@ -266,8 +283,8 @@ class TestGrowthConstants:
         max_abs = max_rel = 0.0
         for _ in range(n_probes):
             x = problem.x0 + radius * rng.standard_normal(problem.dim)
-            grads = dataset.loss_grads(x, idx)
-            mean_grad = problem.grad_fn(x)
+            grads = dataset.loss_grads(x[None], idx)[0]
+            mean_grad = problem.gradient(x)
             var = float(np.mean(np.sum((grads - mean_grad) ** 2, axis=1)))
             gn2 = float(mean_grad @ mean_grad)
             max_abs = max(max_abs, var)
@@ -294,18 +311,24 @@ class TestGrowthConstants:
 
 
 class TestStackedValues:
-    """values(X) / gradients(X) are value_fn / grad_fn applied to every row
-    of X, in one call."""
+    """values(X) / gradients(X) answer every row of an (m, dim) stack in one
+    call, and row r is what the stack of one of that row answers."""
 
     @pytest.mark.parametrize("name", ["quadratic", "linear", "logistic"])
     def test_matches_value_fn_row_by_row(self, name, quadratic, logistic):
-        problem = {"quadratic": quadratic, "logistic": logistic[0],
-                   "linear": make_linear([1.0, -2.0, 0.5, 3.0])}[name]
+        # against each fixture's formula, evaluated independently per row
+        c = np.array([1.0, -2.0, 0.5, 3.0])
+        problem, dataset = {"quadratic": (quadratic, None), "logistic": logistic,
+                            "linear": (make_linear(c), None)}[name]
         X = np.random.default_rng(31).standard_normal((17, problem.dim))
         got = problem.values(X)
         assert got.shape == (17,)
-        np.testing.assert_allclose(
-            got, [problem.value_fn(x) for x in X], rtol=1e-12)
+        want = {
+            "quadratic": lambda: [0.5 * g @ x for x, g in zip(X, problem.gradients(X))],
+            "linear": lambda: X @ c,
+            "logistic": lambda: dataset.losses(X, slice(None)).mean(axis=1),
+        }[name]()
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("shape", [(10,), (4, 9), (2, 4, 10)])
     def test_wrong_shape_rejected(self, quadratic, shape):
@@ -315,13 +338,19 @@ class TestStackedValues:
     @pytest.mark.parametrize("name", ["quadratic", "linear", "logistic"])
     @pytest.mark.parametrize("m", [1, 2, 17])
     def test_rows_are_the_one_point_bits(self, name, m, quadratic, logistic):
-        # a row's exact values may not depend on the stack it came in
+        # a row's exact values may not depend on the stack it came in: row r
+        # of an m-stack is the stack of one of that row, and the one-point
+        # views are that stack of one
         problem = {"quadratic": quadratic, "logistic": logistic[0],
                    "linear": make_linear([1.0, -2.0, 0.5, 3.0])}[name]
         X = 3.0 * np.random.default_rng(32).standard_normal((m, problem.dim))
-        assert np.array_equal(problem.values(X), [problem.value_fn(x) for x in X])
+        assert np.array_equal(problem.values(X),
+                              [problem.values(X[r:r + 1])[0] for r in range(m)])
         assert np.array_equal(problem.gradients(X),
-                              [problem.grad_fn(x) for x in X])
+                              [problem.gradients(X[r:r + 1])[0] for r in range(m)])
+        assert problem.values(X).tolist() == [problem.value(x) for x in X]
+        assert np.array_equal(problem.gradients(X),
+                              [problem.gradient(x) for x in X])
 
     @pytest.mark.parametrize("shape", [(10,), (4, 9)])
     def test_gradients_wrong_shape_rejected(self, quadratic, shape):
@@ -329,12 +358,11 @@ class TestStackedValues:
             quadratic.gradients(np.zeros(shape))
 
     def test_no_per_row_fallback(self):
+        # a stack is one pass of the fixture function, not one per row
         p, calls = counting_problem()
-        with pytest.raises(NotImplementedError):
-            p.values(np.ones((2, 3)))
-        with pytest.raises(NotImplementedError):
-            p.gradients(np.ones((2, 3)))
-        assert calls == {"value": 0, "grad": 0}
+        np.testing.assert_array_equal(p.values(np.ones((5, 3))), 1.5)
+        np.testing.assert_array_equal(p.gradients(np.ones((5, 3))), 1.0)
+        assert calls == {"value": 1, "grad": 1}
 
 
 class TestLinear:
