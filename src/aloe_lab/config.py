@@ -130,6 +130,8 @@ def parse_config(path: str) -> ExperimentConfig:
             "seed": prob.get_int("problem_seed", 0),
             "reg": prob.get_float("reg", 1e-3),
         }
+        if not fixture_params["reg"] > 0:
+            errors.append("[problem] reg must be positive")
     else:
         errors.append(f"[problem] fixture must be quadratic or logistic, got {fixture!r}")
         fixture, fixture_params = "quadratic", {"dim": 10, "lambda_min": 0.1,

@@ -378,23 +378,6 @@ def mgf_envelope_ok(samples: np.ndarray, nu: float, b: float,
 CERTIFY_BLOCK = 1024
 
 
-def _queries_at(query, x, stream, n_queries: int, truth: str):
-    """`n_queries` consecutive queries of `stream`'s one key at the point x,
-    as stacks of copies of x.  The first stack has one row; its exact value
-    is handed on, as the keyword `truth`, to the stacks of up to
-    CERTIFY_BLOCK rows that follow.  Yields (query slice, estimates, exact
-    values) per stack."""
-    x = np.asarray(x, dtype=float)
-    start, known = 0, None
-    while start < n_queries:
-        m = 1 if known is None else min(CERTIFY_BLOCK, n_queries - start)
-        given = {} if known is None else {truth: np.repeat(known[None], m, axis=0)}
-        est, exact = query(np.tile(x, (m, 1)), stream, **given)
-        yield slice(start, start + m), est, exact
-        known = np.asarray(exact)[0]
-        start += m
-
-
 def certify_oracles(problem, zeroth_oracle, first_oracle,
                     zspec: ZerothOracleSpec, fspec: FirstOracleSpec,
                     probe_points, alphas, n_queries: int = 10_000,
@@ -407,19 +390,26 @@ def certify_oracles(problem, zeroth_oracle, first_oracle,
     >= 1 - delta by a one-sided binomial test.
 
     The queries at probe j are consecutive queries of the one key
-    (base_seed, PROBE, j), sent as stacks of copies of the point: first the
-    zeroth-order ones, then the first-order ones at each alpha in turn.
-    The exact value at the point is computed once per probe and oracle.
-    `problem` is not read.
+    (base_seed, PROBE, j), sent as stacks of up to CERTIFY_BLOCK copies of
+    the point: first the zeroth-order ones, then the first-order ones at
+    each alpha in turn.  phi(x) and grad phi(x) are computed from `problem`
+    once per probe and handed to every stack.
     """
     if n_queries < 2:
         raise ValueError("n_queries must be >= 2 for a standard error")
+    m = min(CERTIFY_BLOCK, n_queries)
+    # each stack is the first rows of the probe's m copies
+    stacks = [slice(0, min(m, n_queries - start))
+              for start in range(0, n_queries, m)]
     results = []
     for j, x in enumerate(probe_points):
         stream = rngmod.probe_stream(base_seed, j)
-        errors = np.empty(n_queries)
-        for rows, est, phi in _queries_at(zeroth_oracle, x, stream, n_queries, "phi"):
-            errors[rows] = np.abs(est - phi)
+        x = np.asarray(x, dtype=float)
+        X, phi = np.tile(x, (m, 1)), np.full(m, problem.value(x))
+        grad = np.tile(problem.gradient(x), (m, 1))
+        errors = np.concatenate([
+            np.abs(zeroth_oracle(X[s], stream, phi=phi[s])[0] - phi[s])
+            for s in stacks])
         stderr = errors.std(ddof=1) / math.sqrt(n_queries)
         threshold = zspec.eps_f + 3 * stderr
         results.append(ProbeResult(
@@ -432,13 +422,9 @@ def certify_oracles(problem, zeroth_oracle, first_oracle,
                 passed=mgf_envelope_ok(errors, zspec.nu, zspec.b),
                 statistic=math.nan, threshold=math.nan))
         for alpha in alphas:
-            def query(X, stream, **given):
-                return first_oracle(X, alpha, stream, **given)
-
-            hits = sum(int(gradient_accurate(g, grad, alpha, fspec.eps_g,
-                                             fspec.kappa).sum())
-                       for _, g, grad in _queries_at(query, x, stream, n_queries,
-                                                     "grad"))
+            hits = sum(int(gradient_accurate(
+                first_oracle(X[s], alpha, stream, grad=grad[s], phi=phi[s])[0],
+                grad[s], alpha, fspec.eps_g, fspec.kappa).sum()) for s in stacks)
             results.append(ProbeResult(
                 description=f"first accuracy event, probe {j}, alpha {alpha}",
                 passed=binomial_frequency_test(hits, n_queries,

@@ -299,6 +299,31 @@ def estimate_growth_constants(
     return safety * max_abs, safety * max_rel
 
 
+def _logistic_minimizer(problem: ProblemInstance, features, reg: float) -> np.ndarray:
+    """Minimizer of the logistic objective by Newton's method with
+    backtracking (Nocedal & Wright, Numerical Optimization, ch. 3), from
+    the origin.  The Hessian X' diag(s (1 - s)) X / n + reg I, s the sigmoids
+    of X x, is positive definite as reg > 0, so each step descends.  A step
+    is halved until the Armijo test with coefficient 1/4 holds.  The solve
+    stops at the first step that no longer lowers phi: phi is then flat to
+    rounding, and the full step, the minimizer of the local model, lands
+    where the gradient is at its rounding floor.  It takes 3 to 15 steps."""
+    x = np.zeros(problem.dim)
+    phi = problem.value(x)
+    for _ in range(100):
+        g = problem.gradient(x)
+        s = _sigmoid(features @ x)
+        hess = (features.T * (s * (1.0 - s))) @ features / len(features)
+        step = -np.linalg.solve(hess + reg * np.eye(problem.dim), g)
+        t, slope = 1.0, 0.25 * float(g @ step)
+        while (phi_new := problem.value(x + t * step)) > phi + t * slope:
+            t /= 2
+        if phi_new >= phi:
+            return x + step
+        x, phi = x + t * step, phi_new
+    raise ArithmeticError("Newton solve did not converge in 100 steps")
+
+
 def make_synthetic_logistic(
     n_samples: int,
     dim: int,
@@ -310,12 +335,14 @@ def make_synthetic_logistic(
 
     l2-regularized so the objective is strongly convex with
     beta = reg exactly.  The growth constants (M_c, M_v) are estimated on a
-    probe grid; the minimum value is found by a deterministic high-accuracy
-    inner solve.  `feature_scale` controls the margin dispersion (smaller
-    values give a less separable, lower-variance loss landscape).
+    probe grid; the minimum value is found by a Newton solve
+    (`_logistic_minimizer`).  `feature_scale` controls the margin dispersion
+    (smaller values give a less separable, lower-variance loss landscape).
     """
     if n_samples < 1 or dim < 1:
         raise ValueError("n_samples and dim must be >= 1")
+    if not reg > 0:
+        raise ValueError("reg must be positive")
     if feature_scale <= 0:
         raise ValueError("feature_scale must be positive")
     rng = np.random.default_rng(seed)
@@ -339,14 +366,9 @@ def make_synthetic_logistic(
         class_tag="strongly_convex",
         x0=x0,
     )
-    # imported here: no other fixture needs scipy, and it is slow to load
-    import scipy.optimize
-    sol = scipy.optimize.minimize(
-        problem.value, np.zeros(dim), jac=problem.gradient, method="L-BFGS-B",
-        options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 5000},
-    )
-    problem = replace(problem, phi_star=problem.value(sol.x),
-                      diameter_D=2.0 * float(np.linalg.norm(x0 - sol.x)))
+    x_star = _logistic_minimizer(problem, features, reg)
+    problem = replace(problem, phi_star=problem.value(x_star),
+                      diameter_D=2.0 * float(np.linalg.norm(x0 - x_star)))
     dataset = ErmDataset(features=features, labels=labels, reg=reg, M_c=0.0, M_v=0.0)
     M_c, M_v = estimate_growth_constants(
         problem, dataset, rngmod.probe_rng(seed, rngmod.GROWTH_PROBES))

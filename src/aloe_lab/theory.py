@@ -146,7 +146,7 @@ def simplified_nonconvex_eps_min(eps_g: float, eps_f: float, L: float,
 
 
 def _eps_min_at_eta(class_tag, eta, theta, L, kappa, alpha_max, eps_f, eps_g,
-                    p, beta, D, include_4epsf_clause):
+                    p, beta, D):
     ab = bar_alpha(theta, L, kappa, eta)
     if class_tag == "nonconvex":
         if eps_g > 0 and eta == 0:
@@ -177,10 +177,7 @@ def _eps_min_at_eta(class_tag, eta, theta, L, kappa, alpha_max, eps_f, eps_g,
             second = 4 * eps_f / denom
         else:
             second = 0.0
-        out = max(first, second)
-        if include_4epsf_clause:
-            out = max(out, 4 * eps_f)
-        return out
+        return max(first, second, 4 * eps_f)
     if class_tag == "convex":
         if eps_f > 0:
             if p <= 0.5:
@@ -193,24 +190,26 @@ def _eps_min_at_eta(class_tag, eta, theta, L, kappa, alpha_max, eps_f, eps_g,
     raise ValueError(f"unknown class_tag {class_tag!r}")
 
 
+# Interior points of the eta grid that eps_lower_bound minimizes over.
+ETA_GRID = 256
+
+
 def eps_lower_bound(class_tag: str, theta: float, L: float, kappa: float,
                     alpha_max: float, eps_f: float, eps_g: float, p: float,
-                    beta: float = 0.0, D: float | None = None,
-                    include_4epsf_clause: bool = True,
-                    n_grid: int = 256) -> tuple[float, float]:
+                    beta: float = 0.0, D: float | None = None) -> tuple[float, float]:
     """Smallest achievable accuracy target, minimized over the free analysis
-    parameter eta on a grid of `n_grid` interior points.
+    parameter eta on a grid of ETA_GRID interior points.
 
     Returns (eps_min, eta_star).  In the exact-oracle limit eps_min is 0.
     """
     top = eta_range(theta)
-    etas = np.linspace(top / (n_grid + 1), top * n_grid / (n_grid + 1), n_grid)
+    etas = np.linspace(top / (ETA_GRID + 1), top * ETA_GRID / (ETA_GRID + 1),
+                       ETA_GRID)
     best, best_eta = math.inf, None
     for eta in etas:
         try:
             val = _eps_min_at_eta(class_tag, float(eta), theta, L, kappa,
-                                  alpha_max, eps_f, eps_g, p, beta, D,
-                                  include_4epsf_clause)
+                                  alpha_max, eps_f, eps_g, p, beta, D)
         except ValueError:
             continue
         if val < best:
@@ -358,8 +357,7 @@ def derive_constants(class_tag: str, *, eps: float, theta: float, gamma: float,
                      eps_g: float, delta: float, eps_f: float, nu: float,
                      b: float, u: float, bounded: bool, phi0: float,
                      phi_star: float, beta: float = 0.0, D: float | None = None,
-                     eps1: float | None = None, eta: float | None = None,
-                     include_4epsf_clause: bool = True) -> TheoryConstants:
+                     eps1: float | None = None, eta: float | None = None) -> TheoryConstants:
     """Evaluate the whole constant chain for one configuration.
 
     When `eta` is omitted it is chosen by grid-minimizing the accuracy floor,
@@ -369,8 +367,7 @@ def derive_constants(class_tag: str, *, eps: float, theta: float, gamma: float,
         raise ValueError(f"unknown class_tag {class_tag!r}")
     p = success_prob_p(delta, nu, b, u, bounded)
     eps_min, eta_star = eps_lower_bound(
-        class_tag, theta, L, kappa, alpha_max, eps_f, eps_g, p,
-        beta=beta, D=D, include_4epsf_clause=include_4epsf_clause)
+        class_tag, theta, L, kappa, alpha_max, eps_f, eps_g, p, beta=beta, D=D)
     if eta is None:
         eta = eta_star
     ab = bar_alpha(theta, L, kappa, eta)

@@ -188,6 +188,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="logistic"):
             parse_config(path)
 
+    @pytest.mark.parametrize("reg", ["0", "-0.01", "nan"])
+    def test_nonpositive_reg_rejected(self, tmp_path, reg):
+        path = write(tmp_path, "bad.ini",
+                     f"[problem]\nfixture = logistic\nreg = {reg}\n")
+        with pytest.raises(ConfigError, match=r"\[problem\] reg must be positive"):
+            parse_config(path)
+
 
 class TestDigest:
     def test_formatting_invariant(self, tmp_path):
@@ -272,6 +279,15 @@ class TestRun:
         out = str(tmp_path / "out")
         assert main(["--config", config, "--out", out, "--quiet",
                      "--seed", "-1"]) == EXIT_CONFIG
+        assert not os.path.exists(out)
+
+    def test_negative_reg_exit_two(self, tmp_path):
+        # with the gate off, reg < 0 would run every trial against an
+        # objective that is unbounded below
+        config = write(tmp_path, "bad.ini",
+                       LOGISTIC_ESTIMATED.replace("reg = 0.01", "reg = -0.01"))
+        out = str(tmp_path / "out")
+        assert run(config, out, quiet=True) == EXIT_CONFIG
         assert not os.path.exists(out)
 
     def test_malformed_config_exit_two(self, tmp_path):

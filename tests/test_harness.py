@@ -393,7 +393,7 @@ class TestCertification:
         assert isinstance(report, CertificationReport)
 
     def test_stacked_queries_replay_one_point_queries(self):
-        # 1500 queries per probe: a one-row stack, a full block and a rest
+        # 1500 queries per probe: a full block and a rest
         zspec = ZerothOracleSpec(eps_f=0.1, nu=0.05, b=0.05,
                                  mode="subexponential", mean_error=0.05)
         fspec = FirstOracleSpec(eps_g=0.05, kappa=0.5, delta=0.1)

@@ -6,6 +6,7 @@ import scipy.optimize
 
 from aloe_lab.problems import (DimensionMismatchError, ProblemInstance,
                                _logistic_grads, _logistic_losses,
+                               _logistic_minimizer,
                                estimate_growth_constants,
                                finite_difference_gradient, make_linear,
                                make_strongly_convex_quadratic,
@@ -225,7 +226,52 @@ class TestLogistic:
         problem, _ = logistic
         assert problem.diameter_D > 0
 
+    @pytest.mark.parametrize("reg", [0.0, -0.01, np.nan])
+    def test_nonpositive_reg_rejected(self, reg):
+        # with reg <= 0 the objective is not strongly convex, and with
+        # reg < 0 it is unbounded below
+        with pytest.raises(ValueError, match="reg must be positive"):
+            make_synthetic_logistic(n_samples=32, dim=3, seed=0, reg=reg)
 
+
+def lbfgs_minimum(problem):
+    """phi at the L-BFGS-B minimizer from the origin: the reference the
+    Newton solve is checked against."""
+    sol = scipy.optimize.minimize(
+        problem.value, np.zeros(problem.dim), jac=problem.gradient,
+        method="L-BFGS-B", options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 5000})
+    return problem.value(sol.x)
+
+
+class TestNewtonMinimum:
+    """phi_star comes from a Newton solve; L-BFGS-B is the reference."""
+
+    # (n_samples, dim, seed, reg): the logistic_minibatch workload's fixture
+    # first, then fixtures of earlier bit-identity checks
+    FIXTURES = [(2048, 10, 11, 0.01), (2048, 10, 0, 1e-3), (256, 5, 3, 1e-3),
+                (512, 8, 7, 1e-3), (100, 3, 1, 1e-3), (64, 2, 11, 1e-3),
+                (1000, 20, 5, 1e-3), (2048, 10, 3, 1e-3), (256, 4, 5, 1e-3),
+                (64, 3, 1, 1e-3), (512, 10, 0, 1e-3)]
+
+    @pytest.mark.parametrize("n, dim, seed, reg", FIXTURES)
+    def test_matches_lbfgs_at_a_zero_gradient(self, n, dim, seed, reg):
+        problem, dataset = make_synthetic_logistic(n_samples=n, dim=dim,
+                                                   seed=seed, reg=reg)
+        ref = lbfgs_minimum(problem)
+        assert abs(problem.phi_star - ref) <= 4 * np.spacing(ref)
+        x_star = _logistic_minimizer(problem, dataset.features, reg)
+        assert problem.value(x_star) == problem.phi_star
+        assert np.linalg.norm(problem.gradient(x_star)) <= 1e-12
+        assert problem.diameter_D == 2.0 * np.linalg.norm(problem.x0 - x_star)
+
+    def test_step_cap_raises(self):
+        # every step lowers an objective that is unbounded below, so only
+        # the cap stops the solve
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _logistic_minimizer(make_linear([1.0, -2.0]), np.eye(2), 0.01)
+
+
+# n2048 is the fixture of the logistic_minibatch workload
 @pytest.fixture(scope="module", params=[(64, 5, 3), (2048, 10, 11)],
                 ids=["n64", "n2048"])
 def logistic_sizes(request):
@@ -262,6 +308,8 @@ class TestCopyFreeFullDataPass:
         assert np.array_equal(problem.grad_fn(X), [grad(x) for x in X])
 
     def test_lbfgs_solution(self, logistic_sizes):
+        # on these fixtures the Newton solve's phi_star is the L-BFGS-B
+        # minimum bit for bit
         problem, dataset = logistic_sizes
         value, grad = self.reference(dataset)
         sol = scipy.optimize.minimize(

@@ -1,6 +1,7 @@
-"""Start-up cost: scipy is loaded only by the logistic fixture's L-BFGS-B
-solve.  Each case runs in a fresh interpreter, so modules imported by other
-tests in this process cannot mask an import."""
+"""Start-up cost and dependencies: the program loads no scipy module, and
+runs where scipy cannot be imported at all.  Each case runs in a fresh
+interpreter, so modules imported by other tests in this process cannot mask
+an import."""
 
 import json
 import os
@@ -9,7 +10,8 @@ import sys
 import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 REPORT = """
 import json
@@ -18,15 +20,21 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
-def scipy_modules_after(code: str) -> set[str]:
+def run_fresh(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter, which must succeed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys\n" + textwrap.dedent(code) + REPORT],
+        [sys.executable, "-c", "import sys\n" + textwrap.dedent(code)],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return proc.stdout
+
+
+def scipy_modules_after(code: str) -> set[str]:
+    stdout = run_fresh(textwrap.dedent(code) + REPORT)
+    return set(json.loads(stdout.splitlines()[-1]))
 
 
 def test_quadratic_run_and_certification_load_no_scipy(tmp_path):
@@ -53,11 +61,59 @@ def test_quadratic_run_and_certification_load_no_scipy(tmp_path):
     assert loaded == set()
 
 
-def test_logistic_fixture_loads_lbfgs_only():
+def test_logistic_fixture_loads_no_scipy():
     loaded = scipy_modules_after("""
         from aloe_lab.problems import make_synthetic_logistic
         make_synthetic_logistic(n_samples=32, dim=3, seed=0)
     """)
-    assert "scipy.optimize" in loaded
-    assert not any(m == "scipy.stats" or m.startswith("scipy.stats.")
-                   for m in loaded)
+    assert loaded == set()
+
+
+LOGISTIC = """
+[problem]
+fixture = logistic
+n_samples = 128
+dim = 4
+reg = 0.01
+problem_seed = 11
+
+[oracles]
+kind = minibatch
+batch_size = 32
+eps_f = 0.01
+mode = bounded
+eps_g = 0.5
+kappa = 1.0
+delta = 0.1
+
+[algorithm]
+alpha_max = 1.25
+max_iters = 30
+estimate_eps_f = true
+estimator_period = 8
+
+[stopping]
+class = strongly_convex
+eps = 0.05
+
+[experiment]
+trials = 2
+check_admissibility = false
+"""
+
+
+def test_cli_runs_where_scipy_cannot_be_imported(tmp_path):
+    # a None entry in sys.modules makes every `import scipy...` raise
+    # ImportError, as on an install without scipy
+    (tmp_path / "logistic.ini").write_text(LOGISTIC)
+    configs = [(str(tmp_path / "logistic.ini"), str(tmp_path / "logistic")),
+               (str(ROOT / "demos" / "configs" / "smoke.ini"),
+                str(tmp_path / "smoke"))]
+    stdout = run_fresh(f"""
+        sys.modules["scipy"] = None
+        from aloe_lab.cli import main
+        for config, out in {configs!r}:
+            print(main(["--config", config, "--out", out, "--quiet"]))
+    """)
+    assert stdout.split() == ["0", "0"]
+    assert all((Path(out) / "trials.csv").exists() for _, out in configs)

@@ -147,7 +147,7 @@ class TestEpsLowerBound:
         from aloe_lab.theory import _eps_min_at_eta
         eps_min, eta_star = eps_lower_bound("nonconvex", **self.CONSTS)
         at_01 = _eps_min_at_eta("nonconvex", 0.1, 0.2, 10.0, 1.0, 1.0,
-                                1e-3, 1e-3, 0.9, 0.0, None, True)
+                                1e-3, 1e-3, 0.9, 0.0, None)
         assert eps_min <= at_01 + 1e-12
         assert 0 < eta_star < eta_range(0.2)
 
@@ -158,10 +158,6 @@ class TestEpsLowerBound:
     def test_strongly_convex_4epsf_clause(self):
         with_clause, _ = eps_lower_bound("strongly_convex", 0.2, 10.0, 0.0,
                                          1.0, 1e-3, 0.0, 0.9, beta=0.1)
-        without, _ = eps_lower_bound("strongly_convex", 0.2, 10.0, 0.0,
-                                     1.0, 1e-3, 0.0, 0.9, beta=0.1,
-                                     include_4epsf_clause=False)
-        assert with_clause >= without
         assert with_clause >= 4e-3
 
     def test_convex_needs_positive_p(self):
