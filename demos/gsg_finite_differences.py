@@ -46,7 +46,7 @@ def main():
     n_queries = 50
     # oracles answer (m, dim) stacks: 50 copies of x are 50 consecutive
     # queries of the stream's one key, answered in one call
-    g, grad = oracle(np.tile(x, (n_queries, 1)), 1.0, probe_stream(42))
+    g = oracle(np.tile(x, (n_queries, 1)), 1.0, probe_stream(42))
     hits = gradient_accurate(g, grad, 1.0, params.eps_g, 0.0)
     errs = np.linalg.norm(g - grad, axis=1)
     print(f"{n_queries} probe queries: accuracy event in "

@@ -42,7 +42,7 @@ def estimate_eps_f(zeroth_oracle, X, config: EstimatorConfig, stream,
     """
     m = config.n_calls
     known = {} if phi is None else {"phi": np.repeat(phi, m)}
-    values, _ = zeroth_oracle(np.repeat(X, m, axis=0), stream, **known)
+    values = zeroth_oracle(np.repeat(X, m, axis=0), stream, **known)
     return config.scale_factor * np.std(values.reshape(-1, m), axis=1, ddof=1)
 
 
@@ -55,16 +55,15 @@ class EpochEpsFController:
     incumbents of a block, the block's EPS_EST stream and the exact values
     at X; returns the n slacks."""
 
-    def __init__(self, zeroth_oracle, config: EstimatorConfig, scale: float = 1.0):
+    def __init__(self, zeroth_oracle, config: EstimatorConfig):
         self.zeroth_oracle = zeroth_oracle
         self.config = config
-        self.scale = scale
         self._current = 0.0
         self.history: list[tuple[int, np.ndarray]] = []
 
     def __call__(self, k: int, X, stream, phi=None):
         if k % self.config.refresh_period == 0:
-            est = estimate_eps_f(self.zeroth_oracle, X, self.config, stream, phi)
-            self._current = self.scale * est
+            self._current = estimate_eps_f(self.zeroth_oracle, X, self.config,
+                                           stream, phi)
             self.history.append((k, self._current))
         return self._current

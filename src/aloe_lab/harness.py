@@ -65,10 +65,6 @@ class ExperimentConfig:
         if any(t > self.params.max_iters for t in self.t_checkpoints):
             raise ValueError("checkpoints must not exceed the iteration budget")
 
-    @property
-    def budget(self) -> int:
-        return self.params.max_iters
-
 
 def _freeze(d: dict) -> tuple:
     return tuple(sorted(d.items()))
@@ -408,7 +404,7 @@ def certify_oracles(problem, zeroth_oracle, first_oracle,
         X, phi = np.tile(x, (m, 1)), np.full(m, problem.value(x))
         grad = np.tile(problem.gradient(x), (m, 1))
         errors = np.concatenate([
-            np.abs(zeroth_oracle(X[s], stream, phi=phi[s])[0] - phi[s])
+            np.abs(zeroth_oracle(X[s], stream, phi=phi[s]) - phi[s])
             for s in stacks])
         stderr = errors.std(ddof=1) / math.sqrt(n_queries)
         threshold = zspec.eps_f + 3 * stderr
@@ -423,7 +419,7 @@ def certify_oracles(problem, zeroth_oracle, first_oracle,
                 statistic=math.nan, threshold=math.nan))
         for alpha in alphas:
             hits = sum(int(gradient_accurate(
-                first_oracle(X[s], alpha, stream, grad=grad[s], phi=phi[s])[0],
+                first_oracle(X[s], alpha, stream, grad=grad[s], phi=phi[s]),
                 grad[s], alpha, fspec.eps_g, fspec.kappa).sum()) for s in stacks)
             results.append(ProbeResult(
                 description=f"first accuracy event, probe {j}, alpha {alpha}",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .linesearch import Paths, Trace
 from .oracles import accurate_from_norms
-from .problems import CLASS_TAGS, ProblemInstance, row_dots
+from .problems import CLASS_TAGS, ProblemInstance
 
 CENSORED = -1
 
@@ -52,17 +52,9 @@ def progress_Z(class_tag: str, phi_x: float, phi_star: float, eps: float) -> flo
 def stopping_times(paths: Paths, problem: ProblemInstance, spec: StoppingSpec) -> np.ndarray:
     """Per trial, the first iteration index meeting the class criterion,
     CENSORED if the budget runs out first.  The state reached after the
-    final iteration counts as index T; its gradient is evaluated only for
-    the trials that need it (not yet stopped, criterion reads the gradient,
-    the final step moved)."""
-    gap = paths.phi - problem.phi_star
-    gnorm = paths.grad_norm
-    need = np.isnan(gnorm[:, -1]) & ~_stopped(spec, gap[:, :-1], gnorm[:, :-1]).any(axis=1)
-    if spec.class_tag != "strongly_convex" and need.any():
-        final = problem.gradients(paths.x_final[need])
-        gnorm = gnorm.copy()
-        gnorm[need, -1] = np.sqrt(row_dots(final, final))
-    hit = _stopped(spec, gap, gnorm)
+    final iteration counts as index T.  Only the columns of `paths` and
+    `problem.phi_star` are read: the problem is never evaluated."""
+    hit = _stopped(spec, paths.phi - problem.phi_star, paths.grad_norm)
     return np.where(hit.any(axis=1), hit.argmax(axis=1), CENSORED)
 
 

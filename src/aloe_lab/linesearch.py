@@ -19,12 +19,14 @@ operation keeps each row's bits independent of the others, so a trial's
 path does not depend on the block it runs in.  `aloe_run` is the same
 engine with n = 1.
 
-Exact values are computed once per point.  The engine evaluates phi and
-grad phi at x_0 once for the block.  x_{k+1} is x_k+ or x_k, so phi(x_{k+1})
-is known from iteration k, and grad phi(x_{k+1}) too after a rejected
-step; the engine hands these to the queries at x_{k+1} (phi to both the
-zeroth- and the first-order query) and evaluates one stacked gradient for
-the rows that moved.
+Ground truth is the engine's; oracles return estimates only.  The engine
+evaluates phi and grad phi once per point: both at x_0, once for the
+block, and phi(x_k+) as one stacked call per iteration.  x_{k+1} is x_k+
+or x_k, so phi(x_{k+1}) is known from iteration k, and grad phi(x_{k+1})
+too after a rejected step; one stacked gradient call covers the rows that
+moved, at the top of each iteration and once after the last.  Each query
+is handed the exact values at its points that the engine knows, and the
+columns hold phi and ||grad phi|| at every x_k, x_T included.
 """
 
 import math
@@ -72,7 +74,7 @@ class AloeParams:
 class Paths:
     """Per-iteration columns of a block of n trials run for T iterations,
     row r for trial seeds[r]: what the path classifier reads.  Points and
-    gradients are not kept; `x_final` is x_T."""
+    gradients are not kept."""
 
     seeds: tuple
     exponents: np.ndarray   # (n, T + 1) i_0..i_T; alpha_k = alpha0 * gamma ** i_k
@@ -83,8 +85,7 @@ class Paths:
     g_norm: np.ndarray      # (n, T) ||g_k||
     grad_error: np.ndarray  # (n, T) ||g_k - grad phi(x_k)||
     phi: np.ndarray         # (n, T + 1) phi(x_0)..phi(x_T)
-    grad_norm: np.ndarray   # (n, T + 1) ||grad phi(x_k)||; NaN at T after a final move
-    x_final: np.ndarray     # (n, dim)
+    grad_norm: np.ndarray   # (n, T + 1) ||grad phi(x_0)||..||grad phi(x_T)||
 
     def row(self, r: int) -> "Paths":
         """Trial seeds[r] alone, as a block of one."""
@@ -209,11 +210,12 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
         alpha = step_of[i - i_cap]
         if eps_f_controller is not None:
             eps_f = eps_f_controller(k, X, est_rng, phi)
-        g, _ = first_oracle(X, alpha, grad_rng, grad=grad, phi=phi)
-        g = np.asarray(g, dtype=float)
+        g = np.asarray(first_oracle(X, alpha, grad_rng, grad=grad, phi=phi),
+                       dtype=float)
         x_plus = X - alpha[:, None] * g
-        f_curr, _ = zeroth_oracle(X, curr_rng, phi=phi)
-        f_plus, phi_plus = zeroth_oracle(x_plus, plus_rng)
+        f_curr = zeroth_oracle(X, curr_rng, phi=phi)
+        phi_plus = problem.values(x_plus)
+        f_plus = zeroth_oracle(x_plus, plus_rng, phi=phi_plus)
         V = np.concatenate((g, g - grad, grad))
         g_sq, error_sq, grad_sq = row_dots(V, V).reshape(3, n)
         # a non-finite g makes g_sq non-finite; an overflowing sum alone
@@ -237,8 +239,10 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
         phi = np.where(success, phi_plus, phi)
         i = step_update(i, success, i_cap)
         moved = success
+    if moved.any():
+        grad[moved] = problem.gradients(X[moved])
     cols["exponents"][:, T], cols["phi"][:, T] = i, phi
-    cols["grad_sq"][:, T] = np.where(moved, np.nan, grad_sq)
+    cols["grad_sq"][:, T] = row_dots(grad, grad)
     f = {name: c if name in ("exponents", "phi", "grad_sq") else c[:, :T]
          for name, c in cols.items()}
     for name in ("g_sq", "error_sq", "grad_sq"):
@@ -246,7 +250,7 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     paths = Paths(seeds=seeds, exponents=f["exponents"], alpha=f["alpha"],
                   success=f["success"], e_sum=f["e_sum"], eps_f=f["eps_f"],
                   g_norm=f["g_sq"], grad_error=f["error_sq"], phi=f["phi"],
-                  grad_norm=f["grad_sq"], x_final=X)
+                  grad_norm=f["grad_sq"])
     if trace_row is None:
         return paths, None
     return paths, Trace(seed=seeds[trace_row], params=params,

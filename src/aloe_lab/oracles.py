@@ -10,14 +10,14 @@ Three families are provided:
   built from the zeroth-order oracle.
 
 Oracles are callables that take an (m, dim) stack X of points, m queries,
-and return the m estimates together with the exact values they estimate:
-zeroth ``oracle(X, stream, phi=None) -> (f, phi(X))``, (m,) each, first
-``oracle(X, alpha, stream, grad=None, phi=None) -> (g, grad phi(X))``,
-(m, dim) each, with alpha a scalar or one value per row.  One point is a
-stack of one.  Any other shape of X raises `DimensionMismatchError`, also
-when the exact values are given.  A caller that already knows the exact
-values passes them as `phi` / `grad` and the oracle uses them instead of
-evaluating the problem again; a first-order oracle built from
+and return the m estimates only: zeroth ``oracle(X, stream, phi=None) -> f``,
+(m,), first ``oracle(X, alpha, stream, grad=None, phi=None) -> g``,
+(m, dim), with alpha a scalar or one value per row.  One point is a stack
+of one.  Any other shape of X raises `DimensionMismatchError`, also when
+the exact values are given.  Ground truth is the caller's: `phi` / `grad`
+are the exact values at X when the caller knows them.  Only the synthetic
+oracles read them, as their noise is laid around the truth, and evaluate
+the problem when none are given; a first-order oracle built from
 zeroth-order queries hands `phi` on to its query at X.
 
 The noise comes from `stream`, an `rng.KeyedStream`.  Row r of a stack
@@ -171,7 +171,7 @@ class SyntheticZerothOracle:
         self._cap = min(spec.eps_f, 2 * spec.target_mean)
         self._mean = spec.target_mean
 
-    def __call__(self, X, stream, phi=None):
+    def __call__(self, X, stream, phi=None) -> np.ndarray:
         X = self.problem.check_stack(X)
         if phi is None:
             phi = self.problem.values(X)
@@ -185,7 +185,7 @@ class SyntheticZerothOracle:
             e = sample_one_sided_subexp(self.spec.nu, self.spec.b, self._mean,
                                         u[:, 0])
         noise = (2.0 * (u[:, 1] < 0.5) - 1.0) * e
-        return phi + noise, phi
+        return phi + noise
 
 
 class SyntheticFirstOracle:
@@ -197,8 +197,7 @@ class SyntheticFirstOracle:
         self.problem = problem
         self.spec = spec
 
-    def __call__(self, X, alpha, stream, grad=None,
-                 phi=None) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, X, alpha, stream, grad=None, phi=None) -> np.ndarray:
         X = self.problem.check_stack(X)
         if grad is None:
             grad = self.problem.gradients(X)
@@ -221,7 +220,7 @@ class SyntheticFirstOracle:
         rho = np.where(coin < spec.delta,
                        spec.corruption_base + spec.corruption_scale * gnorm,
                        frac * np.maximum(spec.eps_g, ka * gnorm / (1.0 + ka)))
-        return G + rho[:, None] * U, grad
+        return G + rho[:, None] * U
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +273,13 @@ class _MiniBatchOracle:
 
 
 class MiniBatchZerothOracle(_MiniBatchOracle):
-    def __call__(self, X, stream, phi=None):
-        X = self.problem.check_stack(X)
-        if phi is None:
-            phi = self.problem.values(X)
-        return self._means(X, stream, minibatch_value), phi
+    def __call__(self, X, stream, phi=None) -> np.ndarray:
+        return self._means(self.problem.check_stack(X), stream, minibatch_value)
 
 
 class MiniBatchFirstOracle(_MiniBatchOracle):
-    def __call__(self, X, alpha, stream, grad=None,
-                 phi=None) -> tuple[np.ndarray, np.ndarray]:
-        X = self.problem.check_stack(X)
-        if grad is None:
-            grad = self.problem.gradients(X)
-        return self._means(X, stream, minibatch_gradient), grad
+    def __call__(self, X, alpha, stream, grad=None, phi=None) -> np.ndarray:
+        return self._means(self.problem.check_stack(X), stream, minibatch_gradient)
 
 
 def prop1_subexp_params(nu_hat: float, b_hat: float, eps_hat: float, N: int) -> tuple[float, float, float]:
@@ -358,12 +350,12 @@ def gsg_gradient(zeroth_oracle, X, sigma: float, num_directions: int, stream,
         raise ValueError("sigma must be positive")
     if num_directions < 1:
         raise ValueError("num_directions must be >= 1")
-    f0, _ = zeroth_oracle(X, stream, phi=phi)  # checks the shape of X
+    f0 = zeroth_oracle(X, stream, phi=phi)  # checks the shape of X
     X = np.asarray(X, dtype=float)
     n, dim = X.shape
     U = rngmod.normals(stream.words(n * num_directions, rngmod.normal_words(dim)),
                        dim).reshape(n, num_directions, dim)
-    f, _ = zeroth_oracle((X[:, None, :] + sigma * U).reshape(-1, dim), stream)
+    f = zeroth_oracle((X[:, None, :] + sigma * U).reshape(-1, dim), stream)
     diffs = f.reshape(n, num_directions) - f0[:, None]
     return (diffs[:, None, :] @ U)[:, 0, :] / (sigma * num_directions)
 
@@ -378,14 +370,9 @@ class GsgFirstOracle:
         self.sigma = sigma
         self.num_directions = num_directions
 
-    def __call__(self, X, alpha, stream, grad=None,
-                 phi=None) -> tuple[np.ndarray, np.ndarray]:
-        X = self.problem.check_stack(X)
-        g = gsg_gradient(self.zeroth_oracle, X, self.sigma, self.num_directions,
-                         stream, phi)
-        if grad is None:
-            grad = self.problem.gradients(X)
-        return g, grad
+    def __call__(self, X, alpha, stream, grad=None, phi=None) -> np.ndarray:
+        return gsg_gradient(self.zeroth_oracle, self.problem.check_stack(X),
+                            self.sigma, self.num_directions, stream, phi)
 
 
 @dataclass(frozen=True)

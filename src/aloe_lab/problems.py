@@ -57,13 +57,10 @@ class ProblemInstance:
     lipschitz_L: float
     strong_convexity_beta: float
     phi_star: float
-    class_tag: str
     x0: np.ndarray
     diameter_D: float | None = None
 
     def __post_init__(self):
-        if self.class_tag not in CLASS_TAGS:
-            raise ValueError(f"unknown class_tag {self.class_tag!r}")
         if self.lipschitz_L <= 0:
             raise ValueError("lipschitz_L must be positive")
 
@@ -95,9 +92,6 @@ class ProblemInstance:
         grad = self.gradients(np.asarray(x, dtype=float)[None])[0]
         grad.flags.writeable = False
         return grad
-
-    def with_class_tag(self, tag: str) -> "ProblemInstance":
-        return replace(self, class_tag=tag)
 
 
 def finite_difference_gradient(problem: ProblemInstance, x, h: float = 1e-6) -> np.ndarray:
@@ -161,7 +155,6 @@ def make_strongly_convex_quadratic(
         lipschitz_L=float(lambda_max),
         strong_convexity_beta=float(lambda_min),
         phi_star=0.0,
-        class_tag="strongly_convex",
         x0=x0,
         diameter_D=2.0 * float(np.linalg.norm(x0)),
     )
@@ -188,7 +181,6 @@ def make_linear(c) -> ProblemInstance:
         lipschitz_L=1e-12,
         strong_convexity_beta=0.0,
         phi_star=-np.inf,
-        class_tag="nonconvex",
         x0=np.zeros(c.size),
     )
 
@@ -208,9 +200,10 @@ def _logistic_losses(features, labels, reg, X, idx):
 
 
 def _logistic_grads(features, labels, reg, X, idx):
-    margins = labels[idx] * (features[idx] @ X[:, :, None])[..., 0]
-    coeff = -labels[idx] * _sigmoid(-margins)
-    return coeff[..., None] * features[idx] + reg * X[:, None, :]
+    F, y = features[idx], labels[idx]
+    margins = y * (F @ X[:, :, None])[..., 0]
+    coeff = -y * _sigmoid(-margins)
+    return coeff[..., None] * F + reg * X[:, None, :]
 
 
 def _sigmoid(t):
@@ -363,7 +356,6 @@ def make_synthetic_logistic(
         lipschitz_L=L,
         strong_convexity_beta=reg,
         phi_star=np.nan,  # set from the solve below
-        class_tag="strongly_convex",
         x0=x0,
     )
     x_star = _logistic_minimizer(problem, features, reg)

@@ -346,8 +346,8 @@ class TestDivergedTrial:
             zeroth, first = build(config, problem, dataset)
 
             def diverging(x, rng, phi=None):
-                f, phi = zeroth(x, rng, phi)
-                return np.where(np.arange(len(f)) == 2, np.nan, f), phi
+                f = zeroth(x, rng, phi)
+                return np.where(np.arange(len(f)) == 2, np.nan, f)
             return diverging, first
 
         monkeypatch.setattr(harness_mod, "build_oracles", nan_for_row_2)
@@ -462,6 +462,38 @@ class TestSmokeReproducible:
                                              reg=0.01)
         assert (dataset.M_c.hex(), dataset.M_v.hex()) == (
             "0x1.b5655319e70cdp+1", "0x1.cd51d0196478ap+4")
+
+
+class TestPinnedOutputs:
+    """The sha256 of trials.csv and trace.csv of both demo configs, the
+    small GSG config and the small mini-batch config with the noise-level
+    estimator.  A refactor keeps every sampled path, stopping time and
+    verdict, so it keeps these bytes; a change that moves them on purpose
+    updates the pins and says so."""
+
+    PINNED = {
+        "smoke": ("b46b4263e8deadd2bff141b3db14e52aa169829d249ba5a072a0e4b9e83edf67",
+                  "7ec245e859cb04c93c2d919723ab74220dd64d7b75e382d5d4494a7d07b1809c"),
+        "bounded_noise": (
+            "d3f24dc36962b45d421fb258724f5a5fc8586f4ec1940e94001855a3add8ed39",
+            "f379ab44dbd0633ff76ea9f72dda9fa0bdcbb6208ad22edfa6eb700bac8947e7"),
+        "gsg": ("e51715e45bbf1170f86e73cdbc45567d3716a4836a90e3797afa2fcf9da11320",
+                "27f874f027b2f5577ae408fa13bef196303e0ab31fff44a1a2ace4de20c550db"),
+        "minibatch_estimated": (
+            "d3c10bc7e8ee5df1e65199ee3294bb11cb400adffbee5f4abc7f719cb8ec7d78",
+            "262df90bdf4f20e48d5a5faeb65021cf0a2511d84aec42a1b4af3bc7a452040c"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_sha256(self, tmp_path, name):
+        configs = {p.stem: str(p) for p in DEMO_CONFIGS}
+        configs["gsg"] = write(tmp_path, "gsg.ini", GSG)
+        configs["minibatch_estimated"] = write(tmp_path, "minibatch.ini",
+                                               LOGISTIC_ESTIMATED)
+        out = tmp_path / "out"
+        assert run(configs[name], str(out), quiet=True) == EXIT_OK
+        assert tuple(hashlib.sha256((out / n).read_bytes()).hexdigest()
+                     for n in ("trials.csv", "trace.csv")) == self.PINNED[name]
 
 
 class TestCheckpointsOutsideBudget:

@@ -42,7 +42,7 @@ class CoinOracle:
 
     def __call__(self, x, stream):
         sign = np.where(stream.uniforms(len(x), 1)[:, 0] < 0.5, 1.0, -1.0)
-        return self.problem.values(x) + sign * self.c, None
+        return self.problem.values(x) + sign * self.c
 
 
 class SequenceOracle:
@@ -50,7 +50,7 @@ class SequenceOracle:
         self.values = np.array(values)
 
     def __call__(self, x, stream):
-        return self.values[:len(x)], None
+        return self.values[:len(x)]
 
 
 class TestEstimate:

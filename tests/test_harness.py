@@ -100,9 +100,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             exact_config(t_checkpoints=(10_000,))
 
-    def test_budget_alias(self):
-        assert exact_config().budget == 700
-
 
 class TestRunTrials:
     def test_exact_single_trial_step_tail(self):
@@ -403,9 +400,10 @@ class TestCertification:
                                  alphas=(0.5,), n_queries=n, base_seed=3)
         # the same queries as n stacks of one, one after another
         stream = probe_stream(3, 0)
-        errors = np.concatenate([np.abs(est - phi) for est, phi in
-                                 (zeroth(x[None], stream) for _ in range(n))])
-        hits = sum(int(gradient_accurate(*first(x[None], 0.5, stream), 0.5,
+        phi, grad = problem.values(x[None]), problem.gradients(x[None])
+        errors = np.concatenate([np.abs(zeroth(x[None], stream) - phi)
+                                 for _ in range(n)])
+        hits = sum(int(gradient_accurate(first(x[None], 0.5, stream), grad, 0.5,
                                          fspec.eps_g, fspec.kappa)[0])
                    for _ in range(n))
         assert report.results[0].statistic == errors.mean()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from aloe_lab.instrument import (CENSORED, P_HAT_GRID, StoppingSpec,
                                  classify_paths, progress_Z, stopping_time,
                                  verify_path_lemmas)
 from aloe_lab.linesearch import (AloeParams, Paths, aloe_run, armijo_check,
-                                 snap_to_step_grid)
+                                 run_lockstep, snap_to_step_grid)
 from aloe_lab.oracles import (FirstOracleSpec, SyntheticFirstOracle,
                               SyntheticZerothOracle, ZerothOracleSpec)
 from aloe_lab.problems import make_strongly_convex_quadratic
@@ -35,8 +36,7 @@ def true_flags(problem, eps_g, kappa, g, grad_true=(1.0, 0.0), alpha=1.0,
                   e_sum=column(e_sum), eps_f=column(eps_f),
                   g_norm=column(np.linalg.norm(g, axis=1)),
                   grad_error=column(np.linalg.norm(g - grad_true, axis=1)),
-                  phi=np.ones((1, T + 1)), grad_norm=np.ones((1, T + 1)),
-                  x_final=np.zeros((1, problem.dim)))
+                  phi=np.ones((1, T + 1)), grad_norm=np.ones((1, T + 1)))
     spec = StoppingSpec(class_tag="nonconvex", eps=1e-3)
     return classify_paths(paths, problem, spec, eps_g, kappa, grid_index=0,
                           d=0.0).true_flags[0].tolist()
@@ -147,17 +147,49 @@ class TestStoppingTime:
         assert all(t != CENSORED for t in times)
         assert times == sorted(times)
 
+    def test_unknown_class_tag_rejected(self):
+        with pytest.raises(ValueError):
+            StoppingSpec(class_tag="mystery", eps=0.1)
+
     def test_convex_requires_eps1(self):
         with pytest.raises(ValueError):
             StoppingSpec(class_tag="convex", eps=0.1)
 
     def test_convex_gradient_clause(self, quadratic):
         trace = self.run_exact(quadratic)
-        problem = quadratic.with_class_tag("convex")
         spec = StoppingSpec(class_tag="convex", eps=1e-30, eps1=1e-2)
-        t = stopping_time(trace, problem, spec)
+        t = stopping_time(trace, quadratic, spec)
         assert t != CENSORED
         assert trace.paths.grad_norm[0, t] <= 1e-2
+
+
+class TestReadsColumnsOnly:
+    @pytest.mark.parametrize("tag,eps1", [("nonconvex", None),
+                                          ("convex", 1e-9),
+                                          ("strongly_convex", None)])
+    def test_classify_paths_never_evaluates_the_problem(self, quadratic, tag,
+                                                        eps1):
+        # every exact value the classifier reads is a column of the paths,
+        # the gradient at x_T after a final move included
+        def refuse(X):
+            raise AssertionError("ground truth evaluated")
+
+        zeroth = SyntheticZerothOracle(
+            quadratic, ZerothOracleSpec(eps_f=0.01, mode="bounded"))
+        first = SyntheticFirstOracle(quadratic, FirstOracleSpec(
+            eps_g=0.01, kappa=0.5, delta=0.2))
+        paths, _ = run_lockstep(quadratic, zeroth, first,
+                                AloeParams(eps_f_input=0.01, alpha_max=1.25,
+                                           max_iters=30), range(8))
+        assert paths.success[:, -1].any()
+        blind = dataclasses.replace(quadratic, value_fn=refuse, grad_fn=refuse)
+        spec = StoppingSpec(class_tag=tag, eps=1e-9, eps1=eps1)
+        got, want = (classify_paths(paths, p, spec, 0.01, 0.5, grid_index=3, d=2.0)
+                     for p in (blind, quadratic))
+        for f in dataclasses.fields(got):
+            np.testing.assert_array_equal(getattr(got, f.name),
+                                          getattr(want, f.name), err_msg=f.name)
+        assert (got.T_eps == CENSORED).all()
 
 
 class TestPathLemmasHandcrafted:

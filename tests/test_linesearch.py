@@ -90,6 +90,8 @@ class TestExactRun:
         np.testing.assert_array_equal(trace.g[0], [1.0, 0.0])
         assert trace.f_plus[0] == 0.0
         assert trace.phi_plus[0] == 0.0
+        # the engine's columns include grad phi(x_1) after the final move
+        assert trace.paths.grad_norm[0, 1] == 0.0
 
     def test_monotone_descent(self, quadratic10):
         zeroth, first = exact_oracles(quadratic10)
@@ -187,7 +189,7 @@ class TestDivergence:
     def test_non_finite_oracle_aborts(self, quadratic10):
         class NanOracle:
             def __call__(self, x, rng, phi=None):
-                return float("nan"), None
+                return float("nan")
 
         first = SyntheticFirstOracle(quadratic10, FirstOracleSpec())
         with pytest.raises(TrialDivergedError):
@@ -198,8 +200,8 @@ class TestDivergence:
             quadratic10, ZerothOracleSpec(eps_f=0.01, mode="bounded"))
 
         def nan_in_row_2(x, rng, phi=None):
-            f, phi = zeroth(x, rng, phi)
-            return np.where(np.arange(len(f)) == 2, np.nan, f), phi
+            f = zeroth(x, rng, phi)
+            return np.where(np.arange(len(f)) == 2, np.nan, f)
 
         first = SyntheticFirstOracle(quadratic10, FirstOracleSpec())
         with pytest.raises(TrialDivergedError, match=r"iteration 0 \(seed 9\)"):
@@ -279,10 +281,10 @@ class TestEpsFController:
 
 
 class TestGroundTruthFromOracleLogs:
-    """The loop records the exact values the oracles return next to their
+    """The loop records the exact values it evaluates next to the oracles'
     estimates; they must equal the problem's own value and gradient bit for
-    bit, at x and at x - alpha g, for every oracle family.  The check
-    evaluates each point afresh, as a stack of one."""
+    bit, at x and at x - alpha g, and at x_T, for every oracle family.  The
+    check evaluates each point afresh, as a stack of one."""
 
     @staticmethod
     def noisy_oracles(family, quadratic):
@@ -313,6 +315,9 @@ class TestGroundTruthFromOracleLogs:
             assert trace.phi_plus[k] == problem.value(x - p.alpha[0, k] * g)
             assert np.array_equal(grad, problem.gradient(x))
             assert p.grad_norm[0, k] == float(np.linalg.norm(grad))
+        x_T = x - p.alpha[0, -1] * g if p.success[0, -1] else x
+        assert p.phi[0, -1] == problem.value(x_T)
+        assert p.grad_norm[0, -1] == float(np.linalg.norm(problem.gradient(x_T)))
 
 
 class TestGroundTruthPasses:
@@ -347,8 +352,8 @@ class TestGroundTruthPasses:
         accepted = int(trace.paths.success.sum())
         assert len(controller.history) == 6
         assert 0 < accepted < params.max_iters
-        assert calls["value"] <= params.max_iters + 1
-        assert calls["grad"] <= 1 + accepted
+        assert calls["value"] == params.max_iters + 1
+        assert calls["grad"] == 1 + accepted
 
     def test_gsg_takes_phi_at_x_from_the_engine(self, quadratic10):
         # a Gaussian-smoothing gradient evaluates phi at its N perturbed

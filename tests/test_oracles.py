@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,22 @@ def logistic():
     return make_synthetic_logistic(n_samples=128, dim=4, seed=2)
 
 
+def counted(problem):
+    """`problem` with a value_fn / grad_fn that count the rows they
+    evaluate."""
+    calls = {"value": 0, "grad": 0}
+
+    def count(kind, fn):
+        def wrapper(X):
+            calls[kind] += len(X)
+            return fn(X)
+        return wrapper
+
+    return dataclasses.replace(
+        problem, value_fn=count("value", problem.value_fn),
+        grad_fn=count("grad", problem.grad_fn)), calls
+
+
 class TestZerothSpec:
     def test_exact_requires_zero_constants(self):
         with pytest.raises(ValueError):
@@ -59,7 +76,8 @@ class TestSyntheticZeroth:
     def test_exact_mode_zero_error(self, quadratic):
         oracle = SyntheticZerothOracle(quadratic, ZerothOracleSpec())
         x = np.random.default_rng(0).standard_normal(5)
-        est, phi = oracle(x[None], probe_stream(0))
+        est = oracle(x[None], probe_stream(0))
+        phi = quadratic.values(x[None])
         assert est.tolist() == [quadratic.value(x)]
         assert np.all(est - phi == 0.0)
 
@@ -67,7 +85,8 @@ class TestSyntheticZeroth:
         spec = ZerothOracleSpec(eps_f=0.3, mode="bounded")
         oracle = SyntheticZerothOracle(quadratic, spec)
         # 5000 copies of x: consecutive queries of the stream's one key
-        est, phi = oracle(np.ones((5000, 5)), probe_stream(1))
+        X = np.ones((5000, 5))
+        est, phi = oracle(X, probe_stream(1)), quadratic.values(X)
         errs = np.abs(est - phi)
         assert errs.max() <= 0.3
         # uniform on [0, eps_f]: mean eps_f / 2
@@ -77,7 +96,8 @@ class TestSyntheticZeroth:
         spec = ZerothOracleSpec(eps_f=0.2, nu=0.1, b=0.1,
                                 mode="subexponential", mean_error=0.1)
         oracle = SyntheticZerothOracle(quadratic, spec)
-        est, phi = oracle(np.ones((20000, 5)), probe_stream(2))
+        X = np.ones((20000, 5))
+        est, phi = oracle(X, probe_stream(2)), quadratic.values(X)
         errs = np.abs(est - phi)
         assert errs.mean() == pytest.approx(0.1, abs=0.005)
         assert errs.mean() <= spec.eps_f
@@ -98,7 +118,7 @@ class TestStackedZeroth:
     def errors(self, quadratic, spec, seed, m=20_000):
         oracle = SyntheticZerothOracle(quadratic, spec)
         X = np.ones(5) + np.random.default_rng(seed).standard_normal((m, 5))
-        est, phi = oracle(X, probe_stream(seed + 1))
+        est, phi = oracle(X, probe_stream(seed + 1)), quadratic.values(X)
         assert est.shape == phi.shape == (m,)
         np.testing.assert_allclose(phi[:50], [quadratic.value(x) for x in X[:50]],
                                    rtol=1e-12)
@@ -148,10 +168,9 @@ class TestRowGenerators:
             return [query(X[r:r + 1], stream_of(r), *(a[r:r + 1] for a in rowargs))
                     for r in range(len(X))]
 
-        def assert_rows(stacked, ones):
-            est, exact = stacked
-            for r, (e, t) in enumerate(ones):
-                assert np.array_equal(est[r], e[0]) and np.array_equal(exact[r], t[0]), r
+        def assert_rows(est, ones):
+            for r, e in enumerate(ones):
+                assert np.array_equal(est[r], e[0]), r
 
         one_streams = [KeyedStream([s], GRAD) for s in seeds]
         rows = KeyedStream(seeds, GRAD)
@@ -294,14 +313,15 @@ class TestSyntheticFirst:
         spec = FirstOracleSpec(eps_g=0.05, kappa=0.5, delta=0.0)
         oracle = SyntheticFirstOracle(quadratic, spec)
         X = np.random.default_rng(6).standard_normal((500, 5))
-        g, grad = oracle(X, 0.7, probe_stream(6))
+        g, grad = oracle(X, 0.7, probe_stream(6)), quadratic.gradients(X)
         assert gradient_accurate(g, grad, 0.7, spec.eps_g, spec.kappa).all()
 
     def test_event_frequency_at_least_one_minus_delta(self, quadratic):
         spec = FirstOracleSpec(eps_g=0.05, kappa=0.5, delta=0.1)
         oracle = SyntheticFirstOracle(quadratic, spec)
         n = 10_000
-        g, grad = oracle(np.ones((n, 5)), 0.3, probe_stream(7))
+        X = np.ones((n, 5))
+        g, grad = oracle(X, 0.3, probe_stream(7)), quadratic.gradients(X)
         hits = gradient_accurate(g, grad, 0.3, spec.eps_g, spec.kappa).sum()
         # binomial(n, 0.9) three-sigma band around the mean
         assert hits >= n * 0.9 - 3 * math.sqrt(n * 0.9 * 0.1)
@@ -311,7 +331,8 @@ class TestSyntheticFirst:
                                corruption_scale=10.0, corruption_base=10.0)
         oracle = SyntheticFirstOracle(quadratic, spec)
         grad_norm = np.linalg.norm(quadratic.gradient(np.ones(5)))
-        g, grad = oracle(np.ones((2000, 5)), 0.3, probe_stream(8))
+        X = np.ones((2000, 5))
+        g, grad = oracle(X, 0.3, probe_stream(8)), quadratic.gradients(X)
         failed = ~gradient_accurate(g, grad, 0.3, spec.eps_g, spec.kappa)
         assert failed.any()
         np.testing.assert_allclose(np.linalg.norm((g - grad)[failed], axis=1),
@@ -341,21 +362,24 @@ class TestMiniBatch:
                                    problem.gradient(x), rtol=1e-12, atol=1e-14)
 
     def test_minibatch_oracles_log_errors(self, logistic):
+        # a query answers its estimates alone and evaluates no ground
+        # truth, whether or not the exact values are handed to it
         problem, dataset = logistic
-        z = MiniBatchZerothOracle(problem, dataset, batch_size=16)
-        f = MiniBatchFirstOracle(problem, dataset, batch_size=16)
+        counting, calls = counted(problem)
+        z = MiniBatchZerothOracle(counting, dataset, batch_size=16)
+        f = MiniBatchFirstOracle(counting, dataset, batch_size=16)
         stream = probe_stream(10)
-        x = np.random.default_rng(10).standard_normal(4)
-        est, phi = z(x[None], stream)
-        assert phi.tolist() == [problem.value(x)]
-        g, grad = f(x[None], 0.5, stream)
-        assert np.array_equal(grad, [problem.gradient(x)])
-        assert g.shape == (1, 4)
+        X = np.random.default_rng(10).standard_normal((3, 4))
+        est, g = z(X, stream), f(X, 0.5, stream)
+        assert est.shape == (3,) and g.shape == (3, 4)
+        z(X, stream, phi=problem.values(X))
+        f(X, 0.5, stream, grad=problem.gradients(X), phi=problem.values(X))
+        assert calls == {"value": 0, "grad": 0}
 
     def test_gradient_mean_unbiased(self, logistic):
         problem, dataset = logistic
         f = MiniBatchFirstOracle(problem, dataset, batch_size=8)
-        g, _ = f(np.ones((4000, 4)), 0.5, probe_stream(11))
+        g = f(np.ones((4000, 4)), 0.5, probe_stream(11))
         np.testing.assert_allclose(g.mean(axis=0), problem.gradient(np.ones(4)),
                                    atol=0.02)
 
@@ -443,9 +467,9 @@ class TestGsg:
         x, sigma, n = np.ones((1, 5)), 0.01, 32
         got = gsg_gradient(oracle, x, sigma, n, probe_stream(15))
         stream = probe_stream(15)
-        f0, _ = oracle(x, stream)
+        f0 = oracle(x, stream)
         U = rngmod.normals(stream.words(n, rngmod.normal_words(5)), 5)
-        want = sum((oracle(x + sigma * u, stream)[0] - f0) * u for u in U) / (sigma * n)
+        want = sum((oracle(x + sigma * u, stream) - f0) * u for u in U) / (sigma * n)
         np.testing.assert_allclose(got, want[None], rtol=1e-9)
 
     def test_two_zeroth_calls_per_query(self, quadratic):
@@ -464,11 +488,23 @@ class TestGsg:
             oracle(np.ones((1, 5)), 0.5, stream)
         assert shapes == [(1, 5), (64, 5)] * 3
 
+    def test_query_evaluates_only_its_perturbed_points(self, quadratic):
+        # phi at X comes from the caller, so the n N perturbed points are
+        # the only ground truth a query evaluates, and it takes no gradient
+        problem, calls = counted(quadratic)
+        zeroth = SyntheticZerothOracle(problem, MODES["bounded"])
+        oracle = GsgFirstOracle(problem, zeroth, sigma=0.01, num_directions=16)
+        X = np.ones((3, 5))
+        g = oracle(X, 0.5, KeyedStream(range(3), GRAD), phi=quadratic.values(X))
+        assert g.shape == (3, 5)
+        assert calls == {"value": 3 * 16, "grad": 0}
+
     def test_gsg_oracle_logs_event(self, quadratic):
         zeroth = SyntheticZerothOracle(quadratic, ZerothOracleSpec())
         oracle = GsgFirstOracle(quadratic, zeroth, sigma=0.01,
                                 num_directions=512)
-        g, grad = oracle(np.ones((1, 5)), 0.5, probe_stream(13))
+        X = np.ones((1, 5))
+        g, grad = oracle(X, 0.5, probe_stream(13)), quadratic.gradients(X)
         ok = gradient_accurate(g, grad, 0.5, 2.0, 0.0)
         assert ok.dtype == bool and ok.shape == (1,)
 

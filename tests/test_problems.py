@@ -109,15 +109,6 @@ class TestProblemInstance:
         with pytest.raises(DimensionMismatchError):
             quadratic.gradient(np.zeros((1, 10)))
 
-    def test_with_class_tag(self, quadratic):
-        p = quadratic.with_class_tag("nonconvex")
-        assert p.class_tag == "nonconvex"
-        assert quadratic.class_tag == "strongly_convex"
-
-    def test_unknown_class_tag_rejected(self, quadratic):
-        with pytest.raises(ValueError):
-            quadratic.with_class_tag("mystery")
-
 
 def counting_problem():
     """0.5 ||x||^2 in R^3 with value_fn / grad_fn that count their passes."""
@@ -133,8 +124,7 @@ def counting_problem():
 
     problem = ProblemInstance(
         dim=3, value_fn=value_fn, grad_fn=grad_fn, lipschitz_L=1.0,
-        strong_convexity_beta=1.0, phi_star=0.0, class_tag="strongly_convex",
-        x0=np.ones(3))
+        strong_convexity_beta=1.0, phi_star=0.0, x0=np.ones(3))
     return problem, calls
 
 
@@ -167,8 +157,8 @@ class TestEvaluationCalls:
         x = np.ones(3)
         p.value(x)
         p.gradient(x)
-        p.with_class_tag("convex").value(x)
-        p.with_class_tag("convex").gradient(x)
+        dataclasses.replace(p, phi_star=1.0).value(x)
+        dataclasses.replace(p, phi_star=1.0).gradient(x)
         dataclasses.replace(p).value(x)
         assert calls == {"value": 3, "grad": 2}
 
@@ -180,7 +170,7 @@ class TestEvaluationCalls:
         p.gradient(np.ones(3))
         assert p == q
         assert repr(p) == repr(q)
-        assert p != p.with_class_tag("convex")
+        assert p != dataclasses.replace(p, phi_star=1.0)
 
 
 class TestLogistic:
