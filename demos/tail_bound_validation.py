@@ -42,7 +42,7 @@ def main():
     print(f"success probability p = {c.p:.3f}, split point "
           f"p_hat = {summary.p_hat:.4f}, threshold t_min = {summary.t_min}\n")
 
-    samples = summary.stopping_samples
+    samples = summary.T_eps
     print(f"{N_TRIALS} trials: min/median/max stopping time = "
           f"{samples.min()}/{int(sorted(samples)[N_TRIALS // 2])}/"
           f"{samples.max()}, censored = {summary.n_censored}")
@@ -54,7 +54,7 @@ def main():
     for mult in (1, 2, 4):
         t = mult * summary.t_min
         tail = empirical_tail(samples, t)
-        bound = c.tail_lower_bound(summary.s, summary.p_hat, t)
+        bound = c.tail_lower_bound(config.s, summary.p_hat, t)
         print(f"{t:>8} {tail:>18.4f} {bound:>14.4f} {1 - bound:>12.3e}")
 
 

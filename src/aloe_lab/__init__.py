@@ -12,9 +12,8 @@ __version__ = "1.0.0"
 
 from .estimation import EpochEpsFController, EstimatorConfig, estimate_eps_f
 from .harness import (CertificationReport, ExperimentConfig,
-                      InadmissibleConfigError, TrialRow, TrialSummary,
-                      certify_oracles, empirical_tail, run_trials,
-                      wilson_interval)
+                      InadmissibleConfigError, TrialSummary, certify_oracles,
+                      empirical_tail, run_trials, wilson_interval)
 from .instrument import (CENSORED, PathVerdicts, StoppingSpec, classify_paths,
                          progress_Z, stopping_time, stopping_times,
                          verify_path_lemmas)
@@ -29,15 +28,14 @@ from .oracles import (FirstOracleSpec, GsgFirstOracle, GsgParams,
                       minibatch_value, prop1_subexp_params,
                       prop2_sample_size, prop3_params)
 from .problems import (ErmDataset, ProblemInstance,
-                       estimate_growth_constants, finite_difference_gradient,
-                       make_linear, make_strongly_convex_quadratic,
-                       make_synthetic_logistic)
+                       estimate_growth_constants,
+                       make_strongly_convex_quadratic, make_synthetic_logistic)
 from .rng import KeyedStream, probe_rng, probe_stream
 from .theory import (TheoremInapplicableError, TheoryConstants, azuma_tail,
                      bar_alpha, bernstein_tail, constants_report,
                      convex_eps1_min, derive_constants, eps_lower_bound,
                      eta_range, h_of_alpha, r_damage,
-                     simplified_nonconvex_eps_min, strongly_convex_display_C,
-                     subexp_params_r, success_prob_p)
+                     strongly_convex_display_C, subexp_params_r,
+                     success_prob_p)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,6 +26,7 @@ from . import __version__
 from .config import ConfigError, config_digest, parse_config
 from .harness import (ExperimentConfig, InadmissibleConfigError, TrialSummary,
                       run_trials)
+from .instrument import CENSORED
 from .theory import constants_report
 
 EXIT_OK = 0
@@ -52,12 +53,15 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def write_trials_csv(path: str, summary: TrialSummary) -> None:
+    # censored is written from T_eps; tolist() gives Python scalars for _fmt
+    s = summary
     _write_csv(path,
                ["seed", "T_eps", "censored", "frac_true", "frac_success",
                 "lemma2_ok", "lemma3_ok", "lemma4_ok"],
-               [(r.seed, r.T_eps, r.censored, r.frac_true, r.frac_success,
-                 r.lemma2_ok, r.lemma3_ok, r.lemma4_ok)
-                for r in summary.rows])
+               zip(s.seed.tolist(), s.T_eps.tolist(),
+                   (s.T_eps == CENSORED).tolist(), s.frac_true.tolist(),
+                   s.frac_success.tolist(), s.lemma2_ok.tolist(),
+                   s.lemma3_ok.tolist(), s.lemma4_ok.tolist()))
 
 
 def write_summary_csv(path: str, summary: TrialSummary) -> None:
@@ -85,8 +89,8 @@ def write_trace_csv(path: str, trace) -> None:
 def statistical_failures(summary: TrialSummary) -> list[str]:
     """Hard invariants checked after every run."""
     failures = []
-    bad = [r.seed for r in summary.rows
-           if not (r.lemma2_ok and r.lemma3_ok and r.lemma4_ok)]
+    clean = summary.lemma2_ok & summary.lemma3_ok & summary.lemma4_ok
+    bad = summary.seed[~clean].tolist()
     if bad:
         failures.append(f"path lemma violation on seeds {bad}")
     if summary.t_min is not None:

@@ -4,9 +4,11 @@ Runs independent seeded trials of the line search, classifies every path,
 verifies the deterministic path lemmas, certifies the oracle contracts
 statistically, and compares empirical stopping-time tails against the
 theoretical lower bounds.  Trials run in blocks of consecutive seeds, each
-block in lockstep through `linesearch.run_lockstep`; a trial's row does
-not depend on its block, so the results do not depend on how the seeds
-are split into blocks or over worker processes.
+block in lockstep through `linesearch.run_lockstep`, and a block answers
+one (n,) column per verdict; the run's columns are the blocks' columns
+joined in seed order.  A trial's entries do not depend on its block, so
+the results do not depend on how the seeds are split into blocks or over
+worker processes.
 """
 
 import math
@@ -62,6 +64,8 @@ class ExperimentConfig:
             raise ValueError("n_trials must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
+        if any(t < 0 for t in self.t_checkpoints):
+            raise ValueError("checkpoints must be >= 0")
         if any(t > self.params.max_iters for t in self.t_checkpoints):
             raise ValueError("checkpoints must not exceed the iteration budget")
 
@@ -115,43 +119,39 @@ def derive_experiment_constants(config: ExperimentConfig, problem) -> TheoryCons
     )
 
 
-@dataclass(frozen=True)
-class TrialRow:
-    seed: int
-    T_eps: int
-    censored: bool
-    frac_true: float
-    frac_success: float
-    lemma2_ok: bool
-    lemma3_ok: bool
-    lemma4_ok: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # == on array fields is elementwise
 class TrialSummary:
+    """A run's per-trial columns, in seed order and named after the
+    trials.csv header, and its tail against the bound at each checkpoint."""
     config: ExperimentConfig
     constants: TheoryConstants
-    rows: tuple
+    seed: np.ndarray
+    T_eps: np.ndarray        # CENSORED where the criterion was not met
+    frac_true: np.ndarray
+    frac_success: np.ndarray
+    lemma2_ok: np.ndarray    # Lemma 2 and Corollary 1
+    lemma3_ok: np.ndarray
+    lemma4_ok: np.ndarray
     checkpoints: tuple
     empirical_tails: tuple
     theory_bounds: tuple
     wilson_bounds: tuple   # (lo, hi) pairs at each checkpoint
-    s: float
     p_hat: float | None
     t_min: int | None
     trace: Trace | None = None   # the base-seed trial's trace
 
     @property
-    def stopping_samples(self) -> np.ndarray:
-        return np.array([r.T_eps for r in self.rows])
-
-    @property
     def lemma_pass_count(self) -> int:
-        return sum(r.lemma2_ok and r.lemma3_ok and r.lemma4_ok for r in self.rows)
+        return int(np.count_nonzero(
+            self.lemma2_ok & self.lemma3_ok & self.lemma4_ok))
 
     @property
     def n_censored(self) -> int:
-        return sum(r.censored for r in self.rows)
+        return int(np.count_nonzero(self.T_eps == CENSORED))
+
+
+def _n_stopped(samples: np.ndarray, t: float) -> int:
+    return int(np.count_nonzero((samples != CENSORED) & (samples <= t)))
 
 
 def empirical_tail(samples, t: float) -> float:
@@ -160,7 +160,7 @@ def empirical_tail(samples, t: float) -> float:
     samples = np.asarray(samples)
     if samples.size == 0:
         raise ValueError("samples must be nonempty")
-    return float(np.mean((samples != CENSORED) & (samples <= t)))
+    return _n_stopped(samples, t) / samples.size
 
 
 def wilson_interval(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
@@ -185,8 +185,10 @@ BLOCK_CELLS = 1 << 17
 
 def _run_trial_block(config: ExperimentConfig, constants: TheoryConstants,
                      seeds: list) -> tuple[tuple, Trace | None]:
-    """Run and classify a block of trials in lockstep.  A trace is returned
-    only for the base seed, so a pool sends back one trace per experiment."""
+    """Run and classify a block of trials in lockstep.  Returns the block's
+    (n,) columns seed, T_eps, frac_true, frac_success, lemma2_ok (Lemma 2
+    and Corollary 1), lemma3_ok and lemma4_ok, and the trace, which only
+    the base seed's block has, so a pool sends back one per experiment."""
     problem, dataset = build_problem(config)
     zeroth, first = build_oracles(config, problem, dataset)
     controller = None
@@ -198,16 +200,8 @@ def _run_trial_block(config: ExperimentConfig, constants: TheoryConstants,
                                 controller, trace_row)
     v = classify_paths(paths, problem, config.stopping, config.first.eps_g,
                        config.first.kappa, constants.grid_index, constants.d)
-    rows = tuple(
-        TrialRow(seed=seed, T_eps=T, censored=T == CENSORED, frac_true=ft,
-                 frac_success=fs, lemma2_ok=l2 and c1, lemma3_ok=l3,
-                 lemma4_ok=l4)
-        for seed, T, ft, fs, l2, c1, l3, l4 in zip(
-            seeds, v.T_eps.tolist(), v.frac_true.tolist(),
-            v.frac_success.tolist(), v.lemma2_ok.tolist(),
-            v.corollary1_ok.tolist(), v.lemma3_ok.tolist(),
-            v.lemma4_ok.tolist()))
-    return rows, trace
+    return (np.asarray(seeds), v.T_eps, v.frac_true, v.frac_success,
+            v.lemma2_ok & v.corollary1_ok, v.lemma3_ok, v.lemma4_ok), trace
 
 
 def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
@@ -255,20 +249,17 @@ def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
                 blocks))
     else:
         results = [_run_trial_block(config, constants, b) for b in blocks]
-    # map keeps block order, so the first block's trace is the base seed's
-    rows = tuple(row for block_rows, _ in results for row in block_rows)
-    trace = results[0][1]
-
-    samples = np.array([r.T_eps for r in rows])
-    tails = tuple(empirical_tail(samples, t) for t in checkpoints)
-    wilson = tuple(
-        wilson_interval(int(round(tail * len(rows))), len(rows))
-        for tail in tails)
+    # map keeps block order, which is seed order, so the first block's
+    # trace is the base seed's
+    seed, T_eps, *verdicts = (np.concatenate(c) for c in
+                              zip(*(cols for cols, _ in results)))
+    n = config.n_trials
+    stopped = [_n_stopped(T_eps, t) for t in checkpoints]
     return TrialSummary(
-        config=config, constants=constants, rows=rows,
-        checkpoints=checkpoints, empirical_tails=tails, theory_bounds=bounds,
-        wilson_bounds=wilson, s=config.s, p_hat=p_hat, t_min=t_min,
-        trace=trace,
+        config, constants, seed, T_eps, *verdicts, checkpoints=checkpoints,
+        empirical_tails=tuple(k / n for k in stopped), theory_bounds=bounds,
+        wilson_bounds=tuple(wilson_interval(k, n) for k in stopped),
+        p_hat=p_hat, t_min=t_min, trace=results[0][1],
     )
 
 

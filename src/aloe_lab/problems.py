@@ -94,15 +94,6 @@ class ProblemInstance:
         return grad
 
 
-def finite_difference_gradient(problem: ProblemInstance, x, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient at one point, the independent check on
-    grad_fn: the 2 dim shifted points go as one stack."""
-    x = np.asarray(x, dtype=float)
-    E = h * np.eye(x.size)
-    v = problem.values(np.concatenate((x + E, x - E)))
-    return (v[:x.size] - v[x.size:]) / (2 * h)
-
-
 # ---------------------------------------------------------------------------
 # Quadratic fixture
 
@@ -157,31 +148,6 @@ def make_strongly_convex_quadratic(
         phi_star=0.0,
         x0=x0,
         diameter_D=2.0 * float(np.linalg.norm(x0)),
-    )
-
-
-def _linear_value(c, X):
-    return (c @ X[:, :, None])[:, 0]
-
-
-def _linear_grad(c, X):
-    return np.broadcast_to(c, X.shape)
-
-
-def make_linear(c) -> ProblemInstance:
-    """Linear objective c'x, used for the unbiasedness checks of the
-    finite-difference gradient estimator (a linear function has zero
-    curvature, so the difference quotient is exact).  Unbounded below:
-    phi_star is a formal -inf stand-in and must not be used for stopping."""
-    c = np.array(c, dtype=float)  # a copy: the caller's array stays theirs
-    return ProblemInstance(
-        dim=c.size,
-        value_fn=partial(_linear_value, c),
-        grad_fn=partial(_linear_grad, c),
-        lipschitz_L=1e-12,
-        strong_convexity_beta=0.0,
-        phi_star=-np.inf,
-        x0=np.zeros(c.size),
     )
 
 

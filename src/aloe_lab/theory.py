@@ -139,12 +139,6 @@ def bernstein_tail(s: float, t: float, nu_r: float, b_r: float) -> float:
 # Minimal achievable accuracy
 
 
-def simplified_nonconvex_eps_min(eps_g: float, eps_f: float, L: float,
-                                 kappa: float, alpha_max: float) -> float:
-    """Simplified-constants form of the nonconvex accuracy floor."""
-    return 4 * max(eps_g, (1 + kappa * alpha_max) * math.sqrt((L + 2 * kappa) * eps_f))
-
-
 def _eps_min_at_eta(class_tag, eta, theta, L, kappa, alpha_max, eps_f, eps_g,
                     p, beta, D):
     ab = bar_alpha(theta, L, kappa, eta)

@@ -127,10 +127,11 @@ def _tail_experiment(zeroth, eps, s, n_trials, budget, base_seed):
 def _check_tail_dominance(summary, n_trials):
     assert summary.p_hat is not None
     t_min = summary.t_min
-    samples = summary.stopping_samples
+    samples = summary.T_eps
     for t in (t_min, 2 * t_min, 4 * t_min):
         tail = empirical_tail(samples, t)
-        bound = summary.constants.tail_lower_bound(summary.s, summary.p_hat, t)
+        bound = summary.constants.tail_lower_bound(summary.config.s,
+                                                   summary.p_hat, t)
         lo, hi = wilson_interval(int(round(tail * n_trials)), n_trials,
                                  confidence=0.99)
         margin = max(hi - tail, 0.0)
@@ -155,7 +156,7 @@ def test_acceptance_4_theorem2_tail_subexponential_noise():
     started = time.monotonic()
     summary = _tail_experiment(SUBEXP_Z, eps=9.582, s=0.05,
                                n_trials=1000, budget=100, base_seed=200)
-    lo, hi = summary.constants.p_hat_interval(summary.s)
+    lo, hi = summary.constants.p_hat_interval(summary.config.s)
     assert lo < hi  # nonempty split-point interval at this s
     assert not summary.constants.bounded
     assert summary.n_censored == 0
@@ -180,7 +181,7 @@ def test_acceptance_5_strongly_convex_scaling():
         )
         summary = run_trials(config)
         assert summary.n_censored == 0
-        medians[eps] = float(np.median(summary.stopping_samples))
+        medians[eps] = float(np.median(summary.T_eps))
         c = summary.constants
         Rs[eps] = c.Z0 / c.h_at_bar_grid + c.d
     median_ratio = medians[1e-4] / medians[1e-2]

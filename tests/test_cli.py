@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 from aloe_lab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_STATISTICAL,
                           main, run, statistical_failures, write_trace_csv)
 from aloe_lab.config import ConfigError, config_digest, parse_config
-from aloe_lab.harness import TrialRow, run_trials
+from aloe_lab.harness import run_trials
 from aloe_lab.problems import make_synthetic_logistic
 
 SMOKE = """
@@ -274,6 +275,14 @@ class TestRun:
         assert run(config, out, quiet=True) == EXIT_CONFIG
         assert not os.path.exists(out)
 
+    def test_negative_checkpoint_exit_two(self, tmp_path, capsys):
+        config = write(tmp_path, "bad.ini", SMOKE.replace(
+            "checkpoints = 200,400", "checkpoints = -5, 3"))
+        out = str(tmp_path / "out")
+        assert run(config, out, quiet=True) == EXIT_CONFIG
+        assert "checkpoints must be >= 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_negative_seed_override_exit_two(self, tmp_path):
         config = write(tmp_path, "smoke.ini", SMOKE)
         out = str(tmp_path / "out")
@@ -465,23 +474,30 @@ class TestSmokeReproducible:
 
 
 class TestPinnedOutputs:
-    """The sha256 of trials.csv and trace.csv of both demo configs, the
-    small GSG config and the small mini-batch config with the noise-level
-    estimator.  A refactor keeps every sampled path, stopping time and
-    verdict, so it keeps these bytes; a change that moves them on purpose
-    updates the pins and says so."""
+    """The sha256 of trials.csv, trace.csv and summary.csv of both demo
+    configs, the small GSG config and the small mini-batch config with the
+    noise-level estimator, at --jobs 1 and 2.  A refactor keeps every
+    sampled path, stopping time and verdict, so it keeps these bytes; a
+    change that moves them on purpose updates the pins and says so.  Only
+    smoke has checkpoint rows: the others' t_min exceeds their budget, so
+    their summary.csv is the header alone."""
 
+    HEADER_ONLY = "41c95c1893915db9ff23e2ed8421c7eb2a867587380120dbd4623381231c6eb7"
     PINNED = {
         "smoke": ("b46b4263e8deadd2bff141b3db14e52aa169829d249ba5a072a0e4b9e83edf67",
-                  "7ec245e859cb04c93c2d919723ab74220dd64d7b75e382d5d4494a7d07b1809c"),
+                  "7ec245e859cb04c93c2d919723ab74220dd64d7b75e382d5d4494a7d07b1809c",
+                  "cf82cda2d05f878b58afc0163322c05cc6f6c32c8bde80840079916d7eb92457"),
         "bounded_noise": (
             "d3f24dc36962b45d421fb258724f5a5fc8586f4ec1940e94001855a3add8ed39",
-            "f379ab44dbd0633ff76ea9f72dda9fa0bdcbb6208ad22edfa6eb700bac8947e7"),
+            "f379ab44dbd0633ff76ea9f72dda9fa0bdcbb6208ad22edfa6eb700bac8947e7",
+            HEADER_ONLY),
         "gsg": ("e51715e45bbf1170f86e73cdbc45567d3716a4836a90e3797afa2fcf9da11320",
-                "27f874f027b2f5577ae408fa13bef196303e0ab31fff44a1a2ace4de20c550db"),
+                "27f874f027b2f5577ae408fa13bef196303e0ab31fff44a1a2ace4de20c550db",
+                HEADER_ONLY),
         "minibatch_estimated": (
             "d3c10bc7e8ee5df1e65199ee3294bb11cb400adffbee5f4abc7f719cb8ec7d78",
-            "262df90bdf4f20e48d5a5faeb65021cf0a2511d84aec42a1b4af3bc7a452040c"),
+            "262df90bdf4f20e48d5a5faeb65021cf0a2511d84aec42a1b4af3bc7a452040c",
+            HEADER_ONLY),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -490,10 +506,12 @@ class TestPinnedOutputs:
         configs["gsg"] = write(tmp_path, "gsg.ini", GSG)
         configs["minibatch_estimated"] = write(tmp_path, "minibatch.ini",
                                                LOGISTIC_ESTIMATED)
-        out = tmp_path / "out"
-        assert run(configs[name], str(out), quiet=True) == EXIT_OK
-        assert tuple(hashlib.sha256((out / n).read_bytes()).hexdigest()
-                     for n in ("trials.csv", "trace.csv")) == self.PINNED[name]
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run(configs[name], str(out), quiet=True, jobs=jobs) == EXIT_OK
+            assert tuple(hashlib.sha256((out / n).read_bytes()).hexdigest()
+                         for n in ("trials.csv", "trace.csv", "summary.csv")
+                         ) == self.PINNED[name], jobs
 
 
 class TestCheckpointsOutsideBudget:
@@ -514,17 +532,25 @@ class TestCheckpointsOutsideBudget:
 
 
 class TestStatisticalFailures:
-    def test_lemma_violation_reported(self, tmp_path):
+    def test_lemma_violation_reported(self, tmp_path, monkeypatch):
+        # blocks of seeds 10, 11 and of seed 12; every trial is clean unless
+        # planted, and one violation is planted in each block
+        import aloe_lab.harness as harness_mod
         config = parse_config(write(tmp_path, "smoke.ini", SMOKE))
-        summary = run_trials(config)
-        assert statistical_failures(summary) == []
-        bad_row = TrialRow(seed=0, T_eps=5, censored=False, frac_true=1.0,
-                           frac_success=0.5, lemma2_ok=False, lemma3_ok=True,
-                           lemma4_ok=True)
-        import dataclasses
-        broken = dataclasses.replace(summary, rows=(bad_row,) + summary.rows[1:])
-        failures = statistical_failures(broken)
-        assert failures and "lemma" in failures[0]
+        config = dataclasses.replace(config, base_seed=10)
+        monkeypatch.setattr(harness_mod, "BLOCK_CELLS",
+                            2 * config.params.max_iters)
+        run_block = harness_mod._run_trial_block
+
+        def planted(config, constants, seeds):
+            (seed, T, ft, fs, l2, l3, l4), trace = run_block(config, constants,
+                                                             seeds)
+            return (seed, T, ft, fs, l2 & (seed != 12), l3,
+                    l4 & (seed != 10)), trace
+
+        monkeypatch.setattr(harness_mod, "_run_trial_block", planted)
+        assert statistical_failures(run_trials(config)) == [
+            "path lemma violation on seeds [10, 12]"]
 
     def test_exit_one_on_statistical_failure(self, tmp_path, monkeypatch):
         import aloe_lab.cli as cli_mod

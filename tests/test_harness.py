@@ -21,6 +21,18 @@ from aloe_lab.oracles import (FirstOracleSpec, SyntheticFirstOracle,
 from aloe_lab.rng import probe_stream
 
 
+# TrialSummary's per-trial columns, one entry per trial in seed order
+COLUMNS = ("seed", "T_eps", "frac_true", "frac_success", "lemma2_ok",
+           "lemma3_ok", "lemma4_ok")
+
+
+def assert_same_columns(a, b, rows=slice(None)):
+    """Every per-trial column of summary a equals rows `rows` of b's."""
+    for name in COLUMNS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name)[rows],
+                                      err_msg=name)
+
+
 def exact_config(**overrides):
     base = dict(
         fixture="quadratic",
@@ -100,15 +112,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             exact_config(t_checkpoints=(10_000,))
 
+    def test_negative_checkpoint(self):
+        with pytest.raises(ValueError, match="checkpoints must be >= 0"):
+            exact_config(t_checkpoints=(-5, 3))
+
+    def test_checkpoint_zero_allowed(self):
+        # T_eps = 0 is a stopping time: x_0 may already meet the criterion
+        assert exact_config(t_checkpoints=(0, 3)).t_checkpoints == (0, 3)
+
 
 class TestRunTrials:
     def test_exact_single_trial_step_tail(self):
         config = exact_config(n_trials=1, t_checkpoints=(100, 700),
                               check_admissibility=True)
         summary = run_trials(config)
-        t = summary.rows[0].T_eps
+        t = summary.T_eps[0]
         assert t != CENSORED
-        samples = summary.stopping_samples
+        samples = summary.T_eps
         assert empirical_tail(samples, t - 1) == 0.0
         assert empirical_tail(samples, t) == 1.0
 
@@ -116,13 +136,14 @@ class TestRunTrials:
         config = exact_config()
         a = run_trials(config)
         b = run_trials(config)
-        assert a.rows == b.rows
+        assert_same_columns(a, b)
         assert a.checkpoints == b.checkpoints
         assert a.empirical_tails == b.empirical_tails
 
     def test_jobs_do_not_change_results(self):
         config = exact_config(n_trials=4)
-        assert run_trials(config, n_jobs=1).rows == run_trials(config, n_jobs=2).rows
+        assert_same_columns(run_trials(config, n_jobs=1),
+                            run_trials(config, n_jobs=2))
 
     def test_lemmas_pass_on_exact_runs(self):
         summary = run_trials(exact_config())
@@ -178,7 +199,7 @@ class TestBlockComposition:
         block = run_trials(noisy_config(kind, n_trials=9, base_seed=40))
         for row in (0, 5):
             alone = run_trials(noisy_config(kind, n_trials=1, base_seed=40 + row))
-            assert alone.rows == (block.rows[row],)
+            assert_same_columns(alone, block, slice(row, row + 1))
         assert alone.trace.seed == 45
         first = run_trials(noisy_config(kind, n_trials=1, base_seed=40)).trace
         for a, b in ((first, block.trace), (first.paths, block.trace.paths)):
@@ -193,9 +214,18 @@ class TestBlockComposition:
         whole = run_trials(config)
         monkeypatch.setattr(harness, "BLOCK_CELLS", 3 * config.params.max_iters)
         split = run_trials(config)
-        assert split.rows == whole.rows
+        assert_same_columns(split, whole)
         np.testing.assert_array_equal(split.trace.paths.exponents,
                                       whole.trace.paths.exponents)
+
+    def test_blocks_over_workers_join_in_seed_order(self, monkeypatch):
+        # blocks of 2, 2, 2 and 1 trials over two worker processes
+        config = noisy_config("synthetic", n_trials=7, base_seed=30)
+        whole = run_trials(config)
+        monkeypatch.setattr(harness, "BLOCK_CELLS", 2 * config.params.max_iters)
+        split = run_trials(config, n_jobs=2)
+        assert_same_columns(split, whole)
+        np.testing.assert_array_equal(split.seed, 30 + np.arange(7))
 
 
 class TestGroundTruthBudget:
@@ -223,7 +253,7 @@ class TestGroundTruthBudget:
         config = noisy_config("minibatch", n_trials=3)
         summary = run_trials(config)
         iters = config.n_trials * config.params.max_iters
-        accepted = round(sum(r.frac_success for r in summary.rows)
+        accepted = round(sum(summary.frac_success.tolist())
                          * config.params.max_iters)
         assert rows["value"] == 2 + iters
         assert rows["grad"] <= 1 + accepted
@@ -252,15 +282,15 @@ class TestCapBelowCriticalStep:
         with pytest.raises(InadmissibleConfigError, match="cap exponent"):
             run_trials(config)
         # what the gate prevents: no trial is lemma-clean
-        rows = run_trials(self.config(alpha0, alpha_max,
-                                      check_admissibility=False)).rows
-        assert not any(r.lemma3_ok for r in rows)
+        summary = run_trials(self.config(alpha0, alpha_max,
+                                         check_admissibility=False))
+        assert not summary.lemma3_ok.any()
 
     def test_cap_above_passes(self):
         config = self.config(0.15, 0.19)
         problem, _ = build_problem(config)
         assert derive_experiment_constants(config, problem).admissible()[0]
-        assert all(r.lemma3_ok for r in run_trials(config).rows)
+        assert run_trials(config).lemma3_ok.all()
 
 
 class TestStartBelowCriticalStep:
@@ -279,9 +309,9 @@ class TestStartBelowCriticalStep:
         with pytest.raises(InadmissibleConfigError, match="grid_index -5 < 0"):
             run_trials(config)
         # what the gate prevents: no trial is lemma-clean
-        rows = run_trials(TestCapBelowCriticalStep.config(
-            0.05, 0.2, check_admissibility=False)).rows
-        assert not any(r.lemma3_ok or r.lemma4_ok for r in rows)
+        summary = run_trials(TestCapBelowCriticalStep.config(
+            0.05, 0.2, check_admissibility=False))
+        assert not (summary.lemma3_ok | summary.lemma4_ok).any()
 
 
 class TestBinomialTest:

@@ -16,10 +16,12 @@ from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               prop2_sample_size, prop3_params,
                               sample_one_sided_subexp)
 from aloe_lab.harness import mgf_envelope_ok
-from aloe_lab.problems import (DimensionMismatchError, make_linear,
+from aloe_lab.problems import (DimensionMismatchError,
                                make_strongly_convex_quadratic,
                                make_synthetic_logistic)
 from aloe_lab.rng import GRAD, KeyedStream, probe_stream
+
+from linear_objective import make_linear
 
 
 @pytest.fixture(scope="module")

@@ -8,10 +8,20 @@ from aloe_lab.problems import (DimensionMismatchError, ProblemInstance,
                                _logistic_grads, _logistic_losses,
                                _logistic_minimizer,
                                estimate_growth_constants,
-                               finite_difference_gradient, make_linear,
                                make_strongly_convex_quadratic,
                                make_synthetic_logistic)
 from aloe_lab.rng import GROWTH_PROBES, probe_rng
+
+from linear_objective import make_linear
+
+
+def finite_difference_gradient(problem: ProblemInstance, x, h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient at one point, the independent check on
+    grad_fn: the 2 dim shifted points go as one stack."""
+    x = np.asarray(x, dtype=float)
+    E = h * np.eye(x.size)
+    v = problem.values(np.concatenate((x + E, x - E)))
+    return (v[:x.size] - v[x.size:]) / (2 * h)
 
 
 @pytest.fixture(scope="module")

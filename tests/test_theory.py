@@ -10,9 +10,14 @@ from aloe_lab.theory import (TheoremInapplicableError, azuma_tail, bar_alpha,
                              bernstein_tail, constants_report,
                              convex_eps1_min, derive_constants,
                              eps_lower_bound, eta_range, h_of_alpha, r_damage,
-                             simplified_nonconvex_eps_min,
                              strongly_convex_display_C, subexp_params_r,
                              success_prob_p)
+
+
+def simplified_nonconvex_eps_min(eps_g: float, eps_f: float, L: float,
+                                 kappa: float, alpha_max: float) -> float:
+    """Simplified-constants form of the nonconvex accuracy floor."""
+    return 4 * max(eps_g, (1 + kappa * alpha_max) * math.sqrt((L + 2 * kappa) * eps_f))
 
 
 class TestEtaAndBarAlpha:
