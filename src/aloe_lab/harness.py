@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise ValueError("checkpoints must be >= 0")
         if any(t > self.params.max_iters for t in self.t_checkpoints):
             raise ValueError("checkpoints must not exceed the iteration budget")
+        if not 0 <= self.s < math.inf:
+            raise ValueError("s must be finite and >= 0")
 
 
 def _freeze(d: dict) -> tuple:

@@ -35,6 +35,15 @@ by the oracle and dim alone, never by x, alpha or the values drawn:
   ceil(dim / 2) words for the directions, then N zeroth-order queries at
   the perturbed points.
 
+The synthetic and mini-batch oracles draw through `KeyedStream.draw`,
+naming the row-wise transform that turns a query's words into its noise:
+the signed error (synthetic zeroth order), the failure coin, radius
+fraction and unit direction (synthetic first order), the sample indices
+(mini-batch).  A stream answering one query per key on consecutive calls,
+as each of the line search's streams does, then reads the transformed
+noise ahead a window at a time (see `rng`); the noise a query reads is the
+same either way.
+
 Oracles do not judge their own accuracy; `gradient_accurate` is the one
 gradient accuracy test, used by the path classifier, the certification
 harness and the demos.
@@ -175,7 +184,11 @@ class SyntheticZerothOracle:
         X = self.problem.check_stack(X)
         if phi is None:
             phi = self.problem.values(X)
-        u = stream.uniforms(len(X), 2)
+        return phi + stream.draw(len(X), 2, self._signed_error)
+
+    def _signed_error(self, words):
+        """The signed error of each row of (m, 2) words: (m,)."""
+        u = rngmod.uniform(words)
         mode = self.spec.mode
         if mode == "exact":
             e = 0.0
@@ -184,8 +197,7 @@ class SyntheticZerothOracle:
         else:
             e = sample_one_sided_subexp(self.spec.nu, self.spec.b, self._mean,
                                         u[:, 0])
-        noise = (2.0 * (u[:, 1] < 0.5) - 1.0) * e
-        return phi + noise
+        return (2.0 * (u[:, 1] < 0.5) - 1.0) * e
 
 
 class SyntheticFirstOracle:
@@ -202,18 +214,11 @@ class SyntheticFirstOracle:
         if grad is None:
             grad = self.problem.gradients(X)
         spec = self.spec
-        G = np.asarray(grad, dtype=float)
+        G = np.ascontiguousarray(grad, dtype=float)  # dense rows for row_dots
         m, dim = X.shape
-        W = stream.words(m, 2 + rngmod.normal_words(dim))
-        coin, frac = rngmod.uniform(W[:, :2]).T
-        U = rngmod.normals(W[:, 2:], dim)
-        V = np.concatenate((G, U))
-        gnorm, un = np.sqrt(row_dots(V, V)).reshape(2, m)
-        if un.all():
-            U /= un[:, None]
-        else:   # a zero draw points along the first axis
-            U /= np.where(un > 0, un, 1.0)[:, None]
-            U[un == 0, 0] = 1.0
+        W = stream.draw(m, 2 + rngmod.normal_words(dim), self._noise)
+        coin, frac, U = W[:, 0], W[:, 1], W[:, 2:]
+        gnorm = np.sqrt(row_dots(G, G))
         ka = spec.kappa * np.asarray(alpha)
         # rho <= kappa*alpha*||grad||/(1+kappa*alpha) guarantees the
         # relative branch of the accuracy event via the triangle inequality
@@ -221,6 +226,21 @@ class SyntheticFirstOracle:
                        spec.corruption_base + spec.corruption_scale * gnorm,
                        frac * np.maximum(spec.eps_g, ka * gnorm / (1.0 + ka)))
         return G + rho[:, None] * U
+
+    def _noise(self, words):
+        """(m, 2 + dim) from (m, 2 + ceil(dim / 2)) words: the failure coin,
+        the radius fraction, then a unit direction."""
+        dim = self.problem.dim
+        U = np.ascontiguousarray(rngmod.normals(words[:, 2:], dim))
+        un = np.sqrt(row_dots(U, U))
+        out = np.empty((len(words), 2 + dim))
+        out[:, :2] = rngmod.uniform(words[:, :2])
+        if un.all():
+            np.divide(U, un[:, None], out=out[:, 2:])
+        else:   # a zero draw points along the first axis
+            np.divide(U, np.where(un > 0, un, 1.0)[:, None], out=out[:, 2:])
+            out[un == 0, 2] = 1.0
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +284,15 @@ class _MiniBatchOracle:
 
     def _means(self, X, stream, mean):
         """`mean` over a fresh batch at each row."""
-        words = stream.words(len(X), self.batch_size)
-        batches = ((words >> np.uint64(32)) * np.uint64(self.dataset.n_samples)
-                   ) >> np.uint64(32)
+        batches = stream.draw(len(X), self.batch_size, self._indices)
         rows = max(1, GATHER_SAMPLES // self.batch_size)
         return np.concatenate([mean(self.dataset, X[s:s + rows], batches[s:s + rows])
                                for s in range(0, len(X), rows)])
+
+    def _indices(self, words):
+        """The sample indices of each row of (m, batch_size) words."""
+        return ((words >> np.uint64(32)) * np.uint64(self.dataset.n_samples)
+                ) >> np.uint64(32)
 
 
 class MiniBatchZerothOracle(_MiniBatchOracle):

@@ -169,16 +169,17 @@ def _logistic_grads(features, labels, reg, X, idx):
     F, y = features[idx], labels[idx]
     margins = y * (F @ X[:, :, None])[..., 0]
     coeff = -y * _sigmoid(-margins)
-    return coeff[..., None] * F + reg * X[:, None, :]
+    grads = coeff[..., None] * F
+    grads += reg * X[:, None, :]
+    return grads
 
 
 def _sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    ex = np.exp(t[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + exp(-t)) for t >= 0 and exp(t) / (1 + exp(t)) below, with
+    # one exponential that never overflows
+    ex = np.exp(-np.abs(t))
+    den = 1.0 + ex
+    return np.where(t >= 0, 1.0 / den, ex / den)
 
 
 # Full-data passes index with slice(None), a view: np.arange(n) would copy

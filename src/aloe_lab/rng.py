@@ -32,6 +32,22 @@ row, and as long as every query of a purpose takes the same number of
 queries per key, the noise of iteration k is a function of (trial seed,
 purpose, k) alone.
 
+Oracles take their noise through `KeyedStream.draw(m, width, transform)`,
+which answers transform(words(m, width)) for a row-wise transform: output
+row r is a function of word row r alone.  Query q of a key then always
+yields the same noise, so a stream may hash and transform queries before
+they are asked for.  When a draw takes one query per key and the previous
+call on the stream was a draw of the same width and transform that also
+took one query per key, the stream reads ahead: one `words` pass hashes
+the next window of queries, the transform runs over it once, and later
+draws of that shape are answered from the window.  A window starts at two
+queries and doubles, up to WINDOW_WORDS words, so at most twice the words
+served are hashed; any other call on the stream drops it.  `count` after
+every draw, and the noise each draw returns, are what the draw without a
+window gives.  A stack of several queries per key (estimator refreshes,
+certification, a Gaussian-smoothing gradient's directions) never reads
+ahead.
+
 Fixture data (the random problem instances and the growth-constant probes
 of the logistic fixture) is not oracle noise and comes from numpy
 generators; `probe_rng` keys those probes.
@@ -52,6 +68,13 @@ GROWTH_PROBES = 1 << 20
 
 WIDTH_BITS = 20
 QUERY_LIMIT = 1 << (64 - WIDTH_BITS)
+
+# Words one read-ahead pass of a stream hashes at most (64 KiB).  The
+# window holds their transform, up to about twice their size (a unit
+# direction is dim floats from dim / 2 words), and the pass's temporaries
+# take a few times it; a larger budget made no run faster and raised the
+# peak memory of a run by megabytes.
+WINDOW_WORDS = 1 << 13
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -98,10 +121,16 @@ class KeyedStream:
         # word j of query q sits at position (q << WIDTH_BITS) + j + 1
         self._start, self._gamma = start[:, None, None], gamma[:, None, None]
         self._positions: dict[tuple[int, int], np.ndarray] = {}
+        # the read-ahead: (width, transform) of the last call when it was a
+        # one-query-per-key draw, the queries of the next window, and the
+        # window with the query count of its first row
+        self._shape = None
+        self._span = 2
+        self._window, self._window_at = None, 0
 
     def words(self, m: int, width: int) -> np.ndarray:
         """(m, width) uint64 words: m / n consecutive queries of each key,
-        key-major, each reading words 0..width-1."""
+        key-major, each reading words 0..width-1.  Drops the read-ahead."""
         n = len(self._start)
         per, rest = divmod(m, n)
         if rest or per < 1:
@@ -119,11 +148,35 @@ class KeyedStream:
         z = pos * self._gamma
         z += self._start + _U64(self.count << WIDTH_BITS) * self._gamma
         self.count += per
+        self._shape = self._window = None
         return fmix64(z.reshape(m, width))
 
-    def uniforms(self, m: int, width: int) -> np.ndarray:
-        """(m, width) uniforms on [0, 1), one per word."""
-        return uniform(self.words(m, width))
+    def draw(self, m: int, width: int, transform):
+        """transform(self.words(m, width)) for a row-wise `transform`, the
+        same bits and the same `count` after it, served from the read-ahead
+        window when the draw takes one query per key (see the module
+        docstring).  The result may be a view of the window: read it only."""
+        n = len(self._start)
+        shape = (width, transform)
+        if m != n or self._shape != shape:
+            out = transform(self.words(m, width))
+            if m == n:
+                self._shape, self._span = shape, 2
+            return out
+        row = self.count - self._window_at
+        if self._window is None or not 0 <= row < self._window.shape[1]:
+            at = self.count
+            span = max(1, min(self._span, WINDOW_WORDS // (n * width),
+                              QUERY_LIMIT - at))
+            words = self.words(n * span, width)
+            self.count = at
+            out = transform(words)
+            # key-major: query at + t of key r is out row r * span + t
+            self._window = out.reshape(n, span, *out.shape[1:])
+            self._window_at, self._shape, self._span = at, shape, 2 * span
+            row = 0
+        self.count += 1
+        return self._window[:, row]
 
 
 # The benchmark's tracer (perfbench/tracer.py) still reads this name, and

@@ -30,7 +30,7 @@ from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               sample_one_sided_subexp)
 from aloe_lab.problems import (make_strongly_convex_quadratic,
                                make_synthetic_logistic)
-from aloe_lab.rng import PROBE, KeyedStream, probe_rng, probe_stream
+from aloe_lab.rng import PROBE, KeyedStream, probe_rng, probe_stream, uniform
 from aloe_lab.theory import azuma_tail, bernstein_tail, derive_constants
 
 QUAD_PARAMS = {"dim": 10, "lambda_min": 0.1, "lambda_max": 10.0, "seed": 7}
@@ -219,7 +219,7 @@ def test_acceptance_6b_prop1_mgf_envelope():
     nu_hat, b_hat, eps_hat, N = 0.2, 0.2, 0.5, 16
     eps_f, nu, b = prop1_subexp_params(nu_hat, b_hat, eps_hat, N)
     n_batches = 50_000
-    u = probe_stream(61).uniforms(n_batches * N, 1)
+    u = uniform(probe_stream(61).words(n_batches * N, 1))
     draws = sample_one_sided_subexp(nu_hat, b_hat, 0.1, u).reshape(
         n_batches, N).mean(axis=1)
     assert draws.mean() <= eps_f

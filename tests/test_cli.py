@@ -283,6 +283,16 @@ class TestRun:
         assert "checkpoints must be >= 0" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("s", ["-0.5", "nan", "inf"])
+    def test_bad_s_exit_two(self, tmp_path, capsys, s):
+        # s = -0.5 exited 3 mid-run and s = nan exited 0 with an empty
+        # summary.csv before ExperimentConfig checked s
+        config = write(tmp_path, "bad.ini", SMOKE + f"s = {s}\n")
+        out = str(tmp_path / "out")
+        assert run(config, out, quiet=True) == EXIT_CONFIG
+        assert "s must be finite and >= 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_negative_seed_override_exit_two(self, tmp_path):
         config = write(tmp_path, "smoke.ini", SMOKE)
         out = str(tmp_path / "out")

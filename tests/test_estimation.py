@@ -10,7 +10,7 @@ from aloe_lab.oracles import (FirstOracleSpec, SyntheticFirstOracle,
                               SyntheticZerothOracle, ZerothOracleSpec)
 from aloe_lab.problems import (DimensionMismatchError,
                                make_strongly_convex_quadratic)
-from aloe_lab.rng import EPS_EST, KeyedStream, probe_stream
+from aloe_lab.rng import EPS_EST, KeyedStream, probe_stream, uniform
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ class CoinOracle:
         self.c = c
 
     def __call__(self, x, stream):
-        sign = np.where(stream.uniforms(len(x), 1)[:, 0] < 0.5, 1.0, -1.0)
+        sign = np.where(uniform(stream.words(len(x), 1))[:, 0] < 0.5, 1.0, -1.0)
         return self.problem.values(x) + sign * self.c
 
 

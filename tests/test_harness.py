@@ -116,6 +116,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="checkpoints must be >= 0"):
             exact_config(t_checkpoints=(-5, 3))
 
+    @pytest.mark.parametrize("s", [-0.5, math.nan, math.inf])
+    def test_s_must_be_finite_and_nonnegative(self, s):
+        with pytest.raises(ValueError, match="s must be finite and >= 0"):
+            exact_config(s=s)
+
     def test_checkpoint_zero_allowed(self):
         # T_eps = 0 is a stopping time: x_0 may already meet the criterion
         assert exact_config(t_checkpoints=(0, 3)).t_checkpoints == (0, 3)

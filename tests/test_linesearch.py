@@ -260,11 +260,86 @@ class TestLockstep:
         if estimator is not None:
             assert len(set(alone.paths.eps_f[0].tolist())) == 4
 
+    @pytest.mark.parametrize("name", ["synthetic", "minibatch_estimated", "gsg"])
+    def test_read_ahead_changes_nothing(self, quadratic10, monkeypatch, name):
+        # a window budget of one word makes every window one query: the
+        # same Paths and Trace as the default read-ahead
+        problem, zeroth, first, estimator = self.family(name, quadratic10)
+        params = AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=40)
+
+        def run():
+            controller = (None if estimator is None
+                          else EpochEpsFController(zeroth, estimator))
+            return run_lockstep(problem, zeroth, first, params, range(18, 27),
+                                controller, trace_row=3)
+
+        paths, trace = run()
+        monkeypatch.setattr(rngmod, "WINDOW_WORDS", 1)
+        one_paths, one_trace = run()
+        self.assert_same_trace(trace, one_trace)
+        for f in dataclasses.fields(Paths):
+            np.testing.assert_array_equal(getattr(paths, f.name),
+                                          getattr(one_paths, f.name),
+                                          err_msg=f.name)
+
     def test_rows_differ(self, quadratic10):
         problem, zeroth, first, _ = self.family("synthetic", quadratic10)
         paths, _ = run_lockstep(problem, zeroth, first,
                                 AloeParams(eps_f_input=0.01, max_iters=20), [1, 2])
         assert not np.array_equal(paths.e_sum[0], paths.e_sum[1])
+
+
+class TestReadAheadCount:
+    """The line search's streams read their noise ahead (`rng`): every
+    query is served, but hashed in a few windows, not one pass per query.
+    Counts `KeyedStream.words` calls and the words they hash."""
+
+    @staticmethod
+    def count(monkeypatch):
+        log = []   # (stream, rows, width) of each words call
+        served = [0]
+        words, draw = rngmod.KeyedStream.words, rngmod.KeyedStream.draw
+
+        def counted_words(self, m, width):
+            log.append((self, m, width))
+            return words(self, m, width)
+
+        def counted_draw(self, m, width, transform):
+            served[0] += m * width
+            return draw(self, m, width, transform)
+
+        monkeypatch.setattr(rngmod.KeyedStream, "words", counted_words)
+        monkeypatch.setattr(rngmod.KeyedStream, "draw", counted_draw)
+        return log, served
+
+    def test_synthetic_run_hashes_in_windows(self, quadratic10, monkeypatch):
+        n, T = 8, 100
+        problem, zeroth, first, _ = TestLockstep.family("synthetic", quadratic10)
+        log, served = self.count(monkeypatch)
+        run_lockstep(problem, zeroth, first,
+                     AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=T),
+                     range(n))
+        # three queries per iteration, 3 T = 300 without the read-ahead; a
+        # window that doubles from two queries takes 7 calls per stream
+        assert len(log) <= 3 * T // 10
+        hashed = sum(m * width for _, m, width in log)
+        assert served[0] == n * T * (2 + 2 + 2 + rngmod.normal_words(10))
+        assert hashed <= 2 * served[0]
+
+    def test_no_read_ahead_on_the_gsg_gradient_stream(self, quadratic10,
+                                                      monkeypatch):
+        # the gradient stream alternates one query per key at x with N per
+        # key: each words call hashes exactly the rows its query serves
+        n, T, N = 8, 20, 8
+        problem, zeroth, first, _ = TestLockstep.family("gsg", quadratic10)
+        assert first.num_directions == N
+        log, _ = self.count(monkeypatch)
+        run_lockstep(problem, zeroth, first,
+                     AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=T),
+                     range(n))
+        grad_stream = next(st for st, _, width in log
+                           if width == rngmod.normal_words(10))
+        assert [m for st, m, _ in log if st is grad_stream] == [n, n * N, n * N] * T
 
 
 class TestEpsFController:

@@ -19,7 +19,7 @@ from aloe_lab.harness import mgf_envelope_ok
 from aloe_lab.problems import (DimensionMismatchError,
                                make_strongly_convex_quadratic,
                                make_synthetic_logistic)
-from aloe_lab.rng import GRAD, KeyedStream, probe_stream
+from aloe_lab.rng import GRAD, KeyedStream, probe_stream, uniform
 
 from linear_objective import make_linear
 
@@ -274,7 +274,7 @@ class TestSubexpSampler:
     @pytest.mark.parametrize("nu,b,mean", [(0.1, 0.1, 0.05), (0.05, 0.0, 0.1),
                                            (0.0, 0.0, 0.05), (0.1, 0.1, 0.0)])
     def test_block_is_the_scalar_draws(self, nu, b, mean):
-        u = probe_stream(6).uniforms(500, 1)[:, 0]
+        u = uniform(probe_stream(6).words(500, 1))[:, 0]
         block = sample_one_sided_subexp(nu, b, mean, u)
         scalars = [sample_one_sided_subexp(nu, b, mean, v) for v in u.tolist()]
         assert block.shape == (500,)
@@ -287,13 +287,13 @@ class TestSubexpSampler:
         assert sample_one_sided_subexp(0.1, 0.1, 0.0, 0.3) == 0.0
 
     def test_two_point_law_when_b_zero(self):
-        u = probe_stream(3).uniforms(200, 1)[:, 0]
+        u = uniform(probe_stream(3).words(200, 1))[:, 0]
         draws = {round(v, 12) for v in
                  sample_one_sided_subexp(0.05, 0.0, 0.1, u).tolist()}
         assert draws == {0.05, 0.15}
 
     def test_nonnegative(self):
-        u = probe_stream(4).uniforms(1000, 1)[:, 0]
+        u = uniform(probe_stream(4).words(1000, 1))[:, 0]
         assert (sample_one_sided_subexp(0.2, 0.3, 0.1, u) >= 0.0).all()
         assert sample_one_sided_subexp(0.2, 0.3, 0.1, 0.0) == 0.0
 
@@ -301,7 +301,7 @@ class TestSubexpSampler:
     def test_mgf_envelope(self, nu, b, mean):
         n = 200_000
         samples = sample_one_sided_subexp(nu, b, mean,
-                                          probe_stream(5).uniforms(n, 1)[:, 0])
+                                          uniform(probe_stream(5).words(n, 1))[:, 0])
         centered = samples - mean
         hi = 1.0 / b
         for lam in np.linspace(hi / 10, hi, 10):
@@ -339,6 +339,23 @@ class TestSyntheticFirst:
         assert failed.any()
         np.testing.assert_allclose(np.linalg.norm((g - grad)[failed], axis=1),
                                    10.0 + 10.0 * grad_norm, rtol=1e-6)
+
+    def test_a_zero_draw_points_along_the_first_axis(self, quadratic):
+        # a word whose high 32 bits are all ones gives the Box-Muller radius
+        # 0, so row 1 draws the zero vector as its direction
+        class ZeroRowStream:
+            def draw(self, m, width, transform):
+                W = KeyedStream(range(m), GRAD).words(m, width)
+                W[1, 2:] |= np.uint64(0xFFFFFFFF) << np.uint64(32)
+                return transform(W)
+
+        oracle = SyntheticFirstOracle(quadratic, FirstOracleSpec(eps_g=0.1))
+        X = np.random.default_rng(9).standard_normal((3, 5))
+        grad = quadratic.gradients(X)
+        D = oracle(X, 0.5, ZeroRowStream(), grad=grad) - grad
+        assert D[1, 0] > 0 and (D[1, 1:] == 0).all()
+        assert np.count_nonzero(D[[0, 2]]) == 10
+        assert (np.linalg.norm(D, axis=1) <= 0.1).all()
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from aloe_lab import rng as rngmod
 from aloe_lab.oracles import sample_one_sided_subexp
 from aloe_lab.rng import (EPS_EST, F_CURR, F_PLUS, GRAD, PROBE, QUERY_LIMIT,
                           WIDTH_BITS, KeyedStream, key_words, normal_words,
@@ -51,7 +52,7 @@ class TestBits:
 class TestCorrelation:
     @staticmethod
     def u(seeds, purpose, m, width):
-        return KeyedStream(seeds, purpose).uniforms(m, width)
+        return uniform(KeyedStream(seeds, purpose).words(m, width))
 
     def test_adjacent_keys(self):
         # word 0 of query 0 of the keys (s, GRAD) and (s + 1, GRAD)
@@ -78,7 +79,7 @@ class TestCorrelation:
 
 class TestUniform:
     def test_mean_and_variance(self):
-        u = probe_stream(31).uniforms(N, 1)[:, 0]
+        u = uniform(probe_stream(31).words(N, 1))[:, 0]
         assert u.min() >= 0.0 and u.max() < 1.0
         # mean: sd sqrt(1/12 / N) = 5.64e-4
         assert abs(u.mean() - 0.5) <= 5 * math.sqrt(1 / 12 / N)
@@ -129,7 +130,7 @@ class TestSubexpLaw:
         # -log(1 - u); here m = target = 0.1, so the error is m * E:
         # mean m, sd m / sqrt(N)
         m = 0.1
-        u = probe_stream(34).uniforms(N, 1)[:, 0]
+        u = uniform(probe_stream(34).words(N, 1))[:, 0]
         errors = sample_one_sided_subexp(0.2, 0.2, m, u)
         assert abs(errors.mean() - m) <= 5 * m / math.sqrt(N)
         # the largest error: -log(2**-53) m, at u = 1 - 2**-53
@@ -192,3 +193,106 @@ class TestLimits:
         with pytest.raises(ValueError):
             stream.words(1, 0)
         assert stream.count == 0
+
+    def test_a_failed_transformed_draw_leaves_the_counter(self):
+        stream = KeyedStream([9, 10], GRAD)
+        for m, width in ((2, 0), (3, 1)):
+            with pytest.raises(ValueError):
+                stream.draw(m, width, uniform)
+            assert stream.count == 0
+
+
+def direction(words):
+    """A row-wise transform with a 2-D result: unit vectors in 3-D."""
+    z = normals(words, 3)
+    return z / np.sqrt((z * z).sum(axis=1))[:, None]
+
+
+def first_uniform(words):
+    """A row-wise transform with a 1-D result."""
+    return uniform(words[:, 0])
+
+
+class TestReadAhead:
+    """`draw` answers transform(words(m, width)) and leaves the counter
+    where that leaves it, whether or not it reads ahead.  Each test replays
+    a sequence of calls on a stream and on a reference stream of the same
+    keys that calls `words` only."""
+
+    @staticmethod
+    def replay(keys, calls):
+        """calls: (m, width, transform) draws, and (m, width, None) words
+        calls; returns the stream."""
+        stream, ref = KeyedStream(keys, GRAD), KeyedStream(keys, GRAD)
+        for m, width, transform in calls:
+            if transform is None:
+                got, want = stream.words(m, width), ref.words(m, width)
+            else:
+                got = stream.draw(m, width, transform)
+                want = transform(ref.words(m, width))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert stream.count == ref.count
+        return stream
+
+    @staticmethod
+    def replay_from(stream, count, draw, k):
+        """k more draws from `stream`, its counter set to `count`."""
+        ref = KeyedStream(range(4), GRAD)
+        ref.count = count
+        m, width, transform = draw
+        for _ in range(k):
+            assert np.array_equal(stream.draw(*draw),
+                                  transform(ref.words(m, width)))
+            assert stream.count == ref.count
+
+    @pytest.mark.parametrize("budget", [rngmod.WINDOW_WORDS, 4 * 3 * 5],
+                             ids=["default", "five_queries"])
+    @pytest.mark.parametrize("transform", [direction, first_uniform])
+    def test_windows_across_boundaries_and_growth(self, monkeypatch, budget,
+                                                  transform):
+        # 100 one-per-key draws: windows of 2, 4, ..., 64 queries, or of
+        # at most five when the budget caps them
+        monkeypatch.setattr(rngmod, "WINDOW_WORDS", budget)
+        self.replay(range(4), [(4, 3, transform)] * 100)
+
+    def test_gaussian_smoothing_pattern(self):
+        # one query per key at x, then N = 6 per key twice: never windowed
+        calls = [(4, 2, first_uniform), (24, 2, None), (24, 2, first_uniform)]
+        self.replay(range(4), calls * 10)
+
+    def test_one_key_certification_stacks(self):
+        # stacks of 5, a last stack of one, and runs of stacks of one
+        calls = ([(5, 3, direction)] * 3 + [(1, 3, direction)]
+                 + [(5, 3, first_uniform)] * 2 + [(1, 3, direction)] * 9
+                 + [(5, 3, direction)] + [(1, 3, direction)] * 4)
+        self.replay([17], calls)
+
+    def test_calls_in_the_middle_of_a_window(self):
+        # a words call, a draw of another transform, width or height, and
+        # a change of the counter, each in the middle of a window
+        draw = (4, 3, direction)
+        cuts = [(4, 3, None), (4, 3, first_uniform), (4, 2, direction),
+                (8, 3, direction)]
+        calls = []
+        for cut in cuts:
+            calls += [draw] * 5 + [cut]
+        stream = self.replay(range(4), calls + [draw] * 5)
+        # back into the current window, before it, to 0 and past it
+        for count in (stream.count - 1, stream.count - 3, 0, stream.count + 40):
+            stream.count = count
+            self.replay_from(stream, count, draw, 6)
+
+    def test_query_limit(self):
+        # a window never reads past the limit, and the draw after the last
+        # query raises as `words` does
+        stream = KeyedStream(range(2), GRAD)
+        ref = KeyedStream(range(2), GRAD)
+        stream.count = ref.count = QUERY_LIMIT - 5
+        for _ in range(5):
+            assert np.array_equal(stream.draw(2, 3, direction),
+                                  direction(ref.words(2, 3)))
+        assert stream.count == QUERY_LIMIT
+        with pytest.raises(OverflowError):
+            stream.draw(2, 3, direction)
+        assert stream.count == QUERY_LIMIT
