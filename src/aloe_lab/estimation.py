@@ -21,12 +21,12 @@ class EstimatorConfig:
     refresh_period: int = 50  # iterations per epoch
 
     def __post_init__(self):
-        if self.n_calls < 2:
-            raise ValueError("n_calls must be >= 2")
-        if self.scale_factor <= 0:
-            raise ValueError("scale_factor must be positive")
-        if self.refresh_period < 1:
-            raise ValueError("refresh_period must be >= 1")
+        failed = [reason for bad, reason in (
+            (self.n_calls < 2, "n_calls must be >= 2"),
+            (self.scale_factor <= 0, "scale_factor must be positive"),
+            (self.refresh_period < 1, "refresh_period must be >= 1")) if bad]
+        if failed:
+            raise ValueError("; ".join(failed))
 
 
 def estimate_eps_f(zeroth_oracle, X, config: EstimatorConfig, stream,

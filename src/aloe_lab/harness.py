@@ -32,7 +32,9 @@ from .theory import (TheoremInapplicableError, TheoryConstants,
 
 
 class InadmissibleConfigError(ValueError):
-    """Theory constants fail the admissibility gate; no trials were run."""
+    """The config cannot be run, and no trials were: building its problem,
+    its oracles or its theory constants refused it, or the constants fail
+    the admissibility gate."""
 
 
 @dataclass(frozen=True)
@@ -53,23 +55,24 @@ class ExperimentConfig:
     eta: float | None = None
     check_admissibility: bool = True
     estimate_eps_f: bool = False
-    estimator: EstimatorConfig | None = None
+    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
 
     def __post_init__(self):
-        if self.fixture not in ("quadratic", "logistic"):
-            raise ValueError(f"unknown fixture {self.fixture!r}")
-        if self.oracle_kind not in ("synthetic", "minibatch", "gsg"):
-            raise ValueError(f"unknown oracle_kind {self.oracle_kind!r}")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
-        if any(t < 0 for t in self.t_checkpoints):
-            raise ValueError("checkpoints must be >= 0")
-        if any(t > self.params.max_iters for t in self.t_checkpoints):
-            raise ValueError("checkpoints must not exceed the iteration budget")
-        if not 0 <= self.s < math.inf:
-            raise ValueError("s must be finite and >= 0")
+        failed = [reason for bad, reason in (
+            (self.fixture not in ("quadratic", "logistic"),
+             f"unknown fixture {self.fixture!r}"),
+            (self.oracle_kind not in ("synthetic", "minibatch", "gsg"),
+             f"unknown oracle_kind {self.oracle_kind!r}"),
+            (self.oracle_kind == "minibatch" and self.fixture != "logistic",
+             "minibatch oracles need the logistic fixture"),
+            (self.n_trials < 1, "n_trials must be >= 1"),
+            (self.base_seed < 0, "base_seed must be >= 0"),
+            (any(t < 0 for t in self.t_checkpoints), "checkpoints must be >= 0"),
+            (any(t > self.params.max_iters for t in self.t_checkpoints),
+             "checkpoints must not exceed the iteration budget"),
+            (not 0 <= self.s < math.inf, "s must be finite and >= 0")) if bad]
+        if failed:
+            raise ValueError("; ".join(failed))
 
 
 def _freeze(d: dict) -> tuple:
@@ -94,8 +97,6 @@ def build_oracles(config: ExperimentConfig, problem, dataset):
         return (SyntheticZerothOracle(problem, config.zeroth),
                 SyntheticFirstOracle(problem, config.first))
     if config.oracle_kind == "minibatch":
-        if dataset is None:
-            raise ValueError("minibatch oracles need the empirical-risk fixture")
         bs = config.oracle_params["batch_size"]
         return (MiniBatchZerothOracle(problem, dataset, bs),
                 MiniBatchFirstOracle(problem, dataset, bs))
@@ -195,8 +196,7 @@ def _run_trial_block(config: ExperimentConfig, constants: TheoryConstants,
     zeroth, first = build_oracles(config, problem, dataset)
     controller = None
     if config.estimate_eps_f:
-        controller = EpochEpsFController(
-            zeroth, config.estimator or EstimatorConfig())
+        controller = EpochEpsFController(zeroth, config.estimator)
     trace_row = 0 if seeds[0] == config.base_seed else None
     paths, trace = run_lockstep(problem, zeroth, first, config.params, seeds,
                                 controller, trace_row)
@@ -209,9 +209,15 @@ def _run_trial_block(config: ExperimentConfig, constants: TheoryConstants,
 def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
     """Run all trials and aggregate; deterministic given the config,
     independent of n_jobs (aggregation folds in seed order).  Every check
-    of the config against the theory runs before the first trial."""
-    problem, _ = build_problem(config)
-    constants = derive_experiment_constants(config, problem)
+    of the config runs before the first trial: a problem, oracle set or
+    theory constants that cannot be built, like the admissibility gate,
+    raise InadmissibleConfigError."""
+    try:
+        problem, dataset = build_problem(config)
+        build_oracles(config, problem, dataset)
+        constants = derive_experiment_constants(config, problem)
+    except ValueError as exc:
+        raise InadmissibleConfigError(str(exc)) from exc
     if config.check_admissibility:
         ok, reasons = constants.admissible()
         if not ok:

@@ -26,12 +26,14 @@ class StoppingSpec:
     eps1: float | None = None  # gradient clause of the convex criterion
 
     def __post_init__(self):
-        if self.class_tag not in CLASS_TAGS:
-            raise ValueError(f"unknown class_tag {self.class_tag!r}")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.class_tag == "convex" and (self.eps1 is None or self.eps1 <= 0):
-            raise ValueError("convex stopping requires eps1 > 0")
+        failed = [reason for bad, reason in (
+            (self.class_tag not in CLASS_TAGS,
+             f"unknown class_tag {self.class_tag!r}"),
+            (self.eps <= 0, "eps must be positive"),
+            (self.class_tag == "convex" and (self.eps1 is None or self.eps1 <= 0),
+             "convex stopping requires eps1 > 0")) if bad]
+        if failed:
+            raise ValueError("; ".join(failed))
 
 
 def progress_Z(class_tag: str, phi_x: float, phi_star: float, eps: float) -> float:

@@ -58,16 +58,14 @@ class AloeParams:
     max_iters: int = 1000
 
     def __post_init__(self):
-        if self.eps_f_input < 0:
-            raise ValueError("eps_f_input must be nonnegative")
-        if not 0 < self.alpha0 < self.alpha_max:
-            raise ValueError("need 0 < alpha0 < alpha_max")
-        if not 0 < self.theta < 1:
-            raise ValueError("theta must lie in (0, 1)")
-        if not 0 < self.gamma < 1:
-            raise ValueError("gamma must lie in (0, 1)")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        failed = [reason for bad, reason in (
+            (self.eps_f_input < 0, "eps_f_input must be nonnegative"),
+            (not 0 < self.alpha0 < self.alpha_max, "need 0 < alpha0 < alpha_max"),
+            (not 0 < self.theta < 1, "theta must lie in (0, 1)"),
+            (not 0 < self.gamma < 1, "gamma must lie in (0, 1)"),
+            (self.max_iters < 1, "max_iters must be >= 1")) if bad]
+        if failed:
+            raise ValueError("; ".join(failed))
 
 
 @dataclass(frozen=True)

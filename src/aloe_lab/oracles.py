@@ -82,14 +82,17 @@ class ZerothOracleSpec:
     mean_error: float | None = None
 
     def __post_init__(self):
-        if self.mode not in ZEROTH_MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if min(self.eps_f, self.nu, self.b) < 0:
-            raise ValueError("eps_f, nu, b must be nonnegative")
-        if self.mode == "exact" and (self.eps_f or self.nu or self.b):
-            raise ValueError("exact mode requires eps_f = nu = b = 0")
-        if self.mean_error is not None and not 0 <= self.mean_error <= self.eps_f:
-            raise ValueError("mean_error must lie in [0, eps_f]")
+        failed = [reason for bad, reason in (
+            (self.mode not in ZEROTH_MODES, f"unknown mode {self.mode!r}"),
+            (min(self.eps_f, self.nu, self.b) < 0,
+             "eps_f, nu, b must be nonnegative"),
+            (self.mode == "exact" and (self.eps_f or self.nu or self.b),
+             "exact mode requires eps_f = nu = b = 0"),
+            (self.mean_error is not None
+             and not 0 <= self.mean_error <= self.eps_f,
+             "mean_error must lie in [0, eps_f]")) if bad]
+        if failed:
+            raise ValueError("; ".join(failed))
 
     @property
     def target_mean(self) -> float:
@@ -122,10 +125,12 @@ class FirstOracleSpec:
     corruption_base: float = 10.0
 
     def __post_init__(self):
-        if min(self.eps_g, self.kappa) < 0:
-            raise ValueError("eps_g and kappa must be nonnegative")
-        if not 0 <= self.delta < 1:
-            raise ValueError("delta must lie in [0, 1)")
+        failed = [reason for bad, reason in (
+            (min(self.eps_g, self.kappa) < 0,
+             "eps_g and kappa must be nonnegative"),
+            (not 0 <= self.delta < 1, "delta must lie in [0, 1)")) if bad]
+        if failed:
+            raise ValueError("; ".join(failed))
 
 
 def accurate_from_norms(error_norm, g_norm, alpha, eps_g: float, kappa: float):
@@ -355,6 +360,13 @@ def prop2_sample_size(M_c: float, M_v: float, delta: float, eps_g: float,
 # Randomized finite-difference (Gaussian smoothing) gradients
 
 
+def _check_gsg(sigma: float, num_directions: int) -> None:
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if num_directions < 1:
+        raise ValueError("num_directions must be >= 1")
+
+
 def gsg_gradient(zeroth_oracle, X, sigma: float, num_directions: int, stream,
                  phi=None) -> np.ndarray:
     """Gaussian-smoothing gradient estimates
@@ -369,10 +381,7 @@ def gsg_gradient(zeroth_oracle, X, sigma: float, num_directions: int, stream,
     one of that row does.  (A stack over one key takes each of the three
     queries for all rows in turn, so it is not n stacks of one in a row.)
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if num_directions < 1:
-        raise ValueError("num_directions must be >= 1")
+    _check_gsg(sigma, num_directions)
     f0 = zeroth_oracle(X, stream, phi=phi)  # checks the shape of X
     X = np.asarray(X, dtype=float)
     n, dim = X.shape
@@ -388,6 +397,7 @@ class GsgFirstOracle:
 
     def __init__(self, problem: ProblemInstance, zeroth_oracle,
                  sigma: float, num_directions: int):
+        _check_gsg(sigma, num_directions)
         self.problem = problem
         self.zeroth_oracle = zeroth_oracle
         self.sigma = sigma

@@ -121,6 +121,8 @@ def make_strongly_convex_quadratic(
     beta = lambda_min exactly.  `x0` defaults to a random direction; pass
     `x0_norm` to control the starting distance from the optimum.
     """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     if not (0 < lambda_min <= lambda_max):
         raise ValueError("need 0 < lambda_min <= lambda_max")
     rng = np.random.default_rng(seed)

@@ -193,7 +193,10 @@ class TestParseConfig:
     def test_nonpositive_reg_rejected(self, tmp_path, reg):
         path = write(tmp_path, "bad.ini",
                      f"[problem]\nfixture = logistic\nreg = {reg}\n")
-        with pytest.raises(ConfigError, match=r"\[problem\] reg must be positive"):
+        # the float cast refuses nan before the fixture check reads it
+        message = (r"\[problem\] reg = 'nan': not a valid float" if reg == "nan"
+                   else r"\[problem\] reg must be positive")
+        with pytest.raises(ConfigError, match=message):
             parse_config(path)
 
 
@@ -286,11 +289,13 @@ class TestRun:
     @pytest.mark.parametrize("s", ["-0.5", "nan", "inf"])
     def test_bad_s_exit_two(self, tmp_path, capsys, s):
         # s = -0.5 exited 3 mid-run and s = nan exited 0 with an empty
-        # summary.csv before ExperimentConfig checked s
+        # summary.csv before ExperimentConfig checked s; the float cast
+        # refuses nan and inf before ExperimentConfig reads them
         config = write(tmp_path, "bad.ini", SMOKE + f"s = {s}\n")
         out = str(tmp_path / "out")
         assert run(config, out, quiet=True) == EXIT_CONFIG
-        assert "s must be finite and >= 0" in capsys.readouterr().err
+        assert ("s must be finite and >= 0" if s == "-0.5"
+                else f"s = '{s}': not a valid float") in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_negative_seed_override_exit_two(self, tmp_path):
