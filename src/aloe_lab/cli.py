@@ -35,25 +35,17 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _fmt(value) -> str:
-    """Round-trip cell formatting: repr for floats, bare ints and bools."""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: str, header, rows) -> None:
+    # csv writes each cell as str(): a float as its shortest repr, which
+    # round-trips exactly
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_trials_csv(path: str, summary: TrialSummary) -> None:
-    # censored is written from T_eps; tolist() gives Python scalars for _fmt
+    # censored is written from T_eps; tolist() gives Python scalars
     s = summary
     _write_csv(path,
                ["seed", "T_eps", "censored", "frac_true", "frac_success",
@@ -74,7 +66,7 @@ def write_summary_csv(path: str, summary: TrialSummary) -> None:
 
 
 def write_trace_csv(path: str, trace) -> None:
-    # tolist() gives Python floats and bools, whose reprs _fmt writes
+    # tolist() gives Python floats and bools
     p, T = trace.paths, len(trace)
     _write_csv(path,
                ["k", "alpha", "f_curr", "f_plus", "success", "e_curr",
@@ -116,11 +108,8 @@ def run(config_path: str, out_dir: str, seed: int | None = None,
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
-    overrides = {}
-    if seed is not None:
-        overrides["base_seed"] = seed
-    if trials is not None:
-        overrides["n_trials"] = trials
+    overrides = {name: value for name, value in
+                 (("base_seed", seed), ("n_trials", trials)) if value is not None}
     if overrides:
         try:
             config = dataclasses.replace(config, **overrides)

@@ -93,13 +93,14 @@ _KEYS = {
 }
 
 # The defaults no dataclass owns.  A fixture or oracle kind reads only its
-# own parameters, and one whose default is None only when the file sets it.
+# own parameters, and one whose default is None only when the file sets it;
+# a set parameter that the chosen one does not read is an error.
 _FIXTURE_PARAMS = {
     "quadratic": {"dim": 10, "lambda_min": 0.1, "lambda_max": 10.0, "seed": 0,
                   "x0_norm": None},
     "logistic": {"n_samples": 512, "dim": 10, "seed": 0, "reg": 1e-3},
 }
-_ORACLE_PARAMS = {"minibatch": {"batch_size": 128},
+_ORACLE_PARAMS = {"synthetic": {}, "minibatch": {"batch_size": 128},
                   "gsg": {"sigma": 0.1, "num_directions": 64}}
 _STOPPING = {"class_tag": "nonconvex", "eps": 1e-6}
 
@@ -122,17 +123,13 @@ def _read_ini(path: str) -> configparser.ConfigParser:
     return parser
 
 
-def _pick(defaults: dict, given: dict) -> dict:
-    picked = {key: given.get(key, value) for key, value in defaults.items()}
-    return {key: value for key, value in picked.items() if value is not None}
-
-
 def parse_config(path: str) -> ExperimentConfig:
     """Read and validate an experiment config; an empty file yields the
     documented defaults (exact-oracle quadratic, 100 trials)."""
     parser = _read_ini(path)
     errors: list[str] = []
     parts = defaultdict(dict)   # "" holds ExperimentConfig's own fields
+    set_by = {}                 # field: the key that set it
     for section in parser.sections():
         if section not in _KEYS:
             errors.append(f"unknown section [{section}]")
@@ -149,15 +146,21 @@ def parse_config(path: str) -> ExperimentConfig:
                               f"not {_EXPECTED[cast]}")
                 continue
             part, _, name = field.rpartition(".")
-            parts[part][name] = value
+            parts[part][name], set_by[field] = value, f"[{section}] {key}"
 
     top = parts[""]
     fixture = top.setdefault("fixture", "quadratic")
     kind = top.get("oracle_kind", ExperimentConfig.oracle_kind)
-    top["fixture_params"] = _pick(_FIXTURE_PARAMS.get(fixture, {}),
-                                  parts["fixture_params"])
-    top["oracle_params"] = _pick(_ORACLE_PARAMS.get(kind, {}),
-                                 parts["oracle_params"])
+    for part, owner, defaults in (
+            ("fixture_params", f"fixture {fixture!r}", _FIXTURE_PARAMS.get(fixture)),
+            ("oracle_params", f"oracle kind {kind!r}", _ORACLE_PARAMS.get(kind))):
+        given = parts[part]
+        if defaults is None:   # unknown: ExperimentConfig reports it
+            defaults = given
+        errors += [f"{set_by[f'{part}.{name}']} is not read by {owner}"
+                   for name in given if name not in defaults]
+        top[part] = {key: value for key, value in {**defaults, **given}.items()
+                     if value is not None}
     if fixture == "logistic" and not top["fixture_params"]["reg"] > 0:
         errors.append("[problem] reg must be positive")
     parts["params"].setdefault(

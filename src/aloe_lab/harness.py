@@ -75,10 +75,6 @@ class ExperimentConfig:
             raise ValueError("; ".join(failed))
 
 
-def _freeze(d: dict) -> tuple:
-    return tuple(sorted(d.items()))
-
-
 @lru_cache(maxsize=32)
 def _build_problem_cached(fixture: str, frozen_params: tuple):
     params = dict(frozen_params)
@@ -89,7 +85,8 @@ def _build_problem_cached(fixture: str, frozen_params: tuple):
 
 def build_problem(config: ExperimentConfig):
     """Problem fixture (and dataset, for the empirical-risk fixture)."""
-    return _build_problem_cached(config.fixture, _freeze(config.fixture_params))
+    return _build_problem_cached(config.fixture,
+                                 tuple(sorted(config.fixture_params.items())))
 
 
 def build_oracles(config: ExperimentConfig, problem, dataset):

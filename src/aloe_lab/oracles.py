@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .problems import ErmDataset, ProblemInstance, row_dots
+from .problems import GATHER_SAMPLES, ErmDataset, ProblemInstance, row_dots
 
 ZEROTH_MODES = ("exact", "bounded", "subexponential")
 
@@ -262,16 +262,12 @@ def minibatch_value(dataset: ErmDataset, X, batches) -> np.ndarray:
 
 
 def minibatch_gradient(dataset: ErmDataset, X, batches) -> np.ndarray:
-    """Mean per-sample gradient, indexed as `minibatch_value`: (m, dim)."""
+    """Mean per-sample gradient, indexed as `minibatch_value`: (m, dim), as
+    c'F / k + reg x from the loss derivatives c, never the per-sample stack."""
     batches = np.asarray(batches)
     if batches.size == 0:
         raise ValueError("batch must be nonempty")
-    return np.add.reduce(dataset.loss_grads(X, batches), axis=1) / batches.shape[1]
-
-
-# Sample rows gathered at once by a stacked mini-batch query (rows of the
-# stack times batch size): each holds dim floats.
-GATHER_SAMPLES = 1 << 14
+    return dataset.mean_grads(X, batches)
 
 
 class _MiniBatchOracle:

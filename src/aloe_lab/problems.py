@@ -3,7 +3,10 @@
 All fixtures expose exact value/gradient access for post-hoc instrumentation,
 together with the smoothness and convexity constants the theory calculator
 needs.  The synthetic empirical-risk fixture also carries its per-sample loss
-family so the mini-batch oracles can be built on top of it.
+family so the mini-batch oracles can be built on top of it.  Its mean
+gradients, full-data or over a batch, are c'F / k + reg x, one product per
+row from the derivatives c of the per-sample losses; the per-sample
+gradients are formed only to measure their spread (the growth constants).
 
 Every evaluation takes an (m, dim) stack of points and answers one row per
 point; row r of the answer depends on row r of the stack alone, bit for
@@ -158,7 +161,10 @@ def make_strongly_convex_quadratic(
 
 
 # A stack X of m points takes an (m, k) index array, one row of samples per
-# point, or a slice; row r is one gemv and one dot (see row_dots).
+# point, or a slice; row r is one gemv and one dot (see row_dots).  A stacked
+# gradient holds at most GATHER_SAMPLES samples (rows times k) at once: the
+# full-data gradient and the mini-batch oracles take their rows in chunks.
+GATHER_SAMPLES = 1 << 14
 
 
 def _logistic_losses(features, labels, reg, X, idx):
@@ -167,13 +173,24 @@ def _logistic_losses(features, labels, reg, X, idx):
     return np.logaddexp(0.0, -margins) + 0.5 * reg * row_dots(X, X)[:, None]
 
 
-def _logistic_grads(features, labels, reg, X, idx):
+def _logistic_coeffs(features, labels, X, idx):
+    """The sample rows F of each point and the derivatives
+    c = -y sigma(-y f'x) of its per-sample losses along them, (m, k): the
+    gradient of sample i's loss at row r is c[r, i] f_i + reg x_r."""
     F, y = features[idx], labels[idx]
     margins = y * (F @ X[:, :, None])[..., 0]
-    coeff = -y * _sigmoid(-margins)
-    grads = coeff[..., None] * F
-    grads += reg * X[:, None, :]
-    return grads
+    return F, -y * _sigmoid(-margins)
+
+
+def _logistic_grads(F, coeff, reg, X):
+    """The per-sample gradients of `_logistic_coeffs`: (m, k, dim)."""
+    return coeff[..., None] * F + reg * X[:, None, :]
+
+
+def _logistic_mean_grads(F, coeff, reg, X):
+    # the mean of _logistic_grads, c'F / k + reg x: a (1, k) @ (k, dim) gemv
+    # per row (see row_dots), never the per-sample stack
+    return (coeff[:, None, :] @ F)[:, 0, :] / coeff.shape[1] + reg * X
 
 
 def _sigmoid(t):
@@ -193,13 +210,13 @@ def _logistic_value(features, labels, reg, X):
 
 
 def _logistic_grad(features, labels, reg, X):
-    # one full-data pass per row: a joint pass would hold m copies of the
-    # per-sample gradients at once
+    # GATHER_SAMPLES // n rows at a time bound the (rows, n) coefficients
     G = np.empty(X.shape)
-    for r in range(len(X)):
-        grads = _logistic_grads(features, labels, reg, X[r:r + 1], slice(None))
-        G[r] = np.add.reduce(grads[0], axis=0)
-    return G / len(labels)
+    rows = max(1, GATHER_SAMPLES // len(labels))
+    for s in range(0, len(X), rows):
+        F, coeff = _logistic_coeffs(features, labels, X[s:s + rows], slice(None))
+        G[s:s + rows] = _logistic_mean_grads(F, coeff, reg, X[s:s + rows])
+    return G
 
 
 @dataclass(frozen=True)
@@ -224,8 +241,15 @@ class ErmDataset:
 
     def loss_grads(self, X, idx) -> np.ndarray:
         """Per-sample gradients, indexed as `losses`: (m, k, dim)."""
-        return _logistic_grads(self.features, self.labels, self.reg,
-                               np.asarray(X, float), idx)
+        X = np.asarray(X, float)
+        return _logistic_grads(*_logistic_coeffs(self.features, self.labels, X,
+                                                 idx), self.reg, X)
+
+    def mean_grads(self, X, idx) -> np.ndarray:
+        """The mean of `loss_grads` over each row's samples: (m, dim)."""
+        X = np.asarray(X, float)
+        return _logistic_mean_grads(*_logistic_coeffs(self.features, self.labels,
+                                                      X, idx), self.reg, X)
 
 
 def estimate_growth_constants(
@@ -240,19 +264,18 @@ def estimate_growth_constants(
 
     Probes a Gaussian ball around x0 and takes the largest observed absolute
     and relative per-sample gradient variance.  The pair returned satisfies
-    the condition at every probe point with margin `safety`.  The mean
-    gradient is reduced from the per-sample gradients of the probe, a stack
-    of one, exactly as the full-data gradient is, so no probe makes a second
-    pass over the data, and the pass indexes the data with a slice, so it
-    copies nothing.
+    the condition at every probe point with margin `safety`.  The per-sample
+    gradients and their mean, bit for bit the full-data gradient, come from
+    one set of loss derivatives, so no probe makes a second pass over the
+    data, and the pass indexes the data with a slice, so it copies nothing.
     """
-    n = dataset.n_samples
     max_abs = 0.0
     max_rel = 0.0
     for _ in range(n_probes):
-        x = problem.x0 + radius * rng.standard_normal(problem.dim)
-        grads = dataset.loss_grads(x[None], slice(None))[0]
-        mean_grad = np.add.reduce(grads, axis=0) / n
+        x = (problem.x0 + radius * rng.standard_normal(problem.dim))[None]
+        F, coeff = _logistic_coeffs(dataset.features, dataset.labels, x, slice(None))
+        grads = _logistic_grads(F, coeff, dataset.reg, x)[0]
+        mean_grad = _logistic_mean_grads(F, coeff, dataset.reg, x)[0]
         var = float(np.mean(np.sum((grads - mean_grad) ** 2, axis=1)))
         gn2 = float(mean_grad @ mean_grad)
         max_abs = max(max_abs, var)

@@ -325,18 +325,13 @@ class TheoryConstants:
                 f"p_hat={p_hat} outside ({lo}, {hi}); theorem inapplicable"
             )
         h = self.h_at_bar_grid
-        C = h / self._progress_normalizer()
+        # h(bar_alpha) = C eps^2 for the nonconvex class, C for the others
+        C = h / (self.eps ** 2 if self.class_tag == "nonconvex" else 1.0)
         R = self.Z0 / h + self.d
         # a start already inside the target can make Z0, and so R, negative
         # (log(gap/eps) < -d h); the bound then covers every t >= 1
         t_min = max(1, math.ceil(R / (p_hat - 0.5 - (self.r_at_2epsf + s) / h)))
         return t_min, R, C, self.d
-
-    def _progress_normalizer(self) -> float:
-        # h(bar_alpha) = C * normalizer, matching each class's convention
-        if self.class_tag == "nonconvex":
-            return self.eps ** 2
-        return 1.0
 
     def tail_lower_bound(self, s: float, p_hat: float, t: float) -> float:
         """Guaranteed P(T_eps <= t), valid for t >= t_min(s, p_hat)."""
@@ -386,9 +381,7 @@ def derive_constants(class_tag: str, *, eps: float, theta: float, gamma: float,
 
 def constants_report(c: TheoryConstants) -> str:
     """Plain key = value dump for experiment output directories."""
-    lines = []
-    for name in c.__dataclass_fields__:
-        lines.append(f"{name} = {getattr(c, name)!r}")
+    lines = [f"{name} = {getattr(c, name)!r}" for name in c.__dataclass_fields__]
     lines.append(f"Z0 = {c.Z0!r}")
     if c.class_tag == "strongly_convex":
         try:
@@ -399,6 +392,5 @@ def constants_report(c: TheoryConstants) -> str:
             lines.append("display_rate_constant = nan")
     ok, reasons = c.admissible()
     lines.append(f"admissible = {ok}")
-    for reason in reasons:
-        lines.append(f"inadmissible_reason = {reason}")
+    lines += [f"inadmissible_reason = {reason}" for reason in reasons]
     return "\n".join(lines) + "\n"

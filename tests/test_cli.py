@@ -485,7 +485,7 @@ class TestSmokeReproducible:
         _, dataset = make_synthetic_logistic(n_samples=256, dim=5, seed=11,
                                              reg=0.01)
         assert (dataset.M_c.hex(), dataset.M_v.hex()) == (
-            "0x1.b5655319e70cdp+1", "0x1.cd51d0196478ap+4")
+            "0x1.b5655319e70cdp+1", "0x1.cd51d0196478dp+4")
 
 
 class TestPinnedOutputs:
@@ -511,7 +511,7 @@ class TestPinnedOutputs:
                 HEADER_ONLY),
         "minibatch_estimated": (
             "d3c10bc7e8ee5df1e65199ee3294bb11cb400adffbee5f4abc7f719cb8ec7d78",
-            "262df90bdf4f20e48d5a5faeb65021cf0a2511d84aec42a1b4af3bc7a452040c",
+            "aa21ca004a07d1434561462ca7c1c29b2de025edd44e98f381786640d7785995",
             HEADER_ONLY),
     }
 

@@ -168,6 +168,34 @@ UNRUNNABLE = {
                       "alpha_max = 'inf': not a valid float"),
 }
 
+# keys that the chosen fixture or oracle kind does not read, and the error
+# that names each
+UNREAD = {
+    "reg_on_quadratic": ("[problem]\nreg = -1\n",
+                         "[problem] reg is not read by fixture 'quadratic'"),
+    "n_samples_on_quadratic": (
+        "[problem]\nn_samples = 5\n",
+        "[problem] n_samples is not read by fixture 'quadratic'"),
+    "lambda_min_on_logistic": (
+        LOGISTIC.replace("[problem]\n", "[problem]\nlambda_min = 1\n"),
+        "[problem] lambda_min is not read by fixture 'logistic'"),
+    "x0_norm_on_logistic": (
+        LOGISTIC.replace("[problem]\n", "[problem]\nx0_norm = 2\n"),
+        "[problem] x0_norm is not read by fixture 'logistic'"),
+    "batch_size_on_synthetic": (
+        "[oracles]\nbatch_size = 0\n",
+        "[oracles] batch_size is not read by oracle kind 'synthetic'"),
+    "sigma_on_synthetic": (
+        "[oracles]\nsigma = 0\n",
+        "[oracles] sigma is not read by oracle kind 'synthetic'"),
+    "sigma_on_minibatch": (
+        LOGISTIC.replace("[oracles]\n", "[oracles]\nkind = minibatch\nsigma = 1\n"),
+        "[oracles] sigma is not read by oracle kind 'minibatch'"),
+    "batch_size_on_gsg": (
+        "[oracles]\nkind = gsg\nbatch_size = 8\n",
+        "[oracles] batch_size is not read by oracle kind 'gsg'"),
+}
+
 
 def ini_path(tmp_path, name):
     """A repo INI by its path, or a made-up one written to tmp_path."""
@@ -259,6 +287,27 @@ def test_unrunnable_config_exits_two_before_any_trial(tmp_path, monkeypatch,
     assert run(str(config), str(out), trials=2, quiet=True, jobs=1) == EXIT_CONFIG
     assert reason in capsys.readouterr().err
     assert not (out / "trials.csv").exists()
+
+
+@pytest.mark.parametrize("name", list(UNREAD))
+def test_unread_key_exits_two(tmp_path, capsys, name):
+    # a key meant for another fixture or oracle kind is refused, not dropped
+    text, reason = UNREAD[name]
+    config = tmp_path / "bad.ini"
+    config.write_text(text)
+    assert run(str(config), str(tmp_path / "out"), trials=2, quiet=True,
+               jobs=1) == EXIT_CONFIG
+    assert reason in capsys.readouterr().err
+
+
+def test_unknown_fixture_reads_no_key(tmp_path):
+    # the unknown name is the one error, not every key set beside it
+    for text, reason in (
+            ("[problem]\nfixture = foo\ndim = 3\n", "unknown fixture 'foo'"),
+            ("[oracles]\nkind = bar\nsigma = 1\n", "unknown oracle_kind 'bar'")):
+        with pytest.raises(ConfigError) as err:
+            parse_text(tmp_path, text)
+        assert str(err.value) == "invalid config:\n  " + reason
 
 
 def readme_grammar() -> dict:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from aloe_lab import oracles
+from aloe_lab import oracles, problems
 from aloe_lab import rng as rngmod
 from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               MiniBatchFirstOracle, MiniBatchZerothOracle,
@@ -16,7 +16,7 @@ from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               prop2_sample_size, prop3_params,
                               sample_one_sided_subexp)
 from aloe_lab.harness import mgf_envelope_ok
-from aloe_lab.problems import (DimensionMismatchError,
+from aloe_lab.problems import (GATHER_SAMPLES, DimensionMismatchError,
                                make_strongly_convex_quadratic,
                                make_synthetic_logistic)
 from aloe_lab.rng import GRAD, KeyedStream, probe_stream, uniform
@@ -406,6 +406,35 @@ class TestMiniBatch:
         problem, dataset = logistic
         with pytest.raises(ValueError):
             MiniBatchZerothOracle(problem, dataset, batch_size=0)
+
+    @pytest.mark.parametrize("dim, k", [(4, 500), (5, 555)])
+    def test_rows_are_their_stacks_of_one(self, dim, k):
+        # 40 rows of k samples span two GATHER_SAMPLES chunks of the oracle;
+        # an odd dim and k put the rows of the gathered samples at every
+        # alignment, and a row's mean may depend on none of it
+        problem, dataset = make_synthetic_logistic(n_samples=128, dim=dim, seed=2)
+        rng = np.random.default_rng(13)
+        X = 3.0 * rng.standard_normal((40, dim))
+        batches = rng.integers(dataset.n_samples, size=(40, k))
+        assert len(X) * k > GATHER_SAMPLES > k
+        G = minibatch_gradient(dataset, X, batches)
+        assert np.array_equal(G, [minibatch_gradient(dataset, X[r:r + 1],
+                                                     batches[r:r + 1])[0]
+                                  for r in range(40)])
+        np.testing.assert_allclose(G, dataset.loss_grads(X, batches).mean(axis=1),
+                                   rtol=1e-12, atol=1e-14)
+        first = MiniBatchFirstOracle(problem, dataset, batch_size=k)
+        TestRowGenerators.compare(lambda x, st: first(x, 0.5, st), X, range(40))
+
+    def test_no_per_sample_gradients(self, logistic, monkeypatch):
+        # a mean gradient is the loss derivatives' product with the sample
+        # rows, never a reduction of the per-sample gradients
+        problem, dataset = logistic
+        monkeypatch.setattr(problems, "_logistic_grads", None)
+        X = np.ones((3, 4))
+        minibatch_gradient(dataset, X, np.zeros((3, 5), dtype=int))
+        MiniBatchFirstOracle(problem, dataset, batch_size=8)(X, 0.5, probe_stream(12))
+        problem.gradients(X)
 
 
 class TestProp1:

@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from aloe_lab.problems import (DimensionMismatchError, ProblemInstance,
-                               _logistic_grads, _logistic_losses,
+from aloe_lab.problems import (GATHER_SAMPLES, DimensionMismatchError,
+                               ProblemInstance, _logistic_losses,
                                _logistic_minimizer,
                                estimate_growth_constants,
                                make_strongly_convex_quadratic,
@@ -296,8 +297,8 @@ class TestCopyFreeFullDataPass:
             return float(np.add.reduce(losses) / len(idx))
 
         def grad(x):
-            grads = _logistic_grads(f, y, reg, x[None], idx)[0]
-            return np.add.reduce(grads, axis=0) / len(idx)
+            # c'F / n + reg x, the loss derivatives' product with the rows
+            return dataset.mean_grads(x[None], idx)[0]
         return value, grad
 
     def test_random_points(self, logistic_sizes):
@@ -318,6 +319,41 @@ class TestCopyFreeFullDataPass:
         assert value(sol.x) == problem.phi_star
         assert problem.value(sol.x) == problem.phi_star
         assert np.array_equal(problem.gradient(sol.x), grad(sol.x))
+
+
+class TestCoefficientGradient:
+    """A logistic mean gradient is c'F / k + reg x, from the derivatives c
+    of the per-sample losses: one product per row, never a reduction of the
+    per-sample gradients."""
+
+    def test_rows_are_their_stacks_of_one(self, logistic_sizes):
+        # 300 rows span 2 (n64) or 38 (n2048) chunks of GATHER_SAMPLES // n
+        # rows
+        problem, dataset = logistic_sizes
+        X = 3.0 * np.random.default_rng(14).standard_normal((300, problem.dim))
+        assert len(X) * dataset.n_samples > GATHER_SAMPLES
+        G = problem.gradients(X)
+        assert np.array_equal(G, [problem.gradients(X[r:r + 1])[0]
+                                  for r in range(len(X))])
+        np.testing.assert_allclose(
+            G[:20], dataset.loss_grads(X[:20], slice(None)).mean(axis=1),
+            rtol=1e-12, atol=1e-14)
+
+    def test_no_less_accurate_than_the_per_sample_sum(self, logistic_sizes):
+        # against the exact sum of the per-sample gradients, component by
+        # component, the product is at least as accurate as the sequential
+        # sum over the per-sample stack
+        problem, dataset = logistic_sizes
+        X = 3.0 * np.random.default_rng(12).standard_normal((50, problem.dim))
+        grads = dataset.loss_grads(X, slice(None))
+        n = dataset.n_samples
+        ref = np.array([[math.fsum(g[:, j]) / n for j in range(problem.dim)]
+                        for g in grads])
+
+        def worst(G):
+            return np.max(np.linalg.norm(G - ref, axis=1)
+                          / np.linalg.norm(ref, axis=1))
+        assert worst(problem.gradients(X)) <= worst(np.add.reduce(grads, axis=1) / n)
 
 
 class TestGrowthConstants:
