@@ -24,8 +24,7 @@ from .oracles import (FirstOracleSpec, GsgFirstOracle, GsgParams,
                       MiniBatchFirstOracle, MiniBatchZerothOracle,
                       OracleParameterError, SyntheticFirstOracle,
                       SyntheticZerothOracle, ZerothOracleSpec,
-                      gradient_accurate, gsg_gradient, minibatch_gradient,
-                      minibatch_value, prop1_subexp_params,
+                      gradient_accurate, gsg_gradient, prop1_subexp_params,
                       prop2_sample_size, prop3_params)
 from .problems import (ErmDataset, ProblemInstance,
                        estimate_growth_constants,

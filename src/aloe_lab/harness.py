@@ -215,6 +215,8 @@ def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
         constants = derive_experiment_constants(config, problem)
     except ValueError as exc:
         raise InadmissibleConfigError(str(exc)) from exc
+    except ArithmeticError as exc:  # e.g. (1 + kappa alpha_max)^2 overflowing
+        raise InadmissibleConfigError(f"{type(exc).__name__}: {exc}") from exc
     if config.check_admissibility:
         ok, reasons = constants.admissible()
         if not ok:

@@ -177,9 +177,11 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
         rngmod.KeyedStream(seeds, purpose) for purpose in
         (rngmod.GRAD, rngmod.F_CURR, rngmod.F_PLUS, rngmod.EPS_EST))
     i_cap = snap_to_step_grid(params.alpha_max, params.alpha0, params.gamma)[1]
-    # every reachable step, i_cap <= i <= T, by the one-point arithmetic
+    # every reachable step, by the one-point arithmetic: i starts at 0 and
+    # moves by one per iteration, so max(i_cap, -T) <= i <= T
+    i_low = max(i_cap, -T)
     step_of = np.array([params.alpha0 * params.gamma ** i
-                        for i in range(i_cap, T + 1)])
+                        for i in range(i_low, T + 1)])
 
     x0 = np.asarray(problem.x0, dtype=float)
     X = np.tile(x0, (n, 1))
@@ -205,7 +207,7 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     for k in range(T):
         if moved.any():
             grad[moved] = problem.gradients(X[moved])
-        alpha = step_of[i - i_cap]
+        alpha = step_of[i - i_low]
         if eps_f_controller is not None:
             eps_f = eps_f_controller(k, X, est_rng, phi)
         g = np.asarray(first_oracle(X, alpha, grad_rng, grad=grad, phi=phi),

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .problems import GATHER_SAMPLES, ErmDataset, ProblemInstance, row_dots
+from .problems import ErmDataset, ProblemInstance, row_dots
 
 ZEROTH_MODES = ("exact", "bounded", "subexponential")
 
@@ -252,29 +252,11 @@ class SyntheticFirstOracle:
 # Mini-batch oracles
 
 
-def minibatch_value(dataset: ErmDataset, X, batches) -> np.ndarray:
-    """Mean per-sample loss of each row of an (m, dim) stack over its row
-    of an (m, k) index array: (m,)."""
-    batches = np.asarray(batches)
-    if batches.size == 0:
-        raise ValueError("batch must be nonempty")
-    return np.add.reduce(dataset.losses(X, batches), axis=1) / batches.shape[1]
-
-
-def minibatch_gradient(dataset: ErmDataset, X, batches) -> np.ndarray:
-    """Mean per-sample gradient, indexed as `minibatch_value`: (m, dim), as
-    c'F / k + reg x from the loss derivatives c, never the per-sample stack."""
-    batches = np.asarray(batches)
-    if batches.size == 0:
-        raise ValueError("batch must be nonempty")
-    return dataset.mean_grads(X, batches)
-
-
 class _MiniBatchOracle:
-    """Each query draws its batch indices, then its mean runs over that
-    batch alone; the means of a stack are taken GATHER_SAMPLES samples at a
-    time.  Index i = floor(w * n / 2**32) of the top 32 bits w of a word,
-    so an index has probability within n / 2**32 (relative) of 1 / n."""
+    """Each query draws its batch indices, then takes the dataset's sample
+    mean over that batch alone (`ErmDataset.mean_losses` / `mean_grads`).
+    Index i = floor(w * n / 2**32) of the top 32 bits w of a word, so an
+    index has probability within n / 2**32 (relative) of 1 / n."""
 
     def __init__(self, problem: ProblemInstance, dataset: ErmDataset, batch_size: int):
         if batch_size < 1:
@@ -283,12 +265,10 @@ class _MiniBatchOracle:
         self.dataset = dataset
         self.batch_size = batch_size
 
-    def _means(self, X, stream, mean):
-        """`mean` over a fresh batch at each row."""
-        batches = stream.draw(len(X), self.batch_size, self._indices)
-        rows = max(1, GATHER_SAMPLES // self.batch_size)
-        return np.concatenate([mean(self.dataset, X[s:s + rows], batches[s:s + rows])
-                               for s in range(0, len(X), rows)])
+    def _batch_mean(self, mean, X, stream):
+        """`mean` of each row of X over a fresh batch."""
+        X = self.problem.check_stack(X)
+        return mean(X, stream.draw(len(X), self.batch_size, self._indices))
 
     def _indices(self, words):
         """The sample indices of each row of (m, batch_size) words."""
@@ -298,12 +278,12 @@ class _MiniBatchOracle:
 
 class MiniBatchZerothOracle(_MiniBatchOracle):
     def __call__(self, X, stream, phi=None) -> np.ndarray:
-        return self._means(self.problem.check_stack(X), stream, minibatch_value)
+        return self._batch_mean(self.dataset.mean_losses, X, stream)
 
 
 class MiniBatchFirstOracle(_MiniBatchOracle):
     def __call__(self, X, alpha, stream, grad=None, phi=None) -> np.ndarray:
-        return self._means(self.problem.check_stack(X), stream, minibatch_gradient)
+        return self._batch_mean(self.dataset.mean_grads, X, stream)
 
 
 def prop1_subexp_params(nu_hat: float, b_hat: float, eps_hat: float, N: int) -> tuple[float, float, float]:

@@ -2,9 +2,9 @@
 
 All fixtures expose exact value/gradient access for post-hoc instrumentation,
 together with the smoothness and convexity constants the theory calculator
-needs.  The synthetic empirical-risk fixture also carries its per-sample loss
-family so the mini-batch oracles can be built on top of it.  Its mean
-gradients, full-data or over a batch, are c'F / k + reg x, one product per
+needs.  The synthetic empirical-risk fixture is an `ErmDataset` with one
+sample mean: over all samples it is the objective, over a drawn batch the
+mini-batch oracles.  Its mean gradients are c'F / k + reg x, one product per
 row from the derivatives c of the per-sample losses; the per-sample
 gradients are formed only to measure their spread (the growth constants).
 
@@ -161,14 +161,24 @@ def make_strongly_convex_quadratic(
 
 
 # A stack X of m points takes an (m, k) index array, one row of samples per
-# point, or a slice; row r is one gemv and one dot (see row_dots).  A stacked
-# gradient holds at most GATHER_SAMPLES samples (rows times k) at once: the
-# full-data gradient and the mini-batch oracles take their rows in chunks.
+# point, a 1-D index shared by all rows, or a slice; row r is one gemv and
+# one dot (see row_dots).  A mean holds at most GATHER_SAMPLES samples (rows
+# times k) at once: `ErmDataset._chunked` takes its rows in chunks.
 GATHER_SAMPLES = 1 << 14
 
 
+def _gather(features, labels, X, idx):
+    """The sample rows F, labels y and margins y f'x of each point.  A slice
+    is a view; take copies what fancy indexing would, several times faster."""
+    if isinstance(idx, slice):
+        F, y = features[idx], labels[idx]
+    else:
+        F, y = features.take(idx, axis=0), labels.take(idx)
+    return F, y, y * (F @ X[:, :, None])[..., 0]
+
+
 def _logistic_losses(features, labels, reg, X, idx):
-    margins = labels[idx] * (features[idx] @ X[:, :, None])[..., 0]
+    margins = _gather(features, labels, X, idx)[2]
     # log(1 + exp(-m)) computed stably
     return np.logaddexp(0.0, -margins) + 0.5 * reg * row_dots(X, X)[:, None]
 
@@ -177,8 +187,7 @@ def _logistic_coeffs(features, labels, X, idx):
     """The sample rows F of each point and the derivatives
     c = -y sigma(-y f'x) of its per-sample losses along them, (m, k): the
     gradient of sample i's loss at row r is c[r, i] f_i + reg x_r."""
-    F, y = features[idx], labels[idx]
-    margins = y * (F @ X[:, :, None])[..., 0]
+    F, y, margins = _gather(features, labels, X, idx)
     return F, -y * _sigmoid(-margins)
 
 
@@ -201,27 +210,11 @@ def _sigmoid(t):
     return np.where(t >= 0, 1.0 / den, ex / den)
 
 
-# Full-data passes index with slice(None), a view: np.arange(n) would copy
-# the features and labels on every call, for the same bits.
-def _logistic_value(features, labels, reg, X):
-    # a pairwise sum along each contiguous row
-    losses = _logistic_losses(features, labels, reg, X, slice(None))
-    return np.add.reduce(losses, axis=1) / len(labels)
-
-
-def _logistic_grad(features, labels, reg, X):
-    # GATHER_SAMPLES // n rows at a time bound the (rows, n) coefficients
-    G = np.empty(X.shape)
-    rows = max(1, GATHER_SAMPLES // len(labels))
-    for s in range(0, len(X), rows):
-        F, coeff = _logistic_coeffs(features, labels, X[s:s + rows], slice(None))
-        G[s:s + rows] = _logistic_mean_grads(F, coeff, reg, X[s:s + rows])
-    return G
-
-
 @dataclass(frozen=True)
 class ErmDataset:
-    """Finite dataset whose empirical mean loss is the objective."""
+    """Finite dataset whose empirical mean loss is the objective: its sample
+    means over all samples (the default slice, a view) are the fixture's
+    value_fn and grad_fn, and over a drawn batch the mini-batch oracles."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -235,7 +228,7 @@ class ErmDataset:
 
     def losses(self, X, idx) -> np.ndarray:
         """Per-sample losses l(x_r, d_i) of an (m, dim) stack over an
-        (m, k) index array, or a slice: (m, k)."""
+        (m, k) index array, a 1-D index or a slice: (m, k)."""
         return _logistic_losses(self.features, self.labels, self.reg,
                                 np.asarray(X, float), idx)
 
@@ -245,11 +238,34 @@ class ErmDataset:
         return _logistic_grads(*_logistic_coeffs(self.features, self.labels, X,
                                                  idx), self.reg, X)
 
-    def mean_grads(self, X, idx) -> np.ndarray:
-        """The mean of `loss_grads` over each row's samples: (m, dim)."""
+    def mean_losses(self, X, idx=slice(None)) -> np.ndarray:
+        """The mean of `losses` over each row's samples, a pairwise sum
+        along each contiguous row: (m,)."""
+        def mean(X, idx):
+            losses = _logistic_losses(self.features, self.labels, self.reg, X, idx)
+            return np.add.reduce(losses, axis=1) / losses.shape[1]
+        return self._chunked(mean, X, idx)
+
+    def mean_grads(self, X, idx=slice(None)) -> np.ndarray:
+        """The mean of `loss_grads` over each row's samples, c'F / k + reg x
+        from the loss derivatives c: (m, dim)."""
+        return self._chunked(lambda X, idx: _logistic_mean_grads(
+            *_logistic_coeffs(self.features, self.labels, X, idx), self.reg, X),
+            X, idx)
+
+    def _chunked(self, mean, X, idx):
+        """`mean(X, idx)` of an (m, dim) stack, GATHER_SAMPLES samples at a
+        time: an (m, k) index array goes with its rows."""
         X = np.asarray(X, float)
-        return _logistic_mean_grads(*_logistic_coeffs(self.features, self.labels,
-                                                      X, idx), self.reg, X)
+        k = len(self.labels[idx]) if isinstance(idx, slice) else np.shape(idx)[-1]
+        if k == 0:
+            raise ValueError("batch must be nonempty")
+        rows = max(1, GATHER_SAMPLES // k)
+        if len(X) <= rows:  # one pass, also for an empty stack
+            return mean(X, idx)
+        per_row = np.ndim(idx) == 2
+        return np.concatenate([mean(X[s:s + rows], idx[s:s + rows] if per_row else idx)
+                               for s in range(0, len(X), rows)])
 
 
 def estimate_growth_constants(
@@ -341,10 +357,11 @@ def make_synthetic_logistic(
     L = gram_top / (4.0 * n_samples) + reg
     x0 = rng.standard_normal(dim)
 
+    dataset = ErmDataset(features=features, labels=labels, reg=reg, M_c=0.0, M_v=0.0)
     problem = ProblemInstance(
         dim=dim,
-        value_fn=partial(_logistic_value, features, labels, reg),
-        grad_fn=partial(_logistic_grad, features, labels, reg),
+        value_fn=dataset.mean_losses,
+        grad_fn=dataset.mean_grads,
         lipschitz_L=L,
         strong_convexity_beta=reg,
         phi_star=np.nan,  # set from the solve below
@@ -353,8 +370,6 @@ def make_synthetic_logistic(
     x_star = _logistic_minimizer(problem, features, reg)
     problem = replace(problem, phi_star=problem.value(x_star),
                       diameter_D=2.0 * float(np.linalg.norm(x0 - x_star)))
-    dataset = ErmDataset(features=features, labels=labels, reg=reg, M_c=0.0, M_v=0.0)
     M_c, M_v = estimate_growth_constants(
         problem, dataset, rngmod.probe_rng(seed, rngmod.GROWTH_PROBES))
-    dataset = ErmDataset(features=features, labels=labels, reg=reg, M_c=M_c, M_v=M_v)
-    return problem, dataset
+    return problem, replace(dataset, M_c=M_c, M_v=M_v)

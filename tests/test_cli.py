@@ -395,6 +395,22 @@ class TestCapBelowCriticalStep:
         assert not os.path.exists(out)
 
 
+class TestTheoryConstantsOverflow:
+    @pytest.mark.parametrize("cls", ["nonconvex", "convex", "strongly_convex"])
+    def test_exit_two(self, tmp_path, capsys, cls):
+        # (1 + kappa alpha_max)^2 overflows a float in the theory constants
+        # of every class; that is a config error, not a runtime one
+        config = write(tmp_path, "overflow.ini", (
+            "[oracles]\neps_f = 0.01\nmode = bounded\neps_g = 0.5\n"
+            "kappa = 1.0\ndelta = 0.1\n\n[algorithm]\nalpha_max = 1e200\n\n"
+            f"[stopping]\nclass = {cls}\neps = 0.001\n"
+            + ("eps1 = 0.5\n" if cls == "convex" else "")))
+        out = str(tmp_path / "out")
+        assert run(config, out, quiet=True) == EXIT_CONFIG
+        assert "OverflowError" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 class TestStartBelowCriticalStep:
     def test_exit_two(self, tmp_path, capsys):
         # the cap 0.2 lies above bar_alpha_grid = 0.153, but alpha0 = 0.05

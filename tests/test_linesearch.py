@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,24 @@ class TestParams:
     def test_defaults(self):
         p = AloeParams()
         assert (p.alpha0, p.alpha_max, p.theta, p.gamma) == (1.0, 10.0, 0.2, 0.8)
+
+
+class TestStepTable:
+    def test_only_reachable_steps(self, identity_quadratic):
+        # the cap exponent is -921 029, but i starts at 0 and moves by one
+        # per iteration: three iterations reach -3..3, so the run's step
+        # table holds seven steps, not 921 033
+        params = AloeParams(alpha_max=1e4, gamma=0.99999, max_iters=3)
+        zeroth, first = exact_oracles(identity_quadratic)
+        tracemalloc.start()
+        try:
+            paths, _ = run_lockstep(identity_quadratic, zeroth, first, params, [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert paths.alpha.tolist() == [[params.alpha0 * params.gamma ** int(i)
+                                         for i in paths.exponents[0, :3]]]
 
 
 class TestArmijo:

@@ -4,15 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from aloe_lab import oracles, problems
+from aloe_lab import problems
 from aloe_lab import rng as rngmod
 from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               MiniBatchFirstOracle, MiniBatchZerothOracle,
                               OracleParameterError, SyntheticFirstOracle,
                               SyntheticZerothOracle, ZerothOracleSpec,
                               gradient_accurate, gsg_gradient,
-                              minibatch_gradient,
-                              minibatch_value, prop1_subexp_params,
+                              prop1_subexp_params,
                               prop2_sample_size, prop3_params,
                               sample_one_sided_subexp)
 from aloe_lab.harness import mgf_envelope_ok
@@ -202,7 +201,7 @@ class TestRowGenerators:
     def test_minibatch(self, logistic, monkeypatch, gather):
         # 16 samples per pass: stacks of 5 rows with batches of 8 go two
         # rows at a time
-        monkeypatch.setattr(oracles, "GATHER_SAMPLES", gather)
+        monkeypatch.setattr(problems, "GATHER_SAMPLES", gather)
         problem, dataset = logistic
         zeroth = MiniBatchZerothOracle(problem, dataset, batch_size=8)
         first = MiniBatchFirstOracle(problem, dataset, batch_size=8)
@@ -363,22 +362,26 @@ class TestSyntheticFirst:
 
 
 class TestMiniBatch:
+    """The mini-batch oracles are the dataset's sample means
+    (`ErmDataset.mean_losses`, `mean_grads`) over a drawn batch."""
+
     def test_empty_batch_rejected(self, logistic):
         problem, dataset = logistic
-        empty = np.empty((1, 0), dtype=int)
-        with pytest.raises(ValueError):
-            minibatch_value(dataset, np.zeros((1, 4)), empty)
-        with pytest.raises(ValueError):
-            minibatch_gradient(dataset, np.zeros((1, 4)), empty)
+        for empty in (np.empty((1, 0), dtype=int), np.empty(0, dtype=int), slice(0)):
+            for mean in (dataset.mean_losses, dataset.mean_grads):
+                with pytest.raises(ValueError, match="batch must be nonempty"):
+                    mean(np.zeros((1, 4)), empty)
 
     def test_full_batch_matches_exact_value(self, logistic):
+        # every index of every sample is the ground truth bit for bit
         problem, dataset = logistic
         rng = np.random.default_rng(9)
         x = rng.standard_normal(4)
-        full = np.arange(dataset.n_samples)[None]
-        assert minibatch_value(dataset, x[None], full).tolist() == [problem.value(x)]
-        np.testing.assert_allclose(minibatch_gradient(dataset, x[None], full)[0],
-                                   problem.gradient(x), rtol=1e-12, atol=1e-14)
+        full = np.arange(dataset.n_samples)
+        for idx in (full[None], full):
+            assert dataset.mean_losses(x[None], idx).tolist() == [problem.value(x)]
+            assert np.array_equal(dataset.mean_grads(x[None], idx)[0],
+                                  problem.gradient(x))
 
     def test_minibatch_oracles_log_errors(self, logistic):
         # a query answers its estimates alone and evaluates no ground
@@ -409,7 +412,7 @@ class TestMiniBatch:
 
     @pytest.mark.parametrize("dim, k", [(4, 500), (5, 555)])
     def test_rows_are_their_stacks_of_one(self, dim, k):
-        # 40 rows of k samples span two GATHER_SAMPLES chunks of the oracle;
+        # 40 rows of k samples span two GATHER_SAMPLES chunks of the mean;
         # an odd dim and k put the rows of the gathered samples at every
         # alignment, and a row's mean may depend on none of it
         problem, dataset = make_synthetic_logistic(n_samples=128, dim=dim, seed=2)
@@ -417,14 +420,31 @@ class TestMiniBatch:
         X = 3.0 * rng.standard_normal((40, dim))
         batches = rng.integers(dataset.n_samples, size=(40, k))
         assert len(X) * k > GATHER_SAMPLES > k
-        G = minibatch_gradient(dataset, X, batches)
-        assert np.array_equal(G, [minibatch_gradient(dataset, X[r:r + 1],
-                                                     batches[r:r + 1])[0]
-                                  for r in range(40)])
-        np.testing.assert_allclose(G, dataset.loss_grads(X, batches).mean(axis=1),
+        for mean in (dataset.mean_losses, dataset.mean_grads):
+            assert np.array_equal(mean(X, batches), [
+                mean(X[r:r + 1], batches[r:r + 1])[0] for r in range(40)])
+        np.testing.assert_allclose(dataset.mean_grads(X, batches),
+                                   dataset.loss_grads(X, batches).mean(axis=1),
                                    rtol=1e-12, atol=1e-14)
         first = MiniBatchFirstOracle(problem, dataset, batch_size=k)
         TestRowGenerators.compare(lambda x, st: first(x, 0.5, st), X, range(40))
+
+    @pytest.mark.parametrize("form", ["rows", "shared", "slice"])
+    def test_stack_across_a_chunk_is_its_stacks_of_one(self, form):
+        # 15 rows of k = 1113 samples: k does not divide GATHER_SAMPLES, a
+        # chunk holds 14 rows, and the 15th starts the next; over the slice
+        # the means are the fixture's value_fn and grad_fn
+        k = 1113
+        problem, dataset = make_synthetic_logistic(n_samples=k, dim=4, seed=5)
+        rng = np.random.default_rng(15)
+        X = 3.0 * rng.standard_normal((15, 4))
+        idx = {"rows": rng.integers(k, size=(15, k)), "shared": rng.permutation(k),
+               "slice": slice(None)}[form]
+        assert GATHER_SAMPLES % k and 14 * k <= GATHER_SAMPLES < 15 * k
+        one = (lambda r: idx[r:r + 1]) if form == "rows" else (lambda r: idx)
+        for mean in (dataset.mean_losses, dataset.mean_grads):
+            assert np.array_equal(mean(X, idx), [mean(X[r:r + 1], one(r))[0]
+                                                 for r in range(15)])
 
     def test_no_per_sample_gradients(self, logistic, monkeypatch):
         # a mean gradient is the loss derivatives' product with the sample
@@ -432,7 +452,7 @@ class TestMiniBatch:
         problem, dataset = logistic
         monkeypatch.setattr(problems, "_logistic_grads", None)
         X = np.ones((3, 4))
-        minibatch_gradient(dataset, X, np.zeros((3, 5), dtype=int))
+        dataset.mean_grads(X, np.zeros((3, 5), dtype=int))
         MiniBatchFirstOracle(problem, dataset, batch_size=8)(X, 0.5, probe_stream(12))
         problem.gradients(X)
 
