@@ -20,13 +20,13 @@ from .instrument import (CENSORED, PathVerdicts, StoppingSpec, classify_paths,
 from .linesearch import (AloeParams, Paths, Trace, TrialDivergedError,
                          aloe_run, armijo_check, run_lockstep,
                          snap_to_step_grid, step_update)
-from .oracles import (FirstOracleSpec, GsgFirstOracle, GsgParams,
-                      MiniBatchFirstOracle, MiniBatchZerothOracle,
+from .oracles import (FirstOracleSpec, GsgFirstOracle, GsgParams, GsgSpec,
+                      MiniBatchFirstOracle, MiniBatchSpec, MiniBatchZerothOracle,
                       OracleParameterError, SyntheticFirstOracle,
                       SyntheticZerothOracle, ZerothOracleSpec,
                       gradient_accurate, gsg_gradient, prop1_subexp_params,
                       prop2_sample_size, prop3_params)
-from .problems import (ErmDataset, ProblemInstance,
+from .problems import (ErmDataset, LogisticSpec, ProblemInstance, QuadraticSpec,
                        estimate_growth_constants,
                        make_strongly_convex_quadratic, make_synthetic_logistic)
 from .rng import KeyedStream, probe_rng, probe_stream

@@ -2,10 +2,10 @@
 
 `_KEYS` maps each section's keys to a cast and the field they set: a field
 of `ExperimentConfig`, or `part.name` for a field of one of its parts.  The
-parser hands each dataclass only the keys the file sets, so their defaults
-and checks are the only ones; this module defaults only what no dataclass
-owns.  Every semantic violation is collected and reported in a single
-error.
+parser only reads and casts: it hands each part only the keys the file
+sets, so the parts' defaults and checks are the only ones, and defaults
+only `eps_f_input`, to `[oracles] eps_f`.  Every semantic violation is
+collected and reported in a single error.
 """
 
 import configparser
@@ -14,7 +14,7 @@ import math
 from collections import defaultdict
 
 from .estimation import EstimatorConfig
-from .harness import ExperimentConfig
+from .harness import ExperimentConfig, params_readers
 from .instrument import StoppingSpec
 from .linesearch import AloeParams
 from .oracles import FirstOracleSpec, ZerothOracleSpec
@@ -33,11 +33,7 @@ def _float(text: str) -> float:
 
 
 def _bool(text: str) -> bool:
-    if text.lower() in ("true", "yes", "1", "on"):
-        return True
-    if text.lower() in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(text)
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
 def _ints(text: str) -> tuple:
@@ -92,19 +88,11 @@ _KEYS = {
     },
 }
 
-# The defaults no dataclass owns.  A fixture or oracle kind reads only its
-# own parameters, and one whose default is None only when the file sets it;
-# a set parameter that the chosen one does not read is an error.
-_FIXTURE_PARAMS = {
-    "quadratic": {"dim": 10, "lambda_min": 0.1, "lambda_max": 10.0, "seed": 0,
-                  "x0_norm": None},
-    "logistic": {"n_samples": 512, "dim": 10, "seed": 0, "reg": 1e-3},
-}
-_ORACLE_PARAMS = {"synthetic": {}, "minibatch": {"batch_size": 128},
-                  "gsg": {"sigma": 0.1, "num_directions": 64}}
-_STOPPING = {"class_tag": "nonconvex", "eps": 1e-6}
-
-_PARTS = (("zeroth", ZerothOracleSpec, "[oracles]"),
+# The parts of ExperimentConfig and their sections; a params dict is read by
+# the spec its fixture or oracle kind names (`harness.params_readers`).
+_PARTS = (("fixture_params", None, "[problem]"),
+          ("oracle_params", None, "[oracles]"),
+          ("zeroth", ZerothOracleSpec, "[oracles]"),
           ("first", FirstOracleSpec, "[oracles]"),
           ("params", AloeParams, "[algorithm]"),
           ("estimator", EstimatorConfig, "[algorithm]"),
@@ -112,7 +100,7 @@ _PARTS = (("zeroth", ZerothOracleSpec, "[oracles]"),
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)   # a value is its text
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -129,7 +117,6 @@ def parse_config(path: str) -> ExperimentConfig:
     parser = _read_ini(path)
     errors: list[str] = []
     parts = defaultdict(dict)   # "" holds ExperimentConfig's own fields
-    set_by = {}                 # field: the key that set it
     for section in parser.sections():
         if section not in _KEYS:
             errors.append(f"unknown section [{section}]")
@@ -141,34 +128,22 @@ def parse_config(path: str) -> ExperimentConfig:
             cast, field = _KEYS[section][key]
             try:
                 value = cast(text)
-            except ValueError:
+            except (KeyError, ValueError):   # KeyError: not a boolean
                 errors.append(f"[{section}] {key} = {text!r}: "
                               f"not {_EXPECTED[cast]}")
                 continue
             part, _, name = field.rpartition(".")
-            parts[part][name], set_by[field] = value, f"[{section}] {key}"
+            parts[part][name] = value
 
     top = parts[""]
-    fixture = top.setdefault("fixture", "quadratic")
-    kind = top.get("oracle_kind", ExperimentConfig.oracle_kind)
-    for part, owner, defaults in (
-            ("fixture_params", f"fixture {fixture!r}", _FIXTURE_PARAMS.get(fixture)),
-            ("oracle_params", f"oracle kind {kind!r}", _ORACLE_PARAMS.get(kind))):
-        given = parts[part]
-        if defaults is None:   # unknown: ExperimentConfig reports it
-            defaults = given
-        errors += [f"{set_by[f'{part}.{name}']} is not read by {owner}"
-                   for name in given if name not in defaults]
-        top[part] = {key: value for key, value in {**defaults, **given}.items()
-                     if value is not None}
-    if fixture == "logistic" and not top["fixture_params"]["reg"] > 0:
-        errors.append("[problem] reg must be positive")
     parts["params"].setdefault(
         "eps_f_input", parts["zeroth"].get("eps_f", ZerothOracleSpec.eps_f))
-    parts["stopping"] = {**_STOPPING, **parts["stopping"]}
+    readers = params_readers(
+        top.get("fixture", ExperimentConfig.fixture),
+        top.get("oracle_kind", ExperimentConfig.oracle_kind))
     for part, cls, where in _PARTS:
         try:
-            top[part] = cls(**parts[part])
+            top[part] = readers.get(part, cls)(**parts[part])
         except ValueError as exc:
             errors.append(f"{where} {exc}")
     if not errors:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problems import check_settings
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -21,12 +23,10 @@ class EstimatorConfig:
     refresh_period: int = 50  # iterations per epoch
 
     def __post_init__(self):
-        failed = [reason for bad, reason in (
+        check_settings(
             (self.n_calls < 2, "n_calls must be >= 2"),
             (self.scale_factor <= 0, "scale_factor must be positive"),
-            (self.refresh_period < 1, "refresh_period must be >= 1")) if bad]
-        if failed:
-            raise ValueError("; ".join(failed))
+            (self.refresh_period < 1, "refresh_period must be >= 1"))
 
 
 def estimate_eps_f(zeroth_oracle, X, config: EstimatorConfig, stream,

@@ -12,8 +12,8 @@ worker processes.
 """
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, make_dataclass
+from functools import lru_cache, partial
 from statistics import NormalDist
 
 import numpy as np
@@ -22,32 +22,65 @@ from . import rng as rngmod
 from .estimation import EpochEpsFController, EstimatorConfig
 from .instrument import CENSORED, StoppingSpec, classify_paths
 from .linesearch import AloeParams, Trace, run_lockstep
-from .oracles import (FirstOracleSpec, GsgFirstOracle, MiniBatchFirstOracle,
-                      MiniBatchZerothOracle, SyntheticFirstOracle,
-                      SyntheticZerothOracle, ZerothOracleSpec,
-                      gradient_accurate)
-from .problems import make_strongly_convex_quadratic, make_synthetic_logistic
+from .oracles import (FirstOracleSpec, GsgFirstOracle, GsgSpec,
+                      MiniBatchFirstOracle, MiniBatchSpec, MiniBatchZerothOracle,
+                      SyntheticFirstOracle, SyntheticZerothOracle,
+                      ZerothOracleSpec, gradient_accurate)
+from .problems import (LogisticSpec, QuadraticSpec, check_settings,
+                       make_strongly_convex_quadratic, make_synthetic_logistic)
 from .theory import (TheoremInapplicableError, TheoryConstants,
                      derive_constants)
 
 
 class InadmissibleConfigError(ValueError):
-    """The config cannot be run, and no trials were: building its problem,
-    its oracles or its theory constants refused it, or the constants fail
-    the admissibility gate."""
+    """The config cannot be run, and no trials were: building its problem
+    or its theory constants refused it, or the constants fail the
+    admissibility gate."""
+
+
+# The spec of each fixture and oracle kind owns the settings it reads from
+# `fixture_params` / `oracle_params`: their defaults and checks.
+FIXTURES = {"quadratic": QuadraticSpec, "logistic": LogisticSpec}
+ORACLE_KINDS = {"synthetic": make_dataclass("SyntheticSpec", (), frozen=True),
+                "minibatch": MiniBatchSpec, "gsg": GsgSpec}
+
+
+def read_params(spec: type, reader: str, /, **params) -> dict:
+    """`params` with `spec`'s defaults filled in and None dropped; a key it
+    does not read ("not read by `reader`") fails like one of its checks."""
+    fields = spec.__dataclass_fields__
+    failed = [(True, f"{k} is not read by {reader}") for k in params if k not in fields]
+    try:
+        read = vars(spec(**{k: v for k, v in params.items() if k in fields}))
+    except ValueError as exc:
+        failed.append((True, str(exc)))
+    check_settings(*failed)
+    return {k: v for k, v in read.items() if v is not None}
+
+
+def params_readers(fixture: str, oracle_kind: str) -> dict:
+    """Each params field's `read_params`, by the spec its fixture or oracle
+    kind chooses; `dict` for an unknown name, so only the name is refused."""
+    return {part: partial(read_params, specs[name], f"{what} {name!r}")
+            if name in specs else dict
+            for part, specs, name, what in (
+                ("fixture_params", FIXTURES, fixture, "fixture"),
+                ("oracle_params", ORACLE_KINDS, oracle_kind, "oracle kind"))}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    fixture: str                      # "quadratic" | "logistic"
-    fixture_params: dict
-    zeroth: ZerothOracleSpec
-    first: FirstOracleSpec
-    params: AloeParams
-    stopping: StoppingSpec
+    """One experiment; a setting left out takes its part's default."""
+
+    fixture: str = "quadratic"        # a name in FIXTURES
+    fixture_params: dict = field(default_factory=dict)
+    zeroth: ZerothOracleSpec = field(default_factory=ZerothOracleSpec)
+    first: FirstOracleSpec = field(default_factory=FirstOracleSpec)
+    params: AloeParams = field(default_factory=AloeParams)
+    stopping: StoppingSpec = field(default_factory=StoppingSpec)
     n_trials: int = 100
     base_seed: int = 0
-    oracle_kind: str = "synthetic"    # "synthetic" | "minibatch" | "gsg"
+    oracle_kind: str = "synthetic"    # a name in ORACLE_KINDS
     oracle_params: dict = field(default_factory=dict)
     t_checkpoints: tuple = ()
     s: float = 0.0
@@ -58,10 +91,16 @@ class ExperimentConfig:
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
 
     def __post_init__(self):
-        failed = [reason for bad, reason in (
-            (self.fixture not in ("quadratic", "logistic"),
-             f"unknown fixture {self.fixture!r}"),
-            (self.oracle_kind not in ("synthetic", "minibatch", "gsg"),
+        failed = []
+        for part, read in params_readers(self.fixture, self.oracle_kind).items():
+            try:   # the params with their spec's defaults filled in
+                object.__setattr__(self, part, read(**getattr(self, part)))
+            except ValueError as exc:
+                failed.append((True, str(exc)))
+        check_settings(
+            *failed,
+            (self.fixture not in FIXTURES, f"unknown fixture {self.fixture!r}"),
+            (self.oracle_kind not in ORACLE_KINDS,
              f"unknown oracle_kind {self.oracle_kind!r}"),
             (self.oracle_kind == "minibatch" and self.fixture != "logistic",
              "minibatch oracles need the logistic fixture"),
@@ -70,9 +109,7 @@ class ExperimentConfig:
             (any(t < 0 for t in self.t_checkpoints), "checkpoints must be >= 0"),
             (any(t > self.params.max_iters for t in self.t_checkpoints),
              "checkpoints must not exceed the iteration budget"),
-            (not 0 <= self.s < math.inf, "s must be finite and >= 0")) if bad]
-        if failed:
-            raise ValueError("; ".join(failed))
+            (not 0 <= self.s < math.inf, "s must be finite and >= 0"))
 
 
 @lru_cache(maxsize=32)
@@ -90,18 +127,14 @@ def build_problem(config: ExperimentConfig):
 
 
 def build_oracles(config: ExperimentConfig, problem, dataset):
-    if config.oracle_kind == "synthetic":
-        return (SyntheticZerothOracle(problem, config.zeroth),
-                SyntheticFirstOracle(problem, config.first))
+    """The oracles of the config's kind; `oracle_params` are their spec's."""
     if config.oracle_kind == "minibatch":
-        bs = config.oracle_params["batch_size"]
-        return (MiniBatchZerothOracle(problem, dataset, bs),
-                MiniBatchFirstOracle(problem, dataset, bs))
+        return (MiniBatchZerothOracle(problem, dataset, **config.oracle_params),
+                MiniBatchFirstOracle(problem, dataset, **config.oracle_params))
     zeroth = SyntheticZerothOracle(problem, config.zeroth)
-    first = GsgFirstOracle(problem, zeroth,
-                           config.oracle_params["sigma"],
-                           config.oracle_params["num_directions"])
-    return zeroth, first
+    if config.oracle_kind == "gsg":
+        return zeroth, GsgFirstOracle(problem, zeroth, **config.oracle_params)
+    return zeroth, SyntheticFirstOracle(problem, config.first)
 
 
 def derive_experiment_constants(config: ExperimentConfig, problem) -> TheoryConstants:
@@ -206,12 +239,11 @@ def _run_trial_block(config: ExperimentConfig, constants: TheoryConstants,
 def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
     """Run all trials and aggregate; deterministic given the config,
     independent of n_jobs (aggregation folds in seed order).  Every check
-    of the config runs before the first trial: a problem, oracle set or
-    theory constants that cannot be built, like the admissibility gate,
-    raise InadmissibleConfigError."""
+    of the config runs before the first trial: a problem or theory
+    constants that cannot be built, like the admissibility gate, raise
+    InadmissibleConfigError."""
     try:
         problem, dataset = build_problem(config)
-        build_oracles(config, problem, dataset)
         constants = derive_experiment_constants(config, problem)
     except ValueError as exc:
         raise InadmissibleConfigError(str(exc)) from exc

@@ -14,26 +14,24 @@ import numpy as np
 
 from .linesearch import Paths, Trace
 from .oracles import accurate_from_norms
-from .problems import CLASS_TAGS, ProblemInstance
+from .problems import CLASS_TAGS, ProblemInstance, check_settings
 
 CENSORED = -1
 
 
 @dataclass(frozen=True)
 class StoppingSpec:
-    class_tag: str
-    eps: float
+    class_tag: str = "nonconvex"
+    eps: float = 1e-6
     eps1: float | None = None  # gradient clause of the convex criterion
 
     def __post_init__(self):
-        failed = [reason for bad, reason in (
+        check_settings(
             (self.class_tag not in CLASS_TAGS,
              f"unknown class_tag {self.class_tag!r}"),
             (self.eps <= 0, "eps must be positive"),
             (self.class_tag == "convex" and (self.eps1 is None or self.eps1 <= 0),
-             "convex stopping requires eps1 > 0")) if bad]
-        if failed:
-            raise ValueError("; ".join(failed))
+             "convex stopping requires eps1 > 0"))
 
 
 def progress_Z(class_tag: str, phi_x: float, phi_star: float, eps: float) -> float:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .problems import ProblemInstance, row_dots
+from .problems import ProblemInstance, check_settings, row_dots
 
 
 class TrialDivergedError(RuntimeError):
@@ -58,14 +58,12 @@ class AloeParams:
     max_iters: int = 1000
 
     def __post_init__(self):
-        failed = [reason for bad, reason in (
+        check_settings(
             (self.eps_f_input < 0, "eps_f_input must be nonnegative"),
             (not 0 < self.alpha0 < self.alpha_max, "need 0 < alpha0 < alpha_max"),
             (not 0 < self.theta < 1, "theta must lie in (0, 1)"),
             (not 0 < self.gamma < 1, "gamma must lie in (0, 1)"),
-            (self.max_iters < 1, "max_iters must be >= 1")) if bad]
-        if failed:
-            raise ValueError("; ".join(failed))
+            (self.max_iters < 1, "max_iters must be >= 1"))
 
 
 @dataclass(frozen=True)

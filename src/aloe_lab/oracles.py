@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .problems import ErmDataset, ProblemInstance, row_dots
+from .problems import ErmDataset, ProblemInstance, check_settings, row_dots
 
 ZEROTH_MODES = ("exact", "bounded", "subexponential")
 
@@ -82,7 +82,7 @@ class ZerothOracleSpec:
     mean_error: float | None = None
 
     def __post_init__(self):
-        failed = [reason for bad, reason in (
+        check_settings(
             (self.mode not in ZEROTH_MODES, f"unknown mode {self.mode!r}"),
             (min(self.eps_f, self.nu, self.b) < 0,
              "eps_f, nu, b must be nonnegative"),
@@ -90,9 +90,7 @@ class ZerothOracleSpec:
              "exact mode requires eps_f = nu = b = 0"),
             (self.mean_error is not None
              and not 0 <= self.mean_error <= self.eps_f,
-             "mean_error must lie in [0, eps_f]")) if bad]
-        if failed:
-            raise ValueError("; ".join(failed))
+             "mean_error must lie in [0, eps_f]"))
 
     @property
     def target_mean(self) -> float:
@@ -125,12 +123,10 @@ class FirstOracleSpec:
     corruption_base: float = 10.0
 
     def __post_init__(self):
-        failed = [reason for bad, reason in (
+        check_settings(
             (min(self.eps_g, self.kappa) < 0,
              "eps_g and kappa must be nonnegative"),
-            (not 0 <= self.delta < 1, "delta must lie in [0, 1)")) if bad]
-        if failed:
-            raise ValueError("; ".join(failed))
+            (not 0 <= self.delta < 1, "delta must lie in [0, 1)"))
 
 
 def accurate_from_norms(error_norm, g_norm, alpha, eps_g: float, kappa: float):
@@ -252,6 +248,16 @@ class SyntheticFirstOracle:
 # Mini-batch oracles
 
 
+@dataclass(frozen=True)
+class MiniBatchSpec:
+    """The mini-batch oracles' `oracle_params`, with their defaults."""
+
+    batch_size: int = 128
+
+    def __post_init__(self):
+        check_settings((self.batch_size < 1, "batch_size must be >= 1"))
+
+
 class _MiniBatchOracle:
     """Each query draws its batch indices, then takes the dataset's sample
     mean over that batch alone (`ErmDataset.mean_losses` / `mean_grads`).
@@ -259,11 +265,9 @@ class _MiniBatchOracle:
     index has probability within n / 2**32 (relative) of 1 / n."""
 
     def __init__(self, problem: ProblemInstance, dataset: ErmDataset, batch_size: int):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.problem = problem
         self.dataset = dataset
-        self.batch_size = batch_size
+        self.batch_size = MiniBatchSpec(batch_size).batch_size
 
     def _batch_mean(self, mean, X, stream):
         """`mean` of each row of X over a fresh batch."""
@@ -336,11 +340,17 @@ def prop2_sample_size(M_c: float, M_v: float, delta: float, eps_g: float,
 # Randomized finite-difference (Gaussian smoothing) gradients
 
 
-def _check_gsg(sigma: float, num_directions: int) -> None:
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if num_directions < 1:
-        raise ValueError("num_directions must be >= 1")
+@dataclass(frozen=True)
+class GsgSpec:
+    """The Gaussian-smoothing oracle's `oracle_params`, with their defaults."""
+
+    sigma: float = 0.1
+    num_directions: int = 64
+
+    def __post_init__(self):
+        check_settings(
+            (not self.sigma > 0, "sigma must be positive"),
+            (self.num_directions < 1, "num_directions must be >= 1"))
 
 
 def gsg_gradient(zeroth_oracle, X, sigma: float, num_directions: int, stream,
@@ -357,7 +367,12 @@ def gsg_gradient(zeroth_oracle, X, sigma: float, num_directions: int, stream,
     one of that row does.  (A stack over one key takes each of the three
     queries for all rows in turn, so it is not n stacks of one in a row.)
     """
-    _check_gsg(sigma, num_directions)
+    GsgSpec(sigma, num_directions)  # the spec's checks
+    return _smoothed_gradient(zeroth_oracle, X, sigma, num_directions, stream, phi)
+
+
+def _smoothed_gradient(zeroth_oracle, X, sigma, num_directions, stream, phi):
+    # gsg_gradient past its checks, which a GsgFirstOracle makes once
     f0 = zeroth_oracle(X, stream, phi=phi)  # checks the shape of X
     X = np.asarray(X, dtype=float)
     n, dim = X.shape
@@ -373,15 +388,15 @@ class GsgFirstOracle:
 
     def __init__(self, problem: ProblemInstance, zeroth_oracle,
                  sigma: float, num_directions: int):
-        _check_gsg(sigma, num_directions)
+        GsgSpec(sigma, num_directions)  # the spec's checks
         self.problem = problem
         self.zeroth_oracle = zeroth_oracle
         self.sigma = sigma
         self.num_directions = num_directions
 
     def __call__(self, X, alpha, stream, grad=None, phi=None) -> np.ndarray:
-        return gsg_gradient(self.zeroth_oracle, self.problem.check_stack(X),
-                            self.sigma, self.num_directions, stream, phi)
+        return _smoothed_gradient(self.zeroth_oracle, self.problem.check_stack(X),
+                                  self.sigma, self.num_directions, stream, phi)
 
 
 @dataclass(frozen=True)

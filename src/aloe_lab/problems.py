@@ -28,6 +28,14 @@ class DimensionMismatchError(ValueError):
     pass
 
 
+def check_settings(*checks) -> None:
+    """Raise one ValueError listing the reason of every (bad, reason) pair
+    whose `bad` holds: the checks of each settings dataclass."""
+    failed = [reason for bad, reason in checks if bad]
+    if failed:
+        raise ValueError("; ".join(failed))
+
+
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dot product of each row of A with the same row of B.
 
@@ -110,6 +118,24 @@ def _quad_grad(A, X):
     return (A @ X[:, :, None])[:, :, 0]
 
 
+@dataclass(frozen=True)
+class QuadraticSpec:
+    """The quadratic fixture's `fixture_params`, with their defaults."""
+
+    dim: int = 10
+    lambda_min: float = 0.1
+    lambda_max: float = 10.0
+    seed: int = 0
+    x0_norm: float | None = None
+
+    def __post_init__(self):
+        check_settings(
+            (self.dim < 1, "dim must be >= 1"),
+            (not 0 < self.lambda_min <= self.lambda_max, "need 0 < lambda_min <= lambda_max"),
+            (self.seed < 0, "seed must be >= 0"),
+            (self.x0_norm is not None and not self.x0_norm > 0, "x0_norm must be positive"))
+
+
 def make_strongly_convex_quadratic(
     dim: int,
     lambda_min: float,
@@ -124,10 +150,7 @@ def make_strongly_convex_quadratic(
     beta = lambda_min exactly.  `x0` defaults to a random direction; pass
     `x0_norm` to control the starting distance from the optimum.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if not (0 < lambda_min <= lambda_max):
-        raise ValueError("need 0 < lambda_min <= lambda_max")
+    QuadraticSpec(dim, lambda_min, lambda_max, seed, x0_norm)  # the spec's checks
     rng = np.random.default_rng(seed)
     if lambda_min == lambda_max:
         A = lambda_max * np.eye(dim)
@@ -325,6 +348,22 @@ def _logistic_minimizer(problem: ProblemInstance, features, reg: float) -> np.nd
     raise ArithmeticError("Newton solve did not converge in 100 steps")
 
 
+@dataclass(frozen=True)
+class LogisticSpec:
+    """The logistic fixture's `fixture_params`, with their defaults."""
+
+    n_samples: int = 512
+    dim: int = 10
+    seed: int = 0
+    reg: float = 1e-3
+
+    def __post_init__(self):
+        check_settings(
+            (self.n_samples < 1 or self.dim < 1, "n_samples and dim must be >= 1"),
+            (self.seed < 0, "seed must be >= 0"),
+            (not self.reg > 0, "reg must be positive"))
+
+
 def make_synthetic_logistic(
     n_samples: int,
     dim: int,
@@ -340,10 +379,7 @@ def make_synthetic_logistic(
     (`_logistic_minimizer`).  `feature_scale` controls the margin dispersion
     (smaller values give a less separable, lower-variance loss landscape).
     """
-    if n_samples < 1 or dim < 1:
-        raise ValueError("n_samples and dim must be >= 1")
-    if not reg > 0:
-        raise ValueError("reg must be positive")
+    LogisticSpec(n_samples, dim, seed, reg)  # the spec's checks
     if feature_scale <= 0:
         raise ValueError("feature_scale must be positive")
     rng = np.random.default_rng(seed)

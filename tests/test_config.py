@@ -1,14 +1,22 @@
 """The INI key table: what each file parses to, which configs it refuses,
-and that the README grammar names exactly the keys the parser reads."""
+that a config built in code takes the same defaults and checks, and that
+the README grammar names exactly the keys the parser reads."""
 
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aloe_lab.cli import EXIT_CONFIG, run
-from aloe_lab.config import (ConfigError, _float, _KEYS, config_digest,
-                             parse_config)
+from aloe_lab.config import (ConfigError, _bool, _float, _ints, _KEYS, _PARTS,
+                             config_digest, parse_config)
+from aloe_lab.harness import (FIXTURES, ORACLE_KINDS, ExperimentConfig,
+                              run_trials)
+from aloe_lab.linesearch import AloeParams
+from aloe_lab.oracles import ZEROTH_MODES, ZerothOracleSpec
+from aloe_lab.problems import CLASS_TAGS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -166,6 +174,13 @@ UNRUNNABLE = {
     "eta_five": (SMOKE + "eta = 5\n", "eta must lie in (0, "),
     "alpha_max_inf": ("[algorithm]\nalpha_max = inf\n" + SMOKE,
                       "alpha_max = 'inf': not a valid float"),
+    "problem_seed_negative": ("[problem]\nproblem_seed = -1\n" + SMOKE,
+                              "[problem] seed must be >= 0"),
+    "x0_norm_negative": ("[problem]\nx0_norm = -2\n" + SMOKE,
+                         "[problem] x0_norm must be positive"),
+    # a value is its text: no % interpolation
+    "mode_with_percent": ("[oracles]\nmode = 50%\n" + SMOKE,
+                          "[oracles] unknown mode '50%'"),
 }
 
 # keys that the chosen fixture or oracle kind does not read, and the error
@@ -308,6 +323,147 @@ def test_unknown_fixture_reads_no_key(tmp_path):
         with pytest.raises(ConfigError) as err:
             parse_text(tmp_path, text)
         assert str(err.value) == "invalid config:\n  " + reason
+
+
+class TestLibraryPath:
+    """A config built in code takes the defaults and checks of a parsed one:
+    its fixture's and oracle kind's specs read its params."""
+
+    def test_empty_config_is_the_empty_file(self, tmp_path):
+        config = ExperimentConfig(fixture_params={})
+        assert config == parse_text(tmp_path, "")
+        assert config_digest(config) == DIGESTS["empty"]
+
+    def test_gsg_with_default_params_runs(self):
+        config = ExperimentConfig(oracle_kind="gsg", oracle_params={}, n_trials=2,
+                                  params=AloeParams(max_iters=5),
+                                  check_admissibility=False)
+        assert config.oracle_params == {"sigma": 0.1, "num_directions": 64}
+        assert len(run_trials(config).T_eps) == 2
+
+    @pytest.mark.parametrize("kwargs, reason", [
+        ({"fixture_params": {"bogus": 1}}, "bogus is not read by fixture 'quadratic'"),
+        ({"fixture": "logistic", "fixture_params": {"x0_norm": 1.0}},
+         "x0_norm is not read by fixture 'logistic'"),
+        ({"oracle_kind": "gsg", "oracle_params": {"batch_size": 3}},
+         "batch_size is not read by oracle kind 'gsg'"),
+        ({"oracle_params": {"sigma": 0.1}},
+         "sigma is not read by oracle kind 'synthetic'"),
+    ])
+    def test_unread_key_is_refused_by_name(self, kwargs, reason):
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            ExperimentConfig(**kwargs)
+
+    def test_spec_checks_are_listed_with_the_configs_own(self):
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig(fixture_params={"dim": 0, "seed": -1, "bogus": 1},
+                             oracle_kind="gsg", oracle_params={"sigma": 0},
+                             n_trials=0)
+        for reason in ("bogus is not read", "dim must be >= 1", "seed must be >= 0",
+                       "sigma must be positive", "n_trials must be >= 1"):
+            assert reason in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Configs drawn from the key table: every key, over valid and invalid text
+
+def mostly(valid, invalid):
+    """Text drawn from `invalid` one time in ten, else from `valid`."""
+    return st.integers(0, 9).flatmap(lambda i: invalid if i == 9 else valid)
+
+
+NAMES = {"fixture": sorted(FIXTURES), "oracle_kind": sorted(ORACLE_KINDS),
+         "zeroth.mode": list(ZEROTH_MODES), "stopping.class_tag": list(CLASS_TAGS)}
+# each cast's text; the valid side still draws values a check refuses
+TEXT = {
+    _float: mostly(st.one_of(st.floats(0.0, 1.0).map(repr),
+                             st.sampled_from(["0", "1e-3", "2", "12"])),
+                   st.sampled_from(["-1", "nan", "-inf", "x"])),
+    int: mostly(st.integers(1, 40).map(str), st.sampled_from(["0", "-2", "1.5", "x"])),
+    _bool: mostly(st.sampled_from(["yes", "off", "True", "0"]), st.just("maybe")),
+    _ints: mostly(st.lists(st.integers(0, 40), max_size=3).map(
+        lambda ts: ", ".join(map(str, ts))), st.sampled_from(["-1", "1, x"])),
+}
+
+
+def text_of(section, key):
+    """The strategy of a key's text, by its cast; a name key draws its
+    known names, or one it does not know."""
+    cast, field = _KEYS[section][key]
+    if cast is str:
+        return mostly(st.sampled_from(NAMES[field]), st.sampled_from(["bogus", "50%"]))
+    return TEXT[cast]
+
+
+# a file is a few (section, key, text) entries
+INI_FILES = st.lists(
+    st.sampled_from([(s, k) for s, keys in _KEYS.items() for k in keys]),
+    max_size=5, unique=True).flatmap(lambda keys: st.tuples(*(
+        st.tuples(st.just(s), st.just(k), text_of(s, k)) for s, k in keys)))
+
+
+def ini_text(entries) -> str:
+    sections = {}
+    for section, key, text in entries:
+        sections.setdefault(section, []).append(f"{key} = {text}\n")
+    return "".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
+
+
+def built_in_code(entries) -> ExperimentConfig:
+    """The config of `entries` built without the parser: each value cast,
+    each part built from the values it sets, eps_f_input defaulting to the
+    zeroth-order eps_f.  Raises ValueError (or KeyError, an unknown
+    boolean) where the parser must refuse the file."""
+    parts = {"": {}}
+    for section, key, text in entries:
+        cast, field = _KEYS[section][key]
+        part, _, name = field.rpartition(".")
+        parts.setdefault(part, {})[name] = cast(text)
+    zeroth = parts.get("zeroth", {})
+    parts.setdefault("params", {}).setdefault(
+        "eps_f_input", zeroth.get("eps_f", ZerothOracleSpec.eps_f))
+    top = parts.pop("")
+    for part, cls, _ in _PARTS:
+        if part in parts:
+            top[part] = cls(**parts[part]) if cls else parts[part]
+    return ExperimentConfig(**top)
+
+
+def written_back(config) -> list:
+    """The entries of an INI file that sets every key of `config` it has a
+    value for."""
+    entries = []
+    for section, keys in _KEYS.items():
+        for key, (cast, field) in keys.items():
+            part, _, name = field.rpartition(".")
+            owner = getattr(config, part) if part else config
+            value = owner.get(name) if isinstance(owner, dict) else getattr(owner, name)
+            if value is not None:
+                text = (", ".join(map(str, value)) if cast is _ints
+                        else repr(value) if cast is _float else str(value))
+                entries.append((section, key, text))
+    return entries
+
+
+class TestDrawnConfigs:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(entries=INI_FILES)
+    def test_parser_only_reads_and_casts(self, tmp_path_factory, entries):
+        path = tmp_path_factory.getbasetemp() / "drawn.ini"
+        path.write_text(ini_text(entries))
+        try:
+            expected = built_in_code(entries)
+        except (KeyError, ValueError):
+            with pytest.raises(ConfigError):
+                parse_config(str(path))
+            return
+        config = parse_config(str(path))
+        assert config == expected
+        assert config_digest(config) == config_digest(expected)
+        path.write_text(ini_text(written_back(config)))
+        again = parse_config(str(path))
+        assert again == config
+        assert config_digest(again) == config_digest(config)
 
 
 def readme_grammar() -> dict:
