@@ -12,7 +12,7 @@ Run:  python3 demos/exact_quadratic.py
 from aloe_lab import (AloeParams, FirstOracleSpec, StoppingSpec,
                       SyntheticFirstOracle, SyntheticZerothOracle,
                       ZerothOracleSpec, aloe_run, derive_constants,
-                      make_strongly_convex_quadratic, stopping_time)
+                      make_strongly_convex_quadratic, stopping_times)
 
 EPS = 1e-6
 
@@ -24,15 +24,14 @@ def main():
     first = SyntheticFirstOracle(problem, FirstOracleSpec())
     params = AloeParams(max_iters=1500)
 
-    trace = aloe_run(problem, zeroth, first, params, seed=0)
-    T = stopping_time(trace, problem,
-                      StoppingSpec(class_tag="nonconvex", eps=EPS))
+    p = aloe_run(problem, zeroth, first, params, seed=0)
+    T = int(stopping_times(p, problem,
+                           StoppingSpec(class_tag="nonconvex", eps=EPS))[0])
 
     print(f"quadratic: dim 10, spectrum [0.1, 10], phi(x0) = "
           f"{problem.value(problem.x0):.3f}")
     print(f"target: ||grad phi|| <= {EPS}\n")
     print(f"{'k':>5} {'alpha':>10} {'||grad||':>12} {'phi':>12}")
-    p = trace.paths
     for k in (0, 1, 2, 5, 10, 20, 50, 100, 200, 400, T - 1):
         print(f"{k:>5} {p.alpha[0, k]:>10.4f} "
               f"{p.grad_norm[0, k]:>12.3e} {p.phi[0, k]:>12.3e}")

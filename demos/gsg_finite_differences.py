@@ -53,11 +53,10 @@ def main():
           f"{hits.mean():.0%} (target >= {1 - delta:.0%}), "
           f"mean error {errs.mean():.4f} vs eps_g {params.eps_g:.4f}\n")
 
-    trace = aloe_run(problem, zeroth, oracle,
+    p = aloe_run(problem, zeroth, oracle,
                      AloeParams(eps_f_input=eps_f, max_iters=40), seed=0)
     print("line search with the derivative-free oracle:")
     print(f"{'k':>4} {'alpha':>8} {'||grad||':>10} {'phi':>10}")
-    p = trace.paths
     for k in (0, 5, 10, 20, 39):
         print(f"{k:>4} {p.alpha[0, k]:>8.3f} "
               f"{p.grad_norm[0, k]:>10.4f} {p.phi[0, k]:>10.5f}")

@@ -20,8 +20,8 @@ from aloe_lab import (AloeParams, EpochEpsFController, EstimatorConfig,
 BATCH = 128
 
 
-def final_value(trace):
-    return trace.paths.phi[0, -1]
+def final_value(paths):
+    return paths.phi[0, -1]
 
 
 def main():
@@ -43,9 +43,9 @@ def main():
     seed = 3
 
     ctrl = EpochEpsFController(zeroth, EstimatorConfig(refresh_period=epoch))
-    trace = aloe_run(problem, zeroth, first, AloeParams(max_iters=iters),
-                     seed, eps_f_controller=ctrl)
-    loss = final_value(trace)
+    loss = final_value(aloe_run(problem, zeroth, first,
+                                AloeParams(max_iters=iters), seed,
+                                eps_f_controller=ctrl))
     print(f"per-epoch estimated slack: final loss {loss:.6f} "
           f"(gap {abs(loss - ref) / ref:.2%})")
     # each refresh records the slacks of the run's block of trials, here one
@@ -58,10 +58,9 @@ def main():
                              probe_stream(seed, 99))
     print(f"one-shot estimate at x0: {est0:.4g}")
     for mult in (0.5, 1.0, 2.0):
-        trace = aloe_run(problem, zeroth, first,
-                         AloeParams(eps_f_input=mult * est0, max_iters=iters),
-                         seed)
-        loss = final_value(trace)
+        loss = final_value(aloe_run(
+            problem, zeroth, first,
+            AloeParams(eps_f_input=mult * est0, max_iters=iters), seed))
         print(f"fixed slack {mult}x estimate: final loss {loss:.6f} "
               f"(gap {abs(loss - ref) / ref:.2%})")
 

@@ -15,11 +15,10 @@ from .harness import (CertificationReport, ExperimentConfig,
                       InadmissibleConfigError, TrialSummary, certify_oracles,
                       empirical_tail, run_trials, wilson_interval)
 from .instrument import (CENSORED, PathVerdicts, StoppingSpec, classify_paths,
-                         progress_Z, stopping_time, stopping_times,
-                         verify_path_lemmas)
-from .linesearch import (AloeParams, Paths, Trace, TrialDivergedError,
-                         aloe_run, armijo_check, run_lockstep,
-                         snap_to_step_grid, step_update)
+                         progress_Z, stopping_times, verify_path_lemmas)
+from .linesearch import (AloeParams, Paths, TrialDivergedError, aloe_run,
+                         armijo_check, run_lockstep, snap_to_step_grid,
+                         step_update)
 from .oracles import (FirstOracleSpec, GsgFirstOracle, GsgParams, GsgSpec,
                       MiniBatchFirstOracle, MiniBatchSpec, MiniBatchZerothOracle,
                       OracleParameterError, SyntheticFirstOracle,

@@ -7,7 +7,8 @@ self-describing output directory:
     constants.txt   derived theory constants (key = value)
     trials.csv      one row per trial (stopping time, flags, lemma verdicts)
     summary.csv     empirical tail vs theoretical bound per checkpoint
-    trace.csv       iteration log of the harness's base-seed trial
+    trace.csv       iteration log of the harness's base-seed trial (its
+                    row of `linesearch.Paths`)
 
 Exit codes: 0 success, 1 statistical-criterion failure, 2 configuration or
 admissibility failure, 3 runtime error.  All CSVs are deterministic given
@@ -27,6 +28,7 @@ from .config import ConfigError, config_digest, parse_config
 from .harness import (ExperimentConfig, InadmissibleConfigError, TrialSummary,
                       run_trials)
 from .instrument import CENSORED
+from .linesearch import Paths
 from .theory import constants_report
 
 EXIT_OK = 0
@@ -65,17 +67,15 @@ def write_summary_csv(path: str, summary: TrialSummary) -> None:
                       "wilson_lo", "wilson_hi"], rows)
 
 
-def write_trace_csv(path: str, trace) -> None:
-    # tolist() gives Python floats and bools
-    p, T = trace.paths, len(trace)
+def write_trace_csv(path: str, paths: Paths) -> None:
+    # the one trial of `paths`; tolist() gives Python floats and bools
+    p, T = paths, paths.alpha.shape[1]
     _write_csv(path,
                ["k", "alpha", "f_curr", "f_plus", "success", "e_curr",
                 "e_plus", "grad_true_norm", "phi_curr", "eps_f"],
-               zip(range(T), p.alpha[0].tolist(), trace.f_curr.tolist(),
-                   trace.f_plus.tolist(), p.success[0].tolist(),
-                   trace.e_curr.tolist(), trace.e_plus.tolist(),
-                   p.grad_norm[0, :T].tolist(), p.phi[0, :T].tolist(),
-                   p.eps_f[0].tolist()))
+               zip(range(T), *(column[0, :T].tolist() for column in (
+                   p.alpha, p.f_curr, p.f_plus, p.success, p.e_curr, p.e_plus,
+                   p.grad_norm, p.phi, p.eps_f))))
 
 
 def statistical_failures(summary: TrialSummary) -> list[str]:

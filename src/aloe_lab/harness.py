@@ -6,22 +6,23 @@ statistically, and compares empirical stopping-time tails against the
 theoretical lower bounds.  Trials run in blocks of consecutive seeds, each
 block in lockstep through `linesearch.run_lockstep`, and a block answers
 one (n,) column per verdict; the run's columns are the blocks' columns
-joined in seed order.  A trial's entries do not depend on its block, so
-the results do not depend on how the seeds are split into blocks or over
+joined in seed order.  The base seed's block also sends back that
+trial's row of `linesearch.Paths`, its whole record, which the CLI writes
+as trace.csv.  A trial's entries do not depend on its block, so the
+results do not depend on how the seeds are split into blocks or over
 worker processes.
 """
 
 import math
 from dataclasses import dataclass, field, make_dataclass
 from functools import lru_cache, partial
-from statistics import NormalDist
 
 import numpy as np
 
 from . import rng as rngmod
 from .estimation import EpochEpsFController, EstimatorConfig
 from .instrument import CENSORED, StoppingSpec, classify_paths
-from .linesearch import AloeParams, Trace, run_lockstep
+from .linesearch import AloeParams, Paths, run_lockstep
 from .oracles import (FirstOracleSpec, GsgFirstOracle, GsgSpec,
                       MiniBatchFirstOracle, MiniBatchSpec, MiniBatchZerothOracle,
                       SyntheticFirstOracle, SyntheticZerothOracle,
@@ -171,7 +172,7 @@ class TrialSummary:
     wilson_bounds: tuple   # (lo, hi) pairs at each checkpoint
     p_hat: float | None
     t_min: int | None
-    trace: Trace | None = None   # the base-seed trial's trace
+    trace: Paths | None = None   # the base-seed trial's row of Paths
 
     @property
     def lemma_pass_count(self) -> int:
@@ -202,6 +203,9 @@ def wilson_interval(k: int, n: int, confidence: float = 0.99) -> tuple[float, fl
         raise ValueError("need 0 <= k <= n")
     if not 0 < confidence < 1:
         raise ValueError("need 0 < confidence < 1")
+    # imported here: statistics loads fractions and decimal, and a run with
+    # no checkpoint in its budget never needs it
+    from statistics import NormalDist
     z = NormalDist().inv_cdf(1 - (1 - confidence) / 2)
     phat = k / n
     denom = 1 + z ** 2 / n
@@ -211,29 +215,32 @@ def wilson_interval(k: int, n: int, confidence: float = 0.99) -> tuple[float, fl
 
 
 # Trial-iterations per lockstep block: enough rows to spread the fixed cost
-# of an iteration, few enough that a block's per-iteration columns (about
-# 100 bytes per trial-iteration) stay near 13 MB whatever the budget.
+# of an iteration, few enough that a block's per-iteration columns stay
+# small whatever the budget.  Its twelve `Paths` columns keep 89 bytes per
+# trial-iteration, and a full block peaks at 12-13 MB (tracemalloc, a
+# 10-dim quadratic block at T = 100 and T = 1 000).
 BLOCK_CELLS = 1 << 17
 
 
 def _run_trial_block(config: ExperimentConfig, constants: TheoryConstants,
-                     seeds: list) -> tuple[tuple, Trace | None]:
+                     seeds: list) -> tuple[tuple, Paths | None]:
     """Run and classify a block of trials in lockstep.  Returns the block's
     (n,) columns seed, T_eps, frac_true, frac_success, lemma2_ok (Lemma 2
-    and Corollary 1), lemma3_ok and lemma4_ok, and the trace, which only
-    the base seed's block has, so a pool sends back one per experiment."""
+    and Corollary 1), lemma3_ok and lemma4_ok, and the base seed's row of
+    `Paths`, which only its block sends, so a pool sends back one per
+    experiment."""
     problem, dataset = build_problem(config)
     zeroth, first = build_oracles(config, problem, dataset)
     controller = None
     if config.estimate_eps_f:
         controller = EpochEpsFController(zeroth, config.estimator)
-    trace_row = 0 if seeds[0] == config.base_seed else None
-    paths, trace = run_lockstep(problem, zeroth, first, config.params, seeds,
-                                controller, trace_row)
+    paths = run_lockstep(problem, zeroth, first, config.params, seeds,
+                         controller)
     v = classify_paths(paths, problem, config.stopping, config.first.eps_g,
                        config.first.kappa, constants.grid_index, constants.d)
+    base = paths.row(0) if seeds[0] == config.base_seed else None
     return (np.asarray(seeds), v.T_eps, v.frac_true, v.frac_success,
-            v.lemma2_ok & v.corollary1_ok, v.lemma3_ok, v.lemma4_ok), trace
+            v.lemma2_ok & v.corollary1_ok, v.lemma3_ok, v.lemma4_ok), base
 
 
 def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
@@ -289,7 +296,7 @@ def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
     else:
         results = [_run_trial_block(config, constants, b) for b in blocks]
     # map keeps block order, which is seed order, so the first block's
-    # trace is the base seed's
+    # row 0 is the base seed's
     seed, T_eps, *verdicts = (np.concatenate(c) for c in
                               zip(*(cols for cols, _ in results)))
     n = config.n_trials

@@ -4,7 +4,7 @@ Given the recorded paths of a block of trials (`linesearch.Paths`), this
 module computes the per-iteration flags (true/false, large/small,
 successful), the stopping times and the path-lemma verdicts, all as column
 operations along the iteration axis and without touching the algorithm
-itself.  `stopping_time` reads a `Trace` as a block of one.
+itself.  A single trial is a block of one.
 """
 
 import math
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linesearch import Paths, Trace
+from .linesearch import Paths
 from .oracles import accurate_from_norms
 from .problems import CLASS_TAGS, ProblemInstance, check_settings
 
@@ -56,11 +56,6 @@ def stopping_times(paths: Paths, problem: ProblemInstance, spec: StoppingSpec) -
     `problem.phi_star` are read: the problem is never evaluated."""
     hit = _stopped(spec, paths.phi - problem.phi_star, paths.grad_norm)
     return np.where(hit.any(axis=1), hit.argmax(axis=1), CENSORED)
-
-
-def stopping_time(trace: Trace, problem: ProblemInstance, spec: StoppingSpec) -> int:
-    """`stopping_times` of one trial."""
-    return int(stopping_times(trace.paths, problem, spec)[0])
 
 
 def _stopped(spec: StoppingSpec, gap, gnorm):
@@ -111,7 +106,7 @@ def classify_paths(paths: Paths, problem: ProblemInstance, spec: StoppingSpec,
     n = paths.success.shape[1]
     T = stopping_times(paths, problem, spec)
     I = (accurate_from_norms(paths.grad_error, paths.g_norm, paths.alpha, eps_g, kappa)
-         & (paths.e_sum <= 2 * paths.eps_f))
+         & (paths.e_curr + paths.e_plus <= 2 * paths.eps_f))
     i = paths.exponents
     U = np.minimum(i[:, :-1], i[:, 1:]) < grid_index
     strict_horizon = np.where(T == CENSORED, n, np.maximum(np.minimum(T, n) - 1, 0))

@@ -8,6 +8,7 @@ alpha0 * gamma^i, which this module owns: the loop's state is the integer
 exponent i, lowered on success (not past the cap's exponent) and raised on
 failure, and the path classifier compares exponents.  The loop runs a
 fixed budget; stopping times are computed offline from the recorded path.
+A trial's one record is its row of `Paths`.
 
 `run_lockstep` advances a block of n trials together: the state is an
 (n, dim) array of points and an integer exponent per trial, every query is
@@ -69,14 +70,18 @@ class AloeParams:
 @dataclass(frozen=True)
 class Paths:
     """Per-iteration columns of a block of n trials run for T iterations,
-    row r for trial seeds[r]: what the path classifier reads.  Points and
-    gradients are not kept."""
+    row r for trial seeds[r]: a trial's one record, which the path
+    classifier reads and trace.csv writes.  Points and gradients are not
+    kept."""
 
     seeds: tuple
     exponents: np.ndarray   # (n, T + 1) i_0..i_T; alpha_k = alpha0 * gamma ** i_k
     alpha: np.ndarray       # (n, T)
     success: np.ndarray     # (n, T)
-    e_sum: np.ndarray       # (n, T) |f_curr - phi(x_k)| + |f_plus - phi(x_k+)|
+    f_curr: np.ndarray      # (n, T) zeroth-order estimate at x_k
+    f_plus: np.ndarray      # (n, T) zeroth-order estimate at x_k+
+    e_curr: np.ndarray      # (n, T) |f_curr - phi(x_k)|
+    e_plus: np.ndarray      # (n, T) |f_plus - phi(x_k+)|
     eps_f: np.ndarray       # (n, T) slack used
     g_norm: np.ndarray      # (n, T) ||g_k||
     grad_error: np.ndarray  # (n, T) ||g_k - grad phi(x_k)||
@@ -88,27 +93,6 @@ class Paths:
         return Paths(seeds=(self.seeds[r],), **{
             name: getattr(self, name)[r:r + 1].copy()
             for name in self.__dataclass_fields__ if name != "seeds"})
-
-
-@dataclass(frozen=True)
-class Trace:
-    """One trial: `paths` is the trial as a one-row block, and the columns
-    below, one row per iteration k, are what only a traced row keeps."""
-
-    seed: int
-    params: AloeParams
-    paths: Paths
-    x: np.ndarray           # (T, dim) x_k
-    g: np.ndarray           # (T, dim) oracle gradient at x_k
-    grad_true: np.ndarray   # (T, dim) grad phi(x_k)
-    f_curr: np.ndarray      # (T,) zeroth-order estimate at x_k
-    f_plus: np.ndarray      # (T,) zeroth-order estimate at x_k+
-    e_curr: np.ndarray      # (T,) |f_curr - phi(x_k)|
-    e_plus: np.ndarray      # (T,) |f_plus - phi(x_k+)|
-    phi_plus: np.ndarray    # (T,) phi(x_k+)
-
-    def __len__(self):
-        return len(self.f_curr)
 
 
 def armijo_check(f_plus, f_curr, alpha, theta: float, g_norm_sq, eps_f_input):
@@ -144,20 +128,17 @@ def step_update(i, success, i_cap: int):
 
 
 def aloe_run(problem: ProblemInstance, zeroth_oracle, first_oracle,
-             params: AloeParams, seed: int, eps_f_controller=None) -> Trace:
+             params: AloeParams, seed: int, eps_f_controller=None) -> Paths:
     """Run one trial for `params.max_iters` iterations: `run_lockstep`
-    with a block of one, returning its trace."""
+    with a block of one."""
     return run_lockstep(problem, zeroth_oracle, first_oracle, params, [seed],
-                        eps_f_controller, trace_row=0)[1]
+                        eps_f_controller)
 
 
 def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
-                 params: AloeParams, seeds, eps_f_controller=None,
-                 trace_row: int | None = None) -> tuple[Paths, Trace | None]:
+                 params: AloeParams, seeds, eps_f_controller=None) -> Paths:
     """Run one trial per seed for `params.max_iters` iterations, all in
-    lockstep.  Returns the block's `Paths` and, when `trace_row` is given,
-    the full `Trace` of that row's trial (only that row keeps its points
-    and gradients).
+    lockstep, and return the block's `Paths`.
 
     `eps_f_controller`, when given, is called as
     ``controller(k, X, stream, phi)`` before each iteration, with the
@@ -189,19 +170,14 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     moved = np.zeros(n, dtype=bool)
     eps_f = np.full(n, float(params.eps_f_input))
 
-    names = ("exponents", "alpha", "success", "e_sum", "eps_f", "g_sq",
-             "error_sq", "phi", "grad_sq")
-    # one column per iteration; exponents, phi and grad_sq also hold the
-    # state after the last iteration.  Norms are kept squared until then.
-    cols = {name: np.empty((n, T + 1), dtype=int if name == "exponents"
+    # one column per `Paths` field; exponents, phi and grad_norm also hold
+    # the state after the last iteration.  Norms are kept squared until then.
+    names = tuple(Paths.__dataclass_fields__)[1:]
+    wide = ("exponents", "phi", "grad_norm")
+    cols = {name: np.empty((n, T + 1 if name in wide else T),
+                           dtype=int if name == "exponents"
                            else bool if name == "success" else float)
             for name in names}
-    # the traced row's `Trace` columns; the first three are (T, dim)
-    traced = ("x", "g", "grad_true", "f_curr", "f_plus", "e_curr", "e_plus",
-              "phi_plus")
-    kept = {} if trace_row is None else {
-        name: np.empty((T, X.shape[1]) if name in traced[:3] else T)
-        for name in traced}
     for k in range(T):
         if moved.any():
             grad[moved] = problem.gradients(X[moved])
@@ -225,14 +201,10 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
                     f"non-finite oracle output at iteration {k} "
                     f"(seed {seeds[int(np.argmin(finite))]})")
         success = armijo_check(f_plus, f_curr, alpha, params.theta, g_sq, eps_f)
-        e_curr, e_plus = np.abs(f_curr - phi), np.abs(f_plus - phi_plus)
-        for name, value in zip(names, (i, alpha, success, e_curr + e_plus, eps_f,
-                                       g_sq, error_sq, phi, grad_sq)):
+        for name, value in zip(names, (
+                i, alpha, success, f_curr, f_plus, np.abs(f_curr - phi),
+                np.abs(f_plus - phi_plus), eps_f, g_sq, error_sq, phi, grad_sq)):
             cols[name][:, k] = value
-        if trace_row is not None:
-            for name, value in zip(traced, (X, g, grad, f_curr, f_plus, e_curr,
-                                            e_plus, phi_plus)):
-                kept[name][k] = value[trace_row]
         X = np.where(success[:, None], x_plus, X)
         phi = np.where(success, phi_plus, phi)
         i = step_update(i, success, i_cap)
@@ -240,16 +212,7 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     if moved.any():
         grad[moved] = problem.gradients(X[moved])
     cols["exponents"][:, T], cols["phi"][:, T] = i, phi
-    cols["grad_sq"][:, T] = row_dots(grad, grad)
-    f = {name: c if name in ("exponents", "phi", "grad_sq") else c[:, :T]
-         for name, c in cols.items()}
-    for name in ("g_sq", "error_sq", "grad_sq"):
-        np.sqrt(f[name], out=f[name])
-    paths = Paths(seeds=seeds, exponents=f["exponents"], alpha=f["alpha"],
-                  success=f["success"], e_sum=f["e_sum"], eps_f=f["eps_f"],
-                  g_norm=f["g_sq"], grad_error=f["error_sq"], phi=f["phi"],
-                  grad_norm=f["grad_sq"])
-    if trace_row is None:
-        return paths, None
-    return paths, Trace(seed=seeds[trace_row], params=params,
-                        paths=paths.row(trace_row), **kept)
+    cols["grad_norm"][:, T] = row_dots(grad, grad)
+    for name in ("g_norm", "grad_error", "grad_norm"):
+        np.sqrt(cols[name], out=cols[name])
+    return Paths(seeds=seeds, **cols)

@@ -19,7 +19,7 @@ from aloe_lab.estimation import (EpochEpsFController, EstimatorConfig,
 from aloe_lab.harness import (ExperimentConfig, binomial_frequency_test,
                               empirical_tail, mgf_envelope_ok, run_trials,
                               wilson_interval)
-from aloe_lab.instrument import CENSORED, StoppingSpec, stopping_time
+from aloe_lab.instrument import CENSORED, StoppingSpec, stopping_times
 from aloe_lab.linesearch import AloeParams, aloe_run, run_lockstep
 from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               MiniBatchFirstOracle, MiniBatchZerothOracle,
@@ -41,8 +41,8 @@ SUBEXP_Z = ZerothOracleSpec(eps_f=8e-3, nu=1e-3, b=1e-3,
 NOISY_F = FirstOracleSpec(eps_g=1e-3, kappa=1.0, delta=0.1)
 
 
-def final_value(trace):
-    return trace.paths.phi[0, -1]
+def final_value(paths):
+    return paths.phi[0, -1]
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +56,9 @@ def test_acceptance_1_deterministic_reduction(quadratic):
     zeroth = SyntheticZerothOracle(quadratic, ZerothOracleSpec())
     first = SyntheticFirstOracle(quadratic, FirstOracleSpec())
     started = time.monotonic()
-    trace = aloe_run(quadratic, zeroth, first, AloeParams(max_iters=1500), seed=0)
+    paths = aloe_run(quadratic, zeroth, first, AloeParams(max_iters=1500), seed=0)
     spec = StoppingSpec(class_tag="nonconvex", eps=1e-6)
-    T = stopping_time(trace, quadratic, spec)
+    T = stopping_times(paths, quadratic, spec)[0]
     elapsed = time.monotonic() - started
 
     constants = derive_constants(
@@ -292,9 +292,8 @@ def erm_setup():
     iters = 50 * epoch
     zeroth = SyntheticZerothOracle(problem, ZerothOracleSpec())
     first = SyntheticFirstOracle(problem, FirstOracleSpec())
-    ref_trace = aloe_run(problem, zeroth, first,
-                         AloeParams(max_iters=iters), seed=0)
-    return problem, dataset, epoch, iters, final_value(ref_trace)
+    ref = aloe_run(problem, zeroth, first, AloeParams(max_iters=iters), seed=0)
+    return problem, dataset, epoch, iters, final_value(ref)
 
 
 class TestAcceptance8EstimatorRobustness:
@@ -323,9 +322,9 @@ class TestAcceptance8EstimatorRobustness:
 
             def ctrl(k, X, stream, phi):
                 return mode * est0
-        paths, _ = run_lockstep(problem, zeroth, first,
-                                AloeParams(max_iters=iters), self.SEEDS,
-                                eps_f_controller=ctrl)
+        paths = run_lockstep(problem, zeroth, first,
+                             AloeParams(max_iters=iters), self.SEEDS,
+                             eps_f_controller=ctrl)
         return paths.phi[:, -1]
 
     @pytest.mark.parametrize("mode", ["estimated", 0.5, 1.0, 2.0])

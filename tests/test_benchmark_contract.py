@@ -12,11 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from aloe_lab import harness
+from aloe_lab import cli, harness
 from aloe_lab.config import parse_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
+import probe  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -35,3 +36,17 @@ def test_probe_calls_work(name):
     # run_trials on an equal config: the fixture cache must hit
     seeded = dataclasses.replace(config, base_seed=workloads.DEFAULT_SEED + 1)
     assert harness.build_problem(seeded)[0] is problem
+
+
+@pytest.mark.parametrize("name", ["quad_synthetic", "logistic_minibatch",
+                                  "gsg_quadratic"])
+def test_trial0_trace_is_the_cli_trace(name, tmp_path):
+    # the benchmark's --trace 0 check: the trace written from aloe_run the
+    # way a probe builds trial 0 equals the CLI's trace.csv byte for byte
+    workload = workloads.WORKLOADS[name]
+    config, problem, dataset = probe.set_up(workload, 0)
+    probe.write_trial0_trace(config, problem, dataset, tmp_path)
+    out = tmp_path / "cli"
+    assert cli.run(str(workload.ini), str(out), seed=0, quiet=True, jobs=1) == 0
+    assert ((tmp_path / "trial0_trace.csv").read_bytes()
+            == (out / "trace.csv").read_bytes())

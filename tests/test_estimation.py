@@ -123,9 +123,9 @@ class TestController:
         zeroth = SyntheticZerothOracle(quadratic, zspec)
         first = SyntheticFirstOracle(quadratic, FirstOracleSpec())
         ctrl = EpochEpsFController(zeroth, EstimatorConfig(refresh_period=20))
-        trace = aloe_run(quadratic, zeroth, first,
+        paths = aloe_run(quadratic, zeroth, first,
                          AloeParams(max_iters=60), seed=0,
                          eps_f_controller=ctrl)
-        eps_values = set(trace.paths.eps_f[0].tolist())
+        eps_values = set(paths.eps_f[0].tolist())
         assert len(eps_values) == 3  # one per epoch
         assert all(v >= 0 for v in eps_values)

@@ -19,6 +19,7 @@ from aloe_lab.oracles import (FirstOracleSpec, SyntheticFirstOracle,
                               SyntheticZerothOracle, ZerothOracleSpec,
                               gradient_accurate)
 from aloe_lab.rng import probe_stream
+from oracle_recorder import OracleRecorder
 
 
 # TrialSummary's per-trial columns, one entry per trial in seed order
@@ -196,23 +197,43 @@ def noisy_config(kind, **overrides):
 
 
 class TestBlockComposition:
-    """Trials run in lockstep blocks; a trial's row and trace are the same
-    whether it runs alone or as one row of a block."""
+    """Trials run in lockstep blocks; a trial's row, its row of `Paths` and
+    what its oracles were handed are the same whether it runs alone or as
+    one row of a block."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Records the oracles of every block `run_trials` builds."""
+        recorders = []
+        build = harness.build_oracles
+
+        def recorded_oracles(*args):
+            rec = OracleRecorder(*build(*args))
+            recorders.append(rec)
+            return rec.zeroth, rec.first
+
+        monkeypatch.setattr(harness, "build_oracles", recorded_oracles)
+        return recorders
 
     @pytest.mark.parametrize("kind", ["synthetic", "minibatch", "gsg"])
-    def test_alone_and_in_a_block(self, kind):
+    def test_alone_and_in_a_block(self, kind, monkeypatch):
+        recorders = self.recorded(monkeypatch)
         block = run_trials(noisy_config(kind, n_trials=9, base_seed=40))
-        for row in (0, 5):
+        (in_block,) = recorders
+        for row in (5, 0):
+            recorders.clear()
             alone = run_trials(noisy_config(kind, n_trials=1, base_seed=40 + row))
             assert_same_columns(alone, block, slice(row, row + 1))
-        assert alone.trace.seed == 45
-        first = run_trials(noisy_config(kind, n_trials=1, base_seed=40)).trace
-        for a, b in ((first, block.trace), (first.paths, block.trace.paths)):
-            for f in dataclasses.fields(a):
-                if f.name != "paths":
-                    np.testing.assert_array_equal(getattr(a, f.name),
-                                                  getattr(b, f.name),
-                                                  err_msg=f.name)
+            for name in ("x", "g", "grad_true", "phi_plus"):
+                np.testing.assert_array_equal(recorders[0].column(name)[0],
+                                              in_block.column(name)[row],
+                                              err_msg=name)
+            assert alone.trace.seeds == (40 + row,)
+        # the trace is the base seed's row of Paths, seed 40 alone
+        for f in dataclasses.fields(alone.trace):
+            np.testing.assert_array_equal(getattr(alone.trace, f.name),
+                                          getattr(block.trace, f.name),
+                                          err_msg=f.name)
 
     def test_blocks_do_not_change_results(self, monkeypatch):
         config = noisy_config("synthetic", n_trials=7)
@@ -220,8 +241,8 @@ class TestBlockComposition:
         monkeypatch.setattr(harness, "BLOCK_CELLS", 3 * config.params.max_iters)
         split = run_trials(config)
         assert_same_columns(split, whole)
-        np.testing.assert_array_equal(split.trace.paths.exponents,
-                                      whole.trace.paths.exponents)
+        np.testing.assert_array_equal(split.trace.exponents,
+                                      whole.trace.exponents)
 
     def test_blocks_over_workers_join_in_seed_order(self, monkeypatch):
         # blocks of 2, 2, 2 and 1 trials over two worker processes

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from aloe_lab.instrument import (CENSORED, P_HAT_GRID, StoppingSpec,
-                                 classify_paths, progress_Z, stopping_time,
+                                 classify_paths, progress_Z, stopping_times,
                                  verify_path_lemmas)
 from aloe_lab.linesearch import (AloeParams, Paths, aloe_run, armijo_check,
                                  run_lockstep, snap_to_step_grid)
 from aloe_lab.oracles import (FirstOracleSpec, SyntheticFirstOracle,
                               SyntheticZerothOracle, ZerothOracleSpec)
 from aloe_lab.problems import make_strongly_convex_quadratic
+from oracle_recorder import OracleRecorder
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +22,7 @@ def quadratic():
 
 
 def true_flags(problem, eps_g, kappa, g, grad_true=(1.0, 0.0), alpha=1.0,
-               e_sum=0.0, eps_f=0.0):
+               e_curr=0.0, e_plus=0.0, eps_f=0.0):
     """The true flags `classify_paths` gives a hand-built one-row `Paths`:
     g holds one oracle gradient per iteration, the other arguments are
     one value for every iteration or one per iteration."""
@@ -33,7 +34,9 @@ def true_flags(problem, eps_g, kappa, g, grad_true=(1.0, 0.0), alpha=1.0,
 
     paths = Paths(seeds=(0,), exponents=np.zeros((1, T + 1), dtype=int),
                   alpha=column(alpha), success=np.ones((1, T), dtype=bool),
-                  e_sum=column(e_sum), eps_f=column(eps_f),
+                  f_curr=column(np.nan), f_plus=column(np.nan),
+                  e_curr=column(e_curr), e_plus=column(e_plus),
+                  eps_f=column(eps_f),
                   g_norm=column(np.linalg.norm(g, axis=1)),
                   grad_error=column(np.linalg.norm(g - grad_true, axis=1)),
                   phi=np.ones((1, T + 1)), grad_norm=np.ones((1, T + 1)))
@@ -79,7 +82,7 @@ class TestClassifyTrue:
     def test_boundary_equality_counts(self, quadratic):
         # gradient error exactly 0.25 = eps_g, value errors exactly 2 eps_f
         assert true_flags(quadratic, eps_g=0.25, kappa=0.0, g=[[1.25, 0.0]],
-                          e_sum=0.05 + 0.05, eps_f=0.05) == [True]
+                          e_curr=0.05, e_plus=0.05, eps_f=0.05) == [True]
 
     def test_gradient_violation(self, quadratic):
         assert true_flags(quadratic, eps_g=0.1, kappa=0.0,
@@ -92,13 +95,14 @@ class TestClassifyTrue:
 
     def test_value_violation(self, quadratic):
         assert true_flags(quadratic, eps_g=10.0, kappa=0.0, g=[[1.0, 0.0]],
-                          e_sum=0.2, eps_f=0.05) == [False]
+                          e_curr=0.1, e_plus=0.1, eps_f=0.05) == [False]
 
     def test_explicit_eps_f_override(self, quadratic):
         # the same value errors, judged against the slack each iteration
         # recorded
         assert true_flags(quadratic, eps_g=10.0, kappa=0.0, g=[[1.0, 0.0]] * 2,
-                          e_sum=0.2, eps_f=[0.05, 0.1]) == [False, True]
+                          e_curr=0.1, e_plus=0.1,
+                          eps_f=[0.05, 0.1]) == [False, True]
 
 
 class TestProgressZ:
@@ -130,19 +134,19 @@ class TestStoppingTime:
         problem = make_strongly_convex_quadratic(
             dim=2, lambda_min=1.0, lambda_max=1.0, seed=0,
             x0=np.zeros(2))
-        trace = self.run_exact(problem, max_iters=5)
+        paths = self.run_exact(problem, max_iters=5)
         spec = StoppingSpec(class_tag="nonconvex", eps=1e-6)
-        assert stopping_time(trace, problem, spec) == 0
+        assert stopping_times(paths, problem, spec)[0] == 0
 
     def test_censored(self, quadratic):
-        trace = self.run_exact(quadratic, max_iters=10)
+        paths = self.run_exact(quadratic, max_iters=10)
         spec = StoppingSpec(class_tag="nonconvex", eps=1e-12)
-        assert stopping_time(trace, quadratic, spec) == CENSORED
+        assert stopping_times(paths, quadratic, spec)[0] == CENSORED
 
     def test_monotone_in_eps(self, quadratic):
-        trace = self.run_exact(quadratic)
-        times = [stopping_time(trace, quadratic,
-                               StoppingSpec(class_tag="nonconvex", eps=e))
+        paths = self.run_exact(quadratic)
+        times = [stopping_times(paths, quadratic,
+                                StoppingSpec(class_tag="nonconvex", eps=e))[0]
                  for e in (1e-1, 1e-2, 1e-3)]
         assert all(t != CENSORED for t in times)
         assert times == sorted(times)
@@ -156,11 +160,11 @@ class TestStoppingTime:
             StoppingSpec(class_tag="convex", eps=0.1)
 
     def test_convex_gradient_clause(self, quadratic):
-        trace = self.run_exact(quadratic)
+        paths = self.run_exact(quadratic)
         spec = StoppingSpec(class_tag="convex", eps=1e-30, eps1=1e-2)
-        t = stopping_time(trace, quadratic, spec)
+        t = stopping_times(paths, quadratic, spec)[0]
         assert t != CENSORED
-        assert trace.paths.grad_norm[0, t] <= 1e-2
+        assert paths.grad_norm[0, t] <= 1e-2
 
 
 class TestReadsColumnsOnly:
@@ -178,9 +182,9 @@ class TestReadsColumnsOnly:
             quadratic, ZerothOracleSpec(eps_f=0.01, mode="bounded"))
         first = SyntheticFirstOracle(quadratic, FirstOracleSpec(
             eps_g=0.01, kappa=0.5, delta=0.2))
-        paths, _ = run_lockstep(quadratic, zeroth, first,
-                                AloeParams(eps_f_input=0.01, alpha_max=1.25,
-                                           max_iters=30), range(8))
+        paths = run_lockstep(quadratic, zeroth, first,
+                             AloeParams(eps_f_input=0.01, alpha_max=1.25,
+                                        max_iters=30), range(8))
         assert paths.success[:, -1].any()
         blind = dataclasses.replace(quadratic, value_fn=refuse, grad_fn=refuse)
         spec = StoppingSpec(class_tag=tag, eps=1e-9, eps1=eps1)
@@ -296,50 +300,53 @@ class TestPathLemmasAbstractProcess:
 
 class TestClassifyTrace:
     @staticmethod
-    def noisy_trace(problem, seed=0, max_iters=300, alpha0=1.0,
-                    alpha_max=1.0 / 0.8):
+    def noisy_run(problem, seed=0, max_iters=300, alpha0=1.0,
+                  alpha_max=1.0 / 0.8):
+        """A one-trial run on recorded oracles: its `Paths`, the recorder,
+        the params and the first-order spec."""
         zspec = ZerothOracleSpec(eps_f=1e-3, mode="bounded")
         fspec = FirstOracleSpec(eps_g=1e-3, kappa=1.0, delta=0.1)
-        zeroth = SyntheticZerothOracle(problem, zspec)
-        first = SyntheticFirstOracle(problem, fspec)
+        rec = OracleRecorder(SyntheticZerothOracle(problem, zspec),
+                             SyntheticFirstOracle(problem, fspec))
         params = AloeParams(eps_f_input=1e-3, alpha0=alpha0,
                             alpha_max=alpha_max, max_iters=max_iters)
-        return aloe_run(problem, zeroth, first, params, seed=seed), fspec
+        paths = aloe_run(problem, rec.zeroth, rec.first, params, seed=seed)
+        return paths, rec, params, fspec
 
     def test_exact_run_all_true(self, quadratic):
         zeroth = SyntheticZerothOracle(quadratic, ZerothOracleSpec())
         first = SyntheticFirstOracle(quadratic, FirstOracleSpec())
-        trace = aloe_run(quadratic, zeroth, first, AloeParams(max_iters=100), seed=0)
+        paths = aloe_run(quadratic, zeroth, first, AloeParams(max_iters=100), seed=0)
         _, i = snap_to_step_grid(0.1, 1.0, 0.8)
         spec = StoppingSpec(class_tag="nonconvex", eps=1e-3)
-        v = classify_paths(trace.paths, quadratic, spec, eps_g=0.0, kappa=0.0,
+        v = classify_paths(paths, quadratic, spec, eps_g=0.0, kappa=0.0,
                            grid_index=i, d=float(i))
         assert v.frac_true.tolist() == [1.0]
         assert all(ok.tolist() == [True] for ok in (
             v.lemma2_ok, v.lemma3_ok, v.lemma4_ok, v.corollary1_ok))
 
     def test_noisy_run_lemmas_hold(self, quadratic):
-        trace, fspec = self.noisy_trace(quadratic)
+        paths, _, params, fspec = self.noisy_run(quadratic)
         _, i = snap_to_step_grid(0.05, 1.0, 0.8)
         spec = StoppingSpec(class_tag="nonconvex", eps=0.5)
-        v = classify_paths(trace.paths, quadratic, spec, eps_g=fspec.eps_g,
+        v = classify_paths(paths, quadratic, spec, eps_g=fspec.eps_g,
                            kappa=fspec.kappa, grid_index=i, d=float(i))
         assert all(ok.tolist() == [True] for ok in (
             v.lemma2_ok, v.lemma3_ok, v.lemma4_ok, v.corollary1_ok))
         assert 0.0 <= v.frac_true[0] <= 1.0
-        assert v.true_flags.shape == (1, len(trace))
+        assert v.true_flags.shape == (1, params.max_iters)
 
     @pytest.mark.parametrize("alpha_max", [0.01 * 0.8 ** -7, 0.05],
                              ids=["cap_on_grid", "cap_off_grid"])
     def test_large_flags_match_float_reference(self, quadratic, alpha_max):
         # alpha0 = 0.01 climbs to the cap 0.01 * 0.8^-7 = 0.0477, where a
         # success keeps the step; thresholds run from the cap to 0.01 * 0.8^-2
-        trace, fspec = self.noisy_trace(quadratic, max_iters=120, alpha0=0.01,
-                                        alpha_max=alpha_max)
-        exponents = trace.paths.exponents[0].tolist()
+        paths, _, _, fspec = self.noisy_run(quadratic, max_iters=120,
+                                            alpha0=0.01, alpha_max=alpha_max)
+        exponents = paths.exponents[0].tolist()
         assert min(exponents) == -7
         # the realized steps alpha_0..alpha_n, as floats
-        steps = trace.paths.alpha[0].tolist()
+        steps = paths.alpha[0].tolist()
         steps.append(0.01 * 0.8 ** exponents[-1])
         spec = StoppingSpec(class_tag="nonconvex", eps=0.5)
         seen = set()
@@ -349,16 +356,16 @@ class TestClassifyTrace:
             # equals bar (a step at the cap included) is small
             expected = [min(a, b) >= bar and max(a, b) > bar
                         for a, b in zip(steps, steps[1:])]
-            v = classify_paths(trace.paths, quadratic, spec, eps_g=fspec.eps_g,
+            v = classify_paths(paths, quadratic, spec, eps_g=fspec.eps_g,
                                kappa=fspec.kappa, grid_index=grid_index, d=0.0)
             assert v.large_flags[0].tolist() == expected
             seen.update(expected)
         assert seen == {True, False}
 
     def test_success_flags_match_armijo(self, quadratic):
-        trace, _ = self.noisy_trace(quadratic, seed=3, max_iters=100)
-        g_sq = np.array([g @ g for g in trace.g])
-        expect = armijo_check(trace.f_plus, trace.f_curr, trace.paths.alpha[0],
-                              trace.params.theta, g_sq, trace.paths.eps_f[0])
-        assert np.array_equal(expect, trace.paths.success[0])
-        assert 0 < expect.sum() < len(trace)
+        paths, rec, params, _ = self.noisy_run(quadratic, seed=3, max_iters=100)
+        g_sq = np.array([g @ g for g in rec.column("g")[0]])
+        expect = armijo_check(paths.f_plus[0], paths.f_curr[0], paths.alpha[0],
+                              params.theta, g_sq, paths.eps_f[0])
+        assert np.array_equal(expect, paths.success[0])
+        assert 0 < expect.sum() < params.max_iters

@@ -7,7 +7,7 @@ import pytest
 from aloe_lab import rng as rngmod
 from aloe_lab.estimation import EpochEpsFController, EstimatorConfig
 from aloe_lab.harness import certify_oracles
-from aloe_lab.linesearch import (AloeParams, Paths, Trace, TrialDivergedError,
+from aloe_lab.linesearch import (AloeParams, Paths, TrialDivergedError,
                                  aloe_run, armijo_check, run_lockstep,
                                  step_update)
 from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
@@ -16,11 +16,19 @@ from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               ZerothOracleSpec)
 from aloe_lab.problems import (make_strongly_convex_quadratic,
                                make_synthetic_logistic)
+from oracle_recorder import OracleRecorder
 
 
 def exact_oracles(problem):
     return (SyntheticZerothOracle(problem, ZerothOracleSpec()),
             SyntheticFirstOracle(problem, FirstOracleSpec()))
+
+
+def recorded_run(problem, zeroth, first, params, seeds, controller=None):
+    """`run_lockstep` on recorded oracles: its `Paths` and the recorder."""
+    rec = OracleRecorder(zeroth, first)
+    return run_lockstep(problem, rec.zeroth, rec.first, params, seeds,
+                        controller), rec
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +73,7 @@ class TestStepTable:
         zeroth, first = exact_oracles(identity_quadratic)
         tracemalloc.start()
         try:
-            paths, _ = run_lockstep(identity_quadratic, zeroth, first, params, [0])
+            paths = run_lockstep(identity_quadratic, zeroth, first, params, [0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -104,31 +112,30 @@ class TestExactRun:
         zeroth, first = exact_oracles(identity_quadratic)
         params = AloeParams(alpha0=1.0, alpha_max=10.0, theta=0.2,
                             gamma=0.8, max_iters=1)
-        trace = aloe_run(identity_quadratic, zeroth, first, params, seed=0)
-        assert trace.paths.success[0, 0]
-        np.testing.assert_array_equal(trace.g[0], [1.0, 0.0])
-        assert trace.f_plus[0] == 0.0
-        assert trace.phi_plus[0] == 0.0
+        paths, rec = recorded_run(identity_quadratic, zeroth, first, params, [0])
+        assert paths.success[0, 0]
+        np.testing.assert_array_equal(rec.column("g")[0, 0], [1.0, 0.0])
+        assert paths.f_plus[0, 0] == 0.0
+        assert rec.column("phi_plus")[0, 0] == 0.0
         # the engine's columns include grad phi(x_1) after the final move
-        assert trace.paths.grad_norm[0, 1] == 0.0
+        assert paths.grad_norm[0, 1] == 0.0
 
     def test_monotone_descent(self, quadratic10):
         zeroth, first = exact_oracles(quadratic10)
         params = AloeParams(max_iters=300)
-        trace = aloe_run(quadratic10, zeroth, first, params, seed=0)
-        phis = trace.paths.phi[0]
+        phis = aloe_run(quadratic10, zeroth, first, params, seed=0).phi[0]
         assert np.all(np.diff(phis) <= 1e-15)
 
     def test_matches_deterministic_reference(self, quadratic10):
         # independent plain Armijo backtracking loop, stepped by hand
         zeroth, first = exact_oracles(quadratic10)
         params = AloeParams(max_iters=200)
-        trace = aloe_run(quadratic10, zeroth, first, params, seed=3)
+        paths, rec = recorded_run(quadratic10, zeroth, first, params, [3])
 
         x = quadratic10.x0.copy()
         i = 0
-        for alpha_k, success_k, x_k in zip(trace.paths.alpha[0],
-                                           trace.paths.success[0], trace.x):
+        for alpha_k, success_k, x_k in zip(paths.alpha[0], paths.success[0],
+                                           rec.column("x")[0]):
             alpha = params.alpha0 * params.gamma ** i
             g = quadratic10.gradient(x)
             x_try = x - alpha * g
@@ -146,8 +153,8 @@ class TestExactRun:
 
     def test_alphas_stay_in_range(self, quadratic10):
         zeroth, first = exact_oracles(quadratic10)
-        trace = aloe_run(quadratic10, zeroth, first, AloeParams(max_iters=200), seed=1)
-        alphas = trace.paths.alpha[0]
+        alphas = aloe_run(quadratic10, zeroth, first, AloeParams(max_iters=200),
+                          seed=1).alpha[0]
         assert np.all(alphas > 0)
         assert np.all(alphas <= 10.0)
 
@@ -161,12 +168,13 @@ class TestDeterminism:
         def one_run():
             zeroth = SyntheticZerothOracle(quadratic10, spec)
             first = SyntheticFirstOracle(quadratic10, fspec)
-            return aloe_run(quadratic10, zeroth, first, params, seed=42)
+            return recorded_run(quadratic10, zeroth, first, params, [42])
 
-        a, b = one_run(), one_run()
-        np.testing.assert_array_equal(a.paths.alpha, b.paths.alpha)
-        for name in ("f_curr", "f_plus", "g", "x"):
+        (a, rec_a), (b, rec_b) = one_run(), one_run()
+        for name in ("alpha", "f_curr", "f_plus"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        for name in ("g", "x"):
+            np.testing.assert_array_equal(rec_a.column(name), rec_b.column(name))
 
     def test_different_seeds_differ(self, quadratic10):
         spec = ZerothOracleSpec(eps_f=0.01, mode="bounded")
@@ -188,20 +196,24 @@ class TestTrace:
         fspec = FirstOracleSpec(eps_g=0.01, kappa=0.5, delta=0.2)
         params = AloeParams(eps_f_input=0.01, alpha0=0.01, alpha_max=alpha_max,
                             max_iters=60)
-        trace = aloe_run(quadratic10, SyntheticZerothOracle(quadratic10, zspec),
+        paths = aloe_run(quadratic10, SyntheticZerothOracle(quadratic10, zspec),
                          SyntheticFirstOracle(quadratic10, fspec), params, seed=0)
-        i = trace.paths.exponents[0].tolist()
-        assert len(i) == len(trace) + 1 and i[0] == 0
+        i = paths.exponents[0].tolist()
+        assert len(i) == params.max_iters + 1 and i[0] == 0
         assert min(i) == -7
-        for k, (alpha, success) in enumerate(zip(trace.paths.alpha[0],
-                                                 trace.paths.success[0])):
+        for k, (alpha, success) in enumerate(zip(paths.alpha[0],
+                                                 paths.success[0])):
             assert i[k + 1] == (max(i[k] - 1, -7) if success else i[k] + 1)
             assert alpha == 0.01 * 0.8 ** i[k]
 
     def test_len(self, quadratic10):
+        # a one-row block: T columns per iteration, T + 1 for the states
         zeroth, first = exact_oracles(quadratic10)
-        trace = aloe_run(quadratic10, zeroth, first, AloeParams(max_iters=7), seed=0)
-        assert len(trace) == 7
+        paths = aloe_run(quadratic10, zeroth, first, AloeParams(max_iters=7), seed=0)
+        assert paths.seeds == (0,)
+        for f in dataclasses.fields(Paths)[1:]:
+            wide = f.name in ("exponents", "phi", "grad_norm")
+            assert getattr(paths, f.name).shape == (1, 8 if wide else 7), f.name
 
 
 class TestDivergence:
@@ -250,16 +262,17 @@ class TestLockstep:
             EstimatorConfig(n_calls=5, refresh_period=10)
 
     @staticmethod
-    def assert_same_trace(a, b):
-        # every column of the Trace and of its one-row Paths
-        for ta, tb in ((a, b), (a.paths, b.paths)):
-            for f in dataclasses.fields(ta):
-                va, vb = getattr(ta, f.name), getattr(tb, f.name)
-                if isinstance(va, np.ndarray):
-                    assert va.dtype == vb.dtype, f.name
-                    np.testing.assert_array_equal(va, vb, err_msg=f.name)
-                elif not isinstance(va, Paths):
-                    assert va == vb, f.name
+    def assert_same_rows(a, rec_a, b, rec_b, rows=slice(None)):
+        """Every `Paths` column of a, and what its oracles were handed,
+        equals rows `rows` of b's."""
+        assert a.seeds == b.seeds[rows]
+        for f in dataclasses.fields(Paths)[1:]:
+            va, vb = getattr(a, f.name), getattr(b, f.name)[rows]
+            assert va.dtype == vb.dtype, f.name
+            np.testing.assert_array_equal(va, vb, err_msg=f.name)
+        for name in ("x", "g", "grad_true", "phi_plus"):
+            np.testing.assert_array_equal(rec_a.column(name),
+                                          rec_b.column(name)[rows], err_msg=name)
 
     @pytest.mark.parametrize("name", ["synthetic", "minibatch_estimated", "gsg"])
     def test_row_of_a_block_is_the_trial_alone(self, quadratic10, name):
@@ -269,43 +282,38 @@ class TestLockstep:
             return None if estimator is None else EpochEpsFController(zeroth, estimator)
 
         params = AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=40)
-        alone = aloe_run(problem, zeroth, first, params, 21,
-                         eps_f_controller=controller())
-        paths, in_block = run_lockstep(problem, zeroth, first, params,
-                                       range(18, 27), controller(), trace_row=3)
+        alone, rec_alone = recorded_run(problem, zeroth, first, params, [21],
+                                        controller())
+        paths, rec = recorded_run(problem, zeroth, first, params, range(18, 27),
+                                  controller())
         assert len(paths.seeds) == 9 and paths.seeds[3] == 21
-        assert 0 < alone.paths.success.sum() < len(alone)
-        self.assert_same_trace(alone, in_block)
+        assert 0 < alone.success.sum() < params.max_iters
+        self.assert_same_rows(alone, rec_alone, paths, rec, slice(3, 4))
         if estimator is not None:
-            assert len(set(alone.paths.eps_f[0].tolist())) == 4
+            assert len(set(alone.eps_f[0].tolist())) == 4
 
     @pytest.mark.parametrize("name", ["synthetic", "minibatch_estimated", "gsg"])
     def test_read_ahead_changes_nothing(self, quadratic10, monkeypatch, name):
         # a window budget of one word makes every window one query: the
-        # same Paths and Trace as the default read-ahead
+        # same Paths and oracle inputs as the default read-ahead
         problem, zeroth, first, estimator = self.family(name, quadratic10)
         params = AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=40)
 
         def run():
             controller = (None if estimator is None
                           else EpochEpsFController(zeroth, estimator))
-            return run_lockstep(problem, zeroth, first, params, range(18, 27),
-                                controller, trace_row=3)
+            return recorded_run(problem, zeroth, first, params, range(18, 27),
+                                controller)
 
-        paths, trace = run()
+        paths, rec = run()
         monkeypatch.setattr(rngmod, "WINDOW_WORDS", 1)
-        one_paths, one_trace = run()
-        self.assert_same_trace(trace, one_trace)
-        for f in dataclasses.fields(Paths):
-            np.testing.assert_array_equal(getattr(paths, f.name),
-                                          getattr(one_paths, f.name),
-                                          err_msg=f.name)
+        self.assert_same_rows(*run(), paths, rec)
 
     def test_rows_differ(self, quadratic10):
         problem, zeroth, first, _ = self.family("synthetic", quadratic10)
-        paths, _ = run_lockstep(problem, zeroth, first,
-                                AloeParams(eps_f_input=0.01, max_iters=20), [1, 2])
-        assert not np.array_equal(paths.e_sum[0], paths.e_sum[1])
+        paths = run_lockstep(problem, zeroth, first,
+                             AloeParams(eps_f_input=0.01, max_iters=20), [1, 2])
+        assert not np.array_equal(paths.e_curr[0], paths.e_curr[1])
 
 
 class TestReadAheadCount:
@@ -368,10 +376,10 @@ class TestEpsFController:
         def controller(k, x, stream, phi):
             return 0.5 if k < 10 else 0.25
 
-        trace = aloe_run(quadratic10, zeroth, first,
+        paths = aloe_run(quadratic10, zeroth, first,
                          AloeParams(max_iters=20), seed=0,
                          eps_f_controller=controller)
-        assert trace.paths.eps_f[0].tolist() == [0.5] * 10 + [0.25] * 10
+        assert paths.eps_f[0].tolist() == [0.5] * 10 + [0.25] * 10
 
 
 class TestGroundTruthFromOracleLogs:
@@ -399,14 +407,16 @@ class TestGroundTruthFromOracleLogs:
     @pytest.mark.parametrize("family", ["synthetic", "minibatch", "gsg"])
     def test_recorded_truth_is_exact(self, quadratic10, family):
         problem, (zeroth, first) = self.noisy_oracles(family, quadratic10)
-        trace = aloe_run(problem, zeroth, first,
-                         AloeParams(eps_f_input=0.01, alpha_max=1.25,
-                                    max_iters=30), seed=5)
-        assert (trace.e_curr > 0).any()
-        p = trace.paths
-        for k, (x, g, grad) in enumerate(zip(trace.x, trace.g, trace.grad_true)):
+        p, rec = recorded_run(problem, zeroth, first,
+                              AloeParams(eps_f_input=0.01, alpha_max=1.25,
+                                         max_iters=30), [5])
+        assert (p.e_curr > 0).any()
+        for k, (x, g, grad, phi_plus) in enumerate(zip(
+                *(rec.column(name)[0]
+                  for name in ("x", "g", "grad_true", "phi_plus")))):
             assert p.phi[0, k] == problem.value(x)
-            assert trace.phi_plus[k] == problem.value(x - p.alpha[0, k] * g)
+            assert phi_plus == problem.value(x - p.alpha[0, k] * g)
+            assert p.e_plus[0, k] == abs(p.f_plus[0, k] - phi_plus)
             assert np.array_equal(grad, problem.gradient(x))
             assert p.grad_norm[0, k] == float(np.linalg.norm(grad))
         x_T = x - p.alpha[0, -1] * g if p.success[0, -1] else x
@@ -441,9 +451,9 @@ class TestGroundTruthPasses:
         first = MiniBatchFirstOracle(problem, dataset, 8)
         params = AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=60)
         controller = EpochEpsFController(zeroth, EstimatorConfig(refresh_period=10))
-        trace = aloe_run(problem, zeroth, first, params, seed=4,
+        paths = aloe_run(problem, zeroth, first, params, seed=4,
                          eps_f_controller=controller)
-        accepted = int(trace.paths.success.sum())
+        accepted = int(paths.success.sum())
         assert len(controller.history) == 6
         assert 0 < accepted < params.max_iters
         assert calls["value"] == params.max_iters + 1
@@ -474,10 +484,10 @@ class TestGeneratorBuilds:
         first = SyntheticFirstOracle(quadratic10, fspec)
         controller = EpochEpsFController(zeroth, EstimatorConfig(refresh_period=10))
         monkeypatch.setattr(np.random, "default_rng", refuse)
-        trace = aloe_run(quadratic10, zeroth, first, AloeParams(max_iters=100),
+        paths = aloe_run(quadratic10, zeroth, first, AloeParams(max_iters=100),
                          seed=3, eps_f_controller=controller)
         assert len(controller.history) == 10
-        assert (trace.e_curr > 0).all()
+        assert (paths.e_curr > 0).all()
         report = certify_oracles(quadratic10, zeroth, first, zspec, fspec,
                                  [np.ones(10)], alphas=(0.5,), n_queries=100)
         assert len(report.results) == 2
@@ -500,8 +510,7 @@ class TestStreamContract:
                       else EpochEpsFController(zeroth, estimator))
         params = AloeParams(**{"eps_f_input": 0.01, "alpha_max": 1.25,
                                "max_iters": 60, **params})
-        return aloe_run(problem, zeroth, first, params, seed=seed,
-                        eps_f_controller=controller)
+        return recorded_run(problem, zeroth, first, params, [seed], controller)
 
     @staticmethod
     def assert_same_noise(a, b):
@@ -512,28 +521,28 @@ class TestStreamContract:
                                    rtol=1e-9, atol=0)
 
     def test_budget_prefix(self, quadratic10, seed):
-        short = self.run(quadratic10, seed, max_iters=30)
-        long = self.run(quadratic10, seed, max_iters=60)
-        for name in ("alpha", "success", "eps_f"):
-            assert np.array_equal(getattr(short.paths, name),
-                                  getattr(long.paths, name)[:, :30]), name
-        for name in ("f_curr", "f_plus", "x", "g"):
+        short, rec_short = self.run(quadratic10, seed, max_iters=30)
+        long, rec_long = self.run(quadratic10, seed, max_iters=60)
+        for name in ("alpha", "success", "eps_f", "f_curr", "f_plus"):
             assert np.array_equal(getattr(short, name),
-                                  getattr(long, name)[:30]), name
-        assert len(short) == 30
+                                  getattr(long, name)[:, :30]), name
+        for name in ("x", "g"):
+            assert np.array_equal(rec_short.column(name),
+                                  rec_long.column(name)[:, :30]), name
+        assert short.alpha.shape == (1, 30)
 
     def test_theta_changes_path_not_noise(self, quadratic10, seed):
-        low = self.run(quadratic10, seed, theta=0.2)
-        high = self.run(quadratic10, seed, theta=0.6)
-        assert not np.array_equal(low.paths.success, high.paths.success)
+        low, _ = self.run(quadratic10, seed, theta=0.2)
+        high, _ = self.run(quadratic10, seed, theta=0.6)
+        assert not np.array_equal(low.success, high.success)
         self.assert_same_noise(low, high)
 
     def test_controller_changes_slack_not_noise(self, quadratic10, seed):
-        fixed = self.run(quadratic10, seed)
-        estimated = self.run(quadratic10, seed,
-                             estimator=EstimatorConfig(refresh_period=10))
-        assert set(fixed.paths.eps_f[0].tolist()) == {0.01}
-        assert len(set(estimated.paths.eps_f[0].tolist())) == 6
+        fixed, _ = self.run(quadratic10, seed)
+        estimated, _ = self.run(quadratic10, seed,
+                                estimator=EstimatorConfig(refresh_period=10))
+        assert set(fixed.eps_f[0].tolist()) == {0.01}
+        assert len(set(estimated.eps_f[0].tolist())) == 6
         self.assert_same_noise(fixed, estimated)
 
     def test_query_is_a_function_of_key_and_counter(self, seed):

@@ -1,5 +1,6 @@
-"""Start-up cost and dependencies: the program loads no scipy module, and
-runs where scipy cannot be imported at all.  Each case runs in a fresh
+"""Start-up cost and dependencies: the program loads no scipy module, runs
+where scipy cannot be imported at all, and loads `statistics` only for a
+Wilson interval.  Each case runs in a fresh
 interpreter, so modules imported by other tests in this process cannot mask
 an import."""
 
@@ -117,3 +118,19 @@ def test_cli_runs_where_scipy_cannot_be_imported(tmp_path):
     """)
     assert stdout.split() == ["0", "0"]
     assert all((Path(out) / "trials.csv").exists() for _, out in configs)
+
+
+def test_run_with_no_checkpoint_in_budget_loads_no_statistics(tmp_path):
+    # statistics (with fractions and decimal) serves only the Wilson
+    # interval of a checkpoint, and t_min of bounded_noise.ini exceeds its
+    # budget
+    config = ROOT / "demos" / "configs" / "bounded_noise.ini"
+    stdout = run_fresh(f"""
+        from aloe_lab.cli import main
+        code = main(["--config", {str(config)!r}, "--out",
+                     {str(tmp_path / "out")!r}, "--quiet", "--trials", "4",
+                     "--jobs", "1"])
+        print(code, "statistics" in sys.modules)
+    """)
+    assert stdout.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "out" / "summary.csv").read_text().count("\n") == 1
