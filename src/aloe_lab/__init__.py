@@ -23,7 +23,7 @@ from .oracles import (FirstOracleSpec, GsgFirstOracle, GsgParams, GsgSpec,
                       MiniBatchFirstOracle, MiniBatchSpec, MiniBatchZerothOracle,
                       OracleParameterError, SyntheticFirstOracle,
                       SyntheticZerothOracle, ZerothOracleSpec,
-                      gradient_accurate, gsg_gradient, prop1_subexp_params,
+                      gradient_accurate, prop1_subexp_params,
                       prop2_sample_size, prop3_params)
 from .problems import (ErmDataset, LogisticSpec, ProblemInstance, QuadraticSpec,
                        estimate_growth_constants,

@@ -81,8 +81,7 @@ def write_trace_csv(path: str, paths: Paths) -> None:
 def statistical_failures(summary: TrialSummary) -> list[str]:
     """Hard invariants checked after every run."""
     failures = []
-    clean = summary.lemma2_ok & summary.lemma3_ok & summary.lemma4_ok
-    bad = summary.seed[~clean].tolist()
+    bad = summary.seed[~summary.lemma_clean].tolist()
     if bad:
         failures.append(f"path lemma violation on seeds {bad}")
     if summary.t_min is not None:

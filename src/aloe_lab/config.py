@@ -1,23 +1,26 @@
 """INI-style experiment configuration (grammar: README.md, "Config grammar").
 
-`_KEYS` maps each section's keys to a cast and the field they set: a field
-of `ExperimentConfig`, or `part.name` for a field of one of its parts.  The
-parser only reads and casts: it hands each part only the keys the file
-sets, so the parts' defaults and checks are the only ones, and defaults
-only `eps_f_input`, to `[oracles] eps_f`.  Every semantic violation is
+Each key is a field of `ExperimentConfig` or of one of its parts (the
+fixture and oracle-kind specs for the params dicts) and takes the field's
+name and type: `_KEYS` is derived from the dataclasses at import.  Only
+each field's section and nine names are the parser's own (`_SECTIONS`,
+`_RENAMED`: problem_seed, kind, class, trials, seed, checkpoints,
+estimator_n_calls, estimator_scale, estimator_period).  The parser only
+reads and casts: it hands each part only the keys the file sets, so the
+parts' defaults and checks are the only ones, and defaults only
+`eps_f_input`, to `[oracles] eps_f`.  Every semantic violation is
 collected and reported in a single error.
 """
 
 import configparser
+import dataclasses
 import hashlib
 import math
+import typing
 from collections import defaultdict
 
-from .estimation import EstimatorConfig
-from .harness import ExperimentConfig, params_readers
-from .instrument import StoppingSpec
-from .linesearch import AloeParams
-from .oracles import FirstOracleSpec, ZerothOracleSpec
+from .harness import FIXTURES, ORACLE_KINDS, ExperimentConfig, params_readers
+from .oracles import ZerothOracleSpec
 
 
 class ConfigError(ValueError):
@@ -43,60 +46,54 @@ def _ints(text: str) -> tuple:
 _EXPECTED = {_float: "a valid float", int: "a valid int", _bool: "a boolean",
              _ints: "a comma-separated int list"}
 
-_KEYS = {
-    "problem": {
-        "fixture": (str, "fixture"), "dim": (int, "fixture_params.dim"),
-        "lambda_min": (_float, "fixture_params.lambda_min"),
-        "lambda_max": (_float, "fixture_params.lambda_max"),
-        "x0_norm": (_float, "fixture_params.x0_norm"),
-        "n_samples": (int, "fixture_params.n_samples"),
-        "reg": (_float, "fixture_params.reg"),
-        "problem_seed": (int, "fixture_params.seed"),
-    },
-    "oracles": {
-        "kind": (str, "oracle_kind"), "eps_f": (_float, "zeroth.eps_f"),
-        "nu": (_float, "zeroth.nu"), "b": (_float, "zeroth.b"),
-        "mode": (str, "zeroth.mode"),
-        "mean_error": (_float, "zeroth.mean_error"),
-        "eps_g": (_float, "first.eps_g"), "kappa": (_float, "first.kappa"),
-        "delta": (_float, "first.delta"),
-        "corruption_scale": (_float, "first.corruption_scale"),
-        "corruption_base": (_float, "first.corruption_base"),
-        "batch_size": (int, "oracle_params.batch_size"),
-        "sigma": (_float, "oracle_params.sigma"),
-        "num_directions": (int, "oracle_params.num_directions"),
-    },
-    "algorithm": {
-        "eps_f_input": (_float, "params.eps_f_input"),
-        "alpha0": (_float, "params.alpha0"),
-        "alpha_max": (_float, "params.alpha_max"),
-        "theta": (_float, "params.theta"), "gamma": (_float, "params.gamma"),
-        "max_iters": (int, "params.max_iters"),
-        "estimate_eps_f": (_bool, "estimate_eps_f"),
-        "estimator_n_calls": (int, "estimator.n_calls"),
-        "estimator_scale": (_float, "estimator.scale_factor"),
-        "estimator_period": (int, "estimator.refresh_period"),
-    },
-    "stopping": {"class": (str, "stopping.class_tag"),
-                 "eps": (_float, "stopping.eps"),
-                 "eps1": (_float, "stopping.eps1")},
-    "experiment": {
-        "trials": (int, "n_trials"), "seed": (int, "base_seed"),
-        "checkpoints": (_ints, "t_checkpoints"), "s": (_float, "s"),
-        "p_hat": (_float, "p_hat"), "eta": (_float, "eta"),
-        "check_admissibility": (_bool, "check_admissibility"),
-    },
-}
+# The section of each field of ExperimentConfig, its own or a part's, in the
+# order the parts' errors are listed; any other field is in [experiment].
+_SECTIONS = {"fixture": "problem", "fixture_params": "problem",
+             "oracle_kind": "oracles", "oracle_params": "oracles",
+             "zeroth": "oracles", "first": "oracles", "params": "algorithm",
+             "estimate_eps_f": "algorithm", "estimator": "algorithm",
+             "stopping": "stopping"}
+# The keys not named after their field; a key is the field's name otherwise.
+_RENAMED = {"fixture_params.seed": "problem_seed", "oracle_kind": "kind",
+            "stopping.class_tag": "class", "n_trials": "trials",
+            "base_seed": "seed", "t_checkpoints": "checkpoints",
+            "estimator.n_calls": "estimator_n_calls",
+            "estimator.scale_factor": "estimator_scale",
+            "estimator.refresh_period": "estimator_period"}
+# a params dict is read by the spec its fixture or oracle kind names
+# (`harness.params_readers`), so it has the fields of every such spec
+_SPECS = {"fixture_params": FIXTURES.values(),
+          "oracle_params": ORACLE_KINDS.values()}
+_CASTS = {float: _float, int: int, bool: _bool, str: str, tuple: _ints}
 
-# The parts of ExperimentConfig and their sections; a params dict is read by
-# the spec its fixture or oracle kind names (`harness.params_readers`).
-_PARTS = (("fixture_params", None, "[problem]"),
-          ("oracle_params", None, "[oracles]"),
-          ("zeroth", ZerothOracleSpec, "[oracles]"),
-          ("first", FirstOracleSpec, "[oracles]"),
-          ("params", AloeParams, "[algorithm]"),
-          ("estimator", EstimatorConfig, "[algorithm]"),
-          ("stopping", StoppingSpec, "[stopping]"))
+
+def _cast(annotation):
+    """The cast of a field's type; `X | None` is read as X."""
+    kinds = [t for t in typing.get_args(annotation) if t is not type(None)]
+    return _CASTS[kinds[0] if kinds else annotation]
+
+
+def _key_table() -> tuple[dict, tuple]:
+    """`_KEYS`, {section: {ini_key: (cast, field)}}, where a field is one of
+    ExperimentConfig or `part.name` for a field of one of its parts, and
+    `_PARTS`, (part, its dataclass or None for a params dict, "[section]")."""
+    keys, parts = {}, {}
+    for top in dataclasses.fields(ExperimentConfig):
+        section = _SECTIONS.get(top.name, "experiment")
+        named = [(top.name, top)]
+        if top.name in _SPECS or dataclasses.is_dataclass(top.type):
+            cls = None if top.name in _SPECS else top.type
+            parts[top.name] = (top.name, cls, f"[{section}]")
+            named = [(f"{top.name}.{f.name}", f)
+                     for spec in _SPECS.get(top.name, [cls])
+                     for f in dataclasses.fields(spec)]
+        for field, f in named:
+            keys.setdefault(section, {})[_RENAMED.get(field, f.name)] = (
+                _cast(f.type), field)
+    return keys, tuple(parts[p] for p in _SECTIONS if p in parts)
+
+
+_KEYS, _PARTS = _key_table()
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:

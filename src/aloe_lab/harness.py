@@ -175,9 +175,13 @@ class TrialSummary:
     trace: Paths | None = None   # the base-seed trial's row of Paths
 
     @property
+    def lemma_clean(self) -> np.ndarray:
+        """(n,) bool: the trials on which every path lemma held."""
+        return self.lemma2_ok & self.lemma3_ok & self.lemma4_ok
+
+    @property
     def lemma_pass_count(self) -> int:
-        return int(np.count_nonzero(
-            self.lemma2_ok & self.lemma3_ok & self.lemma4_ok))
+        return int(np.count_nonzero(self.lemma_clean))
 
     @property
     def n_censored(self) -> int:
@@ -330,47 +334,20 @@ class CertificationReport:
         return all(r.passed for r in self.results)
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction of I_x(a, b), evaluated by the modified Lentz
-    method; converges fast for x < (a + 1) / (a + b + 2)."""
-    tiny = 1e-300
-    c, d = 1.0, 1.0 - (a + b) * x / (a + 1)
-    d = 1.0 / (d if abs(d) > tiny else tiny)
-    h = d
-    for m in range(1, 100_000):
-        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
-                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
-            d = 1.0 + num * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
-            c = 1.0 + num / c
-            c = c if abs(c) > tiny else tiny
-            h *= c * d
-        if abs(c * d - 1.0) < 1e-15:
-            return h
-    raise ArithmeticError(
-        f"incomplete beta fraction did not converge (a={a}, b={b}, x={x})")
-
-
-def _beta_inc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b) for a, b > 0."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                 + a * math.log(x) + b * math.log1p(-x))
-    if x < (a + 1) / (a + b + 2):
-        return math.exp(log_front) * _beta_cf(a, b, x) / a
-    return 1.0 - math.exp(log_front) * _beta_cf(b, a, 1.0 - x) / b
-
-
 def binom_cdf(k: int, n: int, p: float) -> float:
-    """P(X <= k) for X ~ Binomial(n, p), as I_{1-p}(n - k, k + 1)."""
-    if k < 0:
+    """P(X <= k) for X ~ Binomial(n, p), as one sum in log space: log P(X = i)
+    for i = 0..k from log P(X = 0) = n log(1 - p) and the cumulative log
+    ratios P(X = i) / P(X = i - 1) = (n - i + 1) p / (i (1 - p)), summed
+    after a shift by the largest term."""
+    if k < 0 or (p == 1.0 and k < n):
         return 0.0
-    if k >= n:
+    if k >= n or p == 0.0:
         return 1.0
-    return _beta_inc(n - k, k + 1, 1.0 - p)
+    i = np.arange(1, k + 1)
+    ratios = np.log((n - i + 1) * p / (i * (1 - p)))
+    log_terms = n * math.log1p(-p) + np.concatenate(([0.0], np.cumsum(ratios)))
+    top = log_terms.max()
+    return min(1.0, math.exp(top) * float(np.exp(log_terms - top).sum()))
 
 
 def binomial_frequency_test(successes: int, n: int, target: float,

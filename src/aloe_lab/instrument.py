@@ -73,20 +73,13 @@ class PathVerdicts:
 
     T_eps: np.ndarray
     true_flags: np.ndarray       # (n, T)
-    success_flags: np.ndarray
     large_flags: np.ndarray
-    lemma2_ok: np.ndarray        # (n,)
+    frac_true: np.ndarray        # (n,)
+    frac_success: np.ndarray
+    lemma2_ok: np.ndarray
     lemma3_ok: np.ndarray
     lemma4_ok: np.ndarray
     corollary1_ok: np.ndarray
-
-    @property
-    def frac_true(self) -> np.ndarray:
-        return np.mean(self.true_flags, axis=1)
-
-    @property
-    def frac_success(self) -> np.ndarray:
-        return np.mean(self.success_flags, axis=1)
 
 
 def classify_paths(paths: Paths, problem: ProblemInstance, spec: StoppingSpec,
@@ -111,9 +104,11 @@ def classify_paths(paths: Paths, problem: ProblemInstance, spec: StoppingSpec,
     U = np.minimum(i[:, :-1], i[:, 1:]) < grid_index
     strict_horizon = np.where(T == CENSORED, n, np.maximum(np.minimum(T, n) - 1, 0))
     l2, l3, l4, c1 = verify_path_lemmas(I, paths.success, U, d, strict_horizon)
-    return PathVerdicts(T_eps=T, true_flags=I, success_flags=paths.success,
-                        large_flags=U, lemma2_ok=l2, lemma3_ok=l3,
-                        lemma4_ok=l4, corollary1_ok=c1)
+    return PathVerdicts(T_eps=T, true_flags=I, large_flags=U,
+                        frac_true=np.mean(I, axis=1),
+                        frac_success=np.mean(paths.success, axis=1),
+                        lemma2_ok=l2, lemma3_ok=l3, lemma4_ok=l4,
+                        corollary1_ok=c1)
 
 
 P_HAT_GRID = np.arange(0.55, 0.96, 0.05)

@@ -353,38 +353,13 @@ class GsgSpec:
             (self.num_directions < 1, "num_directions must be >= 1"))
 
 
-def gsg_gradient(zeroth_oracle, X, sigma: float, num_directions: int, stream,
-                 phi=None) -> np.ndarray:
-    """Gaussian-smoothing gradient estimates
-    sum_i [f(x + sigma u_i) - f(x)] u_i / (sigma |U|), u_i ~ N(0, I), one
-    per row x of an (n, dim) stack: (n, dim).
-
-    Two zeroth-order queries: f(X) once, reused across all directions (with
-    `phi`, the exact values at X, handed on when known), then the n N
-    perturbed points as one (n N, dim) stack, row r's forming rows
-    r*N..r*N+N-1.  With one key per row, each key answers the query at x,
-    N direction queries, then N perturbed-point queries, as the stack of
-    one of that row does.  (A stack over one key takes each of the three
-    queries for all rows in turn, so it is not n stacks of one in a row.)
-    """
-    GsgSpec(sigma, num_directions)  # the spec's checks
-    return _smoothed_gradient(zeroth_oracle, X, sigma, num_directions, stream, phi)
-
-
-def _smoothed_gradient(zeroth_oracle, X, sigma, num_directions, stream, phi):
-    # gsg_gradient past its checks, which a GsgFirstOracle makes once
-    f0 = zeroth_oracle(X, stream, phi=phi)  # checks the shape of X
-    X = np.asarray(X, dtype=float)
-    n, dim = X.shape
-    U = rngmod.normals(stream.words(n * num_directions, rngmod.normal_words(dim)),
-                       dim).reshape(n, num_directions, dim)
-    f = zeroth_oracle((X[:, None, :] + sigma * U).reshape(-1, dim), stream)
-    diffs = f.reshape(n, num_directions) - f0[:, None]
-    return (diffs[:, None, :] @ U)[:, 0, :] / (sigma * num_directions)
-
-
 class GsgFirstOracle:
-    """First-order oracle backed by Gaussian-smoothing finite differences."""
+    """Gaussian-smoothing gradients sum_i [f(x + sigma u_i) - f(x)] u_i /
+    (sigma N) over N = `num_directions` normal directions u_i, one per row
+    x of a stack.  A query makes two zeroth-order queries: f(X) (handed
+    `phi`), then the n N perturbed points as one stack, row r's forming rows
+    r*N..r*N+N-1.  A stack over one key takes each of the three queries for
+    all rows in turn, so it is not n stacks of one in a row."""
 
     def __init__(self, problem: ProblemInstance, zeroth_oracle,
                  sigma: float, num_directions: int):
@@ -395,8 +370,15 @@ class GsgFirstOracle:
         self.num_directions = num_directions
 
     def __call__(self, X, alpha, stream, grad=None, phi=None) -> np.ndarray:
-        return _smoothed_gradient(self.zeroth_oracle, self.problem.check_stack(X),
-                                  self.sigma, self.num_directions, stream, phi)
+        X = self.problem.check_stack(X)
+        f0 = self.zeroth_oracle(X, stream, phi=phi)
+        (n, dim), N = X.shape, self.num_directions
+        U = rngmod.normals(stream.words(n * N, rngmod.normal_words(dim)),
+                           dim).reshape(n, N, dim)
+        f = self.zeroth_oracle((X[:, None, :] + self.sigma * U).reshape(-1, dim),
+                               stream)
+        diffs = f.reshape(n, N) - f0[:, None]
+        return (diffs[:, None, :] @ U)[:, 0, :] / (self.sigma * N)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               MiniBatchFirstOracle, MiniBatchZerothOracle,
                               OracleParameterError, SyntheticFirstOracle,
                               SyntheticZerothOracle, ZerothOracleSpec,
-                              gradient_accurate, gsg_gradient,
-                              prop1_subexp_params,
+                              gradient_accurate, prop1_subexp_params,
                               prop2_sample_size, prop3_params,
                               sample_one_sided_subexp)
 from aloe_lab.harness import mgf_envelope_ok
@@ -265,8 +264,7 @@ class TestShapeRejected:
         zeroth = SyntheticZerothOracle(quadratic, MODES["bounded"])
         oracle = GsgFirstOracle(quadratic, zeroth, sigma=0.01, num_directions=8)
         self.assert_rejected(lambda x, st: oracle(x, 0.5, st, grad=np.zeros(5)))
-        self.assert_rejected(lambda x, st: gsg_gradient(zeroth, x, 0.01, 8, st,
-                                                        phi=np.zeros(5)))
+        self.assert_rejected(lambda x, st: oracle(x, 0.5, st, phi=np.zeros(5)))
 
 
 class TestSubexpSampler:
@@ -515,25 +513,25 @@ class TestGsg:
         # quotient exact, so a single direction already averages correctly
         c = np.array([1.0, -1.0, 2.0])
         problem = make_linear(c)
-        oracle = SyntheticZerothOracle(problem, ZerothOracleSpec())
-        g = gsg_gradient(oracle, np.zeros((3000, 3)), 0.5, 8, probe_stream(12))
+        oracle = GsgFirstOracle(problem, SyntheticZerothOracle(
+            problem, ZerothOracleSpec()), sigma=0.5, num_directions=8)
+        g = oracle(np.zeros((3000, 3)), 0.5, probe_stream(12))
         np.testing.assert_allclose(g.mean(axis=0), c, atol=0.05)
 
     def test_parameter_validation(self):
         problem = make_linear(np.ones(2))
         oracle = SyntheticZerothOracle(problem, ZerothOracleSpec())
-        stream = probe_stream(0)
         with pytest.raises(ValueError):
-            gsg_gradient(oracle, np.zeros((1, 2)), 0.0, 4, stream)
+            GsgFirstOracle(problem, oracle, sigma=0.0, num_directions=4)
         with pytest.raises(ValueError):
-            gsg_gradient(oracle, np.zeros((1, 2)), 0.1, 0, stream)
+            GsgFirstOracle(problem, oracle, sigma=0.1, num_directions=0)
 
     def test_matches_the_direction_loop(self, quadratic):
         # exact mode makes the noise draws irrelevant to the values, so the
         # one-point-per-direction loop over the same U is the reference
         oracle = SyntheticZerothOracle(quadratic, MODES["exact"])
         x, sigma, n = np.ones((1, 5)), 0.01, 32
-        got = gsg_gradient(oracle, x, sigma, n, probe_stream(15))
+        got = GsgFirstOracle(quadratic, oracle, sigma, n)(x, 0.5, probe_stream(15))
         stream = probe_stream(15)
         f0 = oracle(x, stream)
         U = rngmod.normals(stream.words(n, rngmod.normal_words(5)), 5)
