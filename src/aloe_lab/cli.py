@@ -95,6 +95,20 @@ def statistical_failures(summary: TrialSummary) -> list[str]:
     return failures
 
 
+def unmet_contract(config: ExperimentConfig) -> str | None:
+    """The exactness the config declares of oracles that only estimate, or
+    None: eps_g = kappa = 0 of mini-batch or Gaussian-smoothing gradients,
+    mode = exact of mini-batch values.  No iteration of such a run is true,
+    so Lemmas 3 and 4 hold vacuously."""
+    claims = []
+    if config.oracle_kind in ("minibatch", "gsg") and not (
+            config.first.eps_g or config.first.kappa):
+        claims.append("eps_g = kappa = 0 (exact gradients)")
+    if config.oracle_kind == "minibatch" and config.zeroth.mode == "exact":
+        claims.append("mode = exact (exact values)")
+    return " and ".join(claims) or None
+
+
 def run(config_path: str, out_dir: str, seed: int | None = None,
         trials: int | None = None, quiet: bool = False, jobs: int = 1) -> int:
     """Execute one experiment end to end; returns the process exit code."""
@@ -143,6 +157,10 @@ def run(config_path: str, out_dir: str, seed: int | None = None,
         print(f"no checkpoint fits the budget: t_min = {summary.t_min} > "
               f"max_iters = {config.params.max_iters}; summary.csv has no rows",
               file=sys.stderr)
+    if claim := unmet_contract(config):
+        print(f"declared contract never met: {config.oracle_kind} oracles "
+              f"estimate, but the config declares {claim}; no iteration "
+              f"is true, so Lemmas 3 and 4 hold vacuously", file=sys.stderr)
 
     failures = statistical_failures(summary)
     if failures:

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from aloe_lab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_STATISTICAL,
-                          main, run, statistical_failures, write_trace_csv)
+                          main, run, statistical_failures, unmet_contract,
+                          write_trace_csv)
 from aloe_lab.config import ConfigError, config_digest, parse_config
-from aloe_lab.harness import run_trials
+from aloe_lab.harness import ExperimentConfig, run_trials
+from aloe_lab.oracles import FirstOracleSpec, ZerothOracleSpec
 from aloe_lab.problems import make_synthetic_logistic
 
 SMOKE = """
@@ -125,8 +127,30 @@ seed = 0
 check_admissibility = false
 """
 
-DEMO_CONFIGS = sorted(
-    (Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.ini"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMO_CONFIGS = sorted((ROOT / "demos" / "configs").glob("*.ini"))
+WORKLOAD_CONFIGS = sorted((ROOT / "perfbench" / "workloads").glob("*.ini"))
+
+# mini-batch oracles with the default exact contract
+EXACT_MINIBATCH = """
+[problem]
+fixture = logistic
+n_samples = 64
+dim = 3
+reg = 0.01
+
+[oracles]
+kind = minibatch
+batch_size = 16
+
+[stopping]
+class = strongly_convex
+eps = 0.05
+
+[experiment]
+trials = 5
+check_admissibility = false
+"""
 
 
 def write(tmp_path, name, text):
@@ -527,7 +551,7 @@ class TestPinnedOutputs:
                 HEADER_ONLY),
         "minibatch_estimated": (
             "d3c10bc7e8ee5df1e65199ee3294bb11cb400adffbee5f4abc7f719cb8ec7d78",
-            "aa21ca004a07d1434561462ca7c1c29b2de025edd44e98f381786640d7785995",
+            "f097fd634c6d26ea94903d66dd9f07180f36a6f4ff0dbba4ee9dfc9ae5ae70ef",
             HEADER_ONLY),
     }
 
@@ -560,6 +584,41 @@ class TestCheckpointsOutsideBudget:
         config = write(tmp_path, "smoke.ini", SMOKE)
         assert run(config, str(tmp_path / "out"), quiet=True) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+
+class TestUnmetContract:
+    """A config that declares exact answers of oracles that only estimate
+    runs and exits 0, with one stderr line saying so."""
+
+    def test_reported_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write(tmp_path, "exact.ini", EXACT_MINIBATCH)
+        assert run(config, str(out), quiet=True) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("declared contract never met")
+        assert "eps_g = kappa = 0" in err[0] and "mode = exact" in err[0]
+        with open(out / "trials.csv") as fh:
+            assert {row["frac_true"] for row in csv.DictReader(fh)} == {"0.0"}
+
+    @pytest.mark.parametrize("kind, fixture, zeroth, first, claim", [
+        ("minibatch", "logistic", ZerothOracleSpec(), FirstOracleSpec(eps_g=0.5),
+         "mode = exact (exact values)"),
+        ("minibatch", "logistic", ZerothOracleSpec(eps_f=0.01, mode="bounded"),
+         FirstOracleSpec(), "eps_g = kappa = 0 (exact gradients)"),
+        ("gsg", "quadratic", ZerothOracleSpec(), FirstOracleSpec(),
+         "eps_g = kappa = 0 (exact gradients)"),
+        ("gsg", "quadratic", ZerothOracleSpec(), FirstOracleSpec(kappa=1.0), None),
+        ("synthetic", "quadratic", ZerothOracleSpec(), FirstOracleSpec(), None),
+    ])
+    def test_each_claim(self, kind, fixture, zeroth, first, claim):
+        config = ExperimentConfig(fixture=fixture, oracle_kind=kind,
+                                  zeroth=zeroth, first=first)
+        assert unmet_contract(config) == claim
+
+    @pytest.mark.parametrize("path", DEMO_CONFIGS + WORKLOAD_CONFIGS,
+                             ids=lambda p: p.stem)
+    def test_shipped_configs_meet_theirs(self, path):
+        assert unmet_contract(parse_config(str(path))) is None
 
 
 class TestStatisticalFailures:

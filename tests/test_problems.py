@@ -235,6 +235,36 @@ class TestLogistic:
             make_synthetic_logistic(n_samples=32, dim=3, seed=0, reg=reg)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                    reason="np.longdouble is no wider than float64 here")
+class TestLossKernel:
+    """The per-sample loss log(1 + exp(-m)) of a margin m, against a
+    long-double reference: a one-feature dataset with unit labels, the
+    point x = 1 and no regularizer has the margins as its features."""
+
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 36.7, -36.7,
+             745.2, -745.2, 1e4, -1e4]
+
+    @staticmethod
+    def ulps(margins):
+        m = np.asarray(margins, float)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _logistic_losses(m[:, None], np.ones_like(m), 0.0,
+                                   np.ones((1, 1)), slice(None))[0]
+            ref = np.logaddexp(np.longdouble(0), -m.astype(np.longdouble))
+        assert np.all(np.isfinite(got))
+        unit = np.spacing(ref.astype(float)).astype(np.longdouble)
+        return np.abs(got.astype(np.longdouble) - ref) / unit
+
+    def test_edges(self):
+        assert self.ulps(self.EDGES).max() <= 2
+
+    @pytest.mark.parametrize("scale", [4.0, 40.0])
+    def test_random_margins(self, scale):
+        m = scale * np.random.default_rng(24).standard_normal(100_000)
+        assert self.ulps(m).max() <= 2
+
+
 def lbfgs_minimum(problem):
     """phi at the L-BFGS-B minimizer from the origin: the reference the
     Newton solve is checked against."""
@@ -248,11 +278,12 @@ class TestNewtonMinimum:
     """phi_star comes from a Newton solve; L-BFGS-B is the reference."""
 
     # (n_samples, dim, seed, reg): the logistic_minibatch workload's fixture
-    # first, then fixtures of earlier bit-identity checks
+    # first, then fixtures of earlier bit-identity checks; the last is
+    # logistic_sizes' n64
     FIXTURES = [(2048, 10, 11, 0.01), (2048, 10, 0, 1e-3), (256, 5, 3, 1e-3),
                 (512, 8, 7, 1e-3), (100, 3, 1, 1e-3), (64, 2, 11, 1e-3),
                 (1000, 20, 5, 1e-3), (2048, 10, 3, 1e-3), (256, 4, 5, 1e-3),
-                (64, 3, 1, 1e-3), (512, 10, 0, 1e-3)]
+                (64, 3, 1, 1e-3), (512, 10, 0, 1e-3), (64, 5, 3, 0.01)]
 
     @pytest.mark.parametrize("n, dim, seed, reg", FIXTURES)
     def test_matches_lbfgs_at_a_zero_gradient(self, n, dim, seed, reg):
@@ -309,15 +340,14 @@ class TestCopyFreeFullDataPass:
         assert np.array_equal(problem.grad_fn(X), [grad(x) for x in X])
 
     def test_lbfgs_solution(self, logistic_sizes):
-        # on these fixtures the Newton solve's phi_star is the L-BFGS-B
-        # minimum bit for bit
+        # the same bits at the minimum L-BFGS-B finds over the reference;
+        # how close that minimum is to phi_star is TestNewtonMinimum's check
         problem, dataset = logistic_sizes
         value, grad = self.reference(dataset)
         sol = scipy.optimize.minimize(
             value, np.zeros(problem.dim), jac=grad, method="L-BFGS-B",
             options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 5000})
-        assert value(sol.x) == problem.phi_star
-        assert problem.value(sol.x) == problem.phi_star
+        assert problem.value(sol.x) == value(sol.x)
         assert np.array_equal(problem.gradient(sol.x), grad(sol.x))
 
 
