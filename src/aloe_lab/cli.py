@@ -98,14 +98,16 @@ def statistical_failures(summary: TrialSummary) -> list[str]:
 def unmet_contract(config: ExperimentConfig) -> str | None:
     """The exactness the config declares of oracles that only estimate, or
     None: eps_g = kappa = 0 of mini-batch or Gaussian-smoothing gradients,
-    mode = exact of mini-batch values.  No iteration of such a run is true,
-    so Lemmas 3 and 4 hold vacuously."""
+    and a zero value slack 2 eps_f (eps_f_input = 0, not estimated) against
+    mini-batch values.  No iteration of such a run is true, so Lemmas 3 and
+    4 hold vacuously."""
     claims = []
     if config.oracle_kind in ("minibatch", "gsg") and not (
             config.first.eps_g or config.first.kappa):
         claims.append("eps_g = kappa = 0 (exact gradients)")
-    if config.oracle_kind == "minibatch" and config.zeroth.mode == "exact":
-        claims.append("mode = exact (exact values)")
+    if (config.oracle_kind == "minibatch" and not config.estimate_eps_f
+            and not config.params.eps_f_input):
+        claims.append("eps_f_input = 0 (exact values)")
     return " and ".join(claims) or None
 
 

@@ -206,10 +206,12 @@ def _gather(features, labels, X, idx):
 def _logistic_losses(features, labels, reg, X, idx):
     # log(1 + exp(-m)) of the margins m as max(-m, 0) + log1p(exp(-|m|)),
     # the softplus that neither overflows nor cancels (Maechler 2012),
-    # within 2 ulp of the exact value.  It runs in place on the margins
-    # through numpy's SIMD exp and log1p: 8 ns a sample against 33 for
-    # np.logaddexp's scalar libm loop (2-vCPU Xeon, numpy 2.4.6).  Its bits
-    # follow numpy's SIMD dispatch, as _sigmoid's do.
+    # within 2 ulp of the exact value.  It runs through numpy's SIMD exp
+    # and log1p: 8 ns a sample against 33 for np.logaddexp's scalar libm
+    # loop (2-vCPU Xeon, numpy 2.4.6).  In place on the margins, its one
+    # temporary is the hinge; the one expression
+    # log1p(exp(-abs(m))) - minimum(m, 0) keeps three alive at once and is
+    # no faster.  Its bits follow numpy's SIMD dispatch, as _sigmoid's do.
     m = _gather(features, labels, X, idx)[2]
     hinge = np.minimum(m, 0.0)  # -max(-m, 0)
     np.abs(m, out=m)

@@ -12,6 +12,7 @@ from aloe_lab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_STATISTICAL,
                           write_trace_csv)
 from aloe_lab.config import ConfigError, config_digest, parse_config
 from aloe_lab.harness import ExperimentConfig, run_trials
+from aloe_lab.linesearch import AloeParams
 from aloe_lab.oracles import FirstOracleSpec, ZerothOracleSpec
 from aloe_lab.problems import make_synthetic_logistic
 
@@ -596,24 +597,48 @@ class TestUnmetContract:
         assert run(config, str(out), quiet=True) == EXIT_OK
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("declared contract never met")
-        assert "eps_g = kappa = 0" in err[0] and "mode = exact" in err[0]
+        assert "eps_g = kappa = 0" in err[0] and "eps_f_input = 0" in err[0]
         with open(out / "trials.csv") as fh:
             assert {row["frac_true"] for row in csv.DictReader(fh)} == {"0.0"}
 
-    @pytest.mark.parametrize("kind, fixture, zeroth, first, claim", [
+    @pytest.mark.parametrize("kind, fixture, zeroth, first, more, claim", [
         ("minibatch", "logistic", ZerothOracleSpec(), FirstOracleSpec(eps_g=0.5),
-         "mode = exact (exact values)"),
+         {}, "eps_f_input = 0 (exact values)"),
+        # mode = bounded allows eps_f = 0, and then the slack is zero too
+        ("minibatch", "logistic", ZerothOracleSpec(mode="bounded"),
+         FirstOracleSpec(eps_g=0.5), {}, "eps_f_input = 0 (exact values)"),
+        # the slack is the run's eps_f, not the zeroth oracle's mode
+        ("minibatch", "logistic", ZerothOracleSpec(), FirstOracleSpec(eps_g=0.5),
+         {"params": AloeParams(eps_f_input=0.05)}, None),
+        ("minibatch", "logistic", ZerothOracleSpec(), FirstOracleSpec(eps_g=0.5),
+         {"estimate_eps_f": True}, None),
         ("minibatch", "logistic", ZerothOracleSpec(eps_f=0.01, mode="bounded"),
-         FirstOracleSpec(), "eps_g = kappa = 0 (exact gradients)"),
-        ("gsg", "quadratic", ZerothOracleSpec(), FirstOracleSpec(),
+         FirstOracleSpec(), {"params": AloeParams(eps_f_input=0.01)},
          "eps_g = kappa = 0 (exact gradients)"),
-        ("gsg", "quadratic", ZerothOracleSpec(), FirstOracleSpec(kappa=1.0), None),
-        ("synthetic", "quadratic", ZerothOracleSpec(), FirstOracleSpec(), None),
+        ("gsg", "quadratic", ZerothOracleSpec(), FirstOracleSpec(), {},
+         "eps_g = kappa = 0 (exact gradients)"),
+        ("gsg", "quadratic", ZerothOracleSpec(), FirstOracleSpec(kappa=1.0), {},
+         None),
+        ("synthetic", "quadratic", ZerothOracleSpec(), FirstOracleSpec(), {},
+         None),
     ])
-    def test_each_claim(self, kind, fixture, zeroth, first, claim):
+    def test_each_claim(self, kind, fixture, zeroth, first, more, claim):
         config = ExperimentConfig(fixture=fixture, oracle_kind=kind,
-                                  zeroth=zeroth, first=first)
+                                  zeroth=zeroth, first=first, **more)
         assert unmet_contract(config) == claim
+
+    @pytest.mark.parametrize("oracles, algorithm, unmet", [
+        ("mode = bounded", "", True),
+        ("", "eps_f_input = 0.05", False),
+        ("", "estimate_eps_f = true", False),
+    ])
+    def test_value_slack_as_parsed(self, tmp_path, oracles, algorithm, unmet):
+        # eps_f_input defaults to [oracles] eps_f = 0, whatever the mode
+        text = EXACT_MINIBATCH.replace(
+            "batch_size = 16\n", f"batch_size = 16\neps_g = 0.5\n{oracles}\n")
+        text += f"[algorithm]\n{algorithm}\n"
+        config = parse_config(write(tmp_path, "slack.ini", text))
+        assert (unmet_contract(config) is not None) == unmet
 
     @pytest.mark.parametrize("path", DEMO_CONFIGS + WORKLOAD_CONFIGS,
                              ids=lambda p: p.stem)

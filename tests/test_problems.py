@@ -340,8 +340,10 @@ class TestCopyFreeFullDataPass:
         assert np.array_equal(problem.grad_fn(X), [grad(x) for x in X])
 
     def test_lbfgs_solution(self, logistic_sizes):
-        # the same bits at the minimum L-BFGS-B finds over the reference;
-        # how close that minimum is to phi_star is TestNewtonMinimum's check
+        # the same bits at the minimum L-BFGS-B finds over the reference; on
+        # the workload fixture that minimum is the Newton solve's phi_star
+        # bit for bit, while on n64 it lands 1 ulp below, within
+        # TestNewtonMinimum's 4 ulp
         problem, dataset = logistic_sizes
         value, grad = self.reference(dataset)
         sol = scipy.optimize.minimize(
@@ -349,6 +351,8 @@ class TestCopyFreeFullDataPass:
             options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 5000})
         assert problem.value(sol.x) == value(sol.x)
         assert np.array_equal(problem.gradient(sol.x), grad(sol.x))
+        if dataset.n_samples == 2048:
+            assert value(sol.x) == problem.phi_star
 
 
 class TestCoefficientGradient:
