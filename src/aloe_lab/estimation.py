@@ -53,7 +53,8 @@ class EpochEpsFController:
 
     Called as ``controller(k, X, stream, phi)`` with the (n, dim)
     incumbents of a block, the block's EPS_EST stream and the exact values
-    at X; returns the n slacks."""
+    at X, which the line search leaves None when no oracle reads phi
+    (a mini-batch run); returns the n slacks."""
 
     def __init__(self, zeroth_oracle, config: EstimatorConfig):
         self.zeroth_oracle = zeroth_oracle

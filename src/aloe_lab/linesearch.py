@@ -20,14 +20,18 @@ operation keeps each row's bits independent of the others, so a trial's
 path does not depend on the block it runs in.  `aloe_run` is the same
 engine with n = 1.
 
-Ground truth is the engine's; oracles return estimates only.  The engine
+Ground truth is the engine's; oracles return estimates only, and each
+declares the exact values it reads (`oracles.oracle_reads`).  The engine
 evaluates phi and grad phi once per point: both at x_0, once for the
-block, and phi(x_k+) as one stacked call per iteration.  x_{k+1} is x_k+
-or x_k, so phi(x_{k+1}) is known from iteration k, and grad phi(x_{k+1})
-too after a rejected step; one stacked gradient call covers the rows that
-moved, at the top of each iteration and once after the last.  Each query
-is handed the exact values at its points that the engine knows, and the
-columns hold phi and ||grad phi|| at every x_k, x_T included.
+block, phi at each x_k+ and grad phi at each accepted one.  x_{k+1} is x_k+
+or x_k, so the values at x_{k+1} are selected, never recomputed.  What an
+oracle reads is evaluated in the loop, one stacked call per iteration, and
+handed to every query at its points; the rest waits for the end of a chunk
+of iterations (`CHUNK_CELLS`), where one stacked call takes phi at the
+chunk's x_k+ rows and one grad phi at its accepted rows.  Either way the
+columns are filled at the end of each chunk, by one pass, and hold phi and
+||grad phi|| at every x_k, x_T included; the rows, and so the columns'
+bits, do not depend on where the values were evaluated.
 """
 
 import math
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
+from .oracles import EXACT_VALUES, oracle_reads
 from .problems import ProblemInstance, check_settings, row_dots
 
 
@@ -127,6 +132,21 @@ def step_update(i, success, i_cap: int):
     return np.where(success, np.maximum(i - 1, i_cap), i + 1)
 
 
+# Float cells (iterations x rows x dim) of one buffer of a chunk of
+# `run_lockstep`'s loop, whose ground truth is filled at the chunk's end;
+# blocks themselves are sized by harness.BLOCK_CELLS.  A chunk keeps three
+# such buffers and its pass up to three more, 384 KB in all, unless one
+# iteration's rows alone exceed a buffer; a 2-row, 10-dim, 400-iteration
+# block is one chunk.
+CHUNK_CELLS = 1 << 13
+
+
+def chunk_length(n: int, dim: int, T: int) -> int:
+    """Iterations per chunk of a block of n rows of dim over T iterations:
+    CHUNK_CELLS // (n dim), at least 1 and at most T."""
+    return min(max(CHUNK_CELLS // (n * dim), 1), T)
+
+
 def aloe_run(problem: ProblemInstance, zeroth_oracle, first_oracle,
              params: AloeParams, seed: int, eps_f_controller=None) -> Paths:
     """Run one trial for `params.max_iters` iterations: `run_lockstep`
@@ -143,15 +163,15 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     `eps_f_controller`, when given, is called as
     ``controller(k, X, stream, phi)`` before each iteration, with the
     (n, dim) incumbents, the block's EPS_EST `rng.KeyedStream` and the
-    exact values at X, and returns the slack (one per row, or one for all)
-    to use from that iteration on; otherwise `params.eps_f_input` is used
-    throughout.
+    exact values at X, None when no oracle reads them, and returns the
+    slack (one per row, or one for all) to use from that iteration on;
+    otherwise `params.eps_f_input` is used throughout.
 
     Raises `TrialDivergedError`, naming the trial, as soon as any row's
     oracle output is non-finite.
     """
     seeds = tuple(int(s) for s in seeds)
-    n, T = len(seeds), params.max_iters
+    n, T, dim = len(seeds), params.max_iters, problem.dim
     grad_rng, curr_rng, plus_rng, est_rng = (
         rngmod.KeyedStream(seeds, purpose) for purpose in
         (rngmod.GRAD, rngmod.F_CURR, rngmod.F_PLUS, rngmod.EPS_EST))
@@ -161,37 +181,46 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     i_low = max(i_cap, -T)
     step_of = np.array([params.alpha0 * params.gamma ** i
                         for i in range(i_low, T + 1)])
+    reads = oracle_reads(zeroth_oracle) | oracle_reads(first_oracle)
+    C = chunk_length(n, dim, T)
 
     x0 = np.asarray(problem.x0, dtype=float)
     X = np.tile(x0, (n, 1))
-    phi = np.full(n, problem.value(x0))
-    grad = np.tile(problem.gradient(x0), (n, 1))
     i = np.zeros(n, dtype=int)
-    moved = np.zeros(n, dtype=bool)
     eps_f = np.full(n, float(params.eps_f_input))
+    # one chunk's x_k+, g_k and phi(x_k+), and in slots 0..C phi and grad phi
+    # at its x_k, slot 0 the chunk's first point and slot c the last's next.
+    # The loop writes what an oracle reads, `_fill_truth` the rest.
+    x_plus_buf, g_buf = np.empty((2, C, n, dim))
+    phi_plus_buf = np.empty((C, n))
+    phi_at, grad_at = np.empty((C + 1, n)), np.empty((C + 1, n, dim))
+    phi_at[0], grad_at[0] = problem.value(x0), problem.gradient(x0)
 
     # one column per `Paths` field; exponents, phi and grad_norm also hold
     # the state after the last iteration.  Norms are kept squared until then.
-    names = tuple(Paths.__dataclass_fields__)[1:]
     wide = ("exponents", "phi", "grad_norm")
     cols = {name: np.empty((n, T + 1 if name in wide else T),
                            dtype=int if name == "exponents"
                            else bool if name == "success" else float)
-            for name in names}
+            for name in tuple(Paths.__dataclass_fields__)[1:]}
+    start = 0
     for k in range(T):
-        if moved.any():
-            grad[moved] = problem.gradients(X[moved])
+        j = k - start
+        phi = phi_at[j] if "phi" in reads else None
+        grad = grad_at[j] if "grad" in reads else None
         alpha = step_of[i - i_low]
         if eps_f_controller is not None:
             eps_f = eps_f_controller(k, X, est_rng, phi)
         g = np.asarray(first_oracle(X, alpha, grad_rng, grad=grad, phi=phi),
                        dtype=float)
-        x_plus = X - alpha[:, None] * g
+        g_buf[j] = g
+        x_plus = np.subtract(X, alpha[:, None] * g, out=x_plus_buf[j])
         f_curr = zeroth_oracle(X, curr_rng, phi=phi)
-        phi_plus = problem.values(x_plus)
+        phi_plus = None
+        if phi is not None:
+            phi_plus = phi_plus_buf[j] = problem.values(x_plus)
         f_plus = zeroth_oracle(x_plus, plus_rng, phi=phi_plus)
-        V = np.concatenate((g, g - grad, grad))
-        g_sq, error_sq, grad_sq = row_dots(V, V).reshape(3, n)
+        g_sq = row_dots(g, g)
         # a non-finite g makes g_sq non-finite; an overflowing sum alone
         # falls through to the exact test
         if not np.isfinite(f_curr + f_plus + g_sq).all():
@@ -201,18 +230,65 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
                     f"non-finite oracle output at iteration {k} "
                     f"(seed {seeds[int(np.argmin(finite))]})")
         success = armijo_check(f_plus, f_curr, alpha, params.theta, g_sq, eps_f)
-        for name, value in zip(names, (
-                i, alpha, success, f_curr, f_plus, np.abs(f_curr - phi),
-                np.abs(f_plus - phi_plus), eps_f, g_sq, error_sq, phi, grad_sq)):
+        for name, value in (("exponents", i), ("alpha", alpha),
+                            ("success", success), ("f_curr", f_curr),
+                            ("f_plus", f_plus), ("eps_f", eps_f),
+                            ("g_norm", g_sq)):
             cols[name][:, k] = value
         X = np.where(success[:, None], x_plus, X)
-        phi = np.where(success, phi_plus, phi)
+        if phi is not None:
+            phi_at[j + 1] = np.where(success, phi_plus, phi)
+        if grad is not None:
+            grad_at[j + 1] = grad
+            if success.any():
+                grad_at[j + 1][success] = problem.gradients(x_plus[success])
         i = step_update(i, success, i_cap)
-        moved = success
-    if moved.any():
-        grad[moved] = problem.gradients(X[moved])
-    cols["exponents"][:, T], cols["phi"][:, T] = i, phi
-    cols["grad_norm"][:, T] = row_dots(grad, grad)
+        if j == C - 1 or k == T - 1:
+            _fill_truth(problem, cols, start, k + 1, x_plus_buf, g_buf,
+                        phi_plus_buf, phi_at, grad_at, EXACT_VALUES - reads)
+            start = k + 1
+    cols["exponents"][:, T], cols["phi"][:, T] = i, phi_at[0]
+    cols["grad_norm"][:, T] = row_dots(grad_at[0], grad_at[0])
     for name in ("g_norm", "grad_error", "grad_norm"):
         np.sqrt(cols[name], out=cols[name])
     return Paths(seeds=seeds, **cols)
+
+
+def _fill_truth(problem, cols, s, e, x_plus, g, phi_plus, phi_at, grad_at,
+                evaluate: frozenset) -> None:
+    """Fill the phi, e_curr, e_plus, grad_error and grad_norm columns of
+    iterations s..e-1 from a chunk's buffers (see `run_lockstep`), and
+    move the values at x_e to slot 0 for the next chunk.
+
+    The values in `evaluate`, which the loop left out, are evaluated here:
+    phi as one stack of the chunk's x_k+ rows, grad phi as one stack of its
+    accepted rows.  Every other x_k is an earlier one, so its values are
+    selected, never recomputed.  `g` is overwritten."""
+    c, n, dim = e - s, *g.shape[1:]
+    success = cols["success"][:, s:e].T
+    if "phi" in evaluate:
+        phi_plus[:c] = problem.values(x_plus[:c].reshape(-1, dim)).reshape(c, n)
+        phi_at[1:c + 1] = phi_plus[:c]
+    if "grad" in evaluate and success.any():
+        grad_at[1:c + 1][success] = problem.gradients(x_plus[:c][success])
+    if evaluate:
+        # x_{k+1} is x_k+ where step k was accepted, else x_k: slot k + 1
+        # takes the values of the slot after the last accepted step up to
+        # k, slot 0 for none
+        src = np.zeros((c + 1, n), dtype=np.intp)
+        np.maximum.accumulate(np.where(success, np.arange(1, c + 1)[:, None], 0),
+                              axis=0, out=src[1:])
+        src = (src * n + np.arange(n)).ravel()
+        for name, at in (("phi", phi_at), ("grad", grad_at)):
+            if name in evaluate:
+                at[:c + 1] = at[:c + 1].reshape(len(src), -1).take(
+                    src, axis=0).reshape(at[:c + 1].shape)
+    phi = phi_at[:c].T
+    cols["phi"][:, s:e] = phi
+    cols["e_curr"][:, s:e] = np.abs(cols["f_curr"][:, s:e] - phi)
+    cols["e_plus"][:, s:e] = np.abs(cols["f_plus"][:, s:e] - phi_plus[:c].T)
+    D = np.subtract(g[:c], grad_at[:c], out=g[:c]).reshape(-1, dim)
+    G = grad_at[:c].reshape(-1, dim)
+    cols["grad_error"][:, s:e] = row_dots(D, D).reshape(c, n).T
+    cols["grad_norm"][:, s:e] = row_dots(G, G).reshape(c, n).T
+    phi_at[0], grad_at[0] = phi_at[c], grad_at[c]

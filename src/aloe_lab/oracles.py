@@ -18,7 +18,10 @@ the exact values are given.  Ground truth is the caller's: `phi` / `grad`
 are the exact values at X when the caller knows them.  Only the synthetic
 oracles read them, as their noise is laid around the truth, and evaluate
 the problem when none are given; a first-order oracle built from
-zeroth-order queries hands `phi` on to its query at X.
+zeroth-order queries hands `phi` on to its query at X.  Each oracle class
+declares the exact values it reads as `reads`, a subset of
+{"phi", "grad"}, so a caller evaluates only those before a query (see
+`oracle_reads`); a value it does not declare never changes its answer.
 
 The noise comes from `stream`, an `rng.KeyedStream`.  Row r of a stack
 takes its words as described in `rng`: with one key per trial that is one
@@ -58,6 +61,13 @@ from . import rng as rngmod
 from .problems import ErmDataset, ProblemInstance, check_settings, row_dots
 
 ZEROTH_MODES = ("exact", "bounded", "subexponential")
+EXACT_VALUES = frozenset({"phi", "grad"})
+
+
+def oracle_reads(oracle) -> frozenset:
+    """The exact values `oracle` reads: its `reads`, or both for a callable
+    that declares none (a wrapper may hand them on to anything)."""
+    return getattr(oracle, "reads", EXACT_VALUES)
 
 
 class OracleParameterError(ValueError):
@@ -173,6 +183,8 @@ class SyntheticZerothOracle:
     configured one-sided sub-exponential law, with a fair-coin
     perturbation sign."""
 
+    reads = frozenset({"phi"})
+
     def __init__(self, problem: ProblemInstance, spec: ZerothOracleSpec):
         self.problem = problem
         self.spec = spec
@@ -205,6 +217,8 @@ class SyntheticFirstOracle:
     """Gradient estimate satisfying the accuracy event with probability
     1 - delta; with probability delta the estimate is corrupted by an
     arbitrarily large perturbation."""
+
+    reads = frozenset({"grad"})
 
     def __init__(self, problem: ProblemInstance, spec: FirstOracleSpec):
         self.problem = problem
@@ -262,7 +276,10 @@ class _MiniBatchOracle:
     """Each query draws its batch indices, then takes the dataset's sample
     mean over that batch alone (`ErmDataset.mean_losses` / `mean_grads`).
     Index i = floor(w * n / 2**32) of the top 32 bits w of a word, so an
-    index has probability within n / 2**32 (relative) of 1 / n."""
+    index has probability within n / 2**32 (relative) of 1 / n.  It reads
+    no exact value."""
+
+    reads = frozenset()
 
     def __init__(self, problem: ProblemInstance, dataset: ErmDataset, batch_size: int):
         self.problem = problem
@@ -368,6 +385,12 @@ class GsgFirstOracle:
         self.zeroth_oracle = zeroth_oracle
         self.sigma = sigma
         self.num_directions = num_directions
+
+    @property
+    def reads(self) -> frozenset:
+        """What its zeroth-order oracle reads of `phi`, the one exact value
+        it hands on."""
+        return oracle_reads(self.zeroth_oracle) & {"phi"}
 
     def __call__(self, X, alpha, stream, grad=None, phi=None) -> np.ndarray:
         X = self.problem.check_stack(X)

@@ -17,8 +17,8 @@ bit, whatever m is.  A single point is a stack of one: `value(x)` and
 `gradient(x)` are views of that.
 """
 
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -254,13 +254,27 @@ def _sigmoid(t):
 class ErmDataset:
     """Finite dataset whose empirical mean loss is the objective: its sample
     means over all samples (the default slice, a view) are the fixture's
-    value_fn and grad_fn, and over a drawn batch the mini-batch oracles."""
+    value_fn and grad_fn, and over a drawn batch the mini-batch oracles.
+
+    `growth_probe(dataset)` estimates the growth constants (M_c, M_v); it
+    runs on the first read of `M_c` or `M_v`, as a run never reads them."""
 
     features: np.ndarray
     labels: np.ndarray
     reg: float
-    M_c: float
-    M_v: float
+    growth_probe: object = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def _growth_constants(self) -> tuple[float, float]:
+        return self.growth_probe(self)
+
+    @property
+    def M_c(self) -> float:
+        return self._growth_constants[0]
+
+    @property
+    def M_v(self) -> float:
+        return self._growth_constants[1]
 
     @property
     def n_samples(self) -> int:
@@ -392,7 +406,8 @@ def make_synthetic_logistic(
 
     l2-regularized so the objective is strongly convex with
     beta = reg exactly.  The growth constants (M_c, M_v) are estimated on a
-    probe grid; the minimum value is found by a Newton solve
+    probe grid when first read (`_probe_growth`); the minimum value is
+    found by a Newton solve
     (`_logistic_minimizer`).  `feature_scale` controls the margin dispersion
     (smaller values give a less separable, lower-variance loss landscape).
     """
@@ -410,7 +425,7 @@ def make_synthetic_logistic(
     L = gram_top / (4.0 * n_samples) + reg
     x0 = rng.standard_normal(dim)
 
-    dataset = ErmDataset(features=features, labels=labels, reg=reg, M_c=0.0, M_v=0.0)
+    dataset = ErmDataset(features=features, labels=labels, reg=reg)
     problem = ProblemInstance(
         dim=dim,
         value_fn=dataset.mean_losses,
@@ -423,6 +438,12 @@ def make_synthetic_logistic(
     x_star = _logistic_minimizer(problem, features, reg)
     problem = replace(problem, phi_star=problem.value(x_star),
                       diameter_D=2.0 * float(np.linalg.norm(x0 - x_star)))
-    M_c, M_v = estimate_growth_constants(
+    return problem, replace(dataset,
+                            growth_probe=partial(_probe_growth, problem, seed))
+
+
+def _probe_growth(problem: ProblemInstance, seed: int, dataset: ErmDataset):
+    """`estimate_growth_constants` on the fixture's own probe stream, a
+    fresh generator on every call, so every copy reads the same (M_c, M_v)."""
+    return estimate_growth_constants(
         problem, dataset, rngmod.probe_rng(seed, rngmod.GROWTH_PROBES))
-    return problem, replace(dataset, M_c=M_c, M_v=M_v)

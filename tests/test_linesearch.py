@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aloe_lab import linesearch
 from aloe_lab import rng as rngmod
 from aloe_lab.estimation import EpochEpsFController, EstimatorConfig
 from aloe_lab.harness import certify_oracles
@@ -469,6 +470,114 @@ class TestGroundTruthPasses:
         params = AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=20)
         aloe_run(problem, zeroth, first, params, seed=4)
         assert calls["value"] == 1 + params.max_iters * (8 + 1)
+
+
+class TestTruthSchedules:
+    """The engine evaluates in its loop only the exact values its oracles
+    read, and the rest once per chunk of iterations.  Run on plain-callable
+    wrappers, which declare no `reads`, it evaluates every value in the
+    loop.  Both schedules give every `Paths` column bit for bit, at and
+    around the chunk boundaries, with as many ground-truth rows, and the
+    columns of one chunk spanning the run.  The chunk budget is cut so that
+    a chunk is 14, 7 or 2 iterations for n = 1, 2, 7 rows."""
+
+    FAMILIES = ("synthetic", "gsg", "minibatch", "minibatch_estimated",
+                "minibatch_accepts_all", "minibatch_stalls")
+
+    @staticmethod
+    def family(name, quadratic):
+        """(problem, zeroth, first, estimator config or None, params)."""
+        params = AloeParams(eps_f_input=0.01, alpha_max=1.25)
+        if name in ("synthetic", "gsg"):
+            problem, zeroth, first, _ = TestLockstep.family(name, quadratic)
+            return problem, zeroth, first, None, params
+        problem, zeroth, first, estimator = TestLockstep.family(
+            "minibatch_estimated", quadratic)
+        if name == "minibatch_accepts_all":   # the slack outweighs the noise
+            params = AloeParams(eps_f_input=10.0, alpha0=0.1, alpha_max=0.125)
+        elif name == "minibatch_stalls":     # steps far too long at first
+            params = AloeParams(alpha0=1000.0, alpha_max=1250.0)
+        return (problem, zeroth, first,
+                estimator if name == "minibatch_estimated" else None, params)
+
+    @staticmethod
+    def undeclared(zeroth, first):
+        """Wrappers that hand everything on and declare no `reads`."""
+        return (lambda X, stream, phi=None: zeroth(X, stream, phi=phi),
+                lambda X, alpha, stream, grad=None, phi=None:
+                    first(X, alpha, stream, grad=grad, phi=phi))
+
+    @staticmethod
+    def run(problem, zeroth, first, estimator, params, seeds):
+        controller = (None if estimator is None
+                      else EpochEpsFController(zeroth, estimator))
+        return run_lockstep(problem, zeroth, first, params, seeds, controller)
+
+    @pytest.fixture
+    def short_chunks(self, monkeypatch):
+        def cut(problem):
+            monkeypatch.setattr(linesearch, "CHUNK_CELLS", 14 * problem.dim)
+        return cut
+
+    @pytest.mark.parametrize("times, plus", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_columns_match_the_all_live_schedule(self, quadratic10, short_chunks,
+                                                 name, n, times, plus):
+        problem, zeroth, first, estimator, params = self.family(name, quadratic10)
+        C = {1: 14, 2: 7, 7: 2}[n]
+        T = times * C + plus
+        params = dataclasses.replace(params, max_iters=T)
+        seeds = range(30, 30 + n)
+        assert linesearch.chunk_length(n, problem.dim, T) == T
+        whole = self.run(problem, zeroth, first, estimator, params, seeds)
+        short_chunks(problem)
+        assert linesearch.chunk_length(n, problem.dim, 10 ** 6) == C
+        chunked = self.run(problem, zeroth, first, estimator, params, seeds)
+        live = self.run(problem, *self.undeclared(zeroth, first), estimator,
+                        params, seeds)
+        for f in dataclasses.fields(Paths)[1:]:
+            for other in (live, whole):
+                a, b = getattr(chunked, f.name), getattr(other, f.name)
+                assert a.dtype == b.dtype, f.name
+                assert a.tobytes() == b.tobytes(), f.name
+        if name == "minibatch_accepts_all":
+            assert chunked.success.all()
+        if name == "minibatch_stalls":
+            assert not chunked.success[:, :min(C, T)].any()
+
+    @pytest.mark.parametrize("name", ["minibatch", "gsg"])
+    def test_rows_and_passes_per_chunk(self, quadratic10, short_chunks, name):
+        # phi once per x_k+ plus the start and grad phi once per accepted
+        # step plus the start, on either schedule; the chunked one makes one
+        # stacked call of each per chunk for what no oracle reads
+        problem, zeroth, first, _, params = self.family(name, quadratic10)
+        short_chunks(problem)
+        params = dataclasses.replace(params, max_iters=2 * 14 + 1)
+        counts = []
+        for oracles in ((zeroth, first), self.undeclared(zeroth, first)):
+            calls = {"value": [], "grad": []}
+
+            def count(kind, fn):
+                def wrapper(X):
+                    calls[kind].append(len(X))
+                    return fn(X)
+                return wrapper
+
+            counted = dataclasses.replace(
+                problem, value_fn=count("value", problem.value_fn),
+                grad_fn=count("grad", problem.grad_fn))
+            # the oracles keep their own, uncounted problem
+            paths = run_lockstep(counted, *oracles, params, [4])
+            counts.append(calls)
+        accepted = int(paths.success.sum())
+        assert 0 < accepted < params.max_iters
+        chunked, live = counts
+        if name == "minibatch":
+            assert sum(chunked["value"]) == sum(live["value"]) == 1 + params.max_iters
+            assert len(chunked["value"]) == 1 + 3
+        assert sum(chunked["grad"]) == sum(live["grad"]) == 1 + accepted
+        assert len(chunked["grad"]) <= 1 + 3 < len(live["grad"])
 
 
 class TestGeneratorBuilds:

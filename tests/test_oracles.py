@@ -10,7 +10,8 @@ from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
                               MiniBatchFirstOracle, MiniBatchZerothOracle,
                               OracleParameterError, SyntheticFirstOracle,
                               SyntheticZerothOracle, ZerothOracleSpec,
-                              gradient_accurate, prop1_subexp_params,
+                              gradient_accurate, oracle_reads,
+                              prop1_subexp_params,
                               prop2_sample_size, prop3_params,
                               sample_one_sided_subexp)
 from aloe_lab.harness import mgf_envelope_ok
@@ -573,6 +574,69 @@ class TestGsg:
         g, grad = oracle(X, 0.5, probe_stream(13)), quadratic.gradients(X)
         ok = gradient_accurate(g, grad, 0.5, 2.0, 0.0)
         assert ok.dtype == bool and ok.shape == (1,)
+
+
+class TestDeclaredReads:
+    """Each oracle declares the exact values it reads (`reads`): a NaN
+    handed as a value it declares turns its answer NaN, and a NaN handed as
+    one it does not declare leaves its answer bit for bit that of the
+    unpoisoned call.  A zeroth-order oracle is handed phi only."""
+
+    FAMILIES = ("synthetic_zeroth", "synthetic_first", "gsg",
+                "minibatch_zeroth", "minibatch_first", "gsg_minibatch")
+
+    @staticmethod
+    def family(name, quadratic, logistic):
+        """(problem, oracle, is first-order, declared reads)."""
+        problem, dataset = logistic
+        bounded = SyntheticZerothOracle(quadratic, MODES["bounded"])
+        batch = MiniBatchZerothOracle(problem, dataset, 8)
+        return {
+            "synthetic_zeroth": (quadratic, bounded, False, {"phi"}),
+            "synthetic_first": (quadratic, SyntheticFirstOracle(
+                quadratic, FirstOracleSpec(eps_g=0.01, kappa=0.5, delta=0.2)),
+                True, {"grad"}),
+            "gsg": (quadratic, GsgFirstOracle(quadratic, bounded, 0.01, 8),
+                    True, {"phi"}),
+            "minibatch_zeroth": (problem, batch, False, set()),
+            "minibatch_first": (problem, MiniBatchFirstOracle(problem, dataset, 8),
+                                True, set()),
+            "gsg_minibatch": (problem, GsgFirstOracle(problem, batch, 0.01, 8),
+                              True, set()),
+        }[name]
+
+    @pytest.mark.parametrize("name, value", [
+        (name, value) for name in FAMILIES for value in ("phi", "grad")
+        if value == "phi" or not name.endswith("zeroth")])
+    def test_a_poisoned_value_shows_if_and_only_if_declared(
+            self, quadratic, logistic, name, value):
+        problem, oracle, first, declared = self.family(name, quadratic, logistic)
+        assert oracle_reads(oracle) == declared
+        X = np.random.default_rng(3).standard_normal((4, problem.dim))
+        exact = {"phi": problem.values(X)}
+        if first:
+            exact["grad"] = problem.gradients(X)
+
+        def query(**values):
+            stream = KeyedStream(range(4), GRAD)
+            return (oracle(X, 0.5, stream, **values) if first
+                    else oracle(X, stream, **values))
+
+        clean = query(**exact)
+        poisoned = query(**{**exact, value: np.full_like(exact[value], np.nan)})
+        assert np.isfinite(clean).all()
+        if value in declared:
+            assert np.isnan(poisoned).all()
+        else:
+            assert poisoned.tobytes() == clean.tobytes()
+
+    def test_a_callable_without_a_declaration_reads_both(self, quadratic):
+        zeroth = SyntheticZerothOracle(quadratic, MODES["exact"])
+        assert oracle_reads(lambda X, stream, phi=None: zeroth(X, stream, phi)) \
+            == {"phi", "grad"}
+        # a GSG gradient reads what its zeroth-order oracle reads of phi
+        assert GsgFirstOracle(quadratic, lambda X, stream, phi=None: zeroth(
+            X, stream, phi), 0.01, 4).reads == {"phi"}
 
 
 class TestProp3:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from aloe_lab import problems
 from aloe_lab.problems import (GATHER_SAMPLES, DimensionMismatchError,
                                ProblemInstance, _logistic_losses,
                                _logistic_minimizer,
@@ -418,6 +419,23 @@ class TestGrowthConstants:
         assert got == want
         assert (dataset.M_c, dataset.M_v) == self.reference(
             problem, dataset, probe_rng(3, GROWTH_PROBES))
+
+    def test_estimated_on_first_read_only(self, monkeypatch):
+        # a build does not probe; the first read does, once, and a copy
+        # probes afresh from the same stream to the same bits
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return estimate_growth_constants(*args)
+
+        monkeypatch.setattr(problems, "estimate_growth_constants", counted)
+        _, dataset = make_synthetic_logistic(n_samples=64, dim=5, seed=3)
+        assert calls == []
+        constants = (dataset.M_c, dataset.M_v)
+        assert (dataset.M_c, dataset.M_v) == constants and calls == [1]
+        copy = dataclasses.replace(dataset)
+        assert (copy.M_c, copy.M_v) == constants and calls == [1, 1]
 
     def test_no_full_data_pass(self, logistic):
         problem, dataset = logistic
