@@ -5,10 +5,12 @@ The harness runs many independent seeded trials, records each stopping
 time, verifies the deterministic per-path counting lemmas, and compares
 the empirical fraction of trials finished by t against the theoretical
 lower bound 1 - exp(-(p - p_hat)^2 t / (2 p^2)) for t past the derived
-threshold t_min.  Here the trials stop far earlier than t_min, so the
-empirical tail sits at 1.0 while the bound climbs toward it -- the bound
-is valid (never above the empirical curve) but loose, as expected of a
-worst-case guarantee.
+threshold t_min.  Here the slowest of the 300 trials stops at T_eps = 18,
+while the bound speaks only from t_min = 2865 on, where it already reads
+1 - 2.4e-15: every row of the table prints 1.0000 against 1.0000.  The
+table shows that the bound holds (it never exceeds the empirical tail),
+not how tight it is: its horizon lies far beyond the observed maximum
+stopping time, as expected of a worst-case guarantee.
 
 Run:  python3 demos/tail_bound_validation.py
 """

@@ -203,6 +203,8 @@ def empirical_tail(samples, t: float) -> float:
 
 def wilson_interval(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (two-sided)."""
+    if n < 1:
+        raise ValueError("need n >= 1 trials")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     if not 0 < confidence < 1:

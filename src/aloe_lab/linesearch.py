@@ -23,13 +23,16 @@ engine with n = 1.
 Ground truth is the engine's; oracles return estimates only, and each
 declares the exact values it reads (`oracles.oracle_reads`).  The engine
 evaluates phi and grad phi once per point: both at x_0, once for the
-block, phi at each x_k+ and grad phi at each accepted one.  x_{k+1} is x_k+
-or x_k, so the values at x_{k+1} are selected, never recomputed.  What an
-oracle reads is evaluated in the loop, one stacked call per iteration, and
-handed to every query at its points; the rest waits for the end of a chunk
-of iterations (`CHUNK_CELLS`), where one stacked call takes phi at the
-chunk's x_k+ rows and one grad phi at its accepted rows.  Either way the
-columns are filled at the end of each chunk, by one pass, and hold phi and
+block, phi at each x_k+ and grad phi at each accepted one.  It keeps a
+chunk of iterations (`CHUNK_CELLS`) in slots: slot 0 holds the chunk's
+first point, slot j + 1 the x_k+ of its iteration j, with phi there and
+grad phi where the step was accepted.  x_{k+1} is x_k+ or x_k, so one
+integer per row, the slot of x_k, moves to j + 1 on success and stays on
+failure, and x_k and the values at x_k are gathered through it, never
+recomputed.  What an oracle reads is evaluated in the loop, one stacked
+call per iteration; the rest waits for the end of the chunk, one stacked
+call for phi at its x_k+ rows and one for grad phi at its accepted rows.
+Then one pass fills the columns through the same index, phi and
 ||grad phi|| at every x_k, x_T included; the rows, and so the columns'
 bits, do not depend on where the values were evaluated.
 """
@@ -132,11 +135,11 @@ def step_update(i, success, i_cap: int):
     return np.where(success, np.maximum(i - 1, i_cap), i + 1)
 
 
-# Float cells (iterations x rows x dim) of one buffer of a chunk of
-# `run_lockstep`'s loop, whose ground truth is filled at the chunk's end;
-# blocks themselves are sized by harness.BLOCK_CELLS.  A chunk keeps three
-# such buffers and its pass up to three more, 384 KB in all, unless one
-# iteration's rows alone exceed a buffer; a 2-row, 10-dim, 400-iteration
+# Float cells (iterations x rows x dim) of one slot array of a chunk of
+# `run_lockstep`'s loop; blocks themselves are sized by
+# harness.BLOCK_CELLS.  A chunk keeps three such arrays (points, g_k and
+# grad phi) and its pass up to three more, 384 KB in all, unless one
+# iteration's rows alone exceed an array; a 2-row, 10-dim, 400-iteration
 # block is one chunk.
 CHUNK_CELLS = 1 << 13
 
@@ -183,17 +186,19 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
                         for i in range(i_low, T + 1)])
     reads = oracle_reads(zeroth_oracle) | oracle_reads(first_oracle)
     C = chunk_length(n, dim, T)
+    eps_f = params.eps_f_input
 
-    x0 = np.asarray(problem.x0, dtype=float)
-    X = np.tile(x0, (n, 1))
-    i = np.zeros(n, dtype=int)
-    eps_f = np.full(n, float(params.eps_f_input))
-    # one chunk's x_k+, g_k and phi(x_k+), and in slots 0..C phi and grad phi
-    # at its x_k, slot 0 the chunk's first point and slot c the last's next.
-    # The loop writes what an oracle reads, `_fill_truth` the rest.
-    x_plus_buf, g_buf = np.empty((2, C, n, dim))
-    phi_plus_buf = np.empty((C, n))
-    phi_at, grad_at = np.empty((C + 1, n)), np.empty((C + 1, n, dim))
+    # one chunk's slots (see the module docstring): the points, phi and
+    # grad phi at them, and g_k.  Row r of slot j is cell[j, r] of the
+    # slots' rows, and at[j] holds the cells of x_k, k = start + j; at[0]
+    # is slot 0 throughout.  The loop writes the values an oracle reads,
+    # `_fill_truth` the rest.
+    x_at, grad_at = np.empty((2, C + 1, n, dim))
+    g_buf, phi_at = np.empty((C, n, dim)), np.empty((C + 1, n))
+    x_rows, grad_rows = x_at.reshape(-1, dim), grad_at.reshape(-1, dim)
+    cell = np.arange((C + 1) * n).reshape(C + 1, n)
+    at = cell.copy()
+    x_at[0] = x0 = np.asarray(problem.x0, dtype=float)
     phi_at[0], grad_at[0] = problem.value(x0), problem.gradient(x0)
 
     # one column per `Paths` field; exponents, phi and grad_norm also hold
@@ -203,22 +208,25 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
                            dtype=int if name == "exponents"
                            else bool if name == "success" else float)
             for name in tuple(Paths.__dataclass_fields__)[1:]}
+    cols["exponents"][:, 0] = 0
     start = 0
     for k in range(T):
         j = k - start
-        phi = phi_at[j] if "phi" in reads else None
-        grad = grad_at[j] if "grad" in reads else None
+        X = x_rows.take(at[j], axis=0)
+        phi = phi_at.take(at[j]) if "phi" in reads else None
+        grad = grad_rows.take(at[j], axis=0) if "grad" in reads else None
+        i = cols["exponents"][:, k]
         alpha = step_of[i - i_low]
         if eps_f_controller is not None:
             eps_f = eps_f_controller(k, X, est_rng, phi)
         g = np.asarray(first_oracle(X, alpha, grad_rng, grad=grad, phi=phi),
                        dtype=float)
         g_buf[j] = g
-        x_plus = np.subtract(X, alpha[:, None] * g, out=x_plus_buf[j])
+        x_plus = np.subtract(X, alpha[:, None] * g, out=x_at[j + 1])
         f_curr = zeroth_oracle(X, curr_rng, phi=phi)
         phi_plus = None
         if phi is not None:
-            phi_plus = phi_plus_buf[j] = problem.values(x_plus)
+            phi_plus = phi_at[j + 1] = problem.values(x_plus)
         f_plus = zeroth_oracle(x_plus, plus_rng, phi=phi_plus)
         g_sq = row_dots(g, g)
         # a non-finite g makes g_sq non-finite; an overflowing sum alone
@@ -230,65 +238,48 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
                     f"non-finite oracle output at iteration {k} "
                     f"(seed {seeds[int(np.argmin(finite))]})")
         success = armijo_check(f_plus, f_curr, alpha, params.theta, g_sq, eps_f)
-        for name, value in (("exponents", i), ("alpha", alpha),
-                            ("success", success), ("f_curr", f_curr),
-                            ("f_plus", f_plus), ("eps_f", eps_f),
-                            ("g_norm", g_sq)):
+        for name, value in (("alpha", alpha), ("success", success),
+                            ("f_curr", f_curr), ("f_plus", f_plus),
+                            ("eps_f", eps_f), ("g_norm", g_sq)):
             cols[name][:, k] = value
-        X = np.where(success[:, None], x_plus, X)
-        if phi is not None:
-            phi_at[j + 1] = np.where(success, phi_plus, phi)
-        if grad is not None:
-            grad_at[j + 1] = grad
-            if success.any():
-                grad_at[j + 1][success] = problem.gradients(x_plus[success])
-        i = step_update(i, success, i_cap)
+        if grad is not None and success.any():
+            grad_at[j + 1][success] = problem.gradients(x_plus[success])
+        at[j + 1] = np.where(success, cell[j + 1], at[j])
+        cols["exponents"][:, k + 1] = step_update(i, success, i_cap)
         if j == C - 1 or k == T - 1:
-            _fill_truth(problem, cols, start, k + 1, x_plus_buf, g_buf,
-                        phi_plus_buf, phi_at, grad_at, EXACT_VALUES - reads)
+            _fill_truth(problem, cols, start, k + 1, x_at, g_buf, phi_at,
+                        grad_at, at, EXACT_VALUES - reads)
             start = k + 1
-    cols["exponents"][:, T], cols["phi"][:, T] = i, phi_at[0]
-    cols["grad_norm"][:, T] = row_dots(grad_at[0], grad_at[0])
     for name in ("g_norm", "grad_error", "grad_norm"):
         np.sqrt(cols[name], out=cols[name])
     return Paths(seeds=seeds, **cols)
 
 
-def _fill_truth(problem, cols, s, e, x_plus, g, phi_plus, phi_at, grad_at,
+def _fill_truth(problem, cols, s, e, x_at, g, phi_at, grad_at, at,
                 evaluate: frozenset) -> None:
     """Fill the phi, e_curr, e_plus, grad_error and grad_norm columns of
-    iterations s..e-1 from a chunk's buffers (see `run_lockstep`), and
-    move the values at x_e to slot 0 for the next chunk.
+    iterations s..e-1, and phi and grad_norm at x_e, from a chunk's slots
+    (see `run_lockstep`), and move x_e and its values to slot 0 for the
+    next chunk.
 
-    The values in `evaluate`, which the loop left out, are evaluated here:
-    phi as one stack of the chunk's x_k+ rows, grad phi as one stack of its
-    accepted rows.  Every other x_k is an earlier one, so its values are
-    selected, never recomputed.  `g` is overwritten."""
+    The values in `evaluate`, which the loop left out, are evaluated here
+    into the slots: phi as one stack of the chunk's x_k+ rows, grad phi as
+    one stack of its accepted rows.  `g` is overwritten."""
     c, n, dim = e - s, *g.shape[1:]
-    success = cols["success"][:, s:e].T
+    x_plus = x_at[1:c + 1]
     if "phi" in evaluate:
-        phi_plus[:c] = problem.values(x_plus[:c].reshape(-1, dim)).reshape(c, n)
-        phi_at[1:c + 1] = phi_plus[:c]
+        phi_at[1:c + 1] = problem.values(x_plus.reshape(-1, dim)).reshape(c, n)
+    success = cols["success"][:, s:e].T
     if "grad" in evaluate and success.any():
-        grad_at[1:c + 1][success] = problem.gradients(x_plus[:c][success])
-    if evaluate:
-        # x_{k+1} is x_k+ where step k was accepted, else x_k: slot k + 1
-        # takes the values of the slot after the last accepted step up to
-        # k, slot 0 for none
-        src = np.zeros((c + 1, n), dtype=np.intp)
-        np.maximum.accumulate(np.where(success, np.arange(1, c + 1)[:, None], 0),
-                              axis=0, out=src[1:])
-        src = (src * n + np.arange(n)).ravel()
-        for name, at in (("phi", phi_at), ("grad", grad_at)):
-            if name in evaluate:
-                at[:c + 1] = at[:c + 1].reshape(len(src), -1).take(
-                    src, axis=0).reshape(at[:c + 1].shape)
-    phi = phi_at[:c].T
-    cols["phi"][:, s:e] = phi
-    cols["e_curr"][:, s:e] = np.abs(cols["f_curr"][:, s:e] - phi)
-    cols["e_plus"][:, s:e] = np.abs(cols["f_plus"][:, s:e] - phi_plus[:c].T)
-    D = np.subtract(g[:c], grad_at[:c], out=g[:c]).reshape(-1, dim)
-    G = grad_at[:c].reshape(-1, dim)
+        grad_at[1:c + 1][success] = problem.gradients(x_plus[success])
+    phi = phi_at.take(at[:c + 1]).T
+    G = grad_at.reshape(-1, dim).take(at[:c + 1].ravel(), axis=0)
+    cols["phi"][:, s:e + 1] = phi
+    cols["e_curr"][:, s:e] = np.abs(cols["f_curr"][:, s:e] - phi[:, :c])
+    cols["e_plus"][:, s:e] = np.abs(cols["f_plus"][:, s:e] - phi_at[1:c + 1].T)
+    D = g[:c].reshape(-1, dim)
+    D -= G[:c * n]
     cols["grad_error"][:, s:e] = row_dots(D, D).reshape(c, n).T
-    cols["grad_norm"][:, s:e] = row_dots(G, G).reshape(c, n).T
-    phi_at[0], grad_at[0] = phi_at[c], grad_at[c]
+    cols["grad_norm"][:, s:e + 1] = row_dots(G, G).reshape(c + 1, n).T
+    x_at[0] = x_at.reshape(-1, dim).take(at[c], axis=0)
+    phi_at[0], grad_at[0] = phi[:, c], G[c * n:]

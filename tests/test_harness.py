@@ -85,6 +85,10 @@ class TestWilson:
         with pytest.raises(ValueError):
             wilson_interval(5, 4)
 
+    def test_no_trials(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            wilson_interval(0, 0)
+
     @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5])
     def test_invalid_confidence(self, confidence):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
 from aloe_lab.problems import (make_strongly_convex_quadratic,
                                make_synthetic_logistic)
 from oracle_recorder import OracleRecorder
+from reference import reference_run
 
 
 def exact_oracles(problem):
@@ -578,6 +579,68 @@ class TestTruthSchedules:
             assert len(chunked["value"]) == 1 + 3
         assert sum(chunked["grad"]) == sum(live["grad"]) == 1 + accepted
         assert len(chunked["grad"]) <= 1 + 3 < len(live["grad"])
+
+
+class TestLiteralReference:
+    """Every `Paths` column of each row of a block equals the literal
+    reference loop (`tests/reference.py`) run on that row's trial alone,
+    bit for bit: for every oracle family, an off-grid cap, blocks of one
+    and three rows, and chunks of the whole run or of a few iterations
+    (7 for one row, 2 for three)."""
+
+    T = 29
+    FAMILIES = ("bounded", "subexponential", "off_grid", "gsg", "minibatch",
+                "minibatch_estimated")
+
+    @staticmethod
+    def family(name, quadratic):
+        """(problem, zeroth, first, estimator config or None, params)."""
+        params = AloeParams(eps_f_input=0.01, alpha_max=1.25,
+                            max_iters=TestLiteralReference.T)
+        if name.startswith("minibatch"):
+            problem, zeroth, first, estimator = TestLockstep.family(
+                "minibatch_estimated", quadratic)
+            return (problem, zeroth, first,
+                    estimator if name == "minibatch_estimated" else None, params)
+        if name == "gsg":
+            return (*TestLockstep.family("gsg", quadratic)[:3], None, params)
+        zspec = (ZerothOracleSpec(eps_f=0.01, nu=0.02, b=0.01,
+                                  mode="subexponential", mean_error=0.005)
+                 if name == "subexponential"
+                 else ZerothOracleSpec(eps_f=0.01, mode="bounded"))
+        if name == "off_grid":   # 3 snaps to 0.8^-4 = 2.44
+            params = dataclasses.replace(params, alpha_max=3.0)
+        return (quadratic, SyntheticZerothOracle(quadratic, zspec),
+                SyntheticFirstOracle(quadratic, FirstOracleSpec(
+                    eps_g=0.01, kappa=0.5, delta=0.2)), None, params)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_rows_equal_the_reference(self, quadratic10, monkeypatch, name, n):
+        problem, zeroth, first, estimator, params = self.family(name, quadratic10)
+
+        def controller():
+            return (None if estimator is None
+                    else EpochEpsFController(zeroth, estimator))
+
+        seeds = range(40, 40 + n)
+        want = [reference_run(problem, zeroth, first, params, seed, controller())
+                for seed in seeds]
+        accepted = sum(int(w.success.sum()) for w in want)
+        assert 0 < accepted < n * self.T
+        for cells, C in ((linesearch.CHUNK_CELLS, self.T),
+                         (7 * problem.dim, 7 // n)):
+            monkeypatch.setattr(linesearch, "CHUNK_CELLS", cells)
+            assert linesearch.chunk_length(n, problem.dim, self.T) == C
+            paths = run_lockstep(problem, zeroth, first, params, seeds,
+                                 controller())
+            for r, w in enumerate(want):
+                for f in dataclasses.fields(Paths):
+                    a, b = getattr(paths.row(r), f.name), getattr(w, f.name)
+                    if f.name != "seeds":
+                        assert a.dtype == b.dtype, f.name
+                        a, b = a.tobytes(), b.tobytes()
+                    assert a == b, (f.name, r, C)
 
 
 class TestGeneratorBuilds:

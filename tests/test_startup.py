@@ -1,15 +1,18 @@
 """Start-up cost and dependencies: the program loads no scipy module, runs
-where scipy cannot be imported at all, and loads `statistics` only for a
-Wilson interval.  Each case runs in a fresh
-interpreter, so modules imported by other tests in this process cannot mask
-an import."""
+where scipy cannot be imported at all, loads `statistics` only for a
+Wilson interval, and declares the numpy it needs.  Each import case runs
+in a fresh interpreter, so modules imported by other tests in this
+process cannot mask an import."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -134,3 +137,12 @@ def test_run_with_no_checkpoint_in_budget_loads_no_statistics(tmp_path):
     """)
     assert stdout.split()[-2:] == ["0", "False"]
     assert (tmp_path / "out" / "summary.csv").read_text().count("\n") == 1
+
+
+def test_declared_numpy_floor_has_bitwise_count():
+    # rng.key_words calls np.bitwise_count, which NumPy 2.0 added: with an
+    # older numpy every KeyedStream raises AttributeError
+    assert hasattr(np, "bitwise_count")
+    floor = re.search(r'"numpy>=([0-9.]+)"',
+                      (ROOT / "pyproject.toml").read_text()).group(1)
+    assert tuple(int(part) for part in floor.split(".")[:2]) >= (2, 0)
