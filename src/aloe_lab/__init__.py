@@ -15,7 +15,8 @@ from .harness import (CertificationReport, ExperimentConfig,
                       InadmissibleConfigError, TrialSummary, certify_oracles,
                       empirical_tail, run_trials, wilson_interval)
 from .instrument import (CENSORED, PathVerdicts, StoppingSpec, classify_paths,
-                         progress_Z, stopping_times, verify_path_lemmas)
+                         progress_Z, stopping_rule, stopping_times,
+                         verify_path_lemmas)
 from .linesearch import (AloeParams, Paths, TrialDivergedError, aloe_run,
                          armijo_check, run_lockstep, snap_to_step_grid,
                          step_update)

@@ -68,3 +68,9 @@ class EpochEpsFController:
                                            stream, phi)
             self.history.append((k, self._current))
         return self._current
+
+    def keep(self, rows) -> None:
+        """Drop the slacks of every row but those the mask `rows` keeps, as
+        rows leave a lockstep block."""
+        if np.ndim(self._current):
+            self._current = self._current[rows]

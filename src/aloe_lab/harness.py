@@ -6,10 +6,13 @@ statistically, and compares empirical stopping-time tails against the
 theoretical lower bounds.  Trials run in blocks of consecutive seeds, each
 block in lockstep through `linesearch.run_lockstep`, and a block answers
 one (n,) column per verdict; the run's columns are the blocks' columns
-joined in seed order.  The base seed's block also sends back that
-trial's row of `linesearch.Paths`, its whole record, which the CLI writes
-as trace.csv.  A trial's entries do not depend on its block, so the
-results do not depend on how the seeds are split into blocks or over
+joined in seed order.  A trial leaves its block at the end of the chunk
+of iterations in which it meets the stopping criterion, and its verdicts
+read its path up to its stopping time only.  The base seed's trial runs
+the whole budget: its block sends back that trial's row of
+`linesearch.Paths`, its whole record, which the CLI writes as trace.csv.
+A trial's entries do not depend on its block, nor on where it left it, so
+the results do not depend on how the seeds are split into blocks or over
 worker processes.
 """
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .estimation import EpochEpsFController, EstimatorConfig
-from .instrument import CENSORED, StoppingSpec, classify_paths
+from .instrument import CENSORED, StoppingSpec, classify_paths, stopping_rule
 from .linesearch import AloeParams, Paths, run_lockstep
 from .oracles import (FirstOracleSpec, GsgFirstOracle, GsgSpec,
                       MiniBatchFirstOracle, MiniBatchSpec, MiniBatchZerothOracle,
@@ -223,14 +226,16 @@ def wilson_interval(k: int, n: int, confidence: float = 0.99) -> tuple[float, fl
 # Trial-iterations per lockstep block: enough rows to spread the fixed cost
 # of an iteration, few enough that a block's per-iteration columns stay
 # small whatever the budget.  Its twelve `Paths` columns keep 89 bytes per
-# trial-iteration, and a full block peaks at 12-13 MB (tracemalloc, a
-# 10-dim quadratic block at T = 100 and T = 1 000).
+# trial-iteration, allocated for the whole budget even when its trials
+# stop early, and a full block peaks at 12-13 MB (tracemalloc, a 10-dim
+# quadratic block at T = 100 and T = 1 000).
 BLOCK_CELLS = 1 << 17
 
 
 def _run_trial_block(config: ExperimentConfig, constants: TheoryConstants,
                      seeds: list) -> tuple[tuple, Paths | None]:
-    """Run and classify a block of trials in lockstep.  Returns the block's
+    """Run and classify a block of trials in lockstep, each until it stops
+    (the base seed's for the whole budget).  Returns the block's
     (n,) columns seed, T_eps, frac_true, frac_success, lemma2_ok (Lemma 2
     and Corollary 1), lemma3_ok and lemma4_ok, and the base seed's row of
     `Paths`, which only its block sends, so a pool sends back one per
@@ -241,7 +246,9 @@ def _run_trial_block(config: ExperimentConfig, constants: TheoryConstants,
     if config.estimate_eps_f:
         controller = EpochEpsFController(zeroth, config.estimator)
     paths = run_lockstep(problem, zeroth, first, config.params, seeds,
-                         controller)
+                         controller,
+                         stop=stopping_rule(config.stopping, problem.phi_star),
+                         trace_seed=config.base_seed)
     v = classify_paths(paths, problem, config.stopping, config.first.eps_g,
                        config.first.kappa, constants.grid_index, constants.d)
     base = paths.row(0) if seeds[0] == config.base_seed else None

@@ -9,6 +9,7 @@ itself.  A single trial is a block of one.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -54,13 +55,21 @@ def stopping_times(paths: Paths, problem: ProblemInstance, spec: StoppingSpec) -
     CENSORED if the budget runs out first.  The state reached after the
     final iteration counts as index T.  Only the columns of `paths` and
     `problem.phi_star` are read: the problem is never evaluated."""
-    hit = _stopped(spec, paths.phi - problem.phi_star, paths.grad_norm)
+    hit = stopping_rule(spec, problem.phi_star)(paths.phi, paths.grad_norm)
     return np.where(hit.any(axis=1), hit.argmax(axis=1), CENSORED)
 
 
-def _stopped(spec: StoppingSpec, gap, gnorm):
+def stopping_rule(spec: StoppingSpec, phi_star: float):
+    """The class criterion as ``stop(phi, grad_norm)``, elementwise on
+    arrays of phi(x) and ||grad phi(x)||: `linesearch.run_lockstep`'s
+    `stop`."""
+    return partial(_stopped, spec, phi_star)
+
+
+def _stopped(spec: StoppingSpec, phi_star: float, phi, gnorm):
     if spec.class_tag == "nonconvex":
         return gnorm <= spec.eps
+    gap = phi - phi_star
     if spec.class_tag == "strongly_convex":
         return gap <= spec.eps
     return (gap <= spec.eps) | (gnorm <= spec.eps1)
@@ -69,12 +78,14 @@ def _stopped(spec: StoppingSpec, gap, gnorm):
 @dataclass(frozen=True)
 class PathVerdicts:
     """Flags and verdicts of a block of trials, one row per trial.
-    T_eps == CENSORED means the criterion was not met within the budget."""
+    T_eps == CENSORED means the criterion was not met within the budget.
+    Every field reads only the prefix up to T_eps: iterations 0..T_eps-1
+    and the states x_0..x_T_eps, all T iterations of a censored trial."""
 
     T_eps: np.ndarray
-    true_flags: np.ndarray       # (n, T)
+    true_flags: np.ndarray       # (n, T), False from iteration T_eps on
     large_flags: np.ndarray
-    frac_true: np.ndarray        # (n,)
+    frac_true: np.ndarray        # (n,), NaN where T_eps == 0
     frac_success: np.ndarray
     lemma2_ok: np.ndarray
     lemma3_ok: np.ndarray
@@ -85,8 +96,8 @@ class PathVerdicts:
 def classify_paths(paths: Paths, problem: ProblemInstance, spec: StoppingSpec,
                    eps_g: float, kappa: float, grid_index: int,
                    d: float) -> PathVerdicts:
-    """Classify every iteration of every trial and check the deterministic
-    path lemmas.
+    """Classify the iterations of every trial before its stopping time and
+    check the deterministic path lemmas on them.
 
     Iteration k is large when both adjacent steps alpha_k, alpha_{k+1} are
     at least the grid-snapped critical step alpha0 * gamma^grid_index, i.e.
@@ -95,18 +106,33 @@ def classify_paths(paths: Paths, problem: ProblemInstance, spec: StoppingSpec,
     accuracy events hold: the gradient error is within
     max{eps_g, kappa alpha ||g||}, and the two function errors sum to at most
     2 eps_f, the slack of that iteration.  Boundary equalities count as
-    true."""
+    true.
+
+    Only iterations k < T_eps count, all T of a censored trial, so no
+    verdict reads a cell past the stopping time: `linesearch.run_lockstep`
+    may stop a trial anywhere after it.  The flags are False from T_eps on,
+    frac_true and frac_success are frequencies over the T_eps counted
+    iterations (NaN when T_eps = 0: no iteration precedes the stop), and
+    Lemma 2 and Corollary 1 are checked on the prefixes t <= T_eps, Lemmas
+    3 and 4 on t < T_eps."""
     n = paths.success.shape[1]
     T = stopping_times(paths, problem, spec)
+    counted = np.where(T == CENSORED, n, T)
+    before = np.arange(n) < counted[:, None]
     I = (accurate_from_norms(paths.grad_error, paths.g_norm, paths.alpha, eps_g, kappa)
-         & (paths.e_curr + paths.e_plus <= 2 * paths.eps_f))
+         & (paths.e_curr + paths.e_plus <= 2 * paths.eps_f) & before)
     i = paths.exponents
-    U = np.minimum(i[:, :-1], i[:, 1:]) < grid_index
-    strict_horizon = np.where(T == CENSORED, n, np.maximum(np.minimum(T, n) - 1, 0))
-    l2, l3, l4, c1 = verify_path_lemmas(I, paths.success, U, d, strict_horizon)
+    U = (np.minimum(i[:, :-1], i[:, 1:]) < grid_index) & before
+    Th = paths.success & before
+    # past the counted prefix no large iteration adds to Lemma 2's or
+    # Corollary 1's counts, so checking every t checks t <= T_eps
+    strict_horizon = np.where(T == CENSORED, n, np.maximum(counted - 1, 0))
+    l2, l3, l4, c1 = verify_path_lemmas(I, Th, U, d, strict_horizon)
+    with np.errstate(invalid="ignore"):   # 0 / 0 where T_eps = 0
+        frac_true, frac_success = (np.count_nonzero(f, axis=1) / counted
+                                   for f in (I, Th))
     return PathVerdicts(T_eps=T, true_flags=I, large_flags=U,
-                        frac_true=np.mean(I, axis=1),
-                        frac_success=np.mean(paths.success, axis=1),
+                        frac_true=frac_true, frac_success=frac_success,
                         lemma2_ok=l2, lemma3_ok=l3, lemma4_ok=l4,
                         corollary1_ok=c1)
 

@@ -6,9 +6,11 @@ endpoints, accepts or rejects via the relaxed (additive 2 eps_f slack)
 Armijo test, and moves the step size one point along the grid
 alpha0 * gamma^i, which this module owns: the loop's state is the integer
 exponent i, lowered on success (not past the cap's exponent) and raised on
-failure, and the path classifier compares exponents.  The loop runs a
-fixed budget; stopping times are computed offline from the recorded path.
-A trial's one record is its row of `Paths`.
+failure, and the path classifier compares exponents.  A trial's one
+record is its row of `Paths`.  A trial runs the whole budget, or, given
+the stopping criterion, until the end of the chunk (below) in which it
+stops: everything the lab reports of a trial is a function of its path up
+to its stopping time, and the classifier reads no cell past it.
 
 `run_lockstep` advances a block of n trials together: the state is an
 (n, dim) array of points and an integer exponent per trial, every query is
@@ -35,6 +37,14 @@ call for phi at its x_k+ rows and one for grad phi at its accepted rows.
 Then one pass fills the columns through the same index, phi and
 ||grad phi|| at every x_k, x_T included; the rows, and so the columns'
 bits, do not depend on where the values were evaluated.
+
+At the end of a chunk the stopping criterion, when given, is evaluated on
+the chunk's phi and ||grad phi|| columns, and every row that has stopped
+leaves the block: its keys leave the streams (`rng.KeyedStream.keep`),
+its state the slack controller, and the next chunk holds the live rows
+only, its length set by their number.  The rows that stay draw the same
+words and keep the same bits, so a row's cells up to where it left are
+the full-budget run's.
 """
 
 import math
@@ -80,7 +90,8 @@ class Paths:
     """Per-iteration columns of a block of n trials run for T iterations,
     row r for trial seeds[r]: a trial's one record, which the path
     classifier reads and trace.csv writes.  Points and gradients are not
-    kept."""
+    kept.  A row that left its block at x_e (see `run_lockstep`) holds NaN
+    past it, False in `success` and UNREACHED in `exponents`."""
 
     seeds: tuple
     exponents: np.ndarray   # (n, T + 1) i_0..i_T; alpha_k = alpha0 * gamma ** i_k
@@ -101,6 +112,18 @@ class Paths:
         return Paths(seeds=(self.seeds[r],), **{
             name: getattr(self, name)[r:r + 1].copy()
             for name in self.__dataclass_fields__ if name != "seeds"})
+
+
+# The `Paths` columns that also hold the state after the last iteration,
+# and what a row's cells hold past the point where it left its block: NaN,
+# but False in `success` and UNREACHED in `exponents`.
+_WIDE = ("exponents", "phi", "grad_norm")
+UNREACHED = np.iinfo(np.int64).min
+_PAST = {"exponents": UNREACHED, "success": False}
+
+
+def _dtype(name: str):
+    return int if name == "exponents" else bool if name == "success" else float
 
 
 def armijo_check(f_plus, f_curr, alpha, theta: float, g_norm_sq, eps_f_input):
@@ -159,25 +182,36 @@ def aloe_run(problem: ProblemInstance, zeroth_oracle, first_oracle,
 
 
 def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
-                 params: AloeParams, seeds, eps_f_controller=None) -> Paths:
-    """Run one trial per seed for `params.max_iters` iterations, all in
-    lockstep, and return the block's `Paths`.
+                 params: AloeParams, seeds, eps_f_controller=None, stop=None,
+                 trace_seed=None) -> Paths:
+    """Run one trial per seed, all in lockstep, and return the block's
+    `Paths`.
+
+    Without `stop`, every trial runs `params.max_iters` iterations.  With
+    it, ``stop(phi, grad_norm)`` is the stopping criterion, elementwise on
+    arrays of phi(x_k) and ||grad phi(x_k)||: at the end of each chunk,
+    every row that met it at a point of the chunk leaves the block, except
+    the trial of `trace_seed`, which runs the whole budget.  A row that
+    leaves at x_e keeps its columns up to x_e; its later cells are NaN,
+    False in `success` and UNREACHED in `exponents`.
 
     `eps_f_controller`, when given, is called as
     ``controller(k, X, stream, phi)`` before each iteration, with the
-    (n, dim) incumbents, the block's EPS_EST `rng.KeyedStream` and the
-    exact values at X, None when no oracle reads them, and returns the
-    slack (one per row, or one for all) to use from that iteration on;
-    otherwise `params.eps_f_input` is used throughout.
+    (n, dim) incumbents of the rows in the block, the block's EPS_EST
+    `rng.KeyedStream` and the exact values at X, None when no oracle reads
+    them, and returns the slack (one per row, or one for all) to use from
+    that iteration on; otherwise `params.eps_f_input` is used throughout.
+    With `stop`, it must also have ``keep(rows)``, which drops its state of
+    every row but those the bool mask `rows` keeps.
 
     Raises `TrialDivergedError`, naming the trial, as soon as any row's
     oracle output is non-finite.
     """
     seeds = tuple(int(s) for s in seeds)
     n, T, dim = len(seeds), params.max_iters, problem.dim
-    grad_rng, curr_rng, plus_rng, est_rng = (
-        rngmod.KeyedStream(seeds, purpose) for purpose in
-        (rngmod.GRAD, rngmod.F_CURR, rngmod.F_PLUS, rngmod.EPS_EST))
+    streams = tuple(rngmod.KeyedStream(seeds, purpose) for purpose in
+                    (rngmod.GRAD, rngmod.F_CURR, rngmod.F_PLUS, rngmod.EPS_EST))
+    grad_rng, curr_rng, plus_rng, est_rng = streams
     i_cap = snap_to_step_grid(params.alpha_max, params.alpha0, params.gamma)[1]
     # every reachable step, by the one-point arithmetic: i starts at 0 and
     # moves by one per iteration, so max(i_cap, -T) <= i <= T
@@ -185,48 +219,37 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     step_of = np.array([params.alpha0 * params.gamma ** i
                         for i in range(i_low, T + 1)])
     reads = oracle_reads(zeroth_oracle) | oracle_reads(first_oracle)
-    C = chunk_length(n, dim, T)
     eps_f = params.eps_f_input
 
-    # one chunk's slots (see the module docstring): the points, phi and
-    # grad phi at them, and g_k.  Row r of slot j is cell[j, r] of the
-    # slots' rows, and at[j] holds the cells of x_k, k = start + j; at[0]
-    # is slot 0 throughout.  The loop writes the values an oracle reads,
-    # `_fill_truth` the rest.
-    x_at, grad_at = np.empty((2, C + 1, n, dim))
-    g_buf, phi_at = np.empty((C, n, dim)), np.empty((C + 1, n))
-    x_rows, grad_rows = x_at.reshape(-1, dim), grad_at.reshape(-1, dim)
-    cell = np.arange((C + 1) * n).reshape(C + 1, n)
-    at = cell.copy()
-    x_at[0] = x0 = np.asarray(problem.x0, dtype=float)
-    phi_at[0], grad_at[0] = problem.value(x0), problem.gradient(x0)
-
     # one column per `Paths` field; exponents, phi and grad_norm also hold
-    # the state after the last iteration.  Norms are kept squared until then.
-    wide = ("exponents", "phi", "grad_norm")
-    cols = {name: np.empty((n, T + 1 if name in wide else T),
-                           dtype=int if name == "exponents"
-                           else bool if name == "success" else float)
+    # the state after the last iteration.  Row r of the chunk is row
+    # rows[r] of the block.
+    cols = {name: np.empty((n, T + (name in _WIDE)), dtype=_dtype(name))
             for name in tuple(Paths.__dataclass_fields__)[1:]}
-    cols["exponents"][:, 0] = 0
+    rows = np.arange(n)
+    stays = np.array([s == trace_seed for s in seeds])
+    x0 = np.asarray(problem.x0, dtype=float)
+    ch = _Chunk(chunk_length(n, dim, T), np.broadcast_to(x0, (n, dim)),
+                problem.value(x0), problem.gradient(x0), 0)
     start = 0
     for k in range(T):
         j = k - start
-        X = x_rows.take(at[j], axis=0)
-        phi = phi_at.take(at[j]) if "phi" in reads else None
-        grad = grad_rows.take(at[j], axis=0) if "grad" in reads else None
-        i = cols["exponents"][:, k]
+        at = ch.at[j]
+        X = ch.x_rows.take(at, axis=0)
+        phi = ch.phi.take(at) if "phi" in reads else None
+        grad = ch.grad_rows.take(at, axis=0) if "grad" in reads else None
+        i = ch.cols["exponents"][j]
         alpha = step_of[i - i_low]
         if eps_f_controller is not None:
             eps_f = eps_f_controller(k, X, est_rng, phi)
         g = np.asarray(first_oracle(X, alpha, grad_rng, grad=grad, phi=phi),
                        dtype=float)
-        g_buf[j] = g
-        x_plus = np.subtract(X, alpha[:, None] * g, out=x_at[j + 1])
+        ch.g[j] = g
+        x_plus = np.subtract(X, alpha[:, None] * g, out=ch.x[j + 1])
         f_curr = zeroth_oracle(X, curr_rng, phi=phi)
         phi_plus = None
         if phi is not None:
-            phi_plus = phi_at[j + 1] = problem.values(x_plus)
+            phi_plus = ch.phi[j + 1] = problem.values(x_plus)
         f_plus = zeroth_oracle(x_plus, plus_rng, phi=phi_plus)
         g_sq = row_dots(g, g)
         # a non-finite g makes g_sq non-finite; an overflowing sum alone
@@ -236,50 +259,103 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
             if not finite.all():
                 raise TrialDivergedError(
                     f"non-finite oracle output at iteration {k} "
-                    f"(seed {seeds[int(np.argmin(finite))]})")
+                    f"(seed {seeds[rows[int(np.argmin(finite))]]})")
         success = armijo_check(f_plus, f_curr, alpha, params.theta, g_sq, eps_f)
         for name, value in (("alpha", alpha), ("success", success),
                             ("f_curr", f_curr), ("f_plus", f_plus),
                             ("eps_f", eps_f), ("g_norm", g_sq)):
-            cols[name][:, k] = value
+            ch.cols[name][j] = value
         if grad is not None and success.any():
-            grad_at[j + 1][success] = problem.gradients(x_plus[success])
-        at[j + 1] = np.where(success, cell[j + 1], at[j])
-        cols["exponents"][:, k + 1] = step_update(i, success, i_cap)
-        if j == C - 1 or k == T - 1:
-            _fill_truth(problem, cols, start, k + 1, x_at, g_buf, phi_at,
-                        grad_at, at, EXACT_VALUES - reads)
-            start = k + 1
-    for name in ("g_norm", "grad_error", "grad_norm"):
-        np.sqrt(cols[name], out=cols[name])
+            ch.grad[j + 1][success] = problem.gradients(x_plus[success])
+        ch.at[j + 1] = np.where(success, ch.cell[j + 1], at)
+        ch.cols["exponents"][j + 1] = step_update(i, success, i_cap)
+        if j < ch.length - 1 and k < T - 1:
+            continue
+        truth = ch.fill(problem, j + 1, EXACT_VALUES - reads, cols,
+                        slice(None) if len(rows) == n else rows, start)
+        start = k + 1
+        if stop is None or start == T:
+            continue
+        done = stop(*truth).any(axis=0) & ~stays
+        if done.any():
+            gone = rows[done]
+            for name, col in cols.items():
+                col[gone, start + (name in _WIDE):] = _PAST.get(name, np.nan)
+            live = ~done
+            rows, stays = rows[live], stays[live]
+            if not len(rows):
+                break
+            for stream in streams:
+                stream.keep(live)
+            if eps_f_controller is not None:
+                eps_f_controller.keep(live)
+            ch = ch.keep(live, chunk_length(len(rows), dim, T - start))
     return Paths(seeds=seeds, **cols)
 
 
-def _fill_truth(problem, cols, s, e, x_at, g, phi_at, grad_at, at,
-                evaluate: frozenset) -> None:
-    """Fill the phi, e_curr, e_plus, grad_error and grad_norm columns of
-    iterations s..e-1, and phi and grad_norm at x_e, from a chunk's slots
-    (see `run_lockstep`), and move x_e and its values to slot 0 for the
-    next chunk.
+class _Chunk:
+    """A chunk's slots (see the module docstring) and the columns its loop
+    writes, for n rows over up to `length` iterations.  Row r of slot j is
+    cell[j, r] of the flattened slots, and at[j] holds the cells of x_k,
+    k = start + j; at[0] is slot 0 throughout.  The loop writes the values
+    an oracle reads, `fill` the rest."""
 
-    The values in `evaluate`, which the loop left out, are evaluated here
-    into the slots: phi as one stack of the chunk's x_k+ rows, grad phi as
-    one stack of its accepted rows.  `g` is overwritten."""
-    c, n, dim = e - s, *g.shape[1:]
-    x_plus = x_at[1:c + 1]
-    if "phi" in evaluate:
-        phi_at[1:c + 1] = problem.values(x_plus.reshape(-1, dim)).reshape(c, n)
-    success = cols["success"][:, s:e].T
-    if "grad" in evaluate and success.any():
-        grad_at[1:c + 1][success] = problem.gradients(x_plus[success])
-    phi = phi_at.take(at[:c + 1]).T
-    G = grad_at.reshape(-1, dim).take(at[:c + 1].ravel(), axis=0)
-    cols["phi"][:, s:e + 1] = phi
-    cols["e_curr"][:, s:e] = np.abs(cols["f_curr"][:, s:e] - phi[:, :c])
-    cols["e_plus"][:, s:e] = np.abs(cols["f_plus"][:, s:e] - phi_at[1:c + 1].T)
-    D = g[:c].reshape(-1, dim)
-    D -= G[:c * n]
-    cols["grad_error"][:, s:e] = row_dots(D, D).reshape(c, n).T
-    cols["grad_norm"][:, s:e + 1] = row_dots(G, G).reshape(c + 1, n).T
-    x_at[0] = x_at.reshape(-1, dim).take(at[c], axis=0)
-    phi_at[0], grad_at[0] = phi[:, c], G[c * n:]
+    # g_norm holds ||g_k||^2 until `fill`
+    COLUMNS = ("exponents", "alpha", "success", "f_curr", "f_plus", "eps_f",
+               "g_norm")
+
+    def __init__(self, length: int, x, phi, grad, i):
+        """A chunk that starts at the (n, dim) points x, with the values
+        phi, grad and exponent i there."""
+        n, dim = x.shape
+        self.length = length
+        self.x, self.grad = np.empty((2, length + 1, n, dim))
+        self.g, self.phi = np.empty((length, n, dim)), np.empty((length + 1, n))
+        self.x_rows, self.grad_rows = (a.reshape(-1, dim) for a in (self.x, self.grad))
+        self.cell = np.arange((length + 1) * n).reshape(length + 1, n)
+        self.at = self.cell.copy()
+        self.cols = {name: np.empty((length + (name == "exponents"), n),
+                                    dtype=_dtype(name)) for name in self.COLUMNS}
+        self.x[0], self.phi[0], self.grad[0] = x, phi, grad
+        self.cols["exponents"][0] = i
+
+    def fill(self, problem, c: int, evaluate: frozenset, cols, rows, s: int):
+        """Write the `Paths` columns of the chunk's first c iterations, which
+        are iterations s..s+c-1, and phi, grad_norm and the exponent at
+        x_{s+c}, to rows `rows` of `cols`; then move x_{s+c} and its values
+        to slot 0 for the next chunk.  Returns phi and ||grad phi|| at the
+        chunk's c + 1 points, (c + 1, n).
+
+        The values in `evaluate`, which the loop left out, are evaluated
+        first into the slots: phi as one stack of the chunk's x_k+ rows,
+        grad phi as one stack of its accepted rows.  `g` is overwritten."""
+        n, dim = self.phi.shape[1], self.x.shape[-1]
+        x_plus = self.x[1:c + 1]
+        if "phi" in evaluate:
+            self.phi[1:c + 1] = problem.values(x_plus.reshape(-1, dim)).reshape(c, n)
+        success = self.cols["success"][:c]
+        if "grad" in evaluate and success.any():
+            self.grad[1:c + 1][success] = problem.gradients(x_plus[success])
+        phi = self.phi.take(self.at[:c + 1])
+        G = self.grad_rows.take(self.at[:c + 1].ravel(), axis=0)
+        D = self.g[:c].reshape(-1, dim)
+        D -= G[:c * n]
+        grad_norm = np.sqrt(row_dots(G, G)).reshape(c + 1, n)
+        out = {name: col[:c + (name == "exponents")]
+               for name, col in self.cols.items()}
+        out.update(g_norm=np.sqrt(out["g_norm"]), phi=phi, grad_norm=grad_norm,
+                   e_curr=np.abs(out["f_curr"] - phi[:c]),
+                   e_plus=np.abs(out["f_plus"] - self.phi[1:c + 1]),
+                   grad_error=np.sqrt(row_dots(D, D)).reshape(c, n))
+        for name, value in out.items():
+            cols[name][rows, s:s + len(value)] = value.T
+        self.x[0] = self.x_rows.take(self.at[c], axis=0)
+        self.phi[0], self.grad[0] = phi[c], G[c * n:]
+        self.cols["exponents"][0] = self.cols["exponents"][c]
+        return phi, grad_norm
+
+    def keep(self, rows, length: int) -> "_Chunk":
+        """A chunk of `length` iterations on the rows that the mask `rows`
+        keeps, from the points and values in slot 0."""
+        return _Chunk(length, self.x[0][rows], self.phi[0][rows],
+                      self.grad[0][rows], self.cols["exponents"][0][rows])

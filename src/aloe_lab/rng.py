@@ -30,7 +30,8 @@ stack it is drawn in, whatever its row there, and whatever else was drawn
 under other keys: a trial draws the same numbers in any block and at any
 row, and as long as every query of a purpose takes the same number of
 queries per key, the noise of iteration k is a function of (trial seed,
-purpose, k) alone.
+purpose, k) alone.  `KeyedStream.keep` drops keys, as trials leave a
+lockstep block; the kept keys' words do not change.
 
 Oracles take their noise through `KeyedStream.draw(m, width, transform)`,
 which answers transform(words(m, width)) for a row-wise transform: output
@@ -177,6 +178,14 @@ class KeyedStream:
             row = 0
         self.count += 1
         return self._window[:, row]
+
+    def keep(self, rows) -> None:
+        """Drop every key but those `rows` selects (a bool mask or indices),
+        as rows leave a lockstep block.  `count` stays, and so does the
+        read-ahead, on the kept keys."""
+        self._start, self._gamma = self._start[rows], self._gamma[rows]
+        if self._window is not None:
+            self._window = self._window[rows]
 
 
 # The benchmark's tracer (perfbench/tracer.py) still reads this name, and

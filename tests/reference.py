@@ -1,4 +1,5 @@
-"""A literal reference of the line search's loop, for tests only.
+"""A literal reference of the line search's loop and of the path
+classifier, for tests only.
 
 One trial, one iteration at a time, as the method reads: query g at
 alpha = alpha0 * gamma^i, set x+ = x - alpha g, query f at x and at x+,
@@ -9,6 +10,12 @@ purpose, and every exact value is evaluated afresh at its point, so
 nothing is selected, buffered or carried from one iteration to the next
 but x, i and the slack.  Row r of `linesearch.run_lockstep`'s `Paths`
 must equal the reference run of trial seeds[r] bit for bit.
+
+`reference_verdicts` classifies one such row the same way: T_eps is the
+first state that meets the criterion, and the flags and the running counts
+of Lemmas 2-4 and Corollary 1 are taken one iteration at a time, over the
+iterations before T_eps only.  Row r of `instrument.classify_paths`'s
+`PathVerdicts` must equal it.
 """
 
 import math
@@ -16,6 +23,7 @@ import math
 import numpy as np
 
 from aloe_lab import rng as rngmod
+from aloe_lab.instrument import CENSORED, P_HAT_GRID, PathVerdicts
 from aloe_lab.linesearch import Paths, snap_to_step_grid
 from aloe_lab.problems import row_dots
 
@@ -74,3 +82,65 @@ def reference_run(problem, zeroth, first, params, seed, controller=None) -> Path
         name: np.array([values], dtype=int if name == "exponents"
                        else bool if name == "success" else float)
         for name, values in cols.items()})
+
+
+def reference_verdicts(path: Paths, phi_star, spec, eps_g, kappa, grid_index,
+                       d) -> PathVerdicts:
+    """The verdicts of a one-row `path`, as a `PathVerdicts` of one row.
+
+    Iteration k counts when no state x_0..x_k met the criterion.  It is
+    true when ||g_k - grad phi(x_k)|| <= max{eps_g, kappa alpha_k ||g_k||}
+    and |f_k - phi(x_k)| + |f_k+ - phi(x_k+)| <= 2 eps_f, and large when
+    both steps alpha_k and alpha_{k+1} are at least the critical grid step
+    alpha0 gamma^grid_index and one of them is above it.  With t counted
+    iterations, Lemma 2 and Corollary 1 hold at every t, Lemmas 3 and 4 at
+    every t before the stop (every t of a censored path)."""
+    T = len(path.alpha[0])
+
+    def stopped(k):
+        gap, gnorm = path.phi[0, k] - phi_star, path.grad_norm[0, k]
+        if spec.class_tag == "nonconvex":
+            return gnorm <= spec.eps
+        if spec.class_tag == "strongly_convex":
+            return gap <= spec.eps
+        return gap <= spec.eps or gnorm <= spec.eps1
+
+    T_eps = next((k for k in range(T + 1) if stopped(k)), CENSORED)
+    counted = T if T_eps == CENSORED else T_eps
+    tol = 1e-9
+    true_flags, large_flags = [False] * T, [False] * T
+    n = dict.fromkeys(("true", "success", "large_s", "large_f", "large",
+                       "small_t", "small_f", "good"), 0)
+    ok = dict.fromkeys(("lemma2", "lemma3", "lemma4", "corollary1"), True)
+    for t in range(1, counted + 1):
+        k = t - 1
+        i, i_next = path.exponents[0, k], path.exponents[0, k + 1]
+        true = bool(path.grad_error[0, k] <= max(
+            eps_g, kappa * path.alpha[0, k] * path.g_norm[0, k])
+            and path.e_curr[0, k] + path.e_plus[0, k] <= 2 * path.eps_f[0, k])
+        large = i <= grid_index and i_next <= grid_index and min(i, i_next) < grid_index
+        success = bool(path.success[0, k])
+        true_flags[k], large_flags[k] = true, large
+        n["true"] += true
+        n["success"] += success
+        if large:
+            n["large"] += 1
+            n["large_s" if success else "large_f"] += 1
+            n["good"] += success and true
+        else:
+            n["small_t" if true else "small_f"] += 1
+        ok["lemma2"] &= n["large_s"] >= n["large_f"] - d - tol
+        ok["corollary1"] &= n["large_s"] >= 0.5 * (n["large"] - d) - tol
+        if T_eps == CENSORED or t < T_eps:
+            ok["lemma3"] &= not n["small_t"] > n["small_f"] + tol
+            for p_hat in P_HAT_GRID:
+                ok["lemma4"] &= not (n["true"] >= p_hat * t - tol and
+                                     n["good"] < (p_hat - 0.5) * t - d / 2 - tol)
+    frac = {key: n[key] / counted if counted else math.nan
+            for key in ("true", "success")}
+    return PathVerdicts(
+        T_eps=np.array([T_eps]), true_flags=np.array([true_flags]),
+        large_flags=np.array([large_flags]),
+        frac_true=np.array([frac["true"]]),
+        frac_success=np.array([frac["success"]]),
+        **{f"{name}_ok": np.array([v]) for name, v in ok.items()})

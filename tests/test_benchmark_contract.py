@@ -2,10 +2,12 @@
 
 For each workload INI, the calls its probes make: parse the config, count
 its oracle queries and working set from the config's fields, and build its
-problem and oracles through the harness.  A change that breaks one of
-these fails here, not only in a benchmark run.
+problem and oracles through the harness; and the correctness gates of a
+trial workload's runs.  A change that breaks one of these fails here, not
+only in a benchmark run.
 """
 
+import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -50,3 +52,31 @@ def test_trial0_trace_is_the_cli_trace(name, tmp_path):
     assert cli.run(str(workload.ini), str(out), seed=0, quiet=True, jobs=1) == 0
     assert ((tmp_path / "trial0_trace.csv").read_bytes()
             == (out / "trace.csv").read_bytes())
+
+
+@pytest.mark.parametrize("name", ["quad_synthetic", "logistic_minibatch",
+                                  "gsg_quadratic"])
+def test_csvs_identical_across_jobs_and_blocks(name, tmp_path, monkeypatch):
+    # the benchmark's csv_identical_across_runs_and_jobs gate, and its
+    # failure count: trials.csv and summary.csv are the same bytes at
+    # --jobs 1, at --jobs 2 and with the seeds split into blocks of a
+    # third of the trials (one trial each on logistic_minibatch), and
+    # every lemma column of trials.csv reads True
+    workload = workloads.WORKLOADS[name]
+    config = parse_config(str(workload.ini))
+    outs = []
+    for jobs, rows in ((1, None), (2, None), (1, max(1, config.n_trials // 3))):
+        if rows is not None:
+            monkeypatch.setattr(harness, "BLOCK_CELLS",
+                                rows * config.params.max_iters)
+        out = tmp_path / f"jobs{jobs}_rows{rows}"
+        assert cli.run(str(workload.ini), str(out), seed=0, quiet=True,
+                       jobs=jobs) == 0
+        outs.append(out)
+    for csv_name in ("trials.csv", "summary.csv"):
+        assert len({(out / csv_name).read_bytes() for out in outs}) == 1, csv_name
+    with open(outs[0] / "trials.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == config.n_trials
+    assert all(row[c] == "True" for row in rows for c in row
+               if c.startswith("lemma"))

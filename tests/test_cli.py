@@ -502,6 +502,22 @@ class TestDemoConfigs:
         assert len(rows) == parse_config(str(path)).params.max_iters
 
 
+class TestTailValidation:
+    def test_summary_has_a_row_per_checkpoint(self, tmp_path):
+        # a budget of 4 t_min: the checkpoints t_min, 2 t_min and 4 t_min all
+        # fit, so summary.csv compares the tail with the bound at each
+        path = next(p for p in DEMO_CONFIGS if p.stem == "tail_validation")
+        out = tmp_path / "out"
+        assert run(str(path), str(out), quiet=True, jobs=1) == EXIT_OK
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["t"]) for r in rows] == [2865, 5730, 11460]
+        assert all(float(r["empirical_tail"]) >= float(r["theory_bound"])
+                   for r in rows)
+        with open(out / "trials.csv", newline="") as fh:
+            assert sum(1 for _ in csv.DictReader(fh)) == 300
+
+
 class TestSmokeReproducible:
     """demos/configs/smoke.ini gives the same CSVs for --jobs 1 and
     --jobs 2, and the constants.txt pinned below, from the last commit that
@@ -540,18 +556,18 @@ class TestPinnedOutputs:
 
     HEADER_ONLY = "41c95c1893915db9ff23e2ed8421c7eb2a867587380120dbd4623381231c6eb7"
     PINNED = {
-        "smoke": ("b46b4263e8deadd2bff141b3db14e52aa169829d249ba5a072a0e4b9e83edf67",
+        "smoke": ("6b52d9d8365700566b0ac2e02ba0405e906b566733c3be0966768c6fbaaabeec",
                   "7ec245e859cb04c93c2d919723ab74220dd64d7b75e382d5d4494a7d07b1809c",
                   "cf82cda2d05f878b58afc0163322c05cc6f6c32c8bde80840079916d7eb92457"),
         "bounded_noise": (
-            "d3f24dc36962b45d421fb258724f5a5fc8586f4ec1940e94001855a3add8ed39",
+            "ab7e538a0b3980a61a8ceb638d3e610647576e4477c9f33befcec121c8a03642",
             "f379ab44dbd0633ff76ea9f72dda9fa0bdcbb6208ad22edfa6eb700bac8947e7",
             HEADER_ONLY),
-        "gsg": ("e51715e45bbf1170f86e73cdbc45567d3716a4836a90e3797afa2fcf9da11320",
+        "gsg": ("76692063bf897324aacbe514ed2b569649cf3c07b582cfe1d0cfda883be1b8fd",
                 "27f874f027b2f5577ae408fa13bef196303e0ab31fff44a1a2ace4de20c550db",
                 HEADER_ONLY),
         "minibatch_estimated": (
-            "d3c10bc7e8ee5df1e65199ee3294bb11cb400adffbee5f4abc7f719cb8ec7d78",
+            "9adc1015e352d3bdb01e115e06abc46729a2943b092fdef0b3b42e3e1c0c74a0",
             "f097fd634c6d26ea94903d66dd9f07180f36a6f4ff0dbba4ee9dfc9ae5ae70ef",
             HEADER_ONLY),
     }

@@ -121,9 +121,11 @@ check_admissibility = off
 }
 
 # config_digest of each INI as the parser before the key table read it
+# (tail_validation.ini, added later, as the parser reads it now)
 DIGESTS = {
     "demos/configs/bounded_noise.ini": "12dfbf99bd16fa771e580f0f4b4fea07ecc4289a33c375f27d3aac9c556158c8",
     "demos/configs/smoke.ini": "bca00bf0e4cb9351c48e294b0e01e91dab4b526cd27ac23ccb59208ebb50a1bc",
+    "demos/configs/tail_validation.ini": "b2daac64d804a712ff16da197367dd445bda1dcefa6f4e2ece51a959c8ba1943",
     "perfbench/workloads/certify_synthetic.ini": "326d496eae58e84aecc3077f2f5ccf9408cd05a61ccb20a9d4f99b6e2c3f851d",
     "perfbench/workloads/gsg_quadratic.ini": "bd7b7fbf103f0e650f88e49198258bff589a2f81a2050db0d588c1e8a6ef8b3f",
     "perfbench/workloads/logistic_minibatch.ini": "42ab273bfcec7b4c1329b674cb97c2233f7be65b1a14b83308895298057479ed",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from aloe_lab import harness
+from aloe_lab import harness, linesearch
 from aloe_lab.estimation import EstimatorConfig
 from aloe_lab.harness import (CertificationReport, ExperimentConfig,
                               InadmissibleConfigError, binom_cdf,
@@ -238,6 +238,20 @@ class TestBlockComposition:
             np.testing.assert_array_equal(getattr(alone.trace, f.name),
                                           getattr(block.trace, f.name),
                                           err_msg=f.name)
+
+    @pytest.mark.parametrize("kind", ["synthetic", "minibatch", "gsg"])
+    def test_the_base_seed_is_classified_as_any_row(self, kind, monkeypatch):
+        # chunks of a few iterations, so rows leave mid-run: seed 40 runs
+        # the whole budget as the base seed and leaves at its stopping
+        # time as a row of the run from seed 39, with the same verdicts
+        monkeypatch.setattr(linesearch, "CHUNK_CELLS", 3 * 10 * 4)
+        config = noisy_config(kind, n_trials=5, base_seed=40)
+        base = run_trials(config)
+        other = run_trials(dataclasses.replace(config, n_trials=6, base_seed=39))
+        assert_same_columns(base, other, slice(1, None))
+        assert base.trace.seeds == (40,)
+        assert (base.T_eps != CENSORED).all() and base.T_eps.min() > 0
+        assert other.T_eps[1] < config.params.max_iters - 10
 
     def test_blocks_do_not_change_results(self, monkeypatch):
         config = noisy_config("synthetic", n_trials=7)

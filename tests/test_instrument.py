@@ -13,6 +13,7 @@ from aloe_lab.oracles import (FirstOracleSpec, SyntheticFirstOracle,
                               SyntheticZerothOracle, ZerothOracleSpec)
 from aloe_lab.problems import make_strongly_convex_quadratic
 from oracle_recorder import OracleRecorder
+from reference import reference_verdicts
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +255,51 @@ class TestPathLemmasHandcrafted:
         assert np.allclose(np.diff(P_HAT_GRID), 0.05)
 
 
+class TestPrefixHorizons:
+    """classify_paths counts the iterations before T_eps: Lemma 2 and
+    Corollary 1 on the prefixes t <= T_eps, Lemmas 3 and 4 on t < T_eps,
+    and the literal classifier agrees.  Each hand-built path breaks a lemma
+    at its first iteration (t = 1) and stops at x_{T_eps}."""
+
+    @staticmethod
+    def path(exponents, T_eps):
+        T = len(exponents) - 1
+        grad_norm = np.ones((1, T + 1))
+        if T_eps != CENSORED:
+            grad_norm[0, T_eps:] = 0.0
+        zeros, ones = np.zeros((1, T)), np.ones((1, T))
+        return Paths(seeds=(0,), exponents=np.array([exponents]),
+                     alpha=0.8 ** np.array([exponents[:-1]], dtype=float),
+                     success=np.zeros((1, T), dtype=bool), f_curr=zeros,
+                     f_plus=zeros, e_curr=zeros, e_plus=zeros, eps_f=zeros,
+                     g_norm=ones, grad_error=zeros, phi=np.ones((1, T + 1)),
+                     grad_norm=grad_norm)
+
+    @pytest.mark.parametrize("T_eps, ok", [(0, True), (1, False), (2, False),
+                                           (CENSORED, False)])
+    def test_lemma2_up_to_T_eps(self, quadratic, T_eps, ok):
+        # iteration 0 is large and unsuccessful: #large succ 0 < 1 - d
+        self.check(quadratic, self.path([-2, -1, 0, 1], T_eps),
+                   "lemma2_ok", ok)
+
+    @pytest.mark.parametrize("T_eps, ok", [(0, True), (1, True), (2, False),
+                                           (CENSORED, False)])
+    def test_lemma3_before_T_eps(self, quadratic, T_eps, ok):
+        # iteration 0 is small and true: #small true 1 > #small false 0
+        self.check(quadratic, self.path([0, 1, 2, 3], T_eps), "lemma3_ok", ok)
+
+    @staticmethod
+    def check(problem, paths, name, ok):
+        spec = StoppingSpec(class_tag="nonconvex", eps=0.5)
+        args = (spec, 0.0, 0.0, 0, 0.0)   # eps_g, kappa, grid_index, d
+        got = classify_paths(paths, problem, *args)
+        want = reference_verdicts(paths, problem.phi_star, *args)
+        assert getattr(got, name).tolist() == [ok]
+        for f in dataclasses.fields(got):
+            np.testing.assert_array_equal(getattr(got, f.name),
+                                          getattr(want, f.name), strict=True)
+
+
 class TestPathLemmasBlock:
     def test_rows_are_the_one_path_verdicts(self):
         # prefix sums run along each row; each row keeps its own horizon
@@ -348,7 +394,9 @@ class TestClassifyTrace:
         # the realized steps alpha_0..alpha_n, as floats
         steps = paths.alpha[0].tolist()
         steps.append(0.01 * 0.8 ** exponents[-1])
-        spec = StoppingSpec(class_tag="nonconvex", eps=0.5)
+        # a criterion the run never meets: every iteration counts, so every
+        # flag is compared (past T_eps the flags are False)
+        spec = StoppingSpec(class_tag="nonconvex", eps=1e-12)
         seen = set()
         for grid_index in range(-7, -1):
             bar = 0.01 * 0.8 ** grid_index

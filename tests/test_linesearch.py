@@ -8,6 +8,8 @@ from aloe_lab import linesearch
 from aloe_lab import rng as rngmod
 from aloe_lab.estimation import EpochEpsFController, EstimatorConfig
 from aloe_lab.harness import certify_oracles
+from aloe_lab.instrument import (CENSORED, PathVerdicts, StoppingSpec,
+                                 classify_paths, stopping_rule, stopping_times)
 from aloe_lab.linesearch import (AloeParams, Paths, TrialDivergedError,
                                  aloe_run, armijo_check, run_lockstep,
                                  step_update)
@@ -18,7 +20,7 @@ from aloe_lab.oracles import (FirstOracleSpec, GsgFirstOracle,
 from aloe_lab.problems import (make_strongly_convex_quadratic,
                                make_synthetic_logistic)
 from oracle_recorder import OracleRecorder
-from reference import reference_run
+from reference import reference_run, reference_verdicts
 
 
 def exact_oracles(problem):
@@ -614,14 +616,17 @@ class TestLiteralReference:
                 SyntheticFirstOracle(quadratic, FirstOracleSpec(
                     eps_g=0.01, kappa=0.5, delta=0.2)), None, params)
 
+    @staticmethod
+    def controller(zeroth, estimator):
+        return None if estimator is None else EpochEpsFController(zeroth, estimator)
+
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("name", FAMILIES)
     def test_rows_equal_the_reference(self, quadratic10, monkeypatch, name, n):
         problem, zeroth, first, estimator, params = self.family(name, quadratic10)
 
         def controller():
-            return (None if estimator is None
-                    else EpochEpsFController(zeroth, estimator))
+            return self.controller(zeroth, estimator)
 
         seeds = range(40, 40 + n)
         want = [reference_run(problem, zeroth, first, params, seed, controller())
@@ -641,6 +646,180 @@ class TestLiteralReference:
                         assert a.dtype == b.dtype, f.name
                         a, b = a.tobytes(), b.tobytes()
                     assert a == b, (f.name, r, C)
+
+
+    @staticmethod
+    def criterion(kind, want, phi_star):
+        """A stopping criterion of each kind, set from the reference rows
+        `want` so that their stopping times vary: the median of the rows'
+        values halfway or two thirds into the run, a criterion x_0 meets
+        (T_eps = 0) and one no row meets."""
+        gnorm = np.concatenate([w.grad_norm for w in want])
+        gap = np.concatenate([w.phi for w in want]) - phi_star
+        t, t2 = TestLiteralReference.T // 2, 2 * TestLiteralReference.T // 3
+        if kind == "at_start":
+            return StoppingSpec("nonconvex", eps=float(gnorm[0, 0]))
+        if kind == "never":
+            return StoppingSpec("nonconvex", eps=float(gnorm.min()) / 2)
+        if kind == "nonconvex":
+            return StoppingSpec(kind, eps=float(np.median(gnorm[:, t])))
+        if kind == "strongly_convex":
+            return StoppingSpec(kind, eps=float(np.median(gap[:, t2])))
+        return StoppingSpec(kind, eps=float(np.median(gap[:, t2])),
+                            eps1=float(np.median(gnorm[:, t])))
+
+    @pytest.mark.parametrize("kind", ["nonconvex", "strongly_convex", "convex",
+                                      "at_start", "never"])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_verdicts_equal_the_reference(self, quadratic10, monkeypatch, name,
+                                          kind):
+        # every PathVerdicts field of each row of a block of five, on the
+        # full-budget run and on one whose rows leave at their stopping
+        # times (chunks of two iterations while all five are in), equals
+        # the literal classifier on the reference row
+        problem, zeroth, first, estimator, params = self.family(name, quadratic10)
+        seeds = range(40, 45)
+        want = [reference_run(problem, zeroth, first, params, seed,
+                              self.controller(zeroth, estimator))
+                for seed in seeds]
+        spec = self.criterion(kind, want, problem.phi_star)
+        # a threshold among the steps taken, so that both kinds occur
+        grid_index = int(np.median(np.concatenate([w.exponents for w in want])))
+        args = (spec, 0.01, 0.5, grid_index, 1.0)
+        expect = [reference_verdicts(w, problem.phi_star, *args) for w in want]
+        monkeypatch.setattr(linesearch, "CHUNK_CELLS", 2 * len(seeds) * problem.dim)
+        for stop in (None, stopping_rule(spec, problem.phi_star)):
+            paths = run_lockstep(problem, zeroth, first, params, seeds,
+                                 self.controller(zeroth, estimator), stop=stop)
+            v = classify_paths(paths, problem, *args)
+            for r, e in enumerate(expect):
+                for f in dataclasses.fields(PathVerdicts):
+                    np.testing.assert_array_equal(
+                        getattr(v, f.name)[r], getattr(e, f.name)[0],
+                        err_msg=f"{f.name} row {r}", strict=True)
+        T_eps = np.concatenate([e.T_eps for e in expect])
+        if kind == "at_start":
+            assert (T_eps == 0).all() and np.isnan(v.frac_true).all()
+        elif kind == "never":
+            assert (T_eps == CENSORED).all()
+        else:
+            assert len(set(T_eps.tolist())) > 1
+
+
+class TestRetirement:
+    """With a stopping criterion, a row leaves the block at the end of the
+    chunk in which it stops.  Up to that chunk end, T_eps included, its row
+    is the full-budget run's bit for bit, and past it its cells are NaN,
+    False in `success` and UNREACHED in `exponents`; the trace seed's row
+    runs the whole budget.  Rows leave in the first chunk of eight
+    iterations, in a later chunk, at T_eps = 0, or never."""
+
+    T, SEEDS, C = 40, range(60, 66), 8
+    FAMILIES = ("synthetic", "gsg", "minibatch", "minibatch_estimated")
+    KINDS = ("first_chunk", "varied", "at_start", "never")
+
+    @staticmethod
+    def family(name, quadratic):
+        problem, zeroth, first, estimator = TestLockstep.family(name, quadratic)
+        return (problem, zeroth, first,
+                estimator if name == "minibatch_estimated" else None)
+
+    @classmethod
+    def run(cls, oracles, **stop):
+        problem, zeroth, first, estimator = oracles
+        controller = (None if estimator is None
+                      else EpochEpsFController(zeroth, estimator))
+        params = AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=cls.T)
+        return run_lockstep(problem, zeroth, first, params, cls.SEEDS,
+                            controller, **stop)
+
+    @classmethod
+    def criterion(cls, kind, full):
+        """A nonconvex criterion, from the full run's gradient norms: the
+        least of the rows' minima over the first chunk, the median of their
+        minima over the run, x_0's norm, or half the least norm reached."""
+        gnorm = full.grad_norm
+        eps = {"first_chunk": gnorm[:, :cls.C + 1].min(axis=1).min(),
+               "varied": np.median(gnorm.min(axis=1)),
+               "at_start": gnorm[0, 0], "never": gnorm.min() / 2}[kind]
+        return StoppingSpec("nonconvex", eps=float(eps))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_rows_are_the_full_rows_up_to_where_they_left(
+            self, quadratic10, monkeypatch, name, kind):
+        oracles = self.family(name, quadratic10)
+        problem = oracles[0]
+        monkeypatch.setattr(linesearch, "CHUNK_CELLS",
+                            self.C * len(self.SEEDS) * problem.dim)
+        full = self.run(oracles)
+        spec = self.criterion(kind, full)
+        stop = stopping_rule(spec, problem.phi_star)
+        traced = self.SEEDS[2]
+        retired = self.run(oracles, stop=stop, trace_seed=traced)
+        T_eps = stopping_times(full, problem, spec)
+        np.testing.assert_array_equal(stopping_times(retired, problem, spec),
+                                      T_eps)
+        left = []
+        for r, seed in enumerate(self.SEEDS):
+            # the row ran through x_e: phi is finite up to e and NaN after
+            e = int(np.isfinite(retired.phi[r]).sum()) - 1
+            assert np.isfinite(retired.phi[r, :e + 1]).all()
+            assert e == self.T if seed == traced or T_eps[r] == CENSORED else e >= T_eps[r]
+            left.append(e)
+            for f in dataclasses.fields(Paths)[1:]:
+                a, b = getattr(retired, f.name)[r], getattr(full, f.name)[r]
+                cut = e + (len(a) > self.T)
+                assert a.dtype == b.dtype
+                assert a[:cut].tobytes() == b[:cut].tobytes(), (f.name, r)
+                fill = {"exponents": linesearch.UNREACHED, "success": False}
+                np.testing.assert_array_equal(a[cut:], fill.get(f.name, np.nan))
+        stopped = T_eps[T_eps != CENSORED]
+        if kind == "never":
+            assert len(stopped) == 0 and left == [self.T] * len(self.SEEDS)
+            return
+        assert min(left) < self.T   # a row left mid-run
+        if kind == "at_start":
+            assert (T_eps == 0).all() and min(left) == self.C
+        elif kind == "first_chunk":
+            assert stopped.min() <= self.C
+        else:
+            assert stopped.max() > self.C and len(stopped) < len(self.SEEDS)
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_cells_past_the_stop_are_never_read(self, quadratic10, name):
+        # poison every cell past T_eps: NaN in the float columns, flipped
+        # success flags, arbitrary exponents; every verdict stays the same
+        oracles = self.family(name, quadratic10)
+        problem = oracles[0]
+        full = self.run(oracles)
+        spec = self.criterion("varied", full)
+        T_eps = stopping_times(full, problem, spec)
+        cols = {f.name: getattr(full, f.name).copy()
+                for f in dataclasses.fields(Paths)[1:]}
+        rng = np.random.default_rng(5)
+        for r, t in enumerate(T_eps):
+            if t == CENSORED:
+                continue
+            for name, col in cols.items():
+                past = col[r, t + (col.shape[1] > self.T):]
+                if name == "success":
+                    past[:] = ~past
+                elif name == "exponents":
+                    past[:] = rng.integers(-50, 50, past.shape)
+                else:
+                    past[:] = np.nan
+        poisoned = Paths(seeds=full.seeds, **cols)
+        assert 0 < (T_eps != CENSORED).sum() < len(T_eps)
+        exponents = full.exponents
+        for grid_index in range(exponents.min(), exponents.max() + 2):
+            args = (spec, 0.01, 0.5, int(grid_index), 1.0)
+            a = classify_paths(full, problem, *args)
+            b = classify_paths(poisoned, problem, *args)
+            for f in dataclasses.fields(PathVerdicts):
+                np.testing.assert_array_equal(getattr(a, f.name),
+                                              getattr(b, f.name),
+                                              err_msg=f.name, strict=True)
 
 
 class TestGeneratorBuilds:

@@ -7,8 +7,8 @@ import scipy.optimize
 
 from aloe_lab import problems
 from aloe_lab.problems import (GATHER_SAMPLES, DimensionMismatchError,
-                               ProblemInstance, _logistic_losses,
-                               _logistic_minimizer,
+                               ProblemInstance, _logistic_coeffs,
+                               _logistic_losses, _logistic_minimizer, _sigmoid,
                                estimate_growth_constants,
                                make_strongly_convex_quadratic,
                                make_synthetic_logistic)
@@ -264,6 +264,38 @@ class TestLossKernel:
     def test_random_margins(self, scale):
         m = scale * np.random.default_rng(24).standard_normal(100_000)
         assert self.ulps(m).max() <= 2
+
+
+class TestBranchFreeSigmoid:
+    """`_sigmoid`, and its in-place form in `_logistic_coeffs`, give the
+    bits of the two-branch form np.where(t >= 0, 1 / (1 + e), e / (1 + e)),
+    e = exp(-|t|), on signed zeros, subnormals, saturated and infinite
+    arguments, NaN and random margins."""
+
+    SPECIAL = [0.0, -0.0, 1.0, -1.0, 1e-320, -1e-320, 800.0, -800.0,
+               np.inf, -np.inf, np.nan]
+
+    @staticmethod
+    def two_branch(t):
+        ex = np.exp(-np.abs(t))
+        return np.where(t >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+
+    @pytest.fixture(scope="class")
+    def margins(self):
+        rng = np.random.default_rng(27)
+        return np.concatenate((self.SPECIAL, 4.0 * rng.standard_normal(10_000),
+                               40.0 * rng.standard_normal(10_000)))
+
+    def test_sigmoid_bits(self, margins):
+        assert _sigmoid(margins).tobytes() == self.two_branch(margins).tobytes()
+
+    def test_coefficient_bits(self, margins):
+        # one feature and the point x = 1, so the margins are y * features
+        labels = np.where(np.arange(len(margins)) % 3, 1.0, -1.0)
+        features = (margins * labels)[:, None]
+        F, coeff = _logistic_coeffs(features, labels, np.ones((1, 1)), slice(None))
+        want = -labels * self.two_branch(-(labels * features[:, 0]))
+        assert coeff[0].tobytes() == want.tobytes()
 
 
 def lbfgs_minimum(problem):

@@ -283,6 +283,27 @@ class TestReadAhead:
             stream.count = count
             self.replay_from(stream, count, draw, 6)
 
+    @pytest.mark.parametrize("rows", [[True, False, True, True, False],
+                                      [1, 2]], ids=["mask", "indices"])
+    def test_dropped_keys_leave_the_others_words(self, rows):
+        # keys dropped in the middle of a window and between stacks of
+        # several queries: each kept key draws what it draws in the stream
+        # that keeps every key
+        stream, whole = KeyedStream(range(5), GRAD), KeyedStream(range(5), GRAD)
+        kept = np.arange(5)[rows]
+        for step in range(12):
+            if step == 5:
+                stream.keep(rows)
+            n = 5 if step < 5 else len(kept)
+            want = direction(whole.words(5, 3))
+            assert np.array_equal(stream.draw(n, 3, direction),
+                                  want if step < 5 else want[kept])
+            if step in (8, 10):
+                got = stream.words(2 * n, 3).reshape(n, 2, 3)
+                want = whole.words(10, 3).reshape(5, 2, 3)
+                assert np.array_equal(got, want if step < 5 else want[kept])
+            assert stream.count == whole.count
+
     def test_query_limit(self):
         # a window never reads past the limit, and the draw after the last
         # query raises as `words` does
