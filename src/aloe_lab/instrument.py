@@ -115,23 +115,30 @@ def classify_paths(paths: Paths, problem: ProblemInstance, spec: StoppingSpec,
     iterations (NaN when T_eps = 0: no iteration precedes the stop), and
     Lemma 2 and Corollary 1 are checked on the prefixes t <= T_eps, Lemmas
     3 and 4 on t < T_eps."""
-    n = paths.success.shape[1]
+    n_rows, n = paths.success.shape
     T = stopping_times(paths, problem, spec)
     counted = np.where(T == CENSORED, n, T)
-    before = np.arange(n) < counted[:, None]
-    I = (accurate_from_norms(paths.grad_error, paths.g_norm, paths.alpha, eps_g, kappa)
-         & (paths.e_curr + paths.e_plus <= 2 * paths.eps_f) & before)
-    i = paths.exponents
+    # no row counts an iteration from column w on: flag the first w only
+    w = max(int(counted.max()), 1)
+    before = np.arange(w) < counted[:, None]
+    I = (accurate_from_norms(paths.grad_error[:, :w], paths.g_norm[:, :w],
+                             paths.alpha[:, :w], eps_g, kappa)
+         & (paths.e_curr[:, :w] + paths.e_plus[:, :w] <= 2 * paths.eps_f[:, :w])
+         & before)
+    i = paths.exponents[:, :w + 1]
     U = (np.minimum(i[:, :-1], i[:, 1:]) < grid_index) & before
-    Th = paths.success & before
+    Th = paths.success[:, :w] & before
     # past the counted prefix no large iteration adds to Lemma 2's or
-    # Corollary 1's counts, so checking every t checks t <= T_eps
+    # Corollary 1's counts, so checking every t <= w checks t <= T_eps, and
+    # a later t would repeat the check at t = w
     strict_horizon = np.where(T == CENSORED, n, np.maximum(counted - 1, 0))
     l2, l3, l4, c1 = verify_path_lemmas(I, Th, U, d, strict_horizon)
     with np.errstate(invalid="ignore"):   # 0 / 0 where T_eps = 0
         frac_true, frac_success = (np.count_nonzero(f, axis=1) / counted
                                    for f in (I, Th))
-    return PathVerdicts(T_eps=T, true_flags=I, large_flags=U,
+    true_flags, large_flags = np.zeros((2, n_rows, n), dtype=bool)
+    true_flags[:, :w], large_flags[:, :w] = I, U
+    return PathVerdicts(T_eps=T, true_flags=true_flags, large_flags=large_flags,
                         frac_true=frac_true, frac_success=frac_success,
                         lemma2_ok=l2, lemma3_ok=l3, lemma4_ok=l4,
                         corollary1_ok=c1)

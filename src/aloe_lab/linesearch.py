@@ -4,13 +4,17 @@ Each iteration queries the first-order oracle at the current step size,
 attempts the step x - alpha g, queries the zeroth-order oracle at both
 endpoints, accepts or rejects via the relaxed (additive 2 eps_f slack)
 Armijo test, and moves the step size one point along the grid
-alpha0 * gamma^i, which this module owns: the loop's state is the integer
-exponent i, lowered on success (not past the cap's exponent) and raised on
-failure, and the path classifier compares exponents.  A trial's one
-record is its row of `Paths`.  A trial runs the whole budget, or, given
-the stopping criterion, until the end of the chunk (below) in which it
-stops: everything the lab reports of a trial is a function of its path up
-to its stopping time, and the classifier reads no cell past it.
+alpha0 * gamma^i, which this module owns: the exponent i is lowered on
+success (not past the cap's exponent) and raised on failure, and the path
+classifier compares exponents.  The loop's state is a step index into
+tables of the run's reachable steps (`_StepGrid`): one take gives alpha,
+one gives alpha * theta for the Armijo test and one the index after a
+success, with the bits and the rules of `armijo_check` and `step_update`.
+A trial's one record is its row of `Paths`.  A trial runs the whole
+budget, or, given the stopping criterion, until the end of the chunk
+(below) in which it stops: everything the lab reports of a trial is a
+function of its path up to its stopping time, and the classifier reads no
+cell past it.
 
 `run_lockstep` advances a block of n trials together: the state is an
 (n, dim) array of points and an integer exponent per trial, every query is
@@ -36,7 +40,10 @@ call per iteration; the rest waits for the end of the chunk, one stacked
 call for phi at its x_k+ rows and one for grad phi at its accepted rows.
 Then one pass fills the columns through the same index, phi and
 ||grad phi|| at every x_k, x_T included; the rows, and so the columns'
-bits, do not depend on where the values were evaluated.
+bits, do not depend on where the values were evaluated.  The same pass
+writes the columns that follow from the state: alpha and the exponents
+from the step indices, and the slack when it is a constant (no
+controller).
 
 At the end of a chunk the stopping criterion, when given, is evaluated on
 the chunk's phi and ||grad phi|| columns, and every row that has stopped
@@ -47,6 +54,7 @@ words and keep the same bits, so a row's cells up to where it left are
 the full-budget run's.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,7 +137,12 @@ def _dtype(name: str):
 def armijo_check(f_plus, f_curr, alpha, theta: float, g_norm_sq, eps_f_input):
     """Relaxed sufficient-decrease test; ties accepted.  Elementwise on
     arrays."""
-    return f_plus <= f_curr - alpha * theta * g_norm_sq + 2 * eps_f_input
+    return _decrease_test(f_plus, f_curr, alpha * theta, g_norm_sq, eps_f_input)
+
+
+def _decrease_test(f_plus, f_curr, alpha_theta, g_norm_sq, eps_f_input):
+    """`armijo_check` given alpha * theta, as `_StepGrid` tabulates it."""
+    return f_plus <= f_curr - alpha_theta * g_norm_sq + 2 * eps_f_input
 
 
 def snap_to_step_grid(alpha: float, alpha0: float, gamma: float) -> tuple[float, int]:
@@ -156,6 +169,33 @@ def step_update(i, success, i_cap: int):
     """Next step exponent: one grid step up on success, never past the
     cap's exponent, one step down on failure.  Elementwise on arrays."""
     return np.where(success, np.maximum(i - 1, i_cap), i + 1)
+
+
+class _StepGrid:
+    """The steps a run of `params` can take, as tables over the step index
+    s = i - i_low of the exponent i: alpha (Python's ``**``, one grid point
+    at a time), alpha * theta, and the successor index on success
+    (`step_update`); on failure it is s + 1.  i starts at 0 and moves by
+    one per iteration, so max(i_cap, -T) = i_low <= i <= T.  (The successor
+    of s = 0 is only read when i_low = i_cap, as i = -T is reached at x_T
+    alone.)"""
+
+    def __init__(self, params: AloeParams):
+        T = params.max_iters
+        i_cap = snap_to_step_grid(params.alpha_max, params.alpha0, params.gamma)[1]
+        self.i_low = max(i_cap, -T)
+        self.alpha = np.array([params.alpha0 * params.gamma ** i
+                               for i in range(self.i_low, T + 1)])
+        self.alpha_theta = self.alpha * params.theta
+        self.up = step_update(np.arange(self.i_low, T + 1), True, i_cap) - self.i_low
+        for table in (self.alpha, self.alpha_theta, self.up):
+            table.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=8)
+def _step_grid(params: AloeParams) -> _StepGrid:
+    """`_StepGrid(params)`, built once for all the blocks of a run."""
+    return _StepGrid(params)
 
 
 # Float cells (iterations x rows x dim) of one slot array of a chunk of
@@ -209,17 +249,13 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     """
     seeds = tuple(int(s) for s in seeds)
     n, T, dim = len(seeds), params.max_iters, problem.dim
-    streams = tuple(rngmod.KeyedStream(seeds, purpose) for purpose in
-                    (rngmod.GRAD, rngmod.F_CURR, rngmod.F_PLUS, rngmod.EPS_EST))
+    streams = rngmod.KeyedStream.purposes(
+        seeds, (rngmod.GRAD, rngmod.F_CURR, rngmod.F_PLUS, rngmod.EPS_EST))
     grad_rng, curr_rng, plus_rng, est_rng = streams
-    i_cap = snap_to_step_grid(params.alpha_max, params.alpha0, params.gamma)[1]
-    # every reachable step, by the one-point arithmetic: i starts at 0 and
-    # moves by one per iteration, so max(i_cap, -T) <= i <= T
-    i_low = max(i_cap, -T)
-    step_of = np.array([params.alpha0 * params.gamma ** i
-                        for i in range(i_low, T + 1)])
+    grid = _step_grid(params)
     reads = oracle_reads(zeroth_oracle) | oracle_reads(first_oracle)
-    eps_f = params.eps_f_input
+    # the slack: one per chunk iteration with a controller, else a constant
+    eps_f = None if eps_f_controller is not None else params.eps_f_input
 
     # one column per `Paths` field; exponents, phi and grad_norm also hold
     # the state after the last iteration.  Row r of the chunk is row
@@ -230,7 +266,7 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     stays = np.array([s == trace_seed for s in seeds])
     x0 = np.asarray(problem.x0, dtype=float)
     ch = _Chunk(chunk_length(n, dim, T), np.broadcast_to(x0, (n, dim)),
-                problem.value(x0), problem.gradient(x0), 0)
+                problem.value(x0), problem.gradient(x0), -grid.i_low)
     start = 0
     for k in range(T):
         j = k - start
@@ -238,20 +274,20 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
         X = ch.x_rows.take(at, axis=0)
         phi = ch.phi.take(at) if "phi" in reads else None
         grad = ch.grad_rows.take(at, axis=0) if "grad" in reads else None
-        i = ch.cols["exponents"][j]
-        alpha = step_of[i - i_low]
+        s = ch.steps[j]
+        alpha = grid.alpha.take(s)
         if eps_f_controller is not None:
-            eps_f = eps_f_controller(k, X, est_rng, phi)
+            ch.eps_f[j] = eps_f_controller(k, X, est_rng, phi)
         g = np.asarray(first_oracle(X, alpha, grad_rng, grad=grad, phi=phi),
                        dtype=float)
         ch.g[j] = g
         x_plus = np.subtract(X, alpha[:, None] * g, out=ch.x[j + 1])
-        f_curr = zeroth_oracle(X, curr_rng, phi=phi)
+        f_curr = ch.f_curr[j] = zeroth_oracle(X, curr_rng, phi=phi)
         phi_plus = None
         if phi is not None:
             phi_plus = ch.phi[j + 1] = problem.values(x_plus)
-        f_plus = zeroth_oracle(x_plus, plus_rng, phi=phi_plus)
-        g_sq = row_dots(g, g)
+        f_plus = ch.f_plus[j] = zeroth_oracle(x_plus, plus_rng, phi=phi_plus)
+        g_sq = ch.g_sq[j] = row_dots(g, g)
         # a non-finite g makes g_sq non-finite; an overflowing sum alone
         # falls through to the exact test
         if not np.isfinite(f_curr + f_plus + g_sq).all():
@@ -260,19 +296,22 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
                 raise TrialDivergedError(
                     f"non-finite oracle output at iteration {k} "
                     f"(seed {seeds[rows[int(np.argmin(finite))]]})")
-        success = armijo_check(f_plus, f_curr, alpha, params.theta, g_sq, eps_f)
-        for name, value in (("alpha", alpha), ("success", success),
-                            ("f_curr", f_curr), ("f_plus", f_plus),
-                            ("eps_f", eps_f), ("g_norm", g_sq)):
-            ch.cols[name][j] = value
-        if grad is not None and success.any():
-            ch.grad[j + 1][success] = problem.gradients(x_plus[success])
+        success = ch.success[j] = _decrease_test(
+            f_plus, f_curr, grid.alpha_theta.take(s), g_sq,
+            ch.eps_f[j] if eps_f is None else eps_f)
+        if grad is not None:
+            hits = np.count_nonzero(success)
+            if hits == len(success):    # a row's bits do not depend on the stack
+                ch.grad[j + 1] = problem.gradients(x_plus)
+            elif hits:
+                ch.grad[j + 1][success] = problem.gradients(x_plus[success])
         ch.at[j + 1] = np.where(success, ch.cell[j + 1], at)
-        ch.cols["exponents"][j + 1] = step_update(i, success, i_cap)
+        ch.steps[j + 1] = np.where(success, grid.up.take(s), s + 1)
         if j < ch.length - 1 and k < T - 1:
             continue
         truth = ch.fill(problem, j + 1, EXACT_VALUES - reads, cols,
-                        slice(None) if len(rows) == n else rows, start)
+                        slice(None) if len(rows) == n else rows, start,
+                        grid, eps_f)
         start = k + 1
         if stop is None or start == T:
             continue
@@ -297,16 +336,13 @@ class _Chunk:
     """A chunk's slots (see the module docstring) and the columns its loop
     writes, for n rows over up to `length` iterations.  Row r of slot j is
     cell[j, r] of the flattened slots, and at[j] holds the cells of x_k,
-    k = start + j; at[0] is slot 0 throughout.  The loop writes the values
-    an oracle reads, `fill` the rest."""
+    k = start + j; at[0] is slot 0 throughout.  The loop writes the step
+    index (`_StepGrid`) of each x_k, the oracle outputs, ||g_k||^2, the
+    verdicts and, with a controller, the slack; `fill` writes the rest."""
 
-    # g_norm holds ||g_k||^2 until `fill`
-    COLUMNS = ("exponents", "alpha", "success", "f_curr", "f_plus", "eps_f",
-               "g_norm")
-
-    def __init__(self, length: int, x, phi, grad, i):
+    def __init__(self, length: int, x, phi, grad, s):
         """A chunk that starts at the (n, dim) points x, with the values
-        phi, grad and exponent i there."""
+        phi, grad and step index s there."""
         n, dim = x.shape
         self.length = length
         self.x, self.grad = np.empty((2, length + 1, n, dim))
@@ -314,12 +350,14 @@ class _Chunk:
         self.x_rows, self.grad_rows = (a.reshape(-1, dim) for a in (self.x, self.grad))
         self.cell = np.arange((length + 1) * n).reshape(length + 1, n)
         self.at = self.cell.copy()
-        self.cols = {name: np.empty((length + (name == "exponents"), n),
-                                    dtype=_dtype(name)) for name in self.COLUMNS}
+        self.steps = np.empty((length + 1, n), dtype=int)
+        self.f_curr, self.f_plus, self.g_sq, self.eps_f = np.empty((4, length, n))
+        self.success = np.empty((length, n), dtype=bool)
         self.x[0], self.phi[0], self.grad[0] = x, phi, grad
-        self.cols["exponents"][0] = i
+        self.steps[0] = s
 
-    def fill(self, problem, c: int, evaluate: frozenset, cols, rows, s: int):
+    def fill(self, problem, c: int, evaluate: frozenset, cols, rows, s: int,
+             grid: _StepGrid, eps_f):
         """Write the `Paths` columns of the chunk's first c iterations, which
         are iterations s..s+c-1, and phi, grad_norm and the exponent at
         x_{s+c}, to rows `rows` of `cols`; then move x_{s+c} and its values
@@ -328,12 +366,15 @@ class _Chunk:
 
         The values in `evaluate`, which the loop left out, are evaluated
         first into the slots: phi as one stack of the chunk's x_k+ rows,
-        grad phi as one stack of its accepted rows.  `g` is overwritten."""
+        grad phi as one stack of its accepted rows.  alpha and the exponents
+        come from the step indices through `grid`; `eps_f` is the slack of
+        every iteration, or None for the chunk's own column.  `g` is
+        overwritten."""
         n, dim = self.phi.shape[1], self.x.shape[-1]
         x_plus = self.x[1:c + 1]
         if "phi" in evaluate:
             self.phi[1:c + 1] = problem.values(x_plus.reshape(-1, dim)).reshape(c, n)
-        success = self.cols["success"][:c]
+        success = self.success[:c]
         if "grad" in evaluate and success.any():
             self.grad[1:c + 1][success] = problem.gradients(x_plus[success])
         phi = self.phi.take(self.at[:c + 1])
@@ -341,21 +382,24 @@ class _Chunk:
         D = self.g[:c].reshape(-1, dim)
         D -= G[:c * n]
         grad_norm = np.sqrt(row_dots(G, G)).reshape(c + 1, n)
-        out = {name: col[:c + (name == "exponents")]
-               for name, col in self.cols.items()}
-        out.update(g_norm=np.sqrt(out["g_norm"]), phi=phi, grad_norm=grad_norm,
-                   e_curr=np.abs(out["f_curr"] - phi[:c]),
-                   e_plus=np.abs(out["f_plus"] - self.phi[1:c + 1]),
+        steps = self.steps[:c + 1]
+        f_curr, f_plus = self.f_curr[:c], self.f_plus[:c]
+        out = dict(exponents=steps + grid.i_low, alpha=grid.alpha.take(steps[:c]),
+                   success=success, f_curr=f_curr, f_plus=f_plus,
+                   g_norm=np.sqrt(self.g_sq[:c]), phi=phi, grad_norm=grad_norm,
+                   e_curr=np.abs(f_curr - phi[:c]),
+                   e_plus=np.abs(f_plus - self.phi[1:c + 1]),
                    grad_error=np.sqrt(row_dots(D, D)).reshape(c, n))
         for name, value in out.items():
             cols[name][rows, s:s + len(value)] = value.T
+        cols["eps_f"][rows, s:s + c] = self.eps_f[:c].T if eps_f is None else eps_f
         self.x[0] = self.x_rows.take(self.at[c], axis=0)
         self.phi[0], self.grad[0] = phi[c], G[c * n:]
-        self.cols["exponents"][0] = self.cols["exponents"][c]
+        self.steps[0] = self.steps[c]
         return phi, grad_norm
 
     def keep(self, rows, length: int) -> "_Chunk":
         """A chunk of `length` iterations on the rows that the mask `rows`
         keeps, from the points and values in slot 0."""
         return _Chunk(length, self.x[0][rows], self.phi[0][rows],
-                      self.grad[0][rows], self.cols["exponents"][0][rows])
+                      self.grad[0][rows], self.steps[0][rows])

@@ -234,7 +234,7 @@ class SyntheticFirstOracle:
         W = stream.draw(m, 2 + rngmod.normal_words(dim), self._noise)
         coin, frac, U = W[:, 0], W[:, 1], W[:, 2:]
         gnorm = np.sqrt(row_dots(G, G))
-        ka = spec.kappa * np.asarray(alpha)
+        ka = spec.kappa * alpha
         # rho <= kappa*alpha*||grad||/(1+kappa*alpha) guarantees the
         # relative branch of the accuracy event via the triangle inequality
         rho = np.where(coin < spec.delta,

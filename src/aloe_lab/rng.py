@@ -31,7 +31,9 @@ under other keys: a trial draws the same numbers in any block and at any
 row, and as long as every query of a purpose takes the same number of
 queries per key, the noise of iteration k is a function of (trial seed,
 purpose, k) alone.  `KeyedStream.keep` drops keys, as trials leave a
-lockstep block; the kept keys' words do not change.
+lockstep block; the kept keys' words do not change.  A block's streams, one
+per purpose over the same seeds, hash their keys in one `key_words` pass
+(`KeyedStream.purposes`).
 
 Oracles take their noise through `KeyedStream.draw(m, width, transform)`,
 which answers transform(words(m, width)) for a row-wise transform: output
@@ -97,15 +99,21 @@ def fmix64(z: np.ndarray) -> np.ndarray:
 
 def key_words(seeds, *tag) -> tuple[np.ndarray, np.ndarray]:
     """Start states and increments of the keys (seed, *tag), one per seed.
+    A part of `tag` is an integer, the same for every key, or an array of
+    one integer per key.
 
     The parts are folded in with SplitMix64 steps; the increment is made
     odd and, as in SplitMix64's `mixGamma`, given enough bit transitions
     that the walk is not a near-multiple of a power of two."""
     parts = np.asarray(seeds, dtype=np.int64)
-    if parts.ndim != 1 or (parts < 0).any() or any(t < 0 for t in tag):
+    if parts.ndim != 1:
         raise ValueError("key parts must be nonnegative integers")
-    h = np.zeros(len(parts), dtype=_U64)
-    for part in (parts, *(np.full(len(parts), t) for t in tag)):
+    parts = (parts, *(np.broadcast_to(np.asarray(t, dtype=np.int64), parts.shape)
+                      for t in tag))
+    if any((part < 0).any() for part in parts):
+        raise ValueError("key parts must be nonnegative integers")
+    h = np.zeros(len(parts[0]), dtype=_U64)
+    for part in parts:
         h = fmix64(h + (part.astype(_U64) + _U64(1)) * _GOLDEN)
     gamma = fmix64(h + _GOLDEN) | _U64(1)
     sparse = np.bitwise_count(gamma ^ (gamma >> _U64(1))) < 24
@@ -117,7 +125,22 @@ class KeyedStream:
     """The keys of n rows and `count`, the queries each key has answered."""
 
     def __init__(self, seeds, *tag):
-        start, gamma = key_words(seeds, *tag)
+        self._set_keys(*key_words(seeds, *tag))
+
+    @classmethod
+    def purposes(cls, seeds, purposes) -> tuple["KeyedStream", ...]:
+        """``KeyedStream(seeds, p)`` for each p of `purposes`, their keys
+        hashed in one `key_words` pass."""
+        seeds = np.asarray(seeds, dtype=np.int64)
+        words = key_words(np.tile(seeds, len(purposes)),
+                          np.repeat(purposes, len(seeds)))
+        streams = tuple(cls.__new__(cls) for _ in purposes)
+        for stream, start, gamma in zip(streams, *(np.split(w, len(purposes))
+                                                   for w in words)):
+            stream._set_keys(start, gamma)
+        return streams
+
+    def _set_keys(self, start, gamma):
         self.count = 0
         # word j of query q sits at position (q << WIDTH_BITS) + j + 1
         self._start, self._gamma = start[:, None, None], gamma[:, None, None]

@@ -187,6 +187,10 @@ def _eps_min_at_eta(class_tag, eta, theta, L, kappa, alpha_max, eps_f, eps_g,
 # Interior points of the eta grid that eps_lower_bound minimizes over.
 ETA_GRID = 256
 
+# Relative distance from the screened minimum within which eps_lower_bound
+# evaluates a grid point exactly.
+SCREEN_RTOL = 1e-9
+
 
 def eps_lower_bound(class_tag: str, theta: float, L: float, kappa: float,
                     alpha_max: float, eps_f: float, eps_g: float, p: float,
@@ -195,15 +199,33 @@ def eps_lower_bound(class_tag: str, theta: float, L: float, kappa: float,
     parameter eta on a grid of ETA_GRID interior points.
 
     Returns (eps_min, eta_star).  In the exact-oracle limit eps_min is 0.
+
+    The grid is screened in one array pass (`_eps_min_screen`).  The exact
+    `_eps_min_at_eta` is then taken, in grid order, at the points whose
+    screened value lies within SCREEN_RTOL of the screened minimum, only
+    the first point of each such value, and the first lowest wins.
+    The whole grid is taken when no screened value is finite or the screen
+    meets a floating-point exception, so the result, and the error raised,
+    are those of the whole grid.
     """
     top = eta_range(theta)
     etas = np.linspace(top / (ETA_GRID + 1), top * ETA_GRID / (ETA_GRID + 1),
                        ETA_GRID)
+    args = (theta, L, kappa, alpha_max, eps_f, eps_g, p, beta, D)
+    candidates = etas
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            value = _eps_min_screen(class_tag, etas, *args)
+        if np.isfinite(value).any():
+            near = np.flatnonzero(value <= value.min() * (1 + SCREEN_RTOL))
+            firsts = np.unique(value[near], return_index=True)[1]
+            candidates = etas[np.sort(near[firsts])]
+    except (ArithmeticError, ValueError):
+        pass
     best, best_eta = math.inf, None
-    for eta in etas:
+    for eta in candidates:
         try:
-            val = _eps_min_at_eta(class_tag, float(eta), theta, L, kappa,
-                                  alpha_max, eps_f, eps_g, p, beta, D)
+            val = _eps_min_at_eta(class_tag, float(eta), *args)
         except ValueError:
             continue
         if val < best:
@@ -211,6 +233,54 @@ def eps_lower_bound(class_tag: str, theta: float, L: float, kappa: float,
     if best_eta is None:
         raise TheoremInapplicableError("empty feasible eta range")
     return best, best_eta
+
+
+def _power(x: np.ndarray, y: float) -> np.ndarray:
+    """x ** y elementwise by Python's float power, the libm call of the
+    scalar formulas: numpy's power may round an ulp away from it."""
+    return np.array([v ** y for v in x.tolist()])
+
+
+def _eps_min_screen(class_tag, eta, theta, L, kappa, alpha_max, eps_f, eps_g,
+                    p, beta, D):
+    """`_eps_min_at_eta` at each point of the array `eta`, inf where eta is
+    infeasible: its formulas on arrays in its order of operations, each
+    power by `_power`, so a value carries the scalar's bits.  Raises
+    numpy's `FloatingPointError` and the errors of the scalar parts."""
+    if class_tag not in CLASS_TAGS:
+        raise ValueError(f"unknown class_tag {class_tag!r}")
+    feasible = (0 < eta) & (eta < eta_range(theta))
+    eta = np.where(feasible, eta, 0.5 * eta_range(theta))
+    ab = np.minimum((1 - theta) / (0.5 * L + kappa),
+                    2 * (1 - 2 * eta - theta * (1 - eta)) / (L * (1 - eta)))
+    if eps_f > 0 and p <= 0.5:
+        value = math.inf
+    elif class_tag == "nonconvex":
+        first = eps_g / eta if eps_g > 0 else 0.0
+        second = 0.0
+        if eps_f > 0:
+            inner = np.maximum((0.5 * L + kappa) / (1 - theta),
+                               L * (1 - eta) / (2 * (1 - 2 * eta - theta * (1 - eta))))
+            second = np.maximum(1 + kappa * alpha_max, 1 / (1 - eta)) * np.sqrt(
+                4 * eps_f / (theta * (p - 0.5)) * inner)
+        value = np.maximum(first, second)
+    elif class_tag == "strongly_convex":
+        first = eps_g ** 2 / (2 * beta * _power(eta, 2)) if eps_g > 0 else 0.0
+        second = 0.0
+        if eps_f > 0:
+            m = np.minimum(1 / (1 + kappa * alpha_max) ** 2, 1 - eta)
+            base = 1 - m * theta * beta * ab
+            denom = _power(np.where(base > 0, base, 1.0), 0.5 - p) - 1
+            ok = (base > 0) & (denom > 0)
+            second = np.where(ok, 4 * eps_f / np.where(ok, denom, 1.0), math.inf)
+        value = np.maximum(np.maximum(first, second), 4 * eps_f)
+    else:
+        first = 0.0
+        if eps_f > 0:
+            m = np.minimum(_power(1 - eta, 2), 1 / (1 + kappa * alpha_max) ** 2)
+            first = np.sqrt(16 * D ** 2 * eps_f / (theta * (p - 0.5) * m * ab))
+        value = np.maximum(first, 4 * eps_f)
+    return np.where(feasible, value, math.inf)
 
 
 def convex_eps1_min(eps_g: float, eta: float) -> float:

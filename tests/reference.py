@@ -11,6 +11,11 @@ nothing is selected, buffered or carried from one iteration to the next
 but x, i and the slack.  Row r of `linesearch.run_lockstep`'s `Paths`
 must equal the reference run of trial seeds[r] bit for bit.
 
+`reference_eps_lower_bound` is the accuracy floor as the whole eta grid
+in turn, one scalar `theory._eps_min_at_eta` per point, the first lowest
+winning; `theory.eps_lower_bound` must return its bits and raise its
+errors.
+
 `reference_verdicts` classifies one such row the same way: T_eps is the
 first state that meets the criterion, and the flags and the running counts
 of Lemmas 2-4 and Corollary 1 are taken one iteration at a time, over the
@@ -26,6 +31,8 @@ from aloe_lab import rng as rngmod
 from aloe_lab.instrument import CENSORED, P_HAT_GRID, PathVerdicts
 from aloe_lab.linesearch import Paths, snap_to_step_grid
 from aloe_lab.problems import row_dots
+from aloe_lab.theory import (ETA_GRID, TheoremInapplicableError, _eps_min_at_eta,
+                             eta_range)
 
 
 def reference_run(problem, zeroth, first, params, seed, controller=None) -> Paths:
@@ -144,3 +151,24 @@ def reference_verdicts(path: Paths, phi_star, spec, eps_g, kappa, grid_index,
         frac_true=np.array([frac["true"]]),
         frac_success=np.array([frac["success"]]),
         **{f"{name}_ok": np.array([v]) for name, v in ok.items()})
+
+
+def reference_eps_lower_bound(class_tag, theta, L, kappa, alpha_max, eps_f,
+                              eps_g, p, beta=0.0, D=None):
+    """(eps_min, eta_star) over the ETA_GRID interior points of eta's
+    range, every point by the scalar formula."""
+    top = eta_range(theta)
+    etas = np.linspace(top / (ETA_GRID + 1), top * ETA_GRID / (ETA_GRID + 1),
+                       ETA_GRID)
+    best, best_eta = math.inf, None
+    for eta in etas:
+        try:
+            val = _eps_min_at_eta(class_tag, float(eta), theta, L, kappa,
+                                  alpha_max, eps_f, eps_g, p, beta, D)
+        except ValueError:
+            continue
+        if val < best:
+            best, best_eta = val, float(eta)
+    if best_eta is None:
+        raise TheoremInapplicableError("empty feasible eta range")
+    return best, best_eta

@@ -503,6 +503,8 @@ class TestDemoConfigs:
 
 
 class TestTailValidation:
+    TRACE_SHA256 = "2cba43da12e04679c4cad288f2bb38360adc2c0f82232c910639a1941610d45a"
+
     def test_summary_has_a_row_per_checkpoint(self, tmp_path):
         # a budget of 4 t_min: the checkpoints t_min, 2 t_min and 4 t_min all
         # fit, so summary.csv compares the tail with the bound at each
@@ -516,6 +518,11 @@ class TestTailValidation:
                    for r in rows)
         with open(out / "trials.csv", newline="") as fh:
             assert sum(1 for _ in csv.DictReader(fh)) == 300
+        # pinned beside TestPinnedOutputs: every trial stops within
+        # bounded_noise.ini's budget, so trials.csv is that config's
+        assert tuple(hashlib.sha256((out / n).read_bytes()).hexdigest()
+                     for n in ("trials.csv", "trace.csv")) == (
+            TestPinnedOutputs.PINNED["bounded_noise"][0], self.TRACE_SHA256)
 
 
 class TestSmokeReproducible:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aloe_lab.instrument import (CENSORED, P_HAT_GRID, StoppingSpec,
                                  classify_paths, progress_Z, stopping_times,
@@ -312,6 +314,35 @@ class TestPathLemmasBlock:
                          for r in range(40)]).T
         assert np.array_equal(got, want)
         assert 0 < got.sum() < got.size
+
+
+class TestPathLemmasPrefix:
+    """classify_paths hands verify_path_lemmas the flag columns up to the
+    largest counted prefix only.  Past a row's counted prefix its flags
+    are False, so its counts are frozen, and the narrower call must give
+    the full-width verdicts."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 6), T=st.integers(1, 30),
+           seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from((0.0, 0.5, 1.0, 3.0)),
+           case=st.sampled_from(("mixed", "every_T_eps_0", "censored")))
+    def test_prefix_equals_full_width(self, n, T, seed, d, case):
+        rng = np.random.default_rng(seed)
+        counted = rng.integers(0, T + 1, size=n)
+        if case == "every_T_eps_0":
+            counted[:] = 0
+        elif case == "censored":
+            counted[rng.integers(n)] = T
+        before = np.arange(T) < counted[:, None]
+        I, Theta, U = ((rng.random((n, T)) < rng.random()) & before
+                       for _ in range(3))
+        # the horizons classify_paths gives: lemmas 3 and 4 at t < T_eps,
+        # all t of a row counted to the budget's end
+        horizon = np.where(counted == T, T, np.maximum(counted - 1, 0))
+        w = counted.max()
+        full = verify_path_lemmas(I, Theta, U, d, horizon)
+        cut = verify_path_lemmas(I[:, :w], Theta[:, :w], U[:, :w], d, horizon)
+        assert np.array_equal(np.array(cut), np.array(full))
 
 
 class TestPathLemmasAbstractProcess:

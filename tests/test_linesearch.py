@@ -786,6 +786,56 @@ class TestRetirement:
         else:
             assert stopped.max() > self.C and len(stopped) < len(self.SEEDS)
 
+    @pytest.mark.parametrize("name", ("synthetic", "minibatch_estimated"))
+    def test_state_columns_past_the_exit(self, quadratic10, monkeypatch, name):
+        # alpha, the exponents and a constant slack are written once per
+        # chunk from the loop's state; a row that left keeps NaN alpha and
+        # eps_f cells and UNREACHED exponents past its exit, with or
+        # without the estimator's per-iteration slack
+        oracles = self.family(name, quadratic10)
+        problem = oracles[0]
+        monkeypatch.setattr(linesearch, "CHUNK_CELLS",
+                            self.C * len(self.SEEDS) * problem.dim)
+        spec = self.criterion("varied", self.run(oracles))
+        paths = self.run(oracles, stop=stopping_rule(spec, problem.phi_star),
+                         trace_seed=self.SEEDS[0])
+        exits = np.isfinite(paths.phi).sum(axis=1) - 1
+        assert exits.min() < self.T
+        for r, e in enumerate(exits):
+            alpha, eps_f, i = paths.alpha[r], paths.eps_f[r], paths.exponents[r]
+            assert np.isnan(alpha[e:]).all() and np.isnan(eps_f[e:]).all()
+            assert (i[e + 1:] == linesearch.UNREACHED).all()
+            assert alpha[:e].tolist() == [0.8 ** int(k) for k in i[:e]]
+            if oracles[3] is None:
+                assert (eps_f[:e] == 0.01).all()
+            else:
+                assert np.isfinite(eps_f[:e]).all()
+
+    def test_success_at_an_off_grid_cap_stays_there(self, quadratic10, monkeypatch):
+        # alpha_max = 0.05 snaps to the cap exponent -7 (0.01 * 0.8^-7 =
+        # 0.0477): the successor table keeps a success there, as
+        # step_update does, in rows that retire and in the trace row
+        problem, zeroth, first, _ = self.family("synthetic", quadratic10)
+        monkeypatch.setattr(linesearch, "CHUNK_CELLS",
+                            self.C * len(self.SEEDS) * problem.dim)
+        params = AloeParams(eps_f_input=0.01, alpha0=0.01, alpha_max=0.05,
+                            max_iters=self.T)
+        full = run_lockstep(problem, zeroth, first, params, self.SEEDS)
+        spec = StoppingSpec("nonconvex",
+                            eps=float(np.median(full.grad_norm[:, self.T // 2])))
+        paths = run_lockstep(problem, zeroth, first, params, self.SEEDS,
+                             stop=stopping_rule(spec, problem.phi_star),
+                             trace_seed=self.SEEDS[0])
+        exits = np.isfinite(paths.phi).sum(axis=1) - 1
+        assert exits.min() < self.T
+        held = 0
+        for r, e in enumerate(exits):
+            i, success = paths.exponents[r, :e + 1], paths.success[r, :e]
+            assert i.min() >= -7
+            assert (i[1:] == step_update(i[:-1], success, -7)).all()
+            held += int((success & (i[:-1] == -7)).sum())
+        assert held > 0
+
     @pytest.mark.parametrize("name", FAMILIES)
     def test_cells_past_the_stop_are_never_read(self, quadratic10, name):
         # poison every cell past T_eps: NaN in the float columns, flipped

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import reference_eps_lower_bound
 
 from aloe_lab.linesearch import snap_to_step_grid
 from aloe_lab.theory import (TheoremInapplicableError, azuma_tail, bar_alpha,
@@ -172,6 +173,73 @@ class TestEpsLowerBound:
 
     def test_convex_eps1_min(self):
         assert convex_eps1_min(0.01, 0.1) == pytest.approx(0.1)
+
+
+def floor_outcome(fn, *args):
+    """eps_min and eta_star as hex strings, or the error's type and text."""
+    try:
+        eps_min, eta_star = fn(*args)
+    except Exception as exc:   # compared, not swallowed
+        return type(exc).__name__, str(exc)
+    return eps_min.hex(), eta_star.hex()
+
+
+def maybe_zero(strategy):
+    return st.one_of(st.just(0.0), strategy)
+
+
+class TestEtaScreen:
+    """eps_lower_bound screens the eta grid in one array pass and takes the
+    scalar formula at a few points only; it must return the literal grid
+    loop's (eps_min, eta_star) bit for bit and raise what it raises."""
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(class_tag=st.sampled_from(("nonconvex", "strongly_convex", "convex")),
+           # theta in [1, 2): no feasible eta; theta > 2: eta's range
+           # passes 1 and the formulas leave their domain at some points
+           theta=st.one_of(st.just(0.2), st.floats(0.01, 0.99),
+                           st.floats(1.0, 1.9), st.floats(2.05, 3.0)),
+           L=st.floats(1e-2, 1e3),
+           kappa=maybe_zero(st.floats(1e-3, 1e2)),
+           alpha_max=st.floats(0.1, 100.0),
+           eps_f=maybe_zero(st.floats(1e-9, 1.0)),
+           eps_g=maybe_zero(st.floats(1e-9, 1.0)),
+           p=st.one_of(st.floats(0.0, 1.0), st.just(0.5), st.just(1.0),
+                       st.floats(0.5, 0.5 + 1e-6)),
+           beta_frac=st.floats(1e-4, 1.0),
+           D=st.floats(0.1, 100.0))
+    @example(class_tag="nonconvex", theta=0.2, L=10.0, kappa=0.0, alpha_max=1.0,
+             eps_f=0.0, eps_g=0.0, p=1.0, beta_frac=1.0, D=1.0)
+    @example(class_tag="strongly_convex", theta=0.2, L=10.0, kappa=0.0,
+             alpha_max=1.0, eps_f=1e-3, eps_g=0.0, p=0.5, beta_frac=0.01, D=1.0)
+    @example(class_tag="convex", theta=0.2, L=10.0, kappa=1.0, alpha_max=1.0,
+             eps_f=1e-3, eps_g=1e-3, p=0.4, beta_frac=1.0, D=2.0)
+    @example(class_tag="nonconvex", theta=2.5, L=10.0, kappa=1.0, alpha_max=1.25,
+             eps_f=1e-3, eps_g=1e-3, p=0.9, beta_frac=1.0, D=1.0)
+    def test_equals_the_grid_loop(self, class_tag, theta, L, kappa, alpha_max,
+                                  eps_f, eps_g, p, beta_frac, D):
+        args = (class_tag, theta, L, kappa, alpha_max, eps_f, eps_g, p,
+                beta_frac * L if class_tag == "strongly_convex" else 0.0,
+                D if class_tag == "convex" else None)
+        assert (floor_outcome(eps_lower_bound, *args)
+                == floor_outcome(reference_eps_lower_bound, *args))
+
+    @pytest.mark.parametrize("class_tag, extra", [
+        ("nonconvex", {}), ("strongly_convex", {"beta": 0.1}),
+        ("convex", {"D": 2.0})])
+    def test_a_few_exact_points(self, monkeypatch, class_tag, extra):
+        import aloe_lab.theory as theory
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return exact(*args)
+
+        exact = theory._eps_min_at_eta
+        monkeypatch.setattr(theory, "_eps_min_at_eta", counted)
+        args = (class_tag, 0.2, 10.0, 1.0, 1.25, 1e-3, 1e-3, 0.9)
+        assert eps_lower_bound(*args, **extra)[1] in calls
+        assert len(calls) <= 2
 
 
 EXACT = dict(eps=1e-3, theta=0.2, gamma=0.8, alpha0=1.0, alpha_max=10.0,
