@@ -6,11 +6,12 @@ statistically, and compares empirical stopping-time tails against the
 theoretical lower bounds.  Trials run in blocks of consecutive seeds, each
 block in lockstep through `linesearch.run_lockstep`, and a block answers
 one (n,) column per verdict; the run's columns are the blocks' columns
-joined in seed order.  A trial leaves its block at the end of the chunk
-of iterations in which it meets the stopping criterion, and its verdicts
-read its path up to its stopping time only.  The base seed's trial runs
-the whole budget: its block sends back that trial's row of
-`linesearch.Paths`, its whole record, which the CLI writes as trace.csv.
+joined in seed order.  A trial leaves its block at the first chunk end at
+or after its stopping time T_eps, by iteration max(FIRST_SPAN, 2 T_eps)
+(see `linesearch.run_lockstep`), and its verdicts read its path up to
+T_eps only.  The base seed's trial runs the whole budget: its block sends
+back that trial's row of `linesearch.Paths`, its whole record, which the
+CLI writes as trace.csv.
 A trial's entries do not depend on its block, nor on where it left it, so
 the results do not depend on how the seeds are split into blocks or over
 worker processes.

@@ -30,28 +30,33 @@ Ground truth is the engine's; oracles return estimates only, and each
 declares the exact values it reads (`oracles.oracle_reads`).  The engine
 evaluates phi and grad phi once per point: both at x_0, once for the
 block, phi at each x_k+ and grad phi at each accepted one.  It keeps a
-chunk of iterations (`CHUNK_CELLS`) in slots: slot 0 holds the chunk's
-first point, slot j + 1 the x_k+ of its iteration j, with phi there and
-grad phi where the step was accepted.  x_{k+1} is x_k+ or x_k, so one
-integer per row, the slot of x_k, moves to j + 1 on success and stays on
-failure, and x_k and the values at x_k are gathered through it, never
-recomputed.  What an oracle reads is evaluated in the loop, one stacked
-call per iteration; the rest waits for the end of the chunk, one stacked
-call for phi at its x_k+ rows and one for grad phi at its accepted rows.
-Then one pass fills the columns through the same index, phi and
-||grad phi|| at every x_k, x_T included; the rows, and so the columns'
-bits, do not depend on where the values were evaluated.  The same pass
-writes the columns that follow from the state: alpha and the exponents
-from the step indices, and the slack when it is a constant (no
-controller).
+chunk of iterations in slots, as many as `CHUNK_CELLS` allows (the
+chunk's capacity): slot 0 holds the chunk's first point, slot j + 1 the
+x_k+ of its iteration j, with phi there and grad phi where the step was
+accepted.  x_{k+1} is x_k+ or x_k, so one integer per row, the slot of
+x_k, moves to j + 1 on success and stays on failure, and x_k and the
+values at x_k are gathered through it, never recomputed.  What an oracle
+reads is evaluated in the loop, one stacked call per iteration; the rest
+waits for the end of the chunk, one stacked call for phi at its x_k+ rows
+and one for grad phi at its accepted rows.  Then one pass fills the
+columns through the same index, phi and ||grad phi|| at every x_k, x_T
+included; the rows, and so the columns' bits, do not depend on where the
+values were evaluated.  The same pass writes the columns that follow from
+the state: alpha and the exponents from the step indices, and the slack
+when it is a constant (no controller).
 
 At the end of a chunk the stopping criterion, when given, is evaluated on
 the chunk's phi and ||grad phi|| columns, and every row that has stopped
 leaves the block: its keys leave the streams (`rng.KeyedStream.keep`),
 its state the slack controller, and the next chunk holds the live rows
-only, its length set by their number.  The rows that stay draw the same
-words and keep the same bits, so a row's cells up to where it left are
-the full-budget run's.
+only, its capacity set by their number.  With a criterion, a chunk ends
+before its capacity: the chunk that starts at iteration s spans
+min(capacity, max(FIRST_SPAN, s)) iterations, so chunk ends double like
+the `rng` read-ahead window, and a row that stops at T_eps leaves by
+iteration max(FIRST_SPAN, 2 T_eps).  A run without one, or of the trace
+row alone, has nothing to leave and spans the capacity.  The rows that
+stay draw the same words and keep the same bits, so a row's cells up to
+where it left are the full-budget run's.
 """
 
 import functools
@@ -199,17 +204,23 @@ def _step_grid(params: AloeParams) -> _StepGrid:
 
 
 # Float cells (iterations x rows x dim) of one slot array of a chunk of
-# `run_lockstep`'s loop; blocks themselves are sized by
+# `run_lockstep`'s loop at its capacity; blocks themselves are sized by
 # harness.BLOCK_CELLS.  A chunk keeps three such arrays (points, g_k and
 # grad phi) and its pass up to three more, 384 KB in all, unless one
 # iteration's rows alone exceed an array; a 2-row, 10-dim, 400-iteration
-# block is one chunk.
+# block fits one chunk's slots.
 CHUNK_CELLS = 1 << 13
 
 
+# Iterations in the first chunk of a block whose rows can leave it; later
+# chunks double until their `chunk_length` capacity binds (module
+# docstring).
+FIRST_SPAN = 16
+
+
 def chunk_length(n: int, dim: int, T: int) -> int:
-    """Iterations per chunk of a block of n rows of dim over T iterations:
-    CHUNK_CELLS // (n dim), at least 1 and at most T."""
+    """The capacity of a chunk of n rows of dim over T iterations, its
+    slots' length: CHUNK_CELLS // (n dim), at least 1 and at most T."""
     return min(max(CHUNK_CELLS // (n * dim), 1), T)
 
 
@@ -231,9 +242,12 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     it, ``stop(phi, grad_norm)`` is the stopping criterion, elementwise on
     arrays of phi(x_k) and ||grad phi(x_k)||: at the end of each chunk,
     every row that met it at a point of the chunk leaves the block, except
-    the trial of `trace_seed`, which runs the whole budget.  A row that
-    leaves at x_e keeps its columns up to x_e; its later cells are NaN,
-    False in `success` and UNREACHED in `exponents`.
+    the trial of `trace_seed`, which runs the whole budget.  Chunks then
+    start short and double (module docstring), so a row that stops at
+    T_eps leaves at the first chunk end at or after it, by iteration
+    max(FIRST_SPAN, 2 T_eps).  A row that leaves at x_e keeps its columns
+    up to x_e; its later cells are NaN, False in `success` and UNREACHED
+    in `exponents`.
 
     `eps_f_controller`, when given, is called as
     ``controller(k, X, stream, phi)`` before each iteration, with the
@@ -245,7 +259,10 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     every row but those the bool mask `rows` keeps.
 
     Raises `TrialDivergedError`, naming the trial, as soon as any row's
-    oracle output is non-finite.
+    oracle output is non-finite.  A row that has left is no longer
+    queried, so an output it would have made past its exit does not stop
+    the run; where it exits depends on the chunk ends, and so on the
+    block.
     """
     seeds = tuple(int(s) for s in seeds)
     n, T, dim = len(seeds), params.max_iters, problem.dim
@@ -270,6 +287,9 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     start = 0
     for k in range(T):
         j = k - start
+        if j == 0:      # the capacity, unless a row can leave the block
+            span = (ch.length if stop is None or stays.all()
+                    else min(ch.length, max(FIRST_SPAN, start)))
         at = ch.at[j]
         X = ch.x_rows.take(at, axis=0)
         phi = ch.phi.take(at) if "phi" in reads else None
@@ -307,7 +327,7 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
                 ch.grad[j + 1][success] = problem.gradients(x_plus[success])
         ch.at[j + 1] = np.where(success, ch.cell[j + 1], at)
         ch.steps[j + 1] = np.where(success, grid.up.take(s), s + 1)
-        if j < ch.length - 1 and k < T - 1:
+        if j < span - 1 and k < T - 1:
             continue
         truth = ch.fill(problem, j + 1, EXACT_VALUES - reads, cols,
                         slice(None) if len(rows) == n else rows, start,

@@ -34,7 +34,15 @@ class OracleRecorder:
         self._since_first = 0
         return g
 
-    def column(self, name: str) -> np.ndarray:
+    def column(self, name: str, ran=None) -> np.ndarray:
         """x, g or grad_true as (n, T, dim), or phi_plus as (n, T): row r,
-        iteration k."""
-        return np.stack(self._log[name], axis=1)
+        iteration k.  A block whose rows leave it needs `ran`, the (n, T)
+        mask of the trial-iterations run (the finite cells of
+        `Paths.alpha`); a row holds NaN past its exit."""
+        log = self._log[name]
+        if ran is None:
+            return np.stack(log, axis=1)
+        out = np.full(ran.shape + log[0].shape[1:], np.nan)
+        for k, value in enumerate(log):
+            out[ran[:, k], k] = value
+        return out

@@ -177,6 +177,19 @@ class TestRunTrials:
         assert tails == sorted(tails)
 
 
+def recorded_blocks(monkeypatch) -> list:
+    """Records the `Paths` of every block `run_trials` runs."""
+    blocks = []
+    run = harness.run_lockstep
+
+    def recorded_run(*args, **kwargs):
+        blocks.append(run(*args, **kwargs))
+        return blocks[-1]
+
+    monkeypatch.setattr(harness, "run_lockstep", recorded_run)
+    return blocks
+
+
 def noisy_config(kind, **overrides):
     """Small configs of each oracle family; the mini-batch one refreshes
     its slack with the noise estimator."""
@@ -207,7 +220,8 @@ class TestBlockComposition:
 
     @staticmethod
     def recorded(monkeypatch):
-        """Records the oracles of every block `run_trials` builds."""
+        """Records the oracles and the `Paths` of every block `run_trials`
+        runs."""
         recorders = []
         build = harness.build_oracles
 
@@ -217,21 +231,32 @@ class TestBlockComposition:
             return rec.zeroth, rec.first
 
         monkeypatch.setattr(harness, "build_oracles", recorded_oracles)
-        return recorders
+        return recorders, recorded_blocks(monkeypatch)
 
     @pytest.mark.parametrize("kind", ["synthetic", "minibatch", "gsg"])
     def test_alone_and_in_a_block(self, kind, monkeypatch):
-        recorders = self.recorded(monkeypatch)
+        # rows leave the 9-row block at the first chunk end after their
+        # stopping time (row 5 at 32 on synthetic, at 16 on minibatch,
+        # never on gsg, where it stops at 50); alone, row 5 is the base
+        # seed and runs the whole budget, so what its oracles were handed
+        # is compared up to its exit from the block.  Row 0 is the base
+        # seed in both runs.
+        recorders, blocks = self.recorded(monkeypatch)
         block = run_trials(noisy_config(kind, n_trials=9, base_seed=40))
-        (in_block,) = recorders
+        (in_block,), (paths,) = recorders, blocks
+        ran = np.isfinite(paths.alpha)
+        assert ran[0].all() and not ran.all()
         for row in (5, 0):
             recorders.clear()
+            blocks.clear()
             alone = run_trials(noisy_config(kind, n_trials=1, base_seed=40 + row))
             assert_same_columns(alone, block, slice(row, row + 1))
+            assert np.isfinite(blocks[0].alpha).all()
+            e = int(ran[row].sum())
             for name in ("x", "g", "grad_true", "phi_plus"):
-                np.testing.assert_array_equal(recorders[0].column(name)[0],
-                                              in_block.column(name)[row],
-                                              err_msg=name)
+                np.testing.assert_array_equal(
+                    recorders[0].column(name)[0, :e],
+                    in_block.column(name, ran)[row, :e], err_msg=name)
             assert alone.trace.seeds == (40 + row,)
         # the trace is the base seed's row of Paths, seed 40 alone
         for f in dataclasses.fields(alone.trace):
@@ -275,8 +300,9 @@ class TestBlockComposition:
 class TestGroundTruthBudget:
     def test_rows_evaluated_on_a_small_logistic_run(self, monkeypatch):
         # phi: once for the constants, once at the shared start, once per
-        # trial-iteration at x+; grad phi: once at the start and once per
-        # accepted step.  One-trial runs with a memo took 184 and 117 here.
+        # trial-iteration run at x+; grad phi: once at the start and once
+        # per accepted step run.  Rows leave at the first chunk end after
+        # their stopping time; this run measured 94 and 66 rows.
         rows = {"value": 0, "grad": 0}
 
         def counted(kind, fn):
@@ -294,14 +320,16 @@ class TestGroundTruthBudget:
                 grad_fn=counted("grad", problem.grad_fn)), dataset
 
         monkeypatch.setattr(harness, "build_problem", counted_build)
+        blocks = recorded_blocks(monkeypatch)
         config = noisy_config("minibatch", n_trials=3)
-        summary = run_trials(config)
-        iters = config.n_trials * config.params.max_iters
-        accepted = round(sum(summary.frac_success.tolist())
-                         * config.params.max_iters)
+        run_trials(config)
+        (paths,) = blocks
+        iters = int(np.isfinite(paths.alpha).sum())
+        accepted = int(paths.success.sum())
+        assert iters < config.n_trials * config.params.max_iters
         assert rows["value"] == 2 + iters
         assert rows["grad"] <= 1 + accepted
-        assert rows["value"] <= 184 and rows["grad"] <= 117
+        assert rows["value"] <= 94 and rows["grad"] <= 66
 
 
 class TestCapBelowCriticalStep:

@@ -708,11 +708,15 @@ class TestLiteralReference:
 
 class TestRetirement:
     """With a stopping criterion, a row leaves the block at the end of the
-    chunk in which it stops.  Up to that chunk end, T_eps included, its row
-    is the full-budget run's bit for bit, and past it its cells are NaN,
-    False in `success` and UNREACHED in `exponents`; the trace seed's row
-    runs the whole budget.  Rows leave in the first chunk of eight
-    iterations, in a later chunk, at T_eps = 0, or never."""
+    chunk in which it stops, the first chunk end at or after T_eps.  Chunks
+    start at FIRST_SPAN iterations and double until their capacity binds,
+    so a row leaves by max(FIRST_SPAN, 2 T_eps).  Up to its exit, T_eps
+    included, its row is the full-budget run's bit for bit, and past it its
+    cells are NaN, False in `success` and UNREACHED in `exponents`; the
+    trace seed's row runs the whole budget, in chunks of the capacity once
+    it is alone, as does a run without a criterion.  Here chunks of eight
+    iterations keep the schedule fixed: rows leave in the first chunk, in a
+    later one, at T_eps = 0, or never."""
 
     T, SEEDS, C = 40, range(60, 66), 8
     FAMILIES = ("synthetic", "gsg", "minibatch", "minibatch_estimated")
@@ -725,13 +729,28 @@ class TestRetirement:
                 estimator if name == "minibatch_estimated" else None)
 
     @classmethod
-    def run(cls, oracles, **stop):
+    def run(cls, oracles, T=None, seeds=None, **stop):
         problem, zeroth, first, estimator = oracles
         controller = (None if estimator is None
                       else EpochEpsFController(zeroth, estimator))
-        params = AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=cls.T)
-        return run_lockstep(problem, zeroth, first, params, cls.SEEDS,
+        params = AloeParams(eps_f_input=0.01, alpha_max=1.25,
+                            max_iters=T or cls.T)
+        return run_lockstep(problem, zeroth, first, params,
+                            cls.SEEDS if seeds is None else seeds,
                             controller, **stop)
+
+    @staticmethod
+    def assert_full_up_to(retired, full, r, e):
+        """Row r of `retired` is row r of `full` bit for bit up to x_e, and
+        past it NaN, False in `success` and UNREACHED in `exponents`."""
+        T = retired.alpha.shape[1]
+        for f in dataclasses.fields(Paths)[1:]:
+            a, b = getattr(retired, f.name)[r], getattr(full, f.name)[r]
+            cut = e + (len(a) > T)
+            assert a.dtype == b.dtype
+            assert a[:cut].tobytes() == b[:cut].tobytes(), (f.name, r)
+            fill = {"exponents": linesearch.UNREACHED, "success": False}
+            np.testing.assert_array_equal(a[cut:], fill.get(f.name, np.nan))
 
     @classmethod
     def criterion(cls, kind, full):
@@ -767,13 +786,7 @@ class TestRetirement:
             assert np.isfinite(retired.phi[r, :e + 1]).all()
             assert e == self.T if seed == traced or T_eps[r] == CENSORED else e >= T_eps[r]
             left.append(e)
-            for f in dataclasses.fields(Paths)[1:]:
-                a, b = getattr(retired, f.name)[r], getattr(full, f.name)[r]
-                cut = e + (len(a) > self.T)
-                assert a.dtype == b.dtype
-                assert a[:cut].tobytes() == b[:cut].tobytes(), (f.name, r)
-                fill = {"exponents": linesearch.UNREACHED, "success": False}
-                np.testing.assert_array_equal(a[cut:], fill.get(f.name, np.nan))
+            self.assert_full_up_to(retired, full, r, e)
         stopped = T_eps[T_eps != CENSORED]
         if kind == "never":
             assert len(stopped) == 0 and left == [self.T] * len(self.SEEDS)
@@ -785,6 +798,79 @@ class TestRetirement:
             assert stopped.min() <= self.C
         else:
             assert stopped.max() > self.C and len(stopped) < len(self.SEEDS)
+
+    @pytest.fixture
+    def chunk_log(self, monkeypatch):
+        """(s, c, capacity, rows) of every chunk `run_lockstep` fills: its
+        iterations s..s+c-1, its slots' length and its number of rows."""
+        log = []
+        fill = linesearch._Chunk.fill
+
+        def logged(ch, problem, c, evaluate, cols, rows, s, *args):
+            log.append((s, c, ch.length, ch.phi.shape[1]))
+            return fill(ch, problem, c, evaluate, cols, rows, s, *args)
+
+        monkeypatch.setattr(linesearch._Chunk, "fill", logged)
+        return log
+
+    @pytest.mark.parametrize("horizon", (10, 50))
+    @pytest.mark.parametrize("cells", ("default", "small"))
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_rows_leave_by_twice_their_stopping_time(
+            self, quadratic10, monkeypatch, chunk_log, name, cells, horizon):
+        # twelve rows over 100 iterations, stopping when ||grad phi|| is
+        # below the median of the rows' least norms up to `horizon`: most
+        # rows stop in the first two chunks, or the stops spread over the
+        # run and some rows may never stop.  The chunk that starts at s spans
+        # min(capacity, max(F, s)) iterations, F = FIRST_SPAN, at the
+        # default capacity (68 iterations of twelve 10-dim rows, the whole
+        # run of 4-dim ones) or at 24 iterations until rows leave
+        F, T, seeds = linesearch.FIRST_SPAN, 100, range(60, 72)
+        oracles = self.family(name, quadratic10)
+        problem = oracles[0]
+        if cells == "small":
+            monkeypatch.setattr(linesearch, "CHUNK_CELLS",
+                                24 * len(seeds) * problem.dim)
+
+        def capacity_sized():
+            # every chunk spans its capacity, or what is left of the run
+            assert chunk_log and all(c == min(cap, T - s)
+                                     for s, c, cap, _ in chunk_log)
+            chunk_log.clear()
+
+        full = self.run(oracles, T=T, seeds=seeds)
+        capacity_sized()
+        least = np.minimum.accumulate(full.grad_norm, axis=1)[:, horizon]
+        spec = StoppingSpec("nonconvex", eps=float(np.median(least)))
+        stop = stopping_rule(spec, problem.phi_star)
+        traced = seeds[2]
+        retired = self.run(oracles, T=T, seeds=seeds, stop=stop,
+                           trace_seed=traced)
+        T_eps = stopping_times(full, problem, spec)
+        ends = sorted({s + c for s, c, _, _ in chunk_log})
+        for s, c, cap, rows in chunk_log:
+            # a lone row is the trace seed's, which never leaves
+            span = cap if rows == 1 else min(cap, max(F, s))
+            assert c == min(span, T - s), (s, c, cap, rows)
+        exits = np.isfinite(retired.phi).sum(axis=1) - 1
+        for r, (seed, t, e) in enumerate(zip(seeds, T_eps, exits)):
+            self.assert_full_up_to(retired, full, r, e)
+            if seed == traced or t == CENSORED:
+                assert e == T
+            else:
+                assert e == min(end for end in ends if end >= t), (t, e)
+                assert e <= max(F, 2 * t), (t, e)
+        stopped = T_eps[T_eps != CENSORED]
+        assert exits.min() < T
+        assert stopped.min() < F if horizon == 10 else stopped.max() > 2 * F
+        chunk_log.clear()
+        # a block of the trace seed alone, and a trial run alone
+        self.run(oracles, T=T, seeds=[traced], stop=stop, trace_seed=traced)
+        capacity_sized()
+        aloe_run(problem, *oracles[1:3],
+                 AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=T),
+                 traced)
+        capacity_sized()
 
     @pytest.mark.parametrize("name", ("synthetic", "minibatch_estimated"))
     def test_state_columns_past_the_exit(self, quadratic10, monkeypatch, name):
