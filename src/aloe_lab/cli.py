@@ -207,13 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: available parallelism)")
+                        help="worker processes (default: the CPUs this process "
+                             "may run on, else os.cpu_count())")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    jobs = len(os.sched_getaffinity(0)) if args.jobs is None else args.jobs
+    jobs = args.jobs
+    if jobs is None:    # sched_getaffinity is absent on macOS and Windows
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     if jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return EXIT_CONFIG

@@ -111,6 +111,8 @@ class ExperimentConfig:
              "minibatch oracles need the logistic fixture"),
             (self.n_trials < 1, "n_trials must be >= 1"),
             (self.base_seed < 0, "base_seed must be >= 0"),
+            (self.base_seed + self.n_trials - 1 > np.iinfo(np.int64).max,
+             "base_seed + n_trials - 1 must not exceed 2**63 - 1 (seeds are int64)"),
             (any(t < 0 for t in self.t_checkpoints), "checkpoints must be >= 0"),
             (any(t > self.params.max_iters for t in self.t_checkpoints),
              "checkpoints must not exceed the iteration budget"),
@@ -288,6 +290,8 @@ def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
             t_min, _, _, _ = constants.iteration_threshold(config.s, p_hat)
         except TheoremInapplicableError as exc:
             raise InadmissibleConfigError(str(exc)) from exc
+        except ArithmeticError as exc:  # e.g. an infinite R: phi(x_0) overflowing
+            raise InadmissibleConfigError(f"{type(exc).__name__}: {exc}") from exc
         if not checkpoints:
             checkpoints = tuple(
                 t for t in (t_min, 2 * t_min, 4 * t_min)

@@ -103,8 +103,9 @@ class Paths:
     """Per-iteration columns of a block of n trials run for T iterations,
     row r for trial seeds[r]: a trial's one record, which the path
     classifier reads and trace.csv writes.  Points and gradients are not
-    kept.  A row that left its block at x_e (see `run_lockstep`) holds NaN
-    past it, False in `success` and UNREACHED in `exponents`."""
+    kept.  The columns are born holding NaN, False in `success` and
+    UNREACHED in `exponents`, so a row that left its block at x_e (see
+    `run_lockstep`) holds those values past it."""
 
     seeds: tuple
     exponents: np.ndarray   # (n, T + 1) i_0..i_T; alpha_k = alpha0 * gamma ** i_k
@@ -128,15 +129,12 @@ class Paths:
 
 
 # The `Paths` columns that also hold the state after the last iteration,
-# and what a row's cells hold past the point where it left its block: NaN,
-# but False in `success` and UNREACHED in `exponents`.
+# and the values every column is born holding, which a row keeps past the
+# point where it left its block: NaN, but False in `success` and UNREACHED
+# in `exponents`.  The value's type is the column's dtype.
 _WIDE = ("exponents", "phi", "grad_norm")
 UNREACHED = np.iinfo(np.int64).min
 _PAST = {"exponents": UNREACHED, "success": False}
-
-
-def _dtype(name: str):
-    return int if name == "exponents" else bool if name == "success" else float
 
 
 def armijo_check(f_plus, f_curr, alpha, theta: float, g_norm_sq, eps_f_input):
@@ -274,10 +272,11 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     # the slack: one per chunk iteration with a controller, else a constant
     eps_f = None if eps_f_controller is not None else params.eps_f_input
 
-    # one column per `Paths` field; exponents, phi and grad_norm also hold
+    # one column per `Paths` field, born holding its past-exit value, so a
+    # row that leaves writes no cell; exponents, phi and grad_norm also hold
     # the state after the last iteration.  Row r of the chunk is row
     # rows[r] of the block.
-    cols = {name: np.empty((n, T + (name in _WIDE)), dtype=_dtype(name))
+    cols = {name: np.full((n, T + (name in _WIDE)), _PAST.get(name, np.nan))
             for name in tuple(Paths.__dataclass_fields__)[1:]}
     rows = np.arange(n)
     stays = np.array([s == trace_seed for s in seeds])
@@ -337,9 +336,6 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
             continue
         done = stop(*truth).any(axis=0) & ~stays
         if done.any():
-            gone = rows[done]
-            for name, col in cols.items():
-                col[gone, start + (name in _WIDE):] = _PAST.get(name, np.nan)
             live = ~done
             rows, stays = rows[live], stays[live]
             if not len(rows):

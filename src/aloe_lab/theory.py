@@ -187,10 +187,6 @@ def _eps_min_at_eta(class_tag, eta, theta, L, kappa, alpha_max, eps_f, eps_g,
 # Interior points of the eta grid that eps_lower_bound minimizes over.
 ETA_GRID = 256
 
-# Relative distance from the screened minimum within which eps_lower_bound
-# evaluates a grid point exactly.
-SCREEN_RTOL = 1e-9
-
 
 def eps_lower_bound(class_tag: str, theta: float, L: float, kappa: float,
                     alpha_max: float, eps_f: float, eps_g: float, p: float,
@@ -200,30 +196,27 @@ def eps_lower_bound(class_tag: str, theta: float, L: float, kappa: float,
 
     Returns (eps_min, eta_star).  In the exact-oracle limit eps_min is 0.
 
-    The grid is screened in one array pass (`_eps_min_screen`).  The exact
-    `_eps_min_at_eta` is then taken, in grid order, at the points whose
-    screened value lies within SCREEN_RTOL of the screened minimum, only
-    the first point of each such value, and the first lowest wins.
-    The whole grid is taken when no screened value is finite or the screen
-    meets a floating-point exception, so the result, and the error raised,
-    are those of the whole grid.
+    The grid is screened in one array pass (`_eps_min_screen`), whose values
+    carry the bits of the scalar `_eps_min_at_eta`, and its first minimum is
+    returned.  The whole grid is taken point by point by the scalar formula
+    when the screen meets a floating-point exception or no screened value
+    is finite, so the result, and the error raised, are those of the whole
+    grid.
     """
     top = eta_range(theta)
     etas = np.linspace(top / (ETA_GRID + 1), top * ETA_GRID / (ETA_GRID + 1),
                        ETA_GRID)
     args = (theta, L, kappa, alpha_max, eps_f, eps_g, p, beta, D)
-    candidates = etas
     try:
         with np.errstate(all="raise", under="ignore"):
             value = _eps_min_screen(class_tag, etas, *args)
         if np.isfinite(value).any():
-            near = np.flatnonzero(value <= value.min() * (1 + SCREEN_RTOL))
-            firsts = np.unique(value[near], return_index=True)[1]
-            candidates = etas[np.sort(near[firsts])]
+            k = np.argmin(value)
+            return float(value[k]), float(etas[k])
     except (ArithmeticError, ValueError):
         pass
     best, best_eta = math.inf, None
-    for eta in candidates:
+    for eta in etas:
         try:
             val = _eps_min_at_eta(class_tag, float(eta), *args)
         except ValueError:
@@ -263,7 +256,9 @@ def _eps_min_screen(class_tag, eta, theta, L, kappa, alpha_max, eps_f, eps_g,
                                L * (1 - eta) / (2 * (1 - 2 * eta - theta * (1 - eta))))
             second = np.maximum(1 + kappa * alpha_max, 1 / (1 - eta)) * np.sqrt(
                 4 * eps_f / (theta * (p - 0.5)) * inner)
-        value = np.maximum(first, second)
+        # max's rule, not np.maximum's: of first = 0.0 and second = -0.0
+        # (an underflow at theta > 2) max keeps 0.0, np.maximum gives -0.0
+        value = np.where(second > first, second, first)
     elif class_tag == "strongly_convex":
         first = eps_g ** 2 / (2 * beta * _power(eta, 2)) if eps_g > 0 else 0.0
         second = 0.0

@@ -330,6 +330,44 @@ class TestRun:
                      "--seed", "-1"]) == EXIT_CONFIG
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("seed, trials, code", [
+        ("9223372036854775805", "3", EXIT_OK),
+        ("9223372036854775806", "3", EXIT_CONFIG)])
+    def test_seeds_past_int64_exit_two(self, tmp_path, capsys, seed, trials,
+                                       code):
+        # the last seed 2**63 - 1 runs; one past it exited 3 mid-run
+        config = write(tmp_path, "smoke.ini", SMOKE)
+        out = str(tmp_path / "out")
+        assert main(["--config", config, "--out", out, "--quiet",
+                     "--seed", seed, "--trials", trials, "--jobs", "1"]) == code
+        assert os.path.exists(out) == (code == EXIT_OK)
+        if code == EXIT_CONFIG:
+            assert "must not exceed 2**63 - 1" in capsys.readouterr().err
+        bad = write(tmp_path, "bad.ini", SMOKE.replace(
+            "trials = 3", f"trials = {trials}\nseed = {seed}"))
+        assert run(bad, str(tmp_path / "ini"), quiet=True) == code
+
+    def test_overflowing_start_exit_two_before_trials(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # phi(x_0) overflows, so t_min's R is infinite: math.ceil raised
+        # OverflowError after set-up and the run exited 3
+        import aloe_lab.harness as harness_mod
+
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness_mod, "_run_trial_block", no_trials)
+        config = write(tmp_path, "bad.ini",
+                       "[problem]\nx0_norm = 1e300\n" + SMOKE)
+        out = str(tmp_path / "out")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert run(config, out, quiet=True) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "inadmissible" in line] == [
+            "inadmissible configuration: OverflowError: "
+            "cannot convert float infinity to integer"]
+        assert not os.path.exists(out)
+
     def test_negative_reg_exit_two(self, tmp_path):
         # with the gate off, reg < 0 would run every trial against an
         # objective that is unbounded below
@@ -487,6 +525,23 @@ class TestJobs:
         assert main(["--config", config, "--out", str(tmp_path / "out"),
                      "--quiet"]) == EXIT_OK
         assert seen["jobs"] == 1
+
+    def test_default_without_affinity_is_cpu_count(self, tmp_path, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        import aloe_lab.cli as cli_mod
+        seen = {}
+
+        def fake_run(*args, jobs, **kwargs):
+            seen["jobs"] = jobs
+            return EXIT_OK
+
+        monkeypatch.delattr(cli_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli_mod, "run", fake_run)
+        config = write(tmp_path, "smoke.ini", SMOKE)
+        assert main(["--config", config, "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_OK
+        assert seen["jobs"] == 3
 
 
 class TestDemoConfigs:

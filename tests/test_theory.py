@@ -189,9 +189,10 @@ def maybe_zero(strategy):
 
 
 class TestEtaScreen:
-    """eps_lower_bound screens the eta grid in one array pass and takes the
-    scalar formula at a few points only; it must return the literal grid
-    loop's (eps_min, eta_star) bit for bit and raise what it raises."""
+    """eps_lower_bound screens the eta grid in one array pass and returns
+    its first minimum, falling back to the scalar formula at every point; it
+    must return the literal grid loop's (eps_min, eta_star) bit for bit and
+    raise what it raises."""
 
     @settings(max_examples=120, derandomize=True, database=None, deadline=None)
     @given(class_tag=st.sampled_from(("nonconvex", "strongly_convex", "convex")),
@@ -216,6 +217,27 @@ class TestEtaScreen:
              eps_f=1e-3, eps_g=1e-3, p=0.4, beta_frac=1.0, D=2.0)
     @example(class_tag="nonconvex", theta=2.5, L=10.0, kappa=1.0, alpha_max=1.25,
              eps_f=1e-3, eps_g=1e-3, p=0.9, beta_frac=1.0, D=1.0)
+    # magnitudes past the drawn ranges, where the screen alone differs from
+    # the grid loop and the scalar fallback decides: theta = 1 (no feasible
+    # eta), eps_g ** 2 overflowing, kappa * alpha_max overflowing to a zero
+    # denominator, and the last with a value
+    @example(class_tag="nonconvex", theta=1.0, L=1e-300, kappa=0.0,
+             alpha_max=1e-3, eps_f=1e-300, eps_g=0.0, p=0.9, beta_frac=1.0,
+             D=1.0)
+    @example(class_tag="strongly_convex", theta=0.2, L=1e-300, kappa=0.0,
+             alpha_max=1e-3, eps_f=1e-300, eps_g=1e300, p=0.0, beta_frac=1e-3,
+             D=1.0)
+    @example(class_tag="convex", theta=0.2, L=1e-300, kappa=1e300,
+             alpha_max=1e200, eps_f=1e-300, eps_g=0.0, p=0.5000001,
+             beta_frac=1.0, D=1.0)
+    @example(class_tag="nonconvex", theta=2.5, L=1e-300, kappa=1e300,
+             alpha_max=1e200, eps_f=1e-300, eps_g=0.0, p=0.5000001,
+             beta_frac=1.0, D=1.0)
+    # a clean screen whose second term underflows to -0.0: eps_min is the
+    # scalar's 0.0, not np.maximum's -0.0
+    @example(class_tag="nonconvex", theta=2.5, L=1e-300, kappa=0.0,
+             alpha_max=1.0, eps_f=1e-300, eps_g=0.0, p=0.9, beta_frac=1.0,
+             D=1.0)
     def test_equals_the_grid_loop(self, class_tag, theta, L, kappa, alpha_max,
                                   eps_f, eps_g, p, beta_frac, D):
         args = (class_tag, theta, L, kappa, alpha_max, eps_f, eps_g, p,
@@ -227,7 +249,8 @@ class TestEtaScreen:
     @pytest.mark.parametrize("class_tag, extra", [
         ("nonconvex", {}), ("strongly_convex", {"beta": 0.1}),
         ("convex", {"D": 2.0})])
-    def test_a_few_exact_points(self, monkeypatch, class_tag, extra):
+    def test_no_exact_point_on_a_clean_screen(self, monkeypatch, class_tag,
+                                              extra):
         import aloe_lab.theory as theory
         calls = []
 
@@ -238,8 +261,8 @@ class TestEtaScreen:
         exact = theory._eps_min_at_eta
         monkeypatch.setattr(theory, "_eps_min_at_eta", counted)
         args = (class_tag, 0.2, 10.0, 1.0, 1.25, 1e-3, 1e-3, 0.9)
-        assert eps_lower_bound(*args, **extra)[1] in calls
-        assert len(calls) <= 2
+        assert math.isfinite(eps_lower_bound(*args, **extra)[0])
+        assert calls == []
 
 
 EXACT = dict(eps=1e-3, theta=0.2, gamma=0.8, alpha0=1.0, alpha_max=10.0,
