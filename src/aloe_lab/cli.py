@@ -7,8 +7,8 @@ self-describing output directory:
     constants.txt   derived theory constants (key = value)
     trials.csv      one row per trial (stopping time, flags, lemma verdicts)
     summary.csv     empirical tail vs theoretical bound per checkpoint
-    trace.csv       iteration log of the harness's base-seed trial (its
-                    row of `linesearch.Paths`)
+    trace.csv       iteration log of the harness's base-seed trial up to
+                    its stopping time (its row of `linesearch.Paths`)
 
 Exit codes: 0 success, 1 statistical-criterion failure, 2 configuration or
 admissibility failure, 3 runtime error.  All CSVs are deterministic given

@@ -9,10 +9,9 @@ one (n,) column per verdict; the run's columns are the blocks' columns
 joined in seed order.  A trial leaves its block at the first chunk end at
 or after its stopping time T_eps, by iteration max(FIRST_SPAN, 2 T_eps)
 (see `linesearch.run_lockstep`), and its verdicts read its path up to
-T_eps only.  The base seed's trial runs the whole budget: its block sends
-back that trial's row of `linesearch.Paths`, its whole record, which the
-CLI writes as trace.csv.
-A trial's entries do not depend on its block, nor on where it left it, so
+T_eps only.  The base seed's block also sends back that trial's row of
+`linesearch.Paths` cut at T_eps, which the CLI writes as trace.csv.  A
+trial's entries do not depend on its block, nor on where it left it, so
 the results do not depend on how the seeds are split into blocks or over
 worker processes.
 """
@@ -178,7 +177,7 @@ class TrialSummary:
     wilson_bounds: tuple   # (lo, hi) pairs at each checkpoint
     p_hat: float | None
     t_min: int | None
-    trace: Paths | None = None   # the base-seed trial's row of Paths
+    trace: Paths | None = None   # the base-seed trial's row up to T_eps
 
     @property
     def lemma_clean(self) -> np.ndarray:
@@ -237,12 +236,10 @@ BLOCK_CELLS = 1 << 17
 
 def _run_trial_block(config: ExperimentConfig, constants: TheoryConstants,
                      seeds: list) -> tuple[tuple, Paths | None]:
-    """Run and classify a block of trials in lockstep, each until it stops
-    (the base seed's for the whole budget).  Returns the block's
-    (n,) columns seed, T_eps, frac_true, frac_success, lemma2_ok (Lemma 2
-    and Corollary 1), lemma3_ok and lemma4_ok, and the base seed's row of
-    `Paths`, which only its block sends, so a pool sends back one per
-    experiment."""
+    """Run and classify a block of trials in lockstep, each until it stops.
+    Returns the block's (n,) columns seed, T_eps, frac_true, frac_success,
+    lemma2_ok (Lemma 2 and Corollary 1), lemma3_ok and lemma4_ok, and the
+    base seed's row of `Paths` up to T_eps, which only its block sends."""
     problem, dataset = build_problem(config)
     zeroth, first = build_oracles(config, problem, dataset)
     controller = None
@@ -250,11 +247,12 @@ def _run_trial_block(config: ExperimentConfig, constants: TheoryConstants,
         controller = EpochEpsFController(zeroth, config.estimator)
     paths = run_lockstep(problem, zeroth, first, config.params, seeds,
                          controller,
-                         stop=stopping_rule(config.stopping, problem.phi_star),
-                         trace_seed=config.base_seed)
+                         stop=stopping_rule(config.stopping, problem.phi_star))
     v = classify_paths(paths, problem, config.stopping, config.first.eps_g,
                        config.first.kappa, constants.grid_index, constants.d)
-    base = paths.row(0) if seeds[0] == config.base_seed else None
+    t = v.T_eps[0]   # not where the row left, which depends on the block
+    base = (paths.row(0, config.params.max_iters if t == CENSORED else t)
+            if seeds[0] == config.base_seed else None)
     return (np.asarray(seeds), v.T_eps, v.frac_true, v.frac_success,
             v.lemma2_ok & v.corollary1_ok, v.lemma3_ok, v.lemma4_ok), base
 
@@ -266,11 +264,12 @@ def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
     constants that cannot be built, like the admissibility gate, raise
     InadmissibleConfigError."""
     try:
-        problem, dataset = build_problem(config)
-        constants = derive_experiment_constants(config, problem)
+        with np.errstate(over="raise", invalid="raise"):
+            problem, dataset = build_problem(config)
+            constants = derive_experiment_constants(config, problem)
     except ValueError as exc:
         raise InadmissibleConfigError(str(exc)) from exc
-    except ArithmeticError as exc:  # e.g. (1 + kappa alpha_max)^2 overflowing
+    except ArithmeticError as exc:  # e.g. ||x_0||^2 overflowing
         raise InadmissibleConfigError(f"{type(exc).__name__}: {exc}") from exc
     if config.check_admissibility:
         ok, reasons = constants.admissible()

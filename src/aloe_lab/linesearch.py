@@ -53,10 +53,10 @@ only, its capacity set by their number.  With a criterion, a chunk ends
 before its capacity: the chunk that starts at iteration s spans
 min(capacity, max(FIRST_SPAN, s)) iterations, so chunk ends double like
 the `rng` read-ahead window, and a row that stops at T_eps leaves by
-iteration max(FIRST_SPAN, 2 T_eps).  A run without one, or of the trace
-row alone, has nothing to leave and spans the capacity.  The rows that
-stay draw the same words and keep the same bits, so a row's cells up to
-where it left are the full-budget run's.
+iteration max(FIRST_SPAN, 2 T_eps).  A run without one has nothing to
+leave and spans the capacity.  The rows that stay draw the same words and
+keep the same bits, so a row's cells up to where it left are the
+full-budget run's.
 """
 
 import functools
@@ -121,10 +121,11 @@ class Paths:
     phi: np.ndarray         # (n, T + 1) phi(x_0)..phi(x_T)
     grad_norm: np.ndarray   # (n, T + 1) ||grad phi(x_0)||..||grad phi(x_T)||
 
-    def row(self, r: int) -> "Paths":
-        """Trial seeds[r] alone, as a block of one."""
+    def row(self, r: int, t: int) -> "Paths":
+        """Trial seeds[r] up to x_t, its first t iterations, as a block of
+        one."""
         return Paths(seeds=(self.seeds[r],), **{
-            name: getattr(self, name)[r:r + 1].copy()
+            name: getattr(self, name)[r:r + 1, :t + (name in _WIDE)].copy()
             for name in self.__dataclass_fields__ if name != "seeds"})
 
 
@@ -231,17 +232,16 @@ def aloe_run(problem: ProblemInstance, zeroth_oracle, first_oracle,
 
 
 def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
-                 params: AloeParams, seeds, eps_f_controller=None, stop=None,
-                 trace_seed=None) -> Paths:
+                 params: AloeParams, seeds, eps_f_controller=None,
+                 stop=None) -> Paths:
     """Run one trial per seed, all in lockstep, and return the block's
     `Paths`.
 
     Without `stop`, every trial runs `params.max_iters` iterations.  With
     it, ``stop(phi, grad_norm)`` is the stopping criterion, elementwise on
     arrays of phi(x_k) and ||grad phi(x_k)||: at the end of each chunk,
-    every row that met it at a point of the chunk leaves the block, except
-    the trial of `trace_seed`, which runs the whole budget.  Chunks then
-    start short and double (module docstring), so a row that stops at
+    every row that met it at a point of the chunk leaves the block.  Chunks
+    then start short and double (module docstring), so a row that stops at
     T_eps leaves at the first chunk end at or after it, by iteration
     max(FIRST_SPAN, 2 T_eps).  A row that leaves at x_e keeps its columns
     up to x_e; its later cells are NaN, False in `success` and UNREACHED
@@ -279,7 +279,6 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     cols = {name: np.full((n, T + (name in _WIDE)), _PAST.get(name, np.nan))
             for name in tuple(Paths.__dataclass_fields__)[1:]}
     rows = np.arange(n)
-    stays = np.array([s == trace_seed for s in seeds])
     x0 = np.asarray(problem.x0, dtype=float)
     ch = _Chunk(chunk_length(n, dim, T), np.broadcast_to(x0, (n, dim)),
                 problem.value(x0), problem.gradient(x0), -grid.i_low)
@@ -287,7 +286,7 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     for k in range(T):
         j = k - start
         if j == 0:      # the capacity, unless a row can leave the block
-            span = (ch.length if stop is None or stays.all()
+            span = (ch.length if stop is None
                     else min(ch.length, max(FIRST_SPAN, start)))
         at = ch.at[j]
         X = ch.x_rows.take(at, axis=0)
@@ -334,10 +333,9 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
         start = k + 1
         if stop is None or start == T:
             continue
-        done = stop(*truth).any(axis=0) & ~stays
-        if done.any():
-            live = ~done
-            rows, stays = rows[live], stays[live]
+        live = ~stop(*truth).any(axis=0)
+        if not live.all():
+            rows = rows[live]
             if not len(rows):
                 break
             for stream in streams:

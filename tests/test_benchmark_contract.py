@@ -43,24 +43,31 @@ def test_probe_calls_work(name):
 @pytest.mark.parametrize("name", ["quad_synthetic", "logistic_minibatch",
                                   "gsg_quadratic"])
 def test_trial0_trace_is_the_cli_trace(name, tmp_path):
-    # the benchmark's --trace 0 check: the trace written from aloe_run the
-    # way a probe builds trial 0 equals the CLI's trace.csv byte for byte
+    # what the benchmark's --trace 0 check reads: the trace written from a
+    # full-budget aloe_run the way a probe builds trial 0, cut to its header
+    # and first T_eps rows, is the CLI's trace.csv byte for byte
     workload = workloads.WORKLOADS[name]
     config, problem, dataset = probe.set_up(workload, 0)
     probe.write_trial0_trace(config, problem, dataset, tmp_path)
     out = tmp_path / "cli"
     assert cli.run(str(workload.ini), str(out), seed=0, quiet=True, jobs=1) == 0
-    assert ((tmp_path / "trial0_trace.csv").read_bytes()
-            == (out / "trace.csv").read_bytes())
+    with open(out / "trials.csv", newline="") as fh:
+        T_eps = int(next(csv.DictReader(fh))["T_eps"])
+    assert 0 < T_eps < config.params.max_iters
+    # the header and max_iters rows, each ended by CRLF
+    lines = (tmp_path / "trial0_trace.csv").read_bytes().split(b"\r\n")
+    assert len(lines) == config.params.max_iters + 2 and lines[-1] == b""
+    assert ((out / "trace.csv").read_bytes()
+            == b"\r\n".join(lines[:T_eps + 1]) + b"\r\n")
 
 
 @pytest.mark.parametrize("name", ["quad_synthetic", "logistic_minibatch",
                                   "gsg_quadratic"])
 def test_csvs_identical_across_jobs_and_blocks(name, tmp_path, monkeypatch):
     # the benchmark's csv_identical_across_runs_and_jobs gate, and its
-    # failure count: trials.csv and summary.csv are the same bytes at
-    # --jobs 1, at --jobs 2 and with the seeds split into blocks of a
-    # third of the trials (one trial each on logistic_minibatch), and
+    # failure count: trials.csv, summary.csv and trace.csv are the same
+    # bytes at --jobs 1, at --jobs 2 and with the seeds split into blocks of
+    # a third of the trials (one trial each on logistic_minibatch), and
     # every lemma column of trials.csv reads True
     workload = workloads.WORKLOADS[name]
     config = parse_config(str(workload.ini))
@@ -73,7 +80,7 @@ def test_csvs_identical_across_jobs_and_blocks(name, tmp_path, monkeypatch):
         assert cli.run(str(workload.ini), str(out), seed=0, quiet=True,
                        jobs=jobs) == 0
         outs.append(out)
-    for csv_name in ("trials.csv", "summary.csv"):
+    for csv_name in ("trials.csv", "summary.csv", "trace.csv"):
         assert len({(out / csv_name).read_bytes() for out in outs}) == 1, csv_name
     with open(outs[0] / "trials.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,11 @@ from aloe_lab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_STATISTICAL,
                           main, run, statistical_failures, unmet_contract,
                           write_trace_csv)
 from aloe_lab.config import ConfigError, config_digest, parse_config
-from aloe_lab.harness import ExperimentConfig, run_trials
-from aloe_lab.linesearch import AloeParams
+from aloe_lab.estimation import EpochEpsFController
+from aloe_lab.harness import (ExperimentConfig, build_oracles, build_problem,
+                              run_trials)
+from aloe_lab.instrument import CENSORED
+from aloe_lab.linesearch import AloeParams, aloe_run
 from aloe_lab.oracles import FirstOracleSpec, ZerothOracleSpec
 from aloe_lab.problems import make_synthetic_logistic
 
@@ -349,8 +353,9 @@ class TestRun:
 
     def test_overflowing_start_exit_two_before_trials(self, tmp_path,
                                                       monkeypatch, capsys):
-        # phi(x_0) overflows, so t_min's R is infinite: math.ceil raised
-        # OverflowError after set-up and the run exited 3
+        # ||x_0||^2 overflows while the problem is built: the config is
+        # refused there, before any trial and before numpy warns of the
+        # overflow, so stderr is the one refusal line
         import aloe_lab.harness as harness_mod
 
         def no_trials(*args):
@@ -360,12 +365,12 @@ class TestRun:
         config = write(tmp_path, "bad.ini",
                        "[problem]\nx0_norm = 1e300\n" + SMOKE)
         out = str(tmp_path / "out")
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run(config, out, quiet=True) == EXIT_CONFIG
-        err = capsys.readouterr().err.splitlines()
-        assert [line for line in err if "inadmissible" in line] == [
-            "inadmissible configuration: OverflowError: "
-            "cannot convert float infinity to integer"]
+        assert capsys.readouterr().err.splitlines() == [
+            "inadmissible configuration: FloatingPointError: "
+            "overflow encountered in dot"]
         assert not os.path.exists(out)
 
     def test_negative_reg_exit_two(self, tmp_path):
@@ -489,17 +494,30 @@ class TestStartBelowCriticalStep:
 
 class TestTraceIsTrialZero:
     def test_trace_csv_is_the_harness_base_seed_trace(self, tmp_path):
-        # the eps_f controller re-estimates the slack every 8 iterations, so
-        # a trace.csv written without it would show a constant eps_f column
+        # trace.csv is the base seed's trial with the eps_f controller, cut
+        # at T_eps: the first T_eps rows of its full-budget run, and not
+        # those of the same trial at the constant slack eps_f_input.  It
+        # stops at x_8, before the controller's first re-estimate at
+        # iteration 8, so its own eps_f column is constant either way
         config = write(tmp_path, "logistic.ini", LOGISTIC_ESTIMATED)
         out = tmp_path / "out"
         assert run(config, str(out), quiet=True) == EXIT_OK
-        with open(out / "trace.csv", newline="") as fh:
-            eps_f = {row["eps_f"] for row in csv.DictReader(fh)}
-        assert len(eps_f) > 1
-        ref = tmp_path / "ref.csv"
-        write_trace_csv(str(ref), run_trials(parse_config(config)).trace)
-        assert (out / "trace.csv").read_bytes() == ref.read_bytes()
+        with open(out / "trials.csv", newline="") as fh:
+            T_eps = int(next(csv.DictReader(fh))["T_eps"])
+        assert T_eps == 8
+        parsed = parse_config(config)
+        problem, dataset = build_problem(parsed)
+        zeroth, first = build_oracles(parsed, problem, dataset)
+        prefixes = []
+        for controller in (EpochEpsFController(zeroth, parsed.estimator), None):
+            ref = tmp_path / "ref.csv"
+            write_trace_csv(str(ref), aloe_run(problem, zeroth, first,
+                                               parsed.params, parsed.base_seed,
+                                               controller))
+            prefixes.append(ref.read_bytes().split(b"\r\n")[:T_eps + 1])
+        trace = (out / "trace.csv").read_bytes()
+        assert trace == b"\r\n".join(prefixes[0]) + b"\r\n"
+        assert prefixes[1] != prefixes[0]
 
 
 class TestJobs:
@@ -552,14 +570,16 @@ class TestDemoConfigs:
         assert set(os.listdir(out)) == {"manifest.json", "constants.txt",
                                         "trials.csv", "summary.csv",
                                         "trace.csv"}
+        # the base seed's trial up to T_eps, or the whole budget if censored
+        with open(out / "trials.csv", newline="") as fh:
+            T_eps = int(next(csv.DictReader(fh))["T_eps"])
         with open(out / "trace.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == parse_config(str(path)).params.max_iters
+        assert 0 < len(rows) == (parse_config(str(path)).params.max_iters
+                                 if T_eps == CENSORED else T_eps)
 
 
 class TestTailValidation:
-    TRACE_SHA256 = "2cba43da12e04679c4cad288f2bb38360adc2c0f82232c910639a1941610d45a"
-
     def test_summary_has_a_row_per_checkpoint(self, tmp_path):
         # a budget of 4 t_min: the checkpoints t_min, 2 t_min and 4 t_min all
         # fit, so summary.csv compares the tail with the bound at each
@@ -574,10 +594,11 @@ class TestTailValidation:
         with open(out / "trials.csv", newline="") as fh:
             assert sum(1 for _ in csv.DictReader(fh)) == 300
         # pinned beside TestPinnedOutputs: every trial stops within
-        # bounded_noise.ini's budget, so trials.csv is that config's
+        # bounded_noise.ini's budget, so trials.csv is that config's, and
+        # trace.csv, the base seed's trial up to T_eps = 15, is too
         assert tuple(hashlib.sha256((out / n).read_bytes()).hexdigest()
-                     for n in ("trials.csv", "trace.csv")) == (
-            TestPinnedOutputs.PINNED["bounded_noise"][0], self.TRACE_SHA256)
+                     for n in ("trials.csv", "trace.csv")
+                     ) == TestPinnedOutputs.PINNED["bounded_noise"][:2]
 
 
 class TestSmokeReproducible:
@@ -612,25 +633,26 @@ class TestPinnedOutputs:
     configs, the small GSG config and the small mini-batch config with the
     noise-level estimator, at --jobs 1 and 2.  A refactor keeps every
     sampled path, stopping time and verdict, so it keeps these bytes; a
-    change that moves them on purpose updates the pins and says so.  Only
-    smoke has checkpoint rows: the others' t_min exceeds their budget, so
-    their summary.csv is the header alone."""
+    change that moves them on purpose updates the pins and says so.
+    trace.csv is the base seed's trial up to its T_eps (479, 15, 14 and
+    8).  Only smoke has checkpoint rows: the others' t_min exceeds their
+    budget, so their summary.csv is the header alone."""
 
     HEADER_ONLY = "41c95c1893915db9ff23e2ed8421c7eb2a867587380120dbd4623381231c6eb7"
     PINNED = {
         "smoke": ("6b52d9d8365700566b0ac2e02ba0405e906b566733c3be0966768c6fbaaabeec",
-                  "7ec245e859cb04c93c2d919723ab74220dd64d7b75e382d5d4494a7d07b1809c",
+                  "145a94d40f82dd3eb87734f6df3bbcae1c54f1ac9a24571781c8417b99466f80",
                   "cf82cda2d05f878b58afc0163322c05cc6f6c32c8bde80840079916d7eb92457"),
         "bounded_noise": (
             "ab7e538a0b3980a61a8ceb638d3e610647576e4477c9f33befcec121c8a03642",
-            "f379ab44dbd0633ff76ea9f72dda9fa0bdcbb6208ad22edfa6eb700bac8947e7",
+            "56c362d468c6dbd424d4f66e3f066fa3d38df8c7b65ce9a5e7d3cd0a44405bf4",
             HEADER_ONLY),
         "gsg": ("76692063bf897324aacbe514ed2b569649cf3c07b582cfe1d0cfda883be1b8fd",
-                "27f874f027b2f5577ae408fa13bef196303e0ab31fff44a1a2ace4de20c550db",
+                "529e3ca1baa9ed29393771e967dbbbcca0530b75bb3c57469129804768147da3",
                 HEADER_ONLY),
         "minibatch_estimated": (
             "9adc1015e352d3bdb01e115e06abc46729a2943b092fdef0b3b42e3e1c0c74a0",
-            "f097fd634c6d26ea94903d66dd9f07180f36a6f4ff0dbba4ee9dfc9ae5ae70ef",
+            "2ab58eb25c72ec66b456aa5cda56bc7ada1284d417f0e5644d1a9271b5542598",
             HEADER_ONLY),
     }
 

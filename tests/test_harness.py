@@ -6,6 +6,7 @@ import pytest
 import scipy.stats
 
 from aloe_lab import harness, linesearch
+from aloe_lab.cli import write_trace_csv
 from aloe_lab.estimation import EstimatorConfig
 from aloe_lab.harness import (CertificationReport, ExperimentConfig,
                               InadmissibleConfigError, binom_cdf,
@@ -14,7 +15,7 @@ from aloe_lab.harness import (CertificationReport, ExperimentConfig,
                               derive_experiment_constants, empirical_tail,
                               mgf_envelope_ok, run_trials, wilson_interval)
 from aloe_lab.instrument import CENSORED, StoppingSpec
-from aloe_lab.linesearch import AloeParams
+from aloe_lab.linesearch import AloeParams, Paths, aloe_run
 from aloe_lab.oracles import (FirstOracleSpec, SyntheticFirstOracle,
                               SyntheticZerothOracle, ZerothOracleSpec,
                               gradient_accurate)
@@ -237,32 +238,38 @@ class TestBlockComposition:
     def test_alone_and_in_a_block(self, kind, monkeypatch):
         # rows leave the 9-row block at the first chunk end after their
         # stopping time (row 5 at 32 on synthetic, at 16 on minibatch,
-        # never on gsg, where it stops at 50); alone, row 5 is the base
-        # seed and runs the whole budget, so what its oracles were handed
-        # is compared up to its exit from the block.  Row 0 is the base
-        # seed in both runs.
+        # never on gsg, where it stops at 50), and a row alone leaves where
+        # it left the block: both have the capacity for the 60-iteration
+        # run, so their chunks end at 16, 32 and 60.  Row 0 is the base
+        # seed in both runs, and its trace is its row up to T_eps.
         recorders, blocks = self.recorded(monkeypatch)
-        block = run_trials(noisy_config(kind, n_trials=9, base_seed=40))
+        config = noisy_config(kind, n_trials=9, base_seed=40)
+        block = run_trials(config)
         (in_block,), (paths,) = recorders, blocks
         ran = np.isfinite(paths.alpha)
-        assert ran[0].all() and not ran.all()
+        assert not ran.all()
         for row in (5, 0):
             recorders.clear()
             blocks.clear()
-            alone = run_trials(noisy_config(kind, n_trials=1, base_seed=40 + row))
+            alone = run_trials(dataclasses.replace(config, n_trials=1,
+                                                   base_seed=40 + row))
             assert_same_columns(alone, block, slice(row, row + 1))
-            assert np.isfinite(blocks[0].alpha).all()
             e = int(ran[row].sum())
+            np.testing.assert_array_equal(np.isfinite(blocks[0].alpha[0]),
+                                          ran[row])
             for name in ("x", "g", "grad_true", "phi_plus"):
                 np.testing.assert_array_equal(
                     recorders[0].column(name)[0, :e],
                     in_block.column(name, ran)[row, :e], err_msg=name)
+            t = int(alone.T_eps[0])
             assert alone.trace.seeds == (40 + row,)
-        # the trace is the base seed's row of Paths, seed 40 alone
+            assert alone.trace.alpha.shape[1] == (
+                config.params.max_iters if t == CENSORED else t)
+        # the trace is the base seed's row of Paths up to T_eps, seed 40 alone
         for f in dataclasses.fields(alone.trace):
             np.testing.assert_array_equal(getattr(alone.trace, f.name),
                                           getattr(block.trace, f.name),
-                                          err_msg=f.name)
+                                          err_msg=f.name, strict=True)
 
     @pytest.mark.parametrize("kind", ["synthetic", "minibatch", "gsg"])
     def test_the_base_seed_is_classified_as_any_row(self, kind, monkeypatch):
@@ -295,6 +302,42 @@ class TestBlockComposition:
         split = run_trials(config, n_jobs=2)
         assert_same_columns(split, whole)
         np.testing.assert_array_equal(split.seed, 30 + np.arange(7))
+
+
+class TestBaseSeedTrace:
+    """The trace is the base seed's row of `Paths` up to its T_eps, whatever
+    the other rows of its block do: the whole budget when it is censored,
+    no iteration when x_0 meets the criterion."""
+
+    def test_censored_base_seed_keeps_the_budget(self):
+        # ||grad phi|| stays above 0.15 on seed 40 (its least is 0.183) and
+        # falls below it on five of the other eight rows, which leave early
+        config = noisy_config("synthetic", n_trials=9, base_seed=40,
+                              stopping=StoppingSpec("nonconvex", eps=0.15))
+        summary = run_trials(config)
+        assert summary.T_eps[0] == CENSORED
+        assert np.count_nonzero(summary.T_eps != CENSORED) == 5
+        problem, dataset = build_problem(config)
+        full = aloe_run(problem, *build_oracles(config, problem, dataset),
+                        config.params, 40)
+        assert summary.trace.alpha.shape == (1, config.params.max_iters)
+        for f in dataclasses.fields(Paths):
+            np.testing.assert_array_equal(getattr(summary.trace, f.name),
+                                          getattr(full, f.name),
+                                          err_msg=f.name, strict=True)
+
+    def test_stopped_at_the_start_writes_the_header_alone(self, tmp_path):
+        config = noisy_config("synthetic", n_trials=3,
+                              stopping=StoppingSpec("nonconvex", eps=1e6))
+        summary = run_trials(config)
+        assert (summary.T_eps == 0).all()
+        problem = build_problem(config)[0]
+        assert summary.trace.alpha.shape == (1, 0)
+        assert summary.trace.phi.tolist() == [[problem.value(problem.x0)]]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), summary.trace)
+        assert path.read_bytes() == (b"k,alpha,f_curr,f_plus,success,e_curr,"
+                                     b"e_plus,grad_true_norm,phi_curr,eps_f\r\n")
 
 
 class TestGroundTruthBudget:

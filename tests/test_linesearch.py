@@ -641,7 +641,7 @@ class TestLiteralReference:
                                  controller())
             for r, w in enumerate(want):
                 for f in dataclasses.fields(Paths):
-                    a, b = getattr(paths.row(r), f.name), getattr(w, f.name)
+                    a, b = getattr(paths.row(r, self.T), f.name), getattr(w, f.name)
                     if f.name != "seeds":
                         assert a.dtype == b.dtype, f.name
                         a, b = a.tobytes(), b.tobytes()
@@ -712,9 +712,9 @@ class TestRetirement:
     start at FIRST_SPAN iterations and double until their capacity binds,
     so a row leaves by max(FIRST_SPAN, 2 T_eps).  Up to its exit, T_eps
     included, its row is the full-budget run's bit for bit, and past it its
-    cells are NaN, False in `success` and UNREACHED in `exponents`; the
-    trace seed's row runs the whole budget, in chunks of the capacity once
-    it is alone, as does a run without a criterion.  Here chunks of eight
+    cells are NaN, False in `success` and UNREACHED in `exponents`.  A block
+    of one row follows the same chunks; a run without a criterion spans
+    chunks of the capacity.  Here chunks of eight
     iterations keep the schedule fixed: rows leave in the first chunk, in a
     later one, at T_eps = 0, or never."""
 
@@ -774,17 +774,16 @@ class TestRetirement:
         full = self.run(oracles)
         spec = self.criterion(kind, full)
         stop = stopping_rule(spec, problem.phi_star)
-        traced = self.SEEDS[2]
-        retired = self.run(oracles, stop=stop, trace_seed=traced)
+        retired = self.run(oracles, stop=stop)
         T_eps = stopping_times(full, problem, spec)
         np.testing.assert_array_equal(stopping_times(retired, problem, spec),
                                       T_eps)
         left = []
-        for r, seed in enumerate(self.SEEDS):
+        for r, t in enumerate(T_eps):
             # the row ran through x_e: phi is finite up to e and NaN after
             e = int(np.isfinite(retired.phi[r]).sum()) - 1
             assert np.isfinite(retired.phi[r, :e + 1]).all()
-            assert e == self.T if seed == traced or T_eps[r] == CENSORED else e >= T_eps[r]
+            assert e == self.T if t == CENSORED else e >= t
             left.append(e)
             self.assert_full_up_to(retired, full, r, e)
         stopped = T_eps[T_eps != CENSORED]
@@ -793,7 +792,7 @@ class TestRetirement:
             return
         assert min(left) < self.T   # a row left mid-run
         if kind == "at_start":
-            assert (T_eps == 0).all() and min(left) == self.C
+            assert (T_eps == 0).all() and left == [self.C] * len(self.SEEDS)
         elif kind == "first_chunk":
             assert stopped.min() <= self.C
         else:
@@ -838,38 +837,47 @@ class TestRetirement:
                                      for s, c, cap, _ in chunk_log)
             chunk_log.clear()
 
+        def doubling():
+            # every chunk spans min(capacity, max(F, s)), or what is left of
+            # the run; returns the chunk ends
+            assert chunk_log
+            for s, c, cap, rows in chunk_log:
+                assert c == min(cap, max(F, s), T - s), (s, c, cap, rows)
+            ends = {s + c for s, c, _, _ in chunk_log}
+            chunk_log.clear()
+            return ends
+
+        def exit_at(t, ends):
+            # the first chunk end at or after t, the budget if censored
+            return min(end for end in ends if end >= (T if t == CENSORED else t))
+
         full = self.run(oracles, T=T, seeds=seeds)
         capacity_sized()
         least = np.minimum.accumulate(full.grad_norm, axis=1)[:, horizon]
         spec = StoppingSpec("nonconvex", eps=float(np.median(least)))
         stop = stopping_rule(spec, problem.phi_star)
-        traced = seeds[2]
-        retired = self.run(oracles, T=T, seeds=seeds, stop=stop,
-                           trace_seed=traced)
+        retired = self.run(oracles, T=T, seeds=seeds, stop=stop)
         T_eps = stopping_times(full, problem, spec)
-        ends = sorted({s + c for s, c, _, _ in chunk_log})
-        for s, c, cap, rows in chunk_log:
-            # a lone row is the trace seed's, which never leaves
-            span = cap if rows == 1 else min(cap, max(F, s))
-            assert c == min(span, T - s), (s, c, cap, rows)
+        ends = doubling()
         exits = np.isfinite(retired.phi).sum(axis=1) - 1
-        for r, (seed, t, e) in enumerate(zip(seeds, T_eps, exits)):
+        for r, (t, e) in enumerate(zip(T_eps, exits)):
             self.assert_full_up_to(retired, full, r, e)
-            if seed == traced or t == CENSORED:
-                assert e == T
-            else:
-                assert e == min(end for end in ends if end >= t), (t, e)
-                assert e <= max(F, 2 * t), (t, e)
+            assert e == exit_at(t, ends), (t, e)
+            assert t == CENSORED or e <= max(F, 2 * t), (t, e)
         stopped = T_eps[T_eps != CENSORED]
         assert exits.min() < T
         assert stopped.min() < F if horizon == 10 else stopped.max() > 2 * F
-        chunk_log.clear()
-        # a block of the trace seed alone, and a trial run alone
-        self.run(oracles, T=T, seeds=[traced], stop=stop, trace_seed=traced)
-        capacity_sized()
+        # the row that left last, in a block of its own, follows the same
+        # doubling chunks and leaves at the first end at or after its T_eps;
+        # a trial run alone without a criterion spans chunks of the capacity
+        r = int(np.argmax(exits))
+        alone = self.run(oracles, T=T, seeds=[seeds[r]], stop=stop)
+        e = int(np.isfinite(alone.phi).sum()) - 1
+        assert e == exit_at(T_eps[r], doubling()), (T_eps[r], e)
+        self.assert_full_up_to(alone, full.row(r, T), 0, e)
         aloe_run(problem, *oracles[1:3],
                  AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=T),
-                 traced)
+                 seeds[r])
         capacity_sized()
 
     @pytest.mark.parametrize("name", ("synthetic", "minibatch_estimated"))
@@ -883,8 +891,7 @@ class TestRetirement:
         monkeypatch.setattr(linesearch, "CHUNK_CELLS",
                             self.C * len(self.SEEDS) * problem.dim)
         spec = self.criterion("varied", self.run(oracles))
-        paths = self.run(oracles, stop=stopping_rule(spec, problem.phi_star),
-                         trace_seed=self.SEEDS[0])
+        paths = self.run(oracles, stop=stopping_rule(spec, problem.phi_star))
         exits = np.isfinite(paths.phi).sum(axis=1) - 1
         assert exits.min() < self.T
         for r, e in enumerate(exits):
@@ -900,7 +907,7 @@ class TestRetirement:
     def test_success_at_an_off_grid_cap_stays_there(self, quadratic10, monkeypatch):
         # alpha_max = 0.05 snaps to the cap exponent -7 (0.01 * 0.8^-7 =
         # 0.0477): the successor table keeps a success there, as
-        # step_update does, in rows that retire and in the trace row
+        # step_update does, in every row up to where it retires
         problem, zeroth, first, _ = self.family("synthetic", quadratic10)
         monkeypatch.setattr(linesearch, "CHUNK_CELLS",
                             self.C * len(self.SEEDS) * problem.dim)
@@ -910,8 +917,7 @@ class TestRetirement:
         spec = StoppingSpec("nonconvex",
                             eps=float(np.median(full.grad_norm[:, self.T // 2])))
         paths = run_lockstep(problem, zeroth, first, params, self.SEEDS,
-                             stop=stopping_rule(spec, problem.phi_star),
-                             trace_seed=self.SEEDS[0])
+                             stop=stopping_rule(spec, problem.phi_star))
         exits = np.isfinite(paths.phi).sum(axis=1) - 1
         assert exits.min() < self.T
         held = 0
