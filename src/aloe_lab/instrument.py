@@ -59,11 +59,21 @@ def stopping_times(paths: Paths, problem: ProblemInstance, spec: StoppingSpec) -
     return np.where(hit.any(axis=1), hit.argmax(axis=1), CENSORED)
 
 
+# The exact values each class's criterion reads, as an oracle declares them
+# (`oracles.oracle_reads`): "phi" for phi(x), "grad" for ||grad phi(x)||.
+_CRITERION_READS = {"nonconvex": frozenset({"grad"}),
+                    "strongly_convex": frozenset({"phi"}),
+                    "convex": frozenset({"phi", "grad"})}
+
+
 def stopping_rule(spec: StoppingSpec, phi_star: float):
     """The class criterion as ``stop(phi, grad_norm)``, elementwise on
     arrays of phi(x) and ||grad phi(x)||: `linesearch.run_lockstep`'s
-    `stop`."""
-    return partial(_stopped, spec, phi_star)
+    `stop`.  Its `reads` names the values it reads, so the engine
+    evaluates only those in its loop; it is handed None for the other."""
+    rule = partial(_stopped, spec, phi_star)
+    rule.reads = _CRITERION_READS[spec.class_tag]
+    return rule
 
 
 def _stopped(spec: StoppingSpec, phi_star: float, phi, gnorm):

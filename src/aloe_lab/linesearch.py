@@ -11,10 +11,10 @@ tables of the run's reachable steps (`_StepGrid`): one take gives alpha,
 one gives alpha * theta for the Armijo test and one the index after a
 success, with the bits and the rules of `armijo_check` and `step_update`.
 A trial's one record is its row of `Paths`.  A trial runs the whole
-budget, or, given the stopping criterion, until the end of the chunk
-(below) in which it stops: everything the lab reports of a trial is a
-function of its path up to its stopping time, and the classifier reads no
-cell past it.
+budget, or, given the stopping criterion, until it leaves its block
+(below), at or after its stopping time: everything the lab reports of a
+trial is a function of its path up to its stopping time, and the
+classifier reads no cell past it.
 
 `run_lockstep` advances a block of n trials together: the state is an
 (n, dim) array of points and an integer exponent per trial, every query is
@@ -27,33 +27,40 @@ path does not depend on the block it runs in.  `aloe_run` is the same
 engine with n = 1.
 
 Ground truth is the engine's; oracles return estimates only, and each
-declares the exact values it reads (`oracles.oracle_reads`).  The engine
-evaluates phi and grad phi once per point: both at x_0, once for the
-block, phi at each x_k+ and grad phi at each accepted one.  It keeps a
-chunk of iterations in slots, as many as `CHUNK_CELLS` allows (the
-chunk's capacity): slot 0 holds the chunk's first point, slot j + 1 the
-x_k+ of its iteration j, with phi there and grad phi where the step was
-accepted.  x_{k+1} is x_k+ or x_k, so one integer per row, the slot of
-x_k, moves to j + 1 on success and stays on failure, and x_k and the
-values at x_k are gathered through it, never recomputed.  What an oracle
-reads is evaluated in the loop, one stacked call per iteration; the rest
-waits for the end of the chunk, one stacked call for phi at its x_k+ rows
-and one for grad phi at its accepted rows.  Then one pass fills the
-columns through the same index, phi and ||grad phi|| at every x_k, x_T
-included; the rows, and so the columns' bits, do not depend on where the
-values were evaluated.  The same pass writes the columns that follow from
-the state: alpha and the exponents from the step indices, and the slack
-when it is a constant (no controller).
+declares the exact values it reads (`oracles.oracle_reads`), as the
+stopping criterion does.  The engine evaluates phi and grad phi once per
+point: both at x_0, once for the block, phi at each x_k+ and grad phi at
+each accepted one.  It keeps a chunk of iterations in slots, as many as
+`CHUNK_CELLS` allows (the chunk's capacity): slot 0 holds the chunk's
+first point, slot j + 1 the x_k+ of its iteration j, with phi there and
+grad phi where the step was accepted.  x_{k+1} is x_k+ or x_k, so one
+integer per row, the slot of x_k, moves to j + 1 on success and stays on
+failure, and x_k and the values at x_k are gathered through it, never
+recomputed.  What an oracle or the criterion reads is evaluated in the
+loop, one stacked call per iteration; the rest waits for the end of the
+chunk, one stacked call for phi at its x_k+ rows and one for grad phi at
+its accepted rows.  Then one pass fills the columns through the same
+index, phi and ||grad phi|| at every x_k, x_T included; the rows, and so
+the columns' bits, do not depend on where the values were evaluated.  The
+same pass writes the columns that follow from the state: alpha and the
+exponents from the step indices, and the slack when it is a constant (no
+controller).
 
-At the end of a chunk the stopping criterion, when given, is evaluated on
-the chunk's phi and ||grad phi|| columns, and every row that has stopped
-leaves the block: its keys leave the streams (`rng.KeyedStream.keep`),
-its state the slack controller, and the next chunk holds the live rows
-only, its capacity set by their number.  With a criterion, a chunk ends
-before its capacity: the chunk that starts at iteration s spans
-min(capacity, max(FIRST_SPAN, s)) iterations, so chunk ends double like
-the `rng` read-ahead window, and a row that stops at T_eps leaves by
-iteration max(FIRST_SPAN, 2 T_eps).  A run without one has nothing to
+The stopping criterion, when given, is checked at x_0 and after every
+iteration, on the values at x_{k+1} gathered through the slot index as the
+pass gathers them, so a row stops at its stopping time T_eps as the
+columns record it.  A chunk ends at its span, or at the iteration where
+every row in the block has stopped, whichever comes first.  Then every row
+that has stopped leaves the block: its keys leave the streams
+(`rng.KeyedStream.keep`), its state the slack controller, and the next
+chunk holds the live rows only, its capacity set by their number.  With a
+criterion the chunk that starts at iteration s spans min(capacity,
+max(FIRST_SPAN, s)) iterations, so chunk ends double like the `rng`
+read-ahead window.  A row that stops at T_eps thus leaves at the first
+chunk end at or after it, or at the last T_eps among the rows of its
+block, whichever is first: by iteration max(FIRST_SPAN, 2 T_eps), and a
+block runs no further than its last row's T_eps.  A block whose rows all
+stop at x_0 runs no iteration.  A run without a criterion has nothing to
 leave and spans the capacity.  The rows that stay draw the same words and
 keep the same bits, so a row's cells up to where it left are the
 full-budget run's.
@@ -239,13 +246,17 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
 
     Without `stop`, every trial runs `params.max_iters` iterations.  With
     it, ``stop(phi, grad_norm)`` is the stopping criterion, elementwise on
-    arrays of phi(x_k) and ||grad phi(x_k)||: at the end of each chunk,
-    every row that met it at a point of the chunk leaves the block.  Chunks
-    then start short and double (module docstring), so a row that stops at
-    T_eps leaves at the first chunk end at or after it, by iteration
-    max(FIRST_SPAN, 2 T_eps).  A row that leaves at x_e keeps its columns
-    up to x_e; its later cells are NaN, False in `success` and UNREACHED
-    in `exponents`.
+    arrays of phi(x_k) and ||grad phi(x_k)||, and its `reads` names the
+    values it reads as an oracle's does (`oracles.oracle_reads`; both if
+    it declares none), the other handed as None.  It is checked at x_0 and
+    after every iteration; a chunk ends early where every row in the block
+    has met it, and at the end of each chunk every row that has met it
+    leaves the block.  Chunks start short and double (module docstring),
+    so a row that stops at T_eps leaves at the first chunk end at or after
+    it, or at the last T_eps among its block's rows, whichever is first:
+    by iteration max(FIRST_SPAN, 2 T_eps).  If x_0 meets it, no iteration
+    runs.  A row that leaves at x_e keeps its columns up to x_e; its later
+    cells are NaN, False in `success` and UNREACHED in `exponents`.
 
     `eps_f_controller`, when given, is called as
     ``controller(k, X, stream, phi)`` before each iteration, with the
@@ -269,6 +280,9 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     grad_rng, curr_rng, plus_rng, est_rng = streams
     grid = _step_grid(params)
     reads = oracle_reads(zeroth_oracle) | oracle_reads(first_oracle)
+    # the values the loop evaluates: those an oracle or the criterion reads
+    stop_reads = frozenset() if stop is None else oracle_reads(stop)
+    truth = reads | stop_reads
     # the slack: one per chunk iteration with a controller, else a constant
     eps_f = None if eps_f_controller is not None else params.eps_f_input
 
@@ -283,6 +297,12 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     ch = _Chunk(chunk_length(n, dim, T), np.broadcast_to(x0, (n, dim)),
                 problem.value(x0), problem.gradient(x0), -grid.i_low)
     start = 0
+    if stop is not None:
+        # done[r]: row r has met the criterion at a point it reached
+        done = ch.stopped(stop, stop_reads, 0)
+        if done.all():      # at x_0, which every row shares: no iteration
+            ch.fill(problem, 0, EXACT_VALUES - truth, cols, rows, 0, grid, eps_f)
+            return Paths(seeds=seeds, **cols)
     for k in range(T):
         j = k - start
         if j == 0:      # the capacity, unless a row can leave the block
@@ -302,9 +322,10 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
         x_plus = np.subtract(X, alpha[:, None] * g, out=ch.x[j + 1])
         f_curr = ch.f_curr[j] = zeroth_oracle(X, curr_rng, phi=phi)
         phi_plus = None
-        if phi is not None:
+        if "phi" in truth:
             phi_plus = ch.phi[j + 1] = problem.values(x_plus)
-        f_plus = ch.f_plus[j] = zeroth_oracle(x_plus, plus_rng, phi=phi_plus)
+        f_plus = ch.f_plus[j] = zeroth_oracle(
+            x_plus, plus_rng, phi=phi_plus if "phi" in reads else None)
         g_sq = ch.g_sq[j] = row_dots(g, g)
         # a non-finite g makes g_sq non-finite; an overflowing sum alone
         # falls through to the exact test
@@ -317,7 +338,7 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
         success = ch.success[j] = _decrease_test(
             f_plus, f_curr, grid.alpha_theta.take(s), g_sq,
             ch.eps_f[j] if eps_f is None else eps_f)
-        if grad is not None:
+        if "grad" in truth:
             hits = np.count_nonzero(success)
             if hits == len(success):    # a row's bits do not depend on the stack
                 ch.grad[j + 1] = problem.gradients(x_plus)
@@ -325,15 +346,18 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
                 ch.grad[j + 1][success] = problem.gradients(x_plus[success])
         ch.at[j + 1] = np.where(success, ch.cell[j + 1], at)
         ch.steps[j + 1] = np.where(success, grid.up.take(s), s + 1)
+        if stop is not None:
+            done |= ch.stopped(stop, stop_reads, j + 1)
+            if done.all():      # every row has stopped: the chunk ends
+                span = j + 1
         if j < span - 1 and k < T - 1:
             continue
-        truth = ch.fill(problem, j + 1, EXACT_VALUES - reads, cols,
-                        slice(None) if len(rows) == n else rows, start,
-                        grid, eps_f)
+        ch.fill(problem, j + 1, EXACT_VALUES - truth, cols,
+                slice(None) if len(rows) == n else rows, start, grid, eps_f)
         start = k + 1
         if stop is None or start == T:
             continue
-        live = ~stop(*truth).any(axis=0)
+        live = ~done
         if not live.all():
             rows = rows[live]
             if not len(rows):
@@ -343,6 +367,7 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
             if eps_f_controller is not None:
                 eps_f_controller.keep(live)
             ch = ch.keep(live, chunk_length(len(rows), dim, T - start))
+            done = done[live]
     return Paths(seeds=seeds, **cols)
 
 
@@ -370,13 +395,25 @@ class _Chunk:
         self.x[0], self.phi[0], self.grad[0] = x, phi, grad
         self.steps[0] = s
 
+    def stopped(self, stop, reads: frozenset, j: int) -> np.ndarray:
+        """``stop`` at each row's x_k, k = start + j, handed the values in
+        `reads` (None for the other): gathered through at[j] from the slots
+        that `fill` reads, and ||grad phi|| by the same `row_dots`, so that
+        the bits are the columns'."""
+        at = self.at[j]
+        phi = self.phi.take(at) if "phi" in reads else None
+        grad_norm = None
+        if "grad" in reads:
+            G = self.grad_rows.take(at, axis=0)
+            grad_norm = np.sqrt(row_dots(G, G))
+        return stop(phi, grad_norm)
+
     def fill(self, problem, c: int, evaluate: frozenset, cols, rows, s: int,
              grid: _StepGrid, eps_f):
         """Write the `Paths` columns of the chunk's first c iterations, which
         are iterations s..s+c-1, and phi, grad_norm and the exponent at
         x_{s+c}, to rows `rows` of `cols`; then move x_{s+c} and its values
-        to slot 0 for the next chunk.  Returns phi and ||grad phi|| at the
-        chunk's c + 1 points, (c + 1, n).
+        to slot 0 for the next chunk.
 
         The values in `evaluate`, which the loop left out, are evaluated
         first into the slots: phi as one stack of the chunk's x_k+ rows,
@@ -386,7 +423,7 @@ class _Chunk:
         overwritten."""
         n, dim = self.phi.shape[1], self.x.shape[-1]
         x_plus = self.x[1:c + 1]
-        if "phi" in evaluate:
+        if "phi" in evaluate and c:
             self.phi[1:c + 1] = problem.values(x_plus.reshape(-1, dim)).reshape(c, n)
         success = self.success[:c]
         if "grad" in evaluate and success.any():
@@ -410,7 +447,6 @@ class _Chunk:
         self.x[0] = self.x_rows.take(self.at[c], axis=0)
         self.phi[0], self.grad[0] = phi[c], G[c * n:]
         self.steps[0] = self.steps[c]
-        return phi, grad_norm
 
     def keep(self, rows, length: int) -> "_Chunk":
         """A chunk of `length` iterations on the rows that the mask `rows`

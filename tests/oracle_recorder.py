@@ -14,20 +14,24 @@ class OracleRecorder:
     at x_k, which is handed X, alpha, `grad=` grad phi(x_k) and `phi=` and
     returns g_k, then the zeroth-order one at x_k and at x_k+; the second
     is handed `phi=` phi(x_k+).  A noise controller's queries come before
-    the first-order one, so they are not taken for either."""
+    the first-order one, so they are not taken for either.  `queries`
+    counts the queries made of either oracle, a controller's included."""
 
     def __init__(self, zeroth, first):
         self._zeroth, self._first = zeroth, first
+        self.queries = 0
         self._log = {"x": [], "g": [], "grad_true": [], "phi_plus": []}
         self._since_first = 0   # zeroth-order queries since the last first-order one
 
     def zeroth(self, X, stream, phi=None):
+        self.queries += 1
         self._since_first += 1
         if self._since_first == 2:
             self._log["phi_plus"].append(np.array(phi, dtype=float))
         return self._zeroth(X, stream, phi=phi)
 
     def first(self, X, alpha, stream, grad=None, phi=None):
+        self.queries += 1
         g = self._first(X, alpha, stream, grad=grad, phi=phi)
         for name, value in (("x", X), ("g", g), ("grad_true", grad)):
             self._log[name].append(np.array(value, dtype=float))

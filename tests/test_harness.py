@@ -236,35 +236,47 @@ class TestBlockComposition:
 
     @pytest.mark.parametrize("kind", ["synthetic", "minibatch", "gsg"])
     def test_alone_and_in_a_block(self, kind, monkeypatch):
-        # rows leave the 9-row block at the first chunk end after their
-        # stopping time (row 5 at 32 on synthetic, at 16 on minibatch,
-        # never on gsg, where it stops at 50), and a row alone leaves where
-        # it left the block: both have the capacity for the 60-iteration
-        # run, so their chunks end at 16, 32 and 60.  Row 0 is the base
-        # seed in both runs, and its trace is its row up to T_eps.
+        # rows leave the 9-row block at the first chunk end at or after
+        # their stopping time, or where the block's last row stops: chunks
+        # end at 16 and 32, and the block ends at 43 on synthetic (rows 0
+        # and 5 leave at 32), at 15 on minibatch (every row at 15), and at
+        # 60 on gsg, where row 7 never stops (rows 0 and 5 leave at 60).  A
+        # row alone leaves at its own stopping time, and up to there it is
+        # its row of the block.  Row 0 is the base seed in both runs, and
+        # its trace is its row up to T_eps.
         recorders, blocks = self.recorded(monkeypatch)
         config = noisy_config(kind, n_trials=9, base_seed=40)
+        T = config.params.max_iters
         block = run_trials(config)
         (in_block,), (paths,) = recorders, blocks
         ran = np.isfinite(paths.alpha)
-        assert not ran.all()
+        stops = np.where(block.T_eps == CENSORED, T, block.T_eps)
+        exits = ran.sum(axis=1)
+        assert exits.max() == stops.max() and not ran.all()
+        want = {"synthetic": ([32, 32], 43), "minibatch": ([15, 15], 15),
+                "gsg": ([60, 60], 60)}[kind]
+        assert (exits[[0, 5]].tolist(), exits.max()) == want
         for row in (5, 0):
             recorders.clear()
             blocks.clear()
             alone = run_trials(dataclasses.replace(config, n_trials=1,
                                                    base_seed=40 + row))
             assert_same_columns(alone, block, slice(row, row + 1))
-            e = int(ran[row].sum())
+            e = int(stops[row])
+            assert e < exits[row]
             np.testing.assert_array_equal(np.isfinite(blocks[0].alpha[0]),
-                                          ran[row])
+                                          np.arange(T) < e)
+            for f in dataclasses.fields(Paths)[1:]:
+                a, b = getattr(blocks[0], f.name)[0], getattr(paths, f.name)[row]
+                cut = e + (len(a) > T)
+                assert a[:cut].tobytes() == b[:cut].tobytes(), f.name
             for name in ("x", "g", "grad_true", "phi_plus"):
                 np.testing.assert_array_equal(
-                    recorders[0].column(name)[0, :e],
+                    recorders[0].column(name)[0],
                     in_block.column(name, ran)[row, :e], err_msg=name)
             t = int(alone.T_eps[0])
             assert alone.trace.seeds == (40 + row,)
-            assert alone.trace.alpha.shape[1] == (
-                config.params.max_iters if t == CENSORED else t)
+            assert alone.trace.alpha.shape[1] == (T if t == CENSORED else t)
         # the trace is the base seed's row of Paths up to T_eps, seed 40 alone
         for f in dataclasses.fields(alone.trace):
             np.testing.assert_array_equal(getattr(alone.trace, f.name),
@@ -341,11 +353,13 @@ class TestBaseSeedTrace:
 
 
 class TestGroundTruthBudget:
-    def test_rows_evaluated_on_a_small_logistic_run(self, monkeypatch):
-        # phi: once for the constants, once at the shared start, once per
-        # trial-iteration run at x+; grad phi: once at the start and once
-        # per accepted step run.  Rows leave at the first chunk end after
-        # their stopping time; this run measured 94 and 66 rows.
+    """Ground truth is evaluated once per point of the trial-iterations
+    run.  A stacked call counts one row per point."""
+
+    @staticmethod
+    def counted_rows(monkeypatch, config):
+        """Runs `config`; returns the rows of phi and grad phi evaluated,
+        the trial-iterations run and the accepted ones among them."""
         rows = {"value": 0, "grad": 0}
 
         def counted(kind, fn):
@@ -364,15 +378,32 @@ class TestGroundTruthBudget:
 
         monkeypatch.setattr(harness, "build_problem", counted_build)
         blocks = recorded_blocks(monkeypatch)
-        config = noisy_config("minibatch", n_trials=3)
         run_trials(config)
         (paths,) = blocks
         iters = int(np.isfinite(paths.alpha).sum())
-        accepted = int(paths.success.sum())
         assert iters < config.n_trials * config.params.max_iters
+        return rows, iters, int(paths.success.sum())
+
+    def test_rows_evaluated_on_a_small_logistic_run(self, monkeypatch):
+        # phi: once for the constants, once at the shared start, once per
+        # trial-iteration run at x+; grad phi: once at the start and once
+        # per accepted step run.  Rows leave at the first chunk end after
+        # their stopping time or where the block's last row stops; this
+        # run measured 29 and 25 rows.
+        rows, iters, accepted = self.counted_rows(
+            monkeypatch, noisy_config("minibatch", n_trials=3))
         assert rows["value"] == 2 + iters
-        assert rows["grad"] <= 1 + accepted
-        assert rows["value"] <= 94 and rows["grad"] <= 66
+        assert rows["grad"] == 1 + accepted
+        assert rows["value"] <= 29 and rows["grad"] <= 25
+
+    def test_gradient_rows_on_a_gsg_run(self, monkeypatch):
+        # no GSG oracle reads grad phi but the nonconvex criterion does, so
+        # the loop evaluates it at each accepted x+ it runs, and nowhere
+        # else but the shared start
+        rows, iters, accepted = self.counted_rows(
+            monkeypatch, noisy_config("gsg", n_trials=3))
+        assert 0 < accepted < iters
+        assert rows["grad"] == 1 + accepted
 
 
 class TestCapBelowCriticalStep:

@@ -706,17 +706,55 @@ class TestLiteralReference:
             assert len(set(T_eps.tolist())) > 1
 
 
+@pytest.fixture
+def chunk_log(monkeypatch):
+    """(s, c, capacity, rows) of every chunk `run_lockstep` fills: its
+    iterations s..s+c-1, its slots' length and its number of rows."""
+    log = []
+    fill = linesearch._Chunk.fill
+
+    def logged(ch, problem, c, evaluate, cols, rows, s, *args):
+        log.append((s, c, ch.length, ch.phi.shape[1]))
+        return fill(ch, problem, c, evaluate, cols, rows, s, *args)
+
+    monkeypatch.setattr(linesearch._Chunk, "fill", logged)
+    return log
+
+
+def exits_by_rule(T_eps, T, capacity):
+    """Where each row leaves its block by the exit rule, from the stopping
+    times alone, and the chunks (s, c, rows) the block runs: the chunk that
+    starts at s with m rows spans min(capacity(m), max(FIRST_SPAN, s),
+    T - s) iterations, unless all m rows stop before its span ends, and
+    then it ends where the last of them stops; the rows that have stopped
+    by its end leave there.  A censored row stops at T."""
+    stops = np.where(T_eps == CENSORED, T, T_eps)
+    exits, live = np.empty_like(stops), np.arange(len(stops))
+    s, chunks = 0, []
+    while len(live):
+        c = min(capacity(len(live)), max(linesearch.FIRST_SPAN, s), T - s,
+                int(stops[live].max()) - s)
+        chunks.append((s, c, len(live)))
+        s += c
+        left = stops[live] <= s
+        exits[live[left]] = s
+        live = live[~left]
+    return exits, chunks
+
+
 class TestRetirement:
-    """With a stopping criterion, a row leaves the block at the end of the
-    chunk in which it stops, the first chunk end at or after T_eps.  Chunks
-    start at FIRST_SPAN iterations and double until their capacity binds,
-    so a row leaves by max(FIRST_SPAN, 2 T_eps).  Up to its exit, T_eps
+    """With a stopping criterion, a row leaves the block at the first chunk
+    end at or after its T_eps, or at the last T_eps among the rows of its
+    block, whichever is first.  Chunks start at FIRST_SPAN iterations and
+    double until their capacity binds, and the block's last chunk ends
+    where its last row stops, so a row leaves by max(FIRST_SPAN, 2 T_eps)
+    and a block runs no further than its last T_eps.  Up to its exit, T_eps
     included, its row is the full-budget run's bit for bit, and past it its
     cells are NaN, False in `success` and UNREACHED in `exponents`.  A block
-    of one row follows the same chunks; a run without a criterion spans
-    chunks of the capacity.  Here chunks of eight
-    iterations keep the schedule fixed: rows leave in the first chunk, in a
-    later one, at T_eps = 0, or never."""
+    of one row leaves at its T_eps; a run without a criterion spans chunks
+    of the capacity.  Here chunks of eight iterations keep the schedule
+    fixed: rows leave in the first chunk, in a later one, at T_eps = 0, or
+    never."""
 
     T, SEEDS, C = 40, range(60, 66), 8
     FAMILIES = ("synthetic", "gsg", "minibatch", "minibatch_estimated")
@@ -778,6 +816,9 @@ class TestRetirement:
         T_eps = stopping_times(full, problem, spec)
         np.testing.assert_array_equal(stopping_times(retired, problem, spec),
                                       T_eps)
+        exits, _ = exits_by_rule(
+            T_eps, self.T,
+            lambda m: linesearch.chunk_length(m, problem.dim, self.T))
         left = []
         for r, t in enumerate(T_eps):
             # the row ran through x_e: phi is finite up to e and NaN after
@@ -786,31 +827,18 @@ class TestRetirement:
             assert e == self.T if t == CENSORED else e >= t
             left.append(e)
             self.assert_full_up_to(retired, full, r, e)
+        assert left == exits.tolist()
         stopped = T_eps[T_eps != CENSORED]
         if kind == "never":
             assert len(stopped) == 0 and left == [self.T] * len(self.SEEDS)
             return
         assert min(left) < self.T   # a row left mid-run
-        if kind == "at_start":
-            assert (T_eps == 0).all() and left == [self.C] * len(self.SEEDS)
+        if kind == "at_start":     # no iteration runs
+            assert (T_eps == 0).all() and left == [0] * len(self.SEEDS)
         elif kind == "first_chunk":
             assert stopped.min() <= self.C
         else:
             assert stopped.max() > self.C and len(stopped) < len(self.SEEDS)
-
-    @pytest.fixture
-    def chunk_log(self, monkeypatch):
-        """(s, c, capacity, rows) of every chunk `run_lockstep` fills: its
-        iterations s..s+c-1, its slots' length and its number of rows."""
-        log = []
-        fill = linesearch._Chunk.fill
-
-        def logged(ch, problem, c, evaluate, cols, rows, s, *args):
-            log.append((s, c, ch.length, ch.phi.shape[1]))
-            return fill(ch, problem, c, evaluate, cols, rows, s, *args)
-
-        monkeypatch.setattr(linesearch._Chunk, "fill", logged)
-        return log
 
     @pytest.mark.parametrize("horizon", (10, 50))
     @pytest.mark.parametrize("cells", ("default", "small"))
@@ -823,7 +851,8 @@ class TestRetirement:
         # run and some rows may never stop.  The chunk that starts at s spans
         # min(capacity, max(F, s)) iterations, F = FIRST_SPAN, at the
         # default capacity (68 iterations of twelve 10-dim rows, the whole
-        # run of 4-dim ones) or at 24 iterations until rows leave
+        # run of 4-dim ones) or at 24 iterations until rows leave, unless
+        # every row in it stops before that
         F, T, seeds = linesearch.FIRST_SPAN, 100, range(60, 72)
         oracles = self.family(name, quadratic10)
         problem = oracles[0]
@@ -837,19 +866,24 @@ class TestRetirement:
                                      for s, c, cap, _ in chunk_log)
             chunk_log.clear()
 
-        def doubling():
+        def doubling(T_eps, exits):
             # every chunk spans min(capacity, max(F, s)), or what is left of
-            # the run; returns the chunk ends
-            assert chunk_log
+            # the run, unless all its rows have stopped earlier: then it ends
+            # where the last of them stops.  Returns the chunks as
+            # (s, c, rows)
+            stops = np.where(T_eps == CENSORED, T, T_eps)
+            chunks = []
             for s, c, cap, rows in chunk_log:
-                assert c == min(cap, max(F, s), T - s), (s, c, cap, rows)
-            ends = {s + c for s, c, _, _ in chunk_log}
+                last = int(stops[exits > s].max())
+                assert rows == np.count_nonzero(exits > s), (s, c, rows)
+                span = min(cap, max(F, s), T - s)
+                assert c == span or c == last - s < span, (s, c, cap, rows)
+                chunks.append((s, c, rows))
             chunk_log.clear()
-            return ends
+            return chunks
 
-        def exit_at(t, ends):
-            # the first chunk end at or after t, the budget if censored
-            return min(end for end in ends if end >= (T if t == CENSORED else t))
+        def capacity(m):
+            return linesearch.chunk_length(m, problem.dim, T)
 
         full = self.run(oracles, T=T, seeds=seeds)
         capacity_sized()
@@ -858,22 +892,25 @@ class TestRetirement:
         stop = stopping_rule(spec, problem.phi_star)
         retired = self.run(oracles, T=T, seeds=seeds, stop=stop)
         T_eps = stopping_times(full, problem, spec)
-        ends = doubling()
         exits = np.isfinite(retired.phi).sum(axis=1) - 1
+        want, chunks = exits_by_rule(T_eps, T, capacity)
+        np.testing.assert_array_equal(exits, want)
+        assert doubling(T_eps, exits) == chunks
         for r, (t, e) in enumerate(zip(T_eps, exits)):
             self.assert_full_up_to(retired, full, r, e)
-            assert e == exit_at(t, ends), (t, e)
             assert t == CENSORED or e <= max(F, 2 * t), (t, e)
         stopped = T_eps[T_eps != CENSORED]
+        assert exits.max() == (T if len(stopped) < len(seeds) else stopped.max())
         assert exits.min() < T
         assert stopped.min() < F if horizon == 10 else stopped.max() > 2 * F
-        # the row that left last, in a block of its own, follows the same
-        # doubling chunks and leaves at the first end at or after its T_eps;
+        # the row that left last, in a block of its own, leaves at its T_eps;
         # a trial run alone without a criterion spans chunks of the capacity
         r = int(np.argmax(exits))
         alone = self.run(oracles, T=T, seeds=[seeds[r]], stop=stop)
         e = int(np.isfinite(alone.phi).sum()) - 1
-        assert e == exit_at(T_eps[r], doubling()), (T_eps[r], e)
+        assert e == (T if T_eps[r] == CENSORED else T_eps[r])
+        assert doubling(T_eps[r:r + 1], np.array([e])) == exits_by_rule(
+            T_eps[r:r + 1], T, capacity)[1]
         self.assert_full_up_to(alone, full.row(r, T), 0, e)
         aloe_run(problem, *oracles[1:3],
                  AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=T),
@@ -962,6 +999,123 @@ class TestRetirement:
                 np.testing.assert_array_equal(getattr(a, f.name),
                                               getattr(b, f.name),
                                               err_msg=f.name, strict=True)
+
+
+class RecordedStop:
+    """A stopping criterion that keeps, for every check, its verdicts and
+    which values it was handed; it declares the `reads` of the rule it
+    wraps, or none when `declare` is False."""
+
+    def __init__(self, rule, declare=True):
+        self.rule, self.verdicts, self.handed = rule, [], set()
+        if declare:
+            self.reads = rule.reads
+
+    def __call__(self, phi, grad_norm):
+        self.handed.add((phi is not None, grad_norm is not None))
+        hit = self.rule(phi, grad_norm)
+        self.verdicts.append(np.array(hit))
+        return hit
+
+
+class TestBlockEnd:
+    """A block ends at the iteration where its last row stops: the engine
+    checks the stopping criterion at x_0 and after every iteration, on the
+    values it evaluates in the loop for the criterion as for an oracle.
+    For four oracle families and each class's criterion: the block runs
+    exactly its greatest T_eps iterations, the budget when a row never
+    stops; the verdicts in the loop are the criterion's on the returned
+    columns, so its T_eps are `stopping_times`'; a block whose rows all
+    stop at x_0 makes no oracle query; and a criterion that declares no
+    `reads`, whose values the loop then evaluates both, gives the same
+    `Paths`."""
+
+    T, SEEDS = 40, range(80, 85)
+    CLASSES = ("nonconvex", "strongly_convex", "convex")
+
+    @classmethod
+    def criterion(cls, class_tag, kind, full, phi_star):
+        """A criterion of `class_tag` from the full run's running minima of
+        phi - phi_star and ||grad phi||: their greatest at iteration 2T/3,
+        which every row meets by then; the second least over the run, which
+        at most two rows meet per clause; or their values at x_0."""
+        gap = np.minimum.accumulate(full.phi - phi_star, axis=1)
+        gnorm = np.minimum.accumulate(full.grad_norm, axis=1)
+        pick = {"all_stop": lambda a: a[:, 2 * cls.T // 3].max(),
+                "censored": lambda a: np.sort(a[:, -1])[1],
+                "at_start": lambda a: a[0, 0]}[kind]
+        eps, eps1 = pick(gap), pick(gnorm)
+        if class_tag == "nonconvex":
+            return StoppingSpec(class_tag, eps=float(eps1))
+        if class_tag == "strongly_convex":
+            return StoppingSpec(class_tag, eps=float(eps))
+        return StoppingSpec(class_tag, eps=float(eps), eps1=float(eps1))
+
+    @pytest.mark.parametrize("kind", ["all_stop", "censored"])
+    @pytest.mark.parametrize("class_tag", CLASSES)
+    @pytest.mark.parametrize("name", TestRetirement.FAMILIES)
+    def test_the_block_ends_where_its_last_row_stops(
+            self, quadratic10, chunk_log, name, class_tag, kind):
+        oracles = TestRetirement.family(name, quadratic10)
+        problem = oracles[0]
+        full = TestRetirement.run(oracles, T=self.T, seeds=self.SEEDS)
+        spec = self.criterion(class_tag, kind, full, problem.phi_star)
+        rule = stopping_rule(spec, problem.phi_star)
+        T_eps = stopping_times(full, problem, spec)
+        assert (T_eps == CENSORED).any() == (kind == "censored")
+        assert (T_eps != 0).all() and (T_eps != CENSORED).any()
+        chunk_log.clear()
+        stop = RecordedStop(rule)
+        paths = TestRetirement.run(oracles, T=self.T, seeds=self.SEEDS,
+                                   stop=stop)
+        last = self.T if kind == "censored" else int(T_eps.max())
+        exits = np.isfinite(paths.alpha).sum(axis=1)
+        assert sum(c for _, c, _, _ in chunk_log) == exits.max() == last
+        # the check at x_i sees, in block order, the rows that run to it
+        assert len(stop.verdicts) == 1 + last
+        hits = np.zeros(paths.phi.shape, dtype=bool)
+        for i, verdict in enumerate(stop.verdicts):
+            rows = np.flatnonzero(exits >= i)
+            np.testing.assert_array_equal(
+                verdict, rule(paths.phi[rows, i], paths.grad_norm[rows, i]),
+                strict=True)
+            hits[rows, i] = verdict
+        in_loop = np.where(hits.any(axis=1), hits.argmax(axis=1), CENSORED)
+        np.testing.assert_array_equal(in_loop, stopping_times(paths, problem, spec))
+        np.testing.assert_array_equal(in_loop, T_eps)
+        assert stop.handed == {("phi" in rule.reads, "grad" in rule.reads)}
+        for r, e in enumerate(exits):
+            TestRetirement.assert_full_up_to(paths, full, r, e)
+        undeclared = RecordedStop(rule, declare=False)
+        both = TestRetirement.run(oracles, T=self.T, seeds=self.SEEDS,
+                                  stop=undeclared)
+        assert undeclared.handed == {(True, True)}
+        for f in dataclasses.fields(Paths)[1:]:
+            a, b = getattr(both, f.name), getattr(paths, f.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+
+    @pytest.mark.parametrize("class_tag", CLASSES)
+    @pytest.mark.parametrize("name", TestRetirement.FAMILIES)
+    def test_a_block_stopped_at_x0_makes_no_query(
+            self, quadratic10, chunk_log, name, class_tag):
+        problem, zeroth, first, estimator = TestRetirement.family(name, quadratic10)
+        full = TestRetirement.run((problem, zeroth, first, estimator),
+                                  T=self.T, seeds=self.SEEDS)
+        spec = self.criterion(class_tag, "at_start", full, problem.phi_star)
+        chunk_log.clear()
+        rec = OracleRecorder(zeroth, first)
+        controller = (None if estimator is None
+                      else EpochEpsFController(rec.zeroth, estimator))
+        paths = run_lockstep(problem, rec.zeroth, rec.first,
+                             AloeParams(eps_f_input=0.01, alpha_max=1.25,
+                                        max_iters=self.T),
+                             self.SEEDS, controller,
+                             stop=stopping_rule(spec, problem.phi_star))
+        assert rec.queries == 0
+        assert [(s, c) for s, c, _, _ in chunk_log] == [(0, 0)]
+        assert (stopping_times(paths, problem, spec) == 0).all()
+        for r in range(len(self.SEEDS)):    # the columns hold x_0 alone
+            TestRetirement.assert_full_up_to(paths, full, r, 0)
 
 
 class TestGeneratorBuilds:
