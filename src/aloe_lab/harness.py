@@ -6,11 +6,9 @@ statistically, and compares empirical stopping-time tails against the
 theoretical lower bounds.  Trials run in blocks of consecutive seeds, each
 block in lockstep through `linesearch.run_lockstep`, and a block answers
 one (n,) column per verdict; the run's columns are the blocks' columns
-joined in seed order.  A trial leaves its block at the first chunk end at
-or after its stopping time T_eps, or at the last T_eps among the block's
-rows, whichever is first: by iteration max(FIRST_SPAN, 2 T_eps) (see
-`linesearch.run_lockstep`).  Its verdicts read its path up to T_eps
-only.  The base seed's block also sends back that trial's row of
+joined in seed order.  A trial leaves its block at or after its stopping
+time T_eps, by the exit rule of `linesearch`, and its verdicts read its
+path up to T_eps only.  The base seed's block also sends back that trial's row of
 `linesearch.Paths` cut at T_eps, which the CLI writes as trace.csv.  A
 trial's entries do not depend on its block, nor on where it left it, so
 the results do not depend on how the seeds are split into blocks or over
@@ -304,10 +302,11 @@ def run_trials(config: ExperimentConfig, n_jobs: int = 1) -> TrialSummary:
     rows = max(1, BLOCK_CELLS // config.params.max_iters)
     n_blocks = max(-(-len(seeds) // rows), min(n_jobs, len(seeds)))
     blocks = [b.tolist() for b in np.array_split(seeds, n_blocks)]
-    if n_jobs > 1:
+    workers = min(n_jobs, n_blocks)     # a forked pool starts them all
+    if workers > 1:
         # imported here: a single-process run never pays for it
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
                 _run_trial_block, [config] * n_blocks, [constants] * n_blocks,
                 blocks))

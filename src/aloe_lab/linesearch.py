@@ -49,21 +49,20 @@ controller).
 The stopping criterion, when given, is checked at x_0 and after every
 iteration, on the values at x_{k+1} gathered through the slot index as the
 pass gathers them, so a row stops at its stopping time T_eps as the
-columns record it.  A chunk ends at its span, or at the iteration where
-every row in the block has stopped, whichever comes first.  Then every row
-that has stopped leaves the block: its keys leave the streams
+columns record it.  The one chunk rule: a chunk spans its capacity (or
+what is left of the budget), or ends at the iteration where every row in
+the block has stopped, whichever comes first.  Then every row that has
+stopped leaves the block: its keys leave the streams
 (`rng.KeyedStream.keep`), its state the slack controller, and the next
-chunk holds the live rows only, its capacity set by their number.  With a
-criterion the chunk that starts at iteration s spans min(capacity,
-max(FIRST_SPAN, s)) iterations, so chunk ends double like the `rng`
-read-ahead window.  A row that stops at T_eps thus leaves at the first
-chunk end at or after it, or at the last T_eps among the rows of its
-block, whichever is first: by iteration max(FIRST_SPAN, 2 T_eps), and a
-block runs no further than its last row's T_eps.  A block whose rows all
-stop at x_0 runs no iteration.  A run without a criterion has nothing to
-leave and spans the capacity.  The rows that stay draw the same words and
-keep the same bits, so a row's cells up to where it left are the
-full-budget run's.
+chunk holds the live rows only, its capacity set by their number.  The
+exit rule follows: a row that stops at T_eps leaves at the first chunk
+end at or after it, or at the last T_eps among the rows of its block,
+whichever is first, so before T_eps plus the capacity of the chunk it
+leaves from, and a block runs no further than its last row's T_eps.  A
+block whose rows all stop at x_0 runs no iteration.  Without a criterion
+no row stops, so every row runs the budget.  The rows that stay draw the
+same words and keep the same bits, so a row's cells up to where it left
+are the full-budget run's.
 """
 
 import functools
@@ -218,12 +217,6 @@ def _step_grid(params: AloeParams) -> _StepGrid:
 CHUNK_CELLS = 1 << 13
 
 
-# Iterations in the first chunk of a block whose rows can leave it; later
-# chunks double until their `chunk_length` capacity binds (module
-# docstring).
-FIRST_SPAN = 16
-
-
 def chunk_length(n: int, dim: int, T: int) -> int:
     """The capacity of a chunk of n rows of dim over T iterations, its
     slots' length: CHUNK_CELLS // (n dim), at least 1 and at most T."""
@@ -249,12 +242,8 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     arrays of phi(x_k) and ||grad phi(x_k)||, and its `reads` names the
     values it reads as an oracle's does (`oracles.oracle_reads`; both if
     it declares none), the other handed as None.  It is checked at x_0 and
-    after every iteration; a chunk ends early where every row in the block
-    has met it, and at the end of each chunk every row that has met it
-    leaves the block.  Chunks start short and double (module docstring),
-    so a row that stops at T_eps leaves at the first chunk end at or after
-    it, or at the last T_eps among its block's rows, whichever is first:
-    by iteration max(FIRST_SPAN, 2 T_eps).  If x_0 meets it, no iteration
+    after every iteration, and a row that has met it leaves the block by
+    the exit rule of the module docstring; if x_0 meets it, no iteration
     runs.  A row that leaves at x_e keeps its columns up to x_e; its later
     cells are NaN, False in `success` and UNREACHED in `exponents`.
 
@@ -297,17 +286,15 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     ch = _Chunk(chunk_length(n, dim, T), np.broadcast_to(x0, (n, dim)),
                 problem.value(x0), problem.gradient(x0), -grid.i_low)
     start = 0
-    if stop is not None:
-        # done[r]: row r has met the criterion at a point it reached
-        done = ch.stopped(stop, stop_reads, 0)
-        if done.all():      # at x_0, which every row shares: no iteration
-            ch.fill(problem, 0, EXACT_VALUES - truth, cols, rows, 0, grid, eps_f)
-            return Paths(seeds=seeds, **cols)
+    # done[r]: row r has met the criterion at a point it reached; without
+    # one, no row ever has
+    done = (np.zeros(n, dtype=bool) if stop is None
+            else ch.stopped(stop, stop_reads, 0))
+    if done.all():      # at x_0, which every row shares: no iteration
+        ch.fill(problem, 0, EXACT_VALUES - truth, cols, rows, 0, grid, eps_f)
+        return Paths(seeds=seeds, **cols)
     for k in range(T):
         j = k - start
-        if j == 0:      # the capacity, unless a row can leave the block
-            span = (ch.length if stop is None
-                    else min(ch.length, max(FIRST_SPAN, start)))
         at = ch.at[j]
         X = ch.x_rows.take(at, axis=0)
         phi = ch.phi.take(at) if "phi" in reads else None
@@ -348,15 +335,12 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
         ch.steps[j + 1] = np.where(success, grid.up.take(s), s + 1)
         if stop is not None:
             done |= ch.stopped(stop, stop_reads, j + 1)
-            if done.all():      # every row has stopped: the chunk ends
-                span = j + 1
-        if j < span - 1 and k < T - 1:
+        # the chunk rule: its capacity, the budget, or every row stopped
+        if j < ch.length - 1 and k < T - 1 and not done.all():
             continue
         ch.fill(problem, j + 1, EXACT_VALUES - truth, cols,
                 slice(None) if len(rows) == n else rows, start, grid, eps_f)
         start = k + 1
-        if stop is None or start == T:
-            continue
         live = ~done
         if not live.all():
             rows = rows[live]

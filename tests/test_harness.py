@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 
@@ -237,25 +238,35 @@ class TestBlockComposition:
     @pytest.mark.parametrize("kind", ["synthetic", "minibatch", "gsg"])
     def test_alone_and_in_a_block(self, kind, monkeypatch):
         # rows leave the 9-row block at the first chunk end at or after
-        # their stopping time, or where the block's last row stops: chunks
-        # end at 16 and 32, and the block ends at 43 on synthetic (rows 0
-        # and 5 leave at 32), at 15 on minibatch (every row at 15), and at
-        # 60 on gsg, where row 7 never stops (rows 0 and 5 leave at 60).  A
-        # row alone leaves at its own stopping time, and up to there it is
-        # its row of the block.  Row 0 is the base seed in both runs, and
-        # its trace is its row up to T_eps.
+        # their stopping time, or where the block's last row stops.  At the
+        # default capacity one chunk spans the block, which ends at 43 on
+        # synthetic, at 15 on minibatch and at 60 on gsg, where row 7 never
+        # stops, so no row leaves early.  Chunks of 450 cells (5 iterations
+        # of nine 10-dim rows, 12 of 4-dim ones) make rows leave mid-block:
+        # rows 0 and 5 leave at 27 and 20 on synthetic, 12 and 15 on
+        # minibatch, 40 and 60 on gsg.  A row alone leaves at its own
+        # stopping time, and up to there it is its row of the block.  Row 0
+        # is the base seed in both runs, and its trace is its row up to
+        # T_eps.
         recorders, blocks = self.recorded(monkeypatch)
         config = noisy_config(kind, n_trials=9, base_seed=40)
         T = config.params.max_iters
         block = run_trials(config)
+        stops = np.where(block.T_eps == CENSORED, T, block.T_eps)
+        last = {"synthetic": 43, "minibatch": 15, "gsg": 60}[kind]
+        assert stops.max() == last
+        assert (np.isfinite(blocks[0].alpha).sum(axis=1) == last).all()
+        recorders.clear()
+        blocks.clear()
+        monkeypatch.setattr(linesearch, "CHUNK_CELLS", 450)
+        block = run_trials(config)
         (in_block,), (paths,) = recorders, blocks
         ran = np.isfinite(paths.alpha)
-        stops = np.where(block.T_eps == CENSORED, T, block.T_eps)
         exits = ran.sum(axis=1)
-        assert exits.max() == stops.max() and not ran.all()
-        want = {"synthetic": ([32, 32], 43), "minibatch": ([15, 15], 15),
-                "gsg": ([60, 60], 60)}[kind]
-        assert (exits[[0, 5]].tolist(), exits.max()) == want
+        assert exits.max() == last and exits.min() < last
+        want = {"synthetic": [27, 20], "minibatch": [12, 15],
+                "gsg": [40, 60]}[kind]
+        assert exits[[0, 5]].tolist() == want
         for row in (5, 0):
             recorders.clear()
             blocks.clear()
@@ -315,6 +326,35 @@ class TestBlockComposition:
         assert_same_columns(split, whole)
         np.testing.assert_array_equal(split.seed, 30 + np.arange(7))
 
+    @pytest.mark.parametrize("n_jobs, n_trials, sized", [
+        (3, 2, [2]), (2, 1, []), (2, 3, [2])])
+    def test_the_pool_is_sized_by_the_blocks(self, monkeypatch, n_jobs,
+                                             n_trials, sized):
+        # a forked pool starts every worker it is sized for, so a run sizes
+        # it min(n_jobs, blocks) and starts none for one block; the pool
+        # here runs its blocks in this process and records its size
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        config = noisy_config("synthetic", n_trials=n_trials)
+        pooled = run_trials(config, n_jobs=n_jobs)
+        assert pools == sized
+        assert_same_columns(pooled, run_trials(config))
+
 
 class TestBaseSeedTrace:
     """The trace is the base seed's row of `Paths` up to its T_eps, whatever
@@ -323,7 +363,8 @@ class TestBaseSeedTrace:
 
     def test_censored_base_seed_keeps_the_budget(self):
         # ||grad phi|| stays above 0.15 on seed 40 (its least is 0.183) and
-        # falls below it on five of the other eight rows, which leave early
+        # falls below it on five of the other eight rows; the block is one
+        # chunk of the whole budget, so they run on to its end with seed 40
         config = noisy_config("synthetic", n_trials=9, base_seed=40,
                               stopping=StoppingSpec("nonconvex", eps=0.15))
         summary = run_trials(config)

@@ -724,16 +724,15 @@ def chunk_log(monkeypatch):
 def exits_by_rule(T_eps, T, capacity):
     """Where each row leaves its block by the exit rule, from the stopping
     times alone, and the chunks (s, c, rows) the block runs: the chunk that
-    starts at s with m rows spans min(capacity(m), max(FIRST_SPAN, s),
-    T - s) iterations, unless all m rows stop before its span ends, and
-    then it ends where the last of them stops; the rows that have stopped
-    by its end leave there.  A censored row stops at T."""
+    starts at s with m rows spans min(capacity(m), T - s) iterations,
+    unless all m rows stop before its span ends, and then it ends where the
+    last of them stops; the rows that have stopped by its end leave there.
+    A censored row stops at T."""
     stops = np.where(T_eps == CENSORED, T, T_eps)
     exits, live = np.empty_like(stops), np.arange(len(stops))
     s, chunks = 0, []
     while len(live):
-        c = min(capacity(len(live)), max(linesearch.FIRST_SPAN, s), T - s,
-                int(stops[live].max()) - s)
+        c = min(capacity(len(live)), T - s, int(stops[live].max()) - s)
         chunks.append((s, c, len(live)))
         s += c
         left = stops[live] <= s
@@ -745,15 +744,15 @@ def exits_by_rule(T_eps, T, capacity):
 class TestRetirement:
     """With a stopping criterion, a row leaves the block at the first chunk
     end at or after its T_eps, or at the last T_eps among the rows of its
-    block, whichever is first.  Chunks start at FIRST_SPAN iterations and
-    double until their capacity binds, and the block's last chunk ends
-    where its last row stops, so a row leaves by max(FIRST_SPAN, 2 T_eps)
-    and a block runs no further than its last T_eps.  Up to its exit, T_eps
-    included, its row is the full-budget run's bit for bit, and past it its
-    cells are NaN, False in `success` and UNREACHED in `exponents`.  A block
-    of one row leaves at its T_eps; a run without a criterion spans chunks
-    of the capacity.  Here chunks of eight iterations keep the schedule
-    fixed: rows leave in the first chunk, in a later one, at T_eps = 0, or
+    block, whichever is first.  Every chunk spans its capacity, and the
+    block's last chunk ends where its last row stops, so a row leaves
+    within one chunk of its T_eps and a block runs no further than its last
+    T_eps.  Up to its exit, T_eps included, its row is the full-budget
+    run's bit for bit, and past it its cells are NaN, False in `success`
+    and UNREACHED in `exponents`.  A block of one row leaves at its T_eps;
+    a run whose criterion never holds runs the chunks and the bits of the
+    run without one.  Here chunks of eight iterations of six rows make
+    rows leave in the first chunk, in a later one, at T_eps = 0, or
     never."""
 
     T, SEEDS, C = 40, range(60, 66), 8
@@ -843,17 +842,16 @@ class TestRetirement:
     @pytest.mark.parametrize("horizon", (10, 50))
     @pytest.mark.parametrize("cells", ("default", "small"))
     @pytest.mark.parametrize("name", FAMILIES)
-    def test_rows_leave_by_twice_their_stopping_time(
+    def test_rows_leave_within_one_chunk(
             self, quadratic10, monkeypatch, chunk_log, name, cells, horizon):
         # twelve rows over 100 iterations, stopping when ||grad phi|| is
         # below the median of the rows' least norms up to `horizon`: most
-        # rows stop in the first two chunks, or the stops spread over the
-        # run and some rows may never stop.  The chunk that starts at s spans
-        # min(capacity, max(F, s)) iterations, F = FIRST_SPAN, at the
-        # default capacity (68 iterations of twelve 10-dim rows, the whole
-        # run of 4-dim ones) or at 24 iterations until rows leave, unless
-        # every row in it stops before that
-        F, T, seeds = linesearch.FIRST_SPAN, 100, range(60, 72)
+        # rows stop early, or the stops spread over the run and some rows
+        # may never stop.  Every chunk spans its capacity (68 iterations of
+        # twelve 10-dim rows at the default, the whole run of 4-dim ones;
+        # 24 iterations of twelve rows when small) or what is left of the
+        # run, unless every row in it stops before that
+        T, seeds = 100, range(60, 72)
         oracles = self.family(name, quadratic10)
         problem = oracles[0]
         if cells == "small":
@@ -866,21 +864,22 @@ class TestRetirement:
                                      for s, c, cap, _ in chunk_log)
             chunk_log.clear()
 
-        def doubling(T_eps, exits):
-            # every chunk spans min(capacity, max(F, s)), or what is left of
-            # the run, unless all its rows have stopped earlier: then it ends
-            # where the last of them stops.  Returns the chunks as
-            # (s, c, rows)
+        def by_rule(T_eps, exits):
+            # every chunk spans min(capacity, T - s), unless all its rows
+            # have stopped earlier: then it ends where the last of them
+            # stops.  Returns the chunks as (s, c, rows) and the capacity of
+            # the chunk that ends at each exit
             stops = np.where(T_eps == CENSORED, T, T_eps)
-            chunks = []
+            chunks, capacity_at = [], {}
             for s, c, cap, rows in chunk_log:
                 last = int(stops[exits > s].max())
                 assert rows == np.count_nonzero(exits > s), (s, c, rows)
-                span = min(cap, max(F, s), T - s)
+                span = min(cap, T - s)
                 assert c == span or c == last - s < span, (s, c, cap, rows)
                 chunks.append((s, c, rows))
+                capacity_at[s + c] = cap
             chunk_log.clear()
-            return chunks
+            return chunks, capacity_at
 
         def capacity(m):
             return linesearch.chunk_length(m, problem.dim, T)
@@ -895,27 +894,55 @@ class TestRetirement:
         exits = np.isfinite(retired.phi).sum(axis=1) - 1
         want, chunks = exits_by_rule(T_eps, T, capacity)
         np.testing.assert_array_equal(exits, want)
-        assert doubling(T_eps, exits) == chunks
+        logged, capacity_at = by_rule(T_eps, exits)
+        assert logged == chunks
         for r, (t, e) in enumerate(zip(T_eps, exits)):
             self.assert_full_up_to(retired, full, r, e)
-            assert t == CENSORED or e <= max(F, 2 * t), (t, e)
+            assert t == CENSORED or t <= e < t + capacity_at[e], (t, e)
         stopped = T_eps[T_eps != CENSORED]
         assert exits.max() == (T if len(stopped) < len(seeds) else stopped.max())
-        assert exits.min() < T
-        assert stopped.min() < F if horizon == 10 else stopped.max() > 2 * F
+        # a row leaves before the budget, unless one chunk spans the run and
+        # a row never stops; it leaves mid-block where chunks are shorter
+        # than the late stops
+        one_chunk = capacity(len(seeds)) == T
+        assert exits.min() < T or one_chunk and len(stopped) < len(seeds)
+        if horizon == 50 and not one_chunk:
+            assert exits.min() < exits.max()
+        assert stopped.min() < 16 if horizon == 10 else stopped.max() > 32
         # the row that left last, in a block of its own, leaves at its T_eps;
         # a trial run alone without a criterion spans chunks of the capacity
         r = int(np.argmax(exits))
         alone = self.run(oracles, T=T, seeds=[seeds[r]], stop=stop)
         e = int(np.isfinite(alone.phi).sum()) - 1
         assert e == (T if T_eps[r] == CENSORED else T_eps[r])
-        assert doubling(T_eps[r:r + 1], np.array([e])) == exits_by_rule(
+        assert by_rule(T_eps[r:r + 1], np.array([e]))[0] == exits_by_rule(
             T_eps[r:r + 1], T, capacity)[1]
         self.assert_full_up_to(alone, full.row(r, T), 0, e)
         aloe_run(problem, *oracles[1:3],
                  AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=T),
                  seeds[r])
         capacity_sized()
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_a_criterion_that_never_holds_runs_as_none(
+            self, quadratic10, chunk_log, name):
+        # one chunk rule: a criterion that no row meets gives the chunks and
+        # every bit of the run without a criterion (the whole run in one
+        # chunk of 4-dim rows, 68 and 32 iterations of 10-dim ones)
+        T, seeds = 100, range(60, 72)
+        oracles = self.family(name, quadratic10)
+        problem = oracles[0]
+        full = self.run(oracles, T=T, seeds=seeds)
+        plain = chunk_log.copy()
+        chunk_log.clear()
+        spec = self.criterion("never", full)
+        assert (stopping_times(full, problem, spec) == CENSORED).all()
+        never = self.run(oracles, T=T, seeds=seeds,
+                         stop=stopping_rule(spec, problem.phi_star))
+        assert chunk_log == plain
+        for f in dataclasses.fields(Paths)[1:]:
+            a, b = getattr(never, f.name), getattr(full, f.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
 
     @pytest.mark.parametrize("name", ("synthetic", "minibatch_estimated"))
     def test_state_columns_past_the_exit(self, quadratic10, monkeypatch, name):
