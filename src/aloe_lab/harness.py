@@ -227,9 +227,12 @@ def wilson_interval(k: int, n: int, confidence: float = 0.99) -> tuple[float, fl
 # Trial-iterations per lockstep block: enough rows to spread the fixed cost
 # of an iteration, few enough that a block's per-iteration columns stay
 # small whatever the budget.  Its twelve `Paths` columns keep 89 bytes per
-# trial-iteration, allocated for the whole budget even when its trials
-# stop early, and a full block peaks at 12-13 MB (tracemalloc, a 10-dim
-# quadratic block at T = 100 and T = 1 000).
+# trial-iteration, allocated for the iterations the block ran, so a block
+# whose trials stop early holds only those.  A block whose rows run the
+# whole budget still holds them all, in its chunks' columns until it ends
+# and then in its own, built from them one field at a time, and the bound
+# keeps it at 14-17 MB (tracemalloc, a 10-dim quadratic block at T = 1 000
+# and T = 100).
 BLOCK_CELLS = 1 << 17
 
 

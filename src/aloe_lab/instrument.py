@@ -52,9 +52,11 @@ def progress_Z(class_tag: str, phi_x: float, phi_star: float, eps: float) -> flo
 
 def stopping_times(paths: Paths, problem: ProblemInstance, spec: StoppingSpec) -> np.ndarray:
     """Per trial, the first iteration index meeting the class criterion,
-    CENSORED if the budget runs out first.  The state reached after the
-    final iteration counts as index T.  Only the columns of `paths` and
-    `problem.phi_star` are read: the problem is never evaluated."""
+    CENSORED if the budget runs out first.  The state after the last of
+    the E iterations `paths` spans counts as index E: a row that stops
+    does so by E, and a block with a row that never stops spans the
+    budget.  Only the columns of `paths` and `problem.phi_star` are read:
+    the problem is never evaluated."""
     hit = stopping_rule(spec, problem.phi_star)(paths.phi, paths.grad_norm)
     return np.where(hit.any(axis=1), hit.argmax(axis=1), CENSORED)
 
@@ -87,13 +89,14 @@ def _stopped(spec: StoppingSpec, phi_star: float, phi, gnorm):
 
 @dataclass(frozen=True)
 class PathVerdicts:
-    """Flags and verdicts of a block of trials, one row per trial.
-    T_eps == CENSORED means the criterion was not met within the budget.
-    Every field reads only the prefix up to T_eps: iterations 0..T_eps-1
-    and the states x_0..x_T_eps, all T iterations of a censored trial."""
+    """Flags and verdicts of a block of trials, one row per trial, over
+    the E iterations its `Paths` span.  T_eps == CENSORED means the
+    criterion was not met within the budget.  Every field reads only the
+    prefix up to T_eps: iterations 0..T_eps-1 and the states
+    x_0..x_T_eps, all T iterations of a censored trial."""
 
     T_eps: np.ndarray
-    true_flags: np.ndarray       # (n, T), False from iteration T_eps on
+    true_flags: np.ndarray       # (n, E), False from iteration T_eps on
     large_flags: np.ndarray
     frac_true: np.ndarray        # (n,), NaN where T_eps == 0
     frac_success: np.ndarray

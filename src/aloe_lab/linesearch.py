@@ -39,12 +39,14 @@ failure, and x_k and the values at x_k are gathered through it, never
 recomputed.  What an oracle or the criterion reads is evaluated in the
 loop, one stacked call per iteration; the rest waits for the end of the
 chunk, one stacked call for phi at its x_k+ rows and one for grad phi at
-its accepted rows.  Then one pass fills the columns through the same
-index, phi and ||grad phi|| at every x_k, x_T included; the rows, and so
-the columns' bits, do not depend on where the values were evaluated.  The
-same pass writes the columns that follow from the state: alpha and the
-exponents from the step indices, and the slack when it is a constant (no
-controller).
+its accepted rows.  Then one pass makes the chunk's columns through the
+same index, phi and ||grad phi|| at every x_k, the chunk's last state
+included; the rows, and so the columns' bits, do not depend on where the
+values were evaluated.  The same pass makes the columns that follow from
+the state: alpha and the exponents from the step indices, and the slack
+when it is a constant (no controller).  The block's `Paths` are built from
+its chunks' columns once it has ended, as wide as the iterations it ran,
+so a block that stops early allocates nothing for the rest of its budget.
 
 The stopping criterion, when given, is checked at x_0 and after every
 iteration, on the values at x_{k+1} gathered through the slot index as the
@@ -106,26 +108,28 @@ class AloeParams:
 
 @dataclass(frozen=True)
 class Paths:
-    """Per-iteration columns of a block of n trials run for T iterations,
+    """Per-iteration columns of a block of n trials that ran E iterations,
     row r for trial seeds[r]: a trial's one record, which the path
     classifier reads and trace.csv writes.  Points and gradients are not
-    kept.  The columns are born holding NaN, False in `success` and
-    UNREACHED in `exponents`, so a row that left its block at x_e (see
-    `run_lockstep`) holds those values past it."""
+    kept.  E is the budget T without a stopping criterion or when a row
+    never meets it, else the block's last stopping time T_eps (see
+    `run_lockstep`), so no row's T_eps lies past E.  The columns are born
+    holding NaN, False in `success` and UNREACHED in `exponents`, so a row
+    that left its block at x_e, e < E, holds those values past it."""
 
     seeds: tuple
-    exponents: np.ndarray   # (n, T + 1) i_0..i_T; alpha_k = alpha0 * gamma ** i_k
-    alpha: np.ndarray       # (n, T)
-    success: np.ndarray     # (n, T)
-    f_curr: np.ndarray      # (n, T) zeroth-order estimate at x_k
-    f_plus: np.ndarray      # (n, T) zeroth-order estimate at x_k+
-    e_curr: np.ndarray      # (n, T) |f_curr - phi(x_k)|
-    e_plus: np.ndarray      # (n, T) |f_plus - phi(x_k+)|
-    eps_f: np.ndarray       # (n, T) slack used
-    g_norm: np.ndarray      # (n, T) ||g_k||
-    grad_error: np.ndarray  # (n, T) ||g_k - grad phi(x_k)||
-    phi: np.ndarray         # (n, T + 1) phi(x_0)..phi(x_T)
-    grad_norm: np.ndarray   # (n, T + 1) ||grad phi(x_0)||..||grad phi(x_T)||
+    exponents: np.ndarray   # (n, E + 1) i_0..i_E; alpha_k = alpha0 * gamma ** i_k
+    alpha: np.ndarray       # (n, E)
+    success: np.ndarray     # (n, E)
+    f_curr: np.ndarray      # (n, E) zeroth-order estimate at x_k
+    f_plus: np.ndarray      # (n, E) zeroth-order estimate at x_k+
+    e_curr: np.ndarray      # (n, E) |f_curr - phi(x_k)|
+    e_plus: np.ndarray      # (n, E) |f_plus - phi(x_k+)|
+    eps_f: np.ndarray       # (n, E) slack used
+    g_norm: np.ndarray      # (n, E) ||g_k||
+    grad_error: np.ndarray  # (n, E) ||g_k - grad phi(x_k)||
+    phi: np.ndarray         # (n, E + 1) phi(x_0)..phi(x_E)
+    grad_norm: np.ndarray   # (n, E + 1) ||grad phi(x_0)||..||grad phi(x_E)||
 
     def row(self, r: int, t: int) -> "Paths":
         """Trial seeds[r] up to x_t, its first t iterations, as a block of
@@ -213,7 +217,9 @@ def _step_grid(params: AloeParams) -> _StepGrid:
 # harness.BLOCK_CELLS.  A chunk keeps three such arrays (points, g_k and
 # grad phi) and its pass up to three more, 384 KB in all, unless one
 # iteration's rows alone exceed an array; a 2-row, 10-dim, 400-iteration
-# block fits one chunk's slots.
+# block fits one chunk's slots.  The `Paths` columns the pass hands back
+# take 89 bytes per trial-iteration the chunk ran, and are kept until the
+# block ends.
 CHUNK_CELLS = 1 << 13
 
 
@@ -244,8 +250,10 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     it declares none), the other handed as None.  It is checked at x_0 and
     after every iteration, and a row that has met it leaves the block by
     the exit rule of the module docstring; if x_0 meets it, no iteration
-    runs.  A row that leaves at x_e keeps its columns up to x_e; its later
-    cells are NaN, False in `success` and UNREACHED in `exponents`.
+    runs.  The columns span the E iterations the block ran: its last
+    T_eps, or the budget when a row never stops or there is no criterion.
+    A row that leaves at x_e keeps its columns up to x_e; its later cells
+    are NaN, False in `success` and UNREACHED in `exponents`.
 
     `eps_f_controller`, when given, is called as
     ``controller(k, X, stream, phi)`` before each iteration, with the
@@ -275,12 +283,10 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     # the slack: one per chunk iteration with a controller, else a constant
     eps_f = None if eps_f_controller is not None else params.eps_f_input
 
-    # one column per `Paths` field, born holding its past-exit value, so a
-    # row that leaves writes no cell; exponents, phi and grad_norm also hold
-    # the state after the last iteration.  Row r of the chunk is row
-    # rows[r] of the block.
-    cols = {name: np.full((n, T + (name in _WIDE)), _PAST.get(name, np.nan))
-            for name in tuple(Paths.__dataclass_fields__)[1:]}
+    # (rows, s, block) of every chunk: the columns `_Chunk.fill` handed back
+    # for its iterations s.., to rows `rows` of the block.  Row r of the
+    # chunk is row rows[r] of the block.
+    filled = []
     rows = np.arange(n)
     x0 = np.asarray(problem.x0, dtype=float)
     ch = _Chunk(chunk_length(n, dim, T), np.broadcast_to(x0, (n, dim)),
@@ -291,8 +297,8 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     done = (np.zeros(n, dtype=bool) if stop is None
             else ch.stopped(stop, stop_reads, 0))
     if done.all():      # at x_0, which every row shares: no iteration
-        ch.fill(problem, 0, EXACT_VALUES - truth, cols, rows, 0, grid, eps_f)
-        return Paths(seeds=seeds, **cols)
+        return _paths(seeds, 0, [(rows, 0, ch.fill(problem, 0, EXACT_VALUES - truth,
+                                                   grid, eps_f))])
     for k in range(T):
         j = k - start
         at = ch.at[j]
@@ -338,8 +344,9 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
         # the chunk rule: its capacity, the budget, or every row stopped
         if j < ch.length - 1 and k < T - 1 and not done.all():
             continue
-        ch.fill(problem, j + 1, EXACT_VALUES - truth, cols,
-                slice(None) if len(rows) == n else rows, start, grid, eps_f)
+        filled.append((slice(None) if len(rows) == n else rows, start,
+                       ch.fill(problem, j + 1, EXACT_VALUES - truth, grid,
+                               eps_f)))
         start = k + 1
         live = ~done
         if not live.all():
@@ -352,6 +359,21 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
                 eps_f_controller.keep(live)
             ch = ch.keep(live, chunk_length(len(rows), dim, T - start))
             done = done[live]
+    return _paths(seeds, start, filled)
+
+
+def _paths(seeds: tuple, E: int, filled) -> Paths:
+    """The `Paths` of a block that ran E iterations, from the chunks'
+    `filled` columns: each column is born holding its past-exit value, so
+    a row writes no cell past where it left, and a chunk's column is
+    dropped once written."""
+    cols = {}
+    for name in tuple(Paths.__dataclass_fields__)[1:]:
+        col = cols[name] = np.full((len(seeds), E + (name in _WIDE)),
+                                   _PAST.get(name, np.nan))
+        for rows, s, block in filled:
+            value = block.pop(name)
+            col[rows, s:s + len(value)] = value.T
     return Paths(seeds=seeds, **cols)
 
 
@@ -392,12 +414,12 @@ class _Chunk:
             grad_norm = np.sqrt(row_dots(G, G))
         return stop(phi, grad_norm)
 
-    def fill(self, problem, c: int, evaluate: frozenset, cols, rows, s: int,
-             grid: _StepGrid, eps_f):
-        """Write the `Paths` columns of the chunk's first c iterations, which
-        are iterations s..s+c-1, and phi, grad_norm and the exponent at
-        x_{s+c}, to rows `rows` of `cols`; then move x_{s+c} and its values
-        to slot 0 for the next chunk.
+    def fill(self, problem, c: int, evaluate: frozenset, grid: _StepGrid,
+             eps_f) -> dict:
+        """Hand back the `Paths` columns of the chunk's first c iterations,
+        one (c, n) array per field, and (c + 1, n) of the exponents, phi and
+        grad_norm, which also hold the state after them; then move that
+        point and its values to slot 0 for the next chunk.
 
         The values in `evaluate`, which the loop left out, are evaluated
         first into the slots: phi as one stack of the chunk's x_k+ rows,
@@ -418,19 +440,21 @@ class _Chunk:
         D -= G[:c * n]
         grad_norm = np.sqrt(row_dots(G, G)).reshape(c + 1, n)
         steps = self.steps[:c + 1]
-        f_curr, f_plus = self.f_curr[:c], self.f_plus[:c]
-        out = dict(exponents=steps + grid.i_low, alpha=grid.alpha.take(steps[:c]),
-                   success=success, f_curr=f_curr, f_plus=f_plus,
-                   g_norm=np.sqrt(self.g_sq[:c]), phi=phi, grad_norm=grad_norm,
-                   e_curr=np.abs(f_curr - phi[:c]),
-                   e_plus=np.abs(f_plus - self.phi[1:c + 1]),
-                   grad_error=np.sqrt(row_dots(D, D)).reshape(c, n))
-        for name, value in out.items():
-            cols[name][rows, s:s + len(value)] = value.T
-        cols["eps_f"][rows, s:s + c] = self.eps_f[:c].T if eps_f is None else eps_f
+        # the slots' own rows are copied: the next chunk may reuse them
+        f_curr, f_plus = self.f_curr[:c].copy(), self.f_plus[:c].copy()
+        block = dict(exponents=steps + grid.i_low, alpha=grid.alpha.take(steps[:c]),
+                     success=success.copy(), f_curr=f_curr, f_plus=f_plus,
+                     e_curr=np.abs(f_curr - phi[:c]),
+                     e_plus=np.abs(f_plus - self.phi[1:c + 1]),
+                     eps_f=(self.eps_f[:c].copy() if eps_f is None
+                            else np.broadcast_to(eps_f, (c, n))),
+                     g_norm=np.sqrt(self.g_sq[:c]),
+                     grad_error=np.sqrt(row_dots(D, D)).reshape(c, n),
+                     phi=phi, grad_norm=grad_norm)
         self.x[0] = self.x_rows.take(self.at[c], axis=0)
         self.phi[0], self.grad[0] = phi[c], G[c * n:]
         self.steps[0] = self.steps[c]
+        return block
 
     def keep(self, rows, length: int) -> "_Chunk":
         """A chunk of `length` iterations on the rows that the mask `rows`

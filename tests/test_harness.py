@@ -255,7 +255,8 @@ class TestBlockComposition:
         stops = np.where(block.T_eps == CENSORED, T, block.T_eps)
         last = {"synthetic": 43, "minibatch": 15, "gsg": 60}[kind]
         assert stops.max() == last
-        assert (np.isfinite(blocks[0].alpha).sum(axis=1) == last).all()
+        assert blocks[0].alpha.shape == (9, last)
+        assert np.isfinite(blocks[0].alpha).all()
         recorders.clear()
         blocks.clear()
         monkeypatch.setattr(linesearch, "CHUNK_CELLS", 450)
@@ -275,12 +276,19 @@ class TestBlockComposition:
             assert_same_columns(alone, block, slice(row, row + 1))
             e = int(stops[row])
             assert e < exits[row]
-            np.testing.assert_array_equal(np.isfinite(blocks[0].alpha[0]),
-                                          np.arange(T) < e)
+            # alone, the row's block is e iterations wide, every cell reached;
+            # in the 9-row block the row runs on to its exit, and its cells
+            # past there hold their past-exit values
+            assert blocks[0].alpha.shape == (1, e)
+            assert np.isfinite(blocks[0].alpha).all()
             for f in dataclasses.fields(Paths)[1:]:
                 a, b = getattr(blocks[0], f.name)[0], getattr(paths, f.name)[row]
-                cut = e + (len(a) > T)
-                assert a[:cut].tobytes() == b[:cut].tobytes(), f.name
+                wide = len(b) > paths.alpha.shape[1]
+                assert len(a) == e + wide, f.name
+                assert a.tobytes() == b[:len(a)].tobytes(), f.name
+                past = {"exponents": linesearch.UNREACHED, "success": False}
+                np.testing.assert_array_equal(b[exits[row] + wide:],
+                                              past.get(f.name, np.nan))
             for name in ("x", "g", "grad_true", "phi_plus"):
                 np.testing.assert_array_equal(
                     recorders[0].column(name)[0],

@@ -676,7 +676,10 @@ class TestLiteralReference:
         # every PathVerdicts field of each row of a block of five, on the
         # full-budget run and on one whose rows leave at their stopping
         # times (chunks of two iterations while all five are in), equals
-        # the literal classifier on the reference row
+        # the literal classifier on the reference row.  The flags span the
+        # block's E iterations, its last T_eps (the budget without a
+        # criterion or when a row never stops): the reference's are False
+        # from T_eps on, so past E
         problem, zeroth, first, estimator, params = self.family(name, quadratic10)
         seeds = range(40, 45)
         want = [reference_run(problem, zeroth, first, params, seed,
@@ -687,17 +690,23 @@ class TestLiteralReference:
         grid_index = int(np.median(np.concatenate([w.exponents for w in want])))
         args = (spec, 0.01, 0.5, grid_index, 1.0)
         expect = [reference_verdicts(w, problem.phi_star, *args) for w in want]
+        T_eps = np.concatenate([e.T_eps for e in expect])
+        last = self.T if (T_eps == CENSORED).any() else int(T_eps.max())
         monkeypatch.setattr(linesearch, "CHUNK_CELLS", 2 * len(seeds) * problem.dim)
         for stop in (None, stopping_rule(spec, problem.phi_star)):
             paths = run_lockstep(problem, zeroth, first, params, seeds,
                                  self.controller(zeroth, estimator), stop=stop)
+            E = self.T if stop is None else last
+            assert paths.alpha.shape == (len(seeds), E)
             v = classify_paths(paths, problem, *args)
             for r, e in enumerate(expect):
                 for f in dataclasses.fields(PathVerdicts):
+                    got, ref = getattr(v, f.name)[r], getattr(e, f.name)[0]
+                    if f.name in ("true_flags", "large_flags"):
+                        assert ref.shape == (self.T,) and not ref[E:].any()
+                        ref = ref[:E]
                     np.testing.assert_array_equal(
-                        getattr(v, f.name)[r], getattr(e, f.name)[0],
-                        err_msg=f"{f.name} row {r}", strict=True)
-        T_eps = np.concatenate([e.T_eps for e in expect])
+                        got, ref, err_msg=f"{f.name} row {r}", strict=True)
         if kind == "at_start":
             assert (T_eps == 0).all() and np.isnan(v.frac_true).all()
         elif kind == "never":
@@ -709,15 +718,24 @@ class TestLiteralReference:
 @pytest.fixture
 def chunk_log(monkeypatch):
     """(s, c, capacity, rows) of every chunk `run_lockstep` fills: its
-    iterations s..s+c-1, its slots' length and its number of rows."""
-    log = []
-    fill = linesearch._Chunk.fill
+    iterations s..s+c-1, its slots' length and its number of rows, logged
+    when the block's columns are built from them, s as the engine places
+    the chunk's columns."""
+    log, chunks = [], []
+    fill, paths = linesearch._Chunk.fill, linesearch._paths
 
-    def logged(ch, problem, c, evaluate, cols, rows, s, *args):
-        log.append((s, c, ch.length, ch.phi.shape[1]))
-        return fill(ch, problem, c, evaluate, cols, rows, s, *args)
+    def logged_fill(ch, problem, c, *args):
+        chunks.append((c, ch.length, ch.phi.shape[1]))
+        return fill(ch, problem, c, *args)
 
-    monkeypatch.setattr(linesearch._Chunk, "fill", logged)
+    def logged_paths(seeds, E, filled):
+        log.extend((s, *chunk) for (_, s, _), chunk in zip(filled, chunks,
+                                                          strict=True))
+        chunks.clear()
+        return paths(seeds, E, filled)
+
+    monkeypatch.setattr(linesearch._Chunk, "fill", logged_fill)
+    monkeypatch.setattr(linesearch, "_paths", logged_paths)
     return log
 
 
@@ -1051,11 +1069,13 @@ class TestBlockEnd:
     values it evaluates in the loop for the criterion as for an oracle.
     For four oracle families and each class's criterion: the block runs
     exactly its greatest T_eps iterations, the budget when a row never
-    stops; the verdicts in the loop are the criterion's on the returned
-    columns, so its T_eps are `stopping_times`'; a block whose rows all
-    stop at x_0 makes no oracle query; and a criterion that declares no
+    stops, and its columns are that wide; the verdicts in the loop are the
+    criterion's on the returned columns, so its T_eps are
+    `stopping_times`'; a block whose rows all stop at x_0 makes no oracle
+    query and its columns hold x_0 alone; and a criterion that declares no
     `reads`, whose values the loop then evaluates both, gives the same
-    `Paths`."""
+    `Paths`.  A block that stops early allocates nothing for the rest of
+    its budget."""
 
     T, SEEDS = 40, range(80, 85)
     CLASSES = ("nonconvex", "strongly_convex", "convex")
@@ -1096,6 +1116,8 @@ class TestBlockEnd:
         paths = TestRetirement.run(oracles, T=self.T, seeds=self.SEEDS,
                                    stop=stop)
         last = self.T if kind == "censored" else int(T_eps.max())
+        assert_width(full, len(self.SEEDS), self.T)
+        assert_width(paths, len(self.SEEDS), last)
         exits = np.isfinite(paths.alpha).sum(axis=1)
         assert sum(c for _, c, _, _ in chunk_log) == exits.max() == last
         # the check at x_i sees, in block order, the rows that run to it
@@ -1141,8 +1163,45 @@ class TestBlockEnd:
         assert rec.queries == 0
         assert [(s, c) for s, c, _, _ in chunk_log] == [(0, 0)]
         assert (stopping_times(paths, problem, spec) == 0).all()
-        for r in range(len(self.SEEDS)):    # the columns hold x_0 alone
+        assert_width(paths, len(self.SEEDS), 0)     # the columns hold x_0 alone
+        for r in range(len(self.SEEDS)):
             TestRetirement.assert_full_up_to(paths, full, r, 0)
+        v = classify_paths(paths, problem, spec, 0.01, 0.5, 0, 1.0)
+        assert (v.T_eps == 0).all()
+        assert np.isnan(v.frac_true).all() and np.isnan(v.frac_success).all()
+        assert v.true_flags.shape == v.large_flags.shape == (len(self.SEEDS), 0)
+
+    def test_an_early_stop_allocates_for_the_iterations_run(self, quadratic10):
+        # four rows stop by iteration 15 of a 50 000-iteration budget: the
+        # block's columns span those iterations, where whole-budget ones
+        # would take 89 B per trial-iteration, 17.8 MB.  A first run builds
+        # the run's step tables (`_step_grid`), which the second reuses
+        problem, zeroth, first, _ = TestRetirement.family("synthetic", quadratic10)
+        seeds = range(80, 84)
+        short = TestRetirement.run((problem, zeroth, first, None), T=15,
+                                   seeds=seeds)
+        spec = StoppingSpec("nonconvex", eps=float(short.grad_norm.min(axis=1).max()))
+        stop = stopping_rule(spec, problem.phi_star)
+        params = AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=50_000)
+        run_lockstep(problem, zeroth, first, params, seeds, stop=stop)
+        tracemalloc.start()
+        try:
+            paths = run_lockstep(problem, zeroth, first, params, seeds, stop=stop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
+        T_eps = stopping_times(paths, problem, spec)
+        assert (T_eps != CENSORED).all() and 10 < T_eps.max() <= 15
+        assert_width(paths, len(seeds), int(T_eps.max()))
+
+
+def assert_width(paths, n, E):
+    """The `Paths` of n rows span E iterations: (n, E) columns, and (n, E + 1)
+    of the exponents, phi and grad_norm."""
+    for f in dataclasses.fields(Paths)[1:]:
+        wide = f.name in ("exponents", "phi", "grad_norm")
+        assert getattr(paths, f.name).shape == (n, E + wide), f.name
 
 
 class TestGeneratorBuilds:
