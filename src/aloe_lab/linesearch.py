@@ -47,6 +47,10 @@ the state: alpha and the exponents from the step indices, and the slack
 when it is a constant (no controller).  The block's `Paths` are built from
 its chunks' columns once it has ended, as wide as the iterations it ran,
 so a block that stops early allocates nothing for the rest of its budget.
+When a chunk starts, the streams of the three oracle queries are told
+that their queries end with it (`rng.KeyedStream.ahead`), so each reads
+its noise ahead that far; the EPS_EST stream, whose queries do not follow
+the iterations, is told nothing and reads none ahead.
 
 The stopping criterion, when given, is checked at x_0 and after every
 iteration, on the values at x_{k+1} gathered through the slot index as the
@@ -301,6 +305,9 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
                                                    grid, eps_f))])
     for k in range(T):
         j = k - start
+        if not j:   # a chunk starts: its queries end with it
+            for stream in (grad_rng, curr_rng, plus_rng):
+                stream.ahead(min(start + ch.length, T))
         at = ch.at[j]
         X = ch.x_rows.take(at, axis=0)
         phi = ch.phi.take(at) if "phi" in reads else None

@@ -419,9 +419,10 @@ def make_synthetic_logistic(
     l2-regularized so the objective is strongly convex with
     beta = reg exactly.  The growth constants (M_c, M_v) are estimated on a
     probe grid when first read (`_probe_growth`); the minimum value is
-    found by a Newton solve
-    (`_logistic_minimizer`).  `feature_scale` controls the margin dispersion
-    (smaller values give a less separable, lower-variance loss landscape).
+    found by a Newton solve (`_logistic_minimizer`), and a value above
+    phi(x_0) raises `ValueError`.  `feature_scale` controls the margin
+    dispersion (smaller values give a less separable, lower-variance loss
+    landscape).
     """
     LogisticSpec(n_samples, dim, seed, reg)  # the spec's checks
     if feature_scale <= 0:
@@ -448,7 +449,11 @@ def make_synthetic_logistic(
         x0=x0,
     )
     x_star = _logistic_minimizer(problem, features, reg)
-    problem = replace(problem, phi_star=problem.value(x_star),
+    phi_star, phi0 = problem.value(x_star), problem.value(x0)
+    if phi_star > phi0:     # the solve failed, so no gap phi(x_0) - phi* holds
+        raise ValueError(f"the logistic fixture's phi* = {phi_star!r} lies "
+                         f"above phi(x_0) = {phi0!r}")
+    problem = replace(problem, phi_star=phi_star,
                       diameter_D=2.0 * float(np.linalg.norm(x0 - x_star)))
     return problem, replace(dataset,
                             growth_probe=partial(_probe_growth, problem, seed))

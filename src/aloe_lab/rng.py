@@ -39,17 +39,19 @@ Oracles take their noise through `KeyedStream.draw(m, width, transform)`,
 which answers transform(words(m, width)) for a row-wise transform: output
 row r is a function of word row r alone.  Query q of a key then always
 yields the same noise, so a stream may hash and transform queries before
-they are asked for.  When a draw takes one query per key and the previous
-call on the stream was a draw of the same width and transform that also
-took one query per key, the stream reads ahead: one `words` pass hashes
-the next window of queries, the transform runs over it once, and later
-draws of that shape are answered from the window.  A window starts at two
-queries and doubles, up to WINDOW_WORDS words, so at most twice the words
-served are hashed; any other call on the stream drops it.  `count` after
-every draw, and the noise each draw returns, are what the draw without a
-window gives.  A stack of several queries per key (estimator refreshes,
-certification, a Gaussian-smoothing gradient's directions) never reads
-ahead.
+they are asked for.  The stream's owner says how far: `KeyedStream.ahead`
+sets the query count where the owner's queries end for now (the line
+search sets the end of each chunk).  When a draw takes one query per key
+and the previous call on the stream was a draw of the same width and
+transform that also took one query per key, the stream reads ahead: one
+`words` pass hashes the queries from the one asked for up to that end (at
+most WINDOW_WORDS words), the transform runs over them once, and later
+draws of that shape are answered from the window.  A stream with no end
+reads no window, and any other call on the stream, or `keep`, drops it.
+`count` after every draw, and the noise each draw returns, are what the
+draw without a window gives.  A stack of several queries per key
+(estimator refreshes, certification, a Gaussian-smoothing gradient's
+directions) never reads ahead.
 
 Fixture data (the random problem instances and the growth-constant probes
 of the logistic fixture) is not oracle noise and comes from numpy
@@ -145,12 +147,17 @@ class KeyedStream:
         # word j of query q sits at position (q << WIDTH_BITS) + j + 1
         self._start, self._gamma = start[:, None, None], gamma[:, None, None]
         self._positions: dict[tuple[int, int], np.ndarray] = {}
-        # the read-ahead: (width, transform) of the last call when it was a
-        # one-query-per-key draw, the queries of the next window, and the
-        # window with the query count of its first row
-        self._shape = None
-        self._span = 2
-        self._window, self._window_at = None, 0
+        # the read-ahead: the end `ahead` set, (width, transform) of the last
+        # call when it was a one-query-per-key draw, and the window with the
+        # query count of its first row
+        self._end = self._shape = self._window = None
+        self._window_at = 0
+
+    def ahead(self, end: int) -> None:
+        """Let one-query-per-key draws read ahead up to query count `end`,
+        where the owner's queries end for now.  Until it is called, the
+        stream reads no window."""
+        self._end = end
 
     def words(self, m: int, width: int) -> np.ndarray:
         """(m, width) uint64 words: m / n consecutive queries of each key,
@@ -177,38 +184,40 @@ class KeyedStream:
 
     def draw(self, m: int, width: int, transform):
         """transform(self.words(m, width)) for a row-wise `transform`, the
-        same bits and the same `count` after it, served from the read-ahead
-        window when the draw takes one query per key (see the module
-        docstring).  The result may be a view of the window: read it only."""
+        same bits and the same `count` after it.  The second of two
+        consecutive one-query-per-key draws of the same width and transform
+        reads a window from its query up to the end `ahead` set, capped at
+        WINDOW_WORDS words, and later such draws are served from it (see the
+        module docstring).  The result may be a view of the window: read it
+        only."""
         n = len(self._start)
         shape = (width, transform)
-        if m != n or self._shape != shape:
-            out = transform(self.words(m, width))
-            if m == n:
-                self._shape, self._span = shape, 2
-            return out
-        row = self.count - self._window_at
-        if self._window is None or not 0 <= row < self._window.shape[1]:
+        if m == n and self._shape == shape:
+            row = self.count - self._window_at
+            if self._window is not None and 0 <= row < self._window.shape[1]:
+                self.count += 1
+                return self._window[:, row]
             at = self.count
-            span = max(1, min(self._span, WINDOW_WORDS // (n * width),
-                              QUERY_LIMIT - at))
-            words = self.words(n * span, width)
-            self.count = at
-            out = transform(words)
-            # key-major: query at + t of key r is out row r * span + t
-            self._window = out.reshape(n, span, *out.shape[1:])
-            self._window_at, self._shape, self._span = at, shape, 2 * span
-            row = 0
-        self.count += 1
-        return self._window[:, row]
+            span = 0 if self._end is None else min(
+                self._end - at, WINDOW_WORDS // (n * width), QUERY_LIMIT - at)
+            if span > 1:
+                out = transform(self.words(n * span, width))
+                # key-major: query at + t of key r is out row r * span + t
+                self._window = out.reshape(n, span, *out.shape[1:])
+                self._window_at, self._shape, self.count = at, shape, at + 1
+                return self._window[:, 0]
+        out = transform(self.words(m, width))
+        if m == n:
+            self._shape = shape
+        return out
 
     def keep(self, rows) -> None:
         """Drop every key but those `rows` selects (a bool mask or indices),
-        as rows leave a lockstep block.  `count` stays, and so does the
-        read-ahead, on the kept keys."""
+        as rows leave a lockstep block.  `count` and the end stay; the
+        window goes, as a window never outlives its chunk in the line
+        search, and the next draw of its shape reads a new one."""
         self._start, self._gamma = self._start[rows], self._gamma[rows]
-        if self._window is not None:
-            self._window = self._window[rows]
+        self._window = None
 
 
 # The benchmark's tracer (perfbench/tracer.py) still reads this name, and

@@ -382,6 +382,23 @@ class TestRun:
         assert run(config, out, quiet=True) == EXIT_CONFIG
         assert not os.path.exists(out)
 
+    def test_phi_star_above_start_exit_two(self, tmp_path, capsys):
+        # at reg = 1e-300 the Newton solve of this fixture ends at
+        # phi* = 6.9e14, above phi(x_0) = 1.17; the fixture is refused
+        # where it is built, with one line, not a traceback after the trials
+        config = write(tmp_path, "phi_star.ini", (
+            "[problem]\nfixture = logistic\ndim = 5\nn_samples = 8\n"
+            "reg = 1e-300\n\n[stopping]\nclass = strongly_convex\n"
+            "eps = 0.01\n\n[experiment]\ntrials = 3\n"
+            "check_admissibility = false\n"))
+        out = str(tmp_path / "out")
+        assert run(config, out, quiet=True) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "inadmissible configuration: the logistic fixture's phi* = ")
+        assert "lies above phi(x_0) = " in err[0]
+        assert not os.path.exists(out)
+
     def test_malformed_config_exit_two(self, tmp_path):
         config = write(tmp_path, "bad.ini", "[algorithm]\ngamma = 2\n")
         assert run(config, str(tmp_path / "out"), quiet=True) == EXIT_CONFIG

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import tracemalloc
 
@@ -28,11 +29,12 @@ def exact_oracles(problem):
             SyntheticFirstOracle(problem, FirstOracleSpec()))
 
 
-def recorded_run(problem, zeroth, first, params, seeds, controller=None):
+def recorded_run(problem, zeroth, first, params, seeds, controller=None,
+                 stop=None):
     """`run_lockstep` on recorded oracles: its `Paths` and the recorder."""
     rec = OracleRecorder(zeroth, first)
     return run_lockstep(problem, rec.zeroth, rec.first, params, seeds,
-                        controller), rec
+                        controller, stop), rec
 
 
 @pytest.fixture(scope="module")
@@ -268,15 +270,16 @@ class TestLockstep:
     @staticmethod
     def assert_same_rows(a, rec_a, b, rec_b, rows=slice(None)):
         """Every `Paths` column of a, and what its oracles were handed,
-        equals rows `rows` of b's."""
+        equals rows `rows` of b's, up to where each row left its block."""
         assert a.seeds == b.seeds[rows]
         for f in dataclasses.fields(Paths)[1:]:
             va, vb = getattr(a, f.name), getattr(b, f.name)[rows]
             assert va.dtype == vb.dtype, f.name
             np.testing.assert_array_equal(va, vb, err_msg=f.name)
         for name in ("x", "g", "grad_true", "phi_plus"):
-            np.testing.assert_array_equal(rec_a.column(name),
-                                          rec_b.column(name)[rows], err_msg=name)
+            np.testing.assert_array_equal(
+                rec_a.column(name, np.isfinite(a.alpha)),
+                rec_b.column(name, np.isfinite(b.alpha))[rows], err_msg=name)
 
     @pytest.mark.parametrize("name", ["synthetic", "minibatch_estimated", "gsg"])
     def test_row_of_a_block_is_the_trial_alone(self, quadratic10, name):
@@ -296,22 +299,36 @@ class TestLockstep:
         if estimator is not None:
             assert len(set(alone.eps_f[0].tolist())) == 4
 
+    @pytest.mark.parametrize("criterion", [False, True],
+                             ids=["budget", "criterion"])
     @pytest.mark.parametrize("name", ["synthetic", "minibatch_estimated", "gsg"])
-    def test_read_ahead_changes_nothing(self, quadratic10, monkeypatch, name):
-        # a window budget of one word makes every window one query: the
-        # same Paths and oracle inputs as the default read-ahead
+    def test_read_ahead_changes_nothing(self, quadratic10, monkeypatch, name,
+                                        criterion):
+        # a window budget of one word makes every draw one words pass: the
+        # same Paths and oracle inputs as the default read-ahead, over
+        # chunks of four iterations of the nine rows, and also when rows
+        # leave the block mid-run (a criterion met by about half the rows)
         problem, zeroth, first, estimator = self.family(name, quadratic10)
         params = AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=40)
+        monkeypatch.setattr(linesearch, "CHUNK_CELLS", 4 * 9 * problem.dim)
 
-        def run():
+        def run(stop=None):
             controller = (None if estimator is None
                           else EpochEpsFController(zeroth, estimator))
             return recorded_run(problem, zeroth, first, params, range(18, 27),
-                                controller)
+                                controller, stop)
 
         paths, rec = run()
+        stop = None
+        if criterion:
+            least = paths.grad_norm.min(axis=1)
+            spec = StoppingSpec("nonconvex", eps=float(np.median(least)))
+            stop = stopping_rule(spec, problem.phi_star)
+            paths, rec = run(stop)
+            exits = np.isfinite(paths.phi).sum(axis=1) - 1
+            assert exits.min() < exits.max() == params.max_iters
         monkeypatch.setattr(rngmod, "WINDOW_WORDS", 1)
-        self.assert_same_rows(*run(), paths, rec)
+        self.assert_same_rows(*run(stop), paths, rec)
 
     def test_rows_differ(self, quadratic10):
         problem, zeroth, first, _ = self.family("synthetic", quadratic10)
@@ -350,12 +367,62 @@ class TestReadAheadCount:
         run_lockstep(problem, zeroth, first,
                      AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=T),
                      range(n))
-        # three queries per iteration, 3 T = 300 without the read-ahead; a
-        # window that doubles from two queries takes 7 calls per stream
-        assert len(log) <= 3 * T // 10
+        # three queries per iteration, 3 T = 300 without the read-ahead;
+        # the run is one chunk (8 rows of 10 dims fit 100 iterations), and
+        # each stream hashes its first query alone and the other 99 in one
+        # window up to the chunk's end
+        by_stream = {}
+        for stream, m, _ in log:
+            by_stream.setdefault(stream, []).append(m)
+        assert list(by_stream.values()) == [[n, n * (T - 1)]] * 3
         hashed = sum(m * width for _, m, width in log)
         assert served[0] == n * T * (2 + 2 + 2 + rngmod.normal_words(10))
-        assert hashed <= 2 * served[0]
+        assert hashed == served[0]
+
+    def test_windows_end_with_their_chunk(self, quadratic10, monkeypatch):
+        # rows leave as they stop, over chunks of eight iterations of the
+        # twelve rows and longer ones as rows leave: no words call of a
+        # stream reads past the end of the chunk it is made in, or past T,
+        # and a stream makes at most one call per chunk and one more
+        T, seeds = 100, range(60, 72)
+        problem, zeroth, first, _ = TestLockstep.family("synthetic", quadratic10)
+        params = AloeParams(eps_f_input=0.01, alpha_max=1.25, max_iters=T)
+        monkeypatch.setattr(linesearch, "CHUNK_CELLS",
+                            8 * len(seeds) * problem.dim)
+        full = run_lockstep(problem, zeroth, first, params, seeds)
+        least = np.minimum.accumulate(full.grad_norm, axis=1)[:, 50]
+        spec = StoppingSpec("nonconvex", eps=float(np.median(least)))
+        # the (stream, count, queries per key) of each words call, and the
+        # end of the chunk each is made in: its start plus its capacity, or
+        # the budget; a chunk's calls come before its fill
+        calls, pending, ends, start = [], [], [], [0]
+        words, fill = rngmod.KeyedStream.words, linesearch._Chunk.fill
+
+        def logged_words(stream, m, width):
+            count = stream.count
+            out = words(stream, m, width)
+            pending.append((stream, count, stream.count - count))
+            return out
+
+        def logged_fill(ch, problem, c, *args):
+            ends.append(min(start[0] + ch.length, T))
+            calls.extend((call, ends[-1]) for call in pending)
+            pending.clear()
+            start[0] += c
+            return fill(ch, problem, c, *args)
+
+        monkeypatch.setattr(rngmod.KeyedStream, "words", logged_words)
+        monkeypatch.setattr(linesearch._Chunk, "fill", logged_fill)
+        paths = run_lockstep(problem, zeroth, first, params, seeds,
+                             stop=stopping_rule(spec, problem.phi_star))
+        exits = np.isfinite(paths.phi).sum(axis=1) - 1
+        assert exits.min() < exits.max()
+        assert len(ends) >= 2 and not pending
+        for (stream, count, queries), end in calls:
+            assert count + queries <= end <= T, (count, queries, end)
+        per_stream = collections.Counter(stream for (stream, _, _), _ in calls)
+        assert len(per_stream) == 3
+        assert max(per_stream.values()) <= 1 + len(ends)
 
     def test_no_read_ahead_on_the_gsg_gradient_stream(self, quadratic10,
                                                       monkeypatch):

@@ -235,6 +235,12 @@ class TestLogistic:
         with pytest.raises(ValueError, match="reg must be positive"):
             make_synthetic_logistic(n_samples=32, dim=3, seed=0, reg=reg)
 
+    def test_phi_star_above_start_rejected(self):
+        # at reg = 1e-300 the Newton solve stops at phi* = 6.9e14 on these
+        # 8 samples, far above phi(x_0): no gap phi(x_0) - phi* would hold
+        with pytest.raises(ValueError, match=r"phi\* = .* lies above phi\(x_0\)"):
+            make_synthetic_logistic(n_samples=8, dim=5, seed=0, reg=1e-300)
+
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
                     reason="np.longdouble is no wider than float64 here")

@@ -213,17 +213,36 @@ def first_uniform(words):
     return uniform(words[:, 0])
 
 
+def count_passes(stream) -> list:
+    """The rows of each `words` call `stream` makes from now on."""
+    passes, words = [], stream.words
+
+    def counted(m, width):
+        passes.append(m)
+        return words(m, width)
+
+    stream.words = counted
+    return passes
+
+
 class TestReadAhead:
     """`draw` answers transform(words(m, width)) and leaves the counter
     where that leaves it, whether or not it reads ahead.  Each test replays
     a sequence of calls on a stream and on a reference stream of the same
-    keys that calls `words` only."""
+    keys that calls `words` only, and counts the rows of the stream's own
+    `words` calls: a window reads from the query asked for up to the end
+    its owner set (`ahead`), never past WINDOW_WORDS words, and a stream
+    with no end reads none."""
 
     @staticmethod
-    def replay(keys, calls):
+    def replay(keys, calls, end=None):
         """calls: (m, width, transform) draws, and (m, width, None) words
-        calls; returns the stream."""
+        calls, on a stream whose owner set `end` (None: set none); returns
+        the stream and the rows of each of its `words` calls."""
         stream, ref = KeyedStream(keys, GRAD), KeyedStream(keys, GRAD)
+        if end is not None:
+            stream.ahead(end)
+        passes = count_passes(stream)
         for m, width, transform in calls:
             if transform is None:
                 got, want = stream.words(m, width), ref.words(m, width)
@@ -233,7 +252,7 @@ class TestReadAhead:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
             assert stream.count == ref.count
-        return stream
+        return stream, passes
 
     @staticmethod
     def replay_from(stream, count, draw, k):
@@ -246,27 +265,42 @@ class TestReadAhead:
                                   transform(ref.words(m, width)))
             assert stream.count == ref.count
 
-    @pytest.mark.parametrize("budget", [rngmod.WINDOW_WORDS, 4 * 3 * 5],
-                             ids=["default", "five_queries"])
+    @pytest.mark.parametrize("end, budget, spans", [
+        # the end cuts the third five-query window: 1..5, 6..10, 11..12,
+        # then one pass per draw past it
+        (13, 4 * 3 * 5, [1, 5, 5, 2] + [1] * 87),
+        # the end falls where the budget's windows do: 1..5, ..., 16..20
+        (21, 4 * 3 * 5, [1, 5, 5, 5, 5] + [1] * 79),
+        # the end after the last draw: one window serves the 99 draws after
+        # the first
+        (100, rngmod.WINDOW_WORDS, [1, 99]),
+        # no end: one pass per draw, whatever the budget
+        (None, rngmod.WINDOW_WORDS, [1] * 100)],
+        ids=["end_mid_window", "end_at_budget_cap", "end_after_last_draw",
+             "no_end"])
     @pytest.mark.parametrize("transform", [direction, first_uniform])
-    def test_windows_across_boundaries_and_growth(self, monkeypatch, budget,
-                                                  transform):
-        # 100 one-per-key draws: windows of 2, 4, ..., 64 queries, or of
-        # at most five when the budget caps them
+    def test_windows_across_boundaries_and_ends(self, monkeypatch, end, budget,
+                                                spans, transform):
         monkeypatch.setattr(rngmod, "WINDOW_WORDS", budget)
-        self.replay(range(4), [(4, 3, transform)] * 100)
+        _, passes = self.replay(range(4), [(4, 3, transform)] * 100, end)
+        assert passes == [4 * span for span in spans]
 
     def test_gaussian_smoothing_pattern(self):
-        # one query per key at x, then N = 6 per key twice: never windowed
+        # one query per key at x, then N = 6 per key twice: never windowed,
+        # whatever the end
         calls = [(4, 2, first_uniform), (24, 2, None), (24, 2, first_uniform)]
-        self.replay(range(4), calls * 10)
+        _, passes = self.replay(range(4), calls * 10, end=1000)
+        assert passes == [4, 24, 24] * 10
 
-    def test_one_key_certification_stacks(self):
+    @pytest.mark.parametrize("end", [None, 30])
+    def test_one_key_certification_stacks(self, end):
         # stacks of 5, a last stack of one, and runs of stacks of one
         calls = ([(5, 3, direction)] * 3 + [(1, 3, direction)]
                  + [(5, 3, first_uniform)] * 2 + [(1, 3, direction)] * 9
                  + [(5, 3, direction)] + [(1, 3, direction)] * 4)
-        self.replay([17], calls)
+        _, passes = self.replay([17], calls, end)
+        if end is None:     # no window
+            assert passes == [m for m, _, _ in calls]
 
     def test_calls_in_the_middle_of_a_window(self):
         # a words call, a draw of another transform, width or height, and
@@ -277,7 +311,7 @@ class TestReadAhead:
         calls = []
         for cut in cuts:
             calls += [draw] * 5 + [cut]
-        stream = self.replay(range(4), calls + [draw] * 5)
+        stream, _ = self.replay(range(4), calls + [draw] * 5, end=1000)
         # back into the current window, before it, to 0 and past it
         for count in (stream.count - 1, stream.count - 3, 0, stream.count + 40):
             stream.count = count
@@ -288,8 +322,11 @@ class TestReadAhead:
     def test_dropped_keys_leave_the_others_words(self, rows):
         # keys dropped in the middle of a window and between stacks of
         # several queries: each kept key draws what it draws in the stream
-        # that keeps every key
+        # that keeps every key.  `keep` drops the window, and the next draw
+        # reads a new one on the kept keys, up to the same end
         stream, whole = KeyedStream(range(5), GRAD), KeyedStream(range(5), GRAD)
+        stream.ahead(12)
+        passes = count_passes(stream)
         kept = np.arange(5)[rows]
         for step in range(12):
             if step == 5:
@@ -303,12 +340,19 @@ class TestReadAhead:
                 want = whole.words(10, 3).reshape(5, 2, 3)
                 assert np.array_equal(got, want if step < 5 else want[kept])
             assert stream.count == whole.count
+        # queries 0 and 1..11 of five keys; after `keep`, queries 5..11 of
+        # the kept keys, then two at step 8, queries 11 and 12 past a words
+        # call (one to set the shape, one at the end), two at step 10, and
+        # 15 past a words call
+        k = len(kept)
+        assert passes == [5, 5 * 11, k * 7, 2 * k, k, k, 2 * k, k]
 
     def test_query_limit(self):
         # a window never reads past the limit, and the draw after the last
         # query raises as `words` does
         stream = KeyedStream(range(2), GRAD)
         ref = KeyedStream(range(2), GRAD)
+        stream.ahead(QUERY_LIMIT + 10)
         stream.count = ref.count = QUERY_LIMIT - 5
         for _ in range(5):
             assert np.array_equal(stream.draw(2, 3, direction),
