@@ -247,11 +247,14 @@ def _run_trial_block(config: ExperimentConfig, constants: TheoryConstants,
     controller = None
     if config.estimate_eps_f:
         controller = EpochEpsFController(zeroth, config.estimator)
-    paths = run_lockstep(problem, zeroth, first, config.params, seeds,
-                         controller,
-                         stop=stopping_rule(config.stopping, problem.phi_star))
-    v = classify_paths(paths, problem, config.stopping, config.first.eps_g,
-                       config.first.kappa, constants.grid_index, constants.d)
+    # an overflow is no warning: a non-finite oracle output raises
+    # TrialDivergedError, and a finite one is classified as it stands
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        paths = run_lockstep(problem, zeroth, first, config.params, seeds,
+                             controller,
+                             stop=stopping_rule(config.stopping, problem.phi_star))
+        v = classify_paths(paths, problem, config.stopping, config.first.eps_g,
+                           config.first.kappa, constants.grid_index, constants.d)
     t = v.T_eps[0]   # not where the row left, which depends on the block
     base = (paths.row(0, config.params.max_iters if t == CENSORED else t)
             if seeds[0] == config.base_seed else None)

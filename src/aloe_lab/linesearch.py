@@ -7,9 +7,9 @@ Armijo test, and moves the step size one point along the grid
 alpha0 * gamma^i, which this module owns: the exponent i is lowered on
 success (not past the cap's exponent) and raised on failure, and the path
 classifier compares exponents.  The loop's state is a step index into
-tables of the run's reachable steps (`_StepGrid`): one take gives alpha,
-one gives alpha * theta for the Armijo test and one the index after a
-success, with the bits and the rules of `armijo_check` and `step_update`.
+the tables of the run's reachable steps (`_step_grid`): one take gives
+alpha, which `armijo_check` tests, and one the index after a success, by
+the rule of `step_update`.
 A trial's one record is its row of `Paths`.  A trial runs the whole
 budget, or, given the stopping criterion, until it leaves its block
 (below), at or after its stopping time: everything the lab reports of a
@@ -102,12 +102,20 @@ class AloeParams:
     max_iters: int = 1000
 
     def __post_init__(self):
+        overflow = None
+        if 0 < self.alpha0 < self.alpha_max and 0 < self.gamma < 1:
+            try:    # alpha_max / alpha0 or a step next to the cap
+                snap_to_step_grid(self.alpha_max, self.alpha0, self.gamma)
+            except ArithmeticError as exc:
+                overflow = (f"the step grid alpha0 * gamma^i up to alpha_max "
+                            f"overflows a float ({type(exc).__name__}: {exc})")
         check_settings(
             (self.eps_f_input < 0, "eps_f_input must be nonnegative"),
             (not 0 < self.alpha0 < self.alpha_max, "need 0 < alpha0 < alpha_max"),
             (not 0 < self.theta < 1, "theta must lie in (0, 1)"),
             (not 0 < self.gamma < 1, "gamma must lie in (0, 1)"),
-            (self.max_iters < 1, "max_iters must be >= 1"))
+            (self.max_iters < 1, "max_iters must be >= 1"),
+            (overflow is not None, overflow))
 
 
 @dataclass(frozen=True)
@@ -155,12 +163,7 @@ _PAST = {"exponents": UNREACHED, "success": False}
 def armijo_check(f_plus, f_curr, alpha, theta: float, g_norm_sq, eps_f_input):
     """Relaxed sufficient-decrease test; ties accepted.  Elementwise on
     arrays."""
-    return _decrease_test(f_plus, f_curr, alpha * theta, g_norm_sq, eps_f_input)
-
-
-def _decrease_test(f_plus, f_curr, alpha_theta, g_norm_sq, eps_f_input):
-    """`armijo_check` given alpha * theta, as `_StepGrid` tabulates it."""
-    return f_plus <= f_curr - alpha_theta * g_norm_sq + 2 * eps_f_input
+    return f_plus <= f_curr - alpha * theta * g_norm_sq + 2 * eps_f_input
 
 
 def snap_to_step_grid(alpha: float, alpha0: float, gamma: float) -> tuple[float, int]:
@@ -189,31 +192,22 @@ def step_update(i, success, i_cap: int):
     return np.where(success, np.maximum(i - 1, i_cap), i + 1)
 
 
-class _StepGrid:
-    """The steps a run of `params` can take, as tables over the step index
-    s = i - i_low of the exponent i: alpha (Python's ``**``, one grid point
-    at a time), alpha * theta, and the successor index on success
-    (`step_update`); on failure it is s + 1.  i starts at 0 and moves by
-    one per iteration, so max(i_cap, -T) = i_low <= i <= T.  (The successor
-    of s = 0 is only read when i_low = i_cap, as i = -T is reached at x_T
-    alone.)"""
-
-    def __init__(self, params: AloeParams):
-        T = params.max_iters
-        i_cap = snap_to_step_grid(params.alpha_max, params.alpha0, params.gamma)[1]
-        self.i_low = max(i_cap, -T)
-        self.alpha = np.array([params.alpha0 * params.gamma ** i
-                               for i in range(self.i_low, T + 1)])
-        self.alpha_theta = self.alpha * params.theta
-        self.up = step_update(np.arange(self.i_low, T + 1), True, i_cap) - self.i_low
-        for table in (self.alpha, self.alpha_theta, self.up):
-            table.flags.writeable = False
-
-
 @functools.lru_cache(maxsize=8)
-def _step_grid(params: AloeParams) -> _StepGrid:
-    """`_StepGrid(params)`, built once for all the blocks of a run."""
-    return _StepGrid(params)
+def _step_grid(params: AloeParams) -> tuple:
+    """The steps a run of `params` can take, built once for all the blocks
+    of a run: (i_low, alpha, up), with tables over the step index
+    s = i - i_low of the exponent i of alpha (Python's ``**``, one grid
+    point at a time) and of the successor index on success (`step_update`);
+    on failure it is s + 1.  i starts at 0 and moves by one per iteration,
+    so max(i_cap, -T) = i_low <= i <= T.  (The successor of s = 0 is only
+    read when i_low = i_cap, as i = -T is reached at x_T alone.)"""
+    T = params.max_iters
+    i_cap = snap_to_step_grid(params.alpha_max, params.alpha0, params.gamma)[1]
+    i_low = max(i_cap, -T)
+    alpha = np.array([params.alpha0 * params.gamma ** i for i in range(i_low, T + 1)])
+    up = step_update(np.arange(i_low, T + 1), True, i_cap) - i_low
+    alpha.flags.writeable = up.flags.writeable = False
+    return i_low, alpha, up
 
 
 # Float cells (iterations x rows x dim) of one slot array of a chunk of
@@ -279,7 +273,7 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     streams = rngmod.KeyedStream.purposes(
         seeds, (rngmod.GRAD, rngmod.F_CURR, rngmod.F_PLUS, rngmod.EPS_EST))
     grad_rng, curr_rng, plus_rng, est_rng = streams
-    grid = _step_grid(params)
+    i_low, alpha_of, up = _step_grid(params)
     reads = oracle_reads(zeroth_oracle) | oracle_reads(first_oracle)
     # the values the loop evaluates: those an oracle or the criterion reads
     stop_reads = frozenset() if stop is None else oracle_reads(stop)
@@ -294,7 +288,7 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
     rows = np.arange(n)
     x0 = np.asarray(problem.x0, dtype=float)
     ch = _Chunk(chunk_length(n, dim, T), np.broadcast_to(x0, (n, dim)),
-                problem.value(x0), problem.gradient(x0), -grid.i_low)
+                problem.value(x0), problem.gradient(x0), -i_low)
     start = 0
     # done[r]: row r has met the criterion at a point it reached; without
     # one, no row ever has
@@ -302,7 +296,7 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
             else ch.stopped(stop, stop_reads, 0))
     if done.all():      # at x_0, which every row shares: no iteration
         return _paths(seeds, 0, [(rows, 0, ch.fill(problem, 0, EXACT_VALUES - truth,
-                                                   grid, eps_f))])
+                                                   i_low, alpha_of, eps_f))])
     for k in range(T):
         j = k - start
         if not j:   # a chunk starts: its queries end with it
@@ -313,7 +307,7 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
         phi = ch.phi.take(at) if "phi" in reads else None
         grad = ch.grad_rows.take(at, axis=0) if "grad" in reads else None
         s = ch.steps[j]
-        alpha = grid.alpha.take(s)
+        alpha = alpha_of.take(s)
         if eps_f_controller is not None:
             ch.eps_f[j] = eps_f_controller(k, X, est_rng, phi)
         g = np.asarray(first_oracle(X, alpha, grad_rng, grad=grad, phi=phi),
@@ -335,8 +329,8 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
                 raise TrialDivergedError(
                     f"non-finite oracle output at iteration {k} "
                     f"(seed {seeds[rows[int(np.argmin(finite))]]})")
-        success = ch.success[j] = _decrease_test(
-            f_plus, f_curr, grid.alpha_theta.take(s), g_sq,
+        success = ch.success[j] = armijo_check(
+            f_plus, f_curr, alpha, params.theta, g_sq,
             ch.eps_f[j] if eps_f is None else eps_f)
         if "grad" in truth:
             hits = np.count_nonzero(success)
@@ -345,15 +339,15 @@ def run_lockstep(problem: ProblemInstance, zeroth_oracle, first_oracle,
             elif hits:
                 ch.grad[j + 1][success] = problem.gradients(x_plus[success])
         ch.at[j + 1] = np.where(success, ch.cell[j + 1], at)
-        ch.steps[j + 1] = np.where(success, grid.up.take(s), s + 1)
+        ch.steps[j + 1] = np.where(success, up.take(s), s + 1)
         if stop is not None:
             done |= ch.stopped(stop, stop_reads, j + 1)
         # the chunk rule: its capacity, the budget, or every row stopped
         if j < ch.length - 1 and k < T - 1 and not done.all():
             continue
         filled.append((slice(None) if len(rows) == n else rows, start,
-                       ch.fill(problem, j + 1, EXACT_VALUES - truth, grid,
-                               eps_f)))
+                       ch.fill(problem, j + 1, EXACT_VALUES - truth, i_low,
+                               alpha_of, eps_f)))
         start = k + 1
         live = ~done
         if not live.all():
@@ -389,7 +383,7 @@ class _Chunk:
     writes, for n rows over up to `length` iterations.  Row r of slot j is
     cell[j, r] of the flattened slots, and at[j] holds the cells of x_k,
     k = start + j; at[0] is slot 0 throughout.  The loop writes the step
-    index (`_StepGrid`) of each x_k, the oracle outputs, ||g_k||^2, the
+    index (`_step_grid`) of each x_k, the oracle outputs, ||g_k||^2, the
     verdicts and, with a controller, the slack; `fill` writes the rest."""
 
     def __init__(self, length: int, x, phi, grad, s):
@@ -421,8 +415,8 @@ class _Chunk:
             grad_norm = np.sqrt(row_dots(G, G))
         return stop(phi, grad_norm)
 
-    def fill(self, problem, c: int, evaluate: frozenset, grid: _StepGrid,
-             eps_f) -> dict:
+    def fill(self, problem, c: int, evaluate: frozenset, i_low: int,
+             alpha: np.ndarray, eps_f) -> dict:
         """Hand back the `Paths` columns of the chunk's first c iterations,
         one (c, n) array per field, and (c + 1, n) of the exponents, phi and
         grad_norm, which also hold the state after them; then move that
@@ -431,7 +425,8 @@ class _Chunk:
         The values in `evaluate`, which the loop left out, are evaluated
         first into the slots: phi as one stack of the chunk's x_k+ rows,
         grad phi as one stack of its accepted rows.  alpha and the exponents
-        come from the step indices through `grid`; `eps_f` is the slack of
+        come from the step indices through the run's table `alpha` and its
+        offset `i_low` (`_step_grid`); `eps_f` is the slack of
         every iteration, or None for the chunk's own column.  `g` is
         overwritten."""
         n, dim = self.phi.shape[1], self.x.shape[-1]
@@ -449,7 +444,7 @@ class _Chunk:
         steps = self.steps[:c + 1]
         # the slots' own rows are copied: the next chunk may reuse them
         f_curr, f_plus = self.f_curr[:c].copy(), self.f_plus[:c].copy()
-        block = dict(exponents=steps + grid.i_low, alpha=grid.alpha.take(steps[:c]),
+        block = dict(exponents=steps + i_low, alpha=alpha.take(steps[:c]),
                      success=success.copy(), f_curr=f_curr, f_plus=f_plus,
                      e_curr=np.abs(f_curr - phi[:c]),
                      e_plus=np.abs(f_plus - self.phi[1:c + 1]),

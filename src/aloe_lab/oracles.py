@@ -42,10 +42,8 @@ The synthetic and mini-batch oracles draw through `KeyedStream.draw`,
 naming the row-wise transform that turns a query's words into its noise:
 the signed error (synthetic zeroth order), the failure coin, radius
 fraction and unit direction (synthetic first order), the sample indices
-(mini-batch).  A stream answering one query per key on consecutive calls,
-as each of the line search's streams does, then reads the transformed
-noise ahead, up to the end its owner set (the line search sets the end of
-each chunk; see `rng`); the noise a query reads is the same either way.
+(mini-batch), so a stream may read that noise ahead, as `rng` states,
+without changing what any query reads.
 
 Oracles do not judge their own accuracy; `gradient_accurate` is the one
 gradient accuracy test, used by the path classifier, the certification

@@ -1,24 +1,29 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import re
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aloe_lab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_STATISTICAL,
                           main, run, statistical_failures, unmet_contract,
                           write_trace_csv)
-from aloe_lab.config import ConfigError, config_digest, parse_config
+from aloe_lab.config import _KEYS, ConfigError, config_digest, parse_config
 from aloe_lab.estimation import EpochEpsFController
-from aloe_lab.harness import (ExperimentConfig, build_oracles, build_problem,
-                              run_trials)
+from aloe_lab.harness import (FIXTURES, ORACLE_KINDS, ExperimentConfig,
+                              build_oracles, build_problem, run_trials)
 from aloe_lab.instrument import CENSORED
 from aloe_lab.linesearch import AloeParams, aloe_run
-from aloe_lab.oracles import FirstOracleSpec, ZerothOracleSpec
-from aloe_lab.problems import make_synthetic_logistic
+from aloe_lab.oracles import ZEROTH_MODES, FirstOracleSpec, ZerothOracleSpec
+from aloe_lab.problems import CLASS_TAGS, make_synthetic_logistic
 
 SMOKE = """
 [stopping]
@@ -509,6 +514,87 @@ class TestStartBelowCriticalStep:
         assert not os.path.exists(out)
 
 
+# stopping and experiment sections of the numeric-fault configs below
+FAULT_RUN = """
+[stopping]
+class = nonconvex
+eps = 0.1
+
+[experiment]
+trials = 3
+check_admissibility = false
+"""
+
+
+def run_without_warnings(config, out):
+    """`run(config, out)` with every warning an error, returning the exit
+    code and the stderr lines; the CLI's answer must not depend on the
+    warnings filter."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run(config, out, quiet=True, jobs=1)
+    return code, err.getvalue().splitlines()
+
+
+class TestNumericFault:
+    """Overflows inside a trial print no numpy warning, and the exit code
+    does not depend on the warnings filter: a non-finite oracle output
+    exits 3 with one line, and a finite run is classified as it stands."""
+
+    def test_overflowing_quadratic_runs(self, tmp_path):
+        # lambda_max = 1e300 overflows ||g||^2 in row_dots; the oracle
+        # outputs stay finite
+        config = write(tmp_path, "a.ini", (
+            "[problem]\nfixture = quadratic\ndim = 3\nlambda_max = 1e300\n\n"
+            "[oracles]\nkind = gsg\nsigma = 1e-300\neps_f = 0.001\n"
+            "mode = bounded\n" + FAULT_RUN))
+        code, err = run_without_warnings(config, str(tmp_path / "out"))
+        assert code == EXIT_OK
+        assert len(err) == 1 and err[0].startswith("declared contract never met")
+
+    @pytest.mark.parametrize("problem, oracles", [
+        ("fixture = logistic\ndim = 3\nn_samples = 16\nreg = 1e300\n", ""),
+        ("fixture = quadratic\ndim = 3\n",
+         "kind = gsg\neps_f = 1e300\nmode = bounded\n"),
+    ], ids=["logistic_reg_1e300", "gsg_eps_f_1e300"])
+    def test_non_finite_output_exits_three(self, tmp_path, problem, oracles):
+        config = write(tmp_path, "fault.ini", (
+            f"[problem]\n{problem}\n[oracles]\n{oracles}" + FAULT_RUN))
+        out = str(tmp_path / "out")
+        code, err = run_without_warnings(config, out)
+        assert code == EXIT_RUNTIME
+        assert err == ["runtime error: non-finite oracle output at iteration 0 "
+                       "(seed 0)"]
+        assert not os.path.exists(out)
+
+
+class TestStepGridOverflow:
+    """A step grid that overflows a float near the cap is refused at parse
+    time, and when built in code."""
+
+    @pytest.mark.parametrize("algorithm, error", [
+        # alpha_max / alpha0 overflows
+        ("alpha0 = 1e-300\nalpha_max = 1e12\n",
+         "cannot convert float infinity to integer"),
+        # the cap lies on the grid, the step above it overflows
+        ("alpha0 = 0.5\nalpha_max = 1e300\ngamma = 1e-12\n",
+         "Numerical result out of range"),
+    ], ids=["ratio", "step_above_cap"])
+    def test_exit_two(self, tmp_path, algorithm, error):
+        config = write(tmp_path, "grid.ini", f"[algorithm]\n{algorithm}")
+        out = str(tmp_path / "out")
+        code, err = run_without_warnings(config, out)
+        assert code == EXIT_CONFIG
+        assert err[0] == "invalid config:" and len(err) == 2
+        assert err[1].startswith("  [algorithm] the step grid alpha0 * gamma^i")
+        assert error in err[1]
+        assert not os.path.exists(out)
+        params = dict(line.split(" = ") for line in algorithm.splitlines())
+        with pytest.raises(ValueError, match="step grid"):
+            AloeParams(**{k: float(v) for k, v in params.items()})
+
+
 class TestTraceIsTrialZero:
     def test_trace_csv_is_the_harness_base_seed_trace(self, tmp_path):
         # trace.csv is the base seed's trial with the eps_f controller, cut
@@ -790,3 +876,91 @@ class TestStatisticalFailures:
                             lambda summary: ["planted failure"])
         config = write(tmp_path, "smoke.ini", SMOKE)
         assert run(config, str(tmp_path / "out"), quiet=True) == EXIT_STATISTICAL
+
+
+# ---------------------------------------------------------------------------
+# Whole runs of drawn configs: any file the parser can read ends in a
+# declared exit code with its stated reason, and prints no warning
+
+EXTREMES = (0.0, 1e-300, 1e-12, 1e-3, 0.5, 1.0, 2.0, 10.0, 1e12, 1e300)
+NAMED = {"zeroth.mode": ZEROTH_MODES, "stopping.class_tag": CLASS_TAGS}
+COUNTS = (0, 1, 2, 10)
+# the keys every drawn file sets, so that a run stays small
+SET = {("problem", "fixture"), ("oracles", "kind"), ("experiment", "trials"),
+       ("algorithm", "max_iters"), ("experiment", "check_admissibility")}
+ADVISORIES = ("declared contract never met: ", "no checkpoint fits the budget: ")
+DIVERGED = re.compile(r"runtime error: non-finite oracle output at iteration "
+                      r"\d+ \(seed \d+\)")
+
+
+def read_by(field: str, fixture: str, kind: str) -> bool:
+    """Whether `fixture` and oracle `kind` read the key of `field`."""
+    part, _, name = field.rpartition(".")
+    specs = {"fixture_params": FIXTURES[fixture],
+             "oracle_params": ORACLE_KINDS[kind]}
+    return part not in specs or name in specs[part].__dataclass_fields__
+
+
+def drawn_text(section: str, key: str):
+    cast, field = _KEYS[section][key]
+    if field in NAMED:
+        return st.sampled_from(NAMED[field])
+    if cast is int:
+        return st.sampled_from(COUNTS).map(str)
+    if field == "estimate_eps_f":
+        return st.sampled_from(["true", "false"])
+    if field == "t_checkpoints":
+        return st.lists(st.sampled_from((0, 1, 2, 10, 200)), min_size=1,
+                        max_size=3).map(lambda ts: ", ".join(map(str, ts)))
+    return st.sampled_from(EXTREMES).map(repr)
+
+
+@st.composite
+def drawn_runs(draw):
+    """(INI text, gate) of a drawn run: the fixture and oracle kind first,
+    then a few of the keys they read, each at an extreme value, with 1-7
+    trials, a budget of at most 100 and the gate off four times in five."""
+    fixture = draw(st.sampled_from(sorted(FIXTURES)))
+    kind = draw(st.sampled_from(sorted(ORACLE_KINDS)))
+    gate = draw(st.integers(0, 4)) == 0
+    entries = [("problem", "fixture", fixture), ("oracles", "kind", kind),
+               ("experiment", "trials", str(draw(st.integers(1, 7)))),
+               ("algorithm", "max_iters",
+                str(draw(st.sampled_from((1, 2, 10, 100))))),
+               ("experiment", "check_admissibility", str(gate).lower())]
+    keys = draw(st.lists(st.sampled_from(
+        [(s, k) for s, keys in _KEYS.items() for k, (_, field) in keys.items()
+         if (s, k) not in SET and read_by(field, fixture, kind)]),
+        max_size=6, unique=True))
+    entries += [(s, k, draw(drawn_text(s, k))) for s, k in keys]
+    sections = {}
+    for section, key, text in entries:
+        sections.setdefault(section, []).append(f"{key} = {text}\n")
+    text = "".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
+    return text, gate
+
+
+class TestDrawnRuns:
+    @settings(max_examples=800, derandomize=True, deadline=None)
+    @given(drawn=drawn_runs())
+    def test_every_exit_is_declared(self, tmp_path_factory, drawn):
+        text, gate = drawn
+        base = tmp_path_factory.getbasetemp()
+        path = base / "drawn_run.ini"
+        path.write_text(text)
+        code, err = run_without_warnings(str(path), str(base / "drawn_out"))
+        if code == EXIT_OK:
+            assert all(line.startswith(ADVISORIES) for line in err), err
+        elif code == EXIT_STATISTICAL:
+            assert not gate, err
+            assert err and err[-1].startswith('{"failures": '), err
+            assert all(line.startswith(ADVISORIES) for line in err[:-1]), err
+        elif code == EXIT_CONFIG:
+            listing = (err[0] == "invalid config:" and len(err) > 1
+                       and all(line.startswith("  ") for line in err[1:]))
+            refused = (len(err) == 1
+                       and err[0].startswith("inadmissible configuration: "))
+            assert listing or refused, err
+        else:
+            assert code == EXIT_RUNTIME, code
+            assert len(err) == 1 and DIVERGED.fullmatch(err[0]), err
